@@ -31,7 +31,9 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,48 +58,12 @@ GATED_METRICS = (
 #: paper-shaped graph sizes the vectorized hot paths make affordable.
 SCALE_UP_RMAT_SCALE = 17
 
-#: The serving tier must amortize device work at least this much versus
-#: one-query-at-a-time service (acceptance floor, enforced every run —
-#: virtual-time, so deterministic across machines).
-SERVE_SPEEDUP_FLOOR = 2.0
-
-#: The sampling tier must amortize device work at least this much by
-#: coalescing same-kind sampling queries (walk / node2vec / khop /
-#: sppr) into one combined multi-source run versus one-query-at-a-time
-#: service (acceptance floor, enforced every run — virtual-time, so
-#: deterministic across machines).  Counter-based RNG keys every draw
-#: by (seed, source, walk, step), so coalescing must never change a
-#: single bit of any answer; the row asserts that against the
-#: ``run_direct`` oracle before reporting a speedup.
-SAMPLING_SPEEDUP_FLOOR = 2.0
-
-#: The cluster tier (replica pool + versioned result cache) must beat a
-#: single broker at equal offered load by at least this much on the
-#: hot-key-skewed workload (acceptance floor, enforced every run).
-CLUSTER_SPEEDUP_FLOOR = 2.0
-
-#: The stream/event pipeline must cut replica *device* time at least
-#: this much versus the batch-at-a-time executor at equal offered load
-#: (device-seconds over stream-device busy-seconds; acceptance floor,
-#: enforced every run).  Responses must stay bit-identical — the gate
-#: only accepts overlap, never changed answers.
-PIPELINE_SPEEDUP_FLOOR = 1.3
-
-#: The incremental engines must beat per-epoch full recomputes by at
-#: least this much in total *device* time over a sustained update
-#: stream (acceptance floor, enforced every run).  The gate only ever
-#: accepts repaired answers that are bit-identical to the
-#: full-recompute oracle (BFS/SSSP) or within the computed residual
-#: certificate (PageRank) — never changed answers.
-DYNAMIC_SPEEDUP_FLOOR = 2.0
-
-#: Committed tuned profiles must beat the default configuration by at
-#: least this factor (total simulated device seconds, SLO-feasible) on
-#: at least :data:`TUNED_MIN_CATEGORIES` graph categories.  Measured at
-#: commit time: rmat 1.157x, road 1.083x — the floor leaves headroom
-#: but still fails if tuning ever degrades to a no-op.
+#: A committed tuned profile counts toward the ``tuned_vs_default``
+#: floor when it beats the default configuration by at least this factor
+#: (total simulated device seconds, SLO-feasible).  Measured at commit
+#: time: rmat 1.157x, road 1.083x — the floor leaves headroom but still
+#: fails if tuning ever degrades to a no-op.
 TUNED_SPEEDUP_FLOOR = 1.05
-TUNED_MIN_CATEGORIES = 2
 
 #: Where the committed tuned profiles live (repo-root relative).
 PROFILES_DIR = Path(__file__).resolve().parent.parent / "profiles"
@@ -159,13 +125,15 @@ def _serve_row(smoke: bool) -> dict:
     Everything in the row except wall time is simulated/deterministic
     (seeded arrivals, virtual-time batching), so ``simulated_seconds``
     — the total device time of the batched service — is gated like any
-    other workload, and the speedup floor is enforced unconditionally.
+    other workload.  The speedup is the device-time amortization versus
+    one-query-at-a-time service over the same query list.
     """
     from repro.serve import (
+        SINGLE_BROKER,
         generate_queries,
         open_loop_arrivals,
         sequential_baseline,
-        simulate_open_loop,
+        simulate_cluster_open_loop,
     )
 
     graph = _graph(smoke)
@@ -175,18 +143,18 @@ def _serve_row(smoke: bool) -> dict:
     )
     arrivals = open_loop_arrivals(num_queries, rate_qps=400.0, seed=7)
     wall_start = time.perf_counter()
-    sequential = sequential_baseline(graph, requests, SageScheduler)
-    _, report = simulate_open_loop(
-        graph, requests, arrivals, SageScheduler,
-        batch_window=0.05, max_batch_size=64, num_workers=2,
-        sequential_seconds=sequential,
+    _, report = simulate_cluster_open_loop(
+        {"bench": graph}, requests, arrivals, SageScheduler,
+        batch_window=0.05, max_batch_size=64,
+        baseline_seconds=sequential_baseline(graph, requests, SageScheduler),
+        **SINGLE_BROKER,
     )
     wall = time.perf_counter() - wall_start
     assert report.status_counts == {"ok": num_queries}
     return {
         "simulated_seconds": report.sim_seconds_total,
-        "serve_sequential_seconds": report.sequential_seconds,
-        "serve_speedup_vs_sequential": report.speedup_vs_sequential,
+        "serve_sequential_seconds": report.baseline_seconds,
+        "serve_speedup_vs_sequential": report.speedup_vs_baseline,
         "serve_batch_occupancy_mean": report.batch_occupancy_mean,
         "serve_num_batches": float(report.num_batches),
         "serve_throughput_qps": report.throughput_qps,
@@ -212,12 +180,13 @@ def _sampling_row(smoke: bool) -> dict:
     """
     from repro.serve import (
         SAMPLING_MIX,
+        SINGLE_BROKER,
         QueryStatus,
         generate_queries,
         open_loop_arrivals,
         run_direct,
         sequential_baseline,
-        simulate_open_loop,
+        simulate_cluster_open_loop,
     )
 
     graph = _graph(smoke)
@@ -227,11 +196,11 @@ def _sampling_row(smoke: bool) -> dict:
     )
     arrivals = open_loop_arrivals(num_queries, rate_qps=400.0, seed=17)
     wall_start = time.perf_counter()
-    sequential = sequential_baseline(graph, requests, SageScheduler)
-    responses, report = simulate_open_loop(
-        graph, requests, arrivals, SageScheduler,
-        batch_window=0.05, max_batch_size=64, num_workers=2,
-        sequential_seconds=sequential,
+    responses, report = simulate_cluster_open_loop(
+        {"bench": graph}, requests, arrivals, SageScheduler,
+        batch_window=0.05, max_batch_size=64,
+        baseline_seconds=sequential_baseline(graph, requests, SageScheduler),
+        **SINGLE_BROKER,
     )
     wall = time.perf_counter() - wall_start
     assert report.status_counts == {"ok": num_queries}
@@ -249,8 +218,8 @@ def _sampling_row(smoke: bool) -> dict:
             )
     return {
         "simulated_seconds": report.sim_seconds_total,
-        "sampling_sequential_seconds": report.sequential_seconds,
-        "sampling_speedup_vs_sequential": report.speedup_vs_sequential,
+        "sampling_sequential_seconds": report.baseline_seconds,
+        "sampling_speedup_vs_sequential": report.speedup_vs_baseline,
         "sampling_batch_occupancy_mean": report.batch_occupancy_mean,
         "sampling_num_batches": float(report.num_batches),
         "sampling_throughput_qps": report.throughput_qps,
@@ -266,16 +235,14 @@ def _cluster_row(smoke: bool) -> dict:
     skewed, source-heavy mix where micro-batching alone cannot merge
     work (distinct SSSP sources never share a batch slot) but the
     versioned cache collapses the repeats.  Both sides see the *same*
-    seeded requests and arrival times, so ``speedup_vs_single_broker``
-    is the device-seconds ratio at equal offered load and is enforced
-    against :data:`CLUSTER_SPEEDUP_FLOOR` unconditionally.
+    seeded requests and arrival times, so the speedup is the
+    device-seconds ratio versus the single broker at equal offered load.
     """
     from repro.serve import (
+        SINGLE_BROKER,
         generate_queries,
         open_loop_arrivals,
-        sequential_baseline,
         simulate_cluster_open_loop,
-        simulate_open_loop,
         skew_sources,
     )
 
@@ -291,25 +258,22 @@ def _cluster_row(smoke: bool) -> dict:
     )
     arrivals = open_loop_arrivals(num_queries, rate_qps=100.0, seed=11)
     wall_start = time.perf_counter()
-    sequential = sequential_baseline(graph, requests, SageScheduler)
-    _, single = simulate_open_loop(
-        graph, requests, arrivals, SageScheduler,
-        batch_window=0.05, max_batch_size=64, num_workers=2,
-        sequential_seconds=sequential,
+    _, single = simulate_cluster_open_loop(
+        {"bench": graph}, requests, arrivals, SageScheduler,
+        batch_window=0.05, max_batch_size=64, **SINGLE_BROKER,
     )
     _, report = simulate_cluster_open_loop(
         {"bench": graph}, requests, arrivals, SageScheduler,
         num_replicas=2, routing="affinity",
         batch_window=0.05, max_batch_size=64,
-        single_broker_seconds=single.sim_seconds_total,
+        baseline_seconds=single.sim_seconds_total,
     )
     wall = time.perf_counter() - wall_start
     assert report.status_counts == {"ok": num_queries}
     return {
         "simulated_seconds": report.sim_seconds_total,
-        "cluster_single_broker_seconds": report.single_broker_seconds,
-        "cluster_speedup_vs_single_broker":
-            report.speedup_vs_single_broker,
+        "cluster_single_broker_seconds": report.baseline_seconds,
+        "cluster_speedup_vs_single_broker": report.speedup_vs_baseline,
         "cluster_cache_hit_ratio": report.cache_hit_ratio,
         "cluster_cache_hits": float(report.cache_hits),
         "cluster_num_batches": float(report.num_batches),
@@ -594,6 +558,70 @@ def _tuned_row() -> dict:
     return row
 
 
+class SpeedupTier(NamedTuple):
+    """One speedup-gated bench tier."""
+
+    name: str                      # row name in BENCH_repro.json
+    run: Callable[[bool], dict]    # smoke -> row
+    speedup_key: str               # the row key the floor applies to
+    floor: float                   # minimum value, enforced every run
+    label: str                     # what the speedup is measured against
+
+
+#: The speedup-gated tiers.  Every row is virtual-time, so its speedup
+#: is deterministic across machines and the floor is enforced on every
+#: run.  Rows that report a speedup first assert their answers against
+#: an oracle, so a floor only ever accepts amortization or overlap, never
+#: changed answers.
+SPEEDUP_TIERS: tuple[SpeedupTier, ...] = (
+    SpeedupTier(
+        "serve_openloop", _serve_row, "serve_speedup_vs_sequential", 2.0,
+        "device time vs one-query-at-a-time service",
+    ),
+    SpeedupTier(
+        "sampling_openloop", _sampling_row,
+        "sampling_speedup_vs_sequential", 2.0,
+        "device time vs one-query-at-a-time service (coalesced "
+        "multi-source runs)",
+    ),
+    SpeedupTier(
+        "cluster_openloop", _cluster_row,
+        "cluster_speedup_vs_single_broker", 2.0,
+        "device time vs a single broker at equal offered load",
+    ),
+    SpeedupTier(
+        "pipeline_openloop", _pipeline_row, "pipeline_speedup_vs_batch",
+        1.3,
+        "device time vs the batch-at-a-time executor at equal offered "
+        "load",
+    ),
+    SpeedupTier(
+        "dynamic_stream", _dynamic_stream_row,
+        "dynamic_speedup_vs_recompute", 2.0,
+        "device time vs per-epoch full recomputes on the update stream",
+    ),
+    SpeedupTier(
+        "tuned_vs_default", lambda smoke: _tuned_row(),
+        "tuned_categories_above_floor", 2,
+        f"graph categories where tuned profiles beat the defaults by "
+        f">= {TUNED_SPEEDUP_FLOOR:.2f}x",
+    ),
+)
+
+
+def check_floors(current: dict) -> list[str]:
+    """Every tier below its speedup floor, as human-readable strings."""
+    failures = []
+    for tier in SPEEDUP_TIERS:
+        value = current["workloads"][tier.name][tier.speedup_key]
+        if value < tier.floor:
+            failures.append(
+                f"{tier.name}: {tier.speedup_key}={value:.3f} < floor "
+                f"{tier.floor} ({tier.label})"
+            )
+    return failures
+
+
 def run_suite(smoke: bool, sanitizer=None) -> dict:
     """Execute the suite; returns the BENCH_repro.json payload.
 
@@ -631,51 +659,13 @@ def run_suite(smoke: bool, sanitizer=None) -> dict:
         print(f"  {name:24s} cycles={row['total_cycles']:14.1f} "
               f"sim={row['simulated_seconds'] * 1e3:9.4f} ms "
               f"wall={wall:6.2f} s")
-    serve = _serve_row(smoke)
-    rows["serve_openloop"] = serve
-    print(f"  {'serve_openloop':24s} "
-          f"speedup={serve['serve_speedup_vs_sequential']:7.2f}x "
-          f"occ={serve['serve_batch_occupancy_mean']:5.2f} "
-          f"sim={serve['simulated_seconds'] * 1e3:9.4f} ms "
-          f"wall={serve['wall_seconds']:6.2f} s")
-    sampling = _sampling_row(smoke)
-    rows["sampling_openloop"] = sampling
-    print(f"  {'sampling_openloop':24s} "
-          f"speedup={sampling['sampling_speedup_vs_sequential']:7.2f}x "
-          f"occ={sampling['sampling_batch_occupancy_mean']:5.2f} "
-          f"sim={sampling['simulated_seconds'] * 1e3:9.4f} ms "
-          f"wall={sampling['wall_seconds']:6.2f} s")
-    cluster = _cluster_row(smoke)
-    rows["cluster_openloop"] = cluster
-    print(f"  {'cluster_openloop':24s} "
-          f"speedup={cluster['cluster_speedup_vs_single_broker']:7.2f}x "
-          f"hit={cluster['cluster_cache_hit_ratio']:5.2f} "
-          f"sim={cluster['simulated_seconds'] * 1e3:9.4f} ms "
-          f"wall={cluster['wall_seconds']:6.2f} s")
-    pipeline = _pipeline_row(smoke)
-    rows["pipeline_openloop"] = pipeline
-    print(f"  {'pipeline_openloop':24s} "
-          f"speedup={pipeline['pipeline_speedup_vs_batch']:7.2f}x "
-          f"inflight={pipeline['pipeline_inflight_peak']:3.0f} "
-          f"sim={pipeline['simulated_seconds'] * 1e3:9.4f} ms "
-          f"wall={pipeline['wall_seconds']:6.2f} s")
-    dynamic = _dynamic_stream_row(smoke)
-    rows["dynamic_stream"] = dynamic
-    print(f"  {'dynamic_stream':24s} "
-          f"speedup={dynamic['dynamic_speedup_vs_recompute']:7.2f}x "
-          f"repairs={dynamic['dynamic_repairs']:3.0f} "
-          f"sim={dynamic['simulated_seconds'] * 1e3:9.4f} ms "
-          f"wall={dynamic['wall_seconds']:6.2f} s")
-    tuned = _tuned_row()
-    rows["tuned_vs_default"] = tuned
-    speedups = ", ".join(
-        f"{key.removeprefix('tuned_speedup_')}={value:.3f}x"
-        for key, value in sorted(tuned.items())
-        if key.startswith("tuned_speedup_")
-    )
-    print(f"  {'tuned_vs_default':24s} {speedups} "
-          f"sim={tuned['simulated_seconds'] * 1e3:9.4f} ms "
-          f"wall={tuned['wall_seconds']:6.2f} s")
+    for tier in SPEEDUP_TIERS:
+        row = tier.run(smoke)
+        rows[tier.name] = row
+        print(f"  {tier.name:24s} "
+              f"{tier.speedup_key}={row[tier.speedup_key]:.3f} "
+              f"sim={row['simulated_seconds'] * 1e3:9.4f} ms "
+              f"wall={row['wall_seconds']:6.2f} s")
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": "smoke" if smoke else "full",
@@ -761,75 +751,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"bench_trajectory: suite={'smoke' if args.smoke else 'full'}")
     current = run_suite(args.smoke, sanitizer)
 
-    serve = current["workloads"]["serve_openloop"]
-    if serve["serve_speedup_vs_sequential"] < SERVE_SPEEDUP_FLOOR:
-        print(
-            f"serving tier below the speedup floor: "
-            f"{serve['serve_speedup_vs_sequential']:.2f}x < "
-            f"{SERVE_SPEEDUP_FLOOR:.1f}x vs one-query-at-a-time",
-            file=sys.stderr,
-        )
-        return 1
-
-    sampling = current["workloads"]["sampling_openloop"]
-    if sampling["sampling_speedup_vs_sequential"] < SAMPLING_SPEEDUP_FLOOR:
-        print(
-            f"sampling tier below the speedup floor: "
-            f"{sampling['sampling_speedup_vs_sequential']:.2f}x < "
-            f"{SAMPLING_SPEEDUP_FLOOR:.1f}x vs one-query-at-a-time "
-            f"(coalesced multi-source runs)",
-            file=sys.stderr,
-        )
-        return 1
-
-    cluster = current["workloads"]["cluster_openloop"]
-    if cluster["cluster_speedup_vs_single_broker"] < CLUSTER_SPEEDUP_FLOOR:
-        print(
-            f"cluster tier below the speedup floor: "
-            f"{cluster['cluster_speedup_vs_single_broker']:.2f}x < "
-            f"{CLUSTER_SPEEDUP_FLOOR:.1f}x vs a single broker at equal "
-            f"offered load",
-            file=sys.stderr,
-        )
-        return 1
-
-    pipeline = current["workloads"]["pipeline_openloop"]
-    if pipeline["pipeline_speedup_vs_batch"] < PIPELINE_SPEEDUP_FLOOR:
-        print(
-            f"pipeline tier below the speedup floor: "
-            f"{pipeline['pipeline_speedup_vs_batch']:.2f}x < "
-            f"{PIPELINE_SPEEDUP_FLOOR:.1f}x device time vs the "
-            f"batch-at-a-time executor at equal offered load",
-            file=sys.stderr,
-        )
-        return 1
-
-    dynamic = current["workloads"]["dynamic_stream"]
-    if dynamic["dynamic_speedup_vs_recompute"] < DYNAMIC_SPEEDUP_FLOOR:
-        print(
-            f"dynamic tier below the speedup floor: "
-            f"{dynamic['dynamic_speedup_vs_recompute']:.2f}x < "
-            f"{DYNAMIC_SPEEDUP_FLOOR:.1f}x device time vs per-epoch "
-            f"full recomputes on the update stream",
-            file=sys.stderr,
-        )
-        return 1
-
-    tuned = current["workloads"]["tuned_vs_default"]
-    if tuned["tuned_categories_above_floor"] < TUNED_MIN_CATEGORIES:
-        missing = [
-            (key.removeprefix("tuned_speedup_"), value)
-            for key, value in sorted(tuned.items())
-            if key.startswith("tuned_speedup_") and value < TUNED_SPEEDUP_FLOOR
-        ]
-        print(
-            f"tuned profiles beat defaults on only "
-            f"{tuned['tuned_categories_above_floor']} categories "
-            f"(need >= {TUNED_MIN_CATEGORIES} at "
-            f">= {TUNED_SPEEDUP_FLOOR:.2f}x); below the floor: "
-            + ", ".join(f"{name}={value:.3f}x" for name, value in missing),
-            file=sys.stderr,
-        )
+    floor_failures = check_floors(current)
+    if floor_failures:
+        print("speedup tiers below their floors:", file=sys.stderr)
+        for failure in floor_failures:
+            print(f"  {failure}", file=sys.stderr)
         return 1
 
     if sanitizer is not None:

@@ -18,11 +18,6 @@ violations of repo-specific rules ordinary linters cannot express:
 * **SAGE004** — bare ``except:`` anywhere, and exception handlers that
   swallow diagnostics (``pass``-only bodies catching ``Exception``) in
   the simulator layers (:data:`SIMULATOR_LAYERS`).
-* **SAGE005** — use of a deprecated entry point:
-  ``run_app(..., sanitizer=...)`` (use ``repro.api.run(..., checks=...)``),
-  direct ``QueryBroker(...)`` construction (use ``repro.api.serve``), or
-  per-edge ``.apply_update(...)`` (use ``GraphStore.apply_edges`` /
-  ``apply_delta``).  The sanctioned internal sites carry an inline allow.
 * **SAGE006** — lock discipline: an attribute a class declares in its
   ``_guarded_by`` mapping (attribute name → guard attribute, or a tuple
   of acceptable guards) accessed outside a ``with self.<guard>:`` block.
@@ -60,8 +55,6 @@ RULES: dict[str, str] = {
     "SAGE002": "metric/span name literal not in the repro.obs.names registry",
     "SAGE003": "unseeded numpy randomness in library code",
     "SAGE004": "bare except / swallowed diagnostics in simulator layers",
-    "SAGE005": "deprecated entry point (run_app sanitizer= / QueryBroker() "
-               "/ .apply_update())",
     "SAGE006": "attribute declared in _guarded_by accessed without its lock",
     "SAGE007": "known-blocking call while a lock is held",
 }
@@ -473,7 +466,6 @@ class _FileLinter(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self._check_sage002(node)
         self._check_sage003(node)
-        self._check_sage005(node)
         if (
             self.hot_path
             and not self._exempt
@@ -548,40 +540,6 @@ class _FileLinter(ast.NodeVisitor):
                 node,
                 "default_rng() without a seed is nondeterministic; pass "
                 "an explicit seed in library code",
-            )
-
-    # -- SAGE005: deprecated entry points ------------------------------
-
-    def _check_sage005(self, node: ast.Call) -> None:
-        func = node.func
-        name = (
-            func.attr
-            if isinstance(func, ast.Attribute)
-            else func.id if isinstance(func, ast.Name) else None
-        )
-        if name == "run_app":
-            if any(kw.arg == "sanitizer" for kw in node.keywords):
-                self._flag(
-                    "SAGE005",
-                    node,
-                    "run_app(..., sanitizer=...) is deprecated; use "
-                    "repro.api.run(..., checks=...)",
-                )
-        elif name == "QueryBroker":
-            self._flag(
-                "SAGE005",
-                node,
-                "direct QueryBroker construction is deprecated; use "
-                "repro.api.serve(...) (internal sites carry an inline "
-                "allow)",
-            )
-        elif name == "apply_update" and isinstance(func, ast.Attribute):
-            self._flag(
-                "SAGE005",
-                node,
-                ".apply_update(handle, src, dst) is deprecated; use "
-                "apply_edges(handle, src, dst) or "
-                "apply_delta(handle, delta)",
             )
 
     # -- SAGE004: swallowed diagnostics --------------------------------

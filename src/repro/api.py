@@ -16,12 +16,11 @@ functions; library users should start here instead of wiring
     with repro.api.cluster({"g": graph}, num_replicas=2) as pool:
         response = pool.submit(request).result()
 
-``run`` replaces the deprecated ``run_app(..., sanitizer=...)``
-spelling (``checks=True`` wires the kernel hazard sanitizer and returns
-it on the result), and ``serve``/``cluster`` replace direct
-:class:`QueryBroker` construction.  The maps :data:`APPS` and
-:data:`SCHEDULERS` are the canonical name → factory registries; the CLI
-imports them from here.
+``run(..., checks=True)`` wires the kernel hazard sanitizer and returns
+it on the result; ``serve``/``cluster`` wire graphs, scheduler, tuned
+profile and metrics into a broker or replica pool.  The maps
+:data:`APPS` and :data:`SCHEDULERS` are the canonical name → factory
+registries; the CLI imports them from here.
 
 ``tune`` runs the :mod:`repro.tune` cost-model search and persists the
 winning configuration as a :class:`~repro.tune.profiles.TunedProfile`.
@@ -75,17 +74,16 @@ from repro.serve.admission import AdmissionConfig
 from repro.serve.broker import QueryBroker
 from repro.serve.cache import GraphStore, graph_fingerprint
 from repro.serve.cluster import (
+    SINGLE_BROKER,
     ClusterBenchReport,
     ClusterPool,
     simulate_cluster_open_loop,
 )
 from repro.serve.pipelined import PipelineConfig
 from repro.serve.loadgen import (
-    ServeBenchReport,
     generate_queries,
     open_loop_arrivals,
     sequential_baseline,
-    simulate_open_loop,
 )
 from repro.tune import (
     ProfileStore,
@@ -257,8 +255,7 @@ def run(
     """Run one application to convergence on the simulated device.
 
     ``checks=True`` audits every kernel with the hazard sanitizer
-    (:mod:`repro.analysis`) and returns it as ``result.checks`` — this
-    replaces the deprecated ``run_app(..., sanitizer=...)`` spelling.
+    (:mod:`repro.analysis`) and returns it as ``result.checks``.
     ``source`` defaults to the highest-out-degree node for apps that
     need one.
     """
@@ -312,9 +309,8 @@ def serve(
 ) -> QueryBroker:
     """Start a single micro-batching query broker (a context manager).
 
-    This is the supported way to construct a broker — direct
-    :class:`QueryBroker` construction is deprecated.  A bare
-    :class:`CSRGraph` is registered under the handle ``"default"``.
+    A bare :class:`CSRGraph` is registered under the handle
+    ``"default"``.
 
     With the default ``profile="auto"`` a committed tuned profile
     matching one of the graphs (by content fingerprint) supplies the
@@ -342,7 +338,7 @@ def serve(
             max_batch_size = tuned.point.max_batch_size
         if scheduler == "sage":
             factory = tuned.point.scheduler_factory()
-    return QueryBroker(  # sage: allow(SAGE005) - the sanctioned constructor
+    return QueryBroker(
         graphs,
         factory,
         batch_window=batch_window if batch_window is not None else 0.01,
@@ -353,7 +349,6 @@ def serve(
         max_retries=max_retries,
         metrics=metrics,
         race_check=race_check,
-        _internal=True,
     )
 
 
@@ -481,7 +476,6 @@ def bench(
     mix: Mapping[str, float] | None = None,
     batch_window: float = 0.05,
     max_batch_size: int = 64,
-    num_workers: int = 2,
     scheduler: str | Callable[[], Scheduler] = "sage",
     replicas: int = 0,
     routing: str = "affinity",
@@ -490,15 +484,16 @@ def bench(
     pipeline: PipelineConfig | None = None,
     seed: int = 0,
     metrics: MetricsRegistry | None = None,
-) -> ServeBenchReport | ClusterBenchReport:
+) -> ClusterBenchReport:
     """Deterministic open-loop serving benchmark over one graph.
 
     ``replicas=0`` (default) benchmarks the single micro-batching
-    broker and returns a :class:`ServeBenchReport`; ``replicas >= 1``
-    benchmarks the cluster tier on the same seeded trace (baselined
-    against the single broker) and returns a
-    :class:`ClusterBenchReport`.  Pass a
-    :class:`~repro.serve.pipelined.PipelineConfig` to run replica
+    broker (the :data:`~repro.serve.cluster.SINGLE_BROKER` replay)
+    against the sequential one-query-at-a-time oracle; ``replicas >= 1``
+    benchmarks the cluster tier on the same seeded trace, baselined
+    against the single broker.  Either way the report's
+    ``baseline_seconds``/``speedup_vs_baseline`` carry the comparison.
+    Pass a :class:`~repro.serve.pipelined.PipelineConfig` to run replica
     devices through the stream/event pipeline (responses stay
     bit-identical; only device time changes).  Everything runs in
     virtual time, so equal arguments always produce equal reports.
@@ -510,30 +505,30 @@ def bench(
         "bench", graph.num_nodes, num_queries, mix=mix, seed=seed
     )
     arrivals = open_loop_arrivals(num_queries, rate_qps, seed=seed)
-    sequential = sequential_baseline(graph, requests, factory)
-    _, serve_report = simulate_open_loop(
-        graph, requests, arrivals, factory,
-        batch_window=batch_window,
-        max_batch_size=max_batch_size,
-        num_workers=num_workers,
-        sequential_seconds=sequential,
-        metrics=metrics if replicas < 1 else None,
+    trace = ({"bench": graph}, requests, arrivals, factory)
+    window: dict[str, Any] = dict(
+        batch_window=batch_window, max_batch_size=max_batch_size
     )
     if replicas < 1:
-        return serve_report
-    _, cluster_report = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, factory,
-        num_replicas=replicas,
-        routing=routing,
-        batch_window=batch_window,
-        max_batch_size=max_batch_size,
-        cache_capacity=cache_capacity,
-        admission=admission,
-        pipeline=pipeline,
-        single_broker_seconds=serve_report.sim_seconds_total,
-        metrics=metrics,
+        baseline = sequential_baseline(graph, requests, factory)
+        config: dict[str, Any] = SINGLE_BROKER
+    else:
+        _, single = simulate_cluster_open_loop(
+            *trace, **window, **SINGLE_BROKER
+        )
+        baseline = single.sim_seconds_total
+        config = dict(
+            num_replicas=replicas,
+            routing=routing,
+            cache_capacity=cache_capacity,
+            admission=admission,
+            pipeline=pipeline,
+        )
+    _, report = simulate_cluster_open_loop(
+        *trace, **window, **config,
+        baseline_seconds=baseline, metrics=metrics,
     )
-    return cluster_report
+    return report
 
 
 def update(

@@ -330,12 +330,12 @@ def _audited_baseline(
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve import (
+        SINGLE_BROKER,
         generate_queries,
         open_loop_arrivals,
-        publish_report_gauges,
         run_closed_loop,
         sequential_baseline,
-        simulate_open_loop,
+        simulate_cluster_open_loop,
     )
 
     graph = _load_graph(args)
@@ -361,14 +361,15 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             sequential = sequential_baseline(
                 graph, requests, scheduler_factory
             )
-        _, report = simulate_open_loop(
-            graph, requests, arrivals, scheduler_factory,
+        _, report = simulate_cluster_open_loop(
+            {"bench": graph}, requests, arrivals, scheduler_factory,
             batch_window=args.batch_window,
             max_batch_size=args.max_batch_size,
-            num_workers=args.workers,
-            sequential_seconds=sequential,
+            baseline_seconds=sequential,
             metrics=metrics,
+            **SINGLE_BROKER,
         )
+        mode, unit = "open-loop", "virtual s"
     else:
         _, report = run_closed_loop(
             "bench", graph, requests, scheduler_factory,
@@ -378,8 +379,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             num_workers=args.workers,
             metrics=metrics,
         )
-    unit = "virtual s" if args.mode == "open" else "wall s"
-    print(f"serve-bench ({report.mode}) on {graph}")
+        mode, unit = "closed-loop", "wall s"
+    print(f"serve-bench ({mode}) on {graph}")
     statuses = ", ".join(
         f"{k}={v}" for k, v in sorted(report.status_counts.items())
     )
@@ -390,15 +391,14 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     print(f"  throughput        {report.throughput_qps:10.2f} qps")
     print(f"  latency p50/95/99 {report.latency_p50:10.4f}"
           f" / {report.latency_p95:.4f} / {report.latency_p99:.4f} {unit}")
-    if report.sequential_seconds > 0:
+    if args.mode == "open":
         print(f"  device time       {report.sim_seconds_total:10.6f} s"
-              f"   (sequential {report.sequential_seconds:.6f} s)")
-        print(f"  speedup vs 1-at-a-time {report.speedup_vs_sequential:7.2f}x")
+              f"   (sequential {report.baseline_seconds:.6f} s)")
+        print(f"  speedup vs 1-at-a-time {report.speedup_vs_baseline:7.2f}x")
     else:
         print("  speedup vs 1-at-a-time     n/a (wall-clock mode)")
     if args.emit_metrics:
         assert metrics is not None
-        publish_report_gauges(metrics, report)
         out = write_json(metrics, args.emit_metrics)
         print(f"  metrics exported to {out}")
     if sanitize:
@@ -411,13 +411,12 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 
 def cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.serve import (
+        SINGLE_BROKER,
         AdmissionConfig,
         PipelineConfig,
         generate_queries,
         open_loop_arrivals,
-        sequential_baseline,
         simulate_cluster_open_loop,
-        simulate_open_loop,
         skew_sources,
     )
 
@@ -446,13 +445,11 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
             graph, requests, args.scheduler, args.sanitize_report
         )
     # The comparison point: the identical trace through one broker.
-    _, single = simulate_open_loop(
-        graph, requests, arrivals, scheduler_factory,
+    _, single = simulate_cluster_open_loop(
+        {"bench": graph}, requests, arrivals, scheduler_factory,
         batch_window=args.batch_window,
         max_batch_size=args.max_batch_size,
-        sequential_seconds=sequential_baseline(
-            graph, requests, scheduler_factory
-        ),
+        **SINGLE_BROKER,
     )
     admission = AdmissionConfig(
         rate_qps=args.rate_limit,
@@ -473,7 +470,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         admission=admission,
         pipeline=pipeline,
-        single_broker_seconds=single.sim_seconds_total,
+        baseline_seconds=single.sim_seconds_total,
         metrics=metrics,
     )
     print(f"cluster-bench on {graph} "
@@ -495,7 +492,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     print(f"  latency p50/95/99 {report.latency_p50:10.4f}"
           f" / {report.latency_p95:.4f} / {report.latency_p99:.4f} virtual s")
     print(f"  device time       {report.sim_seconds_total:10.6f} s"
-          f"   (single broker {report.single_broker_seconds:.6f} s)")
+          f"   (single broker {report.baseline_seconds:.6f} s)")
     print(f"  replica occupancy {report.replica_occupancy_mean:10.2f}")
     if report.pipeline_enabled:
         print(f"  pipeline busy     {report.pipeline_busy_seconds:10.6f} s"
@@ -503,8 +500,8 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
               f" peak in-flight {report.pipeline_inflight_peak})")
         print(f"  device-time speedup vs serial "
               f"{report.pipeline_speedup_vs_serial:5.2f}x")
-    if report.single_broker_seconds > 0:
-        print(f"  speedup vs single broker {report.speedup_vs_single_broker:5.2f}x")
+    if report.baseline_seconds > 0:
+        print(f"  speedup vs single broker {report.speedup_vs_baseline:5.2f}x")
     if args.emit_metrics:
         assert metrics is not None
         out = write_json(metrics, args.emit_metrics)
@@ -670,7 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-window", type=float, default=0.05,
                    help="micro-batching window (seconds)")
     p.add_argument("--max-batch-size", type=int, default=64)
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, default=2,
+                   help="closed-loop broker worker threads (the open-loop "
+                        "replay models one device)")
     p.add_argument("--mix", default=None,
                    help="app mix, e.g. bfs=0.8,pr=0.1,sssp=0.1")
     p.add_argument("--deadline", type=float, default=None,

@@ -262,23 +262,11 @@ def run_app(
     *,
     device: Device | None = None,
     metrics: MetricsRegistry | None = None,
-    sanitizer: "Sanitizer | None" = None,
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`TraversalPipeline`.
 
-    The ``sanitizer=`` spelling is deprecated: use
-    ``repro.api.run(..., checks=...)``, which wires the sanitizer and
-    returns its report alongside the result.
+    To audit the run, use ``repro.api.run(..., checks=True)`` or pass a
+    sanitizer to :class:`TraversalPipeline`.
     """
-    if sanitizer is not None:
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "run_app.sanitizer",
-            "run_app(..., sanitizer=...) is deprecated; use "
-            "repro.api.run(..., checks=...) instead",
-        )
-    pipeline = TraversalPipeline(
-        graph, scheduler, device, metrics=metrics, sanitizer=sanitizer
-    )
+    pipeline = TraversalPipeline(graph, scheduler, device, metrics=metrics)
     return pipeline.run(app, source)

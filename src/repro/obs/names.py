@@ -271,7 +271,6 @@ SERVE_GAUGES: frozenset[str] = frozenset(
         "serve.latency_p95",
         "serve.latency_p99",
         "serve.throughput_qps",
-        "serve.speedup_vs_sequential",
     }
 )
 
@@ -286,7 +285,7 @@ CLUSTER_GAUGES: frozenset[str] = frozenset(
         "cluster.latency_p95",
         "cluster.latency_p99",
         "cluster.throughput_qps",
-        "cluster.speedup_vs_single_broker",
+        "cluster.speedup_vs_baseline",
     }
 )
 

@@ -1,11 +1,13 @@
 """Asynchronous batched traversal query service.
 
-The serving layer of the reproduction: typed query requests, a
-micro-batcher that coalesces compatible queries into MS-BFS-style
+The serving layer of the reproduction: typed query requests,
+micro-batching that coalesces compatible queries into MS-BFS-style
 batched kernels, a bounded-queue broker with a worker pool over the
-simulated multi-GPU runtime, seeded closed-/open-loop load generators,
-and the cluster tier — sharded replicas behind pluggable routing,
-adaptive admission control and a graph-epoch-versioned result cache.
+simulated multi-GPU runtime, seeded load generators, and the cluster
+tier — sharded replicas behind pluggable routing, adaptive admission
+control and a graph-epoch-versioned result cache.  One virtual-time
+replay (:func:`simulate_cluster_open_loop`) serves every open-loop
+benchmark; the single broker is its :data:`SINGLE_BROKER` configuration.
 See the README "Serving"/"Scaling out" sections for the API tour and
 DESIGN.md for why micro-batching preserves the cost model's
 comparisons.
@@ -18,13 +20,7 @@ from repro.serve.admission import (
     AdmissionDecision,
     TokenBucket,
 )
-from repro.serve.batching import (
-    Batch,
-    BatchItem,
-    MicroBatcher,
-    batch_key,
-    occupancy_mean,
-)
+from repro.serve.batching import batch_key
 from repro.serve.broker import (
     BrokerStats,
     PendingQuery,
@@ -42,6 +38,7 @@ from repro.serve.cluster import (
     EVENT_FLUSH,
     EVENT_UPDATE,
     ROUTING_POLICIES,
+    SINGLE_BROKER,
     ClusterBenchReport,
     ClusterPool,
     Router,
@@ -71,7 +68,6 @@ from repro.serve.loadgen import (
     publish_report_gauges,
     run_closed_loop,
     sequential_baseline,
-    simulate_open_loop,
     skew_sources,
 )
 from repro.serve.request import (
@@ -89,10 +85,8 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
-    "Batch",
     "BatchExecution",
     "BatchExecutor",
-    "BatchItem",
     "BrokerStats",
     "ClusterBenchReport",
     "ClusterPool",
@@ -102,7 +96,6 @@ __all__ = [
     "EVENT_FLUSH",
     "EVENT_UPDATE",
     "GraphStore",
-    "MicroBatcher",
     "PendingQuery",
     "PipelineConfig",
     "PipelinedBatch",
@@ -118,6 +111,7 @@ __all__ = [
     "SAMPLING_APPS",
     "SAMPLING_MIX",
     "SERVE_APPS",
+    "SINGLE_BROKER",
     "SOURCE_APPS",
     "ServeBenchReport",
     "TokenBucket",
@@ -127,7 +121,6 @@ __all__ = [
     "graph_fingerprint",
     "make_single_app",
     "normalize_params",
-    "occupancy_mean",
     "open_loop_arrivals",
     "publish_cluster_gauges",
     "publish_report_gauges",
@@ -137,6 +130,5 @@ __all__ = [
     "run_direct",
     "sequential_baseline",
     "simulate_cluster_open_loop",
-    "simulate_open_loop",
     "skew_sources",
 ]

@@ -28,7 +28,6 @@ snapshots *and their deltas* out to subscribers (the replica brokers).
 from __future__ import annotations
 
 import hashlib
-import inspect
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from typing import Any
@@ -276,31 +275,6 @@ class ResultCache:
 StoreSubscriber = Callable[[str, CSRGraph, int, GraphDelta], None]
 
 
-def _adapt_subscriber(callback: Callable[..., None]) -> StoreSubscriber:
-    """Accept both subscriber generations behind one call signature.
-
-    Delta-aware subscribers (four positional parameters) pass through;
-    legacy ``(handle, csr, epoch)`` subscribers are wrapped to drop the
-    delta, with an exactly-once deprecation warning at subscription.
-    """
-    try:
-        inspect.signature(callback).bind(None, None, None, None)
-    except TypeError:
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "store.subscribe.no_delta",
-            "GraphStore subscribers taking (handle, csr, epoch) are "
-            "deprecated; accept (handle, csr, epoch, delta) instead",
-        )
-        return lambda handle, csr, epoch, delta: callback(
-            handle, csr, epoch
-        )
-    except ValueError:  # pragma: no cover - signature-less builtins
-        pass
-    return callback  # type: ignore[return-value]
-
-
 class GraphStore:
     """Handle → graph mapping with epochs, fingerprints and update fanout.
 
@@ -310,8 +284,7 @@ class GraphStore:
     fired with ``(handle, csr, epoch, delta)`` after every update — the
     cluster pool uses the delta to patch its replica brokers' CSRs in
     place and to invalidate the cache selectively.  Batched updates go
-    through :meth:`apply_edges` / :meth:`apply_delta`; the per-edge
-    :meth:`apply_update` spelling is a deprecated shim.
+    through :meth:`apply_edges` / :meth:`apply_delta`.
     """
 
     _guarded_by = {
@@ -359,16 +332,11 @@ class GraphStore:
             races.note_read(self, "_current")
             return sorted(self._current)
 
-    def subscribe(self, callback: Callable[..., None]) -> None:
-        """Register a ``(handle, csr, epoch, delta)`` update callback.
-
-        Legacy three-argument subscribers are auto-adapted with a
-        warn-once deprecation.
-        """
-        adapted = _adapt_subscriber(callback)
+    def subscribe(self, callback: StoreSubscriber) -> None:
+        """Register a ``(handle, csr, epoch, delta)`` update callback."""
         with self._lock:
             races.note_write(self, "_subscribers")
-            self._subscribers.append(adapted)
+            self._subscribers.append(callback)
 
     def _on_update(
         self, handle: str, csr: CSRGraph, delta: GraphDelta
@@ -461,17 +429,6 @@ class GraphStore:
             dynamic.delete_edges(delta.deleted_src, delta.deleted_dst)
         dynamic.flush()
         return self.epoch(handle)
-
-    def apply_update(self, handle: str, src: Any, dst: Any) -> int:
-        """Deprecated spelling of :meth:`apply_edges` (inserts only)."""
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "store.apply_update",
-            "GraphStore.apply_update is deprecated; use "
-            "apply_edges(handle, src, dst) or apply_delta(handle, delta)",
-        )
-        return self.apply_edges(handle, src, dst)
 
     def last_delta(self, handle: str) -> GraphDelta | None:
         """The delta of the handle's most recent merge (``None`` before

@@ -20,8 +20,9 @@ front door that adds three things a single broker does not have:
 
 :func:`simulate_cluster_open_loop` is the deterministic virtual-time
 twin (same batching policy, same admission and cache objects, virtual
-clock), which is what the CI benchmark tier gates; the threaded pool is
-for exercising the stack end to end.  Both uphold the serving
+clock), which is what the CI benchmark tiers gate; the single broker is
+its :data:`SINGLE_BROKER` configuration.  The threaded pool is for
+exercising the stack end to end.  Both uphold the serving
 invariant: a response is either bit-identical to the direct oracle or a
 structured non-``OK`` status — never a wrong answer.
 """
@@ -55,7 +56,7 @@ from repro.serve.batching import BatchKey, batch_key
 from repro.serve.broker import PendingQuery, QueryBroker
 from repro.serve.cache import CacheKey, GraphStore, ResultCache, result_cache_key
 from repro.serve.executor import BatchExecutor
-from repro.serve.loadgen import _percentiles
+from repro.serve.loadgen import summarize_responses
 from repro.serve.pipelined import (
     PipelineConfig,
     PipelinedExecutor,
@@ -65,6 +66,20 @@ from repro.serve.request import QueryRequest, QueryResponse, QueryStatus
 
 #: Replica-selection policies understood by :class:`Router`.
 ROUTING_POLICIES = ("round_robin", "least_outstanding", "affinity")
+
+#: The single micro-batching broker as a replay configuration: one
+#: replica (one simulated device), no result cache, and a concurrency
+#: limit pinned open.  The minimum is pinned too: with only the maximum
+#: raised, deadline misses would still tighten the AIMD limit until the
+#: replay sheds.  Use as ``simulate_cluster_open_loop(...,
+#: **SINGLE_BROKER)``.
+SINGLE_BROKER: dict[str, Any] = {
+    "num_replicas": 1,
+    "cache_capacity": 0,
+    "admission": AdmissionConfig(
+        max_concurrency=10**9, min_concurrency=10**9
+    ),
+}
 
 # ----------------------------------------------------------------------
 # Event-ordering contract of the virtual-time loop
@@ -139,7 +154,7 @@ class ClusterBenchReport:
     makespan_seconds: float
     sim_seconds_total: float
     per_replica_sim_seconds: list[float]
-    single_broker_seconds: float
+    baseline_seconds: float
     cache_hits: int
     cache_misses: int
     throttled: int
@@ -192,19 +207,20 @@ class ClusterBenchReport:
         return self.sim_seconds_total / self.pipeline_busy_seconds
 
     @property
-    def speedup_vs_single_broker(self) -> float:
-        """Device-time ratio: single-broker sim seconds ÷ cluster's.
+    def speedup_vs_baseline(self) -> float:
+        """Device-time ratio: baseline sim seconds ÷ this run's.
 
-        Both sides serve the identical request/arrival trace, so the
-        ratio isolates what the cluster tier adds (the cache answering
-        repeats for free) from what batching already provides.  0.0
-        means "no baseline supplied".
+        The baseline served the identical request/arrival trace: the
+        sequential oracle for a single-broker run (what batching buys),
+        or the single-broker replay for a cluster run (what the cluster
+        tier adds on top, e.g. the cache answering repeats for free).
+        0.0 means "no baseline supplied".
         """
-        if self.single_broker_seconds <= 0:
+        if self.baseline_seconds <= 0:
             return 0.0
         if self.sim_seconds_total <= 0:
             return float("inf")
-        return self.single_broker_seconds / self.sim_seconds_total
+        return self.baseline_seconds / self.sim_seconds_total
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -216,8 +232,8 @@ class ClusterBenchReport:
             "makespan_seconds": self.makespan_seconds,
             "sim_seconds_total": self.sim_seconds_total,
             "per_replica_sim_seconds": list(self.per_replica_sim_seconds),
-            "single_broker_seconds": self.single_broker_seconds,
-            "speedup_vs_single_broker": self.speedup_vs_single_broker,
+            "baseline_seconds": self.baseline_seconds,
+            "speedup_vs_baseline": self.speedup_vs_baseline,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_ratio": self.cache_hit_ratio,
@@ -258,7 +274,7 @@ def publish_cluster_gauges(
     metrics.set_gauge("cluster.latency_p99", report.latency_p99)
     metrics.set_gauge("cluster.throughput_qps", report.throughput_qps)
     metrics.set_gauge(
-        "cluster.speedup_vs_single_broker", report.speedup_vs_single_broker
+        "cluster.speedup_vs_baseline", report.speedup_vs_baseline
     )
     if report.pipeline_enabled:
         metrics.set_gauge(
@@ -293,7 +309,7 @@ class _Member:
 
 @dataclass
 class _OpenBatch:
-    """A forming batch on one replica (mirrors MicroBatcher policy)."""
+    """A forming batch on one replica (see the replay's batching policy)."""
 
     replica: int
     key: BatchKey
@@ -341,17 +357,29 @@ def simulate_cluster_open_loop(
     clients: list[str] | None = None,
     updates: list[tuple[float, str, Any, Any]] | None = None,
     executor: BatchExecutor | None = None,
-    single_broker_seconds: float = 0.0,
+    baseline_seconds: float = 0.0,
     pipeline: PipelineConfig | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[list[QueryResponse], ClusterBenchReport]:
     """Deterministic virtual-time replay of the clustered service.
 
-    The policy objects are the production ones (`MicroBatcher` windowing
-    re-derived per replica, :class:`ResultCache`,
-    :class:`AdmissionController`); only the clock is virtual, so equal
-    traffic always yields byte-equal responses and the benchmark tier
-    can be gated in CI.
+    The policy objects are the production ones (:func:`batch_key`
+    compatibility, :class:`ResultCache`, :class:`AdmissionController`);
+    only the clock is virtual, so equal traffic always yields byte-equal
+    responses and the benchmark tiers can be gated in CI.
+
+    Batching policy, per replica and compatibility key, arrivals in time
+    order: the first pending query *opens* a batch; queries arriving
+    within ``batch_window`` of the open join it, up to
+    ``max_batch_size``; the batch dispatches when the window elapses or
+    at the arrival that fills it, whichever is first.  Batch ids follow
+    dispatch order, and ``num_batches`` counts executed batches (a batch
+    whose members all missed their deadline before execution gets an id
+    but is not counted).  Each replica is one device that runs one
+    batch at a time.
+
+    With :data:`SINGLE_BROKER` the replay is the single micro-batching
+    broker on one device.
 
     ``updates`` schedules mid-stream dynamic-graph merges as
     ``(virtual_time, handle, src_array, dst_array)`` tuples; each bumps
@@ -359,9 +387,10 @@ def simulate_cluster_open_loop(
     the graph served to later batches.  A batch executes against the
     snapshot current at its *dispatch* time and its results are cached
     under that snapshot's epoch — in-flight work can never pollute a
-    newer epoch.  ``single_broker_seconds`` (total sim-device seconds of
-    :func:`~repro.serve.loadgen.simulate_open_loop` over the same trace)
-    feeds the report's speedup; pass 0.0 to skip the comparison.
+    newer epoch.  ``baseline_seconds`` (total sim-device seconds of a
+    reference service over the same trace: the sequential oracle, or the
+    :data:`SINGLE_BROKER` replay) feeds the report's speedup; pass 0.0
+    to skip the comparison.
 
     ``pipeline`` (a :class:`~repro.serve.pipelined.PipelineConfig` with
     any knob off its synchronous default) switches each replica from
@@ -685,27 +714,22 @@ def simulate_cluster_open_loop(
             )
             bkey = batch_key(request)
             open_batch = open_batches.get((replica, bkey))
-            if (
-                open_batch is not None
-                and t <= open_batch.close_time
-                and len(open_batch.members) < max_batch_size
-            ):
+            if open_batch is not None and t <= open_batch.close_time:
                 open_batch.members.append(member)
-                if len(open_batch.members) == max_batch_size:
-                    # Filled before the window elapsed: dispatch at the
-                    # filling arrival, exactly like MicroBatcher.
-                    del open_batches[(replica, bkey)]
-                    dispatch(
-                        open_batch, ready=min(open_batch.close_time, t)
-                    )
             else:
-                open_batches[(replica, bkey)] = _OpenBatch(
+                open_batch = _OpenBatch(
                     replica=replica,
                     key=bkey,
                     open_time=t,
                     close_time=t + batch_window,
                     members=[member],
                 )
+                open_batches[(replica, bkey)] = open_batch
+            if len(open_batch.members) == max_batch_size:
+                # Filled before the window elapsed: dispatch at the
+                # filling arrival instead of waiting it out.
+                del open_batches[(replica, bkey)]
+                dispatch(open_batch, ready=min(open_batch.close_time, t))
         advance(float("inf"))
         run_span.set("batches", len(batch_sizes))
         run_span.set("cache_hits", cache.hits)
@@ -722,12 +746,7 @@ def simulate_cluster_open_loop(
          for i, r in enumerate(ordered)),
         default=0.0,
     )
-    counts: dict[str, int] = {}
-    for response in ordered:
-        counts[response.status.value] = counts.get(
-            response.status.value, 0
-        ) + 1
-    p50, p95, p99 = _percentiles([r.latency_seconds for r in ordered])
+    counts, p50, p95, p99 = summarize_responses(ordered)
     report = ClusterBenchReport(
         num_queries=len(requests),
         num_replicas=num_replicas,
@@ -739,7 +758,7 @@ def simulate_cluster_open_loop(
         makespan_seconds=makespan,
         sim_seconds_total=sim_total,
         per_replica_sim_seconds=per_replica_sim,
-        single_broker_seconds=float(single_broker_seconds),
+        baseline_seconds=float(baseline_seconds),
         cache_hits=cache.hits,
         cache_misses=cache.misses,
         throttled=controller.throttled,
@@ -842,7 +861,7 @@ class ClusterPool:
         self.graph_updates = 0
         snapshot = self.store.snapshot()
         self.replicas = [
-            QueryBroker(  # sage: allow(SAGE005) - replicas are the internal path
+            QueryBroker(
                 snapshot,
                 scheduler_factory,
                 batch_window=batch_window,
@@ -853,7 +872,6 @@ class ClusterPool:
                 max_retries=max_retries,
                 metrics=self.metrics,
                 clock=clock,
-                _internal=True,
             )
             for _ in range(num_replicas)
         ]

@@ -1,22 +1,22 @@
-"""Load generation and serving benchmarks (closed- and open-loop).
+"""Load generation and the closed-loop serving benchmark.
 
-Two execution modes share the query generator and the report format:
+The seeded generators here (:func:`generate_queries`,
+:func:`skew_sources`, :func:`open_loop_arrivals`) feed every serving
+tier.  Two execution modes consume them:
 
-* :func:`simulate_open_loop` — a **deterministic virtual-time** model of
-  the service: queries arrive on a fixed (seeded) Poisson schedule, the
-  pure :class:`~repro.serve.batching.MicroBatcher` forms the exact same
-  batches every run, and a greedy earliest-free-worker assignment plays
-  the batches onto ``num_workers`` simulated devices.  All times are
-  *simulated* seconds, so the serving benchmark tier can be gated in CI
-  like every other trajectory metric.
+* the deterministic **virtual-time** replay,
+  :func:`~repro.serve.cluster.simulate_cluster_open_loop` — the single
+  broker is its :data:`~repro.serve.cluster.SINGLE_BROKER`
+  configuration, so every gated serving number comes from one replay;
 * :func:`run_closed_loop` — drives the real threaded
   :class:`~repro.serve.broker.QueryBroker` with ``concurrency`` client
   threads (each submits, waits, repeats).  Wall-clock mode: useful for
   exercising the broker end to end, not for gating.
 
-The speedup both report is against the **sequential baseline**: the sum
-of one-query-at-a-time :func:`~repro.serve.executor.run_direct` oracle
-runs over the identical query list.
+Open-loop speedups are measured against the **sequential baseline**
+(:func:`sequential_baseline`): the sum of one-query-at-a-time
+:func:`~repro.serve.executor.run_direct` oracle runs over the identical
+query list.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import numpy as np
 
 from repro.analysis.races import instrument as races
 from repro.core.scheduler import Scheduler
-from repro.errors import DeadlineExceededError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.obs import MetricsRegistry
-from repro.serve.batching import MicroBatcher, occupancy_mean
 from repro.serve.broker import QueryBroker
-from repro.serve.executor import BatchExecutor, run_direct
+from repro.serve.executor import run_direct
 from repro.serve.request import (
     SOURCE_APPS,
     QueryRequest,
@@ -163,14 +162,16 @@ def open_loop_arrivals(
 
 @dataclass
 class ServeBenchReport:
-    """Summary of one serving-benchmark run (see ``to_dict`` for JSON)."""
+    """Summary of one closed-loop run (see ``to_dict`` for JSON).
 
-    mode: str
+    Times are wall-clock seconds; ``sim_seconds_total`` sums the
+    simulated device time attributed to the served queries.
+    """
+
     num_queries: int
     num_batches: int
     batch_occupancy_mean: float
     makespan_seconds: float
-    sequential_seconds: float
     latency_p50: float
     latency_p95: float
     latency_p99: float
@@ -184,38 +185,13 @@ class ServeBenchReport:
             return 0.0
         return served / self.makespan_seconds
 
-    @property
-    def sequential_qps(self) -> float:
-        if self.sequential_seconds <= 0:
-            return 0.0
-        return self.num_queries / self.sequential_seconds
-
-    @property
-    def speedup_vs_sequential(self) -> float:
-        """Device-time amortization: sequential ÷ batched sim seconds.
-
-        End-to-end makespan is dominated by the arrival schedule and the
-        batching window, so the serving claim — batching reduces the
-        device work per query, i.e. raises sustainable throughput — is
-        measured in the simulated-device-time domain: total oracle
-        seconds over the same query list divided by the batched
-        service's total simulated seconds.
-        """
-        if self.sequential_seconds <= 0 or self.sim_seconds_total <= 0:
-            return 0.0
-        return self.sequential_seconds / self.sim_seconds_total
-
     def to_dict(self) -> dict[str, Any]:
         return {
-            "mode": self.mode,
             "num_queries": self.num_queries,
             "num_batches": self.num_batches,
             "batch_occupancy_mean": self.batch_occupancy_mean,
             "makespan_seconds": self.makespan_seconds,
-            "sequential_seconds": self.sequential_seconds,
             "throughput_qps": self.throughput_qps,
-            "sequential_qps": self.sequential_qps,
-            "speedup_vs_sequential": self.speedup_vs_sequential,
             "latency_p50": self.latency_p50,
             "latency_p95": self.latency_p95,
             "latency_p99": self.latency_p99,
@@ -234,8 +210,6 @@ def publish_report_gauges(
     metrics.set_gauge("serve.latency_p95", report.latency_p95)
     metrics.set_gauge("serve.latency_p99", report.latency_p99)
     metrics.set_gauge("serve.throughput_qps", report.throughput_qps)
-    metrics.set_gauge("serve.speedup_vs_sequential",
-                      report.speedup_vs_sequential)
 
 
 def sequential_baseline(
@@ -250,133 +224,21 @@ def sequential_baseline(
     )
 
 
-def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
-    if not latencies:
-        return (0.0, 0.0, 0.0)
-    p50, p95, p99 = np.percentile(np.asarray(latencies), [50, 95, 99])
-    return (float(p50), float(p95), float(p99))
-
-
-def simulate_open_loop(
-    graph: CSRGraph,
-    requests: list[QueryRequest],
-    arrivals: np.ndarray,
-    scheduler_factory: Callable[[], Scheduler],
-    *,
-    batch_window: float,
-    max_batch_size: int,
-    num_workers: int = 1,
-    num_gpus: int = 1,
-    executor: BatchExecutor | None = None,
-    sequential_seconds: float | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[list[QueryResponse], ServeBenchReport]:
-    """Deterministic virtual-time replay of the batched service.
-
-    Returns per-query responses (aligned with ``requests``) and the
-    bench report.  ``sequential_seconds`` may be supplied to avoid
-    re-running the oracle when the caller already measured it; pass
-    ``0.0`` to skip speedup accounting entirely.
-    """
-    if num_workers < 1:
-        raise InvalidParameterError("num_workers must be >= 1")
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    if arrivals.shape != (len(requests),):
-        raise InvalidParameterError(
-            f"need one arrival per request, got {arrivals.shape} "
-            f"for {len(requests)} requests"
-        )
-    executor = executor or BatchExecutor(scheduler_factory, num_gpus=num_gpus)
-    batcher = MicroBatcher(batch_window, max_batch_size)
-    batches = batcher.form_batches(list(zip(arrivals.tolist(), requests)))
-
-    responses: dict[int, QueryResponse] = {}
-    worker_free = np.zeros(num_workers, dtype=np.float64)
-    sim_total = 0.0
-    for batch in batches:
-        worker = int(np.argmin(worker_free))
-        start = max(batch.ready_time, float(worker_free[worker]))
-        live = []
-        for item in batch.items:
-            deadline = (
-                item.arrival + item.request.deadline_seconds
-                if item.request.deadline_seconds is not None else None
-            )
-            if deadline is not None and start > deadline:
-                responses[item.index] = QueryResponse(
-                    request_id=item.index,
-                    app=item.request.app,
-                    status=QueryStatus.TIMEOUT,
-                    error="deadline exceeded before execution",
-                    error_type=DeadlineExceededError.__name__,
-                    batch_id=batch.batch_id,
-                    latency_seconds=start - item.arrival,
-                )
-            else:
-                live.append((item, deadline))
-        if not live:
-            continue
-        execution = executor.execute(graph, [item.request for item, _ in live])
-        finish = start + execution.sim_seconds
-        worker_free[worker] = finish
-        sim_total += execution.sim_seconds
-        share = execution.sim_seconds / len(live)
-        for (item, deadline), result in zip(live, execution.results):
-            if deadline is not None and finish > deadline:
-                responses[item.index] = QueryResponse(
-                    request_id=item.index,
-                    app=item.request.app,
-                    status=QueryStatus.TIMEOUT,
-                    error="deadline exceeded after execution",
-                    error_type=DeadlineExceededError.__name__,
-                    batch_id=batch.batch_id,
-                    batch_size=len(live),
-                    latency_seconds=finish - item.arrival,
-                )
-            else:
-                responses[item.index] = QueryResponse(
-                    request_id=item.index,
-                    app=item.request.app,
-                    status=QueryStatus.OK,
-                    result=result,
-                    batch_id=batch.batch_id,
-                    batch_size=len(live),
-                    sim_seconds=share,
-                    latency_seconds=finish - item.arrival,
-                )
-
-    ordered = [responses[i] for i in range(len(requests))]
-    if sequential_seconds is None:
-        sequential_seconds = sequential_baseline(
-            graph, requests, scheduler_factory
-        )
-    makespan = max(
-        (r.latency_seconds + float(arrivals[i])
-         for i, r in enumerate(ordered)),
-        default=0.0,
-    )
+def summarize_responses(
+    responses: list[QueryResponse],
+) -> tuple[dict[str, int], float, float, float]:
+    """Status counts and latency p50/p95/p99 of one run's responses."""
     counts: dict[str, int] = {}
-    for response in ordered:
+    for response in responses:
         counts[response.status.value] = counts.get(
             response.status.value, 0
         ) + 1
-    p50, p95, p99 = _percentiles([r.latency_seconds for r in ordered])
-    report = ServeBenchReport(
-        mode="open-loop",
-        num_queries=len(requests),
-        num_batches=len(batches),
-        batch_occupancy_mean=occupancy_mean(batches),
-        makespan_seconds=makespan,
-        sequential_seconds=float(sequential_seconds),
-        latency_p50=p50,
-        latency_p95=p95,
-        latency_p99=p99,
-        status_counts=counts,
-        sim_seconds_total=sim_total,
+    if not responses:
+        return counts, 0.0, 0.0, 0.0
+    p50, p95, p99 = np.percentile(
+        [r.latency_seconds for r in responses], [50, 95, 99]
     )
-    if metrics is not None:
-        publish_report_gauges(metrics, report)
-    return ordered, report
+    return counts, float(p50), float(p95), float(p99)
 
 
 def run_closed_loop(
@@ -397,15 +259,15 @@ def run_closed_loop(
 
     Each client submits the next unclaimed query, blocks on its result,
     and repeats — the classic closed-loop load model.  Times are
-    wall-clock (non-deterministic); the deterministic benchmark tier
-    uses :func:`simulate_open_loop` instead.
+    wall-clock (non-deterministic); the deterministic benchmark tiers
+    replay :func:`~repro.serve.cluster.simulate_cluster_open_loop`.
     """
     if concurrency < 1:
         raise InvalidParameterError("concurrency must be >= 1")
     responses: list[QueryResponse | None] = [None] * len(requests)
     cursor = {"next": 0}
     cursor_lock = races.make_lock("loadgen.cursor")
-    broker = QueryBroker(  # sage: allow(SAGE005) - sanctioned internal path
+    broker = QueryBroker(
         {graph_name: graph},
         scheduler_factory,
         batch_window=batch_window,
@@ -414,7 +276,6 @@ def run_closed_loop(
         queue_capacity=queue_capacity,
         num_gpus=num_gpus,
         metrics=metrics,
-        _internal=True,
     )
 
     def client() -> None:
@@ -440,17 +301,8 @@ def run_closed_loop(
     makespan = time.monotonic() - start
 
     done = [r for r in responses if r is not None]
-    counts: dict[str, int] = {}
-    for response in done:
-        counts[response.status.value] = counts.get(
-            response.status.value, 0
-        ) + 1
-    p50, p95, p99 = _percentiles([r.latency_seconds for r in done])
-    # Closed-loop times are wall-clock while the sequential oracle is
-    # simulated time; a cross-domain speedup would be meaningless, so it
-    # is reported as 0 ("n/a") in this mode.
+    counts, p50, p95, p99 = summarize_responses(done)
     report = ServeBenchReport(
-        mode="closed-loop",
         num_queries=len(requests),
         num_batches=len(broker.stats.batch_sizes),
         batch_occupancy_mean=(
@@ -458,7 +310,6 @@ def run_closed_loop(
             if broker.stats.batch_sizes else 0.0
         ),
         makespan_seconds=makespan,
-        sequential_seconds=0.0,
         latency_p50=p50,
         latency_p95=p95,
         latency_p99=p99,
@@ -469,4 +320,4 @@ def run_closed_loop(
     )
     if metrics is not None:
         publish_report_gauges(metrics, report)
-    return [r for r in responses if r is not None], report
+    return done, report

@@ -690,7 +690,7 @@ def test_instrumented_dynamic_updates_are_clean(small_graph) -> None:
         {"default": dynamic}, race_check=True, num_replicas=2
     ) as pool:
         pendings = [pool.submit(r) for r in requests[:4]]
-        pool.store.apply_update(
+        pool.store.apply_edges(
             "default", np.array([0, 1]), np.array([2, 3])
         )
         pendings += [pool.submit(r) for r in requests[4:]]

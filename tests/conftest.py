@@ -2,12 +2,58 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
+import json
+import pathlib
+from dataclasses import dataclass
+from types import ModuleType
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def load_bench_trajectory() -> ModuleType:
+    """Import ``benchmarks/bench_trajectory.py`` (a script, not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_trajectory", BENCH_DIR / "bench_trajectory.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class SmokeSuite:
+    """One ``bench_trajectory.py --smoke --sanitize`` run."""
+
+    bench: ModuleType
+    exit_code: int
+    output: str
+    payload: dict | None
+
+
+@pytest.fixture(scope="session")
+def smoke_suite(tmp_path_factory) -> SmokeSuite:
+    """The smoke suite, run once per session through the script's own
+    ``main`` (floors, sanitizer and ``--out`` included) and shared by
+    every test that reads its rows."""
+    bench = load_bench_trajectory()
+    out = tmp_path_factory.mktemp("bench") / "trajectory.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = bench.main(["--smoke", "--sanitize", "--out", str(out)])
+    payload = (
+        json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+    )
+    return SmokeSuite(bench, code, stdout.getvalue(), payload)
 
 
 @pytest.fixture

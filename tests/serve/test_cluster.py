@@ -26,8 +26,8 @@ from repro.serve import (
     generate_queries,
     open_loop_arrivals,
     run_direct,
+    SINGLE_BROKER,
     simulate_cluster_open_loop,
-    simulate_open_loop,
     skew_sources,
 )
 
@@ -145,20 +145,30 @@ class TestSimulatorDifferential:
         requests, arrivals = _workload(
             serve_graph, n=48, rate=100.0, skew=True
         )
-        _, single = simulate_open_loop(
-            serve_graph,
-            [QueryRequest(r.app, "g", r.source, r.params)
-             for r in requests],
-            arrivals, scheduler_factory,
-            batch_window=0.05, max_batch_size=64, num_workers=2,
+        _, single = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=0.05, max_batch_size=64, **SINGLE_BROKER,
         )
         _, report = simulate_cluster_open_loop(
             {"g": serve_graph}, requests, arrivals, scheduler_factory,
             num_replicas=2, routing="affinity",
             batch_window=0.05, max_batch_size=64,
-            single_broker_seconds=single.sim_seconds_total,
+            baseline_seconds=single.sim_seconds_total,
         )
-        assert report.speedup_vs_single_broker > 1.0
+        assert report.speedup_vs_baseline > 1.0
+
+    def test_batch_cap_of_one_answers_every_query(self, serve_graph):
+        """A cap-1 batch is full at open and dispatches at once; a later
+        same-key arrival inside the window must not displace it."""
+        requests, arrivals = _workload(serve_graph, n=16, skew=True)
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=1.0, max_batch_size=1, **SINGLE_BROKER,
+        )
+        assert report.status_counts == {"ok": len(requests)}
+        assert report.num_batches == len(requests)
+        for request, response in zip(requests, responses):
+            assert_response_sound(response, serve_graph, request)
 
 
 class TestMidStreamUpdates:

@@ -3,7 +3,7 @@
 Every test compares service responses against one-query-at-a-time
 :func:`repro.serve.run_direct` runs over the identical request list.
 Randomized arrival orders, multiple worker/batch-window configurations
-and both execution modes (deterministic virtual-time simulator and the
+and both execution modes (the single-broker virtual-time replay and the
 real threaded broker) all have to agree with the oracle exactly.
 """
 
@@ -14,23 +14,25 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve import (
+    SINGLE_BROKER,
     QueryRequest,
     QueryStatus,
     QueryBroker,
     open_loop_arrivals,
     run_direct,
-    simulate_open_loop,
+    simulate_cluster_open_loop,
 )
 from tests.serve.conftest import assert_bit_identical, scheduler_factory
 
-#: >= 3 distinct worker-pool / batch-window / cap configurations, per the
-#: acceptance criteria.  Windows are virtual seconds in simulator tests
-#: and wall seconds in broker tests.
-SIM_CONFIGS = [
-    dict(num_workers=1, batch_window=0.05, max_batch_size=4),
-    dict(num_workers=2, batch_window=0.5, max_batch_size=16),
-    dict(num_workers=4, batch_window=2.0, max_batch_size=64),
-]
+#: >= 3 distinct batch-window / cap configurations (and, for the
+#: broker, worker pools), per the acceptance criteria.  Windows are
+#: virtual seconds in simulator tests and wall seconds in broker tests.
+#: The simulator configs are keyed by their stable test ids.
+SIM_CONFIGS = {
+    "w1": dict(batch_window=0.05, max_batch_size=4),
+    "w2": dict(batch_window=0.5, max_batch_size=16),
+    "w4": dict(batch_window=2.0, max_batch_size=64),
+}
 BROKER_CONFIGS = [
     dict(num_workers=1, batch_window=0.0, max_batch_size=4),
     dict(num_workers=2, batch_window=0.005, max_batch_size=8),
@@ -61,8 +63,8 @@ def oracle_results(graph, requests):
 
 
 class TestSimulatorDifferential:
-    @pytest.mark.parametrize("config", SIM_CONFIGS,
-                             ids=lambda c: f"w{c['num_workers']}")
+    @pytest.mark.parametrize("config", SIM_CONFIGS.values(),
+                             ids=SIM_CONFIGS.keys())
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
     def test_every_response_matches_oracle(
         self, serve_graph, config, order_seed
@@ -70,9 +72,9 @@ class TestSimulatorDifferential:
         requests = mixed_requests(serve_graph, seed=order_seed)
         arrivals = open_loop_arrivals(len(requests), rate_qps=40.0,
                                       seed=order_seed)
-        responses, report = simulate_open_loop(
-            serve_graph, requests, arrivals, scheduler_factory,
-            sequential_seconds=0.0, **config,
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            **config, **SINGLE_BROKER,
         )
         oracles = oracle_results(serve_graph, requests)
         assert len(responses) == len(requests)
@@ -86,10 +88,9 @@ class TestSimulatorDifferential:
         requests = mixed_requests(serve_graph, seed=7)
         arrivals = open_loop_arrivals(len(requests), rate_qps=25.0, seed=7)
         runs = [
-            simulate_open_loop(
-                serve_graph, requests, arrivals, scheduler_factory,
-                batch_window=0.5, max_batch_size=16, num_workers=2,
-                sequential_seconds=0.0,
+            simulate_cluster_open_loop(
+                {"g": serve_graph}, requests, arrivals, scheduler_factory,
+                batch_window=0.5, max_batch_size=16, **SINGLE_BROKER,
             )
             for _ in range(2)
         ]
@@ -107,10 +108,9 @@ class TestSimulatorDifferential:
             for i in range(8)
         ]
         arrivals = np.linspace(0.0, 0.01, len(requests))
-        responses, report = simulate_open_loop(
-            serve_graph, requests, arrivals, scheduler_factory,
-            batch_window=1.0, max_batch_size=64,
-            sequential_seconds=0.0,
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=1.0, max_batch_size=64, **SINGLE_BROKER,
         )
         assert report.num_batches == 1
         assert {r.batch_size for r in responses} == {8}

@@ -23,14 +23,14 @@ from repro.errors import (
 )
 from repro.graph import generators
 from repro.serve import (
+    SINGLE_BROKER,
     BatchExecutor,
-    MicroBatcher,
     QueryBroker,
     QueryRequest,
     QueryStatus,
     open_loop_arrivals,
     raise_for_status,
-    simulate_open_loop,
+    simulate_cluster_open_loop,
 )
 from tests.serve.conftest import (
     assert_bit_identical,
@@ -79,7 +79,6 @@ def serving_scenarios(draw):
     config = dict(
         batch_window=draw(st.sampled_from([0.0, 0.05, 1.0])),
         max_batch_size=draw(st.sampled_from([1, 3, 64])),
-        num_workers=draw(st.integers(min_value=1, max_value=3)),
     )
     arrival_seed = draw(st.integers(min_value=0, max_value=5))
     return graph, requests, config, arrival_seed
@@ -93,9 +92,9 @@ class TestEquivalenceProperties:
         arrivals = open_loop_arrivals(
             len(requests), rate_qps=30.0, seed=arrival_seed
         )
-        responses, report = simulate_open_loop(
-            graph, requests, arrivals, scheduler_factory,
-            sequential_seconds=0.0, **config,
+        responses, report = simulate_cluster_open_loop(
+            {"g": graph}, requests, arrivals, scheduler_factory,
+            **config, **SINGLE_BROKER,
         )
         assert report.status_counts.get("ok", 0) == len(requests)
         for request, response in zip(requests, responses):
@@ -119,9 +118,9 @@ class TestEquivalenceProperties:
         arrivals = open_loop_arrivals(
             len(requests), rate_qps=30.0, seed=arrival_seed
         )
-        responses, report = simulate_open_loop(
-            graph, requests, arrivals, scheduler_factory,
-            sequential_seconds=0.0, **config,
+        responses, report = simulate_cluster_open_loop(
+            {"g": graph}, requests, arrivals, scheduler_factory,
+            **config, **SINGLE_BROKER,
         )
         for request, response in zip(requests, responses):
             assert response.status in (QueryStatus.OK, QueryStatus.TIMEOUT)
@@ -139,22 +138,27 @@ class TestEquivalenceProperties:
         cap=st.integers(min_value=1, max_value=8),
     )
     def test_batcher_partitions_exactly_once(self, arrivals, window, cap):
-        """The micro-batcher is a partition: every query lands in exactly
-        one batch, caps are respected, members fit the opener's window."""
+        """Batching is a partition: every query lands in exactly one
+        batch id, caps are respected, members fit the opener's window."""
         requests = [
             QueryRequest(app="bfs", graph="g", source=0) for _ in arrivals
         ]
-        batches = MicroBatcher(window, cap).form_batches(
-            list(zip(arrivals, requests))
+        responses, _ = simulate_cluster_open_loop(
+            {"g": cached_rmat(4, 4, 0)}, requests, np.asarray(arrivals),
+            scheduler_factory, batch_window=window, max_batch_size=cap,
+            **SINGLE_BROKER,
         )
-        seen = [item.index for batch in batches for item in batch.items]
-        assert sorted(seen) == list(range(len(arrivals)))
-        for batch in batches:
-            assert 1 <= batch.size <= cap
-            opener = min(item.arrival for item in batch.items)
+        members: dict[int, list[float]] = {}
+        for arrival, response in zip(arrivals, responses):
+            assert response.status is QueryStatus.OK
+            members.setdefault(response.batch_id, []).append(arrival)
+        for batch_id, batch in members.items():
+            assert 1 <= len(batch) <= cap
             assert all(
-                item.arrival <= opener + window for item in batch.items
+                r.batch_size == len(batch)
+                for r in responses if r.batch_id == batch_id
             )
+            assert all(arrival <= min(batch) + window for arrival in batch)
 
 
 class _GatedExecutor(BatchExecutor):
@@ -213,10 +217,9 @@ class TestForcedSheddingAndTimeouts:
             for i in range(4)
         ]
         arrivals = np.zeros(len(requests))
-        responses, report = simulate_open_loop(
-            serve_graph, requests, arrivals, scheduler_factory,
-            batch_window=1.0, max_batch_size=64,
-            sequential_seconds=0.0,
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=1.0, max_batch_size=64, **SINGLE_BROKER,
         )
         assert report.status_counts == {"timeout": len(requests)}
         for response in responses:
@@ -224,6 +227,24 @@ class TestForcedSheddingAndTimeouts:
             assert response.error_type == "DeadlineExceededError"
             with pytest.raises(DeadlineExceededError):
                 raise_for_status(response)
+
+    def test_all_timeout_trace_never_sheds(self, serve_graph):
+        """Deadline misses must not tighten the single broker's admission
+        limit into shedding: every query of an all-timeout trace times
+        out, none is shed."""
+        requests = [
+            QueryRequest(app="bfs", graph="g",
+                         source=i % serve_graph.num_nodes,
+                         deadline_seconds=0.0)
+            for i in range(200)
+        ]
+        arrivals = open_loop_arrivals(len(requests), rate_qps=1e4, seed=0)
+        _, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=1e-3, max_batch_size=8, **SINGLE_BROKER,
+        )
+        assert report.status_counts == {"timeout": len(requests)}
+        assert report.shed == 0
 
     def test_broker_timeout_path_never_returns_results(self, serve_graph):
         """Wall-clock broker: zero deadline + a real batching window

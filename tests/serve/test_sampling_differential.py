@@ -29,11 +29,11 @@ from repro.serve import (
     QueryRequest,
     QueryStatus,
     SAMPLING_MIX,
+    SINGLE_BROKER,
     generate_queries,
     open_loop_arrivals,
     run_direct,
     simulate_cluster_open_loop,
-    simulate_open_loop,
 )
 from tests.serve.conftest import (
     assert_bit_identical,
@@ -43,13 +43,13 @@ from tests.serve.conftest import (
 
 pytestmark = pytest.mark.sampling
 
-#: >= 3 distinct worker-pool / batch-window / cap configurations, per
-#: the acceptance criteria.
-SIM_CONFIGS = [
-    dict(num_workers=1, batch_window=0.05, max_batch_size=4),
-    dict(num_workers=2, batch_window=0.5, max_batch_size=16),
-    dict(num_workers=4, batch_window=2.0, max_batch_size=64),
-]
+#: >= 3 distinct batch-window / cap configurations, per the acceptance
+#: criteria, keyed by their stable test ids.
+SIM_CONFIGS = {
+    "w1": dict(batch_window=0.05, max_batch_size=4),
+    "w2": dict(batch_window=0.5, max_batch_size=16),
+    "w4": dict(batch_window=2.0, max_batch_size=64),
+}
 
 SAMPLING_KINDS = ("walk", "node2vec", "khop", "sppr")
 
@@ -84,8 +84,8 @@ def oracle_results(graph, requests):
 
 
 class TestSimulatorDifferential:
-    @pytest.mark.parametrize("config", SIM_CONFIGS,
-                             ids=lambda c: f"w{c['num_workers']}")
+    @pytest.mark.parametrize("config", SIM_CONFIGS.values(),
+                             ids=SIM_CONFIGS.keys())
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
     def test_every_response_matches_oracle(
         self, serve_graph, config, order_seed
@@ -93,9 +93,9 @@ class TestSimulatorDifferential:
         requests = sampling_requests(serve_graph, seed=order_seed)
         arrivals = open_loop_arrivals(len(requests), rate_qps=40.0,
                                       seed=order_seed)
-        responses, report = simulate_open_loop(
-            serve_graph, requests, arrivals, scheduler_factory,
-            sequential_seconds=0.0, **config,
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            **config, **SINGLE_BROKER,
         )
         oracles = oracle_results(serve_graph, requests)
         assert len(responses) == len(requests)
@@ -116,10 +116,9 @@ class TestSimulatorDifferential:
             seed=5,
         )
         arrivals = open_loop_arrivals(len(requests), rate_qps=100.0, seed=5)
-        responses, _ = simulate_open_loop(
-            serve_graph, requests, arrivals, scheduler_factory,
-            batch_window=0.5, max_batch_size=32,
-            sequential_seconds=0.0,
+        responses, _ = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=0.5, max_batch_size=32, **SINGLE_BROKER,
         )
         for request, response in zip(requests, responses):
             assert response.status is QueryStatus.OK
@@ -129,10 +128,9 @@ class TestSimulatorDifferential:
         requests = sampling_requests(serve_graph, seed=7)
         arrivals = open_loop_arrivals(len(requests), rate_qps=25.0, seed=7)
         runs = [
-            simulate_open_loop(
-                serve_graph, requests, arrivals, scheduler_factory,
-                batch_window=0.5, max_batch_size=16, num_workers=2,
-                sequential_seconds=0.0,
+            simulate_cluster_open_loop(
+                {"g": serve_graph}, requests, arrivals, scheduler_factory,
+                batch_window=0.5, max_batch_size=16, **SINGLE_BROKER,
             )
             for _ in range(2)
         ]
@@ -153,10 +151,10 @@ class TestSimulatorDifferential:
         arrivals = np.linspace(0.0, 0.01, len(requests))
         metrics = MetricsRegistry(enabled=True)
         executor = BatchExecutor(scheduler_factory, metrics=metrics)
-        responses, report = simulate_open_loop(
-            serve_graph, requests, arrivals, scheduler_factory,
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
             batch_window=1.0, max_batch_size=64,
-            executor=executor, sequential_seconds=0.0,
+            executor=executor, **SINGLE_BROKER,
         )
         assert report.num_batches == 1
         counters = metrics.counters
@@ -174,9 +172,9 @@ class TestSimulatorDifferential:
                                params=TEST_PARAMS["sppr"])
         requests = [request, request, request]
         arrivals = np.zeros(3)
-        responses, _ = simulate_open_loop(
-            serve_graph, requests, arrivals, scheduler_factory,
-            batch_window=1.0, max_batch_size=8, sequential_seconds=0.0,
+        responses, _ = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=1.0, max_batch_size=8, **SINGLE_BROKER,
         )
         oracle = run_direct(serve_graph, request, scheduler_factory).result
         for response in responses:
@@ -251,7 +249,6 @@ def sampling_scenarios(draw):
     config = dict(
         batch_window=draw(st.sampled_from([0.0, 0.05, 1.0])),
         max_batch_size=draw(st.sampled_from([1, 3, 64])),
-        num_workers=draw(st.integers(min_value=1, max_value=3)),
     )
     arrival_seed = draw(st.integers(min_value=0, max_value=5))
     return graph, requests, config, arrival_seed
@@ -265,9 +262,9 @@ class TestNeverWrongAnswers:
         arrivals = open_loop_arrivals(
             len(requests), rate_qps=30.0, seed=arrival_seed
         )
-        responses, report = simulate_open_loop(
-            graph, requests, arrivals, scheduler_factory,
-            sequential_seconds=0.0, **config,
+        responses, report = simulate_cluster_open_loop(
+            {"g": graph}, requests, arrivals, scheduler_factory,
+            **config, **SINGLE_BROKER,
         )
         assert report.status_counts.get("ok", 0) == len(requests)
         for request, response in zip(requests, responses):
@@ -288,9 +285,9 @@ class TestNeverWrongAnswers:
         arrivals = open_loop_arrivals(
             len(requests), rate_qps=30.0, seed=arrival_seed
         )
-        responses, _ = simulate_open_loop(
-            graph, requests, arrivals, scheduler_factory,
-            sequential_seconds=0.0, **config,
+        responses, _ = simulate_cluster_open_loop(
+            {"g": graph}, requests, arrivals, scheduler_factory,
+            **config, **SINGLE_BROKER,
         )
         for request, response in zip(requests, responses):
             assert response.status in (

@@ -9,9 +9,7 @@ Two halves of the contract:
   simulated timing and the non-sanitizer metrics bit-identical.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -19,23 +17,17 @@ import pytest
 from repro.analysis import FINDING_CODES, Finding, Sanitizer, SanitizerError
 from repro.apps import BFSApp, PageRankApp
 from repro.cli import main
-from repro.core import SageScheduler, run_app
+from repro.core import SageScheduler, TraversalPipeline
 from repro.graph.generators import rmat
 from repro.gpusim.cost import KernelStats
 from repro.gpusim.device import Device
 from repro.gpusim.spec import GPUSpec
 from repro.obs import MetricsRegistry
+from tests.conftest import load_bench_trajectory
 
-BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
-
-def load_bench_trajectory():
-    spec = importlib.util.spec_from_file_location(
-        "bench_trajectory", BENCH_DIR / "bench_trajectory.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _run(graph, app, scheduler, **kwargs):
+    return TraversalPipeline(graph, scheduler, **kwargs).run(app, 0)
 
 
 def _begin(graph, app) -> Sanitizer:
@@ -201,10 +193,9 @@ class TestCleanRuns:
 
     def test_reordering_run_is_clean(self, skewed_graph):
         sanitizer = Sanitizer()
-        result = run_app(
+        result = _run(
             skewed_graph, PageRankApp(max_iterations=10),
-            SageScheduler(sampling_reorder=True), source=0,
-            sanitizer=sanitizer,
+            SageScheduler(sampling_reorder=True), sanitizer=sanitizer,
         )
         assert sanitizer.clean, sanitizer.format_summary()
         assert result.iterations > 0
@@ -226,10 +217,9 @@ class TestZeroPerturbation:
     def test_timing_and_metrics_bit_identical(self, skewed_graph):
         plain = MetricsRegistry()
         sanitized = MetricsRegistry()
-        r1 = run_app(skewed_graph, BFSApp(), SageScheduler(), source=0,
-                     metrics=plain)
-        r2 = run_app(skewed_graph, BFSApp(), SageScheduler(), source=0,
-                     metrics=sanitized, sanitizer=Sanitizer())
+        r1 = _run(skewed_graph, BFSApp(), SageScheduler(), metrics=plain)
+        r2 = _run(skewed_graph, BFSApp(), SageScheduler(),
+                  metrics=sanitized, sanitizer=Sanitizer())
         assert r1.seconds == r2.seconds
         assert r1.iterations == r2.iterations
         assert r1.edges_traversed == r2.edges_traversed
@@ -241,8 +231,8 @@ class TestZeroPerturbation:
 
     def test_sanitizer_counters_flow_into_obs(self, skewed_graph):
         metrics = MetricsRegistry()
-        run_app(skewed_graph, BFSApp(), SageScheduler(), source=0,
-                metrics=metrics, sanitizer=Sanitizer())
+        _run(skewed_graph, BFSApp(), SageScheduler(),
+             metrics=metrics, sanitizer=Sanitizer())
         counters = metrics.report()["counters"]
         assert counters["sanitizer.levels_checked"] > 0
         assert counters["sanitizer.edges_checked"] > 0
@@ -305,8 +295,6 @@ class TestCLI:
                      "--app", "bfs", "--scheduler", "ligra",
                      "--sanitize"]) == 2
 
-    def test_bench_trajectory_sanitize_flag(self, capsys):
-        bench = load_bench_trajectory()
-        assert bench.main(["--smoke", "--sanitize"]) == 0
-        out = capsys.readouterr().out
-        assert "sanitizer: clean" in out
+    def test_bench_trajectory_sanitize_flag(self, smoke_suite):
+        assert smoke_suite.exit_code == 0, smoke_suite.output
+        assert "sanitizer: clean" in smoke_suite.output

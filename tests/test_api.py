@@ -22,7 +22,6 @@ from repro.serve import (
     QueryBroker,
     QueryRequest,
     QueryStatus,
-    ServeBenchReport,
 )
 
 
@@ -148,14 +147,37 @@ class TestServeAndCluster:
 class TestBench:
     def test_single_broker_report(self, graph):
         report = api.bench(graph, num_queries=12, seed=3)
-        assert isinstance(report, ServeBenchReport)
+        assert isinstance(report, ClusterBenchReport)
+        assert report.num_replicas == 1
         assert report.status_counts.get("ok") == 12
+        assert report.baseline_seconds > 0  # the sequential oracle
+        assert report.speedup_vs_baseline > 0
 
     def test_cluster_report_is_baselined(self, graph):
         report = api.bench(graph, num_queries=12, replicas=2, seed=3)
         assert isinstance(report, ClusterBenchReport)
-        assert report.single_broker_seconds > 0
-        assert report.speedup_vs_single_broker > 0
+        assert report.baseline_seconds > 0
+        assert report.speedup_vs_baseline > 0
+
+    @pytest.mark.parametrize("replicas, oracle_runs", [(0, 12), (1, 0)])
+    def test_sequential_oracle_runs_only_where_reported(
+        self, graph, monkeypatch, replicas, oracle_runs
+    ):
+        """The one-query-at-a-time oracle is the baseline of the single
+        broker only; a cluster run is baselined on the single-broker
+        replay and must not pay for the oracle."""
+        from repro.serve import loadgen
+
+        calls = []
+
+        def counting_run_direct(*args, **kwargs):
+            calls.append(args)
+            return run_direct(*args, **kwargs)
+
+        run_direct = loadgen.run_direct
+        monkeypatch.setattr(loadgen, "run_direct", counting_run_direct)
+        api.bench(graph, num_queries=12, replicas=replicas, seed=3)
+        assert len(calls) == oracle_runs
 
     def test_deterministic(self, graph):
         a = api.bench(graph, num_queries=12, replicas=2, seed=3)

@@ -106,30 +106,6 @@ class TestHybridBFS:
         with pytest.raises(InvalidParameterError):
             HybridConfig(beta=-1.0)
 
-    def test_deprecated_alpha_beta_kwargs(self, regular_graph):
-        """Loose alpha=/beta= still work, warn once, and match config=."""
-        from repro import deprecation
-
-        deprecation.reset()
-        source = int(np.argmax(regular_graph.out_degrees()))
-        with pytest.warns(DeprecationWarning, match="HybridConfig"):
-            legacy, legacy_stats = direction_optimized_bfs(
-                regular_graph, SageScheduler, source, alpha=20.0
-            )
-        deprecation.reset()
-        modern, modern_stats = direction_optimized_bfs(
-            regular_graph, SageScheduler, source,
-            config=HybridConfig(alpha=20.0),
-        )
-        assert np.array_equal(legacy.result["dist"], modern.result["dist"])
-        assert legacy_stats == modern_stats
-        assert legacy.seconds == modern.seconds
-        with pytest.raises(InvalidParameterError):
-            direction_optimized_bfs(
-                regular_graph, SageScheduler, source, alpha=0
-            )
-        deprecation.reset()
-
 
 class TestFunctionalApps:
     def reach_app(self):

@@ -10,9 +10,8 @@ Three layers under test, bottom-up:
   (no tolerance — the affected-cone argument claims exactness), and
   PageRank must stay inside its own computed residual certificate.
 * The serving plumbing: batched :meth:`GraphStore.apply_edges` /
-  ``apply_delta``, the widened listener/subscriber signatures with
-  warn-once adaptation of legacy callables, selective cache survival,
-  and ``repro.api.update``.
+  ``apply_delta``, the delta-carrying listener/subscriber signatures,
+  selective cache survival, and ``repro.api.update``.
 
 The hypothesis properties interleave random insert/delete batches with
 queries so the exactness claims are exercised on merges the authors
@@ -21,14 +20,12 @@ never hand-picked.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import api, deprecation
+from repro import api
 from repro.apps.incremental import (
     IncrementalBFS,
     IncrementalPageRank,
@@ -68,22 +65,6 @@ def cached_rmat(scale: int, edge_factor: int, seed: int) -> CSRGraph:
 def assert_same_csr(a: CSRGraph, b: CSRGraph) -> None:
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.targets, b.targets)
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    deprecation.reset()
-    yield
-    deprecation.reset()
-
-
-def _deprecations(fn):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn()
-    return out, [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
 
 
 def _update_batch(rng, n, coo, insert=24, delete=8):
@@ -174,7 +155,7 @@ class TestGraphDelta:
 
 
 # ---------------------------------------------------------------------------
-# Widened listeners / subscribers / deprecated shims
+# Delta-carrying listeners
 # ---------------------------------------------------------------------------
 
 
@@ -188,56 +169,6 @@ class TestListenerWidening:
         (graph, delta), = seen
         assert graph.has_edge(3, 0)
         assert delta.num_inserted == 1 and delta.num_deleted == 0
-
-    def test_legacy_single_arg_listener_adapted_with_one_warning(
-        self, tiny_graph
-    ):
-        dyn = DynamicGraph(tiny_graph)
-        seen = []
-
-        def register():
-            dyn.add_listener(seen.append)
-            dyn.add_listener(lambda graph: None)
-
-        _, warned = _deprecations(register)
-        assert len(warned) == 1
-        assert "single-argument" in str(warned[0].message)
-        dyn.insert_edges(np.array([3]), np.array([0]))
-        dyn.flush()
-        assert len(seen) == 1 and seen[0].has_edge(3, 0)
-
-    def test_legacy_store_subscriber_adapted_with_one_warning(
-        self, tiny_graph
-    ):
-        store = GraphStore({"g": DynamicGraph(tiny_graph)})
-        legacy, modern = [], []
-
-        def register():
-            store.subscribe(lambda h, csr, epoch: legacy.append(epoch))
-            store.subscribe(
-                lambda h, csr, epoch, delta: modern.append(delta)
-            )
-
-        _, warned = _deprecations(register)
-        assert len(warned) == 1
-        assert "delta" in str(warned[0].message)
-        store.apply_edges("g", [3], [0])
-        assert legacy == [1]
-        assert len(modern) == 1 and modern[0].num_inserted == 1
-
-    def test_apply_update_shim_warns_once_and_inserts(self, tiny_graph):
-        store = GraphStore({"g": DynamicGraph(tiny_graph)})
-
-        def legacy():
-            store.apply_update("g", np.array([3]), np.array([0]))
-            return store.apply_update("g", np.array([1]), np.array([0]))
-
-        epoch, warned = _deprecations(legacy)
-        assert epoch == 2
-        assert len(warned) == 1
-        assert "apply_edges" in str(warned[0].message)
-        assert store.graph("g").has_edge(3, 0)
-        assert store.graph("g").has_edge(1, 0)
 
 
 # ---------------------------------------------------------------------------

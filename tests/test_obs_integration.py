@@ -8,9 +8,7 @@ multi-GPU runners, the CLI ``--emit-metrics`` golden path, and the
 perf-trajectory harness CI gates on.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -27,17 +25,7 @@ from repro.obs import (
     report_from_json,
 )
 from repro.outofcore.runners import SageOutOfCoreRunner
-
-BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
-
-
-def load_bench_trajectory():
-    spec = importlib.util.spec_from_file_location(
-        "bench_trajectory", BENCH_DIR / "bench_trajectory.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests.conftest import BENCH_DIR
 
 
 class TestPipelineInstrumentation:
@@ -204,27 +192,42 @@ class TestCliGolden:
         assert "run [app=bfs" in text
 
 
+def _simulated(payload):
+    """Every row value except wall time (host timing, never gated)."""
+    return {
+        name: {k: v for k, v in row.items() if k != "wall_seconds"}
+        for name, row in payload["workloads"].items()
+    }
+
+
 class TestBenchTrajectory:
-    def test_smoke_suite_is_deterministic(self):
-        bench = load_bench_trajectory()
-        first = bench.run_suite(smoke=True)
-        second = bench.run_suite(smoke=True)
+    @pytest.fixture
+    def suite(self, smoke_suite):
+        assert smoke_suite.exit_code == 0, smoke_suite.output
+        return smoke_suite.payload
 
-        def simulated(payload):
-            # wall_seconds is host timing — informational, never gated.
-            return {
-                name: {k: v for k, v in row.items() if k != "wall_seconds"}
-                for name, row in payload["workloads"].items()
-            }
+    @pytest.fixture
+    def tiers(self, smoke_suite):
+        return {tier.name: tier for tier in smoke_suite.bench.SPEEDUP_TIERS}
 
-        assert simulated(first) == simulated(second)
-        assert set(first["workloads"]) == {
+    def _floor_holds(self, suite, tiers, name):
+        tier = tiers[name]
+        row = suite["workloads"][name]
+        assert row[tier.speedup_key] >= tier.floor
+        return row
+
+    def test_smoke_suite_is_deterministic(self, smoke_suite, suite):
+        """A plain re-run equals the sanitized session run, value for
+        value: the suite is deterministic and auditing moves nothing."""
+        bench = smoke_suite.bench
+        assert _simulated(bench.run_suite(smoke=True)) == _simulated(suite)
+        assert set(suite["workloads"]) == {
             "bfs_rmat", "pagerank_rmat", "sssp_rmat", "bfs_rmat_outofcore",
             "bfs_rmat_100k", "pagerank_rmat_100k", "serve_openloop",
             "sampling_openloop", "cluster_openloop", "pipeline_openloop",
             "dynamic_stream", "tuned_vs_default",
         }
-        for row in first["workloads"].values():
+        for row in suite["workloads"].values():
             # The serving row carries only the metrics that exist for a
             # batched service (no per-kernel cycle counts); the gate
             # skips absent metrics by design.
@@ -232,65 +235,63 @@ class TestBenchTrajectory:
                 if metric in row:
                     assert row[metric] > 0
 
-    def test_serving_tier_meets_speedup_floor(self):
-        bench = load_bench_trajectory()
-        row = bench._serve_row(smoke=True)
-        assert row["serve_speedup_vs_sequential"] >= bench.SERVE_SPEEDUP_FLOOR
+    def test_serving_tier_meets_speedup_floor(self, suite, tiers):
+        row = self._floor_holds(suite, tiers, "serve_openloop")
         assert row["serve_batch_occupancy_mean"] >= 8.0
         assert row["simulated_seconds"] > 0
 
-    def test_sampling_tier_meets_speedup_floor(self):
-        bench = load_bench_trajectory()
-        row = bench._sampling_row(smoke=True)
-        assert (
-            row["sampling_speedup_vs_sequential"]
-            >= bench.SAMPLING_SPEEDUP_FLOOR
-        )
+    def test_sampling_tier_meets_speedup_floor(self, suite, tiers):
+        row = self._floor_holds(suite, tiers, "sampling_openloop")
         assert row["sampling_batch_occupancy_mean"] >= 2.0
         assert row["simulated_seconds"] > 0
 
-    def test_cluster_tier_meets_speedup_floor(self):
-        bench = load_bench_trajectory()
-        row = bench._cluster_row(smoke=True)
-        assert (
-            row["cluster_speedup_vs_single_broker"]
-            >= bench.CLUSTER_SPEEDUP_FLOOR
-        )
+    def test_cluster_tier_meets_speedup_floor(self, suite, tiers):
+        row = self._floor_holds(suite, tiers, "cluster_openloop")
         assert row["cluster_cache_hit_ratio"] > 0.5
         assert row["simulated_seconds"] > 0
 
-    def test_dynamic_tier_meets_speedup_floor(self):
-        bench = load_bench_trajectory()
-        row = bench._dynamic_stream_row(smoke=True)
-        assert (
-            row["dynamic_speedup_vs_recompute"]
-            >= bench.DYNAMIC_SPEEDUP_FLOOR
-        )
+    def test_dynamic_tier_meets_speedup_floor(self, suite, tiers):
+        row = self._floor_holds(suite, tiers, "dynamic_stream")
         assert row["dynamic_repairs"] > 0
         assert row["simulated_seconds"] > 0
 
-    def test_committed_baseline_is_current(self):
+    def test_floor_gate_trips_on_every_tier(self, smoke_suite, suite):
+        bench = smoke_suite.bench
+        assert bench.check_floors(suite) == []
+        for tier in bench.SPEEDUP_TIERS:
+            below = json.loads(json.dumps(suite))
+            below["workloads"][tier.name][tier.speedup_key] = tier.floor / 2
+            failures = bench.check_floors(below)
+            assert len(failures) == 1
+            assert failures[0].startswith(f"{tier.name}:")
+
+    def test_committed_baseline_is_current(self, suite):
         # The committed BENCH_repro.json must match what this revision
-        # produces — CI's perf gate depends on it being fresh.
-        bench = load_bench_trajectory()
+        # produces in every simulated value — CI's perf gate depends on
+        # it being fresh.  Deterministic metrics are compared at float
+        # noise, not within the gate's tolerance.
         baseline_path = BENCH_DIR.parent / "BENCH_repro.json"
         baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-        current = bench.run_suite(smoke=True)
-        failures = bench.check_regression(current, baseline, tolerance=0.20)
-        assert failures == []
+        assert baseline["suite"] == suite["suite"]
+        committed, current = _simulated(baseline), _simulated(suite)
+        assert set(committed) == set(current)
+        for name, row in committed.items():
+            assert set(row) == set(current[name]), name
+            for key, value in row.items():
+                assert current[name][key] == pytest.approx(
+                    value, rel=1e-9, abs=0.0
+                ), f"{name}.{key}"
 
-    def test_gate_detects_regression(self):
-        bench = load_bench_trajectory()
-        current = bench.run_suite(smoke=True)
-        slower = json.loads(json.dumps(current))
+    def test_gate_detects_regression(self, smoke_suite, suite):
+        bench = smoke_suite.bench
+        slower = json.loads(json.dumps(suite))
         slower["workloads"]["bfs_rmat"]["total_cycles"] *= 1.5
-        failures = bench.check_regression(slower, current, tolerance=0.20)
+        failures = bench.check_regression(slower, suite, tolerance=0.20)
         assert len(failures) == 1
         assert "bfs_rmat.total_cycles" in failures[0]
 
-    def test_gate_rejects_suite_mismatch(self):
-        bench = load_bench_trajectory()
-        current = bench.run_suite(smoke=True)
+    def test_gate_rejects_suite_mismatch(self, smoke_suite, suite):
+        bench = smoke_suite.bench
         other = {"suite": "full", "workloads": {}}
-        failures = bench.check_regression(current, other, tolerance=0.20)
+        failures = bench.check_regression(suite, other, tolerance=0.20)
         assert failures and "suite mismatch" in failures[0]

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from repro.core.hybrid import direction_optimized_bfs
 from repro.graph.generators import rmat
 from repro.serve import (
+    SINGLE_BROKER,
     QueryRequest,
     QueryStatus,
     open_loop_arrivals,
     run_direct,
-    simulate_open_loop,
+    simulate_cluster_open_loop,
 )
 from repro.tune import DEFAULT_SPACE, CostModelEvaluator, TuningPoint
 from tests.serve.conftest import assert_bit_identical
@@ -53,14 +54,14 @@ ORACLE = [
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_any_sampled_point_is_bit_identical_to_the_oracle(seed):
     point = DEFAULT_SPACE.sample(np.random.default_rng(seed))
-    responses, _ = simulate_open_loop(
-        GRAPH,
+    responses, _ = simulate_cluster_open_loop(
+        {"g": GRAPH},
         REQUESTS,
         ARRIVALS,
         point.scheduler_factory(),
         batch_window=point.batch_window,
         max_batch_size=point.max_batch_size,
-        sequential_seconds=0.0,
+        **SINGLE_BROKER,
     )
     for request, response, oracle in zip(REQUESTS, responses, ORACLE):
         assert response.status is QueryStatus.OK
