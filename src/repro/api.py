@@ -301,7 +301,6 @@ def serve(
     max_batch_size: int | None = None,
     num_workers: int = 2,
     queue_capacity: int = 256,
-    num_gpus: int = 1,
     max_retries: int = 1,
     profile: TunedProfile | str | None = "auto",
     metrics: MetricsRegistry | None = None,
@@ -345,7 +344,6 @@ def serve(
         max_batch_size=max_batch_size if max_batch_size is not None else 64,
         num_workers=num_workers,
         queue_capacity=queue_capacity,
-        num_gpus=num_gpus,
         max_retries=max_retries,
         metrics=metrics,
         race_check=race_check,
@@ -362,7 +360,6 @@ def cluster(
     max_batch_size: int | None = None,
     num_workers: int = 2,
     queue_capacity: int = 256,
-    num_gpus: int = 1,
     max_retries: int = 1,
     cache_capacity: int = 1024,
     admission: AdmissionConfig | None = None,
@@ -414,7 +411,6 @@ def cluster(
         max_batch_size=max_batch_size if max_batch_size is not None else 64,
         num_workers=num_workers,
         queue_capacity=queue_capacity,
-        num_gpus=num_gpus,
         max_retries=max_retries,
         cache_capacity=cache_capacity,
         admission=admission,

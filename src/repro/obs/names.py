@@ -49,8 +49,9 @@ PIPELINE_COUNTERS: frozenset[str] = frozenset(
     }
 )
 
-#: Counters emitted by the pipelined executor (``repro.serve.pipelined``):
-#: per-batch DAG compilation and in-flight window bookkeeping.
+#: Counters of pipelined execution (``BatchExecutor.compile`` and
+#: ``ReplicaPipeline``): per-batch DAG compilation and in-flight window
+#: bookkeeping.
 PIPELINE_EXEC_COUNTERS: frozenset[str] = frozenset(
     {
         "pipeline.batches",
@@ -59,7 +60,7 @@ PIPELINE_EXEC_COUNTERS: frozenset[str] = frozenset(
 )
 
 #: Counters emitted by the stream/event scheduler layer
-#: (``repro.serve.pipelined`` admitting ``repro.gpusim.streams`` DAGs):
+#: (``BatchExecutor.compile`` building ``repro.gpusim.streams`` DAGs):
 #: node population of every compiled batch DAG.
 STREAM_COUNTERS: frozenset[str] = frozenset(
     {

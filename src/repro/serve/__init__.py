@@ -52,12 +52,7 @@ from repro.serve.executor import (
     make_single_app,
     run_direct,
 )
-from repro.serve.pipelined import (
-    PipelineConfig,
-    PipelinedBatch,
-    PipelinedExecutor,
-    ReplicaPipeline,
-)
+from repro.serve.pipelined import PipelineConfig, ReplicaPipeline
 from repro.serve.loadgen import (
     DEFAULT_MIX,
     DEFAULT_PARAMS,
@@ -98,8 +93,6 @@ __all__ = [
     "GraphStore",
     "PendingQuery",
     "PipelineConfig",
-    "PipelinedBatch",
-    "PipelinedExecutor",
     "QueryBroker",
     "QueryRequest",
     "QueryResponse",

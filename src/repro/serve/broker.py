@@ -167,7 +167,6 @@ class QueryBroker:
         max_batch_size: int = 64,
         num_workers: int = 2,
         queue_capacity: int = 256,
-        num_gpus: int = 1,
         max_retries: int = 1,
         executor: BatchExecutor | None = None,
         metrics: MetricsRegistry | None = None,
@@ -204,7 +203,7 @@ class QueryBroker:
                 races.activate(self.race_detector)
                 self._owns_race_detector = True
         self.executor = executor or BatchExecutor(
-            scheduler_factory, num_gpus=num_gpus, metrics=self.metrics
+            scheduler_factory, metrics=self.metrics
         )
         self._clock = clock
         self._queue: deque[_Entry] = deque()

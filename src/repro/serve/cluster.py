@@ -33,6 +33,7 @@ import hashlib
 import heapq
 import itertools
 import time
+from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -55,13 +56,9 @@ from repro.serve.admission import (
 from repro.serve.batching import BatchKey, batch_key
 from repro.serve.broker import PendingQuery, QueryBroker
 from repro.serve.cache import CacheKey, GraphStore, ResultCache, result_cache_key
-from repro.serve.executor import BatchExecutor
+from repro.serve.executor import BatchExecution, BatchExecutor
 from repro.serve.loadgen import summarize_responses
-from repro.serve.pipelined import (
-    PipelineConfig,
-    PipelinedExecutor,
-    ReplicaPipeline,
-)
+from repro.serve.pipelined import PipelineConfig, ReplicaPipeline
 from repro.serve.request import QueryRequest, QueryResponse, QueryStatus
 
 #: Replica-selection policies understood by :class:`Router`.
@@ -86,13 +83,15 @@ SINGLE_BROKER: dict[str, Any] = {
 # ----------------------------------------------------------------------
 # When several events fall due at the same virtual instant, the loop
 # plays them in a pinned order: batch *completions* land their results
-# (and fill the cache) first, then graph *updates* bump epochs and purge
-# stale entries, then window *flushes* dispatch new batches — so a batch
-# dispatched at time t always executes against every update due at t,
-# and a completion never caches under an epoch bumped at the same
-# instant.  The regression test in tests/serve/ pins these constants;
-# new event sources (e.g. pipeline device events) must pick one of them
-# rather than invent an ordering.
+# (and fill the cache) first, in dispatch order, then graph *updates*
+# bump epochs and purge stale entries, then window *flushes* dispatch
+# new batches, and the arrival comes last — so a batch dispatched at
+# time t always executes against every update due at t, a completion
+# never caches under an epoch bumped at the same instant, and with
+# ``batch_window=0`` two same-key arrivals at t form two batches.  The
+# regression tests in tests/serve/ pin the constants and the replay's
+# order; new event sources must pick one of them rather than invent an
+# ordering.
 EVENT_COMPLETION = 0
 EVENT_UPDATE = 1
 EVENT_FLUSH = 2
@@ -140,6 +139,53 @@ class Router:
                 range(self.num_replicas), key=lambda r: (outstanding[r], r)
             ))
         return self._stable_hash(batch_key(request)) % self.num_replicas
+
+
+def _front_door(
+    decision: AdmissionDecision,
+    request: QueryRequest,
+    request_id: int,
+    client: str,
+    controller: AdmissionController,
+    cache: ResultCache,
+    store: GraphStore,
+) -> tuple[QueryResponse | None, CacheKey | None]:
+    """The answer given before any replica, for the pool and the replay.
+
+    A refused admission gets a ``SHED`` response and a versioned-cache
+    hit the cached ``OK`` one.  An admitted miss gets no response, only
+    the cache key its result belongs under.
+    """
+    if decision is AdmissionDecision.ADMIT:
+        key = store.key_for(request)
+        hit = cache.get(key)
+        if hit is None:
+            return None, key
+        controller.on_success()
+        return QueryResponse(
+            request_id=request_id,
+            app=request.app,
+            status=QueryStatus.OK,
+            result=hit,
+            latency_seconds=0.0,
+            extras={"cached": 1.0},
+        ), key
+    if decision is AdmissionDecision.THROTTLED:
+        error = f"client class {client!r} over its token-bucket rate limit"
+        error_type = ThrottledError.__name__
+    else:
+        error = (
+            "cluster over its adaptive concurrency limit "
+            f"({controller.concurrency_limit})"
+        )
+        error_type = AdmissionError.__name__
+    return QueryResponse(
+        request_id=request_id,
+        app=request.app,
+        status=QueryStatus.SHED,
+        error=error,
+        error_type=error_type,
+    ), None
 
 
 @dataclass
@@ -305,6 +351,7 @@ class _Member:
     request: QueryRequest
     arrival: float
     deadline: float | None
+    replica: int
 
 
 @dataclass
@@ -313,21 +360,51 @@ class _OpenBatch:
 
     replica: int
     key: BatchKey
-    open_time: float
     close_time: float
     members: list[_Member]
 
 
 @dataclass
-class _Completion:
-    """An executed batch whose results land at ``finish``."""
+class _Running:
+    """A dispatched batch whose results land when its device finishes."""
 
-    finish: float
     members: list[_Member]
     results: list[dict[str, np.ndarray]]
     cache_keys: list[CacheKey]
     batch_id: int
     share: float
+
+
+class _SerialDevice:
+    """A replica device that runs one batch at a time.
+
+    It has :class:`~repro.serve.pipelined.ReplicaPipeline`'s interface:
+    a batch starts once it is ready and the device is free, and finishes
+    ``sim_seconds`` later.
+    """
+
+    def __init__(self) -> None:
+        self.free = 0.0
+        self._finishes: deque[tuple[int, float]] = deque()
+        self._handles = itertools.count()
+
+    def earliest_start(self, ready: float) -> float:
+        return max(ready, self.free)
+
+    def submit(self, execution: BatchExecution, ready: float) -> int:
+        handle = next(self._handles)
+        self.free = self.earliest_start(ready) + execution.sim_seconds
+        self._finishes.append((handle, self.free))
+        return handle
+
+    def next_event_time(self) -> float | None:
+        return self._finishes[0][1] if self._finishes else None
+
+    def advance_to(self, limit: float) -> list[tuple[int, float]]:
+        done = []
+        while self._finishes and self._finishes[0][1] <= limit:
+            done.append(self._finishes.popleft())
+        return done
 
 
 def _busy_total(pipes: list[ReplicaPipeline], sim_total: float) -> float:
@@ -340,6 +417,265 @@ def _busy_total(pipes: list[ReplicaPipeline], sim_total: float) -> float:
     leak a speedup fractionally below 1.0 out of a run with no overlap.
     """
     return min(sum(p.device.busy_seconds for p in pipes), sim_total)
+
+
+class _Replay:
+    """The event loop behind :func:`simulate_cluster_open_loop`.
+
+    One method per event: :meth:`arrive`, :meth:`flush` (a window
+    closes; :meth:`dispatch` sends the batch to its replica's device),
+    :meth:`complete` and :meth:`update`.  :meth:`advance` plays them in
+    :func:`event_order`: graph updates and window flushes wait in one
+    heap, and the devices' next completion is polled beside it.  A
+    batch that fills before its window closes leaves its flush in the
+    heap, skipped when it surfaces.
+    """
+
+    def __init__(
+        self,
+        store: GraphStore,
+        executor: BatchExecutor,
+        registry: MetricsRegistry,
+        *,
+        num_replicas: int,
+        routing: str,
+        batch_window: float,
+        max_batch_size: int,
+        cache_capacity: int,
+        admission: AdmissionConfig | None,
+        updates: list[tuple[float, str, Any, Any]],
+        pipeline: PipelineConfig | None,
+    ) -> None:
+        self.store = store
+        self.executor = executor
+        self.registry = registry
+        self.cache = ResultCache(cache_capacity, metrics=registry)
+        self.controller = AdmissionController(admission, metrics=registry)
+        self.router = Router(routing, num_replicas)
+        self.batch_window = batch_window
+        self.max_batch_size = max_batch_size
+        self.pipeline = pipeline
+        self.devices: list[Any] = [
+            _SerialDevice() if pipeline is None
+            else ReplicaPipeline(pipeline, metrics=registry)
+            for _ in range(num_replicas)
+        ]
+        # Entries are event_order(...) + tie-breaks + payload: updates
+        # due together keep their list order, flushes due together go
+        # by (replica, repr(key)), and the sequence numbers keep the
+        # payloads out of every comparison.
+        self.events: list[tuple[Any, ...]] = [
+            (*event_order(update[0], EVENT_UPDATE), seq, update)
+            for seq, update in enumerate(updates)
+        ]
+        heapq.heapify(self.events)
+        self.flushes = itertools.count()
+        self.open: dict[tuple[int, BatchKey], _OpenBatch] = {}
+        self.running: dict[tuple[int, int], _Running] = {}
+        self.responses: dict[int, QueryResponse] = {}
+        self.outstanding = [0] * num_replicas
+        self.total_outstanding = 0
+        self.per_replica_sim = [0.0] * num_replicas
+        self.sim_total = 0.0
+        self.batch_sizes: list[int] = []
+        self.next_batch_id = 0
+        self.graph_updates = 0
+
+    def run(
+        self,
+        requests: list[QueryRequest],
+        arrivals: np.ndarray,
+        clients: list[str] | None,
+    ) -> None:
+        """Play the arrivals in time order, then drain every device."""
+        for i in np.argsort(arrivals, kind="stable").tolist():
+            t = float(arrivals[i])
+            self.advance(t)
+            client = clients[i] if clients is not None else "default"
+            self.arrive(i, t, requests[i], client)
+        self.advance(float("inf"))
+
+    def advance(self, limit: float) -> None:
+        """Play every event due at or before ``limit`` in event order."""
+        while True:
+            times = [device.next_event_time() for device in self.devices]
+            completion = min((t for t in times if t is not None), default=None)
+            if completion is not None and (
+                not self.events
+                or event_order(completion, EVENT_COMPLETION)
+                < self.events[0][:2]
+            ):
+                if completion > limit:
+                    return
+                self.complete(completion)
+            elif self.events and self.events[0][0] <= limit:
+                event = heapq.heappop(self.events)
+                if event[1] == EVENT_UPDATE:
+                    self.update(event[-1])
+                else:
+                    self.flush(event[-1])
+            else:
+                return
+
+    def arrive(
+        self, index: int, t: float, request: QueryRequest, client: str
+    ) -> None:
+        """Shed or answer the query at the door, or batch it."""
+        self.registry.count("cluster.requests")
+        decision = self.controller.check(t, self.total_outstanding, client)
+        response, _ = _front_door(
+            decision, request, index, client,
+            self.controller, self.cache, self.store,
+        )
+        if response is not None:
+            self.responses[index] = response
+            return
+        replica = self.router.route(request, self.outstanding)
+        self.registry.count("cluster.routed")
+        self.outstanding[replica] += 1
+        self.total_outstanding += 1
+        deadline = (
+            t + request.deadline_seconds
+            if request.deadline_seconds is not None else None
+        )
+        key = batch_key(request)
+        batch = self.open.get((replica, key))
+        if batch is None:
+            # advance(t) flushed every batch due by t, so any batch still
+            # open closes after t.
+            batch = _OpenBatch(replica, key, t + self.batch_window, [])
+            self.open[(replica, key)] = batch
+            heapq.heappush(self.events, (
+                *event_order(batch.close_time, EVENT_FLUSH),
+                replica, repr(key), next(self.flushes), batch,
+            ))
+        batch.members.append(_Member(index, request, t, deadline, replica))
+        if len(batch.members) == self.max_batch_size:
+            # Filled before the window elapsed: dispatch at the filling
+            # arrival instead of waiting it out.
+            del self.open[(replica, key)]
+            self.dispatch(batch, t)
+
+    def flush(self, batch: _OpenBatch) -> None:
+        """A window closes, unless its batch filled and left already."""
+        if self.open.get((batch.replica, batch.key)) is batch:
+            del self.open[(batch.replica, batch.key)]
+            self.dispatch(batch, batch.close_time)
+
+    def dispatch(self, batch: _OpenBatch, ready: float) -> None:
+        """Execute a batch against the current graph snapshot and submit
+        it to its replica's device; members whose deadline passes before
+        the device can start it time out instead."""
+        device = self.devices[batch.replica]
+        start = device.earliest_start(ready)
+        batch_id = self.next_batch_id
+        self.next_batch_id += 1
+        live = []
+        for member in batch.members:
+            if member.deadline is not None and start > member.deadline:
+                self.timeout(member, start, "before execution", batch_id, 0)
+            else:
+                live.append(member)
+        if not live:
+            return
+        handle = batch.key[0]
+        graph = self.store.graph(handle)
+        epoch = self.store.epoch(handle)
+        fingerprint = self.store.fingerprint(handle)
+        requests = [m.request for m in live]
+        if self.pipeline is None:
+            execution = self.executor.execute(graph, requests)
+        else:
+            execution = self.executor.compile(
+                graph, requests, self.pipeline.prefetch_depth
+            )
+        self.per_replica_sim[batch.replica] += execution.sim_seconds
+        self.sim_total += execution.sim_seconds
+        self.batch_sizes.append(len(live))
+        local = device.submit(execution, ready)
+        self.running[(batch.replica, local)] = _Running(
+            members=live,
+            results=execution.results,
+            cache_keys=[
+                result_cache_key(m.request, epoch, fingerprint) for m in live
+            ],
+            batch_id=batch_id,
+            share=execution.sim_seconds / len(live),
+        )
+
+    def complete(self, when: float) -> None:
+        """Land every batch the devices finish at ``when``, in dispatch
+        order: resolve its members and cache their results."""
+        done = sorted(
+            (
+                (finish, self.running.pop((replica, local)))
+                for replica, device in enumerate(self.devices)
+                for local, finish in device.advance_to(when)
+            ),
+            key=lambda item: (item[0], item[1].batch_id),
+        )
+        for finish, batch in done:
+            size = len(batch.members)
+            for member, result, key in zip(
+                batch.members, batch.results, batch.cache_keys
+            ):
+                if member.deadline is not None and finish > member.deadline:
+                    self.timeout(
+                        member, finish, "after execution",
+                        batch.batch_id, size,
+                    )
+                    continue
+                self.controller.on_success()
+                self.cache.put(key, result)
+                self.resolve(member, QueryResponse(
+                    request_id=member.index,
+                    app=member.request.app,
+                    status=QueryStatus.OK,
+                    result=result,
+                    batch_id=batch.batch_id,
+                    batch_size=size,
+                    sim_seconds=batch.share,
+                    latency_seconds=finish - member.arrival,
+                ))
+
+    def update(self, update: tuple[float, str, Any, Any]) -> None:
+        """Merge one edge batch: bump the epoch and fix up the cache."""
+        _, handle, src, dst = update
+        epoch = self.store.apply_edges(handle, src, dst)
+        delta = self.store.last_delta(handle)
+        if delta is None:
+            self.cache.invalidate_graph(handle, keep_epoch=epoch)
+        else:
+            # Selective invalidation: provably-unaffected entries are
+            # re-keyed to the new epoch and keep hitting.
+            self.cache.apply_delta(
+                handle, delta,
+                new_epoch=epoch,
+                new_fingerprint=self.store.fingerprint(handle),
+            )
+        self.registry.count("cluster.graph_updates")
+        self.graph_updates += 1
+
+    def timeout(
+        self, member: _Member, now: float, phase: str,
+        batch_id: int, size: int,
+    ) -> None:
+        self.controller.on_overload()
+        self.resolve(member, QueryResponse(
+            request_id=member.index,
+            app=member.request.app,
+            status=QueryStatus.TIMEOUT,
+            error=f"deadline exceeded {phase}",
+            error_type="DeadlineExceededError",
+            batch_id=batch_id,
+            batch_size=size,
+            latency_seconds=now - member.arrival,
+        ))
+
+    def resolve(self, member: _Member, response: QueryResponse) -> None:
+        self.outstanding[member.replica] -= 1
+        self.total_outstanding -= 1
+        self.responses[member.index] = response
 
 
 def simulate_cluster_open_loop(
@@ -395,13 +731,13 @@ def simulate_cluster_open_loop(
     ``pipeline`` (a :class:`~repro.serve.pipelined.PipelineConfig` with
     any knob off its synchronous default) switches each replica from
     batch-at-a-time execution to a stream device with an in-flight
-    admission window.  Responses are bit-identical either way — batches
-    still form, snapshot, and execute identically at dispatch time; only
-    the virtual timeline of the device changes.  One semantic nuance:
-    with pipelining on, the pre-execution deadline check uses the
-    batch's flush time (the device-start instant is not known until
-    admission), so queueing delay surfaces as a post-execution timeout
-    instead.
+    admission window, fed by :meth:`BatchExecutor.compile`.  Responses
+    are bit-identical either way — batches still form, snapshot, and
+    execute identically at dispatch time; only the virtual timeline of
+    the device changes.  One semantic nuance: with pipelining on, the
+    pre-execution deadline check uses the batch's flush time (the
+    device-start instant is not known until admission), so queueing
+    delay surfaces as a post-execution timeout instead.
     """
     if num_replicas < 1:
         raise InvalidParameterError("num_replicas must be >= 1")
@@ -418,352 +754,60 @@ def simulate_cluster_open_loop(
     if clients is not None and len(clients) != len(requests):
         raise InvalidParameterError("need one client class per request")
     registry = metrics if metrics is not None else NULL_REGISTRY
-    store = graphs if isinstance(graphs, GraphStore) else GraphStore(graphs)
-    cache = ResultCache(cache_capacity, metrics=registry)
-    controller = AdmissionController(admission, metrics=registry)
-    router = Router(routing, num_replicas)
     pipelined = pipeline is not None and pipeline.enabled
-    if pipelined:
-        if executor is None:
-            executor = PipelinedExecutor(
-                scheduler_factory, metrics=registry, config=pipeline
-            )
-        elif not isinstance(executor, PipelinedExecutor):
-            raise InvalidParameterError(
-                "pipeline= needs a PipelinedExecutor (or executor=None)"
-            )
-        pipes = [
-            ReplicaPipeline(pipeline, metrics=registry)
-            for _ in range(num_replicas)
-        ]
-    else:
-        executor = executor or BatchExecutor(scheduler_factory)
-        pipes = []
-
-    pending_updates = sorted(
-        updates or [], key=lambda u: float(u[0])
+    replay = _Replay(
+        graphs if isinstance(graphs, GraphStore) else GraphStore(graphs),
+        executor or BatchExecutor(scheduler_factory, metrics=registry),
+        registry,
+        num_replicas=num_replicas,
+        routing=routing,
+        batch_window=batch_window,
+        max_batch_size=max_batch_size,
+        cache_capacity=cache_capacity,
+        admission=admission,
+        updates=updates or [],
+        pipeline=pipeline if pipelined else None,
     )
-    update_ptr = 0
-    graph_updates = 0
-
-    responses: dict[int, QueryResponse] = {}
-    open_batches: dict[tuple[int, BatchKey], _OpenBatch] = {}
-    completions: list[tuple[float, int, _Completion]] = []
-    pipeline_pending: dict[tuple[int, int], _Completion] = {}
-    seq = itertools.count()
-    replica_free = np.zeros(num_replicas, dtype=np.float64)
-    per_replica_sim = [0.0] * num_replicas
-    outstanding = [0] * num_replicas
-    total_outstanding = 0
-    sim_total = 0.0
-    batch_sizes: list[int] = []
-    next_batch_id = 0
-
-    def resolve_timeout(member: _Member, now: float, phase: str,
-                        batch_id: int, size: int) -> None:
-        nonlocal total_outstanding
-        outstanding[_replica_of[member.index]] -= 1
-        total_outstanding -= 1
-        controller.on_overload()
-        responses[member.index] = QueryResponse(
-            request_id=member.index,
-            app=member.request.app,
-            status=QueryStatus.TIMEOUT,
-            error=f"deadline exceeded {phase}",
-            error_type="DeadlineExceededError",
-            batch_id=batch_id,
-            batch_size=size,
-            latency_seconds=now - member.arrival,
-        )
-
-    _replica_of: dict[int, int] = {}
-
-    def dispatch(batch: _OpenBatch, ready: float) -> None:
-        nonlocal sim_total, next_batch_id
-        replica = batch.replica
-        # With pipelining the device-start instant is unknown until the
-        # window admits the batch; the pre-execution check then uses the
-        # flush time and queueing delay is caught post-execution.
-        start = (
-            ready if pipelined
-            else max(ready, float(replica_free[replica]))
-        )
-        batch_id = next_batch_id
-        next_batch_id += 1
-        live = []
-        for member in batch.members:
-            if member.deadline is not None and start > member.deadline:
-                resolve_timeout(
-                    member, start, "before execution", batch_id, 0
-                )
-            else:
-                live.append(member)
-        if not live:
-            return
-        handle = batch.key[0]
-        graph = store.graph(handle)
-        epoch = store.epoch(handle)
-        fingerprint = store.fingerprint(handle)
-        if pipelined:
-            assert isinstance(executor, PipelinedExecutor)
-            compiled = executor.compile(
-                graph, [m.request for m in live]
-            )
-            execution = compiled.execution
-            per_replica_sim[replica] += execution.sim_seconds
-            sim_total += execution.sim_seconds
-            batch_sizes.append(len(live))
-            local = pipes[replica].submit(compiled.dag, ready)
-            pipeline_pending[(replica, local)] = _Completion(
-                finish=0.0,
-                members=live,
-                results=execution.results,
-                cache_keys=[
-                    result_cache_key(m.request, epoch, fingerprint)
-                    for m in live
-                ],
-                batch_id=batch_id,
-                share=execution.sim_seconds / len(live),
-            )
-            return
-        execution = executor.execute(graph, [m.request for m in live])
-        finish = start + execution.sim_seconds
-        replica_free[replica] = finish
-        per_replica_sim[replica] += execution.sim_seconds
-        sim_total += execution.sim_seconds
-        batch_sizes.append(len(live))
-        heapq.heappush(completions, (
-            finish,
-            next(seq),
-            _Completion(
-                finish=finish,
-                members=live,
-                results=execution.results,
-                cache_keys=[
-                    result_cache_key(m.request, epoch, fingerprint)
-                    for m in live
-                ],
-                batch_id=batch_id,
-                share=execution.sim_seconds / len(live),
-            ),
-        ))
-
-    def complete(done: _Completion) -> None:
-        nonlocal total_outstanding
-        size = len(done.members)
-        for member, result, key in zip(
-            done.members, done.results, done.cache_keys
-        ):
-            if member.deadline is not None and done.finish > member.deadline:
-                resolve_timeout(
-                    member, done.finish, "after execution",
-                    done.batch_id, size,
-                )
-                continue
-            outstanding[_replica_of[member.index]] -= 1
-            total_outstanding -= 1
-            controller.on_success()
-            cache.put(key, result)
-            responses[member.index] = QueryResponse(
-                request_id=member.index,
-                app=member.request.app,
-                status=QueryStatus.OK,
-                result=result,
-                batch_id=done.batch_id,
-                batch_size=size,
-                sim_seconds=done.share,
-                latency_seconds=done.finish - member.arrival,
-            )
-
-    def apply_stream_update(update: tuple[float, str, Any, Any]) -> None:
-        nonlocal graph_updates
-        _, handle, src, dst = update
-        epoch = store.apply_edges(handle, src, dst)
-        delta = store.last_delta(handle)
-        if delta is None:
-            cache.invalidate_graph(handle, keep_epoch=epoch)
-        else:
-            # Selective invalidation: provably-unaffected entries are
-            # re-keyed to the new epoch and keep hitting.
-            cache.apply_delta(
-                handle, delta,
-                new_epoch=epoch,
-                new_fingerprint=store.fingerprint(handle),
-            )
-        registry.count("cluster.graph_updates")
-        graph_updates += 1
-
-    def advance(limit: float) -> None:
-        """Play every due event ≤ ``limit`` in virtual-time order.
-
-        Simultaneous events follow :func:`event_order`: completions,
-        then updates, then flushes (the pinned tie-break contract).
-        """
-        nonlocal update_ptr
-        while True:
-            candidates: list[tuple[float, int]] = []
-            if pipelined:
-                due = [
-                    t for t in (p.next_event_time() for p in pipes)
-                    if t is not None
-                ]
-                if due:
-                    candidates.append(
-                        event_order(min(due), EVENT_COMPLETION)
-                    )
-            elif completions:
-                candidates.append(
-                    event_order(completions[0][0], EVENT_COMPLETION)
-                )
-            if update_ptr < len(pending_updates):
-                candidates.append(event_order(
-                    float(pending_updates[update_ptr][0]), EVENT_UPDATE
-                ))
-            if open_batches:
-                flush = min(
-                    open_batches.values(),
-                    key=lambda b: (b.close_time, b.replica, repr(b.key)),
-                )
-                candidates.append(
-                    event_order(flush.close_time, EVENT_FLUSH)
-                )
-            if not candidates:
-                return
-            when, kind = min(candidates)
-            if when > limit:
-                return
-            if kind == EVENT_COMPLETION:
-                if pipelined:
-                    for replica, pipe in enumerate(pipes):
-                        next_time = pipe.next_event_time()
-                        if next_time is None or next_time > when:
-                            continue
-                        for local, finish in pipe.advance_to(when):
-                            done = pipeline_pending.pop((replica, local))
-                            done.finish = finish
-                            complete(done)
-                else:
-                    _, _, done = heapq.heappop(completions)
-                    complete(done)
-            elif kind == EVENT_UPDATE:
-                apply_stream_update(pending_updates[update_ptr])
-                update_ptr += 1
-            else:
-                del open_batches[(flush.replica, flush.key)]
-                dispatch(flush, ready=flush.close_time)
-
-    order = np.argsort(arrivals, kind="stable")
     with registry.span(
         "cluster.run", replicas=num_replicas, routing=routing,
         queries=len(requests),
     ) as run_span:
-        for i in order.tolist():
-            t = float(arrivals[i])
-            request = requests[i]
-            client = clients[i] if clients is not None else "default"
-            advance(t)
-            registry.count("cluster.requests")
-            decision = controller.check(t, total_outstanding, client)
-            if decision is AdmissionDecision.THROTTLED:
-                responses[i] = QueryResponse(
-                    request_id=i,
-                    app=request.app,
-                    status=QueryStatus.SHED,
-                    error=(
-                        f"client class {client!r} over its token-bucket "
-                        "rate limit"
-                    ),
-                    error_type=ThrottledError.__name__,
-                )
-                continue
-            if decision is AdmissionDecision.OVERLOADED:
-                responses[i] = QueryResponse(
-                    request_id=i,
-                    app=request.app,
-                    status=QueryStatus.SHED,
-                    error=(
-                        "cluster over its adaptive concurrency limit "
-                        f"({controller.concurrency_limit})"
-                    ),
-                    error_type=AdmissionError.__name__,
-                )
-                continue
-            hit = cache.get(store.key_for(request))
-            if hit is not None:
-                controller.on_success()
-                responses[i] = QueryResponse(
-                    request_id=i,
-                    app=request.app,
-                    status=QueryStatus.OK,
-                    result=hit,
-                    latency_seconds=0.0,
-                    extras={"cached": 1.0},
-                )
-                continue
-            replica = router.route(request, outstanding)
-            registry.count("cluster.routed")
-            _replica_of[i] = replica
-            outstanding[replica] += 1
-            total_outstanding += 1
-            deadline = (
-                t + request.deadline_seconds
-                if request.deadline_seconds is not None else None
-            )
-            member = _Member(
-                index=i, request=request, arrival=t, deadline=deadline
-            )
-            bkey = batch_key(request)
-            open_batch = open_batches.get((replica, bkey))
-            if open_batch is not None and t <= open_batch.close_time:
-                open_batch.members.append(member)
-            else:
-                open_batch = _OpenBatch(
-                    replica=replica,
-                    key=bkey,
-                    open_time=t,
-                    close_time=t + batch_window,
-                    members=[member],
-                )
-                open_batches[(replica, bkey)] = open_batch
-            if len(open_batch.members) == max_batch_size:
-                # Filled before the window elapsed: dispatch at the
-                # filling arrival instead of waiting it out.
-                del open_batches[(replica, bkey)]
-                dispatch(open_batch, ready=min(open_batch.close_time, t))
-        advance(float("inf"))
-        run_span.set("batches", len(batch_sizes))
-        run_span.set("cache_hits", cache.hits)
-        run_span.set("sim_seconds_total", sim_total)
+        replay.run(requests, arrivals, clients)
+        busy = (
+            _busy_total(replay.devices, replay.sim_total)
+            if pipelined else 0.0
+        )
+        run_span.set("batches", len(replay.batch_sizes))
+        run_span.set("cache_hits", replay.cache.hits)
+        run_span.set("sim_seconds_total", replay.sim_total)
         if pipelined:
-            run_span.set(
-                "pipeline_busy_seconds",
-                _busy_total(pipes, sim_total),
-            )
+            run_span.set("pipeline_busy_seconds", busy)
 
-    ordered = [responses[i] for i in range(len(requests))]
+    ordered = [replay.responses[i] for i in range(len(requests))]
     makespan = max(
         (r.latency_seconds + float(arrivals[i])
          for i, r in enumerate(ordered)),
         default=0.0,
     )
     counts, p50, p95, p99 = summarize_responses(ordered)
+    controller = replay.controller
     report = ClusterBenchReport(
         num_queries=len(requests),
         num_replicas=num_replicas,
         routing=routing,
-        num_batches=len(batch_sizes),
+        num_batches=len(replay.batch_sizes),
         batch_occupancy_mean=(
-            float(np.mean(batch_sizes)) if batch_sizes else 0.0
+            float(np.mean(replay.batch_sizes)) if replay.batch_sizes else 0.0
         ),
         makespan_seconds=makespan,
-        sim_seconds_total=sim_total,
-        per_replica_sim_seconds=per_replica_sim,
+        sim_seconds_total=replay.sim_total,
+        per_replica_sim_seconds=replay.per_replica_sim,
         baseline_seconds=float(baseline_seconds),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
+        cache_hits=replay.cache.hits,
+        cache_misses=replay.cache.misses,
         throttled=controller.throttled,
         shed=controller.overloaded,
-        graph_updates=graph_updates,
+        graph_updates=replay.graph_updates,
         throttle_level=controller.throttle_level,
         concurrency_limit=controller.concurrency_limit,
         latency_p50=p50,
@@ -771,15 +815,13 @@ def simulate_cluster_open_loop(
         latency_p99=p99,
         status_counts=counts,
         pipeline_enabled=pipelined,
-        pipeline_busy_seconds=(
-            _busy_total(pipes, sim_total) if pipelined else 0.0
-        ),
+        pipeline_busy_seconds=busy,
         pipeline_overlap_saved_seconds=(
-            sum(p.device.overlap_saved_seconds for p in pipes)
+            sum(p.device.overlap_saved_seconds for p in replay.devices)
             if pipelined else 0.0
         ),
         pipeline_inflight_peak=(
-            max((p.inflight_peak for p in pipes), default=0)
+            max((p.inflight_peak for p in replay.devices), default=0)
             if pipelined else 0
         ),
     )
@@ -823,7 +865,6 @@ class ClusterPool:
         max_batch_size: int = 64,
         num_workers: int = 2,
         queue_capacity: int = 256,
-        num_gpus: int = 1,
         max_retries: int = 1,
         cache_capacity: int = 1024,
         admission: AdmissionConfig | None = None,
@@ -868,7 +909,6 @@ class ClusterPool:
                 max_batch_size=max_batch_size,
                 num_workers=num_workers,
                 queue_capacity=queue_capacity,
-                num_gpus=num_gpus,
                 max_retries=max_retries,
                 metrics=self.metrics,
                 clock=clock,
@@ -890,32 +930,13 @@ class ClusterPool:
         with self._lock:
             races.note_read(self, "_outstanding")
             decision = self.admission.check(now, self._outstanding, client)
-        if decision is AdmissionDecision.THROTTLED:
-            return self._resolved_shed(
-                request,
-                f"client class {client!r} over its token-bucket rate limit",
-                ThrottledError.__name__,
-            )
-        if decision is AdmissionDecision.OVERLOADED:
-            return self._resolved_shed(
-                request,
-                "cluster over its adaptive concurrency limit "
-                f"({self.admission.concurrency_limit})",
-                AdmissionError.__name__,
-            )
-        key = self.store.key_for(request)
-        hit = self.cache.get(key)
-        if hit is not None:
-            self.admission.on_success()
-            pending = PendingQuery(next(self._local_ids), request)
-            pending._resolve(QueryResponse(
-                request_id=pending.request_id,
-                app=request.app,
-                status=QueryStatus.OK,
-                result=hit,
-                latency_seconds=0.0,
-                extras={"cached": 1.0},
-            ))
+        response, key = _front_door(
+            decision, request, next(self._local_ids), client,
+            self.admission, self.cache, self.store,
+        )
+        if response is not None:
+            pending = PendingQuery(response.request_id, request)
+            pending._resolve(response)
             return pending
         with self._lock:
             races.note_write(self, "_outstanding")
@@ -934,19 +955,6 @@ class ClusterPool:
         self, requests: list[QueryRequest], *, client: str = "default"
     ) -> list[PendingQuery]:
         return [self.submit(request, client=client) for request in requests]
-
-    def _resolved_shed(
-        self, request: QueryRequest, detail: str, error_type: str
-    ) -> PendingQuery:
-        pending = PendingQuery(next(self._local_ids), request)
-        pending._resolve(QueryResponse(
-            request_id=pending.request_id,
-            app=request.app,
-            status=QueryStatus.SHED,
-            error=detail,
-            error_type=error_type,
-        ))
-        return pending
 
     # ------------------------------------------------------------------
     # Feedback path

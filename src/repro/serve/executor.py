@@ -6,17 +6,22 @@ packs up to 64 sources into one bit-parallel traversal); PageRank-family
 queries that differ only in parameters are answered by a single run
 shared across the batch; per-source apps without a batched formulation
 (SSSP, personalized PR) run once per *unique* source, so duplicate
-sources still coalesce.  Every run goes through the existing
-:class:`~repro.multigpu.runner.MultiGpuRunner`, which with one device is
-bit-identical to the direct :func:`~repro.core.pipeline.run_app` path —
-the invariant the differential harness in ``tests/serve/`` pins.
+sources still coalesce.  Every run goes through
+:func:`~repro.core.pipeline.run_app`, the path the oracle takes, so a
+reordering scheduler commits the same relabels in both — the invariant
+the differential harness in ``tests/serve/`` pins.
 
 :func:`run_direct` is the sequential oracle the service is tested (and
 benchmarked) against: one plain ``run_app`` per query.
+
+:meth:`BatchExecutor.compile` also recompiles a batch's recorded device
+timelines into one :class:`~repro.gpusim.streams.BatchDag` for the
+pipelined replica devices (:mod:`repro.serve.pipelined`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -38,9 +43,9 @@ from repro.apps.base import App
 from repro.apps.msbfs import MAX_SOURCES
 from repro.core.pipeline import RunResult, run_app
 from repro.core.scheduler import Scheduler
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, SimulationError
 from repro.graph.csr import CSRGraph
-from repro.multigpu import MultiGpuRunner, chunk_partition
+from repro.gpusim.streams import HOST, KERNEL, BatchDag, dag_from_run
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.serve.request import SAMPLING_APPS, QueryRequest
 
@@ -91,18 +96,19 @@ class BatchExecution:
     ``results`` is aligned with the input request list; every entry is a
     fresh dict with copied arrays so responses never alias each other.
     ``sim_seconds`` is the total simulated device time of the batch (the
-    worker executes its internal runs serially).
+    worker executes its internal runs serially).  ``dag`` is the batch's
+    stream DAG when :meth:`BatchExecutor.compile` produced it.
 
-    The order of ``runs`` is part of the contract: the pipelined
-    executor replays run ``i`` as lane ``i`` of the batch's stream DAG,
-    so two executions of the same batch must list their runs in the
-    same order (they do — every ``_execute_*`` path iterates sources
-    in sorted order).
+    The order of ``runs`` is part of the contract: compilation replays
+    run ``i`` as lane ``i`` of the batch's stream DAG, so two executions
+    of the same batch must list their runs in the same order (they do —
+    every ``_execute_*`` path iterates sources in sorted order).
     """
 
     results: list[dict[str, np.ndarray]]
     sim_seconds: float
     runs: list[RunResult] = field(default_factory=list)
+    dag: BatchDag | None = None
 
     @property
     def num_runs(self) -> int:
@@ -114,7 +120,7 @@ class BatchExecution:
 
         A run without a ``node_trace`` would compile to an *empty* DAG
         lane — zero device time — silently deflating the pipelined
-        timeline, so ``PipelinedExecutor.compile`` refuses untraced
+        timeline, so :meth:`BatchExecutor.compile` refuses untraced
         executions instead of guessing.
         """
         return all(run.node_trace for run in self.runs)
@@ -127,13 +133,9 @@ class BatchExecutor:
         self,
         scheduler_factory: Callable[[], Scheduler],
         *,
-        num_gpus: int = 1,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if num_gpus < 1:
-            raise InvalidParameterError("num_gpus must be >= 1")
         self.scheduler_factory = scheduler_factory
-        self.num_gpus = num_gpus
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
 
     # ------------------------------------------------------------------
@@ -143,15 +145,12 @@ class BatchExecutor:
     def _run(
         self, graph: CSRGraph, app: App, source: int | None = None
     ) -> RunResult:
-        """One traversal on a fresh runner (clean per-run profiler)."""
+        """One traversal on a fresh pipeline (clean per-run profiler)."""
         run_registry = MetricsRegistry(enabled=self.metrics.enabled)
-        runner = MultiGpuRunner(
-            self.scheduler_factory,
-            chunk_partition(graph.num_nodes, self.num_gpus),
-            num_gpus=self.num_gpus,
+        result = run_app(
+            graph, app, self.scheduler_factory(), source,
             metrics=run_registry,
         )
-        result = runner.run(graph, app, source)
         # Per-run registries are summed into the executor's registry;
         # folding devices directly into a shared registry would snapshot-
         # overwrite the gpusim.* counters of earlier runs.
@@ -185,6 +184,49 @@ class BatchExecutor:
         if kind in SAMPLING_APPS:
             return self._execute_sampling(graph, requests)
         raise InvalidParameterError(f"unknown serve app {kind!r}")
+
+    def compile(
+        self,
+        graph: CSRGraph,
+        requests: list[QueryRequest],
+        prefetch_depth: int = 0,
+    ) -> BatchExecution:
+        """Execute one batch and compile its device timeline to a DAG.
+
+        The results come from :meth:`execute` unchanged; the returned
+        execution also carries the batch's ``dag``.  Each internal run
+        becomes one lane (its own dependency chain), so runs of the same
+        batch can themselves overlap when the device has streams to
+        spare; ``prefetch_depth`` is passed to
+        :func:`~repro.gpusim.streams.dag_from_run`.
+        """
+        with self.metrics.span(
+            "pipeline.batch", queries=len(requests),
+        ) as span:
+            execution = self.execute(graph, requests)
+            if not execution.traced:
+                raise SimulationError(
+                    "batch has a run without a node trace; its DAG "
+                    "lane would carry zero device time"
+                )
+            dag = BatchDag()
+            for lane, run in enumerate(execution.runs):
+                dag_from_run(
+                    run, dag=dag, lane=lane, prefetch_depth=prefetch_depth,
+                )
+            span.set("nodes", dag.num_nodes)
+            span.set("lanes", dag.num_lanes)
+            span.set("total_seconds", dag.total_seconds)
+        self.metrics.count("pipeline.batches")
+        kinds = Counter(node.kind for node in dag.nodes)
+        self.metrics.count("stream.kernel_nodes", kinds[KERNEL])
+        self.metrics.count(
+            "stream.transfer_nodes",
+            dag.num_nodes - kinds[KERNEL] - kinds[HOST],
+        )
+        self.metrics.count("stream.host_nodes", kinds[HOST])
+        execution.dag = dag
+        return execution
 
     def _execute_bfs(
         self, graph: CSRGraph, requests: list[QueryRequest]

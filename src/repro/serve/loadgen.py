@@ -252,7 +252,6 @@ def run_closed_loop(
     max_batch_size: int = 64,
     num_workers: int = 2,
     queue_capacity: int = 256,
-    num_gpus: int = 1,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[list[QueryResponse], ServeBenchReport]:
     """Drive the threaded broker with ``concurrency`` client threads.
@@ -274,7 +273,6 @@ def run_closed_loop(
         max_batch_size=max_batch_size,
         num_workers=num_workers,
         queue_capacity=queue_capacity,
-        num_gpus=num_gpus,
         metrics=metrics,
     )
 

@@ -1,45 +1,32 @@
 """Pipelined batch execution: overlap batches on one simulated device.
 
-:class:`PipelinedExecutor` extends :class:`~repro.serve.executor
-.BatchExecutor` with a *compile* step: the batch still executes through
-the inherited (bit-identical) functional path, but the per-run device
-timelines recorded in ``RunResult.node_trace`` are recompiled into one
-:class:`~repro.gpusim.streams.BatchDag` per batch.  A
-:class:`ReplicaPipeline` then admits up to ``in_flight`` such DAGs into
+:meth:`BatchExecutor.compile <repro.serve.executor.BatchExecutor.compile>`
+executes a batch through the ordinary (bit-identical) path and then
+recompiles the per-run device timelines recorded in
+``RunResult.node_trace`` into one :class:`~repro.gpusim.streams.BatchDag`.
+A :class:`ReplicaPipeline` then admits up to ``in_flight`` such DAGs into
 one :class:`~repro.gpusim.streams.StreamDevice`, so independent nodes
 from *different* batches interleave — kernels co-run under honest
 occupancy sharing, transfers ride the copy engines beside another
 batch's compute, and out-of-core prefetch is issued ``prefetch_depth``
 iterations early.
 
-Only virtual time moves: results are produced by the inherited executor
-before any DAG is scheduled, so pipelined responses are bit-identical to
-the batch-at-a-time executor (and therefore to the ``run_direct``
-oracle) by construction.  The differential tests in ``tests/serve/``
-pin this.
+Only virtual time moves: results are produced before any DAG is
+scheduled, so pipelined responses are bit-identical to the
+batch-at-a-time replica (and therefore to the ``run_direct`` oracle) by
+construction.  The differential tests in ``tests/serve/`` pin this.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.analysis.races import instrument as races
-from repro.core.scheduler import Scheduler
-from repro.errors import InvalidParameterError, SimulationError
-from repro.graph.csr import CSRGraph
-from repro.gpusim.streams import (
-    H2D,
-    HOST,
-    KERNEL,
-    BatchDag,
-    StreamDevice,
-    dag_from_run,
-)
+from repro.errors import InvalidParameterError
+from repro.gpusim.streams import BatchDag, StreamDevice
 from repro.obs import MetricsRegistry
-from repro.serve.executor import BatchExecution, BatchExecutor
-from repro.serve.request import QueryRequest
+from repro.serve.executor import BatchExecution
 
 
 @dataclass(frozen=True)
@@ -79,69 +66,6 @@ class PipelineConfig:
         )
 
 
-@dataclass
-class PipelinedBatch:
-    """One compiled batch: its (already-final) results plus its DAG."""
-
-    execution: BatchExecution
-    dag: BatchDag
-
-
-class PipelinedExecutor(BatchExecutor):
-    """Batch executor that also compiles each batch to an event DAG."""
-
-    def __init__(
-        self,
-        scheduler_factory: Callable[[], Scheduler],
-        *,
-        num_gpus: int = 1,
-        metrics: MetricsRegistry | None = None,
-        config: PipelineConfig | None = None,
-    ) -> None:
-        super().__init__(scheduler_factory, num_gpus=num_gpus,
-                         metrics=metrics)
-        self.config = config or PipelineConfig()
-
-    def compile(
-        self, graph: CSRGraph, requests: list[QueryRequest]
-    ) -> PipelinedBatch:
-        """Execute one batch and compile its device timeline to a DAG.
-
-        Each internal run becomes one lane (its own dependency chain),
-        so runs of the same batch can themselves overlap when the
-        device has streams to spare.
-        """
-        with self.metrics.span(
-            "pipeline.batch", queries=len(requests),
-        ) as span:
-            execution = self.execute(graph, requests)
-            if not execution.traced:
-                raise SimulationError(
-                    "batch has a run without a node trace; its DAG "
-                    "lane would carry zero device time"
-                )
-            dag = BatchDag()
-            for lane, run in enumerate(execution.runs):
-                dag_from_run(
-                    run, dag=dag, lane=lane,
-                    prefetch_depth=self.config.prefetch_depth,
-                )
-            span.set("nodes", dag.num_nodes)
-            span.set("lanes", dag.num_lanes)
-            span.set("total_seconds", dag.total_seconds)
-        self.metrics.count("pipeline.batches")
-        kinds = {KERNEL: 0, H2D: 0, HOST: 0}
-        for node in dag.nodes:
-            kinds[node.kind] = kinds.get(node.kind, 0) + 1
-        self.metrics.count("stream.kernel_nodes", kinds.get(KERNEL, 0))
-        self.metrics.count(
-            "stream.transfer_nodes",
-            dag.num_nodes - kinds.get(KERNEL, 0) - kinds.get(HOST, 0),
-        )
-        self.metrics.count("stream.host_nodes", kinds.get(HOST, 0))
-        return PipelinedBatch(execution=execution, dag=dag)
-
-
 class ReplicaPipeline:
     """In-flight admission window in front of one stream device.
 
@@ -166,8 +90,22 @@ class ReplicaPipeline:
         self._in_flight = 0
         self.inflight_peak = 0
 
-    def submit(self, dag: BatchDag, ready: float) -> int:
+    def earliest_start(self, ready: float) -> float:
+        """The start a pre-execution deadline check can count on.
+
+        The window may hold a batch back, and for how long is not known
+        until it is admitted, so this is ``ready`` itself; queueing
+        delay surfaces as a post-execution timeout instead.
+        """
+        return ready
+
+    def submit(self, execution: BatchExecution, ready: float) -> int:
         """Enqueue one compiled batch; returns a completion handle."""
+        dag = execution.dag
+        if dag is None:
+            raise InvalidParameterError(
+                "submit a compiled batch (BatchExecutor.compile)"
+            )
         # Single-owner by contract (the virtual-time loop); the write
         # notes let the race detector prove no second thread sneaks in.
         races.note_write(self, "_in_flight")

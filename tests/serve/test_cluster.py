@@ -19,6 +19,7 @@ from repro.obs import MetricsRegistry
 from repro.serve import (
     ROUTING_POLICIES,
     AdmissionConfig,
+    BatchExecutor,
     ClusterPool,
     QueryRequest,
     QueryStatus,
@@ -255,6 +256,98 @@ class TestMidStreamUpdates:
                 {"g": serve_graph}, requests, [0.0], scheduler_factory,
                 updates=[(0.0, "g", [0], [1])],
             )
+
+
+class _ScriptedTimeExecutor(BatchExecutor):
+    """Real results, scripted device time: a batch of app ``a`` takes
+    ``seconds[a]``, so a test can place finish times exactly."""
+
+    def __init__(self, seconds):
+        super().__init__(scheduler_factory)
+        self.seconds = seconds
+
+    def execute(self, graph, requests):
+        execution = super().execute(graph, requests)
+        execution.sim_seconds = self.seconds[requests[0].app]
+        return execution
+
+
+class TestReplayEventOrder:
+    """The pinned same-instant order, played by the replay itself:
+    completions (in dispatch order), then graph updates, then window
+    flushes, then the arrival."""
+
+    def test_zero_window_same_instant_arrivals_form_two_batches(
+        self, serve_graph
+    ):
+        request = QueryRequest("bfs", "g", 0)
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, [request, request], [1.0, 1.0],
+            scheduler_factory, batch_window=0.0, **SINGLE_BROKER,
+        )
+        assert report.num_batches == 2
+        assert [r.batch_id for r in responses] == [0, 1]
+
+    def test_update_at_a_finish_finds_the_result_cached(self, serve_graph):
+        """The completion lands first, under the pre-update epoch; the
+        update then re-keys or purges that entry."""
+        neighbors = set(serve_graph.neighbors(0).tolist())
+        absent = next(
+            v for v in range(1, serve_graph.num_nodes) if v not in neighbors
+        )
+        metrics = MetricsRegistry()
+        responses, report = simulate_cluster_open_loop(
+            {"g": DynamicGraph(serve_graph)},
+            [QueryRequest("bfs", "g", 0)], [0.0], scheduler_factory,
+            num_replicas=1, batch_window=0.0,
+            executor=_ScriptedTimeExecutor({"bfs": 1.0}),
+            updates=[(1.0, "g", [0], [absent])], metrics=metrics,
+        )
+        assert responses[0].latency_seconds == 1.0
+        assert report.graph_updates == 1
+        counters = metrics.report()["counters"]
+        assert counters.get("delta.cache_entries_kept", 0) + counters.get(
+            "cluster.cache_invalidations", 0
+        ) == 1
+
+    def test_update_at_a_window_close_reaches_the_batch(self, serve_graph):
+        request = QueryRequest("bfs", "g", 0)
+        before = run_direct(serve_graph, request, scheduler_factory).result
+        far = next(
+            v for v in range(1, serve_graph.num_nodes)
+            if before["dist"][v] != 1
+        )
+        responses, _ = simulate_cluster_open_loop(
+            {"g": DynamicGraph(serve_graph)}, [request], [0.0],
+            scheduler_factory, num_replicas=1, batch_window=1.0,
+            updates=[(1.0, "g", [0], [far])],
+        )
+        updated = DynamicGraph(serve_graph)
+        updated.insert_edges(np.asarray([0]), np.asarray([far]))
+        updated.flush()
+        after = run_direct(updated.graph, request, scheduler_factory).result
+        assert after["dist"][far] == 1
+        assert_bit_identical(responses[0].result, after)
+
+    def test_same_instant_completions_land_in_dispatch_order(
+        self, serve_graph
+    ):
+        """Replica 1 dispatches first and replica 0 second; both finish
+        at t=2, so a one-entry cache ends up holding replica 0's result,
+        which the probe at t=5 hits."""
+        router = Router("affinity", 2)
+        first = QueryRequest("bfs", "g", 0)
+        second = QueryRequest("pr", "g", params={"max_iterations": 5})
+        assert [router.route(r, [0, 0]) for r in (first, second)] == [1, 0]
+        responses, _ = simulate_cluster_open_loop(
+            {"g": serve_graph}, [first, second, second], [0.0, 1.0, 5.0],
+            scheduler_factory, num_replicas=2, routing="affinity",
+            batch_window=0.0, cache_capacity=1,
+            executor=_ScriptedTimeExecutor({"bfs": 2.0, "pr": 1.0}),
+        )
+        assert [r.batch_id for r in responses[:2]] == [0, 1]
+        assert [r.latency_seconds for r in responses[:2]] == [2.0, 1.0]
+        assert responses[2].extras.get("cached") == 1.0
 
 
 class TestRouter:

@@ -22,8 +22,9 @@ from repro.serve import (
     EVENT_FLUSH,
     EVENT_UPDATE,
     AdmissionConfig,
+    BatchExecution,
+    BatchExecutor,
     PipelineConfig,
-    PipelinedExecutor,
     QueryRequest,
     QueryStatus,
     ReplicaPipeline,
@@ -115,36 +116,31 @@ class TestEventOrderContract:
 
 
 class TestPipelinedExecutor:
+    """``BatchExecutor.compile``: execute, then DAG the timeline."""
+
     def test_compile_results_match_execute(self):
         graph = cached_rmat(6, 8, 0)
         requests = bfs_batch(graph, 8, seed=3)
-        plain = PipelinedExecutor(scheduler_factory).execute(
-            graph, requests
-        )
-        compiled = PipelinedExecutor(
-            scheduler_factory,
-            config=PipelineConfig(in_flight=4, num_streams=4),
-        ).compile(graph, requests)
-        assert compiled.execution.sim_seconds == plain.sim_seconds
-        for a, b in zip(compiled.execution.results, plain.results):
+        plain = BatchExecutor(scheduler_factory).execute(graph, requests)
+        compiled = BatchExecutor(scheduler_factory).compile(graph, requests)
+        assert compiled.sim_seconds == plain.sim_seconds
+        for a, b in zip(compiled.results, plain.results):
             assert_bit_identical(a, b)
 
     def test_dag_carries_the_batch_device_time(self):
         graph = cached_rmat(6, 8, 0)
         requests = bfs_batch(graph, 6, seed=5)
-        compiled = PipelinedExecutor(scheduler_factory).compile(
-            graph, requests
-        )
+        compiled = BatchExecutor(scheduler_factory).compile(graph, requests)
         assert compiled.dag.num_nodes > 0
-        assert compiled.dag.num_lanes == len(compiled.execution.runs)
+        assert compiled.dag.num_lanes == len(compiled.runs)
         assert compiled.dag.total_seconds == pytest.approx(
-            compiled.execution.sim_seconds
+            compiled.sim_seconds
         )
 
     def test_compile_refuses_untraced_runs(self):
         from repro.errors import SimulationError
 
-        class Untraced(PipelinedExecutor):
+        class Untraced(BatchExecutor):
             def _run(self, graph, app, source=None):
                 result = super()._run(graph, app, source)
                 result.node_trace.clear()
@@ -159,7 +155,7 @@ class TestPipelinedExecutor:
     def test_compile_emits_registered_metrics(self):
         graph = cached_rmat(6, 8, 0)
         metrics = MetricsRegistry()
-        PipelinedExecutor(scheduler_factory, metrics=metrics).compile(
+        BatchExecutor(scheduler_factory, metrics=metrics).compile(
             graph, bfs_batch(graph, 4, seed=7)
         )
         counters = metrics.report()["counters"]
@@ -168,23 +164,28 @@ class TestPipelinedExecutor:
 
 
 class TestReplicaPipeline:
-    def kernel_dag(self, seconds=1.0, occupancy=0.25):
+    def kernel_batch(self, seconds=1.0, occupancy=0.25):
         dag = BatchDag()
         dag.add_node(KERNEL, seconds, occupancy=occupancy)
-        return dag
+        return BatchExecution(results=[], sim_seconds=seconds, dag=dag)
+
+    def test_submit_needs_a_compiled_batch(self):
+        pipe = ReplicaPipeline(PipelineConfig(in_flight=2))
+        with pytest.raises(InvalidParameterError):
+            pipe.submit(BatchExecution(results=[], sim_seconds=1.0), 0.0)
 
     def test_window_admits_up_to_in_flight(self):
         pipe = ReplicaPipeline(PipelineConfig(in_flight=2, num_streams=4))
         metrics = MetricsRegistry()
         pipe.metrics = metrics
         for _ in range(5):
-            pipe.submit(self.kernel_dag(), 0.0)
+            pipe.submit(self.kernel_batch(), 0.0)
         assert pipe.inflight_peak == 2
         assert metrics.report()["counters"]["pipeline.queued_batches"] == 3
 
     def test_queued_batches_drain_in_fifo_order(self):
         pipe = ReplicaPipeline(PipelineConfig(in_flight=1, num_streams=1))
-        handles = [pipe.submit(self.kernel_dag(), 0.0) for _ in range(3)]
+        handles = [pipe.submit(self.kernel_batch(), 0.0) for _ in range(3)]
         done = pipe.advance_to(10.0)
         assert [h for h, _ in done] == handles
         assert [finish for _, finish in done] == [1.0, 2.0, 3.0]
@@ -192,7 +193,7 @@ class TestReplicaPipeline:
 
     def test_advance_respects_limit(self):
         pipe = ReplicaPipeline(PipelineConfig(in_flight=1, num_streams=1))
-        pipe.submit(self.kernel_dag(seconds=2.0), 0.0)
+        pipe.submit(self.kernel_batch(seconds=2.0), 0.0)
         assert pipe.advance_to(1.0) == []
         assert not pipe.idle
         assert pipe.advance_to(2.0) == [(0, 2.0)]
