@@ -650,8 +650,7 @@ def run_suite(smoke: bool, sanitizer=None) -> dict:
         # Carry the scheduler/transfer counters so trajectory diffs show
         # *why* a metric moved, not just that it did.
         for key in ("sage.tiles", "sage.tiles_expanded",
-                    "sage.tiles_stolen_resident", "sage.decomp_cache_hits",
-                    "sage.edge_accounting_cache_hits",
+                    "sage.tiles_stolen_resident", "sage.node_tables_built",
                     "ooc.bytes_transferred", "ooc.requests"):
             if key in counters:
                 row[key] = counters[key]

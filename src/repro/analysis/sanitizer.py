@@ -390,13 +390,15 @@ class Sanitizer:
 
     def check_work_units(
         self,
-        tile_sizes: np.ndarray,
-        fragment_sizes: np.ndarray,
+        covered_edges: int,
         total_edges: int,
         iteration: int | None = None,
     ) -> None:
-        """Scheduled tiles + fragments must cover the batch exactly."""
-        covered = int(tile_sizes.sum()) + int(fragment_sizes.sum())
+        """Scheduled tiles + fragments must cover the batch exactly.
+
+        ``covered_edges`` is the sum of the scheduled work-unit sizes.
+        """
+        covered = int(covered_edges)
         if covered != int(total_edges):
             self._record(
                 Finding(

@@ -108,7 +108,16 @@ class App(ABC):
 
 
 def contract(candidates: np.ndarray) -> np.ndarray:
-    """Contraction step: dedupe and sort a candidate frontier."""
+    """Contraction step: dedupe and sort a candidate frontier.
+
+    Same result as ``np.unique`` (sorted, input dtype), but a sort plus an
+    adjacent-difference mask, which beats numpy's hash-based unique on
+    frontier-sized integer arrays.
+    """
     if candidates.size == 0:
         return candidates.astype(np.int64)
-    return np.unique(candidates)
+    ordered = np.sort(candidates)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]

@@ -20,8 +20,6 @@ get divided by the SM count (overheads execute in parallel per SM).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.apps.base import App
@@ -32,13 +30,17 @@ from repro.core.scheduler import (
     Scheduler,
     SectorAccounting,
     atomic_conflicts_for,
-    csr_gather_sectors,
-    value_sector_accounting,
+    scale_value_sectors,
 )
-from repro.core.tiling import DEFAULT_MIN_TILE, TileDecomposition, decompose_frontier
+from repro.core.tiling import (
+    DEFAULT_MIN_TILE,
+    FrontierWork,
+    frontier_work_reference,
+    node_accounting,
+    tile_size_levels,
+)
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cost import KernelStats, block_placement, even_placement
-from repro.gpusim.memory import segmented_distinct_sectors
 from repro.gpusim.spec import GPUSpec
 
 # Scheduling-cost constants (lane-cycles per work item).
@@ -49,11 +51,6 @@ FRAGMENT_SETUP_CYCLES = 8.0  # scan-based gather setup per fragment node
 TILE_WRITE_CYCLES = 6.0     # expandTiles store per new tile (Alg. 3 l.3)
 TILE_CONSUME_CYCLES = 2.0   # popping a resident tile from the global queue
 SAMPLE_CYCLES = 16.0        # Alg. 4 shared-memory counting per sampled tile
-
-#: Distinct frontier degree signatures memoized per scheduler.  Full-frontier
-#: apps (PageRank-style) present the identical degree array every iteration;
-#: traversal apps cycle through a handful of frontiers across BFS levels.
-DECOMP_MEMO_ENTRIES = 8
 
 
 class SageScheduler(Scheduler):
@@ -84,13 +81,7 @@ class SageScheduler(Scheduler):
         self.reorder_seed = reorder_seed
         self._store: ResidentTileStore | None = None
         self._reorderer: SamplingReorderer | None = None
-        self._decomp_memo: OrderedDict[
-            tuple[str, bytes],
-            tuple[TileDecomposition, np.ndarray, np.ndarray, int],
-        ] = OrderedDict()
-        self._edge_memo: OrderedDict[
-            tuple[tuple[str, bytes], bytes], tuple[int, SectorAccounting]
-        ] = OrderedDict()
+        self._graph_accounting: SectorAccounting | None = None
         self.name = self._build_name()
 
     def _build_name(self) -> str:
@@ -108,8 +99,6 @@ class SageScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def reset(self, graph: CSRGraph) -> None:
-        self._decomp_memo.clear()
-        self._edge_memo.clear()
         self._store = ResidentTileStore(graph) if self.resident_stealing else None
         if self.sampling_reorder:
             threshold = self.reorder_threshold_edges
@@ -135,7 +124,41 @@ class SageScheduler(Scheduler):
     ) -> KernelStats:
         if not self.tiled_partitioning:
             return self._thread_per_node_stats(frontier, degrees, edge_dst, app)
-        return self._tiled_stats(frontier, degrees, edge_dst, graph, app)
+        # Every caller passes edge_dst = graph.expand_frontier(frontier)[1],
+        # so the kernel's tiling totals are sums of the graph's per-node
+        # table (Resident Tile Stealing's "tile once per node", on the host).
+        spec = self.spec
+        table, built = node_accounting(
+            graph, spec.block_size, self.min_tile, spec.sector_width,
+            self.tile_alignment,
+        )
+        if built:
+            self.metrics.count("sage.node_tables_built")
+        work = table.frontier_work(
+            frontier, degrees, segments=self._reorderer is not None
+        )
+        acct = self._sector_accounting(frontier, edge_dst, graph)
+        return self._tiled_stats(frontier, degrees, edge_dst, app, work, acct)
+
+    def kernel_stats_reference(
+        self,
+        frontier: np.ndarray,
+        degrees: np.ndarray,
+        edge_dst: np.ndarray,
+        graph: CSRGraph,
+        app: App,
+    ) -> KernelStats:
+        """:meth:`kernel_stats` priced by re-tiling the frontier (the
+        pre-table formulation), kept as the equivalence-test reference."""
+        if not self.tiled_partitioning:
+            return self._thread_per_node_stats(frontier, degrees, edge_dst, app)
+        spec = self.spec
+        work = frontier_work_reference(
+            degrees, edge_dst, spec.block_size, self.min_tile,
+            spec.sector_width, self.tile_alignment,
+        )
+        acct = SectorAccounting(edge_dst, spec.sector_width)
+        return self._tiled_stats(frontier, degrees, edge_dst, app, work, acct)
 
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
         if self._reorderer is None or not self._reorderer.ready:
@@ -156,114 +179,60 @@ class SageScheduler(Scheduler):
     # Cost accounting
     # ------------------------------------------------------------------
 
-    def _decompose_cached(
-        self, degrees: np.ndarray
-    ) -> tuple[
-        tuple[str, bytes], TileDecomposition, np.ndarray, np.ndarray, int
-    ]:
-        """Decomposition, segment starts, per-node tile counts and CSR
-        gather sectors of one frontier, memoized on its degree signature.
+    def _sector_accounting(
+        self, frontier: np.ndarray, edge_dst: np.ndarray, graph: CSRGraph
+    ) -> SectorAccounting:
+        """The kernel's shared distinct-count pass.
 
-        All four are pure functions of the degree array (block size, min
-        tile and alignment are fixed per scheduler), so repeated frontier
-        degree signatures — every iteration of a full-frontier app — hit
-        the memo instead of recomputing.  Returns the memo key first so
-        :meth:`_edge_accounting` can reuse it.
+        A kernel over every node in id order (each iteration of a
+        full-frontier app such as PageRank) reads exactly
+        ``graph.targets``, so this scheduler counts it once per graph.
         """
-        key = (degrees.dtype.str, degrees.tobytes())
-        cached = self._decomp_memo.get(key)
-        if cached is not None:
-            self._decomp_memo.move_to_end(key)
-            self.metrics.count("sage.decomp_cache_hits")
-            return (key, *cached)
-        decomp = decompose_frontier(degrees, self.spec.block_size, self.min_tile)
-        cum_deg = np.cumsum(degrees) - degrees
-        seg_starts = decomp.segment_starts(cum_deg)
-        tiles_per_node = np.bincount(
-            decomp.tile_frontier_idx, minlength=degrees.size
-        ) + np.bincount(decomp.fragment_frontier_idx, minlength=degrees.size)
-        seg_sizes = np.diff(np.append(seg_starts, int(degrees.sum())))
-        csr_sectors = csr_gather_sectors(
-            seg_sizes, self.spec, aligned=self.tile_alignment
-        )
-        self._decomp_memo[key] = (decomp, seg_starts, tiles_per_node, csr_sectors)
-        if len(self._decomp_memo) > DECOMP_MEMO_ENTRIES:
-            self._decomp_memo.popitem(last=False)
-        return key, decomp, seg_starts, tiles_per_node, csr_sectors
-
-    def _edge_accounting(
-        self,
-        degrees_key: tuple[str, bytes],
-        edge_dst: np.ndarray,
-        seg_starts: np.ndarray,
-    ) -> tuple[int, SectorAccounting]:
-        """Per-kernel sector accounting, memoized on the exact edge batch.
-
-        The unscaled per-segment distinct-sector sum and the shared
-        :class:`SectorAccounting` (kernel-wide distinct sectors and
-        addresses, computed lazily) depend only on ``edge_dst`` and the
-        segmentation — which the degree signature determines — so a
-        full-frontier app re-presenting the identical expansion every
-        iteration hits the memo.  Exact byte keys, not hashes: a
-        collision would silently corrupt gated metrics.
-        """
-        key = (degrees_key, edge_dst.tobytes())
-        cached = self._edge_memo.get(key)
-        if cached is not None:
-            self._edge_memo.move_to_end(key)
-            self.metrics.count("sage.edge_accounting_cache_hits")
-            return cached
-        acct = SectorAccounting(edge_dst, self.spec.sector_width)
-        per_segment = segmented_distinct_sectors(
-            edge_dst, seg_starts, self.spec.sector_width, presorted=True
-        )
-        entry = (int(per_segment.sum()), acct)
-        self._edge_memo[key] = entry
-        if len(self._edge_memo) > DECOMP_MEMO_ENTRIES:
-            self._edge_memo.popitem(last=False)
-        return entry
+        n = graph.num_nodes
+        if frontier.size != n or not np.array_equal(frontier, np.arange(n)):
+            return SectorAccounting(edge_dst, self.spec.sector_width)
+        acct = self._graph_accounting
+        if acct is None or acct.edge_dst is not graph.targets:
+            acct = SectorAccounting(graph.targets, self.spec.sector_width)
+            self._graph_accounting = acct
+        return acct
 
     def _tiled_stats(
         self,
         frontier: np.ndarray,
         degrees: np.ndarray,
         edge_dst: np.ndarray,
-        graph: CSRGraph,
         app: App,
+        work: FrontierWork,
+        acct: SectorAccounting,
     ) -> KernelStats:
         spec = self.spec
-        degrees_key, decomp, seg_starts, tiles_per_node, csr_sectors = (
-            self._decompose_cached(degrees)
-        )
         if self.sanitizer is not None:
             # Audit the scheduled work units: tiles + fragments must
             # cover the expanded batch exactly (a decomposition gap
             # would silently drop or double-count edges in accounting).
-            self.sanitizer.check_work_units(
-                decomp.tile_sizes, decomp.fragment_sizes, edge_dst.size
-            )
-        raw_touches, acct = self._edge_accounting(degrees_key, edge_dst, seg_starts)
-        touches, unique = value_sector_accounting(
-            edge_dst, seg_starts, spec,
-            presorted=True, access_factor=app.value_access_factor,
-            accounting=acct, raw_touches=raw_touches,
+            self.sanitizer.check_work_units(work.covered_edges, edge_dst.size)
+        touches, unique = scale_value_sectors(
+            work.value_touches, acct, app.value_access_factor
         )
 
         active = int(edge_dst.size)
         issued = active  # power-of-two tiles are divergence-free
         num_blocks = max(1, -(-frontier.size // spec.block_size))
         warps_per_block = spec.block_size // spec.warp_size
-        total_tiles = decomp.num_tiles + decomp.fragment_frontier_idx.size
+        total_tiles = work.num_tiles + work.num_fragments
 
         if self.resident_stealing:
             assert self._store is not None
-            _, new_nodes, new_tiles = self._store.visit(frontier, tiles_per_node)
+            _, new_nodes, new_tiles = self._store.visit(
+                frontier, work.units_per_node
+            )
             # Scheduling decisions are resident: new nodes pay the tile
             # write; everything else is a cheap queue pop.
             overhead_work = (
                 new_tiles * TILE_WRITE_CYCLES
                 + total_tiles * TILE_CONSUME_CYCLES
-                + decomp.fragment_frontier_idx.size * FRAGMENT_SETUP_CYCLES
+                + work.num_fragments * FRAGMENT_SETUP_CYCLES
             )
             self.metrics.count("sage.tiles", total_tiles)
             self.metrics.count("sage.tiles_expanded", new_tiles)
@@ -276,14 +245,15 @@ class SageScheduler(Scheduler):
         else:
             # Dynamic scheduling repeats every visit; tiles are consumed
             # sequentially inside their owner block (Figure 4a).
+            levels = len(tile_size_levels(spec.block_size, self.min_tile))
             overhead_work = (
-                decomp.elections * ELECTION_CYCLES
-                + decomp.num_tiles * TILE_ROUND_CYCLES
-                + num_blocks * decomp.levels * PARTITION_CYCLES
-                + decomp.fragment_frontier_idx.size * FRAGMENT_SETUP_CYCLES
+                work.elections * ELECTION_CYCLES
+                + work.num_tiles * TILE_ROUND_CYCLES
+                + num_blocks * levels * PARTITION_CYCLES
+                + work.num_fragments * FRAGMENT_SETUP_CYCLES
             )
             self.metrics.count("sage.tiles", total_tiles)
-            self.metrics.count("sage.elections", decomp.elections)
+            self.metrics.count("sage.elections", work.elections)
             extra_bytes = 0.0
             per_block = self._per_block_lane_cycles(degrees, spec.block_size)
             placement = block_placement(per_block, spec.num_sms)
@@ -294,7 +264,7 @@ class SageScheduler(Scheduler):
 
         overhead_cycles = overhead_work / spec.num_sms
         if self._reorderer is not None:
-            self._reorderer.observe(edge_dst, seg_starts)
+            self._reorderer.observe(edge_dst, work.segment_starts)
             overhead_cycles += (
                 self._reorderer.sampler.tile_sample_rate
                 * total_tiles * SAMPLE_CYCLES / spec.num_sms
@@ -306,7 +276,7 @@ class SageScheduler(Scheduler):
             per_sm_lane_cycles=placement,
             value_sector_touches=touches,
             value_sector_unique=unique,
-            csr_sector_touches=csr_sectors,
+            csr_sector_touches=work.csr_sectors,
             concurrency_warps=max(1.0, concurrency),
             overhead_cycles=overhead_cycles,
             extra_dram_bytes=extra_bytes,

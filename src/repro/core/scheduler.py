@@ -150,7 +150,6 @@ def value_sector_accounting(
     presorted: bool,
     access_factor: float = 1.0,
     accounting: SectorAccounting | None = None,
-    raw_touches: int | None = None,
 ) -> tuple[int, int]:
     """Scattered value-array transactions of one kernel.
 
@@ -161,25 +160,29 @@ def value_sector_accounting(
         accounting: shared per-kernel :class:`SectorAccounting`; pass the
             same instance to :func:`atomic_conflicts_for` to compute the
             kernel-wide sector set once.
-        raw_touches: precomputed unscaled per-segment distinct-sector sum
-            for this exact ``(edge_dst, segment_starts)`` pair (from a
-            scheduler's kernel-accounting memo); skips the segmented
-            count when provided.
 
     Returns:
-        ``(touches, unique)`` — per-tile distinct sectors summed, and the
-        kernel-wide distinct sector count, both scaled by the app's
-        access factor (how many attribute arrays the filter touches).
+        ``(touches, unique)`` as :func:`scale_value_sectors` reports them.
     """
     if edge_dst.size == 0:
         return 0, 0
     if accounting is None:
         accounting = SectorAccounting(edge_dst, spec.sector_width)
-    if raw_touches is None:
-        per_segment = segmented_distinct_sectors(
-            edge_dst, segment_starts, spec.sector_width, presorted=presorted
-        )
-        raw_touches = int(per_segment.sum())
+    per_segment = segmented_distinct_sectors(
+        edge_dst, segment_starts, spec.sector_width, presorted=presorted
+    )
+    return scale_value_sectors(int(per_segment.sum()), accounting, access_factor)
+
+
+def scale_value_sectors(
+    raw_touches: int, accounting: SectorAccounting, access_factor: float
+) -> tuple[int, int]:
+    """Value-array ``(touches, unique)`` of one kernel.
+
+    ``raw_touches`` is the per-segment distinct-sector sum; ``unique`` is
+    the kernel-wide distinct sector count.  Both are scaled by the app's
+    access factor (how many attribute arrays the filter touches).
+    """
     touches = int(round(raw_touches * access_factor))
     unique = min(touches, int(round(accounting.unique_sectors * access_factor)))
     return touches, unique

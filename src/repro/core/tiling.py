@@ -12,17 +12,25 @@ binary partition.  A node with ``n`` neighbors is consumed as:
 
 This module computes that decomposition for a whole frontier at once,
 fully vectorized, in frontier coordinates (tiles refer to positions in
-the concatenated expanded edge array).  Both the SAGE engine and the
-Resident Tile store are built on it.
+the concatenated expanded edge array).  A node's tiles never cross its
+own adjacency slice, so every per-kernel tiling quantity is a sum of
+per-node values: :class:`NodeAccounting` decomposes a whole graph once
+and the SAGE engine prices each kernel by gathering its frontier's rows.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.gpusim.memory import coalesced_sectors, segmented_distinct_sectors
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.graph.csr import CSRGraph
 
 #: Default smallest cooperative tile (the paper's MIN_TILE_SIZE).
 DEFAULT_MIN_TILE = 8
@@ -274,3 +282,214 @@ def decompose_degree(
     if remaining:
         out.append((offset, remaining))
     return out
+
+
+@dataclass(frozen=True)
+class FrontierWork:
+    """Tiling and gather totals of one kernel's frontier.
+
+    Attributes:
+        units_per_node: tiles plus fragments of each frontier entry.
+        num_tiles: cooperative tiles (fragments excluded).
+        num_fragments: fragment (scan-gather) work units.
+        elections: Algorithm 2 leader elections.
+        covered_edges: expanded edges the tiles and fragments cover.
+        csr_sectors: coalesced CSR adjacency-read sectors.
+        value_touches: per-segment distinct value sectors, summed; not
+            yet scaled by the app's access factor.
+        segment_starts: sorted tile/fragment starts in the expanded edge
+            array, or None when they were not asked for.
+    """
+
+    units_per_node: np.ndarray
+    num_tiles: int
+    num_fragments: int
+    elections: int
+    covered_edges: int
+    csr_sectors: int
+    value_touches: int
+    segment_starts: np.ndarray | None
+
+
+#: Serializes node-table builds (see :func:`node_accounting`).
+_BUILD_LOCK = threading.Lock()
+
+#: Row order of :attr:`NodeAccounting.per_node`.
+UNITS, TILES, FRAGMENTS, ELECTIONS, COVERED, CSR_SECTORS, VALUE_TOUCHES = range(7)
+
+
+@dataclass(frozen=True)
+class NodeAccounting:
+    """Per-node Tiled Partitioning and gather accounting of one graph.
+
+    Column ``u`` of :attr:`per_node` holds node ``u``'s work units,
+    tiles, fragments, elections, covered edges, CSR gather sectors and
+    unscaled value-sector touches (rows ``UNITS`` .. ``VALUE_TOUCHES``).
+    Each is a pure function of ``u``'s adjacency slice, so a kernel's
+    totals are the sums of its frontier's columns.  Node ``u``'s segments
+    are ``segment_local[segment_ptr[u]:segment_ptr[u + 1]]``, local
+    offsets in ascending order.
+    """
+
+    per_node: np.ndarray
+    segment_ptr: np.ndarray
+    segment_local: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        graph: "CSRGraph",
+        block_size: int,
+        min_tile: int,
+        sector_width: int,
+        aligned: bool,
+    ) -> "NodeAccounting":
+        """One whole-graph decomposition and distinct-sector pass."""
+        n = graph.num_nodes
+        decomp = decompose_frontier(graph.out_degrees(), block_size, min_tile)
+        owner = np.concatenate(
+            [decomp.tile_frontier_idx, decomp.fragment_frontier_idx]
+        )
+        sizes = np.concatenate([decomp.tile_sizes, decomp.fragment_sizes])
+        local = np.concatenate(
+            [decomp.tile_local_offsets, decomp.fragment_local_offsets]
+        )
+        # Node-major segment order: each node's segments are contiguous
+        # and ascending, exactly as a frontier's segment starts sort.
+        starts = graph.offsets[owner] + local
+        order = np.argsort(starts, kind="stable")
+        owner, sizes, local, starts = (
+            owner[order], sizes[order], local[order], starts[order]
+        )
+        units = np.bincount(owner, minlength=n)
+        segment_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(units, out=segment_ptr[1:])
+
+        def node_sums(per_segment: np.ndarray) -> np.ndarray:
+            csum = np.zeros(per_segment.size + 1, dtype=np.int64)
+            np.cumsum(per_segment, out=csum[1:])
+            return csum[segment_ptr[1:]] - csum[segment_ptr[:-1]]
+
+        tiles = np.bincount(decomp.tile_frontier_idx, minlength=n)
+        block_tiles = np.bincount(
+            decomp.tile_frontier_idx[decomp.tile_sizes == block_size],
+            minlength=n,
+        )
+        touches = segmented_distinct_sectors(
+            graph.targets, starts, sector_width, presorted=True
+        )
+        per_node = np.stack(
+            [
+                units,
+                tiles,
+                np.bincount(decomp.fragment_frontier_idx, minlength=n),
+                # one election per level with work; a node's k block
+                # tiles share one (the tile loops k rounds)
+                tiles - block_tiles + (block_tiles > 0),
+                node_sums(sizes),
+                node_sums(coalesced_sectors(sizes, sector_width,
+                                            aligned=aligned)),
+                node_sums(touches),
+            ]
+        ).astype(np.int64, copy=False)
+        return cls(per_node, segment_ptr, local)
+
+    def frontier_work(
+        self, frontier: np.ndarray, degrees: np.ndarray, *, segments: bool
+    ) -> FrontierWork:
+        """Totals of one kernel: O(|frontier|) gathers and sums.
+
+        ``segments`` also gathers the kernel's sorted segment starts (the
+        sampling reorderer's tile boundaries).
+        """
+        cols = np.take(self.per_node, frontier, axis=1)
+        totals = cols.sum(axis=1).tolist()
+        units = cols[UNITS]
+        return FrontierWork(
+            units_per_node=units,
+            num_tiles=totals[TILES],
+            num_fragments=totals[FRAGMENTS],
+            elections=totals[ELECTIONS],
+            covered_edges=totals[COVERED],
+            csr_sectors=totals[CSR_SECTORS],
+            value_touches=totals[VALUE_TOUCHES],
+            segment_starts=(
+                self._segment_starts(frontier, degrees, units)
+                if segments else None
+            ),
+        )
+
+    def _segment_starts(
+        self, frontier: np.ndarray, degrees: np.ndarray, units: np.ndarray
+    ) -> np.ndarray:
+        total = int(units.sum())
+        first = np.cumsum(units) - units
+        idx = np.repeat(self.segment_ptr[frontier] - first, units)
+        idx += np.arange(total, dtype=np.int64)
+        cum_deg = np.cumsum(degrees, dtype=np.int64) - degrees
+        return self.segment_local[idx] + np.repeat(cum_deg, units)
+
+
+def node_accounting(
+    graph: "CSRGraph",
+    block_size: int,
+    min_tile: int,
+    sector_width: int,
+    aligned: bool,
+) -> tuple[NodeAccounting, bool]:
+    """The graph's :class:`NodeAccounting` for one tiling configuration.
+
+    Built at most once per (graph object, configuration) and cached on
+    the graph.  Graphs are immutable — ``permute`` and dynamic flushes
+    return new objects — so the cache never goes stale.  Returns the
+    table and whether this call built it.
+    """
+    key = (block_size, min_tile, sector_width, aligned)
+    table = graph.__dict__.get("_node_accounting", {}).get(key)
+    if table is not None:
+        return table, False
+    # Serving replicas share graphs across threads: build under a lock so
+    # each table is built (and counted) exactly once.
+    with _BUILD_LOCK:
+        tables = graph.__dict__.setdefault("_node_accounting", {})
+        table = tables.get(key)
+        if table is not None:
+            return table, False
+        table = tables[key] = NodeAccounting.build(graph, *key)
+        return table, True
+
+
+def frontier_work_reference(
+    degrees: np.ndarray,
+    edge_dst: np.ndarray,
+    block_size: int,
+    min_tile: int,
+    sector_width: int,
+    aligned: bool,
+) -> FrontierWork:
+    """Per-frontier formulation of :meth:`NodeAccounting.frontier_work`:
+    re-tile the frontier and count sectors over its expanded batch.  Kept
+    as the equivalence-test reference."""
+    decomp = decompose_frontier(degrees, block_size, min_tile)
+    cum_deg = np.cumsum(degrees) - degrees
+    seg_starts = decomp.segment_starts(cum_deg)
+    seg_sizes = np.diff(np.append(seg_starts, int(degrees.sum())))
+    return FrontierWork(
+        units_per_node=(
+            np.bincount(decomp.tile_frontier_idx, minlength=degrees.size)
+            + np.bincount(decomp.fragment_frontier_idx, minlength=degrees.size)
+        ),
+        num_tiles=decomp.num_tiles,
+        num_fragments=int(decomp.fragment_frontier_idx.size),
+        elections=decomp.elections,
+        covered_edges=decomp.tiled_edges + decomp.fragment_edges,
+        csr_sectors=int(
+            coalesced_sectors(seg_sizes, sector_width, aligned=aligned).sum()
+        ),
+        value_touches=int(
+            segmented_distinct_sectors(
+                edge_dst, seg_starts, sector_width, presorted=True
+            ).sum()
+        ),
+        segment_starts=seg_starts,
+    )

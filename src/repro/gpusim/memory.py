@@ -56,8 +56,8 @@ def distinct_count(values: np.ndarray) -> int:
     Equivalent to ``np.unique(values).size`` but bincount-based — O(n +
     max) instead of hash/sort based — which is several times faster for
     the dense id ranges graph kernels produce (node ids < |V|).  Falls
-    back to ``np.unique`` when the value range is too sparse for a dense
-    count array to pay off.
+    back to a sort and an adjacent-difference count when the value range
+    is too sparse for a dense count array to pay off.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size == 0:
@@ -65,7 +65,8 @@ def distinct_count(values: np.ndarray) -> int:
     max_value = int(values.max())
     if max_value <= 16 * values.size + 1024:
         return int(np.count_nonzero(np.bincount(values, minlength=max_value + 1)))
-    return int(np.unique(values).size)
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def distinct_sectors(addresses: np.ndarray, sector_width: int) -> int:

@@ -34,8 +34,7 @@ SAGE_COUNTERS: frozenset[str] = frozenset(
         "sage.tiles_expanded",
         "sage.tiles_stolen_resident",
         "sage.elections",
-        "sage.decomp_cache_hits",
-        "sage.edge_accounting_cache_hits",
+        "sage.node_tables_built",
     }
 )
 

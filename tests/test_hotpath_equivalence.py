@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.base import contract
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
 from repro.gpusim.memory import (
     LRUCacheModel,
     ReferenceLRUCache,
+    distinct_count,
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
 )
@@ -181,3 +183,35 @@ class TestDecomposeFrontierEquivalence:
         _assert_decompositions_equal(fast, decompose_frontier_reference(degrees, 512))
         covered = np.union1d(fast.tile_frontier_idx, fast.fragment_frontier_idx)
         np.testing.assert_array_equal(covered, [1, 4, 6])
+
+
+class TestDedupeEquivalence:
+    """``contract`` and ``distinct_count`` against ``np.unique``."""
+
+    CASES = {
+        "empty": np.empty(0, dtype=np.int64),
+        "all_duplicate": np.full(300, 41, dtype=np.int64),
+        "int32": np.array([9, 3, 3, 7, 0, 9], dtype=np.int32),
+        "dense": np.random.default_rng(0).integers(0, 500, 2000),
+        "sparse": np.random.default_rng(1).integers(0, 2**40, 2000),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_contract_matches_unique(self, name):
+        values = self.CASES[name]
+        got = contract(values)
+        want = np.unique(values) if values.size else values.astype(np.int64)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_distinct_count_matches_unique(self, name):
+        values = self.CASES[name]
+        assert distinct_count(values) == np.unique(values).size
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**45), max_size=200), st.booleans())
+    def test_random_ranges(self, values, sparse):
+        values = np.asarray(values if sparse else [v % 97 for v in values], dtype=np.int64)
+        np.testing.assert_array_equal(contract(values), np.unique(values))
+        assert distinct_count(values) == np.unique(values).size

@@ -1,0 +1,267 @@
+"""The per-graph node table that prices SAGE kernels.
+
+``SageScheduler.kernel_stats`` sums precomputed per-node rows of a
+:class:`~repro.core.tiling.NodeAccounting` instead of re-tiling every
+frontier.  These tests pin it to the per-frontier formulation
+(``kernel_stats_reference`` / ``frontier_work_reference``) field for
+field, and check the table's lifecycle: one build per graph object,
+a fresh table after a reorder commit or a dynamic flush, and a live
+``work_unit_gap`` audit.
+"""
+
+import dataclasses
+import itertools
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api
+from repro.analysis import Sanitizer
+from repro.apps import BCApp, BFSApp, PageRankApp
+from repro.core import SageScheduler, TraversalPipeline
+from repro.core.tiling import (
+    COVERED,
+    frontier_work_reference,
+    node_accounting,
+)
+from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
+from repro.graph.dynamic import DynamicGraph
+from repro.obs import MetricsRegistry
+
+
+class _Recorder(SageScheduler):
+    """SAGE scheduler that prices with ``price`` and keeps every stats."""
+
+    def __init__(self, price, **kwargs):
+        super().__init__(**kwargs)
+        self.price = price
+        self.stats = []
+
+    def kernel_stats(self, frontier, degrees, edge_dst, graph, app):
+        stats = self.price(self, frontier, degrees, edge_dst, graph, app)
+        self.stats.append(stats)
+        return stats
+
+
+def _table_and_reference(**config):
+    return (
+        _Recorder(SageScheduler.kernel_stats, **config),
+        _Recorder(SageScheduler.kernel_stats_reference, **config),
+    )
+
+
+def assert_stats_equal(got, want):
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
+def assert_work_equal(got, want):
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
+@st.composite
+def graph_and_frontiers(draw):
+    """A graph with degree-0 nodes, small degrees, multiples of the tile
+    sizes and hubs of at least a block, plus 1-3 frontiers that may be
+    duplicated, unsorted, empty or edge-free."""
+    active = draw(st.integers(1, 20))
+    degree = st.one_of(
+        st.just(0),
+        st.integers(1, 20),
+        st.integers(1, 32).map(lambda k: 4 * k),
+        st.integers(256, 700),
+    )
+    degrees = np.array(draw(st.lists(degree, min_size=active, max_size=active)))
+    num_nodes = active + draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([4, 64, num_nodes]))
+    edges = int(degrees.sum())
+    dst = (rng.integers(0, spread, edges) + rng.integers(0, num_nodes)) % num_nodes
+    graph = CSRGraph.from_edges(num_nodes, np.repeat(np.arange(active), degrees), dst)
+    frontier = st.lists(st.integers(0, active - 1), max_size=30)
+    frontiers = draw(st.lists(frontier, min_size=1, max_size=3))
+    return graph, [np.array(f, dtype=np.int64) for f in frontiers]
+
+
+CONFIGS = [
+    dict(resident_stealing=rts, sampling_reorder=sr, tile_alignment=aligned, min_tile=tile)
+    for rts, sr, aligned, tile in itertools.product(
+        (True, False), (True, False), (True, False), (4, 8, 32)
+    )
+]
+
+
+class TestTableMatchesReference:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: "-".join(map(str, c.values())))
+    @settings(max_examples=12, deadline=None)
+    @given(case=graph_and_frontiers())
+    def test_kernel_stats_field_for_field(self, config, case):
+        graph, frontiers = case
+        # one non-atomic (BFS) and one atomic (BC, access factor 2) app
+        for app in (BFSApp(), BCApp()):
+            table, reference = _table_and_reference(**config)
+            table.reset(graph)
+            reference.reset(graph)
+            for frontier in frontiers:
+                degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+                edge_dst = graph.expand_frontier(frontier)[1]
+                got = table.kernel_stats(frontier, degrees, edge_dst, graph, app)
+                want = reference.kernel_stats(frontier, degrees, edge_dst, graph, app)
+                assert_stats_equal(got, want)
+            if config["sampling_reorder"]:
+                for a, b in zip(
+                    table.reorderer.sampler.pairs(), reference.reorderer.sampler.pairs()
+                ):
+                    np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=graph_and_frontiers(),
+        min_tile=st.sampled_from([1, 8, 32]),
+        block_size=st.sampled_from([32, 256]),
+        aligned=st.booleans(),
+    )
+    def test_frontier_work_matches_reference(self, case, min_tile, block_size, aligned):
+        graph, frontiers = case
+        table, built = node_accounting(graph, block_size, min_tile, 8, aligned)
+        assert built
+        for frontier in frontiers:
+            degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+            edge_dst = graph.expand_frontier(frontier)[1]
+            assert_work_equal(
+                table.frontier_work(frontier, degrees, segments=True),
+                frontier_work_reference(degrees, edge_dst, block_size, min_tile, 8, aligned),
+            )
+
+    def test_edge_free_frontier(self):
+        graph = CSRGraph.from_edges(6, np.array([0, 0, 3]), np.array([1, 2, 5]))
+        for frontier in ([1, 2, 4, 2], []):
+            frontier = np.array(frontier, dtype=np.int64)
+            degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+            table, reference = _table_and_reference(sampling_reorder=True)
+            for scheduler in (table, reference):
+                scheduler.reset(graph)
+            got = table.kernel_stats(frontier, degrees, degrees[:0], graph, BFSApp())
+            want = reference.kernel_stats(frontier, degrees, degrees[:0], graph, BFSApp())
+            assert_stats_equal(got, want)
+            assert got.active_edges == 0
+
+
+class TestTableLifecycle:
+    def test_one_table_per_graph(self):
+        graph = gen.rmat(8, edge_factor=8, seed=3)
+        metrics = MetricsRegistry()
+        for source in range(5):
+            api.run(graph, "bfs", source=source, metrics=metrics)
+        assert metrics.counters["sage.node_tables_built"] == 1.0
+
+    def test_tables_are_keyed_by_configuration(self):
+        graph = gen.rmat(6, edge_factor=4, seed=3)
+        first, built = node_accounting(graph, 256, 8, 8, True)
+        assert built
+        again, built = node_accounting(graph, 256, 8, 8, True)
+        assert again is first and not built
+        assert node_accounting(graph, 256, 8, 8, False)[1]
+        assert node_accounting(graph, 256, 16, 8, True)[1]
+
+    def test_concurrent_first_use_builds_once(self):
+        graph = gen.rmat(9, edge_factor=8, seed=4)
+        results = []
+        start = threading.Barrier(8)
+
+        def use():
+            start.wait(timeout=10)
+            results.append(node_accounting(graph, 256, 8, 8, True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=use) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8
+        assert sum(built for _, built in results) == 1
+        assert len({id(table) for table, _ in results}) == 1
+
+    def test_reorder_commit_prices_from_a_fresh_table(self):
+        graph = gen.power_law_configuration(
+            500, 2.0, 10.0, seed=9, community_count=10, community_bias=0.9, scramble_ids=True
+        )
+        config = dict(sampling_reorder=True, reorder_threshold_edges=graph.num_edges // 4)
+        table, reference = _table_and_reference(**config)
+        metrics = MetricsRegistry()
+        got = TraversalPipeline(graph, table, metrics=metrics).run(BFSApp(), 2)
+        want = TraversalPipeline(graph, reference).run(BFSApp(), 2)
+        assert got.reorder_commits >= 1
+        assert got.reorder_commits == want.reorder_commits
+        # the first graph plus one per commit that a later kernel priced
+        assert metrics.counters["sage.node_tables_built"] == 1 + got.reorder_commits
+        assert len(table.stats) == len(reference.stats)
+        for a, b in zip(table.stats, reference.stats):
+            assert_stats_equal(a, b)
+        np.testing.assert_array_equal(got.result["dist"], want.result["dist"])
+
+    def test_full_frontier_kernels_match_reference_across_graphs(self):
+        # PageRank expands every node in id order each iteration, so the
+        # kernel-wide distinct counts are reused per graph; a scheduler
+        # moved to a graph with new in-neighbors must recount.
+        first = gen.rmat(8, edge_factor=4, seed=2)
+        untargeted = np.setdiff1d(np.arange(first.num_nodes), first.targets)
+        assert untargeted.size
+        second = first.with_edges_added(np.zeros(untargeted.size, dtype=np.int64), untargeted)
+        table, reference = _table_and_reference()
+        for graph in (first, second):
+            TraversalPipeline(graph, table).run(PageRankApp(max_iterations=5))
+            TraversalPipeline(graph, reference).run(PageRankApp(max_iterations=5))
+        assert len(table.stats) == len(reference.stats) == 10
+        for a, b in zip(table.stats, reference.stats):
+            assert_stats_equal(a, b)
+
+    def test_dynamic_flush_prices_from_a_fresh_table(self):
+        dyn = DynamicGraph(gen.rmat(8, edge_factor=8, seed=5))
+        metrics = MetricsRegistry()
+        api.run(dyn.graph, "bfs", source=0, metrics=metrics)
+        before = dyn.graph
+        dyn.insert_edges(np.arange(0, 64), np.arange(64, 128))
+        after = dyn.flush()
+        assert after is not before
+        table, reference = _table_and_reference()
+        TraversalPipeline(after, table, metrics=metrics).run(BFSApp(), 0)
+        TraversalPipeline(after, reference).run(BFSApp(), 0)
+        assert metrics.counters["sage.node_tables_built"] == 2.0
+        for a, b in zip(table.stats, reference.stats):
+            assert_stats_equal(a, b)
+
+    def test_sanitizer_sees_a_corrupted_coverage_column(self):
+        graph = gen.rmat(8, edge_factor=8, seed=11)
+        scheduler = SageScheduler()
+        spec = scheduler.spec
+        table, _ = node_accounting(
+            graph, spec.block_size, scheduler.min_tile, spec.sector_width, True
+        )
+        source = int(np.argmax(graph.out_degrees()))
+        table.per_node[COVERED, source] += 1
+        sanitizer = Sanitizer()
+        TraversalPipeline(graph, scheduler, sanitizer=sanitizer).run(BFSApp(), source)
+        gaps = [f for f in sanitizer.findings if f.code == "work_unit_gap"]
+        assert len(gaps) == 1
+        assert gaps[0].details["covered"] == gaps[0].details["total_edges"] + 1
