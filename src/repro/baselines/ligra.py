@@ -13,12 +13,10 @@ sequential scans, as Ligra's EDGEMAP does.
 from __future__ import annotations
 
 from repro.apps.base import App
-from repro.core.frontier import FrontierQueue
-from repro.core.pipeline import RunResult
-from repro.errors import ConvergenceError
+from repro.core.pipeline import Level, LevelPricer, RunResult, run_levels
 from repro.graph.csr import CSRGraph
-from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import CPUSpec
+from repro.gpusim.streams import TraceNode
 
 #: frontier-edge share of |E| above which dense mode wins.
 DENSE_THRESHOLD = 0.05
@@ -28,7 +26,7 @@ DENSE_DISCOUNT = 0.6
 BYTES_PER_EDGE = 12.0
 
 
-class LigraRunner:
+class LigraRunner(LevelPricer):
     """Runs applications under the CPU cost model."""
 
     name = "ligra"
@@ -45,37 +43,12 @@ class LigraRunner:
         max_iterations: int = 100_000,
     ) -> RunResult:
         """Execute ``app`` on ``graph`` and report CPU-model timing."""
-        spec = self.spec
-        app.setup(graph, source)
-        queue = FrontierQueue(app.initial_frontier())
-        seconds = 0.0
-        edges_traversed = 0
-        iterations = 0
-        while not queue.empty:
-            if iterations >= max_iterations:
-                raise ConvergenceError(
-                    f"{app.name} exceeded {max_iterations} iterations"
-                )
-            frontier = queue.current
-            edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
-            seconds += self._iteration_seconds(edge_dst.size, graph.num_edges)
-            edges_traversed += int(edge_dst.size)
-            next_frontier = app.process_level(
-                edge_src, edge_dst,
-                edge_pos if app.needs_edge_positions else None,
-            )
-            queue.publish_next(next_frontier)
-            queue.swap()
-            iterations += 1
-        return RunResult(
-            app_name=app.name,
-            scheduler_name=self.name,
-            seconds=seconds,
-            iterations=iterations,
-            edges_traversed=edges_traversed,
-            result=app.result(),
-            profiler=Profiler(),
-        )
+        return run_levels(self, graph, app, source, max_iterations)
+
+    def price(
+        self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
+    ) -> float:
+        return self._iteration_seconds(level.edge_dst.size, graph.num_edges)
 
     def _iteration_seconds(self, frontier_edges: int, total_edges: int) -> float:
         """One EDGEMAP's time under the CPU model."""

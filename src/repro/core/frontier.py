@@ -3,8 +3,8 @@
 The pipeline iterates over frontiers: the *current* buffer is consumed by
 expansion while the *next* buffer collects filtered neighbors; the
 buffers swap between iterations.  In the vectorized implementation the
-contraction already produces a dense array, so the queue mainly tracks
-swap bookkeeping and high-water statistics.
+contraction already produces a dense array, so the queue only does the
+swap bookkeeping.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import numpy as np
 
 
 class FrontierQueue:
-    """Two-buffer frontier manager with usage statistics."""
+    """Two-buffer frontier manager."""
 
     def __init__(self, initial: np.ndarray) -> None:
         self._current = np.asarray(initial, dtype=np.int64)
         self._next: np.ndarray | None = None
-        self.iterations = 0
-        self.max_frontier = int(self._current.size)
-        self.total_frontier_nodes = int(self._current.size)
 
     @property
     def current(self) -> np.ndarray:
@@ -43,9 +40,6 @@ class FrontierQueue:
         else:
             self._current = self._next
         self._next = None
-        self.iterations += 1
-        self.max_frontier = max(self.max_frontier, int(self._current.size))
-        self.total_frontier_nodes += int(self._current.size)
         return self._current
 
     def remap(self, perm: np.ndarray) -> None:

@@ -1,16 +1,19 @@
 """The expansion-filtering-contraction pipeline (paper Figure 2).
 
-:class:`TraversalPipeline` drives one application over one graph with one
-scheduler on one simulated device:
+:func:`run_levels` is the one level loop every runner shares:
 
 1. **expansion** — gather the out-edges of every frontier node,
 2. **filtering** — the application's vectorized filter over the batch,
 3. **contraction** — the filtered neighbors become the next frontier.
 
-The scheduler scores each iteration as a kernel; self-adaptive schedulers
-may additionally commit a node reordering between iterations, which the
-pipeline applies to the graph, the application state, the frontier and
-(transparently) the traversal's source.
+Runners differ only in what a level costs, which they supply as a
+:class:`LevelPricer`.  :class:`TraversalPipeline` prices a level as one
+scheduler kernel on one simulated device; self-adaptive schedulers may
+additionally commit a node reordering between levels, which it applies
+to the graph, the application state, the frontier and (transparently)
+the traversal's source.  The out-of-core, multi-GPU, Ligra and
+cache-trace runners price a level with link transfers, per-GPU kernels
+and an exchange, the CPU model, or an LRU replay instead.
 """
 
 from __future__ import annotations
@@ -22,17 +25,18 @@ import numpy as np
 
 from repro.apps.base import App
 from repro.core.frontier import FrontierQueue
-from repro.core.scheduler import Scheduler
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cost import KernelTiming
 from repro.gpusim.device import Device
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancy
 from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.obs.span import NullSpan, Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.sanitizer import Sanitizer
+    from repro.core.scheduler import Scheduler
+    from repro.gpusim.cost import KernelTiming
 
 
 @dataclass
@@ -68,8 +72,162 @@ class RunResult:
         return self.teps / 1e9
 
 
-class TraversalPipeline:
-    """Runs apps over a graph with a given scheduler and device."""
+@dataclass(slots=True)
+class Level:
+    """One expanded level, as a :class:`LevelPricer` sees it."""
+
+    index: int
+    frontier: np.ndarray
+    degrees: np.ndarray
+    edge_dst: np.ndarray
+    edge_pos: np.ndarray
+    #: the level's ``iteration`` span, for the pricer's measurements.
+    span: Span | NullSpan
+
+
+class LevelPricer:
+    """What a runner supplies to :func:`run_levels`: the cost of a level.
+
+    The loop owns everything else.  It calls :meth:`start` once after
+    ``app.setup``; per level :meth:`order` before expansion, then
+    :meth:`price`, then :meth:`post_level` after the frontier swap; and
+    :meth:`finish` once, inside the span from :meth:`run_span`.  Only
+    :meth:`price` has no default.
+    """
+
+    #: reported as ``RunResult.scheduler_name``.
+    name = "levels"
+    metrics: MetricsRegistry = NULL_REGISTRY
+    sanitizer: "Sanitizer | None" = None
+
+    def run_span(self, app: App) -> Span | NullSpan:
+        """The span that encloses one run."""
+        return self.metrics.span("run", app=app.name, scheduler=self.name)
+
+    def start(self, graph: CSRGraph, app: App) -> None:
+        """Per-run setup."""
+
+    def order(self, frontier: np.ndarray) -> np.ndarray:
+        """The frontier in the order its edges are expanded."""
+        return frontier
+
+    def price(
+        self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
+    ) -> float:
+        """Price one level: run its device work, append its replayable
+        nodes to ``trace`` and return its simulated seconds."""
+        raise NotImplementedError
+
+    def post_level(
+        self,
+        graph: CSRGraph,
+        app: App,
+        queue: FrontierQueue,
+        level: Level,
+        trace: list[TraceNode],
+    ) -> CSRGraph:
+        """Between levels; returns the graph the next level runs on."""
+        return graph
+
+    def finish(
+        self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
+    ) -> None:
+        """Complete ``result`` (device totals, extras) and report the run."""
+
+    def _timed_kernel(
+        self, device: Device, stats, span_name: str, **attrs
+    ) -> KernelTiming:
+        """Run one kernel under a leaf span carrying its cost breakdown."""
+        with self.metrics.span(span_name, **attrs) as sp:
+            timing = device.run_kernel(stats)
+            sp.set("cycles", timing.cycles)
+            sp.set("compute_cycles", timing.compute_cycles)
+            sp.set("memory_cycles", timing.memory_cycles)
+            sp.set("overhead_cycles", timing.overhead_cycles)
+            sp.set("launch_cycles", timing.launch_cycles)
+            sp.set("dram_bytes", timing.dram_bytes)
+        return timing
+
+
+def run_levels(
+    pricer: LevelPricer,
+    graph: CSRGraph,
+    app: App,
+    source: int | None,
+    max_iterations: int,
+) -> RunResult:
+    """Run ``app`` on ``graph`` to convergence, levels priced by ``pricer``.
+
+    The result's seconds are the sum of the levels' prices unless the
+    pricer's :meth:`~LevelPricer.finish` reads them from a device clock.
+    """
+    metrics = pricer.metrics
+    sanitizer = pricer.sanitizer
+    with pricer.run_span(app) as run_span:
+        app.setup(graph, source)
+        pricer.start(graph, app)
+        if sanitizer is not None:
+            sanitizer.set_metrics(metrics)
+            sanitizer.begin_run(graph, app)
+        queue = FrontierQueue(app.initial_frontier())
+        node_trace: list[TraceNode] = []
+        seconds = 0.0
+        edges_traversed = 0
+        iterations = 0
+
+        while not queue.empty:
+            if iterations >= max_iterations:
+                raise ConvergenceError(
+                    f"{app.name} exceeded {max_iterations} iterations"
+                )
+            frontier = queue.current
+            with metrics.span(
+                "iteration", index=iterations,
+                frontier_size=int(frontier.size),
+            ) as it_span:
+                frontier = pricer.order(frontier)
+                edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
+                degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+                if sanitizer is not None:
+                    sanitizer.check_level(
+                        iterations, frontier, degrees, edge_dst, edge_pos
+                    )
+                level = Level(
+                    iterations, frontier, degrees, edge_dst, edge_pos, it_span
+                )
+                seconds += pricer.price(graph, app, level, node_trace)
+                edges_traversed += int(edge_dst.size)
+                next_frontier = app.process_level(
+                    edge_src, edge_dst,
+                    edge_pos if app.needs_edge_positions else None,
+                )
+                queue.publish_next(next_frontier)
+                queue.swap()
+                iterations += 1
+                graph = pricer.post_level(graph, app, queue, level, node_trace)
+
+        result = RunResult(
+            app_name=app.name,
+            scheduler_name=pricer.name,
+            seconds=seconds,
+            iterations=iterations,
+            edges_traversed=edges_traversed,
+            result=app.result(),
+            profiler=Profiler(),
+            node_trace=node_trace,
+        )
+        pricer.finish(graph, run_span, result)
+        if sanitizer is not None:
+            sanitizer.end_run()
+    return result
+
+
+class TraversalPipeline(LevelPricer):
+    """Runs apps over a graph with a given scheduler and device.
+
+    A level is one scheduler kernel on the device, followed by any
+    reordering the scheduler commits.
+    """
 
     def __init__(
         self,
@@ -91,20 +249,14 @@ class TraversalPipeline:
             # Hook the device so every submitted kernel batch is audited
             # (timing is unaffected; the check never advances the clock).
             self.device.sanitizer = sanitizer
+        self._start_seconds = 0.0
+        # total_perm maps original ids -> current ids across commits.
+        self._total_perm: np.ndarray | None = None
+        self._commits = 0
 
-    def _timed_kernel(
-        self, device: Device, stats, span_name: str, **attrs
-    ) -> KernelTiming:
-        """Run one kernel under a leaf span carrying its cost breakdown."""
-        with self.metrics.span(span_name, **attrs) as sp:
-            timing = device.run_kernel(stats)
-            sp.set("cycles", timing.cycles)
-            sp.set("compute_cycles", timing.compute_cycles)
-            sp.set("memory_cycles", timing.memory_cycles)
-            sp.set("overhead_cycles", timing.overhead_cycles)
-            sp.set("launch_cycles", timing.launch_cycles)
-            sp.set("dram_bytes", timing.dram_bytes)
-        return timing
+    @property
+    def name(self) -> str:
+        return self.scheduler.name
 
     def run(self, app: App, source: int | None = None) -> RunResult:
         """Execute ``app`` to convergence and return timing + results.
@@ -112,146 +264,106 @@ class TraversalPipeline:
         The device clock is read differentially, so one pipeline/device
         pair can serve many runs while the profiler keeps accumulating.
         """
-        graph = self.graph
-        scheduler = self.scheduler
+        return run_levels(self, self.graph, app, source, self.max_iterations)
+
+    def start(self, graph: CSRGraph, app: App) -> None:
+        self._start_seconds = self.device.elapsed_seconds
+        self._total_perm = None
+        self._commits = 0
+        self.scheduler.set_metrics(self.metrics)
+        self.scheduler.set_sanitizer(self.sanitizer)
+        self.scheduler.reset(graph)
+
+    def price(
+        self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
+    ) -> float:
+        device = self.device
+        stats = self.scheduler.kernel_stats(
+            level.frontier, level.degrees, level.edge_dst, graph, app
+        )
+        timing = self._timed_kernel(
+            device, stats, "kernel", kind="expand-filter",
+        )
+        seconds = device.spec.cycles_to_seconds(timing.cycles)
+        trace.append(TraceNode(
+            KERNEL, seconds, occupancy=kernel_occupancy(timing),
+            iteration=level.index,
+        ))
+        level.span.set("active_edges", int(level.edge_dst.size))
+        level.span.set("kernel_cycles", timing.cycles)
+        return seconds
+
+    def post_level(
+        self,
+        graph: CSRGraph,
+        app: App,
+        queue: FrontierQueue,
+        level: Level,
+        trace: list[TraceNode],
+    ) -> CSRGraph:
+        commit = self.scheduler.post_level(graph)
+        if commit is None:
+            return graph
+        sanitizer = self.sanitizer
+        device = self.device
+        if sanitizer is not None:
+            sanitizer.check_commit(commit.perm, graph.num_nodes)
+        update = self._timed_kernel(
+            device, commit.update_stats, "kernel", kind="reorder-update",
+        )
+        trace.append(TraceNode(
+            KERNEL, device.spec.cycles_to_seconds(update.cycles),
+            occupancy=kernel_occupancy(update), iteration=level.index,
+        ))
+        level.span.set("reorder_cycles", update.cycles)
+        graph = graph.permute(commit.perm)
+        app.graph = graph
+        app.remap_nodes(commit.perm)
+        queue.remap(commit.perm)
+        self.scheduler.notify_reordered(commit.perm)
+        if sanitizer is not None:
+            sanitizer.notify_reordered(commit.perm)
+        self._total_perm = (
+            commit.perm if self._total_perm is None
+            else commit.perm[self._total_perm]
+        )
+        self._commits += 1
+        self.metrics.count("pipeline.reorder_commits")
+        return graph
+
+    def finish(
+        self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
+    ) -> None:
         device = self.device
         metrics = self.metrics
-        sanitizer = self.sanitizer
-        start_seconds = device.elapsed_seconds
-
-        with metrics.span(
-            "run", app=app.name, scheduler=scheduler.name,
-        ) as run_span:
-            app.setup(graph, source)
-            scheduler.set_metrics(metrics)
-            scheduler.set_sanitizer(sanitizer)
-            scheduler.reset(graph)
-            if sanitizer is not None:
-                sanitizer.set_metrics(metrics)
-                sanitizer.begin_run(graph, app)
-            queue = FrontierQueue(app.initial_frontier())
-            # total_perm maps original ids -> current ids across commits.
-            total_perm: np.ndarray | None = None
-            edges_traversed = 0
-            iterations = 0
-            commits = 0
-            node_trace: list[TraceNode] = []
-
-            while not queue.empty:
-                if iterations >= self.max_iterations:
-                    raise ConvergenceError(
-                        f"{app.name} exceeded "
-                        f"{self.max_iterations} iterations"
-                    )
-                frontier = queue.current
-                with metrics.span(
-                    "iteration", index=iterations,
-                    frontier_size=int(frontier.size),
-                ) as it_span:
-                    edge_src, edge_dst, edge_pos = graph.expand_frontier(
-                        frontier
-                    )
-                    degrees = (graph.offsets[frontier + 1]
-                               - graph.offsets[frontier])
-                    if sanitizer is not None:
-                        sanitizer.check_level(
-                            iterations, frontier, degrees, edge_dst,
-                            edge_pos if app.needs_edge_positions else None,
-                        )
-                    stats = scheduler.kernel_stats(
-                        frontier, degrees, edge_dst, graph, app
-                    )
-                    timing = self._timed_kernel(
-                        device, stats, "kernel", kind="expand-filter",
-                    )
-                    node_trace.append(TraceNode(
-                        KERNEL,
-                        device.spec.cycles_to_seconds(timing.cycles),
-                        occupancy=kernel_occupancy(timing),
-                        iteration=iterations,
-                    ))
-                    it_span.set("active_edges", int(edge_dst.size))
-                    it_span.set("kernel_cycles", timing.cycles)
-                    edges_traversed += int(edge_dst.size)
-                    next_frontier = app.process_level(
-                        edge_src, edge_dst,
-                        edge_pos if app.needs_edge_positions else None,
-                    )
-                    queue.publish_next(next_frontier)
-                    queue.swap()
-                    iterations += 1
-
-                    commit = scheduler.post_level(graph)
-                    if commit is not None:
-                        if sanitizer is not None:
-                            sanitizer.check_commit(
-                                commit.perm, graph.num_nodes
-                            )
-                        update = self._timed_kernel(
-                            device, commit.update_stats,
-                            "kernel", kind="reorder-update",
-                        )
-                        node_trace.append(TraceNode(
-                            KERNEL,
-                            device.spec.cycles_to_seconds(update.cycles),
-                            occupancy=kernel_occupancy(update),
-                            iteration=iterations - 1,
-                        ))
-                        it_span.set("reorder_cycles", update.cycles)
-                        graph = graph.permute(commit.perm)
-                        app.graph = graph
-                        app.remap_nodes(commit.perm)
-                        queue.remap(commit.perm)
-                        scheduler.notify_reordered(commit.perm)
-                        if sanitizer is not None:
-                            sanitizer.notify_reordered(commit.perm)
-                        total_perm = (
-                            commit.perm if total_perm is None
-                            else commit.perm[total_perm]
-                        )
-                        commits += 1
-                        metrics.count("pipeline.reorder_commits")
-
-            run_span.set("iterations", iterations)
-            run_span.set("edges_traversed", edges_traversed)
-            run_span.set(
-                "simulated_seconds", device.elapsed_seconds - start_seconds
-            )
-            metrics.count("pipeline.runs")
-            metrics.count("pipeline.iterations", iterations)
-            metrics.count("pipeline.edges_traversed", edges_traversed)
-            metrics.fold_profiler(device.profiler)
-            if sanitizer is not None:
-                sanitizer.end_run()
-
+        result.seconds = device.elapsed_seconds - self._start_seconds
+        run_span.set("iterations", result.iterations)
+        run_span.set("edges_traversed", result.edges_traversed)
+        run_span.set("simulated_seconds", result.seconds)
+        metrics.count("pipeline.runs")
+        metrics.count("pipeline.iterations", result.iterations)
+        metrics.count("pipeline.edges_traversed", result.edges_traversed)
+        metrics.fold_profiler(device.profiler)
+        result.profiler = device.profiler
         self.graph = graph
-        results = app.result()
-        if total_perm is not None:
-            # Express outputs in original ids: original node i now lives
-            # at index total_perm[i].  Node-indexed data may live in the
-            # last axis of higher-rank arrays (e.g. multi-source level
-            # matrices), so remap that axis whenever it spans the nodes.
-            n = graph.num_nodes
-            remapped = {}
-            for key, val in results.items():
-                arr = np.asarray(val)
-                if arr.ndim >= 1 and arr.shape[-1] == n:
-                    remapped[key] = arr[..., total_perm]
-                else:
-                    remapped[key] = arr
-            results = remapped
-        return RunResult(
-            app_name=app.name,
-            scheduler_name=scheduler.name,
-            seconds=device.elapsed_seconds - start_seconds,
-            iterations=iterations,
-            edges_traversed=edges_traversed,
-            result=results,
-            profiler=device.profiler,
-            reorder_commits=commits,
-            final_perm=total_perm,
-            node_trace=node_trace,
-        )
+        total_perm = self._total_perm
+        if total_perm is None:
+            return
+        # Express outputs in original ids: original node i now lives at
+        # index total_perm[i].  Node-indexed data may live in the last
+        # axis of higher-rank arrays (e.g. multi-source level matrices),
+        # so remap that axis whenever it spans the nodes.
+        n = graph.num_nodes
+        remapped = {}
+        for key, val in result.result.items():
+            arr = np.asarray(val)
+            if arr.ndim >= 1 and arr.shape[-1] == n:
+                remapped[key] = arr[..., total_perm]
+            else:
+                remapped[key] = arr
+        result.result = remapped
+        result.reorder_commits = self._commits
+        result.final_perm = total_perm
 
 
 def run_app(

@@ -15,10 +15,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Device:
     """One simulated GPU.
 
-    Schedulers submit :class:`KernelStats` via :meth:`run_kernel`; the
+    Runners submit :class:`KernelStats` via :meth:`run_kernel`; the
     device scores them with its cost model and keeps a running clock plus
-    a :class:`Profiler`.  Extra non-kernel time (host link transfers,
-    inter-GPU synchronization) is added with :meth:`add_seconds`.  An
+    a :class:`Profiler`.  Non-kernel time (host link transfers, inter-GPU
+    exchange) is priced by the runners, never on this clock.  An
     attached :class:`~repro.analysis.sanitizer.Sanitizer` audits every
     submitted batch for inconsistent stats before it is scored; it never
     affects timing.
@@ -44,19 +44,6 @@ class Device:
         self.profiler.record(stats, timing)
         self.elapsed_seconds += self.spec.cycles_to_seconds(timing.cycles)
         return timing
-
-    def add_seconds(self, seconds: float) -> None:
-        """Advance the clock by non-kernel time (transfers, sync)."""
-        self.elapsed_seconds += seconds
-
-    def reset(self) -> None:
-        """Zero the clock and counters (spec is kept)."""
-        self.profiler = Profiler()
-        self.elapsed_seconds = 0.0
-
-    def fits_in_memory(self, num_bytes: int) -> bool:
-        """Whether a resident data structure fits in device DRAM."""
-        return num_bytes <= self.spec.device_memory_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.base import App
-from repro.core.frontier import FrontierQueue
-from repro.errors import ConvergenceError
+from repro.core.pipeline import Level, LevelPricer, run_levels
 from repro.graph.csr import CSRGraph
 from repro.gpusim.memory import LRUCacheModel
 from repro.gpusim.spec import GPUSpec
+from repro.gpusim.streams import TraceNode
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,29 @@ class CacheTraceReport:
     @property
     def dram_sectors(self) -> int:
         return self.misses
+
+
+class _CacheReplay(LevelPricer):
+    """Prices no time: replays each level's value-array sectors through
+    an exact LRU cache instead."""
+
+    name = "cache-trace"
+
+    def __init__(
+        self, cache: LRUCacheModel, sector_width: int, stride: int
+    ) -> None:
+        self.cache = cache
+        self.sector_width = sector_width
+        self.stride = stride
+        self.accesses = 0
+
+    def price(
+        self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
+    ) -> float:
+        sectors = (level.edge_dst // self.sector_width)[::self.stride]
+        self.cache.access(sectors)
+        self.accesses += int(sectors.size)
+        return 0.0
 
 
 def replay_cache_trace(
@@ -65,29 +88,13 @@ def replay_cache_trace(
     """
     spec = spec or GPUSpec()
     capacity = capacity_sectors or spec.l2_sectors
-    cache = LRUCacheModel(capacity)
-    app.setup(graph, source)
-    queue = FrontierQueue(app.initial_frontier())
-    accesses = 0
-    iterations = 0
-    while not queue.empty:
-        if iterations >= max_iterations:
-            raise ConvergenceError("trace replay exceeded iteration bound")
-        frontier = queue.current
-        edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
-        sectors = (edge_dst // spec.sector_width)[::sample_stride]
-        cache.access(sectors)
-        accesses += int(sectors.size)
-        next_frontier = app.process_level(
-            edge_src, edge_dst,
-            edge_pos if app.needs_edge_positions else None,
-        )
-        queue.publish_next(next_frontier)
-        queue.swap()
-        iterations += 1
+    replay = _CacheReplay(
+        LRUCacheModel(capacity), spec.sector_width, sample_stride
+    )
+    result = run_levels(replay, graph, app, source, max_iterations)
     return CacheTraceReport(
-        accesses=accesses,
-        hits=cache.hits,
-        misses=cache.misses,
-        iterations=iterations,
+        accesses=replay.accesses,
+        hits=replay.cache.hits,
+        misses=replay.cache.misses,
+        iterations=result.iterations,
     )

@@ -19,16 +19,16 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.apps.base import App
-from repro.core.frontier import FrontierQueue
-from repro.core.pipeline import RunResult
+from repro.core.pipeline import Level, LevelPricer, RunResult, run_levels
 from repro.core.scheduler import Scheduler
-from repro.errors import ConvergenceError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import LinkSpec, NVLINK2
 from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancy
 from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.obs.span import NullSpan, Span
 
 #: bulk-synchronous barrier cost per iteration (all-device sync).
 SYNC_BARRIER_US = 1.5
@@ -38,8 +38,12 @@ ASYNC_COORD_US = 0.8
 BYTES_PER_MESSAGE = 8
 
 
-class MultiGpuRunner:
-    """Runs one application across ``k`` simulated GPUs."""
+class MultiGpuRunner(LevelPricer):
+    """Runs one application across ``k`` simulated GPUs.
+
+    A level is one kernel per GPU over its share of the frontier, then
+    the exchange of boundary-crossing updates and the barrier.
+    """
 
     def __init__(
         self,
@@ -69,11 +73,11 @@ class MultiGpuRunner:
             for _ in range(num_gpus)
         ]
         self.schedulers = [scheduler_factory() for _ in range(num_gpus)]
-        for scheduler, registry in zip(self.schedulers, self.device_metrics):
-            scheduler.set_metrics(registry)
-        self.devices = [Device(s.spec) for s in self.schedulers]
+        self.devices: list[Device] = []
         base = self.schedulers[0].name
         self.name = name or f"{base}-x{num_gpus}"
+        self._comm_seconds = 0.0
+        self._messages = 0
 
     def run(
         self,
@@ -84,126 +88,97 @@ class MultiGpuRunner:
         max_iterations: int = 100_000,
     ) -> RunResult:
         """Execute ``app`` across the GPUs; returns makespan timing."""
-        metrics = self.metrics
-        app.setup(graph, source)
-        for scheduler, registry in zip(self.schedulers, self.device_metrics):
-            scheduler.set_metrics(registry)
-            scheduler.reset(graph)
-        queue = FrontierQueue(app.initial_frontier())
-        seconds = 0.0
-        comm_seconds = 0.0
-        edges_traversed = 0
-        messages = 0
-        iterations = 0
-        node_trace: list[TraceNode] = []
-        run_span = metrics.span(
+        return run_levels(self, graph, app, source, max_iterations)
+
+    def run_span(self, app: App) -> Span | NullSpan:
+        return self.metrics.span(
             "multigpu.run", runner=self.name, app=app.name,
             num_gpus=self.num_gpus, async_mode=self.async_mode,
         )
-        with run_span:
-            while not queue.empty:
-                if iterations >= max_iterations:
-                    raise ConvergenceError(
-                        f"{app.name} exceeded {max_iterations} iterations"
-                    )
-                frontier = queue.current
-                owners = self.assignment[frontier]
-                gpu_seconds = np.zeros(self.num_gpus)
-                gpu_timings = []
-                all_src: list[np.ndarray] = []
-                all_dst: list[np.ndarray] = []
-                all_pos: list[np.ndarray] = []
-                remote_updates = 0
-                it_span = metrics.span(
-                    "iteration", index=iterations,
-                    frontier_size=int(frontier.size),
-                )
-                with it_span:
-                    for gpu in range(self.num_gpus):
-                        local = frontier[owners == gpu]
-                        if local.size == 0:
-                            continue
-                        edge_src, edge_dst, edge_pos = (
-                            graph.expand_frontier(local)
-                        )
-                        degrees = (graph.offsets[local + 1]
-                                   - graph.offsets[local])
-                        stats = self.schedulers[gpu].kernel_stats(
-                            local, degrees, edge_dst, graph, app
-                        )
-                        with metrics.span("kernel", gpu=gpu) as k_span:
-                            timing = self.devices[gpu].run_kernel(stats)
-                            k_span.set("cycles", timing.cycles)
-                            k_span.set("dram_bytes", timing.dram_bytes)
-                        spec = self.devices[gpu].spec
-                        gpu_seconds[gpu] = spec.cycles_to_seconds(
-                            timing.cycles
-                        )
-                        gpu_timings.append(timing)
-                        remote = edge_dst[self.assignment[edge_dst] != gpu]
-                        # Engines aggregate frontier updates per node
-                        # before shipping: a remote node is announced
-                        # once, not once per incoming edge.
-                        remote_updates += int(np.unique(remote).size)
-                        all_src.append(edge_src)
-                        all_dst.append(edge_dst)
-                        all_pos.append(edge_pos)
-                        edges_traversed += int(edge_dst.size)
-                    if all_src:
-                        edge_src = np.concatenate(all_src)
-                        edge_dst = np.concatenate(all_dst)
-                        edge_pos = np.concatenate(all_pos)
-                    else:
-                        edge_src = edge_dst = edge_pos = np.empty(
-                            0, dtype=np.int64
-                        )
 
-                    exchange = self._exchange_seconds(remote_updates)
-                    if self.async_mode:
-                        # Asynchronous engines overlap communication with
-                        # the slowest device's compute.
-                        iter_seconds = max(
-                            float(gpu_seconds.max(initial=0.0)), exchange
-                        ) + ASYNC_COORD_US * 1e-6
-                    else:
-                        iter_seconds = (
-                            float(gpu_seconds.max(initial=0.0)) + exchange
-                            + (SYNC_BARRIER_US * 1e-6
-                               if self.num_gpus > 1 else 0.0)
-                        )
-                    it_span.set("exchange_seconds", exchange)
-                    it_span.set("remote_updates", remote_updates)
-                    # With one device the iteration is exactly one kernel,
-                    # so the trace can carry its honest occupancy; the
-                    # multi-device makespan (kernels + exchange + barrier)
-                    # is opaque to overlap and pinned at full occupancy.
-                    occupancy = (
-                        kernel_occupancy(gpu_timings[0])
-                        if self.num_gpus == 1 and len(gpu_timings) == 1
-                        else 1.0
-                    )
-                    node_trace.append(TraceNode(
-                        KERNEL, iter_seconds, occupancy=occupancy,
-                        iteration=iterations,
-                    ))
-                    seconds += iter_seconds
-                    comm_seconds += exchange
-                    messages += remote_updates
+    def start(self, graph: CSRGraph, app: App) -> None:
+        # Fresh devices per run, so a run's profiler and its gpu<i>.*
+        # counters report that run alone.
+        self.devices = [Device(s.spec) for s in self.schedulers]
+        for scheduler, registry in zip(self.schedulers, self.device_metrics):
+            scheduler.set_metrics(registry)
+            scheduler.reset(graph)
+        self._comm_seconds = 0.0
+        self._messages = 0
 
-                    next_frontier = app.process_level(
-                        edge_src, edge_dst,
-                        edge_pos if app.needs_edge_positions else None,
-                    )
-                    queue.publish_next(next_frontier)
-                    queue.swap()
-                    iterations += 1
+    def order(self, frontier: np.ndarray) -> np.ndarray:
+        # Each GPU expands its own share of the frontier; the level's
+        # edges are the shares' expansions, concatenated in GPU order.
+        return frontier[np.argsort(self.assignment[frontier], kind="stable")]
 
-            run_span.set("simulated_seconds", seconds)
-            run_span.set("comm_seconds", comm_seconds)
-            metrics.count("multigpu.messages", messages)
-            metrics.count("multigpu.comm_seconds", comm_seconds)
-            metrics.count("multigpu.iterations", iterations)
+    def price(
+        self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
+    ) -> float:
+        frontier = level.frontier
+        node_bounds = np.searchsorted(
+            self.assignment[frontier], np.arange(self.num_gpus + 1)
+        )
+        edge_bounds = np.concatenate(([0], np.cumsum(level.degrees)))
+        gpu_seconds = np.zeros(self.num_gpus)
+        gpu_timings = []
+        remote_updates = 0
+        for gpu in range(self.num_gpus):
+            lo, hi = node_bounds[gpu], node_bounds[gpu + 1]
+            if lo == hi:
+                continue
+            edge_dst = level.edge_dst[edge_bounds[lo]:edge_bounds[hi]]
+            stats = self.schedulers[gpu].kernel_stats(
+                frontier[lo:hi], level.degrees[lo:hi], edge_dst, graph, app
+            )
+            device = self.devices[gpu]
+            timing = self._timed_kernel(device, stats, "kernel", gpu=gpu)
+            gpu_seconds[gpu] = device.spec.cycles_to_seconds(timing.cycles)
+            gpu_timings.append(timing)
+            remote = edge_dst[self.assignment[edge_dst] != gpu]
+            # Engines aggregate frontier updates per node before
+            # shipping: a remote node is announced once, not once per
+            # incoming edge.
+            remote_updates += int(np.unique(remote).size)
 
+        exchange = self._exchange_seconds(remote_updates)
+        if self.async_mode:
+            # Asynchronous engines overlap communication with the
+            # slowest device's compute.
+            seconds = max(
+                float(gpu_seconds.max(initial=0.0)), exchange
+            ) + ASYNC_COORD_US * 1e-6
+        else:
+            seconds = (
+                float(gpu_seconds.max(initial=0.0)) + exchange
+                + (SYNC_BARRIER_US * 1e-6 if self.num_gpus > 1 else 0.0)
+            )
+        level.span.set("exchange_seconds", exchange)
+        level.span.set("remote_updates", remote_updates)
+        # With one device the iteration is exactly one kernel, so the
+        # trace can carry its honest occupancy; the multi-device
+        # makespan (kernels + exchange + barrier) is opaque to overlap
+        # and pinned at full occupancy.
+        occupancy = (
+            kernel_occupancy(gpu_timings[0])
+            if self.num_gpus == 1 and len(gpu_timings) == 1
+            else 1.0
+        )
+        trace.append(TraceNode(
+            KERNEL, seconds, occupancy=occupancy, iteration=level.index,
+        ))
+        self._comm_seconds += exchange
+        self._messages += remote_updates
+        return seconds
+
+    def finish(
+        self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
+    ) -> None:
+        metrics = self.metrics
+        run_span.set("simulated_seconds", result.seconds)
+        run_span.set("comm_seconds", self._comm_seconds)
+        metrics.count("multigpu.messages", self._messages)
+        metrics.count("multigpu.comm_seconds", self._comm_seconds)
+        metrics.count("multigpu.iterations", result.iterations)
         profiler = Profiler()
         for gpu, device in enumerate(self.devices):
             profiler = profiler.merged_with(device.profiler)
@@ -211,19 +186,9 @@ class MultiGpuRunner:
             metrics.merge(self.device_metrics[gpu], prefix=f"gpu{gpu}.")
             self.device_metrics[gpu].reset()
         metrics.fold_profiler(profiler)
-        result = RunResult(
-            app_name=app.name,
-            scheduler_name=self.name,
-            seconds=seconds,
-            iterations=iterations,
-            edges_traversed=edges_traversed,
-            result=app.result(),
-            profiler=profiler,
-            node_trace=node_trace,
-        )
-        result.extras["comm_seconds"] = comm_seconds
-        result.extras["messages"] = float(messages)
-        return result
+        result.profiler = profiler
+        result.extras["comm_seconds"] = self._comm_seconds
+        result.extras["messages"] = float(self._messages)
 
     def _exchange_seconds(self, remote_updates: int) -> float:
         if self.num_gpus == 1 or remote_updates == 0:

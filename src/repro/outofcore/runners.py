@@ -26,20 +26,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.apps.base import App
 from repro.baselines.gunrock import GunrockScheduler
 from repro.core.engine import SageScheduler
-from repro.core.frontier import FrontierQueue
-from repro.core.pipeline import RunResult
+from repro.core.pipeline import Level, LevelPricer, RunResult, run_levels
 from repro.core.scheduler import Scheduler
-from repro.errors import ConvergenceError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.gpusim.spec import GPUSpec, LinkSpec, PCIE3_X16
 from repro.gpusim.streams import H2D, HOST, KERNEL, TraceNode, kernel_occupancy
 from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.obs.span import NullSpan, Span
 from repro.outofcore.layout import GraphLayout, layout_for
 from repro.outofcore.pool import SectorPool, contiguous_runs
 
@@ -56,8 +54,9 @@ UM_PAGE_BYTES = 4096
 SAGE_REQUEST_PIPELINE = 8.0
 
 
-class _OutOfCoreBase:
-    """Shared pipeline loop for out-of-core runners."""
+class _OutOfCoreBase(LevelPricer):
+    """Out-of-core pricing: a level is one kernel plus the link traffic
+    its adjacency needs; :meth:`_level` says how the two combine."""
 
     name = "ooc"
 
@@ -79,6 +78,8 @@ class _OutOfCoreBase:
         self.bytes_transferred = 0
         self.requests_issued = 0
         self.sanitizer: "Sanitizer | None" = None
+        self._device = Device(scheduler.spec)
+        self._layout: GraphLayout | None = None
 
     def set_sanitizer(self, sanitizer: "Sanitizer | None") -> None:
         """Attach (or detach) a hazard sanitizer for subsequent runs."""
@@ -93,146 +94,92 @@ class _OutOfCoreBase:
         max_iterations: int = 100_000,
     ) -> RunResult:
         """Run ``app`` out-of-core and return timing including transfers."""
-        metrics = self.metrics
-        sanitizer = self.sanitizer
-        device = Device(self.scheduler.spec, sanitizer=sanitizer)
-        layout = layout_for(graph, self.scheduler.spec)
-        with metrics.span(
+        return run_levels(self, graph, app, source, max_iterations)
+
+    def run_span(self, app: App) -> Span | NullSpan:
+        return self.metrics.span(
             "ooc.run", runner=self.name, app=app.name,
             device_fraction=self.device_fraction,
-        ) as run_span:
-            self._start(graph, layout)
-            app.setup(graph, source)
-            self.scheduler.set_metrics(metrics)
-            self.scheduler.set_sanitizer(sanitizer)
-            self.scheduler.reset(graph)
-            if sanitizer is not None:
-                sanitizer.set_metrics(metrics)
-                sanitizer.begin_run(graph, app)
-            queue = FrontierQueue(app.initial_frontier())
-            seconds = 0.0
-            edges_traversed = 0
-            iterations = 0
-            node_trace: list[TraceNode] = []
-            self.transfer_seconds_total = 0.0
-            self.bytes_transferred = 0
-            self.requests_issued = 0
-            while not queue.empty:
-                if iterations >= max_iterations:
-                    raise ConvergenceError(
-                        f"{app.name} exceeded {max_iterations} iterations"
-                    )
-                frontier = queue.current
-                with metrics.span(
-                    "iteration", index=iterations,
-                    frontier_size=int(frontier.size),
-                ) as it_span:
-                    edge_src, edge_dst, edge_pos = graph.expand_frontier(
-                        frontier
-                    )
-                    degrees = (graph.offsets[frontier + 1]
-                               - graph.offsets[frontier])
-                    if sanitizer is not None:
-                        sanitizer.check_level(
-                            iterations, frontier, degrees, edge_dst,
-                            edge_pos,
-                        )
-                    stats = self.scheduler.kernel_stats(
-                        frontier, degrees, edge_dst, graph, app
-                    )
-                    if sanitizer is not None:
-                        # Kernels here bypass Device.run_kernel (the
-                        # timing is merged with transfer overlap), so
-                        # audit the batch stats explicitly.
-                        sanitizer.check_kernel_stats(stats, device.spec)
-                    timing = device.cost_model.time_kernel(stats)
-                    kernel_seconds = device.spec.cycles_to_seconds(
-                        timing.cycles
-                    )
-                    bytes_before = self.bytes_transferred
-                    transfer_before = self.transfer_seconds_total
-                    iter_seconds = self._iteration_seconds(
-                        kernel_seconds, frontier, edge_dst, edge_pos, layout
-                    )
-                    device.profiler.record(stats, timing)
-                    self._trace_iteration(
-                        node_trace, kernel_seconds,
-                        self.transfer_seconds_total - transfer_before,
-                        iter_seconds, iterations,
-                        kernel_occupancy(timing),
-                    )
-                    it_span.set("kernel_seconds", kernel_seconds)
-                    it_span.set("iteration_seconds", iter_seconds)
-                    it_span.set(
-                        "transfer_bytes",
-                        self.bytes_transferred - bytes_before,
-                    )
-                    it_span.set(
-                        "transfer_seconds",
-                        self.transfer_seconds_total - transfer_before,
-                    )
-                    seconds += iter_seconds
-                    edges_traversed += int(edge_dst.size)
-                    next_frontier = app.process_level(
-                        edge_src, edge_dst,
-                        edge_pos if app.needs_edge_positions else None,
-                    )
-                    queue.publish_next(next_frontier)
-                    queue.swap()
-                    iterations += 1
-            run_span.set("simulated_seconds", seconds)
-            run_span.set("transfer_seconds", self.transfer_seconds_total)
-            metrics.count("ooc.bytes_transferred", self.bytes_transferred)
-            metrics.count("ooc.requests", self.requests_issued)
-            metrics.count("ooc.transfer_seconds", self.transfer_seconds_total)
-            metrics.fold_profiler(device.profiler)
-            if sanitizer is not None:
-                sanitizer.end_run()
-        result = RunResult(
-            app_name=app.name,
-            scheduler_name=self.name,
-            seconds=seconds,
-            iterations=iterations,
-            edges_traversed=edges_traversed,
-            result=app.result(),
-            profiler=device.profiler,
-            node_trace=node_trace,
         )
+
+    def start(self, graph: CSRGraph, app: App) -> None:
+        self._device = Device(self.scheduler.spec, sanitizer=self.sanitizer)
+        self._layout = layout_for(graph, self.scheduler.spec)
+        self.scheduler.set_metrics(self.metrics)
+        self.scheduler.set_sanitizer(self.sanitizer)
+        self.scheduler.reset(graph)
+        self.transfer_seconds_total = 0.0
+        self.bytes_transferred = 0
+        self.requests_issued = 0
+
+    def price(
+        self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
+    ) -> float:
+        device = self._device
+        stats = self.scheduler.kernel_stats(
+            level.frontier, level.degrees, level.edge_dst, graph, app
+        )
+        timing = self._timed_kernel(
+            device, stats, "kernel", kind="expand-filter",
+        )
+        # Group keys are spaced by 2 to leave room for a serial tail
+        # group (Subway's extraction scan).
+        kernel = TraceNode(
+            KERNEL, device.spec.cycles_to_seconds(timing.cycles),
+            occupancy=kernel_occupancy(timing), iteration=2 * level.index,
+        )
+        bytes_before = self.bytes_transferred
+        transfer_before = self.transfer_seconds_total
+        seconds = self._level(kernel, level, trace)
+        span = level.span
+        span.set("kernel_seconds", kernel.seconds)
+        span.set("iteration_seconds", seconds)
+        span.set("transfer_bytes", self.bytes_transferred - bytes_before)
+        span.set(
+            "transfer_seconds", self.transfer_seconds_total - transfer_before
+        )
+        return seconds
+
+    def finish(
+        self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
+    ) -> None:
+        metrics = self.metrics
+        run_span.set("simulated_seconds", result.seconds)
+        run_span.set("transfer_seconds", self.transfer_seconds_total)
+        metrics.count("ooc.bytes_transferred", self.bytes_transferred)
+        metrics.count("ooc.requests", self.requests_issued)
+        metrics.count("ooc.transfer_seconds", self.transfer_seconds_total)
+        metrics.fold_profiler(self._device.profiler)
+        result.profiler = self._device.profiler
         result.extras["transfer_seconds"] = self.transfer_seconds_total
         result.extras["bytes_transferred"] = float(self.bytes_transferred)
         result.extras["requests"] = float(self.requests_issued)
-        return result
 
-    # hooks ------------------------------------------------------------
+    def _fetch(
+        self, payload: int, requests: int, link_requests: int
+    ) -> tuple[float, float]:
+        """Move ``payload`` bytes over the link as ``link_requests``
+        requests (``requests`` are counted).
 
-    def _start(self, graph: CSRGraph, layout: GraphLayout) -> None:
-        """Per-run initialization."""
+        Returns the transfer's seconds and how far they advanced the
+        run's transfer total: the level's seconds use the former, its
+        trace the latter (the two can differ in the last bit).
+        """
+        transfer = self.link.transfer_seconds(payload, requests=link_requests)
+        before = self.transfer_seconds_total
+        self.transfer_seconds_total += transfer
+        self.bytes_transferred += payload
+        self.requests_issued += requests
+        return transfer, self.transfer_seconds_total - before
 
-    def _iteration_seconds(
-        self,
-        kernel_seconds: float,
-        frontier: np.ndarray,
-        edge_dst: np.ndarray,
-        edge_pos: np.ndarray,
-        layout: GraphLayout,
+    def _level(
+        self, kernel: TraceNode, level: Level, trace: list[TraceNode]
     ) -> float:
-        raise NotImplementedError
+        """Fetch the level's adjacency, append the level's replayable
+        nodes (``kernel`` among them) to ``trace`` and return its seconds.
 
-    def _trace_iteration(
-        self,
-        trace: list[TraceNode],
-        kernel_seconds: float,
-        transfer_seconds: float,
-        iter_seconds: float,
-        iteration: int,
-        occupancy: float,
-    ) -> None:
-        """Append this iteration's replayable nodes to ``trace``.
-
-        Each runner mirrors its own ``_iteration_seconds`` shape so a
-        lone DAG replay reproduces the synchronous timeline exactly;
-        group keys are spaced by 2 to leave room for a serial tail
-        group (Subway's extraction scan).
+        The nodes mirror the seconds' shape, so a lone DAG replay
+        reproduces the synchronous timeline exactly.
         """
         raise NotImplementedError
 
@@ -255,51 +202,33 @@ class SubwayRunner(_OutOfCoreBase):
             link=link, metrics=metrics,
         )
 
-    def _iteration_seconds(
-        self,
-        kernel_seconds: float,
-        frontier: np.ndarray,
-        edge_dst: np.ndarray,
-        edge_pos: np.ndarray,
-        layout: GraphLayout,
+    def _level(
+        self, kernel: TraceNode, level: Level, trace: list[TraceNode]
     ) -> float:
+        assert self._layout is not None
         # The active subgraph: frontier adjacency lists (4 B targets)
         # plus a compacted offsets array (8 B per frontier node),
         # shipped as one large batched transfer.
-        payload = edge_dst.size * 4 + frontier.size * 8
-        transfer = self.link.transfer_seconds(payload, requests=1)
+        payload = level.edge_dst.size * 4 + level.frontier.size * 8
+        transfer, moved = self._fetch(payload, requests=1, link_requests=1)
         # Subgraph generation compacts the active edges out of the full
         # host edge list every round.
+        layout = self._layout
         total_edges = int(layout.targets_sectors * layout.sector_width)
         extract = total_edges * SUBWAY_SCAN_NS_PER_EDGE * 1e-9
-        self.transfer_seconds_total += transfer
-        self.bytes_transferred += payload
-        self.requests_issued += 1
         # Asynchronous preloading overlaps the transfer with compute.
-        return max(kernel_seconds, transfer) + extract
-
-    def _trace_iteration(
-        self,
-        trace: list[TraceNode],
-        kernel_seconds: float,
-        transfer_seconds: float,
-        iter_seconds: float,
-        iteration: int,
-        occupancy: float,
-    ) -> None:
+        seconds = max(kernel.seconds, transfer) + extract
         # max(kernel, transfer) as one barrier group, then the host-side
         # extraction scan as a serial tail group of its own.
+        trace.append(kernel)
         trace.append(TraceNode(
-            KERNEL, kernel_seconds, occupancy=occupancy,
-            iteration=2 * iteration,
+            H2D, moved, iteration=kernel.iteration, overlap=True,
         ))
         trace.append(TraceNode(
-            H2D, transfer_seconds, iteration=2 * iteration, overlap=True,
+            HOST, max(0.0, seconds - max(kernel.seconds, moved)),
+            iteration=kernel.iteration + 1,
         ))
-        extract = iter_seconds - max(kernel_seconds, transfer_seconds)
-        trace.append(TraceNode(
-            HOST, max(0.0, extract), iteration=2 * iteration + 1,
-        ))
+        return seconds
 
 
 class SageOutOfCoreRunner(_OutOfCoreBase):
@@ -324,8 +253,10 @@ class SageOutOfCoreRunner(_OutOfCoreBase):
         )
         self._pool: SectorPool | None = None
 
-    def _start(self, graph: CSRGraph, layout: GraphLayout) -> None:
-        total = self._pool_units(layout)
+    def start(self, graph: CSRGraph, app: App) -> None:
+        super().start(graph, app)
+        assert self._layout is not None
+        total = self._pool_units(self._layout)
         capacity = max(1, int(total * self.device_fraction))
         self._pool = SectorPool(capacity, total)
 
@@ -333,16 +264,12 @@ class SageOutOfCoreRunner(_OutOfCoreBase):
         """Units the residency pool tracks (sectors by default)."""
         return layout.targets_sectors
 
-    def _iteration_seconds(
-        self,
-        kernel_seconds: float,
-        frontier: np.ndarray,
-        edge_dst: np.ndarray,
-        edge_pos: np.ndarray,
-        layout: GraphLayout,
+    def _level(
+        self, kernel: TraceNode, level: Level, trace: list[TraceNode]
     ) -> float:
-        assert self._pool is not None
-        needed = layout.target_sectors_of(edge_pos)
+        assert self._pool is not None and self._layout is not None
+        layout = self._layout
+        needed = layout.target_sectors_of(level.edge_pos)
         missing = self._pool.access(needed)
         payload = missing.size * layout.sector_bytes
         # Tile alignment merges contiguous missing sectors into single
@@ -353,32 +280,15 @@ class SageOutOfCoreRunner(_OutOfCoreBase):
         effective_requests = max(
             1, int(round(requests / SAGE_REQUEST_PIPELINE))
         ) if requests else 0
-        transfer = self.link.transfer_seconds(payload,
-                                              requests=effective_requests)
-        self.transfer_seconds_total += transfer
-        self.bytes_transferred += payload
-        self.requests_issued += requests
-        # ...and overlaps fetches with compute on already-resident tiles.
-        return max(kernel_seconds, transfer)
-
-    def _trace_iteration(
-        self,
-        trace: list[TraceNode],
-        kernel_seconds: float,
-        transfer_seconds: float,
-        iter_seconds: float,
-        iteration: int,
-        occupancy: float,
-    ) -> None:
-        # Kernel and fetch overlap inside the iteration barrier:
-        # the group's makespan is max(kernel, transfer).
+        transfer, moved = self._fetch(payload, requests, effective_requests)
+        # ...and overlaps fetches with compute on already-resident tiles:
+        # kernel and fetch share the iteration barrier, whose makespan is
+        # max(kernel, transfer).
+        trace.append(kernel)
         trace.append(TraceNode(
-            KERNEL, kernel_seconds, occupancy=occupancy,
-            iteration=2 * iteration,
+            H2D, moved, iteration=kernel.iteration, overlap=True,
         ))
-        trace.append(TraceNode(
-            H2D, transfer_seconds, iteration=2 * iteration, overlap=True,
-        ))
+        return max(kernel.seconds, transfer)
 
 
 class OnDemandUMRunner(SageOutOfCoreRunner):
@@ -407,42 +317,19 @@ class OnDemandUMRunner(SageOutOfCoreRunner):
         sectors_per_page = UM_PAGE_BYTES // layout.sector_bytes
         return max(1, -(-layout.targets_sectors // sectors_per_page))
 
-    def _iteration_seconds(
-        self,
-        kernel_seconds: float,
-        frontier: np.ndarray,
-        edge_dst: np.ndarray,
-        edge_pos: np.ndarray,
-        layout: GraphLayout,
+    def _level(
+        self, kernel: TraceNode, level: Level, trace: list[TraceNode]
     ) -> float:
-        assert self._pool is not None
+        assert self._pool is not None and self._layout is not None
+        layout = self._layout
         sectors_per_page = UM_PAGE_BYTES // layout.sector_bytes
-        needed = layout.target_sectors_of(edge_pos) // sectors_per_page
+        needed = layout.target_sectors_of(level.edge_pos) // sectors_per_page
         missing_pages = self._pool.access(needed)
         payload = missing_pages.size * UM_PAGE_BYTES
         requests = int(missing_pages.size)  # a fault per page, unmerged
-        transfer = self.link.transfer_seconds(payload, requests=requests)
-        self.transfer_seconds_total += transfer
-        self.bytes_transferred += payload
-        self.requests_issued += requests
-        # Page faults stall the kernel: no overlap.
-        return kernel_seconds + transfer
-
-    def _trace_iteration(
-        self,
-        trace: list[TraceNode],
-        kernel_seconds: float,
-        transfer_seconds: float,
-        iter_seconds: float,
-        iteration: int,
-        occupancy: float,
-    ) -> None:
-        # Faults stall the kernel, so the transfer extends the serial
-        # chain instead of overlapping it.
-        trace.append(TraceNode(
-            KERNEL, kernel_seconds, occupancy=occupancy,
-            iteration=2 * iteration,
-        ))
-        trace.append(TraceNode(
-            H2D, transfer_seconds, iteration=2 * iteration,
-        ))
+        transfer, moved = self._fetch(payload, requests, requests)
+        # Page faults stall the kernel, so the transfer extends the
+        # serial chain instead of overlapping it.
+        trace.append(kernel)
+        trace.append(TraceNode(H2D, moved, iteration=kernel.iteration))
+        return kernel.seconds + transfer

@@ -179,25 +179,8 @@ class TestDevice:
             before + device.spec.cycles_to_seconds(t1.cycles)
         )
 
-    def test_add_seconds(self):
-        device = Device()
-        device.add_seconds(0.5)
-        assert device.elapsed_seconds == 0.5
-
-    def test_reset(self):
-        device = Device()
-        device.run_kernel(stats())
-        device.reset()
-        assert device.elapsed_seconds == 0.0
-        assert device.profiler.kernels == 0
-
     def test_profiler_records(self):
         device = Device()
         device.run_kernel(stats())
         assert device.profiler.kernels == 1
         assert device.profiler.active_edges == 10_000
-
-    def test_fits_in_memory(self):
-        device = Device(GPUSpec().with_memory(100))
-        assert device.fits_in_memory(100)
-        assert not device.fits_in_memory(101)

@@ -1,5 +1,7 @@
 """Tests for partitioning and the multi-GPU runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.multigpu import (
     partition_sizes,
     random_partition,
 )
+from repro.obs import MetricsRegistry
 from tests.conftest import bfs_oracle, pagerank_oracle
 
 
@@ -132,3 +135,41 @@ class TestMultiGpuRunner:
         runner = MultiGpuRunner(GunrockScheduler, np.zeros(4, dtype=int),
                                 num_gpus=2)
         assert runner.name == "gunrock-x2"
+
+
+class TestRepeatedRuns:
+    """A reused runner reports each run on its own (fresh devices)."""
+
+    def _runs(self, count):
+        metrics = MetricsRegistry()
+        graph = gen.rmat(9, 8, seed=0)
+        runner = MultiGpuRunner(
+            SageScheduler, chunk_partition(graph.num_nodes, 2), num_gpus=2,
+            metrics=metrics,
+        )
+        snapshots, results = [], []
+        for _ in range(count):
+            # An equal but distinct graph object per run: node tables are
+            # built (and counted) once per graph object.
+            results.append(runner.run(gen.rmat(9, 8, seed=0), BFSApp(), 0))
+            snapshots.append(dict(metrics.counters))
+        return results, snapshots
+
+    def test_profiler_totals_equal_across_runs(self):
+        (first, second), _ = self._runs(2)
+        assert dataclasses.asdict(second.profiler) == dataclasses.asdict(
+            first.profiler
+        )
+        assert second.seconds == first.seconds
+
+    def test_each_run_adds_its_own_counts_per_gpu(self):
+        (first, _), (after_one, after_two) = self._runs(2)
+        per_gpu = {
+            k: v for k, v in after_one.items()
+            if k.split(".", 1)[0] in ("gpu0", "gpu1")
+        }
+        assert sum(
+            per_gpu[f"gpu{i}.gpusim.kernels"] for i in range(2)
+        ) == first.profiler.kernels
+        for key, value in per_gpu.items():
+            assert after_two[key] == 2 * value, key

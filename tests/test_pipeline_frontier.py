@@ -17,19 +17,11 @@ class TestFrontierQueue:
         assert not q.empty
         q.publish_next(np.array([3]))
         assert q.swap().tolist() == [3]
-        assert q.iterations == 1
 
     def test_swap_without_publish_empties(self):
         q = FrontierQueue(np.array([1]))
         q.swap()
         assert q.empty
-
-    def test_stats(self):
-        q = FrontierQueue(np.array([1, 2]))
-        q.publish_next(np.array([3, 4, 5]))
-        q.swap()
-        assert q.max_frontier == 3
-        assert q.total_frontier_nodes == 5
 
     def test_remap(self):
         q = FrontierQueue(np.array([0, 1]))

@@ -35,6 +35,7 @@ from repro.gpusim.streams import (
     kernel_occupancy,
 )
 from repro.graph import generators
+from repro.multigpu.partition import chunk_partition
 from repro.multigpu.runner import MultiGpuRunner
 from repro.outofcore.runners import (
     OnDemandUMRunner,
@@ -205,6 +206,16 @@ class TestReplayEquality:
     def test_multigpu_single_device(self, graph):
         assignment = np.zeros(graph.num_nodes, dtype=np.int64)
         runner = MultiGpuRunner(SageScheduler, assignment, num_gpus=1)
+        result = runner.run(graph, BFSApp(), 0)
+        assert result.node_trace
+        assert replay_seconds(result) == result.seconds
+
+    @pytest.mark.parametrize("async_mode", [False, True])
+    def test_multigpu_two_devices(self, graph, async_mode):
+        assignment = chunk_partition(graph.num_nodes, 2)
+        runner = MultiGpuRunner(
+            SageScheduler, assignment, num_gpus=2, async_mode=async_mode
+        )
         result = runner.run(graph, BFSApp(), 0)
         assert result.node_trace
         assert replay_seconds(result) == result.seconds
