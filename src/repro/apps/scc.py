@@ -24,7 +24,7 @@ from repro.apps.base import App, contract
 from repro.core.pipeline import TraversalPipeline
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.device import Device
+from repro.gpusim.streams import TraceNode, trace_seconds
 
 
 class MaskedReachabilityApp(App):
@@ -112,7 +112,7 @@ def strongly_connected_components(
     n = graph.num_nodes
     reverse = graph.reversed()
     labels = np.full(n, -1, dtype=np.int64)
-    device = Device(scheduler_factory().spec)
+    trace: list[TraceNode] = []
     sweeps = 0
     trimmed_total = 0
 
@@ -148,8 +148,8 @@ def strongly_connected_components(
             continue
 
         pivot = int(partition[0])
-        fwd = _reach(graph, active, pivot, scheduler_factory, device)
-        bwd = _reach(reverse, active, pivot, scheduler_factory, device)
+        fwd = _reach(graph, active, pivot, scheduler_factory, trace)
+        bwd = _reach(reverse, active, pivot, scheduler_factory, trace)
         sweeps += 2
 
         scc_mask = fwd & bwd
@@ -166,7 +166,7 @@ def strongly_connected_components(
     return SCCResult(
         labels=labels,
         num_components=int(np.unique(labels).size),
-        seconds=device.elapsed_seconds,
+        seconds=trace_seconds(trace),
         sweeps=sweeps,
         trimmed=trimmed_total,
     )
@@ -198,10 +198,10 @@ def _reach(
     active: np.ndarray,
     pivot: int,
     scheduler_factory,
-    device: Device,
+    trace: list[TraceNode],
 ) -> np.ndarray:
-    """One masked reachability sweep, accumulating time on ``device``."""
+    """One masked reachability sweep; appends its nodes to ``trace``."""
     app = MaskedReachabilityApp(active, pivot)
-    pipeline = TraversalPipeline(graph, scheduler_factory(), device)
-    result = pipeline.run(app, source=None)
+    result = TraversalPipeline(graph, scheduler_factory()).run(app, source=None)
+    trace.extend(result.node_trace)
     return result.result["visited"]

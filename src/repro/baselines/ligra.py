@@ -16,7 +16,7 @@ from repro.apps.base import App
 from repro.core.pipeline import Level, LevelPricer, RunResult, run_levels
 from repro.graph.csr import CSRGraph
 from repro.gpusim.spec import CPUSpec
-from repro.gpusim.streams import TraceNode
+from repro.gpusim.streams import HOST, TraceNode
 
 #: frontier-edge share of |E| above which dense mode wins.
 DENSE_THRESHOLD = 0.05
@@ -47,8 +47,9 @@ class LigraRunner(LevelPricer):
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
-    ) -> float:
-        return self._iteration_seconds(level.edge_dst.size, graph.num_edges)
+    ) -> None:
+        seconds = self._iteration_seconds(level.edge_dst.size, graph.num_edges)
+        trace.append(TraceNode(HOST, seconds, iteration=level.index))
 
     def _iteration_seconds(self, frontier_edges: int, total_edges: int) -> float:
         """One EDGEMAP's time under the CPU model."""

@@ -26,7 +26,9 @@ from repro.core.pipeline import RunResult
 from repro.core.scheduler import Scheduler
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.graph.csr import CSRGraph
+from repro.gpusim.cost import KernelStats
 from repro.gpusim.device import Device
+from repro.gpusim.streams import TraceNode, trace_seconds
 
 #: push -> pull when frontier out-edges exceed |E| / ALPHA (Beamer's
 #: heuristic; 14 in the original paper, smaller here because the scaled
@@ -106,6 +108,7 @@ def direction_optimized_bfs(
     pushes = 0
     pulls = 0
     out_degrees = graph.out_degrees()
+    trace: list[TraceNode] = []
 
     class _CostProbe:
         """Minimal App stand-in for the schedulers' cost interface."""
@@ -127,16 +130,16 @@ def direction_optimized_bfs(
             and unvisited.size > n / beta_threshold
         )
         if use_pull:
-            next_frontier, cost_edges = _pull_level(
+            next_frontier, cost_edges, stats = _pull_level(
                 reverse, unvisited, dist, level, pull_scheduler, probe,
-                device,
             )
             pulls += 1
         else:
-            next_frontier, cost_edges = _push_level(
-                graph, frontier, dist, level, push_scheduler, probe, device,
+            next_frontier, cost_edges, stats = _push_level(
+                graph, frontier, dist, push_scheduler, probe,
             )
             pushes += 1
+        trace.append(device.kernel_node(device.run_kernel(stats), level))
         edges_traversed += cost_edges
         level += 1
         dist[next_frontier] = level
@@ -145,11 +148,12 @@ def direction_optimized_bfs(
     result = RunResult(
         app_name="bfs-hybrid",
         scheduler_name=f"{push_scheduler.name}+dirop",
-        seconds=device.elapsed_seconds,
+        seconds=trace_seconds(trace),
         iterations=level,
         edges_traversed=edges_traversed,
         result={"dist": dist},
         profiler=device.profiler,
+        node_trace=trace,
     )
     return result, HybridStats(push_iterations=pushes, pull_iterations=pulls)
 
@@ -158,18 +162,15 @@ def _push_level(
     graph: CSRGraph,
     frontier: np.ndarray,
     dist: np.ndarray,
-    level: int,
     scheduler: Scheduler,
     probe,
-    device: Device,
-) -> tuple[np.ndarray, int]:
-    """Classic push expansion of one level."""
+) -> tuple[np.ndarray, int, KernelStats]:
+    """Classic push expansion of one level, with its kernel's stats."""
     edge_src, edge_dst, _ = graph.expand_frontier(frontier)
     degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
     stats = scheduler.kernel_stats(frontier, degrees, edge_dst, graph, probe)
-    device.run_kernel(stats)
     fresh = dist[edge_dst] == UNVISITED
-    return np.unique(edge_dst[fresh]), int(edge_dst.size)
+    return np.unique(edge_dst[fresh]), int(edge_dst.size), stats
 
 
 def _pull_level(
@@ -179,9 +180,9 @@ def _pull_level(
     level: int,
     scheduler: Scheduler,
     probe,
-    device: Device,
-) -> tuple[np.ndarray, int]:
-    """Pull: unvisited nodes scan in-edges for a frontier parent.
+) -> tuple[np.ndarray, int, KernelStats]:
+    """Pull: unvisited nodes scan in-edges for a frontier parent; returns
+    the adopters, the scanned edges and the kernel's stats.
 
     Each scan stops at the first hit; the expected scanned prefix is
     modeled by scaling the kernel's edge volume by the measured hit
@@ -213,5 +214,4 @@ def _pull_level(
     stats.value_sector_unique = min(
         stats.value_sector_unique, stats.value_sector_touches
     )
-    device.run_kernel(stats)
-    return adopters, effective
+    return adopters, effective, stats

@@ -29,7 +29,7 @@ from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.gpusim.profiler import Profiler
-from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancy
+from repro.gpusim.streams import D2H, H2D, TraceNode, trace_seconds
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.obs.span import NullSpan, Span
 
@@ -57,8 +57,8 @@ class RunResult:
     reorder_commits: int = 0
     final_perm: np.ndarray | None = None
     extras: dict[str, float] = field(default_factory=dict)
-    #: replayable device work (gpusim.streams.TraceNode), in issue order;
-    #: dag_from_run recompiles it into an event DAG for pipelining.
+    #: replayable device work (gpusim.streams.TraceNode), in issue order:
+    #: ``seconds`` is its trace_seconds; dag_from_run recompiles it for pipelining.
     node_trace: list[TraceNode] = field(default_factory=list)
 
     @property
@@ -113,9 +113,9 @@ class LevelPricer:
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
-    ) -> float:
-        """Price one level: run its device work, append its replayable
-        nodes to ``trace`` and return its simulated seconds."""
+    ) -> None:
+        """Price one level: run its device work and append its replayable
+        nodes to ``trace``."""
         raise NotImplementedError
 
     def post_level(
@@ -158,8 +158,8 @@ def run_levels(
 ) -> RunResult:
     """Run ``app`` on ``graph`` to convergence, levels priced by ``pricer``.
 
-    The result's seconds are the sum of the levels' prices unless the
-    pricer's :meth:`~LevelPricer.finish` reads them from a device clock.
+    The result's seconds, and the spans' ``iteration_seconds`` and
+    ``transfer_seconds``, are read off the nodes the pricer appended.
     """
     metrics = pricer.metrics
     sanitizer = pricer.sanitizer
@@ -171,7 +171,6 @@ def run_levels(
             sanitizer.begin_run(graph, app)
         queue = FrontierQueue(app.initial_frontier())
         node_trace: list[TraceNode] = []
-        seconds = 0.0
         edges_traversed = 0
         iterations = 0
 
@@ -185,6 +184,7 @@ def run_levels(
                 "iteration", index=iterations,
                 frontier_size=int(frontier.size),
             ) as it_span:
+                mark = len(node_trace)
                 frontier = pricer.order(frontier)
                 edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
                 degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
@@ -195,7 +195,7 @@ def run_levels(
                 level = Level(
                     iterations, frontier, degrees, edge_dst, edge_pos, it_span
                 )
-                seconds += pricer.price(graph, app, level, node_trace)
+                pricer.price(graph, app, level, node_trace)
                 edges_traversed += int(edge_dst.size)
                 next_frontier = app.process_level(
                     edge_src, edge_dst,
@@ -205,17 +205,24 @@ def run_levels(
                 queue.swap()
                 iterations += 1
                 graph = pricer.post_level(graph, app, queue, level, node_trace)
+                if metrics.enabled:  # only spans read the per-level times
+                    nodes = node_trace[mark:]
+                    it_span.set("iteration_seconds", trace_seconds(nodes))
+                    copies = [n.seconds for n in nodes if n.kind in (H2D, D2H)]
+                    if copies:
+                        it_span.set("transfer_seconds", sum(copies))
 
         result = RunResult(
             app_name=app.name,
             scheduler_name=pricer.name,
-            seconds=seconds,
+            seconds=trace_seconds(node_trace),
             iterations=iterations,
             edges_traversed=edges_traversed,
             result=app.result(),
             profiler=Profiler(),
             node_trace=node_trace,
         )
+        run_span.set("simulated_seconds", result.seconds)
         pricer.finish(graph, run_span, result)
         if sanitizer is not None:
             sanitizer.end_run()
@@ -247,9 +254,8 @@ class TraversalPipeline(LevelPricer):
         self.sanitizer = sanitizer
         if sanitizer is not None:
             # Hook the device so every submitted kernel batch is audited
-            # (timing is unaffected; the check never advances the clock).
+            # (timing is unaffected; the check appends no trace node).
             self.device.sanitizer = sanitizer
-        self._start_seconds = 0.0
         # total_perm maps original ids -> current ids across commits.
         self._total_perm: np.ndarray | None = None
         self._commits = 0
@@ -261,13 +267,12 @@ class TraversalPipeline(LevelPricer):
     def run(self, app: App, source: int | None = None) -> RunResult:
         """Execute ``app`` to convergence and return timing + results.
 
-        The device clock is read differentially, so one pipeline/device
-        pair can serve many runs while the profiler keeps accumulating.
+        One pipeline/device pair can serve many runs: each run's seconds
+        are its own trace's, while the device profiler keeps accumulating.
         """
         return run_levels(self, self.graph, app, source, self.max_iterations)
 
     def start(self, graph: CSRGraph, app: App) -> None:
-        self._start_seconds = self.device.elapsed_seconds
         self._total_perm = None
         self._commits = 0
         self.scheduler.set_metrics(self.metrics)
@@ -276,7 +281,7 @@ class TraversalPipeline(LevelPricer):
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
-    ) -> float:
+    ) -> None:
         device = self.device
         stats = self.scheduler.kernel_stats(
             level.frontier, level.degrees, level.edge_dst, graph, app
@@ -284,14 +289,9 @@ class TraversalPipeline(LevelPricer):
         timing = self._timed_kernel(
             device, stats, "kernel", kind="expand-filter",
         )
-        seconds = device.spec.cycles_to_seconds(timing.cycles)
-        trace.append(TraceNode(
-            KERNEL, seconds, occupancy=kernel_occupancy(timing),
-            iteration=level.index,
-        ))
+        trace.append(device.kernel_node(timing, level.index))
         level.span.set("active_edges", int(level.edge_dst.size))
         level.span.set("kernel_cycles", timing.cycles)
-        return seconds
 
     def post_level(
         self,
@@ -311,10 +311,7 @@ class TraversalPipeline(LevelPricer):
         update = self._timed_kernel(
             device, commit.update_stats, "kernel", kind="reorder-update",
         )
-        trace.append(TraceNode(
-            KERNEL, device.spec.cycles_to_seconds(update.cycles),
-            occupancy=kernel_occupancy(update), iteration=level.index,
-        ))
+        trace.append(device.kernel_node(update, level.index))
         level.span.set("reorder_cycles", update.cycles)
         graph = graph.permute(commit.perm)
         app.graph = graph
@@ -336,10 +333,8 @@ class TraversalPipeline(LevelPricer):
     ) -> None:
         device = self.device
         metrics = self.metrics
-        result.seconds = device.elapsed_seconds - self._start_seconds
         run_span.set("iterations", result.iterations)
         run_span.set("edges_traversed", result.edges_traversed)
-        run_span.set("simulated_seconds", result.seconds)
         metrics.count("pipeline.runs")
         metrics.count("pipeline.iterations", result.iterations)
         metrics.count("pipeline.edges_traversed", result.edges_traversed)

@@ -36,6 +36,7 @@ from repro.gpusim.streams import (
     TraceNode,
     dag_from_run,
     kernel_occupancy,
+    trace_seconds,
 )
 from repro.gpusim.trace import CacheTraceReport, replay_cache_trace
 
@@ -75,4 +76,5 @@ __all__ = [
     "sector_ids",
     "segmented_distinct_sectors",
     "tasks_from_decomposition",
+    "trace_seconds",
 ]

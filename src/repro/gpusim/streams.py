@@ -42,6 +42,8 @@ HOST = "host"
 
 _NODE_KINDS = frozenset({KERNEL, H2D, D2H, HOST})
 _COPY_KINDS = frozenset({H2D, D2H})
+#: a node's resource in a one-stream replay: the compute stream or a copy engine.
+_RESOURCE = {KERNEL: 0, HOST: 0, H2D: 1, D2H: 2}
 
 #: floor on a kernel's device share: even a one-warp launch holds the
 #: front end and a sliver of SM issue slots.
@@ -75,9 +77,9 @@ def kernel_occupancy(timing: KernelTiming) -> float:
 class TraceNode:
     """One replayable unit of device work recorded during a run.
 
-    Runners append these to ``RunResult.node_trace`` as they drive the
-    synchronous simulator; :func:`dag_from_run` later recompiles the
-    trace into an event DAG with identical total work.
+    Runners append these to ``RunResult.node_trace``, a run's only timing
+    artifact: :func:`trace_seconds` evaluates it into the run's seconds
+    and :func:`dag_from_run` recompiles it into an event DAG.
 
     Attributes:
         kind: one of :data:`KERNEL`, :data:`H2D`, :data:`D2H`,
@@ -87,9 +89,8 @@ class TraceNode:
             and host nodes occupy their own engine).
         iteration: the traversal iteration the node belongs to; nodes
             sharing an iteration form one barrier group.
-        overlap: ``True`` when the synchronous runner already overlapped
-            this node with its iteration's kernel (``max(k, t)``
-            semantics); ``False`` appends it to the iteration's serial
+        overlap: ``True`` runs the node beside its iteration's serial
+            chain (``max(k, t)`` semantics); ``False`` appends it to the
             chain (``k + t`` semantics).
     """
 
@@ -240,6 +241,31 @@ def dag_from_run(
         barriers.append(barrier)
         prev_barrier = barrier
     return dag
+
+
+def trace_seconds(trace: list[TraceNode]) -> float:
+    """A run's seconds: exactly what a lone one-stream :class:`StreamDevice`
+    replay of :func:`dag_from_run` computes, where each node starts once its
+    dependencies are done and its resource is free."""
+    group = None
+    barrier = chain = end = 0.0
+    free = [0.0, 0.0, 0.0]  # when each resource is next idle
+    for node in trace:
+        if node.iteration != group:
+            group = node.iteration
+            barrier = chain = end
+        resource = _RESOURCE[node.kind]
+        overlap = node.overlap
+        start = barrier if overlap else chain
+        if free[resource] > start:
+            start = free[resource]
+        finish = start + node.seconds
+        free[resource] = finish
+        if not overlap:
+            chain = finish
+        if finish > end:
+            end = finish
+    return end
 
 
 @dataclass(frozen=True)

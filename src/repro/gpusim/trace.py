@@ -54,11 +54,10 @@ class _CacheReplay(LevelPricer):
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
-    ) -> float:
+    ) -> None:
         sectors = (level.edge_dst // self.sector_width)[::self.stride]
         self.cache.access(sectors)
         self.accesses += int(sectors.size)
-        return 0.0
 
 
 def replay_cache_trace(

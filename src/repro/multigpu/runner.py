@@ -113,7 +113,7 @@ class MultiGpuRunner(LevelPricer):
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
-    ) -> float:
+    ) -> None:
         frontier = level.frontier
         node_bounds = np.searchsorted(
             self.assignment[frontier], np.arange(self.num_gpus + 1)
@@ -168,13 +168,11 @@ class MultiGpuRunner(LevelPricer):
         ))
         self._comm_seconds += exchange
         self._messages += remote_updates
-        return seconds
 
     def finish(
         self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
     ) -> None:
         metrics = self.metrics
-        run_span.set("simulated_seconds", result.seconds)
         run_span.set("comm_seconds", self._comm_seconds)
         metrics.count("multigpu.messages", self._messages)
         metrics.count("multigpu.comm_seconds", self._comm_seconds)

@@ -35,7 +35,7 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.gpusim.spec import GPUSpec, LinkSpec, PCIE3_X16
-from repro.gpusim.streams import H2D, HOST, KERNEL, TraceNode, kernel_occupancy
+from repro.gpusim.streams import H2D, HOST, TraceNode
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.obs.span import NullSpan, Span
 from repro.outofcore.layout import GraphLayout, layout_for
@@ -56,7 +56,8 @@ SAGE_REQUEST_PIPELINE = 8.0
 
 class _OutOfCoreBase(LevelPricer):
     """Out-of-core pricing: a level is one kernel plus the link traffic
-    its adjacency needs; :meth:`_level` says how the two combine."""
+    its adjacency needs; :meth:`_level` says how the two combine in the
+    trace."""
 
     name = "ooc"
 
@@ -114,7 +115,7 @@ class _OutOfCoreBase(LevelPricer):
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
-    ) -> float:
+    ) -> None:
         device = self._device
         stats = self.scheduler.kernel_stats(
             level.frontier, level.degrees, level.edge_dst, graph, app
@@ -124,27 +125,14 @@ class _OutOfCoreBase(LevelPricer):
         )
         # Group keys are spaced by 2 to leave room for a serial tail
         # group (Subway's extraction scan).
-        kernel = TraceNode(
-            KERNEL, device.spec.cycles_to_seconds(timing.cycles),
-            occupancy=kernel_occupancy(timing), iteration=2 * level.index,
-        )
-        bytes_before = self.bytes_transferred
-        transfer_before = self.transfer_seconds_total
-        seconds = self._level(kernel, level, trace)
-        span = level.span
-        span.set("kernel_seconds", kernel.seconds)
-        span.set("iteration_seconds", seconds)
-        span.set("transfer_bytes", self.bytes_transferred - bytes_before)
-        span.set(
-            "transfer_seconds", self.transfer_seconds_total - transfer_before
-        )
-        return seconds
+        kernel = device.kernel_node(timing, 2 * level.index)
+        level.span.set("kernel_seconds", kernel.seconds)
+        self._level(kernel, level, trace)
 
     def finish(
         self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
     ) -> None:
         metrics = self.metrics
-        run_span.set("simulated_seconds", result.seconds)
         run_span.set("transfer_seconds", self.transfer_seconds_total)
         metrics.count("ooc.bytes_transferred", self.bytes_transferred)
         metrics.count("ooc.requests", self.requests_issued)
@@ -156,31 +144,23 @@ class _OutOfCoreBase(LevelPricer):
         result.extras["requests"] = float(self.requests_issued)
 
     def _fetch(
-        self, payload: int, requests: int, link_requests: int
-    ) -> tuple[float, float]:
-        """Move ``payload`` bytes over the link as ``link_requests``
-        requests (``requests`` are counted).
-
-        Returns the transfer's seconds and how far they advanced the
-        run's transfer total: the level's seconds use the former, its
-        trace the latter (the two can differ in the last bit).
-        """
+        self, level: Level, payload: int, requests: int, link_requests: int
+    ) -> float:
+        """Move ``payload`` bytes of ``level``'s adjacency over the link
+        as ``link_requests`` requests (``requests`` are counted); returns
+        the transfer's seconds."""
         transfer = self.link.transfer_seconds(payload, requests=link_requests)
-        before = self.transfer_seconds_total
         self.transfer_seconds_total += transfer
         self.bytes_transferred += payload
         self.requests_issued += requests
-        return transfer, self.transfer_seconds_total - before
+        level.span.set("transfer_bytes", payload)
+        return transfer
 
     def _level(
         self, kernel: TraceNode, level: Level, trace: list[TraceNode]
-    ) -> float:
-        """Fetch the level's adjacency, append the level's replayable
-        nodes (``kernel`` among them) to ``trace`` and return its seconds.
-
-        The nodes mirror the seconds' shape, so a lone DAG replay
-        reproduces the synchronous timeline exactly.
-        """
+    ) -> None:
+        """Fetch the level's adjacency and append the level's nodes
+        (``kernel`` among them) to ``trace``."""
         raise NotImplementedError
 
 
@@ -204,31 +184,26 @@ class SubwayRunner(_OutOfCoreBase):
 
     def _level(
         self, kernel: TraceNode, level: Level, trace: list[TraceNode]
-    ) -> float:
+    ) -> None:
         assert self._layout is not None
         # The active subgraph: frontier adjacency lists (4 B targets)
         # plus a compacted offsets array (8 B per frontier node),
         # shipped as one large batched transfer.
         payload = level.edge_dst.size * 4 + level.frontier.size * 8
-        transfer, moved = self._fetch(payload, requests=1, link_requests=1)
+        transfer = self._fetch(level, payload, requests=1, link_requests=1)
         # Subgraph generation compacts the active edges out of the full
         # host edge list every round.
         layout = self._layout
         total_edges = int(layout.targets_sectors * layout.sector_width)
         extract = total_edges * SUBWAY_SCAN_NS_PER_EDGE * 1e-9
-        # Asynchronous preloading overlaps the transfer with compute.
-        seconds = max(kernel.seconds, transfer) + extract
-        # max(kernel, transfer) as one barrier group, then the host-side
-        # extraction scan as a serial tail group of its own.
+        # Asynchronous preloading overlaps the transfer with compute
+        # (one barrier group); the host-side extraction scan follows as
+        # a serial tail group of its own.
         trace.append(kernel)
         trace.append(TraceNode(
-            H2D, moved, iteration=kernel.iteration, overlap=True,
+            H2D, transfer, iteration=kernel.iteration, overlap=True,
         ))
-        trace.append(TraceNode(
-            HOST, max(0.0, seconds - max(kernel.seconds, moved)),
-            iteration=kernel.iteration + 1,
-        ))
-        return seconds
+        trace.append(TraceNode(HOST, extract, iteration=kernel.iteration + 1))
 
 
 class SageOutOfCoreRunner(_OutOfCoreBase):
@@ -266,7 +241,7 @@ class SageOutOfCoreRunner(_OutOfCoreBase):
 
     def _level(
         self, kernel: TraceNode, level: Level, trace: list[TraceNode]
-    ) -> float:
+    ) -> None:
         assert self._pool is not None and self._layout is not None
         layout = self._layout
         needed = layout.target_sectors_of(level.edge_pos)
@@ -280,15 +255,14 @@ class SageOutOfCoreRunner(_OutOfCoreBase):
         effective_requests = max(
             1, int(round(requests / SAGE_REQUEST_PIPELINE))
         ) if requests else 0
-        transfer, moved = self._fetch(payload, requests, effective_requests)
+        transfer = self._fetch(level, payload, requests, effective_requests)
         # ...and overlaps fetches with compute on already-resident tiles:
         # kernel and fetch share the iteration barrier, whose makespan is
         # max(kernel, transfer).
         trace.append(kernel)
         trace.append(TraceNode(
-            H2D, moved, iteration=kernel.iteration, overlap=True,
+            H2D, transfer, iteration=kernel.iteration, overlap=True,
         ))
-        return max(kernel.seconds, transfer)
 
 
 class OnDemandUMRunner(SageOutOfCoreRunner):
@@ -319,7 +293,7 @@ class OnDemandUMRunner(SageOutOfCoreRunner):
 
     def _level(
         self, kernel: TraceNode, level: Level, trace: list[TraceNode]
-    ) -> float:
+    ) -> None:
         assert self._pool is not None and self._layout is not None
         layout = self._layout
         sectors_per_page = UM_PAGE_BYTES // layout.sector_bytes
@@ -327,9 +301,8 @@ class OnDemandUMRunner(SageOutOfCoreRunner):
         missing_pages = self._pool.access(needed)
         payload = missing_pages.size * UM_PAGE_BYTES
         requests = int(missing_pages.size)  # a fault per page, unmerged
-        transfer, moved = self._fetch(payload, requests, requests)
+        transfer = self._fetch(level, payload, requests, requests)
         # Page faults stall the kernel, so the transfer extends the
         # serial chain instead of overlapping it.
         trace.append(kernel)
-        trace.append(TraceNode(H2D, moved, iteration=kernel.iteration))
-        return kernel.seconds + transfer
+        trace.append(TraceNode(H2D, transfer, iteration=kernel.iteration))

@@ -169,16 +169,6 @@ class TestPlacement:
 
 
 class TestDevice:
-    def test_clock_accumulates(self):
-        device = Device()
-        t1 = device.run_kernel(stats())
-        assert device.elapsed_seconds > 0
-        before = device.elapsed_seconds
-        device.run_kernel(stats())
-        assert device.elapsed_seconds == pytest.approx(
-            before + device.spec.cycles_to_seconds(t1.cycles)
-        )
-
     def test_profiler_records(self):
         device = Device()
         device.run_kernel(stats())

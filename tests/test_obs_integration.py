@@ -26,6 +26,8 @@ from repro.obs import (
 )
 from repro.outofcore.runners import SageOutOfCoreRunner
 from tests.conftest import BENCH_DIR
+from tests.test_runner_golden import RUNNERS
+from tests.test_runner_golden import _graph as golden_graph
 
 
 class TestPipelineInstrumentation:
@@ -117,6 +119,32 @@ class TestOutOfCoreInstrumentation:
             if span.name == "iteration"
         )
         assert per_iter == result.extras["bytes_transferred"]
+
+
+class TestLevelTiming:
+    """The loop reads every span's simulated time off the node trace."""
+
+    # LigraRunner takes no registry, so it records no spans.
+    @pytest.mark.parametrize("runner", sorted(set(RUNNERS) - {"ligra"}))
+    def test_spans_carry_the_trace_times(self, runner):
+        metrics = MetricsRegistry()
+        result = RUNNERS[runner](golden_graph(), "bfs", metrics)
+        run_span = metrics.roots[-1]
+        assert run_span.values["simulated_seconds"] == result.seconds
+        levels = [
+            span for _, span in run_span.walk() if span.name == "iteration"
+        ]
+        assert len(levels) == result.iterations
+        assert sum(
+            span.values["iteration_seconds"] for span in levels
+        ) == pytest.approx(result.seconds)
+        transfers = [span.values.get("transfer_seconds") for span in levels]
+        if "transfer_seconds" in result.extras:
+            assert sum(transfers) == pytest.approx(
+                result.extras["transfer_seconds"]
+            )
+        else:
+            assert transfers == [None] * len(levels)
 
 
 class TestMultiGpuRegistryMerge:

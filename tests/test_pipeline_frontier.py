@@ -9,6 +9,7 @@ from repro.core import SageScheduler, TraversalPipeline, run_app
 from repro.core.frontier import FrontierQueue
 from repro.errors import ConvergenceError
 from repro.graph import generators as gen
+from repro.gpusim.streams import trace_seconds
 
 
 class TestFrontierQueue:
@@ -54,11 +55,22 @@ class TestRunResult:
 class TestPipeline:
     def test_shared_device_accumulates(self, skewed_graph):
         pipeline = TraversalPipeline(skewed_graph, SageScheduler())
+        profiler = pipeline.device.profiler
         r1 = pipeline.run(BFSApp(), source=0)
+        cycles_after_first = profiler.total_cycles
         r2 = pipeline.run(BFSApp(), source=1)
-        # differential timing: each run reports only its own time
-        assert pipeline.device.elapsed_seconds == pytest.approx(
-            r1.seconds + r2.seconds
+        fresh = TraversalPipeline(skewed_graph, SageScheduler()).run(
+            BFSApp(), source=1
+        )
+        # each run reports exactly its own trace...
+        assert r2.node_trace == fresh.node_trace
+        assert r2.seconds == fresh.seconds
+        assert r1.seconds == trace_seconds(r1.node_trace)
+        # ...while the shared device's profiler keeps accumulating
+        assert r2.profiler is r1.profiler is profiler
+        assert profiler.kernels == len(r1.node_trace) + len(r2.node_trace)
+        assert profiler.total_cycles == pytest.approx(
+            cycles_after_first + fresh.profiler.total_cycles
         )
 
     def test_iteration_guard(self):

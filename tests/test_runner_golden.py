@@ -80,7 +80,7 @@ RUNNERS = {
     "sage-sr": _in_core(
         lambda: SageScheduler(sampling_reorder=True, reorder_threshold_edges=256)
     ),
-    # The device clock of a reused pipeline is read differentially.
+    # Each run of a reused pipeline reports its own trace's seconds.
     "sage-sr-reused": _in_core(
         lambda: SageScheduler(sampling_reorder=True, reorder_threshold_edges=256),
         repeat=2,
@@ -224,7 +224,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'metrics': '936f7cdc04d3f6d1',
     },
     ('sage-sr-reused', 'bfs'): {
-        'seconds': '0x1.a9982c8ec8404p-18',
+        'seconds': '0x1.a9982c8ec8405p-18',
         'iterations': 4,
         'edges': 1435,
         'commits': 2,
@@ -235,7 +235,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'metrics': '25cff2f827879a86',
     },
     ('sage-sr-reused', 'sssp'): {
-        'seconds': '0x1.42b6f767c3da1p-17',
+        'seconds': '0x1.42b6f767c3da2p-17',
         'iterations': 6,
         'edges': 2109,
         'commits': 3,
@@ -246,7 +246,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'metrics': 'b53842a1a36c4a2f',
     },
     ('sage-sr-reused', 'pr'): {
-        'seconds': '0x1.afad3d9953573p-16',
+        'seconds': '0x1.afad3d9953567p-16',
         'iterations': 12,
         'edges': 17760,
         'commits': 12,
@@ -257,36 +257,36 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'metrics': '9cde3c90cef92ca9',
     },
     ('subway', 'bfs'): {
-        'seconds': '0x1.942b319df3b25p-16',
+        'seconds': '0x1.942b319df3b26p-16',
         'iterations': 4,
         'edges': 1435,
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '3b671ac2b70ba543',
         'profiler': '56ed9db0d6908a1d',
-        'trace': 'f0744aba0e402b7c',
+        'trace': 'dc9921d5b85238f7',
         'metrics': 'e68ed1d7fdf65452',
     },
     ('subway', 'sssp'): {
-        'seconds': '0x1.94325a22e9c28p-16',
+        'seconds': '0x1.94325a22e9c29p-16',
         'iterations': 4,
         'edges': 1436,
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': 'de9453d374a2f103',
         'profiler': '651fcc953baad977',
-        'trace': '0e69280a35e6d455',
+        'trace': '8300a5724241fe09',
         'metrics': 'b468a0af42b9829d',
     },
     ('subway', 'pr'): {
-        'seconds': '0x1.48f7b7ff57b0ep-14',
+        'seconds': '0x1.48f7b7ff57b0dp-14',
         'iterations': 12,
         'edges': 17760,
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': 'ed8e9d858237a133',
         'profiler': 'f8c80afa241aee40',
-        'trace': 'd080836deba500df',
+        'trace': '5393908c681af969',
         'metrics': 'b3038ffbac51eadd',
     },
     ('sage-ooc', 'bfs'): {
@@ -297,7 +297,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '17d9060a4b103c92',
         'extras': 'b704980ec8d8260a',
         'profiler': '6d380fa579434b2d',
-        'trace': '185f88e05ff980f9',
+        'trace': 'fd7daf23e6fb39df',
         'metrics': '174e67b7eef09338',
     },
     ('sage-ooc', 'sssp'): {
@@ -308,7 +308,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '7ac59d4d224f4518',
         'extras': 'b704980ec8d8260a',
         'profiler': '8b24b6832c9a7098',
-        'trace': 'f5ad5b6d153e5637',
+        'trace': '31d4bbcfb681a646',
         'metrics': '935cd5dfd12665ec',
     },
     ('sage-ooc', 'pr'): {
@@ -319,7 +319,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '74742ccf0a1be0f5',
         'extras': '2ed66dbd20a01a93',
         'profiler': '9244adc9380f6a3f',
-        'trace': 'd21c64f3e387831c',
+        'trace': 'ae5b433390fd3d75',
         'metrics': '97941f888d4d8796',
     },
     ('sage-ooc-sr', 'bfs'): {
@@ -330,7 +330,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '17d9060a4b103c92',
         'extras': 'b704980ec8d8260a',
         'profiler': '429e510039459f49',
-        'trace': '4bacac994b4c8b2b',
+        'trace': '741f4648d9b79bb3',
         'metrics': '09f34894f7632055',
     },
     ('sage-ooc-sr', 'sssp'): {
@@ -341,7 +341,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '7ac59d4d224f4518',
         'extras': 'b704980ec8d8260a',
         'profiler': '169c3262dcb01b4f',
-        'trace': '311d69fa49f2db78',
+        'trace': '6bedfc01b31ee720',
         'metrics': '86442aa357a11403',
     },
     ('sage-ooc-sr', 'pr'): {
@@ -352,7 +352,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '74742ccf0a1be0f5',
         'extras': '2ed66dbd20a01a93',
         'profiler': '70cb4cc09302e988',
-        'trace': '17eed324551074af',
+        'trace': '5c9be286f68d4a44',
         'metrics': '1f12ecc680a8b8b6',
     },
     ('um', 'bfs'): {
@@ -363,7 +363,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '17d9060a4b103c92',
         'extras': 'dcdf2ad251dadf49',
         'profiler': '56ed9db0d6908a1d',
-        'trace': '23bdee07ceffd59e',
+        'trace': 'f2e42dd961740bb4',
         'metrics': '6985c2568d3d6253',
     },
     ('um', 'sssp'): {
@@ -374,18 +374,18 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '7ac59d4d224f4518',
         'extras': 'dcdf2ad251dadf49',
         'profiler': '651fcc953baad977',
-        'trace': 'ea63196ddaf35716',
+        'trace': 'c843989ab72c3f35',
         'metrics': 'dcec21d5ded96e50',
     },
     ('um', 'pr'): {
-        'seconds': '0x1.696a8ec039a94p-14',
+        'seconds': '0x1.696a8ec039a95p-14',
         'iterations': 12,
         'edges': 17760,
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': '90d2a925767ee25a',
         'profiler': 'f8c80afa241aee40',
-        'trace': 'b266888f62e71bb1',
+        'trace': '112c0a927a6d9230',
         'metrics': '5ae1809f5afbc715',
     },
     ('multi-1', 'bfs'): {
@@ -528,7 +528,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '17d9060a4b103c92',
         'extras': '4f53cda18c2baa0c',
         'profiler': '2e986dd0263ebf4b',
-        'trace': '4f53cda18c2baa0c',
+        'trace': '346a974d8fdd3476',
         'metrics': '1391876e63685b7d',
     },
     ('ligra', 'sssp'): {
@@ -539,7 +539,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '7ac59d4d224f4518',
         'extras': '4f53cda18c2baa0c',
         'profiler': '2e986dd0263ebf4b',
-        'trace': '4f53cda18c2baa0c',
+        'trace': 'ea87db53b014f778',
         'metrics': '1391876e63685b7d',
     },
     ('ligra', 'pr'): {
@@ -550,7 +550,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'result': '74742ccf0a1be0f5',
         'extras': '4f53cda18c2baa0c',
         'profiler': '2e986dd0263ebf4b',
-        'trace': '4f53cda18c2baa0c',
+        'trace': 'adab14b2dd844d21',
         'metrics': '1391876e63685b7d',
     },
 }

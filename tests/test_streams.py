@@ -4,10 +4,10 @@ Pins the three contracts the pipelined executor builds on:
 
 * :class:`repro.gpusim.streams.BatchDag` only expresses schedulable
   (topologically ordered, validated) DAGs;
-* a lone DAG replayed through :class:`StreamDevice` reproduces the
-  synchronous runner's timeline **bit-exactly** for every runner that
-  emits a ``node_trace`` (in-core pipeline, multi-GPU, Subway, Sage
-  out-of-core, on-demand UM);
+* a run's seconds are its ``node_trace``: the serial evaluator
+  :func:`trace_seconds` computes **bit-exactly** what a lone one-stream
+  :class:`StreamDevice` replay does, and every runner's
+  ``RunResult.seconds`` is that value;
 * concurrency never cheats: capacity is conserved (busy time is bounded
   by total work below and the critical path above), and prefetch may
   only ever shorten a timeline.
@@ -20,6 +20,7 @@ import pytest
 
 from repro.apps import BFSApp, SSSPApp
 from repro.core import SageScheduler, TraversalPipeline
+from repro.core.hybrid import direction_optimized_bfs
 from repro.errors import InvalidParameterError
 from repro.gpusim.cost import KernelTiming
 from repro.gpusim.streams import (
@@ -33,15 +34,15 @@ from repro.gpusim.streams import (
     TraceNode,
     dag_from_run,
     kernel_occupancy,
+    trace_seconds,
 )
 from repro.graph import generators
-from repro.multigpu.partition import chunk_partition
-from repro.multigpu.runner import MultiGpuRunner
-from repro.outofcore.runners import (
-    OnDemandUMRunner,
-    SageOutOfCoreRunner,
-    SubwayRunner,
-)
+from repro.obs import MetricsRegistry
+from repro.outofcore.runners import SubwayRunner
+from tests.test_runner_golden import APPS, RUNNERS
+from tests.test_runner_golden import _graph as golden_graph
+
+GOLDEN_CASES = [(runner, app) for runner in RUNNERS for app in APPS]
 
 pytestmark = pytest.mark.pipeline
 
@@ -193,46 +194,49 @@ def replay_seconds(result, **kwargs):
 
 
 class TestReplayEquality:
-    """A lone replay must reproduce the synchronous timeline bit-exactly
-    — the property that makes pipelined device time comparable to the
+    """A run's seconds are its trace: a lone one-stream replay, the
+    serial evaluator and ``RunResult.seconds`` agree bit-exactly — the
+    property that makes pipelined device time comparable to the
     batch-at-a-time executor's at all."""
 
-    def test_in_core_pipeline(self, graph):
-        pipeline = TraversalPipeline(graph, SageScheduler())
-        result = pipeline.run(SSSPApp(), source=0)
+    @pytest.mark.parametrize("runner,app", GOLDEN_CASES)
+    def test_every_runner(self, runner, app):
+        result = RUNNERS[runner](golden_graph(), app, MetricsRegistry())
         assert result.node_trace
-        assert replay_seconds(result) == result.seconds
+        assert (replay_seconds(result) == trace_seconds(result.node_trace)
+                == result.seconds)
 
-    def test_multigpu_single_device(self, graph):
-        assignment = np.zeros(graph.num_nodes, dtype=np.int64)
-        runner = MultiGpuRunner(SageScheduler, assignment, num_gpus=1)
-        result = runner.run(graph, BFSApp(), 0)
+    def test_direction_optimized_bfs(self, graph):
+        result, _ = direction_optimized_bfs(graph, SageScheduler, 0)
         assert result.node_trace
-        assert replay_seconds(result) == result.seconds
+        assert (replay_seconds(result) == trace_seconds(result.node_trace)
+                == result.seconds)
 
-    @pytest.mark.parametrize("async_mode", [False, True])
-    def test_multigpu_two_devices(self, graph, async_mode):
-        assignment = chunk_partition(graph.num_nodes, 2)
-        runner = MultiGpuRunner(
-            SageScheduler, assignment, num_gpus=2, async_mode=async_mode
-        )
-        result = runner.run(graph, BFSApp(), 0)
-        assert result.node_trace
-        assert replay_seconds(result) == result.seconds
+    @pytest.mark.parametrize("seed", range(40))
+    def test_evaluator_matches_stream_device(self, seed):
+        rng = np.random.default_rng(seed)
+        kinds = (KERNEL, KERNEL, H2D, D2H, HOST)
+        trace, iteration = [], 0
+        for _ in range(int(rng.integers(1, 30))):
+            # keys mostly advance, sometimes repeat or restart (as the
+            # concatenated sweeps of an SCC run do)
+            iteration = int(rng.choice([iteration, iteration + 1, 0]))
+            trace.append(TraceNode(
+                kinds[int(rng.integers(len(kinds)))],
+                float(rng.choice([0.0, rng.random() * 1e-5])),
+                occupancy=float(rng.uniform(MIN_OCCUPANCY, 1.0)),
+                iteration=iteration,
+                overlap=bool(rng.integers(2)),
+            ))
+        assert trace_seconds(trace) == replay_seconds(_FakeRun(trace))
 
-    @pytest.mark.parametrize("runner_cls", [
-        SubwayRunner, SageOutOfCoreRunner, OnDemandUMRunner,
-    ])
-    def test_out_of_core_runners(self, graph, runner_cls):
-        runner = runner_cls(device_fraction=0.25)
-        result = runner.run(graph, BFSApp(), 0)
-        assert result.node_trace
-        assert replay_seconds(result) == result.seconds
+    def test_empty_trace_takes_no_time(self):
+        assert trace_seconds([]) == replay_seconds(_FakeRun([])) == 0.0
 
     def test_prefetch_only_shortens(self, graph):
         runner = SubwayRunner(device_fraction=0.25)
         result = runner.run(graph, BFSApp(), 0)
-        base = replay_seconds(result)
+        base = trace_seconds(result.node_trace)
         for depth in (1, 2, 4):
             assert replay_seconds(result, prefetch_depth=depth) <= base
 
