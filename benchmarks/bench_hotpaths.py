@@ -4,9 +4,11 @@
 Times each rewritten accounting kernel against its retained reference
 implementation (the pre-optimization formulation kept for the
 equivalence property tests), on inputs shaped like the scale-up tier's
-workloads.  Wall times here are informational — the correctness story is
-``tests/test_hotpath_equivalence.py``, which asserts the rewrites are
-bit-for-bit identical to the references.
+workloads.  The sampler row has no rewrite and so no reference: it
+times the observation cost every reorder round pays before
+``compute_round``.  Wall times here are informational — the correctness
+story is ``tests/test_hotpath_equivalence.py``, which asserts the
+rewrites are bit-for-bit identical to the references.
 
 Usage::
 
@@ -22,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro.core.reorder import SamplingReorderer
+from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
 from repro.gpusim.memory import (
@@ -31,6 +33,7 @@ from repro.gpusim.memory import (
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
 )
+from repro.graph.coo import COOGraph
 
 SECTOR_WIDTH = 8
 
@@ -131,12 +134,34 @@ def bench_reorder(rng, repeats: int, n_edges: int) -> None:
     edge_dst = rng.integers(0, num_nodes, size=n_edges)
     starts = np.arange(0, n_edges, 64, dtype=np.int64)
 
-    def run():
+    def run_new():
         reorderer = SamplingReorderer(num_nodes, threshold_edges=1, seed=3)
         reorderer.observe(edge_dst, starts)
         reorderer.compute_round()
 
-    _row("reorder compute_round", n_edges, _best_of(run, repeats), None)
+    def run_ref():
+        reorderer = SamplingReorderer(num_nodes, threshold_edges=1, seed=3)
+        reorderer.observe(edge_dst, starts)
+        u, co = reorderer.sampler.pairs()
+        stages = locality_stages_reference(u, co, num_nodes, SECTOR_WIDTH)
+        commit_moves(*stages, num_nodes, SECTOR_WIDTH, reorderer.min_gain)
+
+    _row("reorder compute_round", n_edges, _best_of(run_new, repeats), _best_of(run_ref, repeats))
+
+
+def bench_coo_sort(rng, repeats: int, n_edges: int) -> None:
+    num_nodes = max(2, n_edges // 8)
+    coo = COOGraph(
+        num_nodes,
+        rng.integers(0, num_nodes, size=n_edges),
+        rng.integers(0, num_nodes, size=n_edges),
+    )
+
+    def run_ref():
+        order = np.lexsort((coo.dst, coo.src))
+        COOGraph(num_nodes, coo.src[order], coo.dst[order])
+
+    _row("COOGraph.sorted", n_edges, _best_of(coo.sorted, repeats), _best_of(run_ref, repeats))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_tiling(rng, repeats, 62_500 * scale)
     bench_sampling(rng, repeats, 125_000 * scale)
     bench_reorder(rng, repeats, 125_000 * scale)
+    bench_coo_sort(rng, repeats, 125_000 * scale)
     return 0
 
 

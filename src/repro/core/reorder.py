@@ -15,9 +15,11 @@ distancing), so SAGE iterates a lightweight three-stage heuristic round:
   makes placements chase each other and stalls convergence; requiring a
   clear win lets the arrangement settle).
 
-The expected-index array (moved nodes at their candidates, others at
-their current ids) is stably sorted to a dense permutation and applied to
-the CSR — the step the paper performs with bb_segsort on the GPU.
+All three stages count from one sorted ``u * n + co`` key over the
+sampled pairs (:func:`locality_stages`).  The expected-index array
+(moved nodes at their candidates, others at their current ids) is
+stably sorted to a dense permutation and applied to the CSR — the step
+the paper performs with bb_segsort on the GPU.
 
 One *round* completes when the sampler has observed ``threshold`` edges
 (the paper uses ``|E|``).
@@ -33,6 +35,7 @@ from repro.core.sampling import TileAccessSampler
 from repro.errors import InvalidParameterError
 from repro.gpusim.cost import KernelStats, even_placement
 from repro.gpusim.spec import GPUSpec
+from repro.graph.coo import MAX_PAIR_KEY_NODES
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 
@@ -50,11 +53,147 @@ class RoundOutcome:
         return self.moved_nodes == 0
 
 
+Stages = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def locality_stages(
+    u: np.ndarray, co: np.ndarray, num_nodes: int, sector_width: int
+) -> Stages:
+    """Stages 1-3 over one sorted pair key.
+
+    Returns ``(nodes, old_locality, candidate_lo, new_locality)``: the
+    sorted distinct sampled nodes, each one's sampled co-members in its
+    current sector, the first id of the sector Stage 2 found, and its
+    co-members there.  ``key = u * n + co`` is sorted once, so each node
+    owns one run of ascending co-member ids and every count is a range
+    count — the difference of two positions in ``key`` — found by binary
+    search.  O(P log P) for the sort plus O(m log P) per search level,
+    for P pairs over m distinct nodes.  Needs ``n * n < 2**63``
+    (:data:`~repro.graph.coo.MAX_PAIR_KEY_NODES`).
+    """
+    n = num_nodes
+    w = sector_width
+    key = np.sort(u * n + co)
+    owner = key // n
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    run_start = np.flatnonzero(first)
+    nodes = owner[run_start]
+    base = nodes * n
+
+    def in_sector(lo: np.ndarray) -> np.ndarray:
+        # The upper bound is clipped to n: a sector past n would
+        # otherwise count the next owner's pairs.
+        hi = np.minimum(lo + w, n)
+        return np.searchsorted(key, base + hi) - np.searchsorted(key, base + lo)
+
+    # Stage 1: locality of the current index, from the same samples
+    # Stage 3 will use (apples-to-apples comparison).
+    old_locality = in_sector((nodes // w) * w)
+
+    # Stage 2: per-node binary search toward the majority half.  Each
+    # node's range [lo, hi) keeps its run positions [p_lo, p_hi), so a
+    # level needs one search, at the midpoint.
+    lo = np.zeros(nodes.size, dtype=np.int64)
+    hi = np.full(nodes.size, n, dtype=np.int64)
+    p_lo = run_start
+    p_hi = np.searchsorted(key, base + n)
+    while True:
+        open_range = hi - lo > w
+        if not open_range.any():
+            break
+        mid = (lo + hi) // 2
+        p_mid = np.searchsorted(key, base + mid)
+        # Ties keep the left half.
+        go_right = open_range & (p_hi - p_mid > p_mid - p_lo)
+        go_left = open_range & ~go_right
+        lo = np.where(go_right, mid, lo)
+        p_lo = np.where(go_right, p_mid, p_lo)
+        hi = np.where(go_left, mid, hi)
+        p_hi = np.where(go_left, p_mid, p_hi)
+    candidate_lo = (lo // w) * w
+
+    # Stage 3: locality at the candidate sector, same samples.
+    new_locality = in_sector(candidate_lo)
+    return nodes, old_locality, candidate_lo, new_locality
+
+
+def locality_stages_reference(
+    u: np.ndarray, co: np.ndarray, num_nodes: int, sector_width: int
+) -> Stages:
+    """Pre-optimization formulation of :func:`locality_stages`, kept as
+    the reference for the equivalence property tests.
+
+    Compacts pair owners with ``np.unique`` and ``searchsorted``, then
+    counts with masks and ``bincount`` over every pair — twice per
+    Stage-2 level.
+    """
+    n = num_nodes
+    w = sector_width
+    nodes = np.unique(u)
+    u_c = np.searchsorted(nodes, u)
+    m = nodes.size
+
+    current_sector_lo = (u // w) * w
+    in_current = (co >= current_sector_lo) & (co < current_sector_lo + w)
+    old_locality = np.bincount(u_c[in_current], minlength=m)
+
+    lo = np.zeros(m, dtype=np.int64)
+    hi = np.full(m, n, dtype=np.int64)
+    while True:
+        open_range = hi - lo > w
+        if not open_range.any():
+            break
+        mid = (lo + hi) // 2
+        pair_mid = mid[u_c]
+        in_left = (co >= lo[u_c]) & (co < pair_mid)
+        in_right = (co >= pair_mid) & (co < hi[u_c])
+        left = np.bincount(u_c[in_left], minlength=m)
+        right = np.bincount(u_c[in_right], minlength=m)
+        go_right = open_range & (right > left)
+        go_left = open_range & ~go_right
+        lo[go_right] = mid[go_right]
+        hi[go_left] = mid[go_left]
+    candidate_lo = (lo // w) * w
+
+    cand_lo_per_pair = candidate_lo[u_c]
+    in_cand = (co >= cand_lo_per_pair) & (co < cand_lo_per_pair + w)
+    new_locality = np.bincount(u_c[in_cand], minlength=m)
+    return nodes, old_locality, candidate_lo, new_locality
+
+
+def commit_moves(
+    nodes: np.ndarray,
+    old_locality: np.ndarray,
+    candidate_lo: np.ndarray,
+    new_locality: np.ndarray,
+    num_nodes: int,
+    sector_width: int,
+    min_gain: int,
+) -> np.ndarray:
+    """The commit rule: the round's permutation (``new_id = perm[old_id]``).
+
+    Moves only nodes whose locality improves by more than ``min_gain``
+    (damping, see module docstring).
+    """
+    w = sector_width
+    ids = np.arange(num_nodes, dtype=np.int64)
+    improves = new_locality > old_locality + min_gain
+    expected = ids.astype(np.float64)
+    # Candidate index: middle of the target sector; the stable sort
+    # below resolves collisions between movers and incumbents.
+    expected[nodes[improves]] = candidate_lo[improves] + (w - 1) / 2.0
+    order = np.argsort(expected, kind="stable")
+    perm = np.empty(num_nodes, dtype=np.int64)
+    perm[order] = ids
+    return perm
+
+
 class SamplingReorderer:
     """Drives rounds of Sampling-based Reordering.
 
     Feed tile accesses via :meth:`observe`; when :attr:`ready`, call
-    :meth:`compute_round` to run Stages 2-3 and obtain the permutation
+    :meth:`compute_round` to run Stages 1-3 and obtain the permutation
     for this round.  The caller (the SAGE engine or a benchmark harness)
     applies the permutation to the graph and application state.
     """
@@ -73,6 +212,11 @@ class SamplingReorderer:
     ) -> None:
         if num_nodes < 1:
             raise InvalidParameterError("num_nodes must be >= 1")
+        if num_nodes > MAX_PAIR_KEY_NODES:
+            raise InvalidParameterError(
+                f"num_nodes must be <= {MAX_PAIR_KEY_NODES}: the "
+                "u * num_nodes + co pair key would overflow int64"
+            )
         if min_gain < 0:
             raise InvalidParameterError("min_gain must be >= 0")
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -124,79 +268,14 @@ class SamplingReorderer:
                 np.arange(n, dtype=np.int64), 0, sampled_tiles, 0
             )
 
-        # All three stages count per sampled node only, so they run over
-        # compacted ids: ``nodes`` (the sorted distinct sampled nodes)
-        # indexes every bincount of length ``nodes.size`` instead of
-        # scatter-adds into |V|-sized arrays.
-        nodes = np.unique(u)
-        u_c = np.searchsorted(nodes, u)
-        m = nodes.size
-
-        # Stage 1: locality of the current index, from the same samples
-        # Stage 3 will use (apples-to-apples comparison).
-        current_sector_lo = (u // w) * w
-        in_current = (co >= current_sector_lo) & (co < current_sector_lo + w)
-        old_locality = np.bincount(u_c[in_current], minlength=m)
-
-        # Stage 2: per-node binary search toward the majority half.
-        candidate_lo = self._binary_search_sectors(u_c, co, m)
-
-        # Stage 3: locality at the candidate sector, same samples.
-        cand_lo_per_pair = candidate_lo[u_c]
-        in_cand = (co >= cand_lo_per_pair) & (co < cand_lo_per_pair + w)
-        new_locality = np.bincount(u_c[in_cand], minlength=m)
-
-        # Commit rule: move only nodes whose locality improves by a
-        # clear margin (damping, see module docstring).
-        ids = np.arange(n, dtype=np.int64)
-        improves = new_locality > old_locality + self.min_gain
-        expected = ids.astype(np.float64)
-        # Candidate index: middle of the target sector; the stable sort
-        # below resolves collisions between movers and incumbents.
-        expected[nodes[improves]] = candidate_lo[improves] + (w - 1) / 2.0
-        order = np.argsort(expected, kind="stable")
-        perm = np.empty(n, dtype=np.int64)
-        perm[order] = ids
-
-        moved = int(np.count_nonzero(perm != ids))
+        perm = commit_moves(*locality_stages(u, co, n, w), n, w, self.min_gain)
+        moved = int(np.count_nonzero(perm != np.arange(n)))
         pairs = int(u.size)
         self._finish_round()
         self.metrics.count("reorder.moved_nodes", moved)
         self.metrics.count("reorder.sampled_pairs", pairs)
         self.metrics.count("reorder.sampled_tiles", sampled_tiles)
         return RoundOutcome(perm, moved, sampled_tiles, pairs)
-
-    def _binary_search_sectors(
-        self, u_c: np.ndarray, co: np.ndarray, m: int
-    ) -> np.ndarray:
-        """Stage 2 for all sampled nodes simultaneously.
-
-        Every node starts with the whole id range; each level counts its
-        sampled co-members in the two halves and keeps the fuller one
-        (ties keep the left half), until ranges shrink to one sector.
-        ``u_c`` holds compacted pair owners (indices into the distinct
-        sampled-node array of size ``m``); counting per level is one
-        ``bincount`` of length ``m``, not a |V|-sized scatter-add.
-        """
-        n = self.num_nodes
-        w = self.spec.sector_width
-        lo = np.zeros(m, dtype=np.int64)
-        hi = np.full(m, n, dtype=np.int64)
-        while True:
-            open_range = hi - lo > w
-            if not open_range.any():
-                break
-            mid = (lo + hi) // 2
-            pair_mid = mid[u_c]
-            in_left = (co >= lo[u_c]) & (co < pair_mid)
-            in_right = (co >= pair_mid) & (co < hi[u_c])
-            left = np.bincount(u_c[in_left], minlength=m)
-            right = np.bincount(u_c[in_right], minlength=m)
-            go_right = open_range & (right > left)
-            go_left = open_range & ~go_right
-            lo[go_right] = mid[go_right]
-            hi[go_left] = mid[go_left]
-        return (lo // w) * w
 
     def _finish_round(self) -> None:
         self.sampler.reset()

@@ -8,6 +8,7 @@ which :class:`~repro.graph.csr.CSRGraph` is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,11 @@ import numpy as np
 from repro.errors import GraphFormatError
 
 EDGE_DTYPE = np.int64
+
+#: Largest node count ``n`` with ``n * n < 2**63``: every pair key
+#: ``u * n + v`` over ids in ``[0, n)`` (and the ``u * n + n`` sentinel)
+#: is exact in int64.
+MAX_PAIR_KEY_NODES = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -60,17 +66,33 @@ class COOGraph:
 
     def sorted(self) -> "COOGraph":
         """Return a copy with edges sorted by (src, dst)."""
-        order = np.lexsort((self.dst, self.src))
-        return COOGraph(self.num_nodes, self.src[order], self.dst[order])
+        return self._from_keys(self._sorted_keys())
 
     def deduplicated(self) -> "COOGraph":
         """Return a sorted copy with duplicate edges removed."""
-        g = self.sorted()
-        if g.num_edges == 0:
-            return g
-        keep = np.ones(g.num_edges, dtype=bool)
-        keep[1:] = (np.diff(g.src) != 0) | (np.diff(g.dst) != 0)
-        return COOGraph(g.num_nodes, g.src[keep], g.dst[keep])
+        key = self._sorted_keys()
+        keep = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        return self._from_keys(key[keep])
+
+    def _sorted_keys(self) -> np.ndarray:
+        """Edges as ascending ``src * n + dst`` keys.
+
+        Ordering keys is ordering (src, dst) pairs, because every
+        endpoint lies in ``[0, n)``.
+        """
+        n = self.num_nodes
+        if n > MAX_PAIR_KEY_NODES:
+            raise GraphFormatError(
+                f"num_nodes must be <= {MAX_PAIR_KEY_NODES} to sort edges: "
+                "the src * num_nodes + dst key would overflow int64"
+            )
+        return np.sort(self.src * n + self.dst)
+
+    def _from_keys(self, key: np.ndarray) -> "COOGraph":
+        # An empty key array decodes to empty edges even when n is 0.
+        src = key // self.num_nodes
+        return COOGraph(self.num_nodes, src, key - src * self.num_nodes)
 
     def without_self_loops(self) -> "COOGraph":
         """Return a copy with self loops removed."""

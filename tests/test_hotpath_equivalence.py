@@ -5,7 +5,8 @@ formulation as an importable reference; these properties assert the
 rewritten kernels are *bit-for-bit identical* to those references —
 including the shapes perf rewrites classically get wrong: empty
 segments, single-node frontiers, all-duplicate destinations, degree-0
-hubs, and LRU batches that straddle the internal chunk boundary.
+hubs, LRU batches that straddle the internal chunk boundary, sector
+bounds past the last node id, and edge lists over zero or one node.
 """
 
 import numpy as np
@@ -14,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import contract
+from repro.core.reorder import (
+    SamplingReorderer,
+    commit_moves,
+    locality_stages,
+    locality_stages_reference,
+)
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
+from repro.errors import GraphFormatError, InvalidParameterError
 from repro.gpusim.memory import (
     LRUCacheModel,
     ReferenceLRUCache,
@@ -22,6 +30,8 @@ from repro.gpusim.memory import (
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
 )
+from repro.gpusim.spec import GPUSpec
+from repro.graph.coo import MAX_PAIR_KEY_NODES, COOGraph
 
 
 def segmented_case():
@@ -215,3 +225,187 @@ class TestDedupeEquivalence:
         values = np.asarray(values if sparse else [v % 97 for v in values], dtype=np.int64)
         np.testing.assert_array_equal(contract(values), np.unique(values))
         assert distinct_count(values) == np.unique(values).size
+
+
+SECTOR_WIDTHS = [1, 2, 8, 32]
+
+
+@st.composite
+def sampled_pairs(draw):
+    """(u, co, n, w): sampled pairs over few owners, so duplicates are common.
+
+    ``n`` below ``w`` and ``n % w != 0`` put sectors past the last node id,
+    where an unclipped range count would reach into the next owner's pairs;
+    owners drawn from one narrow id window are often neighbours.
+    """
+    n = draw(st.integers(1, 400), label="n")
+    w = draw(st.sampled_from(SECTOR_WIDTHS), label="w")
+    first = draw(st.integers(0, n - 1), label="first_owner")
+    owners = draw(
+        st.lists(st.integers(first, min(first + 7, n - 1)), min_size=1, max_size=6),
+        label="owners",
+    )
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(owners), st.integers(0, n - 1)), max_size=200),
+        label="pairs",
+    )
+    u = np.array([p[0] for p in pairs], dtype=np.int64)
+    co = np.array([p[1] for p in pairs], dtype=np.int64)
+    return u, co, n, w
+
+
+def _assert_stages_equal(fast, ref):
+    for got, want in zip(fast, ref, strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class TestLocalityStagesEquivalence:
+    """Sorted-key range counts against the per-pair bincount formulation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_pairs(), st.sampled_from([0, 4]))
+    def test_matches_reference(self, case, min_gain):
+        u, co, n, w = case
+        fast = locality_stages(u, co, n, w)
+        ref = locality_stages_reference(u, co, n, w)
+        _assert_stages_equal(fast, ref)
+        np.testing.assert_array_equal(
+            commit_moves(*fast, n, w, min_gain), commit_moves(*ref, n, w, min_gain)
+        )
+
+    @pytest.mark.parametrize("w", SECTOR_WIDTHS)
+    def test_sector_past_last_node(self, w):
+        # n = 3 puts owner 1's sector [0, w) past the last id for w > 3;
+        # unclipped, its range count would run on into owner 2's keys.
+        n = 3
+        u = np.array([1, 1, 2, 2, 2], dtype=np.int64)
+        co = np.array([0, 2, 0, 1, 1], dtype=np.int64)
+        _assert_stages_equal(locality_stages(u, co, n, w), locality_stages_reference(u, co, n, w))
+
+    def test_single_owner_duplicate_pairs(self):
+        u = np.full(50, 7, dtype=np.int64)
+        co = np.array([3, 3, 9, 9, 9] * 10, dtype=np.int64)
+        _assert_stages_equal(locality_stages(u, co, 20, 8), locality_stages_reference(u, co, 20, 8))
+
+    def test_no_pairs(self):
+        empty = np.empty(0, dtype=np.int64)
+        _assert_stages_equal(
+            locality_stages(empty, empty, 10, 8), locality_stages_reference(empty, empty, 10, 8)
+        )
+
+
+class TestComputeRoundEquivalence:
+    """``compute_round`` against the reference stages plus the commit rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.sampled_from(SECTOR_WIDTHS),
+        st.sampled_from([0, 4]),
+        st.data(),
+    )
+    def test_matches_reference(self, n, w, min_gain, data):
+        # Tiles of length 1 sample no pairs; all-length-1 tiles give none.
+        tiles = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=24), max_size=12),
+            label="tiles",
+        )
+        spec = GPUSpec(sector_bytes=4 * w, value_bytes=4)
+        reorderer = SamplingReorderer(n, spec, tile_sample_rate=1.0, min_gain=min_gain)
+        edge_dst = np.array([v for tile in tiles for v in tile], dtype=np.int64)
+        lengths = [len(tile) for tile in tiles]
+        starts = np.cumsum([0, *lengths[:-1]], dtype=np.int64)
+        reorderer.observe(edge_dst, starts)
+        u, co = reorderer.sampler.pairs()
+        if u.size:
+            stages = locality_stages_reference(u, co, n, w)
+            want = commit_moves(*stages, n, w, min_gain)
+        else:
+            want = np.arange(n, dtype=np.int64)
+        outcome = reorderer.compute_round()
+        assert outcome.sampled_pairs == u.size
+        np.testing.assert_array_equal(outcome.perm, want)
+        assert outcome.moved_nodes == np.count_nonzero(want != np.arange(n))
+
+
+def _lexsorted(src, dst):
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, src, dst) with self loops and duplicate edges; n = 0 has no edges."""
+    n = draw(st.integers(0, 40), label="n")
+    if n == 0:
+        return 0, np.empty(0, np.int64), np.empty(0, np.int64)
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=120),
+        label="edges",
+    )
+    edges += draw(st.lists(st.sampled_from(edges), max_size=20), label="dups") if edges else []
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    return n, src, dst
+
+
+class TestCOOSortEquivalence:
+    """One-key ``COOGraph.sorted``/``deduplicated`` against ``np.lexsort``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_sorted_matches_lexsort(self, case):
+        n, src, dst = case
+        got = COOGraph(n, src, dst).sorted()
+        want_src, want_dst = _lexsorted(src, dst)
+        assert got.num_nodes == n
+        assert got.src.dtype == got.dst.dtype == np.int64
+        np.testing.assert_array_equal(got.src, want_src)
+        np.testing.assert_array_equal(got.dst, want_dst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_deduplicated_matches_lexsort(self, case):
+        n, src, dst = case
+        got = COOGraph(n, src, dst).deduplicated()
+        want_src, want_dst = _lexsorted(src, dst)
+        keep = np.ones(want_src.size, dtype=bool)
+        keep[1:] = (np.diff(want_src) != 0) | (np.diff(want_dst) != 0)
+        np.testing.assert_array_equal(got.src, want_src[keep])
+        np.testing.assert_array_equal(got.dst, want_dst[keep])
+
+    @pytest.mark.parametrize(
+        "n, src, dst",
+        [
+            (0, [], []),
+            (1, [], []),
+            (1, [0, 0, 0], [0, 0, 0]),
+            (3, [2, 0, 2, 1, 2], [2, 1, 0, 1, 0]),
+        ],
+    )
+    def test_edge_cases(self, n, src, dst):
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        want_src, want_dst = _lexsorted(src, dst)
+        got = COOGraph(n, src, dst).sorted()
+        np.testing.assert_array_equal(got.src, want_src)
+        np.testing.assert_array_equal(got.dst, want_dst)
+        dedup = COOGraph(n, src, dst).deduplicated()
+        distinct = sorted(set(zip(src.tolist(), dst.tolist())))
+        assert list(zip(dedup.src.tolist(), dedup.dst.tolist())) == distinct
+
+
+class TestPairKeyOverflowGuard:
+    def test_bound_is_the_largest_exact_key(self):
+        assert MAX_PAIR_KEY_NODES**2 < 2**63 <= (MAX_PAIR_KEY_NODES + 1) ** 2
+
+    def test_reorderer_rejects_overflowing_node_count(self):
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            SamplingReorderer(MAX_PAIR_KEY_NODES + 1)
+
+    @pytest.mark.parametrize("method", ["sorted", "deduplicated"])
+    def test_coo_sort_rejects_overflowing_node_count(self, method):
+        coo = COOGraph(MAX_PAIR_KEY_NODES + 1, [0, 5], [7, 1])
+        with pytest.raises(GraphFormatError, match="overflow"):
+            getattr(coo, method)()
