@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 
+from repro.apps.pagerank import rank_scatter, rank_scatter_reference
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
@@ -34,6 +35,8 @@ from repro.gpusim.memory import (
     segmented_distinct_sectors_reference,
 )
 from repro.graph.coo import COOGraph
+from repro.graph.csr import CSRGraph, expand_frontier_reference
+from repro.graph.generators import rmat
 
 SECTOR_WIDTH = 8
 
@@ -164,6 +167,31 @@ def bench_coo_sort(rng, repeats: int, n_edges: int) -> None:
     _row("COOGraph.sorted", n_edges, _best_of(coo.sorted, repeats), _best_of(run_ref, repeats))
 
 
+def bench_expand(rng, repeats: int, graph: CSRGraph) -> None:
+    # PageRank's every-node level (the CSR itself) and a BFS-sized 1%
+    # frontier, both on an R-MAT graph like the perfbench traversal tier.
+    n = graph.num_nodes
+    for label, frontier in (
+        ("expand_frontier (full)", np.arange(n, dtype=np.int64)),
+        ("expand_frontier (1% frontier)", np.flatnonzero(rng.random(n) < 0.01)),
+    ):
+        new_s = _best_of(lambda: graph.expand_frontier(frontier), repeats)
+        ref_s = _best_of(lambda: expand_frontier_reference(graph, frontier), repeats)
+        _row(label, graph.num_edges, new_s, ref_s)
+
+
+def bench_pagerank_filter(rng, repeats: int, graph: CSRGraph) -> None:
+    n = graph.num_nodes
+    edge_src, edge_dst, _ = graph.expand_frontier(np.arange(n, dtype=np.int64))
+    pr_in = rng.random(n)
+    out_degrees = graph.out_degrees().astype(np.float64)
+    pr_out = np.empty(n)
+    args = (pr_out, pr_in, out_degrees, 0.85, edge_src, edge_dst)
+    new_s = _best_of(lambda: rank_scatter(*args), repeats)
+    ref_s = _best_of(lambda: rank_scatter_reference(*args), repeats)
+    _row("pagerank filter", graph.num_edges, new_s, ref_s)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller inputs, fewer repeats")
@@ -179,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     bench_sampling(rng, repeats, 125_000 * scale)
     bench_reorder(rng, repeats, 125_000 * scale)
     bench_coo_sort(rng, repeats, 125_000 * scale)
+    graph = rmat(12 if args.quick else 15, 8, seed=11)
+    bench_expand(rng, repeats, graph)
+    bench_pagerank_filter(rng, repeats, graph)
     return 0
 
 

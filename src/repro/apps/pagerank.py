@@ -17,6 +17,47 @@ from repro.apps.base import App
 from repro.graph.csr import CSRGraph
 
 
+def rank_scatter(
+    pr_out: np.ndarray,
+    pr_in: np.ndarray,
+    out_degrees: np.ndarray,
+    damping: float,
+    edge_src: np.ndarray,
+    edge_dst: np.ndarray,
+) -> None:
+    """The PR filter: set ``pr_out[v]`` to the sum of
+    ``damping * pr_in[u] / outdegree(u)`` over the level's edges ``u -> v``.
+
+    Each node's share is computed once and gathered per edge.  Dangling
+    nodes' shares divide by zero but own no edges, so none is gathered.
+    ``bincount`` adds in edge order, as ``np.add.at`` does, so the sums
+    are bit-identical to :func:`rank_scatter_reference`.  ``bincount``
+    returns int64 for a level without edges, so its result is written
+    into ``pr_out`` rather than rebound.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = damping * pr_in / out_degrees
+    pr_out[:] = np.bincount(
+        edge_dst, weights=share[edge_src], minlength=pr_out.size
+    )
+
+
+def rank_scatter_reference(
+    pr_out: np.ndarray,
+    pr_in: np.ndarray,
+    out_degrees: np.ndarray,
+    damping: float,
+    edge_src: np.ndarray,
+    edge_dst: np.ndarray,
+) -> None:
+    """:func:`rank_scatter` as one contribution per edge added with
+    ``np.add.at`` (the pre-bincount formulation), kept as the
+    equivalence-test reference."""
+    pr_out[:] = 0.0
+    contributions = damping * pr_in[edge_src] / out_degrees[edge_src]
+    np.add.at(pr_out, edge_dst, contributions)
+
+
 class PageRankApp(App):
     """Power-iteration PageRank over the traversal pipeline."""
 
@@ -64,11 +105,10 @@ class PageRankApp(App):
         assert self._out_degrees is not None and self._all_nodes is not None
         assert self.graph is not None
         n = self.graph.num_nodes
-        self.pr_out[:] = 0.0
-        contributions = (
-            self.damping * self.pr_in[edge_src] / self._out_degrees[edge_src]
+        rank_scatter(
+            self.pr_out, self.pr_in, self._out_degrees, self.damping,
+            edge_src, edge_dst,
         )
-        np.add.at(self.pr_out, edge_dst, contributions)
         dangling_mass = self.pr_in[self._out_degrees == 0].sum()
         self.pr_out += (
             (1.0 - self.damping) / n + self.damping * dangling_mass / n

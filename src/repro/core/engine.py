@@ -188,8 +188,7 @@ class SageScheduler(Scheduler):
         full-frontier app such as PageRank) reads exactly
         ``graph.targets``, so this scheduler counts it once per graph.
         """
-        n = graph.num_nodes
-        if frontier.size != n or not np.array_equal(frontier, np.arange(n)):
+        if not graph.is_full_frontier(frontier):
             return SectorAccounting(edge_dst, self.spec.sector_width)
         acct = self._graph_accounting
         if acct is None or acct.edge_dst is not graph.targets:

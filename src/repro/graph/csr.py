@@ -147,6 +147,20 @@ class CSRGraph:
         edge_src, edge_dst, _ = self.expand_frontier(frontier)
         return edge_src, edge_dst
 
+    def is_full_frontier(self, frontier: np.ndarray) -> bool:
+        """Whether ``frontier`` is every node in id order (``arange(n)``).
+
+        Such a level (each iteration of a global app such as PageRank)
+        expands to the CSR itself.  A full-size permutation is not full:
+        its expansion visits the adjacency slices in another order.
+        """
+        n = self.num_nodes
+        if frontier.size != n:
+            return False
+        if n and (frontier[0] != 0 or frontier[-1] != n - 1):
+            return False
+        return bool(np.array_equal(frontier, np.arange(n)))
+
     def expand_frontier(
         self, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,25 +170,36 @@ class CSRGraph:
         in ``frontier`` (in order) its neighbors appear contiguously, so
         ``edge_src`` is ``frontier`` repeated by degree, ``edge_dst`` the
         concatenated adjacency slices, and ``edge_pos`` each edge's index
-        in ``targets`` (used e.g. to look up edge weights).  Fully
-        vectorized multi-range gather; this is the hot path of every
-        traversal iteration.
+        in ``targets`` (used e.g. to look up edge weights).  This is the
+        hot path of every traversal iteration.
+
+        A full frontier (:meth:`is_full_frontier`) gathers nothing: its
+        ``edge_dst`` is a read-only view of ``targets`` and its
+        ``edge_pos`` is ``arange(num_edges)``.  Any other frontier gets
+        fresh arrays from one vectorized multi-range gather.
         """
         frontier = np.asarray(frontier, dtype=EDGE_DTYPE)
+        if self.is_full_frontier(frontier):
+            edge_dst = self.targets.view()
+            edge_dst.flags.writeable = False
+            return (
+                np.repeat(frontier, self.out_degrees()),
+                edge_dst,
+                np.arange(self.num_edges, dtype=EDGE_DTYPE),
+            )
         starts = self.offsets[frontier]
-        counts = self.offsets[frontier + 1] - starts
+        counts = self.offsets[1:][frontier] - starts
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=EDGE_DTYPE)
             return empty, empty.copy(), empty.copy()
-        edge_src = np.repeat(frontier, counts)
-        # Positions within targets: for each frontier node, the run
-        # starts[i] .. starts[i] + counts[i]; build all of them at once.
-        run_starts = np.repeat(starts, counts)
-        within = np.arange(total, dtype=EDGE_DTYPE)
-        run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        edge_pos = run_starts + (within - run_offsets)
-        return edge_src, self.targets[edge_pos], edge_pos
+        # Edge i of the level belongs to the frontier node whose run
+        # covers it; its CSR position is i shifted by that node's
+        # ``starts - (edges before it in the level)``.
+        shift = starts + counts - np.cumsum(counts)
+        edge_pos = np.repeat(shift, counts)
+        edge_pos += np.arange(total, dtype=EDGE_DTYPE)
+        return np.repeat(frontier, counts), self.targets[edge_pos], edge_pos
 
     # ------------------------------------------------------------------
     # Transformation
@@ -217,3 +242,24 @@ class CSRGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(|V|={self.num_nodes}, |E|={self.num_edges})"
+
+
+def expand_frontier_reference(
+    graph: CSRGraph, frontier: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`CSRGraph.expand_frontier` as three per-edge ``repeat``s and
+    a gather for every frontier (the pre-full-level formulation), kept as
+    the equivalence-test reference."""
+    frontier = np.asarray(frontier, dtype=EDGE_DTYPE)
+    starts = graph.offsets[frontier]
+    counts = graph.offsets[frontier + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=EDGE_DTYPE)
+        return empty, empty.copy(), empty.copy()
+    edge_src = np.repeat(frontier, counts)
+    run_starts = np.repeat(starts, counts)
+    within = np.arange(total, dtype=EDGE_DTYPE)
+    run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    edge_pos = run_starts + (within - run_offsets)
+    return edge_src, graph.targets[edge_pos], edge_pos

@@ -6,7 +6,9 @@ rewritten kernels are *bit-for-bit identical* to those references —
 including the shapes perf rewrites classically get wrong: empty
 segments, single-node frontiers, all-duplicate destinations, degree-0
 hubs, LRU batches that straddle the internal chunk boundary, sector
-bounds past the last node id, and edge lists over zero or one node.
+bounds past the last node id, edge lists over zero or one node, and
+frontiers that are the whole node set, a permutation of it, or only
+degree-0 nodes.
 """
 
 import numpy as np
@@ -14,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import pagerank
 from repro.apps.base import contract
+from repro.apps.pagerank import PageRankApp, rank_scatter, rank_scatter_reference
+from repro.core import SageScheduler, run_app
 from repro.core.reorder import (
     SamplingReorderer,
     commit_moves,
@@ -32,6 +37,7 @@ from repro.gpusim.memory import (
 )
 from repro.gpusim.spec import GPUSpec
 from repro.graph.coo import MAX_PAIR_KEY_NODES, COOGraph
+from repro.graph.csr import CSRGraph, expand_frontier_reference
 
 
 def segmented_case():
@@ -409,3 +415,156 @@ class TestPairKeyOverflowGuard:
         coo = COOGraph(MAX_PAIR_KEY_NODES + 1, [0, 5], [7, 1])
         with pytest.raises(GraphFormatError, match="overflow"):
             getattr(coo, method)()
+
+
+FRONTIER_KINDS = (
+    "empty",
+    "single",
+    "subset",
+    "full",
+    "permutation",
+    "interior_permutation",
+    "degree0",
+)
+
+
+@st.composite
+def csr_graphs(draw):
+    """A CSR over n in [0, 300] with degree-0 nodes, self loops and
+    duplicate edges (sources drawn below a cut, so nodes past it own no
+    edges)."""
+    n = draw(st.integers(0, 300), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = draw(st.integers(0, 4 * n), label="m") if n else 0
+    cut = draw(st.integers(1, n), label="cut") if n else 1
+    src = rng.integers(0, cut, size=m)
+    dst = rng.integers(0, max(n, 1), size=m)
+    loops = rng.random(m) < 0.1
+    dst[loops] = src[loops]
+    dups = rng.integers(0, max(m, 1), size=m // 4 if m else 0)
+    src = np.concatenate([src, src[dups]])
+    dst = np.concatenate([dst, dst[dups]])
+    return CSRGraph.from_edges(n, src, dst), rng
+
+
+def _frontier(graph, rng, kind):
+    n = graph.num_nodes
+    if kind == "empty" or n == 0:
+        return np.empty(0, dtype=np.int64)
+    if kind == "single":
+        return np.array([rng.integers(n)], dtype=np.int64)
+    if kind == "subset":
+        return np.flatnonzero(rng.random(n) < 0.3)
+    if kind == "full":
+        return np.arange(n, dtype=np.int64)
+    if kind == "permutation":
+        return rng.permutation(n).astype(np.int64)
+    if kind == "interior_permutation":
+        # Same size and endpoints as arange(n): only the full compare
+        # can tell it apart.
+        frontier = np.arange(n, dtype=np.int64)
+        frontier[1:-1] = rng.permutation(frontier[1:-1])
+        return frontier
+    return np.flatnonzero(graph.out_degrees() == 0)
+
+
+class TestExpandFrontierEquivalence:
+    """``CSRGraph.expand_frontier`` against its three-``repeat`` reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csr_graphs(), st.sampled_from(FRONTIER_KINDS))
+    def test_matches_reference(self, case, kind):
+        graph, rng = case
+        frontier = _frontier(graph, rng, kind)
+        got = graph.expand_frontier(frontier)
+        want = expand_frontier_reference(graph, frontier)
+        for fast, ref in zip(got, want):
+            assert fast.dtype == ref.dtype == np.int64
+            np.testing.assert_array_equal(fast, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(csr_graphs(), st.sampled_from(FRONTIER_KINDS))
+    def test_full_frontier_predicate(self, case, kind):
+        graph, rng = case
+        frontier = _frontier(graph, rng, kind)
+        n = graph.num_nodes
+        expected = frontier.size == n and np.array_equal(frontier, np.arange(n))
+        assert graph.is_full_frontier(frontier) == expected
+
+    def test_swapped_interior_is_not_full(self):
+        graph = CSRGraph.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0])
+        assert graph.is_full_frontier(np.arange(4, dtype=np.int32))
+        assert not graph.is_full_frontier(np.array([0, 2, 1, 3]))
+        assert not graph.is_full_frontier(np.array([0, 1, 3]))
+        assert not graph.is_full_frontier(np.array([3, 2, 1, 0]))
+
+
+class TestExpandFrontierAliasing:
+    """The full path hands out ``targets`` itself, read-only; every
+    other path hands out fresh arrays."""
+
+    def _graph(self):
+        return CSRGraph.from_edges(6, [0, 0, 1, 2, 2, 2, 5], [1, 2, 2, 0, 3, 5, 5])
+
+    def test_full_path_edge_dst_is_a_read_only_view_of_targets(self):
+        graph = self._graph()
+        before = graph.targets.copy()
+        edge_src, edge_dst, edge_pos = graph.expand_frontier(np.arange(6))
+        assert np.shares_memory(edge_dst, graph.targets)
+        assert not edge_dst.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            edge_dst[0] = 4
+        with pytest.raises(ValueError, match="read-only"):
+            edge_dst += 1
+        np.testing.assert_array_equal(graph.targets, before)
+        assert graph.targets.flags.writeable
+        for fresh in (edge_src, edge_pos):
+            assert fresh.flags.writeable
+            assert not np.shares_memory(fresh, graph.targets)
+
+    @pytest.mark.parametrize("frontier", [[2, 0], [5, 4, 3, 2, 1, 0], [0, 1, 2, 3, 4], [2]])
+    def test_general_path_returns_fresh_writeable_arrays(self, frontier):
+        graph = self._graph()
+        for out in graph.expand_frontier(np.array(frontier)):
+            assert out.flags.writeable
+            assert not np.shares_memory(out, graph.targets)
+            assert not np.shares_memory(out, graph.offsets)
+
+
+class TestRankScatterEquivalence:
+    """PageRank's bincount filter against its ``np.add.at`` reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(csr_graphs(), st.sampled_from(FRONTIER_KINDS), st.floats(0.05, 0.95))
+    def test_matches_reference(self, case, kind, damping):
+        graph, rng = case
+        n = graph.num_nodes
+        edge_src, edge_dst, _ = graph.expand_frontier(_frontier(graph, rng, kind))
+        pr_in = rng.random(n)
+        out_degrees = graph.out_degrees().astype(np.float64)
+        got = np.full(n, np.nan)
+        want = np.full(n, np.nan)
+        rank_scatter(got, pr_in, out_degrees, damping, edge_src, edge_dst)
+        rank_scatter_reference(want, pr_in, out_degrees, damping, edge_src, edge_dst)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            CSRGraph.from_edges(50, np.arange(30), (np.arange(30) * 7) % 50),
+            CSRGraph.from_edges(8, [0, 0, 1, 2, 2, 3], [1, 1, 2, 2, 0, 3]),
+            CSRGraph.from_edges(7, np.empty(0, np.int64), np.empty(0, np.int64)),
+        ],
+        ids=["dangling", "loops-and-duplicates", "edgeless"],
+    )
+    def test_whole_run_is_bit_identical(self, graph, monkeypatch):
+        def run():
+            return run_app(graph, PageRankApp(max_iterations=40, tolerance=1e-12), SageScheduler())
+
+        fast = run()
+        monkeypatch.setattr(pagerank, "rank_scatter", rank_scatter_reference)
+        ref = run()
+        assert fast.iterations == ref.iterations
+        assert fast.seconds == ref.seconds
+        assert fast.result["pagerank"].tobytes() == ref.result["pagerank"].tobytes()
