@@ -30,6 +30,10 @@ look for a matching profile under ``profiles/`` (override with the
 ``REPRO_PROFILE_DIR`` env var), and use its tuned knobs for any
 parameter the caller did not set explicitly.  Explicit arguments
 always win; pass ``profile=None`` to opt out entirely.
+
+Importing this module loads only the traversal stack.  ``serve``,
+``cluster``, ``bench``, ``tune`` and ``update`` import the serving
+and tuning modules they use when called (DESIGN.md "Import budget").
 """
 
 from __future__ import annotations
@@ -66,35 +70,19 @@ from repro.core.scheduler import Scheduler
 from repro.errors import InvalidParameterError
 from repro.graph import datasets, io
 from repro.graph.csr import CSRGraph
-from repro.graph.delta import GraphDelta
-from repro.graph.dynamic import DynamicGraph
 from repro.gpusim.profiler import Profiler
 from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.serve.admission import AdmissionConfig
-from repro.serve.broker import QueryBroker
-from repro.serve.cache import GraphStore, graph_fingerprint
-from repro.serve.cluster import (
-    SINGLE_BROKER,
-    ClusterBenchReport,
-    ClusterPool,
-    simulate_cluster_open_loop,
-)
-from repro.serve.pipelined import PipelineConfig
-from repro.serve.loadgen import (
-    generate_queries,
-    open_loop_arrivals,
-    sequential_baseline,
-)
-from repro.tune import (
-    ProfileStore,
-    TunedProfile,
-    TuningSpace,
-    TuningWorkload,
-    tune_workload,
-)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - imported where used
     from repro.analysis.sanitizer import Sanitizer
+    from repro.graph.delta import GraphDelta
+    from repro.graph.dynamic import DynamicGraph
+    from repro.serve.admission import AdmissionConfig
+    from repro.serve.broker import QueryBroker
+    from repro.serve.cache import GraphStore
+    from repro.serve.cluster import ClusterBenchReport, ClusterPool
+    from repro.serve.pipelined import PipelineConfig
+    from repro.tune import TunedProfile, TuningSpace, TuningWorkload
 
 #: Application kinds runnable through :func:`run` (name → factory).
 APPS: dict[str, Callable[[], App]] = {
@@ -207,6 +195,10 @@ def _resolve_profile(
     silently falls back to defaults).  A path loads that file
     unconditionally; an instance is used as-is; ``None`` disables.
     """
+    from repro.graph.dynamic import DynamicGraph
+    from repro.serve.cache import GraphStore, graph_fingerprint
+    from repro.tune import ProfileStore, TunedProfile
+
     if profile is None:
         return None
     if isinstance(profile, TunedProfile):
@@ -323,6 +315,8 @@ def serve(
     ``broker.race_detector``.  Gated metrics are bit-identical either
     way; only ``races.*`` counters are added.
     """
+    from repro.serve.broker import QueryBroker
+
     if isinstance(graphs, CSRGraph):
         graphs = {"default": graphs}
     registry = metrics if metrics is not None else NULL_REGISTRY
@@ -384,6 +378,8 @@ def cluster(
     and graph store — under the concurrency sanitizer; the finalized
     report is exposed as ``pool.race_detector`` after ``close()``.
     """
+    from repro.serve.cluster import ClusterPool
+
     if isinstance(graphs, CSRGraph):
         graphs = {"default": graphs}
     registry = metrics if metrics is not None else NULL_REGISTRY
@@ -439,6 +435,8 @@ def tune(
     ``trace`` writes the full rollout-by-rollout search trace to a JSON
     file for offline inspection or CI artifacts.
     """
+    from repro.tune import ProfileStore, tune_workload
+
     registry = metrics if metrics is not None else NULL_REGISTRY
     registry.count("api.tune_runs")
     profile, result = tune_workload(
@@ -494,6 +492,13 @@ def bench(
     bit-identical; only device time changes).  Everything runs in
     virtual time, so equal arguments always produce equal reports.
     """
+    from repro.serve.cluster import SINGLE_BROKER, simulate_cluster_open_loop
+    from repro.serve.loadgen import (
+        generate_queries,
+        open_loop_arrivals,
+        sequential_baseline,
+    )
+
     registry = metrics if metrics is not None else NULL_REGISTRY
     registry.count("api.bench_runs")
     factory = _scheduler_factory(scheduler)
@@ -547,6 +552,8 @@ def update(
     what changed; feed it to the :mod:`repro.apps.incremental` engines
     to repair standing results instead of recomputing.
     """
+    from repro.graph.dynamic import DynamicGraph
+
     registry = metrics if metrics is not None else NULL_REGISTRY
     if insert is None and delete is None:
         raise InvalidParameterError(
@@ -571,6 +578,8 @@ def update(
                 "update applied no changes (empty insert and delete)"
             )
         return delta
+    from repro.serve.cluster import ClusterPool
+
     store = target.store if isinstance(target, ClusterPool) else target
     before = store.epoch(handle)
     store.apply_edges(

@@ -9,12 +9,16 @@ connected workloads.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.graph.coo import EDGE_DTYPE
 from repro.graph.csr import CSRGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def from_networkx(nx_graph) -> CSRGraph:
@@ -52,6 +56,8 @@ def to_networkx(graph: CSRGraph):
 
 def from_scipy_sparse(matrix) -> CSRGraph:
     """Build a graph from any scipy.sparse matrix (nonzeros = edges)."""
+    import scipy.sparse as sp
+
     matrix = sp.coo_matrix(matrix)
     if matrix.shape[0] != matrix.shape[1]:
         raise GraphFormatError(
@@ -67,6 +73,8 @@ def from_scipy_sparse(matrix) -> CSRGraph:
 
 def to_scipy_sparse(graph: CSRGraph) -> sp.csr_matrix:
     """The boolean adjacency matrix in scipy CSR form."""
+    import scipy.sparse as sp
+
     data = np.ones(graph.num_edges, dtype=np.int8)
     return sp.csr_matrix(
         (data, graph.targets, graph.offsets),
@@ -105,10 +113,12 @@ def largest_weakly_connected_component(
     Returns ``(subgraph, mapping)`` as :func:`induced_subgraph` does.
     Uses scipy's connected-components on the symmetrized adjacency.
     """
+    from scipy.sparse import csgraph
+
     if graph.num_nodes == 0:
         return graph, np.zeros(0, dtype=EDGE_DTYPE)
     adjacency = to_scipy_sparse(graph)
-    _, labels = sp.csgraph.connected_components(
+    _, labels = csgraph.connected_components(
         adjacency, directed=True, connection="weak"
     )
     counts = np.bincount(labels)
