@@ -16,7 +16,8 @@ Two invariants make deltas composable and replayable:
   appear); ``inserted_*`` holds the insertions that survived same-batch
   delete cancellation.  Replaying the delta against a bit-identical
   copy of the old CSR therefore reproduces the new CSR exactly
-  (:func:`patch_csr`), which is what replica-local patching relies on.
+  (:func:`patch_csr`), which is what incremental reverse-CSR
+  maintenance relies on.
 * **immutability** — all arrays are read-only ``int64``; a delta can be
   fanned out to many listeners without copies.
 """

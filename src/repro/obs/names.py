@@ -181,8 +181,7 @@ SAMPLING_COUNTERS: frozenset[str] = frozenset(
 
 #: Counters emitted as structured graph deltas flow from
 #: ``DynamicGraph.flush`` through the ``GraphStore`` fan-out to the
-#: selective result cache and replica CSR patching
-#: (``repro.serve.cache`` / ``repro.serve.broker``).
+#: selective result cache (``repro.serve.cache``).
 DELTA_COUNTERS: frozenset[str] = frozenset(
     {
         "delta.flushes",
@@ -190,7 +189,6 @@ DELTA_COUNTERS: frozenset[str] = frozenset(
         "delta.edges_deleted",
         "delta.cache_entries_kept",
         "delta.cache_entries_purged",
-        "delta.replica_patches",
     }
 )
 

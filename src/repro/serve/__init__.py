@@ -8,6 +8,8 @@ tier — sharded replicas behind pluggable routing, adaptive admission
 control and a graph-epoch-versioned result cache.  One virtual-time
 replay (:func:`simulate_cluster_open_loop`) serves every open-loop
 benchmark; the single broker is its :data:`SINGLE_BROKER` configuration.
+The replay and the threaded broker share one batching policy
+(:mod:`repro.serve.batching`); only the clock that drives it differs.
 See the README "Serving"/"Scaling out" sections for the API tour and
 DESIGN.md for why micro-batching preserves the cost model's
 comparisons.

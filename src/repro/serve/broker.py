@@ -1,22 +1,26 @@
-"""The asynchronous query broker: admission, batching, worker dispatch.
+"""The threaded query broker: worker threads over the shared batcher.
 
-:class:`QueryBroker` is the serving front door.  Clients ``submit``
-typed :class:`~repro.serve.request.QueryRequest` objects and get a
-:class:`PendingQuery` future back; a pool of worker threads claims the
-queue head, waits out the micro-batching window, coalesces every
-compatible queued query (same graph + app + params, up to the batch
-cap) and dispatches the batch to a
-:class:`~repro.serve.executor.BatchExecutor` over simulated devices.
+:class:`QueryBroker` is the serving front door on a real clock.  Clients
+``submit`` typed :class:`~repro.serve.request.QueryRequest` objects and
+get a :class:`PendingQuery` future back.  Each admitted query joins the
+:class:`~repro.serve.batching.Batcher` at the broker's ``clock()``
+time; worker threads wait on one condition variable until a batch is
+ready (filled, or its window closed), execute it against the graph the
+:class:`~repro.serve.cache.GraphStore` holds at dispatch, and resolve
+its members with the shared deadline sweeps and response builders.  The
+virtual-time replay drives the same batcher, so on an injected clock
+both form the same batches.
 
-Overload and failure handling is structural, never silent:
+What the broker adds to the policy is structural, never silent:
 
-* **admission control** — the queue is bounded; a submit against a full
-  queue is *shed* immediately (``SHED`` response, ``serve.shed``).
+* **admission control** — at most ``queue_capacity`` queries wait in the
+  batcher; a submit beyond that is *shed* immediately (``SHED``
+  response, ``serve.shed``).
 * **deadlines** — a query whose absolute deadline passes before (or
   during) execution resolves to ``TIMEOUT``; late results are dropped,
   so a client never observes a wrong-but-on-time answer.
 * **worker failures** — an executor exception fails only its batch;
-  affected queries are re-queued up to ``max_retries`` times and then
+  its queries are re-admitted up to ``max_retries`` times and then
   rejected with a structured ``ERROR`` response carrying the original
   exception type; queries in other batches are untouched.
 
@@ -26,8 +30,8 @@ the ``serve.*`` names registered in :mod:`repro.obs.names`.
 
 from __future__ import annotations
 
+import math
 import time
-from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
@@ -44,9 +48,18 @@ from repro.errors import (
     WorkerFailureError,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.delta import GraphDelta, patch_csr
+from repro.graph.dynamic import DynamicGraph
 from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.serve.batching import batch_key
+from repro.serve.batching import (
+    Batch,
+    Batcher,
+    Member,
+    error_response,
+    expire_before,
+    settle,
+    shed_response,
+)
+from repro.serve.cache import GraphStore
 from repro.serve.executor import BatchExecutor
 from repro.serve.request import QueryRequest, QueryResponse, QueryStatus
 
@@ -123,18 +136,31 @@ def raise_for_status(response: QueryResponse) -> QueryResponse:
     raise WorkerFailureError(f"{response.error_type}: {detail}")
 
 
-@dataclass
-class _Entry:
-    """One admitted query riding the broker queue."""
+class RaceScope:
+    """The race-detector lifecycle of one threaded serving component.
 
-    pending: PendingQuery
-    arrival: float
-    deadline: float | None
-    retries: int = 0
+    Enabled, it joins the active detector (an enclosing ``instrumented``
+    block or test fixture) or else activates one it owns; :meth:`close`
+    deactivates and finalizes an owned detector only.  Create it before
+    any lock or thread so the component's whole lifetime is tracked.
+    """
 
-    @property
-    def request(self) -> QueryRequest:
-        return self.pending.request
+    def __init__(self, enabled: bool, metrics: MetricsRegistry) -> None:
+        self.detector: RaceDetector | None = None
+        self._owned = False
+        if enabled:
+            self.detector = races.active_detector()
+            if self.detector is None:
+                self.detector = RaceDetector(metrics=metrics)
+                races.activate(self.detector)
+                self._owned = True
+
+    def close(self) -> None:
+        if self._owned:
+            self._owned = False
+            races.deactivate()
+            assert self.detector is not None
+            self.detector.finalize()
 
 
 @dataclass
@@ -147,20 +173,22 @@ class BrokerStats:
 
 
 class QueryBroker:
-    """Bounded-queue, micro-batching broker over a worker pool."""
+    """Bounded micro-batching broker over a worker pool.
+
+    ``graphs`` is a :class:`~repro.serve.cache.GraphStore` or a mapping
+    it wraps; every batch reads its graph from the store at dispatch.
+    """
 
     _guarded_by = {
-        "_queue": ("_lock", "_cond"),
+        "_batcher": ("_lock", "_cond"),
         "_closed": ("_lock", "_cond"),
-        "_inflight": ("_lock", "_cond"),
         "_next_request_id": ("_lock", "_cond"),
         "_next_batch_id": ("_lock", "_cond"),
-        "graphs": ("_lock", "_cond"),
     }
 
     def __init__(
         self,
-        graphs: Mapping[str, CSRGraph],
+        graphs: Mapping[str, CSRGraph | DynamicGraph] | GraphStore,
         scheduler_factory: Callable[[], Scheduler],
         *,
         batch_window: float = 0.01,
@@ -173,46 +201,34 @@ class QueryBroker:
         clock: Callable[[], float] = time.monotonic,
         race_check: bool = False,
     ) -> None:
-        if batch_window < 0:
-            raise InvalidParameterError("batch_window must be >= 0")
-        if max_batch_size < 1:
-            raise InvalidParameterError("max_batch_size must be >= 1")
+        batcher = Batcher(batch_window, max_batch_size)
         if num_workers < 1:
             raise InvalidParameterError("num_workers must be >= 1")
         if queue_capacity < 1:
             raise InvalidParameterError("queue_capacity must be >= 1")
         if max_retries < 0:
             raise InvalidParameterError("max_retries must be >= 0")
-        self.graphs = dict(graphs)
-        self.batch_window = float(batch_window)
-        self.max_batch_size = int(max_batch_size)
+        self.batch_window = batcher.batch_window
+        self.max_batch_size = batcher.max_batch_size
         self.num_workers = int(num_workers)
         self.queue_capacity = int(queue_capacity)
         self.max_retries = int(max_retries)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # Activate before any lock or worker is created so the whole
-        # broker lifetime is tracked.  If a detector is already active
-        # (an enclosing ``instrumented`` block or pytest fixture), join
-        # it instead of owning a second one.
-        self.race_detector: RaceDetector | None = None
-        self._owns_race_detector = False
-        if race_check:
-            self.race_detector = races.active_detector()
-            if self.race_detector is None:
-                self.race_detector = RaceDetector(metrics=self.metrics)
-                races.activate(self.race_detector)
-                self._owns_race_detector = True
+        self._race = RaceScope(race_check, self.metrics)
+        self.race_detector = self._race.detector
+        self.store = (
+            graphs if isinstance(graphs, GraphStore) else GraphStore(graphs)
+        )
         self.executor = executor or BatchExecutor(
             scheduler_factory, metrics=self.metrics
         )
         self._clock = clock
-        self._queue: deque[_Entry] = deque()
+        self._batcher = batcher
         # Reentrant: _finalize (which appends to stats under the lock)
         # is reachable from submit/close while the condition is held.
         self._lock = races.make_rlock("broker.lock")
         self._cond = races.make_condition(self._lock, "broker.cond")
         self._closed = False
-        self._inflight = 0
         self._next_request_id = 0
         self._next_batch_id = 0
         self.stats = BrokerStats()
@@ -238,11 +254,8 @@ class QueryBroker:
 
     def submit(self, request: QueryRequest) -> PendingQuery:
         """Admit (or shed) one query; never blocks on execution."""
-        with self._lock:
-            races.note_read(self, "graphs")
-            known = request.graph in self.graphs
-            registered = sorted(self.graphs) if not known else []
-        if not known:
+        registered = self.store.handles
+        if request.graph not in registered:
             raise InvalidParameterError(
                 f"unknown graph handle {request.graph!r}; "
                 f"registered: {registered}"
@@ -255,32 +268,19 @@ class QueryBroker:
             request_id = self._next_request_id
             self._next_request_id += 1
             pending = PendingQuery(request_id, request)
-            if len(self._queue) >= self.queue_capacity:
+            if self._batcher.pending >= self.queue_capacity:
                 self.metrics.count("serve.shed")
-                self._finalize(
-                    pending,
-                    QueryResponse(
-                        request_id=request_id,
-                        app=request.app,
-                        status=QueryStatus.SHED,
-                        error=(
-                            f"queue full ({self.queue_capacity} pending); "
-                            "request shed at admission"
-                        ),
-                        error_type=AdmissionError.__name__,
-                    ),
-                    latency=0.0,
-                )
+                self._finalize(pending, shed_response(
+                    request_id, request,
+                    f"queue full ({self.queue_capacity} pending); "
+                    "request shed at admission",
+                ))
                 return pending
-            deadline = (
-                now + request.deadline_seconds
-                if request.deadline_seconds is not None else None
-            )
-            self._queue.append(
-                _Entry(pending=pending, arrival=now, deadline=deadline)
+            self._batcher.add(
+                Member(request_id, request, now, pending=pending), now
             )
             self.metrics.count("serve.accepted")
-            depth = len(self._queue)
+            depth = self._batcher.pending
             if depth > self.stats.queue_depth_peak:
                 races.note_write(self.stats, "queue_depth_peak")
                 self.stats.queue_depth_peak = depth
@@ -292,124 +292,44 @@ class QueryBroker:
     ) -> list[PendingQuery]:
         return [self.submit(request) for request in requests]
 
-    def update_graph(self, handle: str, graph: CSRGraph) -> None:
-        """Swap in a fresh snapshot for ``handle``.
-
-        The cluster tier's graph-update fanout: later batches execute
-        against the new snapshot, in-flight batches keep the one they
-        grabbed (under the same lock) at dispatch.
-        """
-        with self._lock:
-            races.note_write(self, "graphs")
-            self.graphs[handle] = graph
-
-    def patch_graph(
-        self, handle: str, delta: GraphDelta, snapshot: CSRGraph
-    ) -> None:
-        """Apply a structured delta to the local CSR instead of swapping.
-
-        The replica-local half of the cluster's delta fanout: the
-        broker's own copy of ``handle`` is patched with one sorted-merge
-        pass (:func:`~repro.graph.delta.patch_csr`), which is
-        bit-identical to the producing merge's output — no full snapshot
-        needs shipping.  ``snapshot`` (the store's authoritative new
-        CSR) is the fallback when the local copy is missing or from a
-        different vertex set, so the swap semantics of
-        :meth:`update_graph` are never weaker.
-        """
-        with self._lock:
-            races.note_write(self, "graphs")
-            current = self.graphs.get(handle)
-            if (
-                current is None
-                or current.num_nodes != delta.num_nodes
-            ):
-                self.graphs[handle] = snapshot
-                return
-            self.graphs[handle] = patch_csr(current, delta)
-        self.metrics.count("delta.replica_patches")
-
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
 
-    def _claim_batch(self) -> list[_Entry] | None:
-        """Claim the queue head and its compatible followers.
+    def _next_batch(self) -> Batch | None:
+        """Wait for a ready batch; ``None`` once closed and empty.
 
-        Blocks until the head's batching window elapses, the batch cap
-        fills, or the broker closes (which short-circuits the window so
-        drain is prompt).  Returns ``None`` when the broker is closed
-        and the queue is empty.
+        Closing closes every open window, so a drain is prompt.
         """
         with self._cond:
             while True:
-                if not self._queue:
-                    if self._closed:
-                        return None
-                    self._cond.wait()
-                    continue
-                head = self._queue[0]
-                key = batch_key(head.request)
-                same = [
-                    entry for entry in self._queue
-                    if batch_key(entry.request) == key
-                ]
-                now = self._clock()
-                window_closes = head.arrival + self.batch_window
-                if (
-                    len(same) >= self.max_batch_size
-                    or now >= window_closes
-                    or self._closed
-                ):
-                    batch = same[:self.max_batch_size]
-                    taken = set(map(id, batch))
-                    remaining = [
-                        entry for entry in self._queue
-                        if id(entry) not in taken
-                    ]
-                    self._queue.clear()
-                    self._queue.extend(remaining)
-                    self._inflight += 1
-                    self._cond.notify_all()
+                now = math.inf if self._closed else self._clock()
+                batch = self._batcher.pop(now)
+                if batch is not None or self._closed:
                     return batch
-                self._cond.wait(timeout=window_closes - now)
+                close = self._batcher.next_close()
+                self._cond.wait(None if close is None else close - now)
 
     def _worker_loop(self) -> None:
-        while True:
-            batch = self._claim_batch()
-            if batch is None:
-                return
-            try:
-                self._execute_batch(batch)
-            finally:
-                with self._cond:
-                    self._inflight -= 1
-                    self._cond.notify_all()
+        while (batch := self._next_batch()) is not None:
+            self._execute_batch(batch)
 
-    def _execute_batch(self, batch: list[_Entry]) -> None:
+    def _execute_batch(self, batch: Batch) -> None:
         with self._lock:
             batch_id = self._next_batch_id
             self._next_batch_id += 1
-        # Pre-execution deadline sweep: expired queries must not consume
-        # device time (and must never receive a late result).
-        now = self._clock()
-        live: list[_Entry] = []
-        for entry in batch:
-            if entry.deadline is not None and now > entry.deadline:
-                self._resolve_timeout(entry, batch_id, "before execution")
-            else:
-                live.append(entry)
+        live, expired = expire_before(batch.members, self._clock(), batch_id)
+        for member, response in expired:
+            self.metrics.count("serve.timeouts")
+            self._finalize(member.pending, response)
         if not live:
             return
+        graph = self.store.graph(batch.key[0])
         with self._lock:
-            # Snapshot under the lock: a cluster-tier graph swap
-            # (GraphStore.update) may land concurrently, and list
-            # appends on the stats aggregate come from every worker.
-            races.note_read(self, "graphs")
-            graph = self.graphs[live[0].request.graph]
+            # List appends on the stats aggregate come from every worker.
             races.note_write(self.stats, "batch_sizes")
             self.stats.batch_sizes.append(len(live))
-        requests = [entry.request for entry in live]
+        requests = [member.request for member in live]
         self.metrics.count("serve.batches")
         self.metrics.count("serve.batched_queries", len(live))
         with self.metrics.span(
@@ -420,90 +340,41 @@ class QueryBroker:
                 execution = self.executor.execute(graph, requests)
             except Exception as exc:  # noqa: BLE001 - fault boundary
                 batch_span.set("failed", True)
-                self._handle_batch_failure(live, exc)
+                self._retry_or_reject(live, exc)
                 return
             batch_span.set("sim_seconds", execution.sim_seconds)
             batch_span.set("runs", execution.num_runs)
-        finish = self._clock()
-        share = execution.sim_seconds / len(live)
-        for entry, result in zip(live, execution.results):
-            if entry.deadline is not None and finish > entry.deadline:
-                # The answer exists but arrived late: surface a timeout,
-                # never a stale-looking success.
-                self._resolve_timeout(entry, batch_id, "after execution")
-                continue
-            self._finalize(
-                entry.pending,
-                QueryResponse(
-                    request_id=entry.pending.request_id,
-                    app=entry.request.app,
-                    status=QueryStatus.OK,
-                    result=result,
-                    batch_id=batch_id,
-                    batch_size=len(live),
-                    sim_seconds=share,
-                    latency_seconds=finish - entry.arrival,
-                    retries=entry.retries,
-                ),
-                latency=finish - entry.arrival,
-            )
+        responses = settle(
+            live, execution.results, self._clock(), batch_id,
+            execution.sim_seconds / len(live),
+        )
+        for member, response in zip(live, responses):
+            if response.status is QueryStatus.TIMEOUT:
+                self.metrics.count("serve.timeouts")
+            self._finalize(member.pending, response)
 
-    def _handle_batch_failure(
-        self, batch: list[_Entry], exc: Exception
-    ) -> None:
-        """Retry or reject the failed batch's queries, one by one."""
-        requeue: list[_Entry] = []
+    def _retry_or_reject(self, members: list[Member], exc: Exception) -> None:
+        """Re-admit the failed batch's queries within the retry budget;
+        reject the rest with a structured ``ERROR``."""
         now = self._clock()
-        for entry in batch:
-            if entry.retries < self.max_retries:
-                entry.retries += 1
+        retried = []
+        for member in members:
+            if member.retries < self.max_retries:
+                member.retries += 1
                 self.metrics.count("serve.retries")
-                requeue.append(entry)
+                retried.append(member)
             else:
                 self.metrics.count("serve.errors")
-                self._finalize(
-                    entry.pending,
-                    QueryResponse(
-                        request_id=entry.pending.request_id,
-                        app=entry.request.app,
-                        status=QueryStatus.ERROR,
-                        error=f"batch execution failed: {exc}",
-                        error_type=type(exc).__name__,
-                        retries=entry.retries,
-                        latency_seconds=now - entry.arrival,
-                    ),
-                    latency=now - entry.arrival,
-                )
-        if requeue:
+                self._finalize(member.pending, error_response(member, exc, now))
+        if retried:
             with self._cond:
-                self._queue.extend(requeue)
+                for member in retried:
+                    self._batcher.add(member, now)
                 self._cond.notify_all()
 
-    def _resolve_timeout(
-        self, entry: _Entry, batch_id: int, phase: str
-    ) -> None:
-        now = self._clock()
-        self.metrics.count("serve.timeouts")
-        self._finalize(
-            entry.pending,
-            QueryResponse(
-                request_id=entry.pending.request_id,
-                app=entry.request.app,
-                status=QueryStatus.TIMEOUT,
-                error=f"deadline exceeded {phase}",
-                error_type=DeadlineExceededError.__name__,
-                batch_id=batch_id,
-                retries=entry.retries,
-                latency_seconds=now - entry.arrival,
-            ),
-            latency=now - entry.arrival,
-        )
-
-    def _finalize(
-        self, pending: PendingQuery, response: QueryResponse, *,
-        latency: float,
-    ) -> None:
+    def _finalize(self, pending: PendingQuery, response: QueryResponse) -> None:
         self.metrics.count("serve.responses")
+        latency = response.latency_seconds
         with self._lock:
             races.note_write(self.stats, "latencies")
             self.stats.latencies.append(latency)
@@ -526,32 +397,24 @@ class QueryBroker:
             if self._closed:
                 return
             self._closed = True
-            if not drain:
-                while self._queue:
-                    entry = self._queue.popleft()
+            now = self._clock()
+            while not drain and (
+                batch := self._batcher.pop(math.inf)
+            ) is not None:
+                for member in batch.members:
                     self.metrics.count("serve.shed")
-                    self._finalize(
-                        entry.pending,
-                        QueryResponse(
-                            request_id=entry.pending.request_id,
-                            app=entry.request.app,
-                            status=QueryStatus.SHED,
-                            error="broker closed before execution",
-                            error_type=AdmissionError.__name__,
-                        ),
-                        latency=self._clock() - entry.arrival,
-                    )
+                    self._finalize(member.pending, shed_response(
+                        member.request_id, member.request,
+                        "broker closed before execution",
+                        latency=now - member.arrival,
+                    ))
             self._cond.notify_all()
         for worker in self._workers:
             worker.join()
         self._publish_gauges()
         self._run_span.set("responses", len(self.stats.latencies))
         self._run_span.__exit__(None, None, None)
-        if self._owns_race_detector:
-            self._owns_race_detector = False
-            races.deactivate()
-            assert self.race_detector is not None
-            self.race_detector.finalize()
+        self._race.close()
 
     def _publish_gauges(self) -> None:
         elapsed = max(self._clock() - self._start_time, 1e-12)

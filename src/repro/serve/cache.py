@@ -280,11 +280,11 @@ class GraphStore:
 
     Accepts plain :class:`CSRGraph` values (epoch pinned at 0) and
     :class:`DynamicGraph` values (epoch bumped on every merge via the
-    dynamic graph's listener hook).  ``subscribe`` registers a callback
+    dynamic graph's listener hook).  Every serving batch reads its graph
+    from :meth:`graph` at dispatch.  ``subscribe`` registers a callback
     fired with ``(handle, csr, epoch, delta)`` after every update — the
-    cluster pool uses the delta to patch its replica brokers' CSRs in
-    place and to invalidate the cache selectively.  Batched updates go
-    through :meth:`apply_edges` / :meth:`apply_delta`.
+    cluster pool uses the delta to invalidate its cache selectively.
+    Batched updates go through :meth:`apply_edges` / :meth:`apply_delta`.
     """
 
     _guarded_by = {
@@ -356,8 +356,8 @@ class GraphStore:
         if delta.num_deleted:
             self.metrics.count("delta.edges_deleted", delta.num_deleted)
         # Fan out with the lock dropped: subscribers take their own
-        # locks (the replica brokers'), and holding ours across the
-        # callback would order store.lock -> broker.lock.
+        # locks (the pool's cache and counters), and holding ours across
+        # the callback would order store.lock before theirs.
         for callback in subscribers:
             callback(handle, csr, epoch, delta)
 
@@ -472,14 +472,6 @@ class GraphStore:
                 self._epochs[request.graph],
                 self._fingerprints[request.graph],
             )
-
-    def snapshot(self) -> dict[str, CSRGraph]:
-        """Current CSR per handle (the mapping replica brokers serve)."""
-        for handle in self._dynamic:
-            self.refresh(handle)
-        with self._lock:
-            races.note_read(self, "_current")
-            return dict(self._current)
 
     def _check(self, handle: str) -> None:
         with self._lock:

@@ -19,18 +19,20 @@ front door that adds three things a single broker does not have:
   never surface a stale read.
 
 :func:`simulate_cluster_open_loop` is the deterministic virtual-time
-twin (same batching policy, same admission and cache objects, virtual
-clock), which is what the CI benchmark tiers gate; the single broker is
-its :data:`SINGLE_BROKER` configuration.  The threaded pool is for
-exercising the stack end to end.  Both uphold the serving
-invariant: a response is either bit-identical to the direct oracle or a
+twin, which is what the CI benchmark tiers gate; the single broker is
+its :data:`SINGLE_BROKER` configuration.  Both run one policy (the
+:class:`~repro.serve.batching.Batcher` and its response builders, the
+router, admission and cache, graphs read from a
+:class:`~repro.serve.cache.GraphStore` at dispatch) on two clocks: the
+replay plays batch close times as events, the pool's replica brokers
+wait for them on their ``clock``.  Both uphold the serving invariant:
+a response is either bit-identical to the direct oracle or a
 structured non-``OK`` status — never a wrong answer.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import time
 from collections import deque
@@ -40,10 +42,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.races import RaceDetector
 from repro.analysis.races import instrument as races
 from repro.core.scheduler import Scheduler
-from repro.errors import AdmissionError, InvalidParameterError, ThrottledError
+from repro.errors import InvalidParameterError, ThrottledError
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import GraphDelta
 from repro.graph.dynamic import DynamicGraph
@@ -53,8 +54,17 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionDecision,
 )
-from repro.serve.batching import BatchKey, batch_key
-from repro.serve.broker import PendingQuery, QueryBroker
+from repro.serve.batching import (
+    Batch,
+    Batcher,
+    BatchKey,
+    Member,
+    batch_key,
+    expire_before,
+    settle,
+    shed_response,
+)
+from repro.serve.broker import PendingQuery, QueryBroker, RaceScope
 from repro.serve.cache import CacheKey, GraphStore, ResultCache, result_cache_key
 from repro.serve.executor import BatchExecution, BatchExecutor
 from repro.serve.loadgen import summarize_responses
@@ -171,20 +181,15 @@ def _front_door(
             extras={"cached": 1.0},
         ), key
     if decision is AdmissionDecision.THROTTLED:
-        error = f"client class {client!r} over its token-bucket rate limit"
-        error_type = ThrottledError.__name__
-    else:
-        error = (
-            "cluster over its adaptive concurrency limit "
-            f"({controller.concurrency_limit})"
-        )
-        error_type = AdmissionError.__name__
-    return QueryResponse(
-        request_id=request_id,
-        app=request.app,
-        status=QueryStatus.SHED,
-        error=error,
-        error_type=error_type,
+        return shed_response(
+            request_id, request,
+            f"client class {client!r} over its token-bucket rate limit",
+            ThrottledError.__name__,
+        ), None
+    return shed_response(
+        request_id, request,
+        "cluster over its adaptive concurrency limit "
+        f"({controller.concurrency_limit})",
     ), None
 
 
@@ -344,31 +349,10 @@ def publish_cluster_gauges(
 
 
 @dataclass
-class _Member:
-    """One admitted query inside the simulator."""
-
-    index: int
-    request: QueryRequest
-    arrival: float
-    deadline: float | None
-    replica: int
-
-
-@dataclass
-class _OpenBatch:
-    """A forming batch on one replica (see the replay's batching policy)."""
-
-    replica: int
-    key: BatchKey
-    close_time: float
-    members: list[_Member]
-
-
-@dataclass
 class _Running:
     """A dispatched batch whose results land when its device finishes."""
 
-    members: list[_Member]
+    members: list[Member]
     results: list[dict[str, np.ndarray]]
     cache_keys: list[CacheKey]
     batch_id: int
@@ -422,13 +406,12 @@ def _busy_total(pipes: list[ReplicaPipeline], sim_total: float) -> float:
 class _Replay:
     """The event loop behind :func:`simulate_cluster_open_loop`.
 
-    One method per event: :meth:`arrive`, :meth:`flush` (a window
-    closes; :meth:`dispatch` sends the batch to its replica's device),
-    :meth:`complete` and :meth:`update`.  :meth:`advance` plays them in
-    :func:`event_order`: graph updates and window flushes wait in one
-    heap, and the devices' next completion is polled beside it.  A
-    batch that fills before its window closes leaves its flush in the
-    heap, skipped when it surfaces.
+    One method per event: :meth:`arrive`, :meth:`dispatch` (a batch the
+    :class:`~repro.serve.batching.Batcher` releases goes to its
+    replica's device), :meth:`complete` and :meth:`update`.
+    :meth:`advance` merges three sources in :func:`event_order`: the
+    devices' next completion, the update list, and the batcher's next
+    close.
     """
 
     def __init__(
@@ -449,28 +432,18 @@ class _Replay:
         self.store = store
         self.executor = executor
         self.registry = registry
+        self.batcher = Batcher(batch_window, max_batch_size)
         self.cache = ResultCache(cache_capacity, metrics=registry)
         self.controller = AdmissionController(admission, metrics=registry)
         self.router = Router(routing, num_replicas)
-        self.batch_window = batch_window
-        self.max_batch_size = max_batch_size
         self.pipeline = pipeline
         self.devices: list[Any] = [
             _SerialDevice() if pipeline is None
             else ReplicaPipeline(pipeline, metrics=registry)
             for _ in range(num_replicas)
         ]
-        # Entries are event_order(...) + tie-breaks + payload: updates
-        # due together keep their list order, flushes due together go
-        # by (replica, repr(key)), and the sequence numbers keep the
-        # payloads out of every comparison.
-        self.events: list[tuple[Any, ...]] = [
-            (*event_order(update[0], EVENT_UPDATE), seq, update)
-            for seq, update in enumerate(updates)
-        ]
-        heapq.heapify(self.events)
-        self.flushes = itertools.count()
-        self.open: dict[tuple[int, BatchKey], _OpenBatch] = {}
+        # Updates due together keep their list order (a stable sort).
+        self.updates = deque(sorted(updates, key=lambda u: float(u[0])))
         self.running: dict[tuple[int, int], _Running] = {}
         self.responses: dict[int, QueryResponse] = {}
         self.outstanding = [0] * num_replicas
@@ -498,24 +471,31 @@ class _Replay:
     def advance(self, limit: float) -> None:
         """Play every event due at or before ``limit`` in event order."""
         while True:
-            times = [device.next_event_time() for device in self.devices]
-            completion = min((t for t in times if t is not None), default=None)
-            if completion is not None and (
-                not self.events
-                or event_order(completion, EVENT_COMPLETION)
-                < self.events[0][:2]
-            ):
-                if completion > limit:
-                    return
-                self.complete(completion)
-            elif self.events and self.events[0][0] <= limit:
-                event = heapq.heappop(self.events)
-                if event[1] == EVENT_UPDATE:
-                    self.update(event[-1])
-                else:
-                    self.flush(event[-1])
-            else:
+            times = [
+                t for t in (d.next_event_time() for d in self.devices)
+                if t is not None
+            ]
+            events = (
+                [event_order(min(times), EVENT_COMPLETION)] if times else []
+            )
+            if self.updates:
+                events.append(event_order(self.updates[0][0], EVENT_UPDATE))
+            close = self.batcher.next_close()
+            if close is not None:
+                events.append(event_order(close, EVENT_FLUSH))
+            if not events:
                 return
+            due = min(events)
+            if due[0] > limit:
+                return
+            if due[1] == EVENT_COMPLETION:
+                self.complete(due[0])
+            elif due[1] == EVENT_UPDATE:
+                self.update(self.updates.popleft())
+            else:
+                batch = self.batcher.pop(due[0])
+                assert batch is not None
+                self.dispatch(batch)
 
     def arrive(
         self, index: int, t: float, request: QueryRequest, client: str
@@ -534,48 +514,23 @@ class _Replay:
         self.registry.count("cluster.routed")
         self.outstanding[replica] += 1
         self.total_outstanding += 1
-        deadline = (
-            t + request.deadline_seconds
-            if request.deadline_seconds is not None else None
-        )
-        key = batch_key(request)
-        batch = self.open.get((replica, key))
-        if batch is None:
-            # advance(t) flushed every batch due by t, so any batch still
-            # open closes after t.
-            batch = _OpenBatch(replica, key, t + self.batch_window, [])
-            self.open[(replica, key)] = batch
-            heapq.heappush(self.events, (
-                *event_order(batch.close_time, EVENT_FLUSH),
-                replica, repr(key), next(self.flushes), batch,
-            ))
-        batch.members.append(_Member(index, request, t, deadline, replica))
-        if len(batch.members) == self.max_batch_size:
-            # Filled before the window elapsed: dispatch at the filling
-            # arrival instead of waiting it out.
-            del self.open[(replica, key)]
-            self.dispatch(batch, t)
+        self.batcher.add(Member(index, request, t, replica), t)
 
-    def flush(self, batch: _OpenBatch) -> None:
-        """A window closes, unless its batch filled and left already."""
-        if self.open.get((batch.replica, batch.key)) is batch:
-            del self.open[(batch.replica, batch.key)]
-            self.dispatch(batch, batch.close_time)
-
-    def dispatch(self, batch: _OpenBatch, ready: float) -> None:
-        """Execute a batch against the current graph snapshot and submit
-        it to its replica's device; members whose deadline passes before
-        the device can start it time out instead."""
+    def dispatch(self, batch: Batch) -> None:
+        """Execute a batch at its close time against the current graph
+        snapshot and submit it to its replica's device; members whose
+        deadline passes before the device can start it time out
+        instead."""
         device = self.devices[batch.replica]
-        start = device.earliest_start(ready)
+        ready = batch.close_time
         batch_id = self.next_batch_id
         self.next_batch_id += 1
-        live = []
-        for member in batch.members:
-            if member.deadline is not None and start > member.deadline:
-                self.timeout(member, start, "before execution", batch_id, 0)
-            else:
-                live.append(member)
+        live, expired = expire_before(
+            batch.members, device.earliest_start(ready), batch_id
+        )
+        for member, response in expired:
+            self.controller.on_overload()
+            self.resolve(member, response)
         if not live:
             return
         handle = batch.key[0]
@@ -615,28 +570,19 @@ class _Replay:
             key=lambda item: (item[0], item[1].batch_id),
         )
         for finish, batch in done:
-            size = len(batch.members)
-            for member, result, key in zip(
-                batch.members, batch.results, batch.cache_keys
+            responses = settle(
+                batch.members, batch.results, finish,
+                batch.batch_id, batch.share,
+            )
+            for member, key, response in zip(
+                batch.members, batch.cache_keys, responses
             ):
-                if member.deadline is not None and finish > member.deadline:
-                    self.timeout(
-                        member, finish, "after execution",
-                        batch.batch_id, size,
-                    )
-                    continue
-                self.controller.on_success()
-                self.cache.put(key, result)
-                self.resolve(member, QueryResponse(
-                    request_id=member.index,
-                    app=member.request.app,
-                    status=QueryStatus.OK,
-                    result=result,
-                    batch_id=batch.batch_id,
-                    batch_size=size,
-                    sim_seconds=batch.share,
-                    latency_seconds=finish - member.arrival,
-                ))
+                if response.status is QueryStatus.OK:
+                    self.controller.on_success()
+                    self.cache.put(key, response.result)
+                else:
+                    self.controller.on_overload()
+                self.resolve(member, response)
 
     def update(self, update: tuple[float, str, Any, Any]) -> None:
         """Merge one edge batch: bump the epoch and fix up the cache."""
@@ -656,26 +602,10 @@ class _Replay:
         self.registry.count("cluster.graph_updates")
         self.graph_updates += 1
 
-    def timeout(
-        self, member: _Member, now: float, phase: str,
-        batch_id: int, size: int,
-    ) -> None:
-        self.controller.on_overload()
-        self.resolve(member, QueryResponse(
-            request_id=member.index,
-            app=member.request.app,
-            status=QueryStatus.TIMEOUT,
-            error=f"deadline exceeded {phase}",
-            error_type="DeadlineExceededError",
-            batch_id=batch_id,
-            batch_size=size,
-            latency_seconds=now - member.arrival,
-        ))
-
-    def resolve(self, member: _Member, response: QueryResponse) -> None:
+    def resolve(self, member: Member, response: QueryResponse) -> None:
         self.outstanding[member.replica] -= 1
         self.total_outstanding -= 1
-        self.responses[member.index] = response
+        self.responses[member.request_id] = response
 
 
 def simulate_cluster_open_loop(
@@ -699,23 +629,25 @@ def simulate_cluster_open_loop(
 ) -> tuple[list[QueryResponse], ClusterBenchReport]:
     """Deterministic virtual-time replay of the clustered service.
 
-    The policy objects are the production ones (:func:`batch_key`
-    compatibility, :class:`ResultCache`, :class:`AdmissionController`);
-    only the clock is virtual, so equal traffic always yields byte-equal
-    responses and the benchmark tiers can be gated in CI.
+    The policy objects are the production ones (the
+    :class:`~repro.serve.batching.Batcher` and its response builders,
+    :class:`ResultCache`, :class:`AdmissionController`); only the clock
+    is virtual, so equal traffic always yields byte-equal responses and
+    the benchmark tiers can be gated in CI.
 
-    Batching policy, per replica and compatibility key, arrivals in time
-    order: the first pending query *opens* a batch; queries arriving
-    within ``batch_window`` of the open join it, up to
-    ``max_batch_size``; the batch dispatches when the window elapses or
-    at the arrival that fills it, whichever is first.  Batch ids follow
-    dispatch order, and ``num_batches`` counts executed batches (a batch
-    whose members all missed their deadline before execution gets an id
-    but is not counted).  Each replica is one device that runs one
-    batch at a time.
+    Batching follows the batcher's rules per replica and compatibility
+    key: the first arrival opens a batch, later ones join it up to
+    ``max_batch_size``, and it dispatches when its ``batch_window``
+    elapses or at the arrival that fills it, whichever is first.  Batch
+    ids follow dispatch order, and ``num_batches`` counts executed
+    batches (a batch whose members all missed their deadline before
+    execution gets an id but is not counted).  Each replica is one
+    device that runs one batch at a time.
 
     With :data:`SINGLE_BROKER` the replay is the single micro-batching
-    broker on one device.
+    broker on one device: driven by the same trace on an injected clock,
+    a one-worker :class:`~repro.serve.broker.QueryBroker` forms the same
+    batches and returns the same results.
 
     ``updates`` schedules mid-stream dynamic-graph merges as
     ``(virtual_time, handle, src_array, dst_array)`` tuples; each bumps
@@ -741,10 +673,6 @@ def simulate_cluster_open_loop(
     """
     if num_replicas < 1:
         raise InvalidParameterError("num_replicas must be >= 1")
-    if batch_window < 0:
-        raise InvalidParameterError("batch_window must be >= 0")
-    if max_batch_size < 1:
-        raise InvalidParameterError("max_batch_size must be >= 1")
     arrivals = np.asarray(arrivals, dtype=np.float64)
     if arrivals.shape != (len(requests),):
         raise InvalidParameterError(
@@ -842,10 +770,11 @@ class ClusterPool:
     execution: a query is either shed with a structured response
     (throttled / over the adaptive concurrency limit), answered straight
     from the versioned cache, or routed to a replica broker whose
-    :class:`~repro.serve.broker.PendingQuery` is returned as-is.  Graph
-    updates applied through a registered
-    :class:`~repro.graph.dynamic.DynamicGraph` propagate to every
-    replica and invalidate the cache atomically with the epoch bump.
+    :class:`~repro.serve.broker.PendingQuery` is returned as-is.  The
+    replicas share the pool's :class:`~repro.serve.cache.GraphStore`, so
+    a merge through a registered
+    :class:`~repro.graph.dynamic.DynamicGraph` reaches every replica's
+    next batch, and the cache is fixed up from the merge's delta.
     """
 
     _guarded_by = {
@@ -876,17 +805,8 @@ class ClusterPool:
             raise InvalidParameterError("num_replicas must be >= 1")
         self.num_replicas = int(num_replicas)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # Activate before any lock, cache or replica exists so the whole
-        # pool lifetime is tracked; join an already-active detector
-        # rather than owning a second one.
-        self.race_detector: RaceDetector | None = None
-        self._owns_race_detector = False
-        if race_check:
-            self.race_detector = races.active_detector()
-            if self.race_detector is None:
-                self.race_detector = RaceDetector(metrics=self.metrics)
-                races.activate(self.race_detector)
-                self._owns_race_detector = True
+        self._race = RaceScope(race_check, self.metrics)
+        self.race_detector = self._race.detector
         self.store = (
             graphs if isinstance(graphs, GraphStore) else GraphStore(graphs)
         )
@@ -900,10 +820,9 @@ class ClusterPool:
         self._per_replica = [0] * num_replicas
         self._local_ids = itertools.count()
         self.graph_updates = 0
-        snapshot = self.store.snapshot()
         self.replicas = [
             QueryBroker(
-                snapshot,
+                self.store,
                 scheduler_factory,
                 batch_window=batch_window,
                 max_batch_size=max_batch_size,
@@ -988,11 +907,8 @@ class ClusterPool:
     def _on_graph_update(
         self, handle: str, csr: CSRGraph, epoch: int, delta: GraphDelta
     ) -> None:
-        # Replica-local CSR patching: each broker applies the structured
-        # delta to its own copy (bit-identical to the store's new CSR)
-        # instead of receiving a full snapshot swap.
-        for broker in self.replicas:
-            broker.patch_graph(handle, delta, csr)
+        # The replicas read the store at dispatch, so only the cache
+        # needs fixing up.
         self.cache.apply_delta(
             handle, delta,
             new_epoch=epoch,
@@ -1020,11 +936,7 @@ class ClusterPool:
             "cluster.concurrency_limit",
             float(self.admission.concurrency_limit),
         )
-        if self._owns_race_detector:
-            self._owns_race_detector = False
-            races.deactivate()
-            assert self.race_detector is not None
-            self.race_detector.finalize()
+        self._race.close()
 
     def __enter__(self) -> "ClusterPool":
         return self

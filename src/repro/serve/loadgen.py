@@ -13,6 +13,11 @@ tier.  Two execution modes consume them:
   threads (each submits, waits, repeats).  Wall-clock mode: useful for
   exercising the broker end to end, not for gating.
 
+Both modes batch through the same
+:class:`~repro.serve.batching.Batcher`, so ``batch_window`` and
+``max_batch_size`` (and a tuned profile's values for them) mean the
+same thing on either clock.
+
 Open-loop speedups are measured against the **sequential baseline**
 (:func:`sequential_baseline`): the sum of one-query-at-a-time
 :func:`~repro.serve.executor.run_direct` oracle runs over the identical

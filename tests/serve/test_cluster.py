@@ -5,13 +5,22 @@ response out of the cluster — routed, batched, cached, throttled or
 raced by a graph update — is bit-for-bit identical to the single-query
 ``run_direct`` oracle on a consistent graph version, and every non-OK
 response carries no result at all.  Never a wrong answer.
+
+The threaded drivers and the virtual-time replay share one batching
+policy; :class:`TestOnePolicyTwoDrivers` holds them to the same batches
+on the same trace.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.analysis.races import YieldFuzzer
+from repro.analysis.races import instrument as races
 from repro.core import SageScheduler
 from repro.errors import InvalidParameterError
 from repro.graph.dynamic import DynamicGraph
@@ -21,6 +30,7 @@ from repro.serve import (
     AdmissionConfig,
     BatchExecutor,
     ClusterPool,
+    QueryBroker,
     QueryRequest,
     QueryStatus,
     Router,
@@ -446,3 +456,142 @@ class TestThreadedPool:
         for response in shed:
             assert response.result is None
             assert response.error_type
+
+
+class _ManualClock:
+    """A clock the test sets by hand, so threaded drivers run on the
+    trace's virtual arrival times."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+#: Batching knobs of the differential trace: wide enough that some
+#: batches fill and some close on their window mid-trace.
+DIFF_WINDOW = 0.02
+DIFF_CAP = 3
+
+
+def _batches(responses, replica_of):
+    """The partition of query indices into batches, per replica."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, response in enumerate(responses):
+        groups.setdefault(
+            (replica_of[index], response.batch_id), []
+        ).append(index)
+    partition: dict[int, set[tuple[int, ...]]] = {}
+    for (replica, _), members in groups.items():
+        partition.setdefault(replica, set()).add(tuple(members))
+    return partition
+
+
+class TestOnePolicyTwoDrivers:
+    """The threaded broker and pool drive the replay's batcher: on a
+    manual clock set to each arrival, they form the same batches and
+    return the same results as the replay of that trace."""
+
+    def test_full_batch_does_not_wait_behind_another_keys_window(
+        self, serve_graph
+    ):
+        with QueryBroker(
+            {"g": serve_graph}, scheduler_factory,
+            num_workers=1, batch_window=30.0, max_batch_size=2,
+        ) as broker:
+            bfs = broker.submit(QueryRequest("bfs", "g", 0))
+            pair = broker.submit_many([
+                QueryRequest("sssp", "g", 1), QueryRequest("sssp", "g", 2),
+            ])
+            responses = [p.result(timeout=5) for p in pair]
+            assert not bfs.done()
+        assert [r.status for r in responses] == [QueryStatus.OK] * 2
+        assert {(r.batch_id, r.batch_size) for r in responses} == {
+            (responses[0].batch_id, 2)
+        }
+        assert bfs.result(timeout=5).status is QueryStatus.OK
+
+    def test_many_workers_share_one_batcher_without_loss(self, serve_graph):
+        """More workers than cores racing on one batcher, with a short
+        switch interval: every query is answered once and every batch
+        is counted once."""
+        requests = generate_queries(
+            "g", serve_graph.num_nodes, 64, seed=7,
+            mix={"bfs": 0.6, "sssp": 0.4},
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryBroker(
+                {"g": serve_graph}, scheduler_factory,
+                num_workers=8, batch_window=0.001, max_batch_size=4,
+            ) as broker:
+                responses = [
+                    p.result(timeout=60) for p in broker.submit_many(requests)
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.status is QueryStatus.OK for r in responses)
+        sizes = Counter(r.batch_id for r in responses)
+        assert sorted(sizes.values()) == sorted(broker.stats.batch_sizes)
+        assert all(r.batch_size == sizes[r.batch_id] for r in responses)
+
+    @pytest.mark.parametrize("fuzz_seed", [None, 1, 2, 3])
+    @pytest.mark.parametrize("replicas", [1, 2], ids=["broker", "pool"])
+    def test_threaded_drivers_match_the_replay(
+        self, serve_graph, replicas, fuzz_seed
+    ):
+        requests, arrivals = _workload(serve_graph, n=32, seed=5)
+        if replicas == 1:
+            config = dict(SINGLE_BROKER)
+        else:
+            config = {
+                "num_replicas": 2, "routing": "round_robin",
+                "cache_capacity": 0,
+                "admission": SINGLE_BROKER["admission"],
+            }
+        replayed, _ = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP, **config,
+        )
+        clock = _ManualClock()
+        if fuzz_seed is not None:
+            races.set_scheduler(YieldFuzzer(seed=fuzz_seed, probability=0.5))
+        try:
+            if replicas == 1:
+                driver = QueryBroker(
+                    {"g": serve_graph}, scheduler_factory, num_workers=1,
+                    batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
+                    clock=clock,
+                )
+            else:
+                driver = ClusterPool(
+                    {"g": serve_graph}, scheduler_factory,
+                    batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
+                    clock=clock, **config,
+                )
+            pendings = []
+            for request, t in zip(requests, arrivals):
+                clock.now = float(t)
+                pendings.append(driver.submit(request))
+            driver.close(drain=True)
+            threaded = [p.result(timeout=30) for p in pendings]
+        finally:
+            races.set_scheduler(None)
+
+        for want, got in zip(replayed, threaded):
+            assert want.status is QueryStatus.OK, want
+            assert got.status is QueryStatus.OK, got
+            assert_bit_identical(got.result, want.result)
+        # Every admitted query is routed round-robin (one replica for
+        # the broker), so query i rides replica i % replicas.
+        replica_of = [i % replicas for i in range(len(requests))]
+        partition = _batches(replayed, replica_of)
+        assert _batches(threaded, replica_of) == partition
+        batches = [b for groups in partition.values() for b in groups]
+        assert any(len(b) == DIFF_CAP for b in batches)
+        assert any(
+            len(b) < DIFF_CAP and arrivals[b[0]] + DIFF_WINDOW < arrivals[-1]
+            for b in batches
+        )
