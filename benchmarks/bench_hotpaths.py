@@ -6,9 +6,12 @@ implementation (the pre-optimization formulation kept for the
 equivalence property tests), on inputs shaped like the scale-up tier's
 workloads.  The sampler row has no rewrite and so no reference: it
 times the observation cost every reorder round pays before
-``compute_round``.  Wall times here are informational — the correctness
-story is ``tests/test_hotpath_equivalence.py``, which asserts the
-rewrites are bit-for-bit identical to the references.
+``compute_round``.  The level-pricing row times every level of one mesh
+BFS priced by one ``level_stats`` call against ``kernel_stats`` level by
+level.  Wall times here are informational — the correctness story is
+``tests/test_hotpath_equivalence.py`` and, for level pricing,
+``tests/test_node_accounting.py``, which assert the rewrites are
+bit-for-bit identical to the references.
 
 Usage::
 
@@ -24,7 +27,10 @@ import time
 
 import numpy as np
 
+from repro.apps import BFSApp
 from repro.apps.pagerank import rank_scatter, rank_scatter_reference
+from repro.core import SageScheduler
+from repro.core.pipeline import Level
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
@@ -36,7 +42,8 @@ from repro.gpusim.memory import (
 )
 from repro.graph.coo import COOGraph
 from repro.graph.csr import CSRGraph, expand_frontier_reference
-from repro.graph.generators import rmat
+from repro.graph.generators import grid_2d, rmat
+from repro.obs.span import NullSpan
 
 SECTOR_WIDTH = 8
 
@@ -192,6 +199,36 @@ def bench_pagerank_filter(rng, repeats: int, graph: CSRGraph) -> None:
     _row("pagerank filter", graph.num_edges, new_s, ref_s)
 
 
+def bench_level_pricing(repeats: int, graph: CSRGraph) -> None:
+    # Every level of one BFS on a mesh (a few hundred edges each): one
+    # level_stats call over the queue against kernel_stats per level.
+    app = BFSApp()
+    app.setup(graph, 0)
+    levels, frontier = [], app.initial_frontier()
+    while frontier.size:
+        edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
+        degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+        levels.append(Level(len(levels), frontier, degrees, edge_dst, edge_pos, NullSpan()))
+        frontier = app.process_level(edge_src, edge_dst)
+    scheduler = SageScheduler()
+
+    def run_new():
+        scheduler.reset(graph)
+        scheduler.level_stats(levels, graph, app)
+
+    def run_ref():
+        scheduler.reset(graph)
+        for level in levels:
+            scheduler.kernel_stats(level.frontier, level.degrees, level.edge_dst, graph, app)
+
+    _row(
+        f"level pricing ({len(levels)} levels)",
+        graph.num_nodes,
+        _best_of(run_new, repeats),
+        _best_of(run_ref, repeats),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller inputs, fewer repeats")
@@ -210,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     graph = rmat(12 if args.quick else 15, 8, seed=11)
     bench_expand(rng, repeats, graph)
     bench_pagerank_filter(rng, repeats, graph)
+    side = 48 if args.quick else 112
+    bench_level_pricing(repeats, grid_2d(side, side))
     return 0
 
 

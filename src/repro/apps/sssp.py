@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import App, contract
 from repro.errors import InvalidParameterError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, graph_memo
 
 INF = np.iinfo(np.int64).max // 4
 
@@ -40,13 +40,19 @@ def pair_weights(
 def synthetic_weights(graph: CSRGraph, max_weight: int = 8) -> np.ndarray:
     """Deterministic positive weights, one per CSR edge slot.
 
-    Hash of (src, dst) so the weights survive node reordering applied to
-    both endpoints consistently... they do not — reordering relabels
-    nodes, so SSSP runs either use explicit weights or skip reordering.
-    Weights are in ``[1, max_weight]``.
+    :func:`pair_weights` of every edge, in ``[1, max_weight]``.  Built
+    once per graph object and shared, so the array is read-only.
+    Reordering relabels nodes and so changes the weights: SSSP runs
+    either pass explicit weights or skip reordering.
     """
-    coo = graph.to_coo()
-    return pair_weights(coo.src, coo.dst, max_weight)
+
+    def build() -> np.ndarray:
+        coo = graph.to_coo()
+        weights = pair_weights(coo.src, coo.dst, max_weight)
+        weights.flags.writeable = False
+        return weights
+
+    return graph_memo(graph, ("synthetic_weights", max_weight), build)[0]
 
 
 class SSSPApp(App):

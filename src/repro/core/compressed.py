@@ -36,6 +36,10 @@ class CompressedTraversalScheduler(Scheduler):
         self.compressed = compressed
         self.name = f"{inner.name}+compressed"
 
+    @property
+    def observes_levels(self) -> bool:
+        return self.inner.observes_levels
+
     def reset(self, graph: CSRGraph) -> None:
         self.inner.reset(graph)
 

@@ -20,6 +20,9 @@ get divided by the SM count (overheads execute in parallel per SM).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.apps.base import App
@@ -30,6 +33,7 @@ from repro.core.scheduler import (
     Scheduler,
     SectorAccounting,
     atomic_conflicts_for,
+    level_sector_accounting,
     scale_value_sectors,
 )
 from repro.core.tiling import (
@@ -43,6 +47,9 @@ from repro.graph.csr import CSRGraph
 from repro.gpusim.cost import KernelStats, block_placement, even_placement
 from repro.gpusim.spec import GPUSpec
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.pipeline import Level
+
 # Scheduling-cost constants (lane-cycles per work item).
 ELECTION_CYCLES = 24.0      # ballot + elect + three shuffles (Alg. 2 l.10-19)
 TILE_ROUND_CYCLES = 4.0     # per-round vote + pointer bump (Alg. 2 l.21-25)
@@ -51,6 +58,11 @@ FRAGMENT_SETUP_CYCLES = 8.0  # scan-based gather setup per fragment node
 TILE_WRITE_CYCLES = 6.0     # expandTiles store per new tile (Alg. 3 l.3)
 TILE_CONSUME_CYCLES = 2.0   # popping a resident tile from the global queue
 SAMPLE_CYCLES = 16.0        # Alg. 4 shared-memory counting per sampled tile
+
+#: Fewest queued levels :meth:`SageScheduler.level_stats` prices in one
+#: pass.  A shorter queue is priced one level at a time: the pass's fixed
+#: numpy calls would cost more than the levels share.
+MIN_PASS_LEVELS = 4
 
 
 class SageScheduler(Scheduler):
@@ -114,6 +126,11 @@ class SageScheduler(Scheduler):
         else:
             self._reorderer = None
 
+    @property
+    def observes_levels(self) -> bool:
+        # post_level's reorder rounds read the samples each level records
+        return self.sampling_reorder
+
     def kernel_stats(
         self,
         frontier: np.ndarray,
@@ -122,8 +139,38 @@ class SageScheduler(Scheduler):
         graph: CSRGraph,
         app: App,
     ) -> KernelStats:
+        return self._price([frontier], [degrees], [edge_dst], graph, app)[0]
+
+    def level_stats(
+        self, levels: Sequence[Level], graph: CSRGraph, app: App
+    ) -> list[KernelStats]:
+        if (
+            len(levels) < MIN_PASS_LEVELS
+            # a subclass that prices kernels itself sees every level
+            or type(self).kernel_stats is not SageScheduler.kernel_stats
+        ):
+            return super().level_stats(levels, graph, app)
+        return self._price(
+            [level.frontier for level in levels],
+            [level.degrees for level in levels],
+            [level.edge_dst for level in levels],
+            graph, app,
+        )
+
+    def _price(
+        self,
+        frontiers: Sequence[np.ndarray],
+        degrees: Sequence[np.ndarray],
+        edge_dsts: Sequence[np.ndarray],
+        graph: CSRGraph,
+        app: App,
+    ) -> list[KernelStats]:
+        """The stats of a queue of kernels, in order, from one pass."""
         if not self.tiled_partitioning:
-            return self._thread_per_node_stats(frontier, degrees, edge_dst, app)
+            return [
+                self._thread_per_node_stats(frontier, degree, edge_dst, app)
+                for frontier, degree, edge_dst in zip(frontiers, degrees, edge_dsts)
+            ]
         # Every caller passes edge_dst = graph.expand_frontier(frontier)[1],
         # so the kernel's tiling totals are sums of the graph's per-node
         # table (Resident Tile Stealing's "tile once per node", on the host).
@@ -134,11 +181,20 @@ class SageScheduler(Scheduler):
         )
         if built:
             self.metrics.count("sage.node_tables_built")
-        work = table.frontier_work(
-            frontier, degrees, segments=self._reorderer is not None
+        works = table.level_work(
+            frontiers, degrees, segments=self._reorderer is not None
         )
-        acct = self._sector_accounting(frontier, edge_dst, graph)
-        return self._tiled_stats(frontier, degrees, edge_dst, app, work, acct)
+        if self._store is not None:
+            new_tiles = self._store.visit_levels(
+                frontiers, [work.units_per_node for work in works]
+            )
+        else:
+            new_tiles = [0] * len(works)
+        accts = self._sector_accounting(frontiers, edge_dsts, graph, app)
+        return [
+            self._tiled_stats(*level, app)
+            for level in zip(frontiers, degrees, edge_dsts, works, accts, new_tiles)
+        ]
 
     def kernel_stats_reference(
         self,
@@ -158,7 +214,13 @@ class SageScheduler(Scheduler):
             spec.sector_width, self.tile_alignment,
         )
         acct = SectorAccounting(edge_dst, spec.sector_width)
-        return self._tiled_stats(frontier, degrees, edge_dst, app, work, acct)
+        new_tiles = (
+            self._store.visit(frontier, work.units_per_node)[2]
+            if self._store is not None else 0
+        )
+        return self._tiled_stats(
+            frontier, degrees, edge_dst, work, acct, new_tiles, app
+        )
 
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
         if self._reorderer is None or not self._reorderer.ready:
@@ -180,16 +242,30 @@ class SageScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def _sector_accounting(
-        self, frontier: np.ndarray, edge_dst: np.ndarray, graph: CSRGraph
-    ) -> SectorAccounting:
-        """The kernel's shared distinct-count pass.
+        self,
+        frontiers: Sequence[np.ndarray],
+        edge_dsts: Sequence[np.ndarray],
+        graph: CSRGraph,
+        app: App,
+    ) -> list[SectorAccounting]:
+        """The kernels' shared distinct counts, from one pass.
 
         A kernel over every node in id order (each iteration of a
         full-frontier app such as PageRank) reads exactly
         ``graph.targets``, so this scheduler counts it once per graph.
         """
-        if not graph.is_full_frontier(frontier):
-            return SectorAccounting(edge_dst, self.spec.sector_width)
+        full = [graph.is_full_frontier(frontier) for frontier in frontiers]
+        accts = level_sector_accounting(
+            [edge_dst for edge_dst, is_full in zip(edge_dsts, full) if not is_full],
+            self.spec.sector_width, graph.num_nodes,
+            addresses=app.uses_atomics,
+        )
+        for index, is_full in enumerate(full):
+            if is_full:
+                accts.insert(index, self._graph_accounting_of(graph))
+        return accts
+
+    def _graph_accounting_of(self, graph: CSRGraph) -> SectorAccounting:
         acct = self._graph_accounting
         if acct is None or acct.edge_dst is not graph.targets:
             acct = SectorAccounting(graph.targets, self.spec.sector_width)
@@ -201,10 +277,13 @@ class SageScheduler(Scheduler):
         frontier: np.ndarray,
         degrees: np.ndarray,
         edge_dst: np.ndarray,
-        app: App,
         work: FrontierWork,
         acct: SectorAccounting,
+        new_tiles: int,
+        app: App,
     ) -> KernelStats:
+        """One kernel's stats; ``new_tiles`` are the tiles its visit
+        wrote to the resident store."""
         spec = self.spec
         if self.sanitizer is not None:
             # Audit the scheduled work units: tiles + fragments must
@@ -222,10 +301,6 @@ class SageScheduler(Scheduler):
         total_tiles = work.num_tiles + work.num_fragments
 
         if self.resident_stealing:
-            assert self._store is not None
-            _, new_nodes, new_tiles = self._store.visit(
-                frontier, work.units_per_node
-            )
             # Scheduling decisions are resident: new nodes pay the tile
             # write; everything else is a cheap queue pop.
             overhead_work = (

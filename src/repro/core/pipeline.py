@@ -233,7 +233,8 @@ class TraversalPipeline(LevelPricer):
     """Runs apps over a graph with a given scheduler and device.
 
     A level is one scheduler kernel on the device, followed by any
-    reordering the scheduler commits.
+    reordering the scheduler commits.  Unrecorded runs price small
+    levels in batches (see :meth:`price`).
     """
 
     def __init__(
@@ -259,6 +260,10 @@ class TraversalPipeline(LevelPricer):
         # total_perm maps original ids -> current ids across commits.
         self._total_perm: np.ndarray | None = None
         self._commits = 0
+        # Small levels waiting to be priced together (see price).
+        self._queue_levels = False
+        self._queued: list[Level] = []
+        self._queued_edges = 0
 
     @property
     def name(self) -> str:
@@ -278,10 +283,36 @@ class TraversalPipeline(LevelPricer):
         self.scheduler.set_metrics(self.metrics)
         self.scheduler.set_sanitizer(self.sanitizer)
         self.scheduler.reset(graph)
+        # Queue levels only when nothing reads each level as it runs:
+        # spans must nest per level, a sanitizer audits each kernel, and
+        # an observing scheduler's post_level reads what pricing records.
+        self._queue_levels = not (
+            self.metrics.enabled
+            or self.sanitizer is not None
+            or self.device.sanitizer is not None
+            or self.scheduler.observes_levels
+        )
+        self._queued = []
+        self._queued_edges = 0
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
     ) -> None:
+        """Queue a small level, or price it now.
+
+        A level of fewer than |V| edges is queued, and the queue is
+        priced together once it holds |V| edges; a larger level is
+        priced alone, after the queue.  Queued levels keep their own
+        stats, kernel and trace node, in level order.
+        """
+        edges = int(level.edge_dst.size)
+        if self._queue_levels and edges < graph.num_nodes:
+            self._queued.append(level)
+            self._queued_edges += edges
+            if self._queued_edges >= graph.num_nodes:
+                self._price_queued(graph, app, trace)
+            return
+        self._price_queued(graph, app, trace)
         device = self.device
         stats = self.scheduler.kernel_stats(
             level.frontier, level.degrees, level.edge_dst, graph, app
@@ -290,8 +321,24 @@ class TraversalPipeline(LevelPricer):
             device, stats, "kernel", kind="expand-filter",
         )
         trace.append(device.kernel_node(timing, level.index))
-        level.span.set("active_edges", int(level.edge_dst.size))
+        level.span.set("active_edges", edges)
         level.span.set("kernel_cycles", timing.cycles)
+
+    def _price_queued(
+        self, graph: CSRGraph, app: App, trace: list[TraceNode]
+    ) -> None:
+        """Price every queued level with one ``level_stats`` call."""
+        levels = self._queued
+        if not levels:
+            return
+        self._queued = []
+        self._queued_edges = 0
+        device = self.device
+        # Queued runs are unrecorded, so no kernel span is opened.
+        for level, stats in zip(
+            levels, self.scheduler.level_stats(levels, graph, app)
+        ):
+            trace.append(device.kernel_node(device.run_kernel(stats), level.index))
 
     def post_level(
         self,
@@ -302,6 +349,9 @@ class TraversalPipeline(LevelPricer):
         trace: list[TraceNode],
     ) -> CSRGraph:
         commit = self.scheduler.post_level(graph)
+        if commit is not None or queue.empty:
+            # queued levels ran on this graph, before the commit
+            self._price_queued(graph, app, trace)
         if commit is None:
             return graph
         sanitizer = self.sanitizer

@@ -15,6 +15,8 @@ device-memory footprint; the decomposition itself is shared with
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.graph.csr import CSRGraph
@@ -55,6 +57,35 @@ class ResidentTileStore:
         self.expansions += new_nodes
         self.stored_tiles += new_tiles
         return reused, new_nodes, new_tiles
+
+    def visit_levels(
+        self,
+        frontiers: Sequence[np.ndarray],
+        tiles_per_node: Sequence[np.ndarray],
+    ) -> list[int]:
+        """Record a queue of frontier visits, in order, in one pass.
+
+        Equal to :meth:`visit` on each level in turn: a node is new at
+        its first level in the queue unless it was resident before, and
+        every later level reuses it.  Returns each level's new tiles.
+        """
+        if len(frontiers) == 1:
+            return [self.visit(frontiers[0], tiles_per_node[0])[2]]
+        nodes = np.concatenate(frontiers)
+        level = np.repeat(np.arange(len(frontiers)), [f.size for f in frontiers])
+        first = np.full(self._resident.size, len(frontiers))
+        np.minimum.at(first, nodes, level)
+        new = (level == first[nodes]) & ~self._resident[nodes]
+        self._resident[nodes] = True
+        units = np.concatenate(tiles_per_node)[new]
+        # integer tile counts: the float sums are exact
+        new_tiles = np.bincount(
+            level[new], weights=units, minlength=len(frontiers)
+        ).astype(np.int64).tolist()
+        self.reuse_hits += int(nodes.size - units.size)
+        self.expansions += int(units.size)
+        self.stored_tiles += int(units.sum())
+        return new_tiles
 
     @property
     def footprint_bytes(self) -> int:

@@ -12,6 +12,7 @@ data layout.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,6 +24,7 @@ from repro.gpusim.cost import KernelStats
 from repro.gpusim.memory import (
     coalesced_sectors,
     distinct_count,
+    level_distinct_counts,
     segmented_distinct_sectors,
 )
 from repro.gpusim.spec import GPUSpec
@@ -30,6 +32,7 @@ from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.sanitizer import Sanitizer
+    from repro.core.pipeline import Level
 
 #: Fraction of duplicate-address atomic updates that serialize, for
 #: atomic-aggregation apps (BC/PR, Section 7.2).
@@ -54,6 +57,10 @@ class Scheduler(ABC):
     """Maps one iteration's expanded edges onto simulated hardware."""
 
     name: str = "scheduler"
+    #: True when :meth:`post_level` reads what pricing a level recorded
+    #: (SAGE's sampling reorder): such a scheduler is priced level by
+    #: level, as each level runs, never from a queue.
+    observes_levels: bool = False
 
     def __init__(self, spec: GPUSpec | None = None) -> None:
         self.spec = spec or GPUSpec()
@@ -95,6 +102,22 @@ class Scheduler(ABC):
             app: the running application (atomicity, access factor).
         """
 
+    def level_stats(
+        self, levels: Sequence[Level], graph: CSRGraph, app: App
+    ) -> list[KernelStats]:
+        """Score a queue of expansion+filtering kernels, one per level.
+
+        ``levels`` ran in this order on ``graph`` (each carries its
+        ``frontier``, ``degrees`` and ``edge_dst``); the result equals
+        :meth:`kernel_stats` called on each in turn, which is what this
+        default does.
+        """
+        return [
+            self.kernel_stats(level.frontier, level.degrees, level.edge_dst,
+                              graph, app)
+            for level in levels
+        ]
+
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
         """Give self-adaptive schedulers a chance to commit a reordering."""
         return None
@@ -110,16 +133,23 @@ class SectorAccounting:
     kernel-wide distinct count of ``edge_dst // sector_width`` (atomics
     additionally the distinct address count); a scheduler constructs one
     instance per kernel call and passes it to both so the sorted-sector
-    computation runs once.
+    computation runs once.  Counts already known (see
+    :func:`level_sector_accounting`) are passed in and never recounted.
     """
 
     __slots__ = ("edge_dst", "sector_width", "_unique_sectors", "_unique_addresses")
 
-    def __init__(self, edge_dst: np.ndarray, sector_width: int) -> None:
+    def __init__(
+        self,
+        edge_dst: np.ndarray,
+        sector_width: int,
+        unique_sectors: int | None = None,
+        unique_addresses: int | None = None,
+    ) -> None:
         self.edge_dst = edge_dst
         self.sector_width = int(sector_width)
-        self._unique_sectors: int | None = None
-        self._unique_addresses: int | None = None
+        self._unique_sectors = unique_sectors
+        self._unique_addresses = unique_addresses
 
     @property
     def unique_sectors(self) -> int:
@@ -140,6 +170,42 @@ class SectorAccounting:
                 distinct_count(self.edge_dst) if self.edge_dst.size else 0
             )
         return self._unique_addresses
+
+
+def level_sector_accounting(
+    edge_dsts: Sequence[np.ndarray],
+    sector_width: int,
+    num_nodes: int,
+    *,
+    addresses: bool,
+) -> list[SectorAccounting]:
+    """The :class:`SectorAccounting` of each of a queue of kernels.
+
+    All kernels' distinct counts come from one pass over the key
+    ``level * span + edge_dst`` (:func:`level_distinct_counts`).  ``span``
+    is |V| rounded up to a multiple of ``sector_width``, so ``key //
+    sector_width`` is ``level * (span // sector_width) + sector``.
+    ``addresses`` also counts distinct addresses (what atomic apps need).
+    """
+    width = int(sector_width)
+    count = len(edge_dsts)
+    if count == 1:  # one kernel counts lazily, as SectorAccounting does
+        return [SectorAccounting(edge_dsts[0], width)]
+    span = -(-max(1, num_nodes) // width) * width
+    sizes = [edge_dst.size for edge_dst in edge_dsts]
+    sectors = unique = [0] * count
+    if any(sizes):
+        keys = np.concatenate(edge_dsts)
+        keys += np.repeat(np.arange(count, dtype=np.int64) * span, sizes)
+        sectors = level_distinct_counts(keys // width, count, span // width).tolist()
+        if addresses:
+            unique = level_distinct_counts(keys, count, span).tolist()
+    if not addresses:
+        unique = [None] * count
+    return [
+        SectorAccounting(edge_dst, width, s, a)
+        for edge_dst, s, a in zip(edge_dsts, sectors, unique)
+    ]
 
 
 def value_sector_accounting(

@@ -20,17 +20,15 @@ and the SAGE engine prices each kernel by gathering its frontier's rows.
 
 from __future__ import annotations
 
-import threading
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.graph.csr import CSRGraph, graph_memo
 from repro.gpusim.memory import coalesced_sectors, segmented_distinct_sectors
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.graph.csr import CSRGraph
 
 #: Default smallest cooperative tile (the paper's MIN_TILE_SIZE).
 DEFAULT_MIN_TILE = 8
@@ -284,7 +282,7 @@ def decompose_degree(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrontierWork:
     """Tiling and gather totals of one kernel's frontier.
 
@@ -311,9 +309,6 @@ class FrontierWork:
     segment_starts: np.ndarray | None
 
 
-#: Serializes node-table builds (see :func:`node_accounting`).
-_BUILD_LOCK = threading.Lock()
-
 #: Row order of :attr:`NodeAccounting.per_node`.
 UNITS, TILES, FRAGMENTS, ELECTIONS, COVERED, CSR_SECTORS, VALUE_TOUCHES = range(7)
 
@@ -338,7 +333,7 @@ class NodeAccounting:
     @classmethod
     def build(
         cls,
-        graph: "CSRGraph",
+        graph: CSRGraph,
         block_size: int,
         min_tile: int,
         sector_width: int,
@@ -402,22 +397,50 @@ class NodeAccounting:
         ``segments`` also gathers the kernel's sorted segment starts (the
         sampling reorderer's tile boundaries).
         """
-        cols = np.take(self.per_node, frontier, axis=1)
-        totals = cols.sum(axis=1).tolist()
-        units = cols[UNITS]
-        return FrontierWork(
-            units_per_node=units,
-            num_tiles=totals[TILES],
-            num_fragments=totals[FRAGMENTS],
-            elections=totals[ELECTIONS],
-            covered_edges=totals[COVERED],
-            csr_sectors=totals[CSR_SECTORS],
-            value_touches=totals[VALUE_TOUCHES],
-            segment_starts=(
-                self._segment_starts(frontier, degrees, units)
-                if segments else None
-            ),
-        )
+        return self.level_work([frontier], [degrees], segments=segments)[0]
+
+    def level_work(
+        self,
+        frontiers: Sequence[np.ndarray],
+        degrees: Sequence[np.ndarray],
+        *,
+        segments: bool,
+    ) -> list[FrontierWork]:
+        """:meth:`frontier_work` of each of a queue of kernels, from one
+        gather of the queued frontiers' columns and one segmented sum."""
+        sizes = [frontier.size for frontier in frontiers]
+        ends = list(itertools.accumulate(sizes))
+        starts = [0, *ends[:-1]]
+        nodes = frontiers[0] if len(frontiers) == 1 else np.concatenate(frontiers)
+        cols = np.take(self.per_node, nodes, axis=1)
+        if all(sizes):
+            sums = np.add.reduceat(cols, starts, axis=1)
+        else:  # an empty frontier's sums are zero, not reduceat's
+            sums = np.zeros((cols.shape[0], len(sizes)), dtype=np.int64)
+            if nodes.size:
+                nonempty = np.flatnonzero(sizes)
+                sums[:, nonempty] = np.add.reduceat(
+                    cols, np.take(starts, nonempty), axis=1
+                )
+        work = []
+        for frontier, degree, lo, hi, totals in zip(
+            frontiers, degrees, starts, ends, sums.T.tolist()
+        ):
+            units = cols[UNITS, lo:hi]
+            work.append(FrontierWork(
+                units_per_node=units,
+                num_tiles=totals[TILES],
+                num_fragments=totals[FRAGMENTS],
+                elections=totals[ELECTIONS],
+                covered_edges=totals[COVERED],
+                csr_sectors=totals[CSR_SECTORS],
+                value_touches=totals[VALUE_TOUCHES],
+                segment_starts=(
+                    self._segment_starts(frontier, degree, units)
+                    if segments else None
+                ),
+            ))
+        return work
 
     def _segment_starts(
         self, frontier: np.ndarray, degrees: np.ndarray, units: np.ndarray
@@ -431,7 +454,7 @@ class NodeAccounting:
 
 
 def node_accounting(
-    graph: "CSRGraph",
+    graph: CSRGraph,
     block_size: int,
     min_tile: int,
     sector_width: int,
@@ -439,24 +462,14 @@ def node_accounting(
 ) -> tuple[NodeAccounting, bool]:
     """The graph's :class:`NodeAccounting` for one tiling configuration.
 
-    Built at most once per (graph object, configuration) and cached on
-    the graph.  Graphs are immutable — ``permute`` and dynamic flushes
-    return new objects — so the cache never goes stale.  Returns the
-    table and whether this call built it.
+    Built at most once per (graph object, configuration) by
+    :func:`~repro.graph.csr.graph_memo`.  Returns the table and whether
+    this call built it.
     """
     key = (block_size, min_tile, sector_width, aligned)
-    table = graph.__dict__.get("_node_accounting", {}).get(key)
-    if table is not None:
-        return table, False
-    # Serving replicas share graphs across threads: build under a lock so
-    # each table is built (and counted) exactly once.
-    with _BUILD_LOCK:
-        tables = graph.__dict__.setdefault("_node_accounting", {})
-        table = tables.get(key)
-        if table is not None:
-            return table, False
-        table = tables[key] = NodeAccounting.build(graph, *key)
-        return table, True
+    return graph_memo(
+        graph, ("node_accounting", *key), lambda: NodeAccounting.build(graph, *key)
+    )
 
 
 def frontier_work_reference(

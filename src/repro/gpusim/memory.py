@@ -69,6 +69,20 @@ def distinct_count(values: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def level_distinct_counts(keys: np.ndarray, levels: int, span: int) -> np.ndarray:
+    """Distinct values of each level in a batch of ``level * span + value``
+    keys (``0 <= value < span``): :func:`distinct_count` of every level
+    at once, by one dense count or one sort of the whole batch."""
+    if levels * span <= 16 * keys.size + 1024:
+        counts = np.bincount(keys, minlength=levels * span)
+        return (counts.reshape(levels, span) != 0).sum(axis=1)
+    ordered = np.sort(keys)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return np.bincount(ordered[first] // span, minlength=levels)
+
+
 def distinct_sectors(addresses: np.ndarray, sector_width: int) -> int:
     """Number of distinct sectors touched by one access batch."""
     if len(addresses) == 0:

@@ -12,12 +12,20 @@ directly.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.coo import COOGraph, EDGE_DTYPE
+
+T = TypeVar("T")
+
+#: Serializes per-graph memo builds (see :func:`graph_memo`).
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -242,6 +250,28 @@ class CSRGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(|V|={self.num_nodes}, |E|={self.num_edges})"
+
+
+def graph_memo(
+    graph: CSRGraph, key: Hashable, build: Callable[[], T]
+) -> tuple[T, bool]:
+    """``build()``, computed at most once per (graph object, ``key``).
+
+    The value is cached on the graph.  Graphs are immutable — ``permute``
+    and dynamic flushes return new objects — so the cache never goes
+    stale.  Serving replicas share graphs across threads, so builds run
+    under a lock and each value is built (and reported built) once.
+    Returns the value and whether this call built it.
+    """
+    memo = graph.__dict__.get("_memo")
+    if memo is not None and key in memo:
+        return memo[key], False
+    with _MEMO_LOCK:
+        memo = graph.__dict__.setdefault("_memo", {})
+        if key in memo:
+            return memo[key], False
+        value = memo[key] = build()
+        return value, True
 
 
 def expand_frontier_reference(

@@ -12,6 +12,7 @@ from repro.apps import (
     SSSPApp,
     synthetic_weights,
 )
+from repro.apps.sssp import pair_weights
 from repro.core import SageScheduler, run_app
 from repro.errors import InvalidParameterError
 from repro.graph import generators as gen
@@ -173,6 +174,23 @@ class TestSSSP:
         b = synthetic_weights(tiny_graph)
         assert np.array_equal(a, b)
         assert a.min() >= 1
+
+    def test_synthetic_weights_are_built_once_per_graph(self):
+        graph = gen.rmat(8, edge_factor=8, seed=5)
+        first, second = SSSPApp(), SSSPApp()
+        got = run(graph, first, source=0)
+        run(graph, second, source=0)
+        assert first.weights is second.weights is synthetic_weights(graph)
+        with pytest.raises(ValueError):
+            first.weights[0] = 1
+        # the pair hash of every CSR edge, as explicit weights
+        coo = graph.to_coo()
+        explicit = pair_weights(coo.src, coo.dst)
+        want = run(graph, SSSPApp(explicit), source=0)
+        np.testing.assert_array_equal(got.result["dist"], want.result["dist"])
+        assert got.seconds == want.seconds
+        # explicit weights are the caller's array, untouched and writable
+        assert explicit.flags.writeable
 
 
 class TestLabelPropagation:

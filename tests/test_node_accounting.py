@@ -2,7 +2,8 @@
 
 ``SageScheduler.kernel_stats`` sums precomputed per-node rows of a
 :class:`~repro.core.tiling.NodeAccounting` instead of re-tiling every
-frontier.  These tests pin it to the per-frontier formulation
+frontier, and ``level_stats`` prices a queue of levels in one pass.
+These tests pin both to the per-frontier formulation
 (``kernel_stats_reference`` / ``frontier_work_reference``) field for
 field, and check the table's lifecycle: one build per graph object,
 a fresh table after a reorder commit or a dynamic flush, and a live
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.analysis import Sanitizer
-from repro.apps import BCApp, BFSApp, PageRankApp
+from repro.apps import BCApp, BFSApp, PageRankApp, SSSPApp
 from repro.core import SageScheduler, TraversalPipeline
+from repro.core.pipeline import Level
 from repro.core.tiling import (
     COVERED,
     frontier_work_reference,
@@ -32,6 +34,7 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.obs import MetricsRegistry
+from repro.obs.span import NullSpan
 
 
 class _Recorder(SageScheduler):
@@ -74,10 +77,12 @@ def assert_work_equal(got, want):
 
 
 @st.composite
-def graph_and_frontiers(draw):
+def graph_and_frontiers(draw, max_frontiers=3, full=False):
     """A graph with degree-0 nodes, small degrees, multiples of the tile
-    sizes and hubs of at least a block, plus 1-3 frontiers that may be
-    duplicated, unsorted, empty or edge-free."""
+    sizes and hubs of at least a block, plus 1-``max_frontiers``
+    frontiers that may be duplicated, unsorted, empty or edge-free and
+    share nodes with each other.  ``full`` adds one ``arange(n)``
+    frontier and one frontier of degree-0 nodes."""
     active = draw(st.integers(1, 20))
     degree = st.one_of(
         st.just(0),
@@ -93,8 +98,12 @@ def graph_and_frontiers(draw):
     dst = (rng.integers(0, spread, edges) + rng.integers(0, num_nodes)) % num_nodes
     graph = CSRGraph.from_edges(num_nodes, np.repeat(np.arange(active), degrees), dst)
     frontier = st.lists(st.integers(0, active - 1), max_size=30)
-    frontiers = draw(st.lists(frontier, min_size=1, max_size=3))
-    return graph, [np.array(f, dtype=np.int64) for f in frontiers]
+    frontiers = draw(st.lists(frontier, min_size=1, max_size=max_frontiers))
+    frontiers = [np.array(f, dtype=np.int64) for f in frontiers]
+    if full:
+        for extra in (np.arange(num_nodes), np.flatnonzero(degrees == 0)):
+            frontiers.insert(draw(st.integers(0, len(frontiers))), extra)
+    return graph, frontiers
 
 
 CONFIGS = [
@@ -265,3 +274,43 @@ class TestTableLifecycle:
         gaps = [f for f in sanitizer.findings if f.code == "work_unit_gap"]
         assert len(gaps) == 1
         assert gaps[0].details["covered"] == gaps[0].details["total_edges"] + 1
+
+
+class TestLevelStats:
+    """One ``level_stats`` pass equals pricing each level in turn."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [c for c in CONFIGS if not c["sampling_reorder"]],
+        ids=lambda c: "-".join(map(str, c.values())),
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(case=graph_and_frontiers(max_frontiers=40, full=True), cut=st.integers(0, 42))
+    def test_queue_matches_reference_level_by_level(self, config, case, cut):
+        graph, frontiers = case
+        levels = []
+        for index, frontier in enumerate(frontiers):
+            _, edge_dst, edge_pos = graph.expand_frontier(frontier)
+            degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+            levels.append(Level(index, frontier, degrees, edge_dst, edge_pos, NullSpan()))
+        for app in (BFSApp(), BCApp(), SSSPApp()):
+            queued, reference = SageScheduler(**config), SageScheduler(**config)
+            queued.reset(graph)
+            reference.reset(graph)
+            # two queues, so some nodes are resident before the second
+            got = queued.level_stats(levels[:cut], graph, app)
+            got += queued.level_stats(levels[cut:], graph, app)
+            want = [
+                reference.kernel_stats_reference(
+                    level.frontier, level.degrees, level.edge_dst, graph, app
+                )
+                for level in levels
+            ]
+            assert len(got) == len(want) == len(levels)
+            for a, b in zip(got, want):
+                assert_stats_equal(a, b)
+            if config["resident_stealing"]:
+                for name in ("reuse_hits", "expansions", "stored_tiles"):
+                    assert getattr(queued.resident_store, name) == getattr(
+                        reference.resident_store, name
+                    ), name
