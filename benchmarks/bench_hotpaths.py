@@ -8,7 +8,13 @@ workloads.  The sampler row has no rewrite and so no reference: it
 times the observation cost every reorder round pays before
 ``compute_round``.  The level-pricing row times every level of one mesh
 BFS priced by one ``level_stats`` call against ``kernel_stats`` level by
-level.  Wall times here are informational — the correctness story is
+level.  The whole-graph level row times the 20 levels of one PageRank
+run, whose full frontiers share one expansion, the node table's column
+totals and one residency check, against the same run with every level
+expanded and priced by the general path (``CSRGraph.is_full_frontier``
+patched off, as ``tests/test_whole_level.py`` does; that also turns
+off the gather-free full expansion and the per-graph sector count).
+Wall times here are informational — the correctness story is
 ``tests/test_hotpath_equivalence.py`` and, for level pricing,
 ``tests/test_node_accounting.py``, which assert the rewrites are
 bit-for-bit identical to the references.
@@ -24,12 +30,13 @@ from __future__ import annotations
 
 import argparse
 import time
+from unittest import mock
 
 import numpy as np
 
-from repro.apps import BFSApp
+from repro.apps import BFSApp, PageRankApp
 from repro.apps.pagerank import rank_scatter, rank_scatter_reference
-from repro.core import SageScheduler
+from repro.core import SageScheduler, TraversalPipeline
 from repro.core.pipeline import Level
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
@@ -229,6 +236,25 @@ def bench_level_pricing(repeats: int, graph: CSRGraph) -> None:
     )
 
 
+def bench_whole_level(repeats: int, graph: CSRGraph) -> None:
+    # One PageRank run of 20 full-frontier levels, with the full-level
+    # shortcuts against every level on the general path.
+    def run_new():
+        app = PageRankApp(max_iterations=20, tolerance=0.0)
+        TraversalPipeline(graph, SageScheduler()).run(app)
+
+    def run_ref():
+        with mock.patch.object(CSRGraph, "is_full_frontier", lambda self, frontier: False):
+            run_new()
+
+    _row(
+        "whole-graph level (20 PR levels)",
+        graph.num_edges,
+        _best_of(run_new, repeats),
+        _best_of(run_ref, repeats),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller inputs, fewer repeats")
@@ -249,6 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_pagerank_filter(rng, repeats, graph)
     side = 48 if args.quick else 112
     bench_level_pricing(repeats, grid_2d(side, side))
+    bench_whole_level(repeats, rmat(10 if args.quick else 15, 8, seed=0))
     return 0
 
 

@@ -66,6 +66,11 @@ class App(ABC):
     ) -> np.ndarray:
         """Apply the filter to one expanded edge batch.
 
+        The batch is input only.  A full level's arrays (every node in
+        id order, as in each PageRank iteration) are read-only and
+        shared by every full level of the run, so writing into them
+        raises ``ValueError``.
+
         Args:
             edge_src: frontier node of each edge.
             edge_dst: neighbor of each edge.

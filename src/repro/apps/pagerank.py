@@ -81,6 +81,7 @@ class PageRankApp(App):
         self._out_degrees: np.ndarray | None = None
         self._iteration = 0
         self._all_nodes: np.ndarray | None = None
+        self._dangling: np.ndarray | None = None
 
     def setup(self, graph: CSRGraph, source: int | None = None) -> None:
         self.graph = graph
@@ -88,6 +89,7 @@ class PageRankApp(App):
         self.pr_in = np.full(n, 1.0 / n, dtype=np.float64)
         self.pr_out = np.zeros(n, dtype=np.float64)
         self._out_degrees = graph.out_degrees().astype(np.float64)
+        self._dangling = np.flatnonzero(self._out_degrees == 0)
         self._iteration = 0
         self._all_nodes = np.arange(n, dtype=np.int64)
 
@@ -103,13 +105,13 @@ class PageRankApp(App):
     ) -> np.ndarray:
         assert self.pr_in is not None and self.pr_out is not None
         assert self._out_degrees is not None and self._all_nodes is not None
-        assert self.graph is not None
+        assert self._dangling is not None and self.graph is not None
         n = self.graph.num_nodes
         rank_scatter(
             self.pr_out, self.pr_in, self._out_degrees, self.damping,
             edge_src, edge_dst,
         )
-        dangling_mass = self.pr_in[self._out_degrees == 0].sum()
+        dangling_mass = self.pr_in[self._dangling].sum()
         self.pr_out += (
             (1.0 - self.damping) / n + self.damping * dangling_mass / n
         )
@@ -119,6 +121,12 @@ class PageRankApp(App):
         if delta < self.tolerance or self._iteration >= self.max_iterations:
             return np.empty(0, dtype=np.int64)
         return self._all_nodes
+
+    def remap_nodes(self, perm: np.ndarray) -> None:
+        super().remap_nodes(perm)
+        if self._out_degrees is not None:
+            # ascending new ids, the order a boolean mask sums in
+            self._dangling = np.flatnonzero(self._out_degrees == 0)
 
     def result(self) -> dict[str, np.ndarray]:
         assert self.pr_in is not None

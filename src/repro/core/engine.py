@@ -181,8 +181,9 @@ class SageScheduler(Scheduler):
         )
         if built:
             self.metrics.count("sage.node_tables_built")
+        full = [graph.is_full_frontier(frontier) for frontier in frontiers]
         works = table.level_work(
-            frontiers, degrees, segments=self._reorderer is not None
+            frontiers, degrees, segments=self._reorderer is not None, full=full
         )
         if self._store is not None:
             new_tiles = self._store.visit_levels(
@@ -190,7 +191,7 @@ class SageScheduler(Scheduler):
             )
         else:
             new_tiles = [0] * len(works)
-        accts = self._sector_accounting(frontiers, edge_dsts, graph, app)
+        accts = self._sector_accounting(full, edge_dsts, graph, app)
         return [
             self._tiled_stats(*level, app)
             for level in zip(frontiers, degrees, edge_dsts, works, accts, new_tiles)
@@ -243,18 +244,18 @@ class SageScheduler(Scheduler):
 
     def _sector_accounting(
         self,
-        frontiers: Sequence[np.ndarray],
+        full: Sequence[bool],
         edge_dsts: Sequence[np.ndarray],
         graph: CSRGraph,
         app: App,
     ) -> list[SectorAccounting]:
         """The kernels' shared distinct counts, from one pass.
 
-        A kernel over every node in id order (each iteration of a
-        full-frontier app such as PageRank) reads exactly
-        ``graph.targets``, so this scheduler counts it once per graph.
+        A kernel flagged in ``full`` runs over every node in id order
+        (each iteration of a full-frontier app such as PageRank), so it
+        reads exactly ``graph.targets`` and this scheduler counts it
+        once per graph.
         """
-        full = [graph.is_full_frontier(frontier) for frontier in frontiers]
         accts = level_sector_accounting(
             [edge_dst for edge_dst, is_full in zip(edge_dsts, full) if not is_full],
             self.spec.sector_width, graph.num_nodes,

@@ -160,6 +160,11 @@ def run_levels(
 
     The result's seconds, and the spans' ``iteration_seconds`` and
     ``transfer_seconds``, are read off the nodes the pricer appended.
+
+    A full frontier (:meth:`CSRGraph.is_full_frontier`) is expanded
+    once: later full levels on the same graph object share its
+    read-only ``edge_src``, ``edge_dst``, ``edge_pos`` and ``degrees``.
+    A partial level, or a reorder commit's new graph, drops them.
     """
     metrics = pricer.metrics
     sanitizer = pricer.sanitizer
@@ -173,6 +178,9 @@ def run_levels(
         node_trace: list[TraceNode] = []
         edges_traversed = 0
         iterations = 0
+        # The last full level's arrays, shared by the next full levels
+        # while the graph object stays the same.
+        whole: tuple[np.ndarray, ...] | None = None
 
         while not queue.empty:
             if iterations >= max_iterations:
@@ -186,8 +194,14 @@ def run_levels(
             ) as it_span:
                 mark = len(node_trace)
                 frontier = pricer.order(frontier)
-                edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
-                degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+                if graph.is_full_frontier(frontier):
+                    if whole is None:
+                        whole = _whole_graph_level(graph, frontier)
+                    edge_src, edge_dst, edge_pos, degrees = whole
+                else:
+                    whole = None
+                    edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
+                    degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
                 if sanitizer is not None:
                     sanitizer.check_level(
                         iterations, frontier, degrees, edge_dst, edge_pos
@@ -204,7 +218,10 @@ def run_levels(
                 queue.publish_next(next_frontier)
                 queue.swap()
                 iterations += 1
-                graph = pricer.post_level(graph, app, queue, level, node_trace)
+                next_graph = pricer.post_level(graph, app, queue, level, node_trace)
+                if next_graph is not graph:
+                    whole = None
+                graph = next_graph
                 if metrics.enabled:  # only spans read the per-level times
                     nodes = node_trace[mark:]
                     it_span.set("iteration_seconds", trace_seconds(nodes))
@@ -227,6 +244,17 @@ def run_levels(
         if sanitizer is not None:
             sanitizer.end_run()
     return result
+
+
+def _whole_graph_level(
+    graph: CSRGraph, frontier: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A full frontier's ``(edge_src, edge_dst, edge_pos, degrees)``,
+    read-only so that every later full level can share them."""
+    arrays = (*graph.expand_frontier(frontier), graph.out_degrees())
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class TraversalPipeline(LevelPricer):

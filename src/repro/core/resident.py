@@ -30,6 +30,11 @@ class ResidentTileStore:
 
     def __init__(self, graph: CSRGraph) -> None:
         self._resident = np.zeros(graph.num_nodes, dtype=bool)
+        # Once every node is resident, a visit reuses its whole frontier
+        # without reading the mask.  The bound (at least the resident
+        # count) tells when a visit may have completed the mask.
+        self._all_resident = False
+        self._resident_bound = 0
         self.reuse_hits = 0
         self.expansions = 0
         self.stored_tiles = 0
@@ -48,6 +53,9 @@ class ResidentTileStore:
             ``(reused_nodes, new_nodes, new_tiles)`` — reused nodes cost
             nothing to schedule; new nodes pay the tile-store write.
         """
+        if self._all_resident:
+            self.reuse_hits += frontier.size
+            return frontier.size, 0, 0
         is_resident = self._resident[frontier]
         reused = int(is_resident.sum())
         new_nodes = int(frontier.size - reused)
@@ -56,6 +64,7 @@ class ResidentTileStore:
         self.reuse_hits += reused
         self.expansions += new_nodes
         self.stored_tiles += new_tiles
+        self._note_new(new_nodes)
         return reused, new_nodes, new_tiles
 
     def visit_levels(
@@ -71,6 +80,9 @@ class ResidentTileStore:
         """
         if len(frontiers) == 1:
             return [self.visit(frontiers[0], tiles_per_node[0])[2]]
+        if self._all_resident:
+            self.reuse_hits += sum(frontier.size for frontier in frontiers)
+            return [0] * len(frontiers)
         nodes = np.concatenate(frontiers)
         level = np.repeat(np.arange(len(frontiers)), [f.size for f in frontiers])
         first = np.full(self._resident.size, len(frontiers))
@@ -85,7 +97,17 @@ class ResidentTileStore:
         self.reuse_hits += int(nodes.size - units.size)
         self.expansions += int(units.size)
         self.stored_tiles += int(units.sum())
+        self._note_new(int(units.size))
         return new_tiles
+
+    def _note_new(self, new_entries: int) -> None:
+        """Note a visit's new frontier entries (a duplicate counts twice)
+        and whether every node is now resident."""
+        self._resident_bound += new_entries
+        if self._resident_bound >= self._resident.size:
+            # an O(|V|) count, made again only after more new entries
+            self._resident_bound = int(np.count_nonzero(self._resident))
+            self._all_resident = self._resident_bound == self._resident.size
 
     @property
     def footprint_bytes(self) -> int:
@@ -105,8 +127,11 @@ class ResidentTileStore:
         longer point at valid adjacency slices; the next visit re-expands.
         """
         self._resident[:] = False
+        self._all_resident = False
+        self._resident_bound = 0
         self.stored_tiles = 0
 
     def invalidate_nodes(self, nodes: np.ndarray) -> None:
         """Drop resident tiles of specific nodes (targeted graph updates)."""
         self._resident[nodes] = False
+        self._all_resident = False

@@ -20,6 +20,7 @@ and the SAGE engine prices each kernel by gathering its frontier's rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -405,9 +406,30 @@ class NodeAccounting:
         degrees: Sequence[np.ndarray],
         *,
         segments: bool,
+        full: Sequence[bool] | None = None,
     ) -> list[FrontierWork]:
         """:meth:`frontier_work` of each of a queue of kernels, from one
-        gather of the queued frontiers' columns and one segmented sum."""
+        gather of the queued frontiers' columns and one segmented sum.
+
+        A kernel flagged in ``full`` runs over every node in id order
+        (:meth:`~repro.graph.csr.CSRGraph.is_full_frontier`): its totals
+        are the table's column totals, summed once per table into one
+        shared :class:`FrontierWork` whose ``units_per_node`` is a
+        read-only view of the ``UNITS`` row.
+        ``segments`` gathers every kernel.
+        """
+        if full is not None and not segments and any(full):
+            partial = iter(self.level_work(
+                [frontier for frontier, is_full in zip(frontiers, full) if not is_full],
+                [degree for degree, is_full in zip(degrees, full) if not is_full],
+                segments=False,
+            ))
+            return [
+                self._whole_graph_work if is_full else next(partial)
+                for is_full in full
+            ]
+        if not frontiers:
+            return []
         sizes = [frontier.size for frontier in frontiers]
         ends = list(itertools.accumulate(sizes))
         starts = [0, *ends[:-1]]
@@ -441,6 +463,24 @@ class NodeAccounting:
                 ),
             ))
         return work
+
+    @functools.cached_property
+    def _whole_graph_work(self) -> FrontierWork:
+        """The work of a kernel over every node, shared by every such
+        kernel: each row's sum and a read-only view of ``UNITS``."""
+        units = self.per_node[UNITS].view()
+        units.flags.writeable = False
+        totals = self.per_node.sum(axis=1).tolist()
+        return FrontierWork(
+            units_per_node=units,
+            num_tiles=totals[TILES],
+            num_fragments=totals[FRAGMENTS],
+            elections=totals[ELECTIONS],
+            covered_edges=totals[COVERED],
+            csr_sectors=totals[CSR_SECTORS],
+            value_touches=totals[VALUE_TOUCHES],
+            segment_starts=None,
+        )
 
     def _segment_starts(
         self, frontier: np.ndarray, degrees: np.ndarray, units: np.ndarray
