@@ -4,16 +4,20 @@
 Times each rewritten accounting kernel against its retained reference
 implementation (the pre-optimization formulation kept for the
 equivalence property tests), on inputs shaped like the scale-up tier's
-workloads.  The sampler row has no rewrite and so no reference: it
-times the observation cost every reorder round pays before
-``compute_round``.  The level-pricing row times every level of one mesh
-BFS priced by one ``level_stats`` call against ``kernel_stats`` level by
-level.  The whole-graph level row times the 20 levels of one PageRank
-run, whose full frontiers share one expansion, the node table's column
-totals and one residency check, against the same run with every level
-expanded and priced by the general path (``CSRGraph.is_full_frontier``
-patched off, as ``tests/test_whole_level.py`` does; that also turns
-off the gather-free full expansion and the per-graph sector count).
+workloads.  The sampler and ``compute_round`` rows build a round's
+pairs as one key (``core.sampling.tile_pair_key``); their references
+patch in the per-rotation builder, ``tile_pairs_reference``.  The
+``compute_round`` row observes four levels before each round, since a
+round builds the pairs of all its observations at once; its quick and
+full sizes cover the uint32 and the int64 pair key.  The level-pricing
+row times every level of one mesh BFS priced by one ``level_stats``
+call against ``kernel_stats`` level by level.  The whole-graph level
+row times the 20 levels of one PageRank run, whose full frontiers
+share one expansion, the node table's column totals and one residency
+check, against the same run with every level expanded and priced by
+the general path (``CSRGraph.is_full_frontier`` patched off, as
+``tests/test_whole_level.py`` does; that also turns off the
+gather-free full expansion and the per-graph sector count).
 Wall times here are informational — the correctness story is
 ``tests/test_hotpath_equivalence.py`` and, for level pricing,
 ``tests/test_node_accounting.py``, which assert the rewrites are
@@ -36,7 +40,7 @@ import numpy as np
 
 from repro.apps import BFSApp, PageRankApp
 from repro.apps.pagerank import rank_scatter, rank_scatter_reference
-from repro.core import SageScheduler, TraversalPipeline
+from repro.core import SageScheduler, TraversalPipeline, sampling
 from repro.core.pipeline import Level
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
@@ -134,6 +138,19 @@ def bench_tiling(rng, repeats: int, n_nodes: int) -> None:
     _row("decompose_frontier", n_nodes, new_s, ref_s)
 
 
+def _reference_pair_key(members, lengths, co_samples, num_nodes):
+    u, co = sampling.tile_pairs_reference(members, lengths, co_samples)
+    return (u * num_nodes + co).astype(sampling.pair_key_dtype(num_nodes))
+
+
+def _with_reference_pairs(fn):
+    def run():
+        with mock.patch.object(sampling, "tile_pair_key", _reference_pair_key):
+            fn()
+
+    return run
+
+
 def bench_sampling(rng, repeats: int, n_edges: int) -> None:
     edge_dst = rng.integers(0, n_edges, size=n_edges)
     starts = np.arange(0, n_edges, 64, dtype=np.int64)
@@ -143,22 +160,29 @@ def bench_sampling(rng, repeats: int, n_edges: int) -> None:
         sampler.observe(edge_dst, starts)
         sampler.locality_counts()
 
-    _row("sampler observe+locality", n_edges, _best_of(run, repeats), None)
+    run_ref = _with_reference_pairs(run)
+    _row("sampler observe+locality", n_edges, _best_of(run, repeats), _best_of(run_ref, repeats))
 
 
 def bench_reorder(rng, repeats: int, n_edges: int) -> None:
     num_nodes = max(2, n_edges // 8)
-    edge_dst = rng.integers(0, num_nodes, size=n_edges)
-    starts = np.arange(0, n_edges, 64, dtype=np.int64)
+    levels = [
+        (edge_dst, np.arange(0, edge_dst.size, 64, dtype=np.int64))
+        for edge_dst in np.array_split(rng.integers(0, num_nodes, size=n_edges), 4)
+    ]
+
+    def observed():
+        reorderer = SamplingReorderer(num_nodes, threshold_edges=1, seed=3)
+        for edge_dst, starts in levels:
+            reorderer.observe(edge_dst, starts)
+        return reorderer
 
     def run_new():
-        reorderer = SamplingReorderer(num_nodes, threshold_edges=1, seed=3)
-        reorderer.observe(edge_dst, starts)
-        reorderer.compute_round()
+        observed().compute_round()
 
+    @_with_reference_pairs
     def run_ref():
-        reorderer = SamplingReorderer(num_nodes, threshold_edges=1, seed=3)
-        reorderer.observe(edge_dst, starts)
+        reorderer = observed()
         u, co = reorderer.sampler.pairs()
         stages = locality_stages_reference(u, co, num_nodes, SECTOR_WIDTH)
         commit_moves(*stages, num_nodes, SECTOR_WIDTH, reorderer.min_gain)

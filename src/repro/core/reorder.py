@@ -16,7 +16,8 @@ distancing), so SAGE iterates a lightweight three-stage heuristic round:
   clear win lets the arrangement settle).
 
 All three stages count from one sorted ``u * n + co`` key over the
-sampled pairs (:func:`locality_stages`).  The expected-index array
+sampled pairs (:func:`locality_stages`), which the sampler builds once
+per round.  The expected-index array
 (moved nodes at their candidates, others at their current ids) is
 stably sorted to a dense permutation and applied to the CSR — the step
 the paper performs with bb_segsort on the GPU.
@@ -35,7 +36,6 @@ from repro.core.sampling import TileAccessSampler
 from repro.errors import InvalidParameterError
 from repro.gpusim.cost import KernelStats, even_placement
 from repro.gpusim.spec import GPUSpec
-from repro.graph.coo import MAX_PAIR_KEY_NODES
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 
@@ -56,36 +56,40 @@ class RoundOutcome:
 Stages = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def locality_stages(
-    u: np.ndarray, co: np.ndarray, num_nodes: int, sector_width: int
-) -> Stages:
+def locality_stages(key: np.ndarray, num_nodes: int, sector_width: int) -> Stages:
     """Stages 1-3 over one sorted pair key.
 
+    ``key`` holds the sampled pairs as ``u * n + co``
+    (:meth:`~repro.core.sampling.TileAccessSampler.pair_key`), in any
+    order and of dtype :func:`~repro.core.sampling.pair_key_dtype`.
     Returns ``(nodes, old_locality, candidate_lo, new_locality)``: the
     sorted distinct sampled nodes, each one's sampled co-members in its
     current sector, the first id of the sector Stage 2 found, and its
-    co-members there.  ``key = u * n + co`` is sorted once, so each node
-    owns one run of ascending co-member ids and every count is a range
-    count — the difference of two positions in ``key`` — found by binary
-    search.  O(P log P) for the sort plus O(m log P) per search level,
-    for P pairs over m distinct nodes.  Needs ``n * n < 2**63``
-    (:data:`~repro.graph.coo.MAX_PAIR_KEY_NODES`).
+    co-members there.  Sorted once, the key gives each node one run of
+    ascending co-member ids, and one search for every ``v * n`` finds
+    all runs' bounds; every count is then a range count — the difference
+    of two positions in ``key`` — found by binary search.
+    O(P log P) for the sort, O(n log P) for the run bounds and O(m log P)
+    per search level, for P pairs over m distinct nodes.  Every search
+    value is cast to the key's dtype, so no search copies the key.  Needs
+    ``n * n < 2**63`` (:data:`~repro.graph.coo.MAX_PAIR_KEY_NODES`),
+    which the sampler checks.
     """
     n = num_nodes
     w = sector_width
-    key = np.sort(u * n + co)
-    owner = key // n
-    first = np.ones(key.size, dtype=bool)
-    np.not_equal(owner[1:], owner[:-1], out=first[1:])
-    run_start = np.flatnonzero(first)
-    nodes = owner[run_start]
+    key = np.sort(key)
+    dtype = key.dtype
+    bounds = np.searchsorted(key, np.arange(n + 1, dtype=dtype) * dtype.type(n))
+    nodes = np.flatnonzero(bounds[1:] != bounds[:-1])
     base = nodes * n
+
+    def search(offset: np.ndarray) -> np.ndarray:
+        return np.searchsorted(key, (base + offset).astype(dtype, copy=False))
 
     def in_sector(lo: np.ndarray) -> np.ndarray:
         # The upper bound is clipped to n: a sector past n would
         # otherwise count the next owner's pairs.
-        hi = np.minimum(lo + w, n)
-        return np.searchsorted(key, base + hi) - np.searchsorted(key, base + lo)
+        return search(np.minimum(lo + w, n)) - search(lo)
 
     # Stage 1: locality of the current index, from the same samples
     # Stage 3 will use (apples-to-apples comparison).
@@ -96,14 +100,14 @@ def locality_stages(
     # level needs one search, at the midpoint.
     lo = np.zeros(nodes.size, dtype=np.int64)
     hi = np.full(nodes.size, n, dtype=np.int64)
-    p_lo = run_start
-    p_hi = np.searchsorted(key, base + n)
+    p_lo = bounds[nodes]
+    p_hi = bounds[nodes + 1]
     while True:
         open_range = hi - lo > w
         if not open_range.any():
             break
         mid = (lo + hi) // 2
-        p_mid = np.searchsorted(key, base + mid)
+        p_mid = search(mid)
         # Ties keep the left half.
         go_right = open_range & (p_hi - p_mid > p_mid - p_lo)
         go_left = open_range & ~go_right
@@ -212,11 +216,6 @@ class SamplingReorderer:
     ) -> None:
         if num_nodes < 1:
             raise InvalidParameterError("num_nodes must be >= 1")
-        if num_nodes > MAX_PAIR_KEY_NODES:
-            raise InvalidParameterError(
-                f"num_nodes must be <= {MAX_PAIR_KEY_NODES}: the "
-                "u * num_nodes + co pair key would overflow int64"
-            )
         if min_gain < 0:
             raise InvalidParameterError("min_gain must be >= 0")
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -258,19 +257,19 @@ class SamplingReorderer:
         Returns the permutation (``new_id = perm[old_id]``); identity when
         no improving move was found.  Samples are cleared afterwards.
         """
-        u, co = self.sampler.pairs()
+        key = self.sampler.pair_key()
         sampled_tiles = self.sampler.sampled_tiles
         n = self.num_nodes
         w = self.spec.sector_width
-        if u.size == 0:
+        if key.size == 0:
             self._finish_round()
             return RoundOutcome(
                 np.arange(n, dtype=np.int64), 0, sampled_tiles, 0
             )
 
-        perm = commit_moves(*locality_stages(u, co, n, w), n, w, self.min_gain)
+        perm = commit_moves(*locality_stages(key, n, w), n, w, self.min_gain)
         moved = int(np.count_nonzero(perm != np.arange(n)))
-        pairs = int(u.size)
+        pairs = int(key.size)
         self._finish_round()
         self.metrics.count("reorder.moved_nodes", moved)
         self.metrics.count("reorder.sampled_pairs", pairs)

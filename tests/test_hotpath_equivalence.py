@@ -26,6 +26,12 @@ from repro.core.reorder import (
     locality_stages,
     locality_stages_reference,
 )
+from repro.core.sampling import (
+    TileAccessSampler,
+    pair_key_dtype,
+    tile_pair_key,
+    tile_pairs_reference,
+)
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.gpusim.memory import (
@@ -260,6 +266,11 @@ def sampled_pairs(draw):
     return u, co, n, w
 
 
+def _key(u, co, n):
+    """The pair key of explicit pairs, in the sampler's dtype."""
+    return (u * n + co).astype(pair_key_dtype(n))
+
+
 def _assert_stages_equal(fast, ref):
     for got, want in zip(fast, ref, strict=True):
         assert got.dtype == want.dtype
@@ -273,7 +284,7 @@ class TestLocalityStagesEquivalence:
     @given(sampled_pairs(), st.sampled_from([0, 4]))
     def test_matches_reference(self, case, min_gain):
         u, co, n, w = case
-        fast = locality_stages(u, co, n, w)
+        fast = locality_stages(_key(u, co, n), n, w)
         ref = locality_stages_reference(u, co, n, w)
         _assert_stages_equal(fast, ref)
         np.testing.assert_array_equal(
@@ -287,43 +298,150 @@ class TestLocalityStagesEquivalence:
         n = 3
         u = np.array([1, 1, 2, 2, 2], dtype=np.int64)
         co = np.array([0, 2, 0, 1, 1], dtype=np.int64)
-        _assert_stages_equal(locality_stages(u, co, n, w), locality_stages_reference(u, co, n, w))
+        _assert_stages_equal(
+            locality_stages(_key(u, co, n), n, w), locality_stages_reference(u, co, n, w)
+        )
 
     def test_single_owner_duplicate_pairs(self):
         u = np.full(50, 7, dtype=np.int64)
         co = np.array([3, 3, 9, 9, 9] * 10, dtype=np.int64)
-        _assert_stages_equal(locality_stages(u, co, 20, 8), locality_stages_reference(u, co, 20, 8))
+        _assert_stages_equal(
+            locality_stages(_key(u, co, 20), 20, 8), locality_stages_reference(u, co, 20, 8)
+        )
 
     def test_no_pairs(self):
         empty = np.empty(0, dtype=np.int64)
         _assert_stages_equal(
-            locality_stages(empty, empty, 10, 8), locality_stages_reference(empty, empty, 10, 8)
+            locality_stages(_key(empty, empty, 10), 10, 8),
+            locality_stages_reference(empty, empty, 10, 8),
         )
+
+
+class TestPairKeyDtypeBoundary:
+    """The key is uint32 exactly while ``n * n < 2**32``; both sides of
+    the boundary, with pairs at ids 0 and ``n - 1`` (key ``n * n - 1``)."""
+
+    def test_dtype_rule(self):
+        assert pair_key_dtype(1) == np.uint32
+        assert pair_key_dtype(65_535) == np.uint32
+        assert pair_key_dtype(65_536) == np.int64
+        assert pair_key_dtype(MAX_PAIR_KEY_NODES) == np.int64
+
+    @pytest.mark.parametrize("n, dtype", [(65_535, np.uint32), (65_536, np.int64)])
+    @pytest.mark.parametrize("w", SECTOR_WIDTHS)
+    def test_matches_reference(self, n, dtype, w):
+        rng = np.random.default_rng(n + w)
+        owners = np.array([0, 1, n // 2, n - 2, n - 1], dtype=np.int64)
+        u = rng.choice(owners, 400)
+        # co-members near each owner, so Stage 2 ends at both edges of
+        # the id range, plus pairs between the extreme ids
+        co = np.clip(u + rng.integers(-40, 40, u.size), 0, n - 1)
+        u = np.concatenate([[0, 0, n - 1, n - 1], u])
+        co = np.concatenate([[0, n - 1, 0, n - 1], co])
+        key = _key(u, co, n)
+        assert key.dtype == dtype
+        assert key.max() == n * n - 1
+        _assert_stages_equal(locality_stages(key, n, w), locality_stages_reference(u, co, n, w))
+
+
+def _reference_round(observations, co_samples, rate, seed):
+    """A round as the sampler built it before pairs moved into the round:
+    per observation one draw per tile, each kept tile's pairs from
+    ``tile_pairs_reference``.  Returns ``(u, co, sampled_tiles,
+    observed_edges, next_draw)``."""
+    rng = np.random.default_rng(seed)
+    tiles, edges = [], 0
+    for edge_dst, starts in observations:
+        edges += edge_dst.size
+        if edge_dst.size == 0 or starts.size == 0:
+            continue
+        lengths = np.diff(np.append(starts, edge_dst.size))
+        keep = (lengths > 1) & (rng.random(starts.size) < rate)
+        tiles += [edge_dst[s : s + ln] for s, ln in zip(starts[keep], lengths[keep])]
+    members = np.concatenate([np.empty(0, dtype=np.int64), *tiles])
+    lengths = np.array([tile.size for tile in tiles], dtype=np.int64)
+    u, co = tile_pairs_reference(members, lengths, co_samples)
+    return u, co, len(tiles), edges, rng.random()
+
+
+@st.composite
+def observation_rounds(draw):
+    """(n, observations): one to three observations of a round.
+
+    Tiles of length 1 and shorter than ``co_samples + 1`` are common;
+    ids often come from a narrow window, so tiles repeat ids; an
+    observation may have no tiles at all.  ``n`` past 65535 takes the
+    int64 key.
+    """
+    n = draw(st.one_of(st.integers(1, 400), st.integers(65_530, 65_540)), label="n")
+    observations = []
+    for _ in range(draw(st.integers(1, 3), label="observations")):
+        first = draw(st.integers(0, n - 1), label="first_id")
+        last = draw(st.sampled_from([min(first + 9, n - 1), n - 1]), label="last_id")
+        ids = st.integers(first, last)
+        tiles = draw(st.lists(st.lists(ids, min_size=1, max_size=24), max_size=10), label="tiles")
+        lengths = [len(tile) for tile in tiles]
+        edge_dst = np.array([v for tile in tiles for v in tile], dtype=np.int64)
+        starts = np.cumsum([0, *lengths[:-1]], dtype=np.int64) if tiles else np.empty(0, np.int64)
+        observations.append((edge_dst, starts))
+    return n, observations
+
+
+class TestTilePairKeyEquivalence:
+    """The round's one-pass pair key against the per-rotation builder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        observation_rounds(),
+        st.integers(1, 8),
+        st.sampled_from([0.5, 1.0]),
+        st.integers(0, 2**16),
+    )
+    def test_sampler_matches_reference(self, case, co_samples, rate, seed):
+        n, observations = case
+        sampler = TileAccessSampler(n, 8, co_samples=co_samples, tile_sample_rate=rate, seed=seed)
+        for edge_dst, starts in observations:
+            sampler.observe(edge_dst, starts)
+        u, co, tiles, edges, next_draw = _reference_round(observations, co_samples, rate, seed)
+        key = sampler.pair_key()
+        assert key.dtype == pair_key_dtype(n)
+        want = np.sort(u * n + co)
+        np.testing.assert_array_equal(np.sort(key).astype(np.int64), want)
+        got_u, got_co = sampler.pairs()
+        np.testing.assert_array_equal(np.sort(got_u * n + got_co), want)
+        assert sampler.sampled_tiles == tiles
+        assert sampler.observed_edges == edges
+        assert sampler._rng.random() == next_draw
+
+    @pytest.mark.parametrize(
+        "lengths", [[], [1], [1, 1, 1], [2], [1, 3, 1, 7], [6, 7, 8], [16, 1, 16]]
+    )
+    @pytest.mark.parametrize("co_samples", [1, 6, 20])
+    def test_tile_shapes(self, lengths, co_samples):
+        lengths = np.array(lengths, dtype=np.int64)
+        members = np.arange(lengths.sum(), dtype=np.int64) % 5  # duplicate ids
+        key = tile_pair_key(members, lengths, co_samples, 5)
+        u, co = tile_pairs_reference(members, lengths, co_samples)
+        np.testing.assert_array_equal(np.sort(key).astype(np.int64), np.sort(u * 5 + co))
 
 
 class TestComputeRoundEquivalence:
-    """``compute_round`` against the reference stages plus the commit rule."""
+    """``compute_round`` over several observations against the reference
+    pairs, reference stages and the commit rule."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(1, 400),
+        observation_rounds(),
         st.sampled_from(SECTOR_WIDTHS),
         st.sampled_from([0, 4]),
-        st.data(),
     )
-    def test_matches_reference(self, n, w, min_gain, data):
-        # Tiles of length 1 sample no pairs; all-length-1 tiles give none.
-        tiles = data.draw(
-            st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=24), max_size=12),
-            label="tiles",
-        )
+    def test_matches_reference(self, case, w, min_gain):
+        n, observations = case
         spec = GPUSpec(sector_bytes=4 * w, value_bytes=4)
         reorderer = SamplingReorderer(n, spec, tile_sample_rate=1.0, min_gain=min_gain)
-        edge_dst = np.array([v for tile in tiles for v in tile], dtype=np.int64)
-        lengths = [len(tile) for tile in tiles]
-        starts = np.cumsum([0, *lengths[:-1]], dtype=np.int64)
-        reorderer.observe(edge_dst, starts)
-        u, co = reorderer.sampler.pairs()
+        for edge_dst, starts in observations:
+            reorderer.observe(edge_dst, starts)
+        u, co, tiles, _, _ = _reference_round(observations, reorderer.sampler.co_samples, 1.0, 0)
         if u.size:
             stages = locality_stages_reference(u, co, n, w)
             want = commit_moves(*stages, n, w, min_gain)
@@ -331,6 +449,7 @@ class TestComputeRoundEquivalence:
             want = np.arange(n, dtype=np.int64)
         outcome = reorderer.compute_round()
         assert outcome.sampled_pairs == u.size
+        assert outcome.sampled_tiles == tiles
         np.testing.assert_array_equal(outcome.perm, want)
         assert outcome.moved_nodes == np.count_nonzero(want != np.arange(n))
 
@@ -409,6 +528,11 @@ class TestPairKeyOverflowGuard:
     def test_reorderer_rejects_overflowing_node_count(self):
         with pytest.raises(InvalidParameterError, match="overflow"):
             SamplingReorderer(MAX_PAIR_KEY_NODES + 1)
+
+    def test_sampler_rejects_overflowing_node_count(self):
+        TileAccessSampler(MAX_PAIR_KEY_NODES, 8)
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            TileAccessSampler(MAX_PAIR_KEY_NODES + 1, 8)
 
     @pytest.mark.parametrize("method", ["sorted", "deduplicated"])
     def test_coo_sort_rejects_overflowing_node_count(self, method):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import BFSApp
+from repro.core import SageScheduler, TraversalPipeline, sampling
 from repro.core.reorder import SamplingReorderer
 from repro.core.sampling import TileAccessSampler, exact_locality_counts
 from repro.core.tiling import decompose_frontier
 from repro.errors import InvalidParameterError
+from repro.graph import datasets
 from repro.graph import generators as gen
 from repro.gpusim.spec import GPUSpec
 from repro.reorder.base import is_permutation
@@ -42,13 +45,13 @@ class TestSampler:
     def test_pair_symmetry_bound(self):
         sampler = TileAccessSampler(100, 8, co_samples=2,
                                     tile_sample_rate=1.0)
-        edge_dst = np.arange(32)
-        sampler.observe(edge_dst, np.array([0, 16]))
+        sampler.observe(np.arange(32), np.array([0, 16]))
         u, co = sampler.pairs()
-        # two tiles of 16, each element pairs with <= 2 co-members
-        assert u.size <= 32 * 2
-        assert u.size > 0
-        assert np.all(u != co) or np.all(edge_dst[u] != edge_dst[co])
+        # two tiles of 16 distinct ids: every element pairs with exactly
+        # 2 co-members of its own tile, never with itself
+        assert u.size == 32 * 2
+        np.testing.assert_array_equal(u // 16, co // 16)
+        assert np.all(u != co)
 
     def test_threshold_counting(self):
         sampler = TileAccessSampler(10, 8)
@@ -159,3 +162,40 @@ class TestReorderer:
         r.observe(edges, starts)
         outcome = r.compute_round()
         assert is_permutation(outcome.perm, n)
+
+
+def _reference_pair_key(members, lengths, co_samples, num_nodes):
+    u, co = sampling.tile_pairs_reference(members, lengths, co_samples)
+    return (u * num_nodes + co).astype(sampling.pair_key_dtype(num_nodes))
+
+
+def _session(graph, sources):
+    """(seconds, final_perm, values) of every query of one reused
+    self-adaptive pipeline; each round spans several observations."""
+    pipeline = TraversalPipeline(graph, SageScheduler(sampling_reorder=True))
+    runs = []
+    for source in sources:
+        run = pipeline.run(BFSApp(), source)
+        runs.append((run.seconds, run.final_perm, run.result))
+    return runs
+
+
+class TestReferencePairBuilderRun:
+    def test_session_bit_identical(self, monkeypatch):
+        graph = datasets.twitter_like(0.1).graph
+        sources = np.random.default_rng(0).integers(0, graph.num_nodes, 20).tolist()
+        fast = _session(graph, sources)
+        monkeypatch.setattr(sampling, "tile_pair_key", _reference_pair_key)
+        reference = _session(graph, sources)
+        assert any(perm is not None for _, perm, _ in fast)
+        for (seconds, perm, values), (ref_seconds, ref_perm, ref_values) in zip(
+            fast, reference, strict=True
+        ):
+            assert seconds == ref_seconds
+            if ref_perm is None:
+                assert perm is None
+            else:
+                np.testing.assert_array_equal(perm, ref_perm)
+            assert values.keys() == ref_values.keys()
+            for key, value in ref_values.items():
+                np.testing.assert_array_equal(values[key], value, err_msg=key)
