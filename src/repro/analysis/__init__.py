@@ -1,23 +1,18 @@
 """Static analysis and runtime sanitizing for the SAGE reproduction.
 
-Three halves:
+Two halves:
 
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime pass
   (``repro run --sanitize``) that inspects every scheduled work unit and
   memory access batch of a traversal and reports structured diagnostics
   for write-write hazards, out-of-bounds indices, dtype overflow in
   address arithmetic and frontier invariant violations.
-* :mod:`repro.analysis.races` — the concurrency sanitizer
-  (``repro serve-bench --race-check``): a vector-clock happens-before
-  race detector over the instrumented serving stack plus a
-  deterministic CHESS-style schedule explorer.
 * :mod:`repro.analysis.lint` — a repo-specific AST lint
   (``python -m repro.analysis.lint src/``) with ratcheted-baseline
   enforcement of the hot-path, metric-naming, determinism, diagnostics
   and lock-discipline rules (SAGE001-SAGE007).
 """
 
-from repro.analysis.races import RACE_CODES, RaceDetector, RaceFinding
 from repro.analysis.sanitizer import (
     FINDING_CODES,
     Finding,
@@ -27,10 +22,7 @@ from repro.analysis.sanitizer import (
 
 __all__ = [
     "FINDING_CODES",
-    "RACE_CODES",
     "Finding",
-    "RaceDetector",
-    "RaceFinding",
     "Sanitizer",
     "SanitizerError",
 ]

@@ -1,9 +1,9 @@
 """The unified entry point: load a graph, run, serve, cluster, tune, bench.
 
-Everything the CLI and the benchmarks do goes through these six
-functions; library users should start here instead of wiring
-:class:`~repro.core.pipeline.TraversalPipeline`,
-:class:`~repro.serve.broker.QueryBroker` or the cluster tier by hand.
+Everything the CLI and the benchmarks do goes through these functions;
+library users should start here instead of wiring
+:class:`~repro.core.pipeline.TraversalPipeline` or the serving tier by
+hand.
 
 ::
 
@@ -18,7 +18,8 @@ functions; library users should start here instead of wiring
 
 ``run(..., checks=True)`` wires the kernel hazard sanitizer and returns
 it on the result; ``serve``/``cluster`` wire graphs, scheduler, tuned
-profile and metrics into a broker or replica pool.  The maps
+profile and metrics into a :class:`~repro.serve.cluster.ServingHandle`
+over the serving event loop.  The maps
 :data:`APPS` and :data:`SCHEDULERS` are the canonical name → factory
 registries; the CLI imports them from here.
 
@@ -78,9 +79,8 @@ if TYPE_CHECKING:  # pragma: no cover - imported where used
     from repro.graph.delta import GraphDelta
     from repro.graph.dynamic import DynamicGraph
     from repro.serve.admission import AdmissionConfig
-    from repro.serve.broker import QueryBroker
     from repro.serve.cache import GraphStore
-    from repro.serve.cluster import ClusterBenchReport, ClusterPool
+    from repro.serve.cluster import ClusterBenchReport, ServingHandle
     from repro.serve.pipelined import PipelineConfig
     from repro.tune import TunedProfile, TuningSpace, TuningWorkload
 
@@ -291,34 +291,31 @@ def serve(
     scheduler: str | Callable[[], Scheduler] = "sage",
     batch_window: float | None = None,
     max_batch_size: int | None = None,
-    num_workers: int = 2,
     queue_capacity: int = 256,
     max_retries: int = 1,
     profile: TunedProfile | str | None = "auto",
     metrics: MetricsRegistry | None = None,
-    race_check: bool = False,
-) -> QueryBroker:
+) -> ServingHandle:
     """Start a single micro-batching query broker (a context manager).
 
-    A bare :class:`CSRGraph` is registered under the handle
-    ``"default"``.
+    The broker is the :data:`~repro.serve.cluster.SINGLE_BROKER`
+    configuration of :func:`cluster`: one simulated device, no result
+    cache, and ``queue_capacity`` as its pinned limit on outstanding
+    queries (a submit beyond it is shed).  A bare :class:`CSRGraph` is
+    registered under the handle ``"default"``.
 
     With the default ``profile="auto"`` a committed tuned profile
     matching one of the graphs (by content fingerprint) supplies the
     batching knobs and scheduler tile floor for any parameter left
     unset; explicit arguments always win (see :func:`tune`).
-
-    ``race_check=True`` runs the broker under the concurrency sanitizer
-    (:mod:`repro.analysis.races`): every lock, condition and worker
-    thread it creates is tracked by a happens-before detector whose
-    report is finalized at ``close()`` and exposed as
-    ``broker.race_detector``.  Gated metrics are bit-identical either
-    way; only ``races.*`` counters are added.
     """
-    from repro.serve.broker import QueryBroker
+    from repro.serve.admission import AdmissionConfig
+    from repro.serve.cluster import SINGLE_BROKER, ServingHandle
 
     if isinstance(graphs, CSRGraph):
         graphs = {"default": graphs}
+    if queue_capacity < 1:
+        raise InvalidParameterError("queue_capacity must be >= 1")
     registry = metrics if metrics is not None else NULL_REGISTRY
     registry.count("api.serve_sessions")
     tuned = _resolve_profile(profile, graphs)
@@ -331,16 +328,19 @@ def serve(
             max_batch_size = tuned.point.max_batch_size
         if scheduler == "sage":
             factory = tuned.point.scheduler_factory()
-    return QueryBroker(
+    return ServingHandle(
         graphs,
         factory,
+        **{
+            **SINGLE_BROKER,
+            "admission": AdmissionConfig(
+                max_concurrency=queue_capacity, min_concurrency=queue_capacity
+            ),
+        },
         batch_window=batch_window if batch_window is not None else 0.01,
         max_batch_size=max_batch_size if max_batch_size is not None else 64,
-        num_workers=num_workers,
-        queue_capacity=queue_capacity,
         max_retries=max_retries,
         metrics=metrics,
-        race_check=race_check,
     )
 
 
@@ -352,33 +352,27 @@ def cluster(
     routing: str | None = None,
     batch_window: float | None = None,
     max_batch_size: int | None = None,
-    num_workers: int = 2,
-    queue_capacity: int = 256,
     max_retries: int = 1,
     cache_capacity: int = 1024,
     admission: AdmissionConfig | None = None,
     profile: TunedProfile | str | None = "auto",
     metrics: MetricsRegistry | None = None,
-    race_check: bool = False,
-) -> ClusterPool:
-    """Start a sharded replica pool (a context manager).
+) -> ServingHandle:
+    """Start a sharded replica service (a context manager).
 
     Adds routing (:data:`~repro.serve.cluster.ROUTING_POLICIES`),
     adaptive admission control and the epoch-versioned result cache on
-    top of :func:`serve`-style replicas.  Register a
+    top of :func:`serve`'s single broker; the admission limit bounds the
+    outstanding queries.  Register a
     :class:`~repro.graph.dynamic.DynamicGraph` to stream edge updates;
-    merges propagate to every replica and invalidate the cache.
+    merges reach every replica's next batch and invalidate the cache.
 
     With the default ``profile="auto"`` a committed tuned profile
     matching one of the graphs (by content fingerprint) supplies the
     batching, routing, admission and tile-floor knobs for any parameter
     left unset; explicit arguments always win (see :func:`tune`).
-
-    ``race_check=True`` runs the whole pool — replicas, cache, admission
-    and graph store — under the concurrency sanitizer; the finalized
-    report is exposed as ``pool.race_detector`` after ``close()``.
     """
-    from repro.serve.cluster import ClusterPool
+    from repro.serve.cluster import ServingHandle
 
     if isinstance(graphs, CSRGraph):
         graphs = {"default": graphs}
@@ -398,20 +392,17 @@ def cluster(
             admission = tuned.point.admission_config()
         if scheduler == "sage":
             factory = tuned.point.scheduler_factory()
-    return ClusterPool(
+    return ServingHandle(
         graphs,
         factory,
         num_replicas=num_replicas,
         routing=routing if routing is not None else "least_outstanding",
         batch_window=batch_window if batch_window is not None else 0.01,
         max_batch_size=max_batch_size if max_batch_size is not None else 64,
-        num_workers=num_workers,
-        queue_capacity=queue_capacity,
         max_retries=max_retries,
         cache_capacity=cache_capacity,
         admission=admission,
         metrics=metrics,
-        race_check=race_check,
     )
 
 
@@ -533,7 +524,7 @@ def bench(
 
 
 def update(
-    target: GraphStore | ClusterPool | DynamicGraph,
+    target: GraphStore | ServingHandle | DynamicGraph,
     handle: str = "default",
     *,
     insert: tuple[Any, Any] | None = None,
@@ -543,8 +534,9 @@ def update(
     """Apply one batched edge update and return the merge's delta.
 
     ``target`` is a :class:`~repro.serve.cache.GraphStore`, a running
-    :func:`cluster` pool (updates its store, so replicas patch their
-    CSRs and the cache invalidates selectively), or a bare
+    :func:`serve`/:func:`cluster` service (updates its store once every
+    batch closed before now has run, so later batches see the merge and
+    the cache invalidates selectively), or a bare
     :class:`~repro.graph.dynamic.DynamicGraph`.  ``insert`` and
     ``delete`` are ``(src, dst)`` array pairs applied as a single merge
     — deletes win over same-batch inserts of the same pair.  The
@@ -578,9 +570,13 @@ def update(
                 "update applied no changes (empty insert and delete)"
             )
         return delta
-    from repro.serve.cluster import ClusterPool
+    from repro.serve.cluster import ServingHandle
 
-    store = target.store if isinstance(target, ClusterPool) else target
+    if isinstance(target, ServingHandle):
+        target.advance()
+        store = target.store
+    else:
+        store = target
     before = store.epoch(handle)
     store.apply_edges(
         handle,

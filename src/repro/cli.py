@@ -10,9 +10,9 @@ Subcommands:
 * ``reorder``   — apply a reordering method, report locality + cost
 * ``scc``       — strongly-connected-component decomposition
 * ``experiment``— regenerate one paper table/figure from the harness
-* ``serve-bench``— load-test the batched query service (closed- or
-  open-loop, fixed seeds; open-loop runs in deterministic virtual time)
-* ``cluster-bench``— benchmark the sharded replica pool (routing +
+* ``serve-bench``— load-test the batched query service (open loop,
+  fixed seeds, deterministic virtual time)
+* ``cluster-bench``— benchmark the sharded cluster tier (routing +
   admission + result cache) against the single broker on one trace
 * ``tune``      — search the tuning space against the deterministic
   cost model and save/verify tuned profiles (``--verify DIR``
@@ -20,11 +20,8 @@ Subcommands:
 
 ``run``, ``serve-bench``, ``cluster-bench`` and ``tune`` share one flag
 family (``--emit-metrics``, ``--sanitize``, ``--sanitize-report``,
-``--race-check``, ``--race-report``, ``--seed``) via a common parent
-parser, so observability and determinism knobs are spelled identically
-everywhere.  ``--race-check`` runs the whole command under the
-concurrency sanitizer (:mod:`repro.analysis.races`) and exits 3 on
-findings, mirroring ``--sanitize``.
+``--seed``) via a common parent parser, so observability and
+determinism knobs are spelled identically everywhere.
 """
 
 from __future__ import annotations
@@ -122,12 +119,6 @@ def _common_flags() -> argparse.ArgumentParser:
     parent.add_argument("--sanitize-report", metavar="PATH", default=None,
                         help="write the sanitizer findings JSON here "
                              "(implies --sanitize)")
-    parent.add_argument("--race-check", action="store_true",
-                        help="audit the command with the concurrency "
-                             "sanitizer (exit code 3 on findings)")
-    parent.add_argument("--race-report", metavar="PATH", default=None,
-                        help="write the race findings JSON here "
-                             "(implies --race-check)")
     parent.add_argument("--seed", type=int, default=None,
                         help="seed for randomized choices (sources, "
                              "query mixes, arrival schedules)")
@@ -333,7 +324,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         SINGLE_BROKER,
         generate_queries,
         open_loop_arrivals,
-        run_closed_loop,
         sequential_baseline,
         simulate_cluster_open_loop,
     )
@@ -349,38 +339,23 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     scheduler_factory = SCHEDULERS[args.scheduler]
     sanitize = args.sanitize or args.sanitize_report is not None
     oracle_clean = True
-    if args.mode == "open":
-        arrivals = open_loop_arrivals(
-            args.queries, rate_qps=args.rate, seed=seed
+    arrivals = open_loop_arrivals(args.queries, rate_qps=args.rate, seed=seed)
+    if sanitize:
+        sequential, oracle_clean = _audited_baseline(
+            graph, requests, args.scheduler, args.sanitize_report
         )
-        if sanitize:
-            sequential, oracle_clean = _audited_baseline(
-                graph, requests, args.scheduler, args.sanitize_report
-            )
-        else:
-            sequential = sequential_baseline(
-                graph, requests, scheduler_factory
-            )
-        _, report = simulate_cluster_open_loop(
-            {"bench": graph}, requests, arrivals, scheduler_factory,
-            batch_window=args.batch_window,
-            max_batch_size=args.max_batch_size,
-            baseline_seconds=sequential,
-            metrics=metrics,
-            **SINGLE_BROKER,
-        )
-        mode, unit = "open-loop", "virtual s"
     else:
-        _, report = run_closed_loop(
-            "bench", graph, requests, scheduler_factory,
-            concurrency=args.concurrency,
-            batch_window=args.batch_window,
-            max_batch_size=args.max_batch_size,
-            num_workers=args.workers,
-            metrics=metrics,
-        )
-        mode, unit = "closed-loop", "wall s"
-    print(f"serve-bench ({mode}) on {graph}")
+        sequential = sequential_baseline(graph, requests, scheduler_factory)
+    _, report = simulate_cluster_open_loop(
+        {"bench": graph}, requests, arrivals, scheduler_factory,
+        batch_window=args.batch_window,
+        max_batch_size=args.max_batch_size,
+        baseline_seconds=sequential,
+        metrics=metrics,
+        **SINGLE_BROKER,
+    )
+    unit = "virtual s"
+    print(f"serve-bench (open-loop) on {graph}")
     statuses = ", ".join(
         f"{k}={v}" for k, v in sorted(report.status_counts.items())
     )
@@ -391,12 +366,9 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     print(f"  throughput        {report.throughput_qps:10.2f} qps")
     print(f"  latency p50/95/99 {report.latency_p50:10.4f}"
           f" / {report.latency_p95:.4f} / {report.latency_p99:.4f} {unit}")
-    if args.mode == "open":
-        print(f"  device time       {report.sim_seconds_total:10.6f} s"
-              f"   (sequential {report.baseline_seconds:.6f} s)")
-        print(f"  speedup vs 1-at-a-time {report.speedup_vs_baseline:7.2f}x")
-    else:
-        print("  speedup vs 1-at-a-time     n/a (wall-clock mode)")
+    print(f"  device time       {report.sim_seconds_total:10.6f} s"
+          f"   (sequential {report.baseline_seconds:.6f} s)")
+    print(f"  speedup vs 1-at-a-time {report.speedup_vs_baseline:7.2f}x")
     if args.emit_metrics:
         assert metrics is not None
         out = write_json(metrics, args.emit_metrics)
@@ -655,21 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     _add_graph_args(p)
-    p.add_argument("--mode", choices=("open", "closed"), default="open",
-                   help="open: deterministic virtual-time simulator; "
-                        "closed: threaded broker, wall-clock")
     p.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="sage")
     p.add_argument("--queries", type=int, default=64)
     p.add_argument("--rate", type=float, default=200.0,
                    help="open-loop Poisson arrival rate (qps)")
-    p.add_argument("--concurrency", type=int, default=4,
-                   help="closed-loop client threads")
     p.add_argument("--batch-window", type=float, default=0.05,
                    help="micro-batching window (seconds)")
     p.add_argument("--max-batch-size", type=int, default=64)
-    p.add_argument("--workers", type=int, default=2,
-                   help="closed-loop broker worker threads (the open-loop "
-                        "replay models one device)")
     p.add_argument("--mix", default=None,
                    help="app mix, e.g. bfs=0.8,pr=0.1,sssp=0.1")
     p.add_argument("--deadline", type=float, default=None,
@@ -678,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cluster-bench",
-        help="benchmark the sharded replica pool vs the single broker",
+        help="benchmark the sharded cluster tier vs the single broker",
         parents=[common],
     )
     _add_graph_args(p)
@@ -745,33 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    race_check = bool(
-        getattr(args, "race_check", False)
-        or getattr(args, "race_report", None) is not None
-    )
-    if not race_check:
-        return args.fn(args)
-    # One detector spans the whole command: every lock, queue and
-    # thread the serving stack creates underneath is tracked, and the
-    # happens-before report prints after the command's own output.
-    from repro.analysis.races import RaceDetector
-    from repro.analysis.races import instrument as races_instrument
-
-    detector = RaceDetector()
-    races_instrument.activate(detector)
-    try:
-        code = int(args.fn(args))
-    finally:
-        races_instrument.deactivate()
-        detector.finalize()
-    for line in detector.format_summary().splitlines():
-        print(line)
-    if args.race_report is not None:
-        detector.write_json(args.race_report)
-        print(f"  race report written to {args.race_report}")
-    if code == 0 and not detector.clean:
-        return 3
-    return code
+    return args.fn(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

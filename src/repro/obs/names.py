@@ -117,23 +117,6 @@ SANITIZER_COUNTERS: frozenset[str] = frozenset(
     }
 )
 
-#: Counters emitted by the concurrency sanitizer
-#: (``repro.analysis.races``): one per finding kind plus bookkeeping.
-RACES_COUNTERS: frozenset[str] = frozenset(
-    {
-        "races.findings",
-        "races.threads_tracked",
-        "races.locks_tracked",
-        "races.acquires",
-        "races.accesses_checked",
-        "races.write_write_race",
-        "races.read_write_race",
-        "races.lock_order_inversion",
-        "races.blocking_while_holding",
-        "races.unjoined_thread",
-    }
-)
-
 #: Counters emitted by the batched query service (``repro.serve``).
 SERVE_COUNTERS: frozenset[str] = frozenset(
     {
@@ -242,7 +225,6 @@ COUNTERS: frozenset[str] = (
     | OOC_COUNTERS
     | MULTIGPU_COUNTERS
     | SANITIZER_COUNTERS
-    | RACES_COUNTERS
     | SERVE_COUNTERS
     | CLUSTER_COUNTERS
     | SAMPLING_COUNTERS
@@ -257,18 +239,6 @@ RUN_GAUGES: frozenset[str] = frozenset(
     {
         "run.simulated_seconds",
         "run.gteps",
-    }
-)
-
-#: Gauges emitted by the batched query service (``repro.serve``).
-SERVE_GAUGES: frozenset[str] = frozenset(
-    {
-        "serve.queue_depth_peak",
-        "serve.batch_occupancy_mean",
-        "serve.latency_p50",
-        "serve.latency_p95",
-        "serve.latency_p99",
-        "serve.throughput_qps",
     }
 )
 
@@ -307,7 +277,7 @@ PIPELINE_GAUGES: frozenset[str] = frozenset(
 
 #: All statically-known gauge names.
 GAUGES: frozenset[str] = (
-    RUN_GAUGES | SERVE_GAUGES | CLUSTER_GAUGES | TUNE_GAUGES | PIPELINE_GAUGES
+    RUN_GAUGES | CLUSTER_GAUGES | TUNE_GAUGES | PIPELINE_GAUGES
 )
 
 #: All statically-known span names.
@@ -318,9 +288,6 @@ SPANS: frozenset[str] = frozenset(
         "kernel",
         "ooc.run",
         "multigpu.run",
-        "serve.run",
-        "serve.batch",
-        "serve.request",
         "cluster.run",
         "tune.search",
         "pipeline.batch",

@@ -1,18 +1,17 @@
-"""Asynchronous batched traversal query service.
+"""Batched traversal query service.
 
 The serving layer of the reproduction: typed query requests,
 micro-batching that coalesces compatible queries into MS-BFS-style
-batched kernels, a bounded-queue broker with a worker pool over the
-simulated multi-GPU runtime, seeded load generators, and the cluster
-tier — sharded replicas behind pluggable routing, adaptive admission
-control and a graph-epoch-versioned result cache.  One virtual-time
-replay (:func:`simulate_cluster_open_loop`) serves every open-loop
-benchmark; the single broker is its :data:`SINGLE_BROKER` configuration.
-The replay and the threaded broker share one batching policy
-(:mod:`repro.serve.batching`); only the clock that drives it differs.
-See the README "Serving"/"Scaling out" sections for the API tour and
-DESIGN.md for why micro-batching preserves the cost model's
-comparisons.
+batched kernels, seeded load generators, and the cluster tier — sharded
+replicas behind pluggable routing, adaptive admission control and a
+graph-epoch-versioned result cache.  One event loop serves every query.
+:func:`simulate_cluster_open_loop` replays a whole trace in virtual time
+(every benchmark; the single broker is its :data:`SINGLE_BROKER`
+configuration), and :class:`ServingHandle` plays the same loop for
+callers on a clock (:func:`repro.api.serve` / :func:`repro.api.cluster`).
+This package starts no thread.  See the README "Serving"/"Scaling out"
+sections for the API tour and DESIGN.md for why micro-batching
+preserves the cost model's comparisons.
 """
 
 from repro.serve.admission import (
@@ -23,12 +22,6 @@ from repro.serve.admission import (
     TokenBucket,
 )
 from repro.serve.batching import batch_key
-from repro.serve.broker import (
-    BrokerStats,
-    PendingQuery,
-    QueryBroker,
-    raise_for_status,
-)
 from repro.serve.cache import (
     GraphStore,
     ResultCache,
@@ -39,11 +32,16 @@ from repro.serve.cluster import (
     EVENT_COMPLETION,
     EVENT_FLUSH,
     EVENT_UPDATE,
+    MAX_RETRIES,
     ROUTING_POLICIES,
     SINGLE_BROKER,
     ClusterBenchReport,
-    ClusterPool,
+    Clock,
+    ManualClock,
+    PendingQuery,
     Router,
+    ServingHandle,
+    WallClock,
     event_order,
     publish_cluster_gauges,
     simulate_cluster_open_loop,
@@ -59,11 +57,8 @@ from repro.serve.loadgen import (
     DEFAULT_MIX,
     DEFAULT_PARAMS,
     SAMPLING_MIX,
-    ServeBenchReport,
     generate_queries,
     open_loop_arrivals,
-    publish_report_gauges,
-    run_closed_loop,
     sequential_baseline,
     skew_sources,
 )
@@ -75,6 +70,7 @@ from repro.serve.request import (
     QueryResponse,
     QueryStatus,
     normalize_params,
+    raise_for_status,
 )
 
 __all__ = [
@@ -84,18 +80,18 @@ __all__ = [
     "AdmissionDecision",
     "BatchExecution",
     "BatchExecutor",
-    "BrokerStats",
+    "Clock",
     "ClusterBenchReport",
-    "ClusterPool",
     "DEFAULT_MIX",
     "DEFAULT_PARAMS",
     "EVENT_COMPLETION",
     "EVENT_FLUSH",
     "EVENT_UPDATE",
     "GraphStore",
+    "MAX_RETRIES",
+    "ManualClock",
     "PendingQuery",
     "PipelineConfig",
-    "QueryBroker",
     "QueryRequest",
     "QueryResponse",
     "QueryStatus",
@@ -108,8 +104,9 @@ __all__ = [
     "SERVE_APPS",
     "SINGLE_BROKER",
     "SOURCE_APPS",
-    "ServeBenchReport",
+    "ServingHandle",
     "TokenBucket",
+    "WallClock",
     "batch_key",
     "event_order",
     "generate_queries",
@@ -118,10 +115,8 @@ __all__ = [
     "normalize_params",
     "open_loop_arrivals",
     "publish_cluster_gauges",
-    "publish_report_gauges",
     "raise_for_status",
     "result_cache_key",
-    "run_closed_loop",
     "run_direct",
     "sequential_baseline",
     "simulate_cluster_open_loop",

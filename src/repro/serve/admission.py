@@ -16,8 +16,8 @@ zae-limiter, adapted to a fully deterministic clock-injected form):
   and it never trades correctness for throughput — a shed is always a
   typed error, never a wrong answer.
 
-Both pieces take ``now`` explicitly, so the threaded cluster pool (wall
-clock) and the virtual-time simulator (deterministic) share one policy.
+Both pieces take ``now`` explicitly: the serving event loop passes the
+time of the arrival on whichever clock drives it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.analysis.races import instrument as races
 from repro.errors import InvalidParameterError
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
@@ -146,18 +145,10 @@ class AdmissionConfig:
 class AdmissionController:
     """Combines per-class token buckets with the AIMD concurrency limit.
 
-    Thread-safe.  The caller reports lifecycle signals (``on_success``,
-    ``on_overload``) so the limiter can adapt; outstanding-work tracking
-    stays with the caller, which knows its own accounting domain
-    (threads vs. virtual time).
+    The caller reports lifecycle signals (``on_success``,
+    ``on_overload``) so the limiter can adapt, and tracks outstanding
+    work itself.
     """
-
-    _guarded_by = {
-        "_buckets": "_lock",
-        "admitted": "_lock",
-        "throttled": "_lock",
-        "overloaded": "_lock",
-    }
 
     def __init__(
         self,
@@ -174,13 +165,12 @@ class AdmissionController:
             recovery=self.config.recovery,
         )
         self._buckets: dict[str, TokenBucket] = {}
-        self._lock = races.make_lock("admission.lock")
         self.admitted = 0
         self.throttled = 0
         self.overloaded = 0
 
-    def _bucket_locked(self, client: str) -> TokenBucket | None:
-        """The client's bucket (created lazily).  Caller holds ``_lock``."""
+    def _bucket(self, client: str) -> TokenBucket | None:
+        """The client's bucket (created lazily)."""
         if client in self._buckets:
             return self._buckets[client]
         if client in self.config.class_rates:
@@ -197,42 +187,31 @@ class AdmissionController:
         self, now: float, outstanding: int, client: str = "default"
     ) -> AdmissionDecision:
         """Decide one arrival.  Does not mutate outstanding counts."""
-        with self._lock:
-            races.note_write(self, "_buckets")
-            races.note_write(self.limiter, "_limit")
-            bucket = self._bucket_locked(client)
-            if bucket is not None and not bucket.try_acquire(now):
-                self.throttled += 1
-                self.metrics.count("cluster.throttled")
-                return AdmissionDecision.THROTTLED
-            if not self.limiter.allows(outstanding):
-                self.overloaded += 1
-                self.limiter.on_overload()
-                self.metrics.count("cluster.shed")
-                return AdmissionDecision.OVERLOADED
-            self.admitted += 1
-            self.metrics.count("cluster.admitted")
-            return AdmissionDecision.ADMIT
+        bucket = self._bucket(client)
+        if bucket is not None and not bucket.try_acquire(now):
+            self.throttled += 1
+            self.metrics.count("cluster.throttled")
+            return AdmissionDecision.THROTTLED
+        if not self.limiter.allows(outstanding):
+            self.overloaded += 1
+            self.limiter.on_overload()
+            self.metrics.count("cluster.shed")
+            return AdmissionDecision.OVERLOADED
+        self.admitted += 1
+        self.metrics.count("cluster.admitted")
+        return AdmissionDecision.ADMIT
 
     def on_success(self) -> None:
-        with self._lock:
-            races.note_write(self.limiter, "_limit")
-            self.limiter.on_success()
+        self.limiter.on_success()
 
     def on_overload(self) -> None:
         """Report a downstream pressure signal (shed / deadline miss)."""
-        with self._lock:
-            races.note_write(self.limiter, "_limit")
-            self.limiter.on_overload()
+        self.limiter.on_overload()
 
     @property
     def throttle_level(self) -> float:
-        with self._lock:
-            races.note_read(self.limiter, "_limit")
-            return self.limiter.throttle_level
+        return self.limiter.throttle_level
 
     @property
     def concurrency_limit(self) -> int:
-        with self._lock:
-            races.note_read(self.limiter, "_limit")
-            return self.limiter.limit
+        return self.limiter.limit

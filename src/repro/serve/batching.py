@@ -1,21 +1,20 @@
-"""The micro-batching policy, shared by both serving clocks.
+"""The micro-batching policy of the serving event loop.
 
 Two queries are *compatible* when they share :func:`batch_key` (graph,
 app and parameters) — exactly when the batched executor answers them
 with one traversal.  :class:`Batcher` turns compatible arrivals into
-batches and never reads a clock: every call takes ``now``.  The
-virtual-time replay (:func:`~repro.serve.cluster
-.simulate_cluster_open_loop`) plays :meth:`Batcher.next_close` as an
-event; the threaded :class:`~repro.serve.broker.QueryBroker` waits for
-it on its injected ``clock``.  Per replica and key, the first arrival
-opens a batch whose window closes ``batch_window`` later.  A batch is
+batches and never reads a clock: every call takes ``now``, and the
+event loop (:class:`~repro.serve.cluster._Replay`) plays
+:meth:`Batcher.next_close` as an event.  Per replica and key, the first
+arrival opens a batch whose window closes ``batch_window`` later.  A
+batch is
 ready when it fills to ``max_batch_size`` (its close time becomes the
 filling arrival's) or when its window has closed, and an arrival never
 joins a closed window, so membership depends only on arrival times.
 Ready batches leave by close time, ties by ``(replica, repr(key))``.
 
 The deadline sweeps (:func:`expire_before`, :func:`settle`) and the
-response builders complete the policy, so both drivers answer alike.
+response builders complete the policy.
 """
 
 from __future__ import annotations
@@ -45,17 +44,13 @@ def batch_key(request: QueryRequest) -> BatchKey:
 
 @dataclass
 class Member:
-    """One admitted query riding a batch.
-
-    ``pending`` is the threaded driver's future (``None`` in the
-    replay); ``retries`` counts re-admissions after a failed batch.
-    """
+    """One admitted query riding a batch (``retries`` counts its
+    re-admissions after a failed batch)."""
 
     request_id: int
     request: QueryRequest
     arrival: float
     replica: int = 0
-    pending: Any = None
     retries: int = 0
     deadline: float | None = field(init=False)
 
@@ -77,8 +72,7 @@ class Batch:
 
 
 class Batcher:
-    """Per-key batch formation over a caller-supplied clock (not
-    thread-safe: the threaded driver calls it under its own lock)."""
+    """Per-key batch formation over a caller-supplied clock."""
 
     def __init__(self, batch_window: float, max_batch_size: int) -> None:
         if batch_window < 0:

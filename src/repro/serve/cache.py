@@ -22,19 +22,20 @@ change its answer.
 
 :class:`GraphStore` owns the handle → graph mapping shared by every
 replica of a cluster, tracks epochs/fingerprints, and fans updated CSR
-snapshots *and their deltas* out to subscribers (the replica brokers).
+snapshots *and their deltas* out to subscribers (the serving event
+loop, which fixes its cache up from each delta).
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from typing import Any
 
 import numpy as np
 
-from repro.analysis.races import instrument as races
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import GraphDelta
@@ -116,18 +117,9 @@ class ResultCache:
     """Bounded LRU cache of query results, versioned by graph epoch.
 
     ``capacity`` bounds the entry count (0 disables caching entirely —
-    every ``get`` misses, every ``put`` is dropped).  Thread-safe; the
-    threaded cluster pool and the virtual-time simulator share it.
+    every ``get`` misses, every ``put`` is dropped).  Not thread-safe:
+    the serving event loop owns it.
     """
-
-    _guarded_by = {
-        "_entries": "_lock",
-        "hits": "_lock",
-        "misses": "_lock",
-        "evictions": "_lock",
-        "invalidations": "_lock",
-        "rekeyed": "_lock",
-    }
 
     def __init__(
         self,
@@ -139,7 +131,6 @@ class ResultCache:
             raise InvalidParameterError("capacity must be >= 0")
         self.capacity = int(capacity)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._lock = races.make_lock("cache.lock")
         self._entries: OrderedDict[CacheKey, dict[str, np.ndarray]] = (
             OrderedDict()
         )
@@ -150,17 +141,12 @@ class ResultCache:
         self.rekeyed = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            races.note_read(self, "_entries")
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def hit_ratio(self) -> float:
-        with self._lock:
-            races.note_read(self, "hits")
-            races.note_read(self, "misses")
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     @staticmethod
     def _copy(result: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -168,30 +154,26 @@ class ResultCache:
 
     def get(self, key: CacheKey) -> dict[str, np.ndarray] | None:
         """A fresh copy of the cached result, or ``None`` on a miss."""
-        with self._lock:
-            races.note_write(self, "_entries")
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                self.metrics.count("cluster.cache_misses")
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self.metrics.count("cluster.cache_hits")
-            return self._copy(entry)
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            self.metrics.count("cluster.cache_misses")
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        self.metrics.count("cluster.cache_hits")
+        return self._copy(entry)
 
     def put(self, key: CacheKey, result: Mapping[str, np.ndarray]) -> None:
         """Store a copy of ``result``; evicts LRU entries past capacity."""
         if self.capacity == 0:
             return
-        with self._lock:
-            races.note_write(self, "_entries")
-            self._entries[key] = self._copy(result)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                self.metrics.count("cluster.cache_evictions")
+        self._entries[key] = self._copy(result)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            self.metrics.count("cluster.cache_evictions")
 
     def invalidate_graph(self, handle: str, *, keep_epoch: int) -> int:
         """Drop every entry of ``handle`` whose epoch predates
@@ -201,21 +183,19 @@ class ResultCache:
         anyway — the purge reclaims their memory eagerly instead of
         waiting for LRU pressure.
         """
-        with self._lock:
-            races.note_write(self, "_entries")
-            stale = [
-                key
-                for key in self._entries
-                if key[0] == handle and key[1] < keep_epoch
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += len(stale)
-            if stale:
-                self.metrics.count(
-                    "cluster.cache_invalidations", len(stale)
-                )
-            return len(stale)
+        stale = [
+            key
+            for key in self._entries
+            if key[0] == handle and key[1] < keep_epoch
+        ]
+        for key in stale:
+            del self._entries[key]
+        self.invalidations += len(stale)
+        if stale:
+            self.metrics.count(
+                "cluster.cache_invalidations", len(stale)
+            )
+        return len(stale)
 
     def apply_delta(
         self,
@@ -236,39 +216,35 @@ class ResultCache:
         survival cannot be argued from this delta alone).  Returns
         ``(kept, purged)``.
         """
-        with self._lock:
-            races.note_write(self, "_entries")
-            stale = [
-                key
-                for key in self._entries
-                if key[0] == handle and key[1] < new_epoch
-            ]
-            kept = 0
-            for key in stale:
-                new_key = (handle, new_epoch, new_fingerprint) + key[3:]
-                if (
-                    key[1] == new_epoch - 1
-                    and new_key not in self._entries
-                    and _survives_delta(key, self._entries[key], delta)
-                ):
-                    self._entries[new_key] = self._entries.pop(key)
-                    kept += 1
-                else:
-                    del self._entries[key]
-            purged = len(stale) - kept
-            self.invalidations += purged
-            self.rekeyed += kept
-            if purged:
-                self.metrics.count("cluster.cache_invalidations", purged)
-                self.metrics.count("delta.cache_entries_purged", purged)
-            if kept:
-                self.metrics.count("delta.cache_entries_kept", kept)
-            return kept, purged
+        stale = [
+            key
+            for key in self._entries
+            if key[0] == handle and key[1] < new_epoch
+        ]
+        kept = 0
+        for key in stale:
+            new_key = (handle, new_epoch, new_fingerprint) + key[3:]
+            if (
+                key[1] == new_epoch - 1
+                and new_key not in self._entries
+                and _survives_delta(key, self._entries[key], delta)
+            ):
+                self._entries[new_key] = self._entries.pop(key)
+                kept += 1
+            else:
+                del self._entries[key]
+        purged = len(stale) - kept
+        self.invalidations += purged
+        self.rekeyed += kept
+        if purged:
+            self.metrics.count("cluster.cache_invalidations", purged)
+            self.metrics.count("delta.cache_entries_purged", purged)
+        if kept:
+            self.metrics.count("delta.cache_entries_kept", kept)
+        return kept, purged
 
     def clear(self) -> None:
-        with self._lock:
-            races.note_write(self, "_entries")
-            self._entries.clear()
+        self._entries.clear()
 
 
 #: The delta-aware subscriber contract of :meth:`GraphStore.subscribe`.
@@ -283,8 +259,9 @@ class GraphStore:
     dynamic graph's listener hook).  Every serving batch reads its graph
     from :meth:`graph` at dispatch.  ``subscribe`` registers a callback
     fired with ``(handle, csr, epoch, delta)`` after every update — the
-    cluster pool uses the delta to invalidate its cache selectively.
-    Batched updates go through :meth:`apply_edges` / :meth:`apply_delta`.
+    serving event loop uses the delta to invalidate its cache
+    selectively.  Batched updates go through :meth:`apply_edges` /
+    :meth:`apply_delta`.  Thread-safe: a merge may come from any thread.
     """
 
     _guarded_by = {
@@ -304,7 +281,7 @@ class GraphStore:
         if not graphs:
             raise InvalidParameterError("at least one graph is required")
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._lock = races.make_lock("store.lock")
+        self._lock = threading.Lock()
         self._dynamic: dict[str, DynamicGraph] = {}
         self._current: dict[str, CSRGraph] = {}
         self._epochs: dict[str, int] = {}
@@ -329,35 +306,35 @@ class GraphStore:
     @property
     def handles(self) -> list[str]:
         with self._lock:
-            races.note_read(self, "_current")
             return sorted(self._current)
 
     def subscribe(self, callback: StoreSubscriber) -> None:
         """Register a ``(handle, csr, epoch, delta)`` update callback."""
         with self._lock:
-            races.note_write(self, "_subscribers")
             self._subscribers.append(callback)
+
+    def unsubscribe(self, callback: StoreSubscriber) -> None:
+        """Remove a callback :meth:`subscribe` registered."""
+        with self._lock:
+            self._subscribers.remove(callback)
 
     def _on_update(
         self, handle: str, csr: CSRGraph, delta: GraphDelta
     ) -> None:
         with self._lock:
-            races.note_write(self, "_current")
             self._current[handle] = csr
             self._epochs[handle] += 1
             self._fingerprints[handle] = graph_fingerprint(csr)
             self._deltas[handle] = delta
             epoch = self._epochs[handle]
-            races.note_read(self, "_subscribers")
             subscribers = list(self._subscribers)
         self.metrics.count("delta.flushes")
         if delta.num_inserted:
             self.metrics.count("delta.edges_inserted", delta.num_inserted)
         if delta.num_deleted:
             self.metrics.count("delta.edges_deleted", delta.num_deleted)
-        # Fan out with the lock dropped: subscribers take their own
-        # locks (the pool's cache and counters), and holding ours across
-        # the callback would order store.lock before theirs.
+        # Fan out with the lock dropped: a subscriber may call back into
+        # the store (the event loop reads the new fingerprint).
         for callback in subscribers:
             callback(handle, csr, epoch, delta)
 
@@ -436,46 +413,46 @@ class GraphStore:
         self._check(handle)
         self.refresh(handle)
         with self._lock:
-            races.note_read(self, "_deltas")
             return self._deltas.get(handle)
 
     def graph(self, handle: str) -> CSRGraph:
         self._check(handle)
         self.refresh(handle)
         with self._lock:
-            races.note_read(self, "_current")
             return self._current[handle]
 
     def epoch(self, handle: str) -> int:
         self._check(handle)
         self.refresh(handle)
         with self._lock:
-            races.note_read(self, "_epochs")
             return self._epochs[handle]
 
     def fingerprint(self, handle: str) -> str:
         self._check(handle)
         self.refresh(handle)
         with self._lock:
-            races.note_read(self, "_fingerprints")
             return self._fingerprints[handle]
+
+    def snapshot(self, handle: str) -> tuple[CSRGraph, int, str]:
+        """The handle's ``(graph, epoch, fingerprint)``, read together:
+        a merge from another thread cannot land between the three, so a
+        result computed on the graph is keyed by that graph's version."""
+        self._check(handle)
+        self.refresh(handle)
+        with self._lock:
+            return (
+                self._current[handle],
+                self._epochs[handle],
+                self._fingerprints[handle],
+            )
 
     def key_for(self, request: QueryRequest) -> CacheKey:
         """The cache key of ``request`` against current graph contents."""
-        self._check(request.graph)
-        self.refresh(request.graph)
-        with self._lock:
-            races.note_read(self, "_epochs")
-            races.note_read(self, "_fingerprints")
-            return result_cache_key(
-                request,
-                self._epochs[request.graph],
-                self._fingerprints[request.graph],
-            )
+        _, epoch, fingerprint = self.snapshot(request.graph)
+        return result_cache_key(request, epoch, fingerprint)
 
     def _check(self, handle: str) -> None:
         with self._lock:
-            races.note_read(self, "_current")
             known = handle in self._current
             registered = sorted(self._current) if not known else []
         if not known:

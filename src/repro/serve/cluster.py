@@ -1,8 +1,8 @@
-"""Sharded multi-replica serving: routing, admission, versioned caching.
+"""Sharded multi-replica serving: one virtual-time event loop, two drivers.
 
-:class:`ClusterPool` scales the single :class:`~repro.serve.broker
-.QueryBroker` out to ``num_replicas`` broker+device replicas behind one
-front door that adds three things a single broker does not have:
+The serving layer has one event loop, :class:`_Replay`.  It serves
+``num_replicas`` simulated devices, each a micro-batching broker, behind
+one front door that adds three things a single broker does not have:
 
 * **routing** — a pluggable policy (:data:`ROUTING_POLICIES`) picks the
   replica for every admitted query: ``round_robin`` spreads blindly,
@@ -18,33 +18,36 @@ front door that adds three things a single broker does not have:
   replica and a :class:`~repro.graph.dynamic.DynamicGraph` merge can
   never surface a stale read.
 
-:func:`simulate_cluster_open_loop` is the deterministic virtual-time
-twin, which is what the CI benchmark tiers gate; the single broker is
-its :data:`SINGLE_BROKER` configuration.  Both run one policy (the
-:class:`~repro.serve.batching.Batcher` and its response builders, the
-router, admission and cache, graphs read from a
-:class:`~repro.serve.cache.GraphStore` at dispatch) on two clocks: the
-replay plays batch close times as events, the pool's replica brokers
-wait for them on their ``clock``.  Both uphold the serving invariant:
-a response is either bit-identical to the direct oracle or a
-structured non-``OK`` status — never a wrong answer.
+Two drivers play the loop.  :func:`simulate_cluster_open_loop` replays
+a whole arrival trace in virtual time; it is what the CI benchmark tiers
+gate, and the single broker is its :data:`SINGLE_BROKER` configuration.
+:class:`ServingHandle` (what :func:`repro.api.serve` and
+:func:`repro.api.cluster` return) stamps each submitted query with its
+clock, advances the same loop to that time and lets ``result()`` play
+later events, waiting on the clock until each is due; ``close()`` plays
+the rest at once.
+Both uphold the serving invariant: a response is either bit-identical
+to the direct oracle or a structured non-``OK`` status — never a wrong
+answer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import threading
 import time
+import weakref
 from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Protocol
 
 import numpy as np
 
-from repro.analysis.races import instrument as races
 from repro.core.scheduler import Scheduler
-from repro.errors import InvalidParameterError, ThrottledError
+from repro.errors import InvalidParameterError, ServiceError, ThrottledError
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import GraphDelta
 from repro.graph.dynamic import DynamicGraph
@@ -60,11 +63,11 @@ from repro.serve.batching import (
     BatchKey,
     Member,
     batch_key,
+    error_response,
     expire_before,
     settle,
     shed_response,
 )
-from repro.serve.broker import PendingQuery, QueryBroker, RaceScope
 from repro.serve.cache import CacheKey, GraphStore, ResultCache, result_cache_key
 from repro.serve.executor import BatchExecution, BatchExecutor
 from repro.serve.loadgen import summarize_responses
@@ -87,6 +90,10 @@ SINGLE_BROKER: dict[str, Any] = {
         max_concurrency=10**9, min_concurrency=10**9
     ),
 }
+
+#: Re-admissions a query gets after its batch fails, unless a
+#: :class:`ServingHandle` is given its own ``max_retries``.
+MAX_RETRIES = 1
 
 # ----------------------------------------------------------------------
 # Event-ordering contract of the virtual-time loop
@@ -149,48 +156,6 @@ class Router:
                 range(self.num_replicas), key=lambda r: (outstanding[r], r)
             ))
         return self._stable_hash(batch_key(request)) % self.num_replicas
-
-
-def _front_door(
-    decision: AdmissionDecision,
-    request: QueryRequest,
-    request_id: int,
-    client: str,
-    controller: AdmissionController,
-    cache: ResultCache,
-    store: GraphStore,
-) -> tuple[QueryResponse | None, CacheKey | None]:
-    """The answer given before any replica, for the pool and the replay.
-
-    A refused admission gets a ``SHED`` response and a versioned-cache
-    hit the cached ``OK`` one.  An admitted miss gets no response, only
-    the cache key its result belongs under.
-    """
-    if decision is AdmissionDecision.ADMIT:
-        key = store.key_for(request)
-        hit = cache.get(key)
-        if hit is None:
-            return None, key
-        controller.on_success()
-        return QueryResponse(
-            request_id=request_id,
-            app=request.app,
-            status=QueryStatus.OK,
-            result=hit,
-            latency_seconds=0.0,
-            extras={"cached": 1.0},
-        ), key
-    if decision is AdmissionDecision.THROTTLED:
-        return shed_response(
-            request_id, request,
-            f"client class {client!r} over its token-bucket rate limit",
-            ThrottledError.__name__,
-        ), None
-    return shed_response(
-        request_id, request,
-        "cluster over its adaptive concurrency limit "
-        f"({controller.concurrency_limit})",
-    ), None
 
 
 @dataclass
@@ -344,7 +309,7 @@ def publish_cluster_gauges(
 
 
 # ----------------------------------------------------------------------
-# Deterministic virtual-time simulator
+# The event loop
 # ----------------------------------------------------------------------
 
 
@@ -404,14 +369,15 @@ def _busy_total(pipes: list[ReplicaPipeline], sim_total: float) -> float:
 
 
 class _Replay:
-    """The event loop behind :func:`simulate_cluster_open_loop`.
+    """The one event loop that serves queries.
 
     One method per event: :meth:`arrive`, :meth:`dispatch` (a batch the
     :class:`~repro.serve.batching.Batcher` releases goes to its
     replica's device), :meth:`complete` and :meth:`update`.
     :meth:`advance` merges three sources in :func:`event_order`: the
     devices' next completion, the update list, and the batcher's next
-    close.
+    close.  :meth:`graph_updated` fixes the cache up after a merge; the
+    driver subscribes it to the store.
     """
 
     def __init__(
@@ -428,10 +394,15 @@ class _Replay:
         admission: AdmissionConfig | None,
         updates: list[tuple[float, str, Any, Any]],
         pipeline: PipelineConfig | None,
+        max_retries: int = MAX_RETRIES,
+        deliver: Callable[[int, QueryResponse], None] | None = None,
     ) -> None:
+        if max_retries < 0:
+            raise InvalidParameterError("max_retries must be >= 0")
         self.store = store
         self.executor = executor
         self.registry = registry
+        self.max_retries = int(max_retries)
         self.batcher = Batcher(batch_window, max_batch_size)
         self.cache = ResultCache(cache_capacity, metrics=registry)
         self.controller = AdmissionController(admission, metrics=registry)
@@ -445,12 +416,18 @@ class _Replay:
         # Updates due together keep their list order (a stable sort).
         self.updates = deque(sorted(updates, key=lambda u: float(u[0])))
         self.running: dict[tuple[int, int], _Running] = {}
+        # Where each response goes: kept by query index for a whole
+        # trace, or handed on at once by a live handle.
         self.responses: dict[int, QueryResponse] = {}
+        self.deliver = (
+            deliver if deliver is not None else self.responses.__setitem__
+        )
         self.outstanding = [0] * num_replicas
         self.total_outstanding = 0
         self.per_replica_sim = [0.0] * num_replicas
         self.sim_total = 0.0
-        self.batch_sizes: list[int] = []
+        self.num_batches = 0
+        self.batched_queries = 0
         self.next_batch_id = 0
         self.graph_updates = 0
 
@@ -468,26 +445,23 @@ class _Replay:
             self.arrive(i, t, requests[i], client)
         self.advance(float("inf"))
 
+    def next_event(self) -> tuple[float, int] | None:
+        """The earliest pending event in :func:`event_order`, if any."""
+        times = [
+            t for t in (d.next_event_time() for d in self.devices)
+            if t is not None
+        ]
+        events = [event_order(min(times), EVENT_COMPLETION)] if times else []
+        if self.updates:
+            events.append(event_order(self.updates[0][0], EVENT_UPDATE))
+        close = self.batcher.next_close()
+        if close is not None:
+            events.append(event_order(close, EVENT_FLUSH))
+        return min(events) if events else None
+
     def advance(self, limit: float) -> None:
         """Play every event due at or before ``limit`` in event order."""
-        while True:
-            times = [
-                t for t in (d.next_event_time() for d in self.devices)
-                if t is not None
-            ]
-            events = (
-                [event_order(min(times), EVENT_COMPLETION)] if times else []
-            )
-            if self.updates:
-                events.append(event_order(self.updates[0][0], EVENT_UPDATE))
-            close = self.batcher.next_close()
-            if close is not None:
-                events.append(event_order(close, EVENT_FLUSH))
-            if not events:
-                return
-            due = min(events)
-            if due[0] > limit:
-                return
+        while (due := self.next_event()) is not None and due[0] <= limit:
             if due[1] == EVENT_COMPLETION:
                 self.complete(due[0])
             elif due[1] == EVENT_UPDATE:
@@ -500,27 +474,74 @@ class _Replay:
     def arrive(
         self, index: int, t: float, request: QueryRequest, client: str
     ) -> None:
-        """Shed or answer the query at the door, or batch it."""
-        self.registry.count("cluster.requests")
-        decision = self.controller.check(t, self.total_outstanding, client)
-        response, _ = _front_door(
-            decision, request, index, client,
-            self.controller, self.cache, self.store,
-        )
+        """Answer the query at the door, or route it into a batch."""
+        response = self._front_door(index, t, request, client)
         if response is not None:
-            self.responses[index] = response
+            self.record(index, response)
             return
         replica = self.router.route(request, self.outstanding)
         self.registry.count("cluster.routed")
+        self.registry.count("serve.accepted")
         self.outstanding[replica] += 1
         self.total_outstanding += 1
         self.batcher.add(Member(index, request, t, replica), t)
+
+    def _front_door(
+        self, index: int, t: float, request: QueryRequest, client: str
+    ) -> QueryResponse | None:
+        """The answer given before any replica (``None``: batch it).
+
+        A source outside the graph current at arrival gets an ``ERROR``
+        of its own: it never joins a batch, so it cannot fail its
+        batch-mates, and it gives no admission feedback.  A refused
+        admission gets a ``SHED`` response, and a versioned-cache hit
+        the cached ``OK`` one.
+        """
+        graph, epoch, fingerprint = self.store.snapshot(request.graph)
+        num_nodes = graph.num_nodes
+        self.registry.count("cluster.requests")
+        self.registry.count("serve.requests")
+        source = request.source
+        if source is not None and not 0 <= source < num_nodes:
+            return QueryResponse(
+                request_id=index,
+                app=request.app,
+                status=QueryStatus.ERROR,
+                error=f"source {source} outside [0, {num_nodes}) of "
+                      f"graph {request.graph!r}",
+                error_type=InvalidParameterError.__name__,
+            )
+        decision = self.controller.check(t, self.total_outstanding, client)
+        if decision is AdmissionDecision.THROTTLED:
+            return shed_response(
+                index, request,
+                f"client class {client!r} over its token-bucket rate limit",
+                ThrottledError.__name__,
+            )
+        if decision is AdmissionDecision.OVERLOADED:
+            return shed_response(
+                index, request,
+                "cluster over its adaptive concurrency limit "
+                f"({self.controller.concurrency_limit})",
+            )
+        hit = self.cache.get(result_cache_key(request, epoch, fingerprint))
+        if hit is None:
+            return None
+        self.controller.on_success()
+        return QueryResponse(
+            request_id=index,
+            app=request.app,
+            status=QueryStatus.OK,
+            result=hit,
+            latency_seconds=0.0,
+            extras={"cached": 1.0},
+        )
 
     def dispatch(self, batch: Batch) -> None:
         """Execute a batch at its close time against the current graph
         snapshot and submit it to its replica's device; members whose
         deadline passes before the device can start it time out
-        instead."""
+        instead, and a failed execution goes to :meth:`retry`."""
         device = self.devices[batch.replica]
         ready = batch.close_time
         batch_id = self.next_batch_id
@@ -533,20 +554,26 @@ class _Replay:
             self.resolve(member, response)
         if not live:
             return
-        handle = batch.key[0]
-        graph = self.store.graph(handle)
-        epoch = self.store.epoch(handle)
-        fingerprint = self.store.fingerprint(handle)
+        # One atomic read: a merge from another thread between separate
+        # reads would key an old-graph result by the new epoch.
+        graph, epoch, fingerprint = self.store.snapshot(batch.key[0])
         requests = [m.request for m in live]
-        if self.pipeline is None:
-            execution = self.executor.execute(graph, requests)
-        else:
-            execution = self.executor.compile(
-                graph, requests, self.pipeline.prefetch_depth
-            )
+        try:
+            if self.pipeline is None:
+                execution = self.executor.execute(graph, requests)
+            else:
+                execution = self.executor.compile(
+                    graph, requests, self.pipeline.prefetch_depth
+                )
+        except Exception as exc:  # noqa: BLE001 - fault boundary
+            self.retry(live, exc, ready)
+            return
+        self.registry.count("serve.batches")
+        self.registry.count("serve.batched_queries", len(live))
         self.per_replica_sim[batch.replica] += execution.sim_seconds
         self.sim_total += execution.sim_seconds
-        self.batch_sizes.append(len(live))
+        self.num_batches += 1
+        self.batched_queries += len(live)
         local = device.submit(execution, ready)
         self.running[(batch.replica, local)] = _Running(
             members=live,
@@ -557,6 +584,19 @@ class _Replay:
             batch_id=batch_id,
             share=execution.sim_seconds / len(live),
         )
+
+    def retry(self, members: list[Member], exc: Exception, now: float) -> None:
+        """A failed batch: re-admit each member still under the retry
+        budget at ``now``, and reject the rest with a structured
+        ``ERROR`` carrying the exception type.  An error is a device
+        fault, not a load signal, so it gives no admission feedback."""
+        for member in members:
+            if member.retries < self.max_retries:
+                member.retries += 1
+                self.registry.count("serve.retries")
+                self.batcher.add(member, now)
+            else:
+                self.resolve(member, error_response(member, exc, now))
 
     def complete(self, when: float) -> None:
         """Land every batch the devices finish at ``when``, in dispatch
@@ -585,27 +625,45 @@ class _Replay:
                 self.resolve(member, response)
 
     def update(self, update: tuple[float, str, Any, Any]) -> None:
-        """Merge one edge batch: bump the epoch and fix up the cache."""
+        """Merge one scheduled edge batch; the store's fan-out reaches
+        :meth:`graph_updated`."""
         _, handle, src, dst = update
-        epoch = self.store.apply_edges(handle, src, dst)
-        delta = self.store.last_delta(handle)
-        if delta is None:
-            self.cache.invalidate_graph(handle, keep_epoch=epoch)
-        else:
-            # Selective invalidation: provably-unaffected entries are
-            # re-keyed to the new epoch and keep hitting.
-            self.cache.apply_delta(
-                handle, delta,
-                new_epoch=epoch,
-                new_fingerprint=self.store.fingerprint(handle),
-            )
+        self.store.apply_edges(handle, src, dst)
+
+    def graph_updated(
+        self, handle: str, csr: CSRGraph, epoch: int, delta: GraphDelta
+    ) -> None:
+        """Store subscriber: bump the cache to the merge's epoch.
+        Entries the delta provably leaves unchanged are re-keyed to the
+        new epoch and keep hitting; the rest are purged."""
+        self.cache.apply_delta(
+            handle, delta,
+            new_epoch=epoch,
+            new_fingerprint=self.store.fingerprint(handle),
+        )
         self.registry.count("cluster.graph_updates")
         self.graph_updates += 1
 
     def resolve(self, member: Member, response: QueryResponse) -> None:
         self.outstanding[member.replica] -= 1
         self.total_outstanding -= 1
-        self.responses[member.request_id] = response
+        self.record(member.request_id, response)
+
+    def record(self, index: int, response: QueryResponse) -> None:
+        """Deliver query ``index``'s response and count it by status."""
+        self.registry.count("serve.responses")
+        if response.status is QueryStatus.SHED:
+            self.registry.count("serve.shed")
+        elif response.status is QueryStatus.TIMEOUT:
+            self.registry.count("serve.timeouts")
+        elif response.status is QueryStatus.ERROR:
+            self.registry.count("serve.errors")
+        self.deliver(index, response)
+
+
+# ----------------------------------------------------------------------
+# Driver 1: a whole trace in virtual time
+# ----------------------------------------------------------------------
 
 
 def simulate_cluster_open_loop(
@@ -633,7 +691,8 @@ def simulate_cluster_open_loop(
     :class:`~repro.serve.batching.Batcher` and its response builders,
     :class:`ResultCache`, :class:`AdmissionController`); only the clock
     is virtual, so equal traffic always yields byte-equal responses and
-    the benchmark tiers can be gated in CI.
+    the benchmark tiers can be gated in CI.  ``arrivals`` must be finite
+    and non-negative.
 
     Batching follows the batcher's rules per replica and compatibility
     key: the first arrival opens a batch, later ones join it up to
@@ -641,13 +700,16 @@ def simulate_cluster_open_loop(
     elapses or at the arrival that fills it, whichever is first.  Batch
     ids follow dispatch order, and ``num_batches`` counts executed
     batches (a batch whose members all missed their deadline before
-    execution gets an id but is not counted).  Each replica is one
-    device that runs one batch at a time.
+    execution, or whose execution failed, gets an id but is not
+    counted).  Each replica is one device that runs one batch at a time.
+    A batch whose execution raises is retried: each member is re-admitted
+    at the dispatch time up to :data:`MAX_RETRIES` times, then answered
+    with a structured ``ERROR``.
 
     With :data:`SINGLE_BROKER` the replay is the single micro-batching
-    broker on one device: driven by the same trace on an injected clock,
-    a one-worker :class:`~repro.serve.broker.QueryBroker` forms the same
-    batches and returns the same results.
+    broker on one device: a :class:`ServingHandle` in that configuration,
+    on a clock set to each arrival, forms the same batches and returns
+    the same responses.
 
     ``updates`` schedules mid-stream dynamic-graph merges as
     ``(virtual_time, handle, src_array, dst_array)`` tuples; each bumps
@@ -655,7 +717,8 @@ def simulate_cluster_open_loop(
     the graph served to later batches.  A batch executes against the
     snapshot current at its *dispatch* time and its results are cached
     under that snapshot's epoch — in-flight work can never pollute a
-    newer epoch.  ``baseline_seconds`` (total sim-device seconds of a
+    newer epoch.  A :class:`GraphStore` passed in is subscribed to for
+    the call only.  ``baseline_seconds`` (total sim-device seconds of a
     reference service over the same trace: the sequential oracle, or the
     :data:`SINGLE_BROKER` replay) feeds the report's speedup; pass 0.0
     to skip the comparison.
@@ -679,12 +742,15 @@ def simulate_cluster_open_loop(
             f"need one arrival per request, got {arrivals.shape} "
             f"for {len(requests)} requests"
         )
+    if not np.isfinite(arrivals).all() or (arrivals < 0).any():
+        raise InvalidParameterError("arrivals must be finite and >= 0")
     if clients is not None and len(clients) != len(requests):
         raise InvalidParameterError("need one client class per request")
     registry = metrics if metrics is not None else NULL_REGISTRY
     pipelined = pipeline is not None and pipeline.enabled
+    store = graphs if isinstance(graphs, GraphStore) else GraphStore(graphs)
     replay = _Replay(
-        graphs if isinstance(graphs, GraphStore) else GraphStore(graphs),
+        store,
         executor or BatchExecutor(scheduler_factory, metrics=registry),
         registry,
         num_replicas=num_replicas,
@@ -696,20 +762,24 @@ def simulate_cluster_open_loop(
         updates=updates or [],
         pipeline=pipeline if pipelined else None,
     )
-    with registry.span(
-        "cluster.run", replicas=num_replicas, routing=routing,
-        queries=len(requests),
-    ) as run_span:
-        replay.run(requests, arrivals, clients)
-        busy = (
-            _busy_total(replay.devices, replay.sim_total)
-            if pipelined else 0.0
-        )
-        run_span.set("batches", len(replay.batch_sizes))
-        run_span.set("cache_hits", replay.cache.hits)
-        run_span.set("sim_seconds_total", replay.sim_total)
-        if pipelined:
-            run_span.set("pipeline_busy_seconds", busy)
+    store.subscribe(replay.graph_updated)
+    try:
+        with registry.span(
+            "cluster.run", replicas=num_replicas, routing=routing,
+            queries=len(requests),
+        ) as run_span:
+            replay.run(requests, arrivals, clients)
+            busy = (
+                _busy_total(replay.devices, replay.sim_total)
+                if pipelined else 0.0
+            )
+            run_span.set("batches", replay.num_batches)
+            run_span.set("cache_hits", replay.cache.hits)
+            run_span.set("sim_seconds_total", replay.sim_total)
+            if pipelined:
+                run_span.set("pipeline_busy_seconds", busy)
+    finally:
+        store.unsubscribe(replay.graph_updated)
 
     ordered = [replay.responses[i] for i in range(len(requests))]
     makespan = max(
@@ -723,9 +793,10 @@ def simulate_cluster_open_loop(
         num_queries=len(requests),
         num_replicas=num_replicas,
         routing=routing,
-        num_batches=len(replay.batch_sizes),
+        num_batches=replay.num_batches,
         batch_occupancy_mean=(
-            float(np.mean(replay.batch_sizes)) if replay.batch_sizes else 0.0
+            replay.batched_queries / replay.num_batches
+            if replay.num_batches else 0.0
         ),
         makespan_seconds=makespan,
         sim_seconds_total=replay.sim_total,
@@ -759,28 +830,102 @@ def simulate_cluster_open_loop(
 
 
 # ----------------------------------------------------------------------
-# Threaded replica pool
+# Driver 2: a live service on a clock
 # ----------------------------------------------------------------------
 
 
-class ClusterPool:
-    """N broker replicas behind routing, admission and a shared cache.
+class Clock(Protocol):
+    """What a :class:`ServingHandle` reads its time from."""
 
-    Construct via :func:`repro.api.cluster`.  ``submit`` never blocks on
-    execution: a query is either shed with a structured response
-    (throttled / over the adaptive concurrency limit), answered straight
-    from the versioned cache, or routed to a replica broker whose
-    :class:`~repro.serve.broker.PendingQuery` is returned as-is.  The
-    replicas share the pool's :class:`~repro.serve.cache.GraphStore`, so
-    a merge through a registered
-    :class:`~repro.graph.dynamic.DynamicGraph` reaches every replica's
-    next batch, and the cache is fixed up from the merge's delta.
+    def now(self) -> float:
+        """Seconds since the clock's origin (never decreasing)."""
+
+    def sleep_until(self, when: float) -> None:
+        """Return once :meth:`now` has reached ``when``."""
+
+
+class WallClock:
+    """Host monotonic seconds since the clock was created."""
+
+    def __init__(self) -> None:
+        self._origin = time.monotonic()
+
+    def now(self) -> float:
+        return time.monotonic() - self._origin
+
+    def sleep_until(self, when: float) -> None:
+        delay = when - self.now()
+        if delay > 0:
+            time.sleep(delay)
+
+
+class ManualClock:
+    """A clock that moves only when set (``clock.time = t``) or waited
+    on, so a handle on it is as deterministic as the replay.  For one
+    caller thread: concurrent waits could move it backwards."""
+
+    def __init__(self, start: float = 0.0) -> None:
+        self.time = float(start)
+
+    def now(self) -> float:
+        return self.time
+
+    def sleep_until(self, when: float) -> None:
+        self.time = max(self.time, when)
+
+
+class PendingQuery:
+    """The future :meth:`ServingHandle.submit` returns."""
+
+    def __init__(
+        self, service: ServingHandle, request_id: int, request: QueryRequest
+    ) -> None:
+        self.request_id = request_id
+        self.request = request
+        self._service = service
+        # Set once, under the service's lock, when the replay delivers
+        # the response; a stale ``None`` read only means asking again.
+        self._response: QueryResponse | None = None
+
+    def done(self) -> bool:
+        """Whether the response is in, after playing every event due by
+        the service clock's now (never waits)."""
+        return self._service._poll(self) is not None
+
+    def result(self, timeout: float | None = None) -> QueryResponse:
+        """The response, playing events (and waiting on the service's
+        clock until each is due) until it is in.  Raises
+        :class:`TimeoutError` once ``timeout`` clock seconds pass."""
+        response = self._response
+        if response is None:
+            response = self._service._wait(self, timeout)
+        return response
+
+
+class ServingHandle:
+    """A live service: the replay driven by caller threads on a clock.
+
+    Construct via :func:`repro.api.serve` (the :data:`SINGLE_BROKER`
+    configuration, ``queue_capacity`` as its pinned concurrency limit)
+    or :func:`repro.api.cluster`.  ``submit`` stamps the arrival with
+    ``clock.now()``, plays every event due by then and admits, answers
+    or batches the query; it never waits.  :meth:`PendingQuery.result`
+    plays later events in order, waiting on the clock until each is
+    due, and never waits while holding the handle's lock;
+    :meth:`close` plays every event left without waiting.
+    A response's latency is its arrival and batch window on the handle's
+    clock plus simulated device seconds.
+
+    The default clock reads wall seconds since the handle was created;
+    pass a :class:`ManualClock` for a deterministic handle.  A merge
+    into a registered :class:`~repro.graph.dynamic.DynamicGraph` reaches
+    every later batch through the :class:`~repro.serve.cache.GraphStore`,
+    and the cache is fixed up from the merge's delta at the handle's
+    next call.
     """
 
     _guarded_by = {
-        "_outstanding": "_lock",
-        "_per_replica": "_lock",
-        "graph_updates": "_lock",
+        "_replay": "_lock", "_closed": "_lock", "_pending": "_lock",
     }
 
     def __init__(
@@ -792,48 +937,47 @@ class ClusterPool:
         routing: str = "least_outstanding",
         batch_window: float = 0.01,
         max_batch_size: int = 64,
-        num_workers: int = 2,
-        queue_capacity: int = 256,
-        max_retries: int = 1,
+        max_retries: int = MAX_RETRIES,
         cache_capacity: int = 1024,
         admission: AdmissionConfig | None = None,
+        executor: BatchExecutor | None = None,
         metrics: MetricsRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        race_check: bool = False,
+        clock: Clock | None = None,
     ) -> None:
-        if num_replicas < 1:
-            raise InvalidParameterError("num_replicas must be >= 1")
-        self.num_replicas = int(num_replicas)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._race = RaceScope(race_check, self.metrics)
-        self.race_detector = self._race.detector
         self.store = (
             graphs if isinstance(graphs, GraphStore) else GraphStore(graphs)
         )
-        self.cache = ResultCache(cache_capacity, metrics=self.metrics)
-        self.admission = AdmissionController(admission, metrics=self.metrics)
-        self.router = Router(routing, num_replicas)
+        self._replay = _Replay(
+            self.store,
+            executor or BatchExecutor(scheduler_factory, metrics=self.metrics),
+            self.metrics,
+            num_replicas=num_replicas,
+            routing=routing,
+            batch_window=batch_window,
+            max_batch_size=max_batch_size,
+            cache_capacity=cache_capacity,
+            admission=admission,
+            updates=[],
+            pipeline=None,
+            max_retries=max_retries,
+            deliver=self._deliver_locked,
+        )
+        # Each response goes straight to its future; one whose future
+        # was dropped unanswered is dropped with it.
+        self._pending: weakref.WeakValueDictionary[int, PendingQuery] = (
+            weakref.WeakValueDictionary()
+        )
         self.routing = routing
-        self._clock = clock
-        self._lock = races.make_lock("cluster.lock")
-        self._outstanding = 0
-        self._per_replica = [0] * num_replicas
-        self._local_ids = itertools.count()
-        self.graph_updates = 0
-        self.replicas = [
-            QueryBroker(
-                self.store,
-                scheduler_factory,
-                batch_window=batch_window,
-                max_batch_size=max_batch_size,
-                num_workers=num_workers,
-                queue_capacity=queue_capacity,
-                max_retries=max_retries,
-                metrics=self.metrics,
-                clock=clock,
-            )
-            for _ in range(num_replicas)
-        ]
+        self.batch_window = self._replay.batcher.batch_window
+        self.max_batch_size = self._replay.batcher.max_batch_size
+        self._clock: Clock = clock if clock is not None else WallClock()
+        self._lock = threading.Lock()
+        self._closed = False
+        self._ids = itertools.count()
+        # Merges land here from whichever thread flushed the graph (an
+        # append needs no lock); the next locked call applies them.
+        self._merges: deque[tuple[str, CSRGraph, int, GraphDelta]] = deque()
         self.store.subscribe(self._on_graph_update)
 
     # ------------------------------------------------------------------
@@ -843,31 +987,14 @@ class ClusterPool:
     def submit(
         self, request: QueryRequest, *, client: str = "default"
     ) -> PendingQuery:
-        """Admit, answer from cache, or route one query."""
-        self.metrics.count("cluster.requests")
-        now = self._clock()
+        """Admit, answer or batch one query at the clock's now."""
         with self._lock:
-            races.note_read(self, "_outstanding")
-            decision = self.admission.check(now, self._outstanding, client)
-        response, key = _front_door(
-            decision, request, next(self._local_ids), client,
-            self.admission, self.cache, self.store,
-        )
-        if response is not None:
-            pending = PendingQuery(response.request_id, request)
-            pending._resolve(response)
-            return pending
-        with self._lock:
-            races.note_write(self, "_outstanding")
-            races.note_write(self, "_per_replica")
-            replica = self.router.route(request, self._per_replica)
-            self._outstanding += 1
-            self._per_replica[replica] += 1
-        self.metrics.count("cluster.routed")
-        pending = self.replicas[replica].submit(request)
-        pending.add_done_callback(
-            lambda response: self._on_done(replica, key, request, response)
-        )
+            if self._closed:
+                raise ServiceError("service is closed")
+            now = self._play_locked()
+            pending = PendingQuery(self, next(self._ids), request)
+            self._pending[pending.request_id] = pending
+            self._replay.arrive(pending.request_id, now, request, client)
         return pending
 
     def submit_many(
@@ -875,70 +1002,118 @@ class ClusterPool:
     ) -> list[PendingQuery]:
         return [self.submit(request, client=client) for request in requests]
 
+    def advance(self) -> None:
+        """Play every event due by the clock's now (``api.update`` calls
+        this before a merge, so batches closed earlier run on the graph
+        they closed on)."""
+        with self._lock:
+            self._play_locked()
+
+    @property
+    def cache(self) -> ResultCache:
+        with self._lock:
+            return self._replay.cache
+
+    @property
+    def graph_updates(self) -> int:
+        with self._lock:
+            return self._replay.graph_updates
+
     # ------------------------------------------------------------------
-    # Feedback path
+    # Playing events
     # ------------------------------------------------------------------
 
-    def _on_done(
-        self,
-        replica: int,
-        key: CacheKey,
-        request: QueryRequest,
-        response: QueryResponse,
-    ) -> None:
+    def _play_locked(self) -> float:
+        """Play every event due by the clock's now, then apply the
+        merges that landed; returns that now.  Caller holds ``_lock``."""
+        now = self._clock.now()
+        self._replay.advance(now)
+        while self._merges:
+            self._replay.graph_updated(*self._merges.popleft())
+        return now
+
+    def _deliver_locked(self, request_id: int, response: QueryResponse) -> None:
+        """The replay's response sink.  Caller holds ``_lock``."""
+        pending = self._pending.pop(request_id, None)
+        if pending is not None:
+            pending._response = response
+
+    def _poll(self, pending: PendingQuery) -> QueryResponse | None:
         with self._lock:
-            races.note_write(self, "_outstanding")
-            races.note_write(self, "_per_replica")
-            self._outstanding -= 1
-            self._per_replica[replica] -= 1
-        if response.status is QueryStatus.OK:
-            # Fill only when no graph update raced this flight: a result
-            # computed on an ambiguous snapshot must not enter the cache.
-            if (
-                response.result is not None
-                and self.store.key_for(request) == key
-            ):
-                self.cache.put(key, response.result)
-            self.admission.on_success()
-        elif response.status in (QueryStatus.TIMEOUT, QueryStatus.SHED):
-            self.admission.on_overload()
-        # ERROR is a worker fault, not a load signal: no feedback.
+            self._play_locked()
+            return pending._response
+
+    def _wait(
+        self, pending: PendingQuery, timeout: float | None
+    ) -> QueryResponse:
+        deadline = None
+        while True:
+            with self._lock:
+                now = self._play_locked()
+                response = pending._response
+                due = self._replay.next_event()
+            if response is not None:
+                return response
+            # An unanswered query is batched or running: an event is due.
+            assert due is not None
+            wake = due[0]
+            if timeout is not None:
+                if deadline is None:
+                    deadline = now + timeout
+                if now >= deadline:
+                    raise TimeoutError(
+                        f"query {pending.request_id} still pending after "
+                        f"{timeout}s"
+                    )
+                wake = min(wake, deadline)
+            self._clock.sleep_until(wake)
 
     def _on_graph_update(
         self, handle: str, csr: CSRGraph, epoch: int, delta: GraphDelta
     ) -> None:
-        # The replicas read the store at dispatch, so only the cache
-        # needs fixing up.
-        self.cache.apply_delta(
-            handle, delta,
-            new_epoch=epoch,
-            new_fingerprint=self.store.fingerprint(handle),
-        )
-        self.metrics.count("cluster.graph_updates")
-        with self._lock:
-            races.note_write(self, "graph_updates")
-            self.graph_updates += 1
+        self._merges.append((handle, csr, epoch, delta))
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def close(self, drain: bool = True) -> None:
-        for broker in self.replicas:
-            broker.close(drain=drain)
-        self.metrics.set_gauge(
-            "cluster.cache_hit_ratio", self.cache.hit_ratio
-        )
-        self.metrics.set_gauge(
-            "cluster.throttle_level", self.admission.throttle_level
-        )
-        self.metrics.set_gauge(
-            "cluster.concurrency_limit",
-            float(self.admission.concurrency_limit),
-        )
-        self._race.close()
+        """Stop taking queries and play every event left at once: no
+        query can join a batch any more, and each event keeps its own
+        virtual time, so nothing waits on the clock.  ``drain=True``
+        serves the queued queries as their windows close; ``drain=False``
+        sheds the ones not yet dispatched with structured responses."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            now = self._play_locked()
+            while not drain and (
+                batch := self._replay.batcher.pop(math.inf)
+            ) is not None:
+                for member in batch.members:
+                    self._replay.resolve(member, shed_response(
+                        member.request_id, member.request,
+                        "service closed before execution",
+                        latency=now - member.arrival,
+                    ))
+            self._replay.advance(math.inf)
+        self.store.unsubscribe(self._on_graph_update)
+        with self._lock:
+            self._play_locked()
+            replay = self._replay
+            self.metrics.set_gauge(
+                "cluster.cache_hit_ratio", replay.cache.hit_ratio
+            )
+            self.metrics.set_gauge(
+                "cluster.throttle_level", replay.controller.throttle_level
+            )
+            self.metrics.set_gauge(
+                "cluster.concurrency_limit",
+                float(replay.controller.concurrency_limit),
+            )
 
-    def __enter__(self) -> "ClusterPool":
+    def __enter__(self) -> ServingHandle:
         return self
 
     def __exit__(self, *exc_info: object) -> None:

@@ -1,22 +1,11 @@
-"""Load generation and the closed-loop serving benchmark.
+"""Load generation for the serving benchmarks.
 
 The seeded generators here (:func:`generate_queries`,
 :func:`skew_sources`, :func:`open_loop_arrivals`) feed every serving
-tier.  Two execution modes consume them:
-
-* the deterministic **virtual-time** replay,
-  :func:`~repro.serve.cluster.simulate_cluster_open_loop` — the single
-  broker is its :data:`~repro.serve.cluster.SINGLE_BROKER`
-  configuration, so every gated serving number comes from one replay;
-* :func:`run_closed_loop` — drives the real threaded
-  :class:`~repro.serve.broker.QueryBroker` with ``concurrency`` client
-  threads (each submits, waits, repeats).  Wall-clock mode: useful for
-  exercising the broker end to end, not for gating.
-
-Both modes batch through the same
-:class:`~repro.serve.batching.Batcher`, so ``batch_window`` and
-``max_batch_size`` (and a tuned profile's values for them) mean the
-same thing on either clock.
+tier, all of which run the deterministic virtual-time replay
+(:func:`~repro.serve.cluster.simulate_cluster_open_loop`; the single
+broker is its :data:`~repro.serve.cluster.SINGLE_BROKER`
+configuration).
 
 Open-loop speedups are measured against the **sequential baseline**
 (:func:`sequential_baseline`): the sum of one-query-at-a-time
@@ -26,26 +15,16 @@ query list.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.analysis.races import instrument as races
 from repro.core.scheduler import Scheduler
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
-from repro.obs import MetricsRegistry
-from repro.serve.broker import QueryBroker
 from repro.serve.executor import run_direct
-from repro.serve.request import (
-    SOURCE_APPS,
-    QueryRequest,
-    QueryResponse,
-    QueryStatus,
-)
+from repro.serve.request import SOURCE_APPS, QueryRequest, QueryResponse
 
 #: Default per-app parameter presets used by the query generator.
 DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
@@ -157,64 +136,12 @@ def open_loop_arrivals(
     num_queries: int, rate_qps: float, *, seed: int = 0
 ) -> np.ndarray:
     """Seeded Poisson arrival times (seconds), anchored at t=0."""
-    if rate_qps <= 0:
+    if not rate_qps > 0:  # also rejects NaN
         raise InvalidParameterError("rate_qps must be > 0")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(scale=1.0 / rate_qps, size=num_queries)
     arrivals = np.cumsum(gaps)
     return arrivals - arrivals[0]
-
-
-@dataclass
-class ServeBenchReport:
-    """Summary of one closed-loop run (see ``to_dict`` for JSON).
-
-    Times are wall-clock seconds; ``sim_seconds_total`` sums the
-    simulated device time attributed to the served queries.
-    """
-
-    num_queries: int
-    num_batches: int
-    batch_occupancy_mean: float
-    makespan_seconds: float
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
-    status_counts: dict[str, int] = field(default_factory=dict)
-    sim_seconds_total: float = 0.0
-
-    @property
-    def throughput_qps(self) -> float:
-        served = self.status_counts.get(QueryStatus.OK.value, 0)
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return served / self.makespan_seconds
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_queries": self.num_queries,
-            "num_batches": self.num_batches,
-            "batch_occupancy_mean": self.batch_occupancy_mean,
-            "makespan_seconds": self.makespan_seconds,
-            "throughput_qps": self.throughput_qps,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "status_counts": dict(self.status_counts),
-            "sim_seconds_total": self.sim_seconds_total,
-        }
-
-
-def publish_report_gauges(
-    metrics: MetricsRegistry, report: ServeBenchReport
-) -> None:
-    """Mirror a bench report into the ``serve.*`` gauges."""
-    metrics.set_gauge("serve.batch_occupancy_mean",
-                      report.batch_occupancy_mean)
-    metrics.set_gauge("serve.latency_p50", report.latency_p50)
-    metrics.set_gauge("serve.latency_p95", report.latency_p95)
-    metrics.set_gauge("serve.latency_p99", report.latency_p99)
-    metrics.set_gauge("serve.throughput_qps", report.throughput_qps)
 
 
 def sequential_baseline(
@@ -244,83 +171,3 @@ def summarize_responses(
         [r.latency_seconds for r in responses], [50, 95, 99]
     )
     return counts, float(p50), float(p95), float(p99)
-
-
-def run_closed_loop(
-    graph_name: str,
-    graph: CSRGraph,
-    requests: list[QueryRequest],
-    scheduler_factory: Callable[[], Scheduler],
-    *,
-    concurrency: int = 4,
-    batch_window: float = 0.01,
-    max_batch_size: int = 64,
-    num_workers: int = 2,
-    queue_capacity: int = 256,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[list[QueryResponse], ServeBenchReport]:
-    """Drive the threaded broker with ``concurrency`` client threads.
-
-    Each client submits the next unclaimed query, blocks on its result,
-    and repeats — the classic closed-loop load model.  Times are
-    wall-clock (non-deterministic); the deterministic benchmark tiers
-    replay :func:`~repro.serve.cluster.simulate_cluster_open_loop`.
-    """
-    if concurrency < 1:
-        raise InvalidParameterError("concurrency must be >= 1")
-    responses: list[QueryResponse | None] = [None] * len(requests)
-    cursor = {"next": 0}
-    cursor_lock = races.make_lock("loadgen.cursor")
-    broker = QueryBroker(
-        {graph_name: graph},
-        scheduler_factory,
-        batch_window=batch_window,
-        max_batch_size=max_batch_size,
-        num_workers=num_workers,
-        queue_capacity=queue_capacity,
-        metrics=metrics,
-    )
-
-    def client() -> None:
-        while True:
-            with cursor_lock:
-                index = cursor["next"]
-                if index >= len(requests):
-                    return
-                cursor["next"] = index + 1
-            pending = broker.submit(requests[index])
-            responses[index] = pending.result()
-
-    start = time.monotonic()
-    clients = [
-        races.spawn_thread(client, name=f"serve-client-{i}", daemon=True)
-        for i in range(concurrency)
-    ]
-    for thread in clients:
-        thread.start()
-    for thread in clients:
-        thread.join()
-    broker.close(drain=True)
-    makespan = time.monotonic() - start
-
-    done = [r for r in responses if r is not None]
-    counts, p50, p95, p99 = summarize_responses(done)
-    report = ServeBenchReport(
-        num_queries=len(requests),
-        num_batches=len(broker.stats.batch_sizes),
-        batch_occupancy_mean=(
-            float(np.mean(broker.stats.batch_sizes))
-            if broker.stats.batch_sizes else 0.0
-        ),
-        makespan_seconds=makespan,
-        latency_p50=p50,
-        latency_p95=p95,
-        latency_p99=p99,
-        status_counts=counts,
-        sim_seconds_total=sum(
-            r.sim_seconds for r in done if r.status is QueryStatus.OK
-        ),
-    )
-    if metrics is not None:
-        publish_report_gauges(metrics, report)
-    return done, report

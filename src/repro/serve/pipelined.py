@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.analysis.races import instrument as races
 from repro.errors import InvalidParameterError
 from repro.gpusim.streams import BatchDag, StreamDevice
 from repro.obs import MetricsRegistry
@@ -106,9 +105,6 @@ class ReplicaPipeline:
             raise InvalidParameterError(
                 "submit a compiled batch (BatchExecutor.compile)"
             )
-        # Single-owner by contract (the virtual-time loop); the write
-        # notes let the race detector prove no second thread sneaks in.
-        races.note_write(self, "_in_flight")
         local = self._next_local
         self._next_local += 1
         if self._in_flight < self.config.in_flight:
@@ -136,7 +132,6 @@ class ReplicaPipeline:
         slots, so queued batches admitted in their wake are also played
         out up to ``limit``.
         """
-        races.note_write(self, "_in_flight")
         out: list[tuple[int, float]] = []
         while True:
             done = self.device.advance_to(limit)

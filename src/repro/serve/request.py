@@ -2,10 +2,11 @@
 
 A :class:`QueryRequest` names an application kind, a registered graph
 handle, an optional source node, frozen application parameters and an
-optional latency budget.  The broker/simulator answer each request with
-a :class:`QueryResponse` whose ``status`` is one of
-:class:`QueryStatus`; a non-``OK`` response never carries a result — the
-service surfaces structured errors, never wrong answers.
+optional latency budget.  The service answers each request with a
+:class:`QueryResponse` whose ``status`` is one of :class:`QueryStatus`;
+a non-``OK`` response never carries a result — the service surfaces
+structured errors, never wrong answers (:func:`raise_for_status` turns
+one into its typed exception).
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
+from repro.errors import (
+    AdmissionError,
+    DeadlineExceededError,
+    InvalidParameterError,
+    WorkerFailureError,
+)
 
 #: Application kinds the service can execute (see `repro.serve.executor`).
 SERVE_APPS = ("bfs", "sssp", "pr", "ppr", "walk", "node2vec", "khop", "sppr")
@@ -38,7 +44,7 @@ class QueryStatus(enum.Enum):
     OK = "ok"
     TIMEOUT = "timeout"      # deadline passed (before or after execution)
     SHED = "shed"            # refused at admission under overload
-    ERROR = "error"          # worker/executor failure, retries exhausted
+    ERROR = "error"          # bad source, or batch failure past its retries
 
 
 def normalize_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
@@ -52,9 +58,9 @@ def normalize_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, Any],
 class QueryRequest:
     """One traversal query.
 
-    ``deadline_seconds`` is a relative latency budget: the broker stamps
-    an absolute deadline at admission (arrival + budget); the virtual
-    simulator does the same in virtual time.
+    ``deadline_seconds`` is a relative latency budget: the service
+    stamps an absolute deadline at admission (arrival + budget) on the
+    clock that stamped the arrival.
     """
 
     app: str
@@ -88,9 +94,10 @@ class QueryResponse:
     ``result`` is populated only for ``OK`` responses and is bit-identical
     to the direct single-query ``run_app`` oracle (the differential test
     harness pins this).  ``sim_seconds`` is the simulated device time
-    attributed to this query's batch run; ``latency_seconds`` is measured
-    in the clock domain that served the query (wall for the threaded
-    broker, virtual for the deterministic simulator).
+    attributed to this query's batch run; ``latency_seconds`` is the
+    arrival and batch window on the serving clock (virtual in a replay,
+    the handle's clock in a live service) plus simulated device
+    seconds.
     """
 
     request_id: int
@@ -116,3 +123,15 @@ class QueryResponse:
             raise InvalidParameterError(
                 f"{self.status} response must not carry a result"
             )
+
+
+def raise_for_status(response: QueryResponse) -> QueryResponse:
+    """Map a non-``OK`` response to its typed :class:`ServiceError`."""
+    if response.status is QueryStatus.OK:
+        return response
+    detail = response.error or response.status.value
+    if response.status is QueryStatus.SHED:
+        raise AdmissionError(detail)
+    if response.status is QueryStatus.TIMEOUT:
+        raise DeadlineExceededError(detail)
+    raise WorkerFailureError(f"{response.error_type}: {detail}")

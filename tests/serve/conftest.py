@@ -9,47 +9,13 @@ batched path drift from the paper's single-query semantics.
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterator
-
 import numpy as np
 import pytest
 
-from repro.analysis.races import RaceDetector
-from repro.analysis.races import instrument as races_instrument
 from repro.core import SageScheduler
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.serve import QueryResponse, QueryStatus, run_direct
-
-
-@pytest.fixture(autouse=True)
-def race_check(request: pytest.FixtureRequest) -> Iterator[None]:
-    """Run every serve test under the concurrency sanitizer.
-
-    Enabled by ``REPRO_RACE_CHECK=1`` (the CI analysis job sets it);
-    off by default so the plain unit run measures the uninstrumented
-    fast path.  Each test gets a fresh detector and must finish clean —
-    a finding here is a real synchronization bug in the serving stack.
-    """
-    if os.environ.get("REPRO_RACE_CHECK") != "1":
-        yield
-        return
-    if races_instrument.active_detector() is not None:
-        # The test drives activation itself (e.g. race_check=True
-        # through the api facade); don't fight over the global slot.
-        yield
-        return
-    detector = RaceDetector()
-    races_instrument.activate(detector)
-    try:
-        yield
-    finally:
-        races_instrument.deactivate()
-        detector.finalize()
-    assert detector.clean, (
-        f"{request.node.nodeid}:\n{detector.format_summary()}"
-    )
 
 
 @pytest.fixture(scope="package")

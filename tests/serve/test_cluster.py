@@ -6,21 +6,20 @@ raced by a graph update — is bit-for-bit identical to the single-query
 ``run_direct`` oracle on a consistent graph version, and every non-OK
 response carries no result at all.  Never a wrong answer.
 
-The threaded drivers and the virtual-time replay share one batching
-policy; :class:`TestOnePolicyTwoDrivers` holds them to the same batches
-on the same trace.
+The live handle and the virtual-time replay drive one event loop;
+:class:`TestOnePolicyTwoDrivers` holds them to the same batches on the
+same trace.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.analysis.races import YieldFuzzer
-from repro.analysis.races import instrument as races
 from repro.core import SageScheduler
 from repro.errors import InvalidParameterError
 from repro.graph.dynamic import DynamicGraph
@@ -29,15 +28,17 @@ from repro.serve import (
     ROUTING_POLICIES,
     AdmissionConfig,
     BatchExecutor,
-    ClusterPool,
-    QueryBroker,
+    GraphStore,
+    ManualClock,
     QueryRequest,
     QueryStatus,
     Router,
+    ServingHandle,
     generate_queries,
     open_loop_arrivals,
     run_direct,
     SINGLE_BROKER,
+    WallClock,
     simulate_cluster_open_loop,
     skew_sources,
 )
@@ -267,6 +268,19 @@ class TestMidStreamUpdates:
                 updates=[(0.0, "g", [0], [1])],
             )
 
+    def test_a_replay_leaves_a_shared_store_when_it_ends(self, serve_graph):
+        """A store reused across replays keeps no finished replay
+        subscribed: a later merge reaches none of its caches."""
+        store = GraphStore({"g": DynamicGraph(serve_graph)})
+        metrics = MetricsRegistry()
+        simulate_cluster_open_loop(
+            store, [QueryRequest("bfs", "g", 0)], [0.0], scheduler_factory,
+            updates=[(0.0, "g", [0], [1])], metrics=metrics,
+        )
+        assert metrics.report()["counters"]["cluster.graph_updates"] == 1
+        store.apply_edges("g", [1], [2])
+        assert metrics.report()["counters"]["cluster.graph_updates"] == 1
+
 
 class _ScriptedTimeExecutor(BatchExecutor):
     """Real results, scripted device time: a batch of app ``a`` takes
@@ -401,7 +415,7 @@ class TestThreadedPool:
             "g", serve_graph.num_nodes, 12, seed=9,
             mix={"bfs": 0.7, "sssp": 0.3},
         )
-        with ClusterPool(
+        with ServingHandle(
             {"g": serve_graph}, scheduler_factory,
             num_replicas=2, batch_window=0.005,
         ) as pool:
@@ -419,7 +433,7 @@ class TestThreadedPool:
         source = int(np.argmax(serve_graph.out_degrees()))
         far = int(np.argmin(serve_graph.out_degrees()))
         request = QueryRequest("bfs", "g", source)
-        with ClusterPool(
+        with ServingHandle(
             {"g": dynamic}, scheduler_factory,
             num_replicas=2, batch_window=0.001,
         ) as pool:
@@ -445,7 +459,7 @@ class TestThreadedPool:
         requests = generate_queries(
             "g", serve_graph.num_nodes, 16, seed=2
         )
-        with ClusterPool(
+        with ServingHandle(
             {"g": serve_graph}, scheduler_factory,
             num_replicas=1, batch_window=0.001,
             admission=AdmissionConfig(rate_qps=1.0, burst=1.0),
@@ -458,21 +472,292 @@ class TestThreadedPool:
             assert response.error_type
 
 
-class _ManualClock:
-    """A clock the test sets by hand, so threaded drivers run on the
-    trace's virtual arrival times."""
+class TestLiveHandle:
+    """The handle's own contract: timeouts, closing without a drain,
+    merges from outside the event loop, and callers on several
+    threads."""
 
-    def __init__(self) -> None:
-        self.now = 0.0
+    @staticmethod
+    def handle(graphs, clock, **kwargs):
+        return ServingHandle(
+            graphs, scheduler_factory, **SINGLE_BROKER,
+            max_batch_size=8, clock=clock, **kwargs,
+        )
 
-    def __call__(self) -> float:
-        return self.now
+    def test_result_times_out_on_the_handle_clock(self, serve_graph):
+        clock = ManualClock()
+        with self.handle({"g": serve_graph}, clock, batch_window=10.0) as h:
+            pending = h.submit(QueryRequest("bfs", "g", 0))
+            with pytest.raises(TimeoutError):
+                pending.result(timeout=1.0)
+            assert clock.time == 1.0
+            assert pending.result().status is QueryStatus.OK
+
+    def test_negative_retry_budget_is_rejected(self, serve_graph):
+        with pytest.raises(InvalidParameterError, match="max_retries"):
+            ServingHandle({"g": serve_graph}, scheduler_factory, max_retries=-1)
+
+    def test_close_without_drain_sheds_queued_queries(self, serve_graph):
+        clock = ManualClock()
+        h = self.handle({"g": serve_graph}, clock, batch_window=10.0)
+        pendings = h.submit_many(
+            [QueryRequest("bfs", "g", i) for i in range(3)]
+        )
+        clock.time = 2.0
+        h.close(drain=False)
+        h.close()  # a second close is a no-op
+        for pending in pendings:
+            response = pending.result()
+            assert response.status is QueryStatus.SHED
+            assert response.result is None
+            assert response.latency_seconds == 2.0
+        assert clock.time == 2.0
+
+    def test_update_runs_batches_closed_before_it_on_the_old_graph(
+        self, serve_graph
+    ):
+        from repro import api
+
+        dynamic = DynamicGraph(serve_graph)
+        source = int(np.argmax(serve_graph.out_degrees()))
+        request = QueryRequest("bfs", "g", source)
+        old = run_direct(serve_graph, request, scheduler_factory)
+        unreached = int(np.flatnonzero(old.result["dist"] < 0)[0])
+        clock = ManualClock()
+        with self.handle({"g": dynamic}, clock, batch_window=0.5) as h:
+            before = h.submit(request)
+            clock.time = 1.0  # the window closed at 0.5, unplayed
+            api.update(h, "g", insert=([source], [unreached]))
+            after = h.submit(request)
+        assert h.graph_updates == 1
+        assert_bit_identical(before.result().result, old.result)
+        new = run_direct(dynamic.graph, request, scheduler_factory)
+        assert_bit_identical(after.result().result, new.result)
+        assert new.result["dist"][unreached] == 1
+
+    def test_caller_threads_share_one_handle_without_loss(
+        self, serve_graph
+    ):
+        """More caller threads than cores, a short switch interval and a
+        wall clock: every query is answered once, exactly, and the
+        handle's books balance."""
+        requests = generate_queries(
+            "g", serve_graph.num_nodes, 48, seed=7,
+            mix={"bfs": 0.6, "sssp": 0.4},
+        )
+        metrics = MetricsRegistry()
+        handle = ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.001, max_batch_size=4, metrics=metrics,
+        )
+        responses: dict[int, object] = {}
+
+        def caller(offset):
+            for index in range(offset, len(requests), 6):
+                pending = handle.submit(requests[index])
+                responses[index] = pending.result(timeout=60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(i,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        handle.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(responses) == list(range(len(requests)))
+        for index, response in responses.items():
+            assert response.status is QueryStatus.OK, response
+            assert_response_sound(response, serve_graph, requests[index])
+        counters = metrics.report()["counters"]
+        assert counters["serve.responses"] == len(requests)
+        assert counters["serve.batched_queries"] == len(requests)
+        sizes = Counter(r.batch_id for r in responses.values())
+        assert all(r.batch_size == sizes[r.batch_id]
+                   for r in responses.values())
+
+    def test_done_never_moves_the_clock(self, serve_graph):
+        clock = ManualClock()
+        with self.handle({"g": serve_graph}, clock, batch_window=0.5) as h:
+            pending = h.submit(QueryRequest("bfs", "g", 0))
+            assert not pending.done()
+            assert clock.time == 0.0
+            clock.time = 0.5  # the window closes; the batch is running
+            assert not pending.done()
+            clock.time = 100.0
+            assert pending.done()
+            assert clock.time == 100.0
+            assert pending.result().status is QueryStatus.OK
+
+    def test_a_handle_leaves_a_shared_store_when_it_closes(self, serve_graph):
+        """A closed handle is unsubscribed: a merge into the store it
+        shared reaches only the handles still open."""
+        from repro import api
+
+        store = GraphStore({"g": DynamicGraph(serve_graph)})
+        first = self.handle(store, ManualClock())
+        second = self.handle(store, ManualClock())
+        api.update(first, "g", insert=([0], [1]))
+        first.advance()
+        assert first.graph_updates == 1
+        first.close()
+        api.update(second, "g", insert=([1], [2]))
+        first.advance()
+        second.close()
+        assert first.graph_updates == 1
+        assert second.graph_updates == 2
+
+    def test_a_merge_flushed_inside_a_dispatch_reaches_the_cache(
+        self, serve_graph
+    ):
+        """Inserts left pending in a ``DynamicGraph`` flush when the
+        dispatch reads the graph; the store's fan-out must not wait on
+        the handle's lock, which the dispatching call holds."""
+        dynamic = DynamicGraph(serve_graph)
+        request = QueryRequest("bfs", "g", 0)
+        with self.handle({"g": dynamic}, ManualClock(), batch_window=0.5) as h:
+            pending = h.submit(request)
+            dynamic.insert_edges(np.asarray([0]), np.asarray([1]))
+            response = pending.result()
+        assert h.graph_updates == 1
+        oracle = run_direct(dynamic.graph, request, scheduler_factory)
+        assert_bit_identical(response.result, oracle.result)
+
+
+    @pytest.mark.parametrize("merge_at", range(8))
+    def test_a_merge_between_store_reads_never_caches_a_stale_result(
+        self, serve_graph, merge_at
+    ):
+        """A merge from another thread can land between any two of the
+        store's reads (here: at the ``merge_at``-th one).  A later hit
+        must still equal the oracle on the graph current at its lookup,
+        so a batch run on the old graph is never keyed by the new
+        epoch."""
+        dynamic = DynamicGraph(serve_graph)
+        store = GraphStore({"g": dynamic})
+        source = int(np.argmax(serve_graph.out_degrees()))
+        request = QueryRequest("bfs", "g", source)
+        old = run_direct(serve_graph, request, scheduler_factory)
+        unreached = int(np.flatnonzero(old.result["dist"] < 0)[0])
+        reads = iter(range(10**6))
+        check = store._check
+
+        def check_then_merge(handle):
+            if next(reads) == merge_at:
+                dynamic.insert_edges(
+                    np.asarray([source]), np.asarray([unreached])
+                )
+                dynamic.flush()
+            check(handle)
+
+        store._check = check_then_merge
+        clock = ManualClock()
+        handle = ServingHandle(
+            store, scheduler_factory, num_replicas=1, cache_capacity=16,
+            batch_window=0.5, max_batch_size=8, clock=clock,
+        )
+        with handle:
+            first = handle.submit(request).result()
+            clock.time = 10.0
+            second = handle.submit(request).result()
+        new = run_direct(dynamic.graph, request, scheduler_factory)
+        assert first.status is second.status is QueryStatus.OK
+        assert_bit_identical(second.result, new.result)
+
+    def test_a_dropped_future_drops_its_response(self, serve_graph):
+        """A live handle keeps no response whose future is gone: not one
+        submitted and dropped, nor one a caller gave up on."""
+        clock = ManualClock()
+        with self.handle({"g": serve_graph}, clock, batch_window=0.5) as h:
+            h.submit(QueryRequest("bfs", "g", 0))
+            abandoned = h.submit(QueryRequest("bfs", "g", 1))
+            with pytest.raises(TimeoutError):
+                abandoned.result(timeout=0.1)
+            del abandoned
+            kept = h.submit(QueryRequest("bfs", "g", 2))
+        assert kept.result().status is QueryStatus.OK
+        assert h._replay.responses == {}
+        assert len(h._pending) == 0
+
+
+class TestClocks:
+    def test_manual_clock_waits_forward_only(self):
+        clock = ManualClock(start=2.0)
+        clock.sleep_until(1.0)
+        assert clock.now() == 2.0
+        clock.sleep_until(3.5)
+        assert clock.now() == 3.5
+
+    def test_wall_clock_sleeps_until_the_deadline(self):
+        clock = WallClock()
+        start = clock.now()
+        assert start >= 0.0
+        clock.sleep_until(start + 0.01)
+        assert clock.now() >= start + 0.01
+        clock.sleep_until(0.0)  # a past deadline returns at once
+        assert clock.now() >= start + 0.01
 
 
 #: Batching knobs of the differential trace: wide enough that some
 #: batches fill and some close on their window mid-trace.
 DIFF_WINDOW = 0.02
 DIFF_CAP = 3
+
+
+def _driver_config(replicas):
+    """The single broker, or a two-replica round-robin pool without a
+    cache (so every admitted query rides replica ``i % 2``)."""
+    if replicas == 1:
+        return dict(SINGLE_BROKER)
+    return {
+        "num_replicas": 2, "routing": "round_robin",
+        "cache_capacity": 0,
+        "admission": SINGLE_BROKER["admission"],
+    }
+
+
+def _play_on_handle(graphs, requests, arrivals, *, updates=(), apply=None,
+                    **kwargs):
+    """Submit each request to a handle on a manual clock set to its
+    arrival; each ``(t, handle, src, dst)`` update is applied with
+    ``apply(handle, graph, insert=(src, dst))`` at the clock time ``t``.
+    Returns the responses after a draining close, and the handle."""
+    clock = ManualClock()
+    handle = ServingHandle(graphs, scheduler_factory, clock=clock, **kwargs)
+    pending_updates = list(updates)
+    pendings = []
+    for request, t in zip(requests, arrivals):
+        while pending_updates and pending_updates[0][0] <= t:
+            when, graph, src, dst = pending_updates.pop(0)
+            clock.time = when
+            apply(handle, graph, insert=(src, dst))
+        clock.time = float(t)
+        pendings.append(handle.submit(request))
+    assert not pending_updates
+    handle.close(drain=True)
+    return [p.result(timeout=30) for p in pendings], handle
+
+
+def _assert_same_responses(handled, replayed):
+    assert len(handled) == len(replayed)
+    for want, got in zip(replayed, handled):
+        assert (
+            got.status, got.error, got.error_type, got.batch_id,
+            got.batch_size, got.retries, got.latency_seconds, got.extras,
+        ) == (
+            want.status, want.error, want.error_type, want.batch_id,
+            want.batch_size, want.retries, want.latency_seconds, want.extras,
+        )
+        if want.result is None:
+            assert got.result is None
+        else:
+            assert_bit_identical(got.result, want.result)
 
 
 def _batches(responses, replica_of):
@@ -489,16 +774,19 @@ def _batches(responses, replica_of):
 
 
 class TestOnePolicyTwoDrivers:
-    """The threaded broker and pool drive the replay's batcher: on a
-    manual clock set to each arrival, they form the same batches and
-    return the same results as the replay of that trace."""
+    """The handle drives the replay's event loop: on a manual clock set
+    to each arrival, it forms the same batches and returns the same
+    responses as the replay of that trace."""
 
     def test_full_batch_does_not_wait_behind_another_keys_window(
         self, serve_graph
     ):
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            num_workers=1, batch_window=30.0, max_batch_size=2,
+        """On the wall clock: the full pair is answered at once, and the
+        draining close serves the bfs without waiting out its window."""
+        clock = WallClock()
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=30.0, max_batch_size=2, clock=clock,
         ) as broker:
             bfs = broker.submit(QueryRequest("bfs", "g", 0))
             pair = broker.submit_many([
@@ -506,92 +794,148 @@ class TestOnePolicyTwoDrivers:
             ])
             responses = [p.result(timeout=5) for p in pair]
             assert not bfs.done()
+        assert clock.now() < 10.0
         assert [r.status for r in responses] == [QueryStatus.OK] * 2
         assert {(r.batch_id, r.batch_size) for r in responses} == {
             (responses[0].batch_id, 2)
         }
         assert bfs.result(timeout=5).status is QueryStatus.OK
 
-    def test_many_workers_share_one_batcher_without_loss(self, serve_graph):
-        """More workers than cores racing on one batcher, with a short
-        switch interval: every query is answered once and every batch
-        is counted once."""
-        requests = generate_queries(
-            "g", serve_graph.num_nodes, 64, seed=7,
-            mix={"bfs": 0.6, "sssp": 0.4},
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with QueryBroker(
-                {"g": serve_graph}, scheduler_factory,
-                num_workers=8, batch_window=0.001, max_batch_size=4,
-            ) as broker:
-                responses = [
-                    p.result(timeout=60) for p in broker.submit_many(requests)
-                ]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(r.status is QueryStatus.OK for r in responses)
-        sizes = Counter(r.batch_id for r in responses)
-        assert sorted(sizes.values()) == sorted(broker.stats.batch_sizes)
-        assert all(r.batch_size == sizes[r.batch_id] for r in responses)
-
-    @pytest.mark.parametrize("fuzz_seed", [None, 1, 2, 3])
-    @pytest.mark.parametrize("replicas", [1, 2], ids=["broker", "pool"])
-    def test_threaded_drivers_match_the_replay(
-        self, serve_graph, replicas, fuzz_seed
+    def test_result_moves_a_manual_clock_to_the_window_close(
+        self, serve_graph
     ):
-        requests, arrivals = _workload(serve_graph, n=32, seed=5)
-        if replicas == 1:
-            config = dict(SINGLE_BROKER)
-        else:
-            config = {
-                "num_replicas": 2, "routing": "round_robin",
-                "cache_capacity": 0,
-                "admission": SINGLE_BROKER["admission"],
-            }
+        """``result()`` on a query in an open window waits on the clock:
+        a manual clock moves to the window's close, then to the batch's
+        completion, and the query is answered."""
+        clock = ManualClock(start=1.0)
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.5, max_batch_size=8, clock=clock,
+        ) as broker:
+            pending = broker.submit(QueryRequest("bfs", "g", 3))
+            assert not pending.done()
+            response = pending.result()
+            assert response.status is QueryStatus.OK
+            # The batch closed at 1.5 and finished sim_seconds later.
+            assert clock.time == pytest.approx(1.5 + response.sim_seconds)
+        assert clock.time > 1.5
+        assert response.latency_seconds == pytest.approx(
+            0.5 + response.sim_seconds
+        )
+        oracle = run_direct(serve_graph, pending.request, scheduler_factory)
+        assert_bit_identical(response.result, oracle.result)
+
+    @pytest.mark.parametrize("seed", [5, 12, 17])
+    @pytest.mark.parametrize("replicas", [1, 2], ids=["broker", "pool"])
+    def test_handle_matches_the_replay(self, serve_graph, replicas, seed):
+        requests, arrivals = _workload(serve_graph, n=32, seed=seed)
+        config = _driver_config(replicas)
         replayed, _ = simulate_cluster_open_loop(
             {"g": serve_graph}, requests, arrivals, scheduler_factory,
             batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP, **config,
         )
-        clock = _ManualClock()
-        if fuzz_seed is not None:
-            races.set_scheduler(YieldFuzzer(seed=fuzz_seed, probability=0.5))
-        try:
-            if replicas == 1:
-                driver = QueryBroker(
-                    {"g": serve_graph}, scheduler_factory, num_workers=1,
-                    batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
-                    clock=clock,
-                )
-            else:
-                driver = ClusterPool(
-                    {"g": serve_graph}, scheduler_factory,
-                    batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
-                    clock=clock, **config,
-                )
-            pendings = []
-            for request, t in zip(requests, arrivals):
-                clock.now = float(t)
-                pendings.append(driver.submit(request))
-            driver.close(drain=True)
-            threaded = [p.result(timeout=30) for p in pendings]
-        finally:
-            races.set_scheduler(None)
+        handled, _ = _play_on_handle(
+            {"g": serve_graph}, requests, arrivals,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP, **config,
+        )
 
-        for want, got in zip(replayed, threaded):
+        for want, got in zip(replayed, handled):
             assert want.status is QueryStatus.OK, want
             assert got.status is QueryStatus.OK, got
-            assert_bit_identical(got.result, want.result)
+        _assert_same_responses(handled, replayed)
         # Every admitted query is routed round-robin (one replica for
         # the broker), so query i rides replica i % replicas.
         replica_of = [i % replicas for i in range(len(requests))]
         partition = _batches(replayed, replica_of)
-        assert _batches(threaded, replica_of) == partition
+        assert _batches(handled, replica_of) == partition
         batches = [b for groups in partition.values() for b in groups]
         assert any(len(b) == DIFF_CAP for b in batches)
         assert any(
             len(b) < DIFF_CAP and arrivals[b[0]] + DIFF_WINDOW < arrivals[-1]
             for b in batches
         )
+
+    @pytest.mark.parametrize("replicas", [1, 2], ids=["broker", "pool"])
+    def test_handle_matches_the_replay_through_faults(
+        self, serve_graph, replicas
+    ):
+        """One retry budget in the event loop: a flaky device gives the
+        handle the same retries, errors and batches as the replay."""
+        from .test_faults import FlakyExecutor
+
+        requests, arrivals = _workload(serve_graph, n=24, seed=9)
+        config = _driver_config(replicas)
+        replayed, _ = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
+            executor=FlakyExecutor(scheduler_factory, failures=3), **config,
+        )
+        handled, _ = _play_on_handle(
+            {"g": serve_graph}, requests, arrivals,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
+            executor=FlakyExecutor(scheduler_factory, failures=3), **config,
+        )
+        _assert_same_responses(handled, replayed)
+        assert any(r.retries and r.status is QueryStatus.OK for r in handled)
+        assert any(r.status is QueryStatus.ERROR for r in handled)
+        for request, response in zip(requests, handled):
+            assert_response_sound(response, serve_graph, request)
+
+    @pytest.mark.parametrize("replicas", [1, 2], ids=["broker", "pool"])
+    def test_handle_matches_the_replay_under_admission(
+        self, serve_graph, replicas
+    ):
+        """A pinned concurrency limit under a burst sheds the same
+        queries on both drivers."""
+        requests, arrivals = _workload(serve_graph, n=32, seed=4, rate=5000.0)
+        config = dict(
+            _driver_config(replicas),
+            admission=AdmissionConfig(max_concurrency=3, min_concurrency=3),
+        )
+        replayed, _ = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP, **config,
+        )
+        handled, _ = _play_on_handle(
+            {"g": serve_graph}, requests, arrivals,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP, **config,
+        )
+        _assert_same_responses(handled, replayed)
+        statuses = Counter(r.status for r in handled)
+        assert statuses[QueryStatus.SHED] and statuses[QueryStatus.OK]
+
+    @pytest.mark.parametrize("replicas", [1, 2], ids=["broker", "pool"])
+    def test_handle_matches_the_replay_across_updates(
+        self, serve_graph, replicas
+    ):
+        """Merges made through ``api.update`` at a handle's clock time
+        land where the replay's scheduled updates do: same batches,
+        same cache hits and the same graph version per response."""
+        from repro import api
+
+        requests, arrivals = _workload(serve_graph, n=32, seed=6, skew=True)
+        rng = np.random.default_rng(6)
+        times = [(arrivals[i] + arrivals[i + 1]) / 2 for i in (10, 20)]
+        updates = [
+            (float(t), "g",
+             rng.integers(0, serve_graph.num_nodes, 8),
+             rng.integers(0, serve_graph.num_nodes, 8))
+            for t in times
+        ]
+        config = dict(_driver_config(replicas), cache_capacity=256)
+        replay_graph = DynamicGraph(serve_graph)
+        replayed, report = simulate_cluster_open_loop(
+            {"g": replay_graph}, requests, arrivals, scheduler_factory,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
+            updates=updates, **config,
+        )
+        handle_graph = DynamicGraph(serve_graph)
+        handled, handle = _play_on_handle(
+            {"g": handle_graph}, requests, arrivals,
+            batch_window=DIFF_WINDOW, max_batch_size=DIFF_CAP,
+            updates=updates, apply=api.update, **config,
+        )
+        _assert_same_responses(handled, replayed)
+        assert handle.graph_updates == 2
+        assert handle_graph.epoch == replay_graph.epoch
+        assert any(r.extras.get("cached") for r in handled)

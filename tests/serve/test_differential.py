@@ -2,9 +2,10 @@
 
 Every test compares service responses against one-query-at-a-time
 :func:`repro.serve.run_direct` runs over the identical request list.
-Randomized arrival orders, multiple worker/batch-window configurations
-and both execution modes (the single-broker virtual-time replay and the
-real threaded broker) all have to agree with the oracle exactly.
+Randomized arrival orders, multiple batch-window configurations and
+both drivers of the serving event loop (the single-broker virtual-time
+replay and the live handle on a wall clock) all have to agree with the
+oracle exactly.
 """
 
 from __future__ import annotations
@@ -17,27 +18,27 @@ from repro.serve import (
     SINGLE_BROKER,
     QueryRequest,
     QueryStatus,
-    QueryBroker,
+    ServingHandle,
     open_loop_arrivals,
     run_direct,
     simulate_cluster_open_loop,
 )
 from tests.serve.conftest import assert_bit_identical, scheduler_factory
 
-#: >= 3 distinct batch-window / cap configurations (and, for the
-#: broker, worker pools), per the acceptance criteria.  Windows are
-#: virtual seconds in simulator tests and wall seconds in broker tests.
+#: >= 3 distinct batch-window / cap configurations, per the acceptance
+#: criteria.  Windows are virtual seconds in simulator tests and wall
+#: seconds in handle tests.
 #: The simulator configs are keyed by their stable test ids.
 SIM_CONFIGS = {
     "w1": dict(batch_window=0.05, max_batch_size=4),
     "w2": dict(batch_window=0.5, max_batch_size=16),
     "w4": dict(batch_window=2.0, max_batch_size=64),
 }
-BROKER_CONFIGS = [
-    dict(num_workers=1, batch_window=0.0, max_batch_size=4),
-    dict(num_workers=2, batch_window=0.005, max_batch_size=8),
-    dict(num_workers=3, batch_window=0.02, max_batch_size=64),
-]
+BROKER_CONFIGS = {
+    "w1": dict(batch_window=0.0, max_batch_size=4),
+    "w2": dict(batch_window=0.005, max_batch_size=8),
+    "w3": dict(batch_window=0.02, max_batch_size=64),
+}
 
 
 def mixed_requests(graph, *, seed, num=18, deadline=None):
@@ -120,17 +121,17 @@ class TestSimulatorDifferential:
 
 
 class TestBrokerDifferential:
-    @pytest.mark.parametrize("config", BROKER_CONFIGS,
-                             ids=lambda c: f"w{c['num_workers']}")
+    @pytest.mark.parametrize("config", BROKER_CONFIGS.values(),
+                             ids=BROKER_CONFIGS.keys())
     @pytest.mark.parametrize("order_seed", [3, 4])
     def test_threaded_broker_matches_oracle(
         self, serve_graph, config, order_seed
     ):
         requests = mixed_requests(serve_graph, seed=order_seed, num=16)
         metrics = MetricsRegistry()
-        with QueryBroker(
+        with ServingHandle(
             {"g": serve_graph}, scheduler_factory,
-            queue_capacity=256, metrics=metrics, **config,
+            metrics=metrics, **config, **SINGLE_BROKER,
         ) as broker:
             pendings = broker.submit_many(requests)
             responses = [p.result(timeout=120.0) for p in pendings]
@@ -155,9 +156,9 @@ class TestBrokerDifferential:
         rng = np.random.default_rng(9)
         rng.shuffle(requests)
         graphs = {"a": serve_graph, "b": second_graph}
-        with QueryBroker(
-            graphs, scheduler_factory,
-            batch_window=0.01, max_batch_size=64, num_workers=2,
+        with ServingHandle(
+            graphs, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.01, max_batch_size=64,
         ) as broker:
             pendings = broker.submit_many(requests)
             responses = [p.result(timeout=120.0) for p in pendings]
@@ -176,9 +177,9 @@ class TestBrokerDifferential:
         independent arrays (mutating one response can't corrupt another)."""
         requests = [QueryRequest(app="bfs", graph="g", source=3)
                     for _ in range(4)]
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.02, max_batch_size=8, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.02, max_batch_size=8,
         ) as broker:
             responses = [p.result(timeout=120.0)
                          for p in broker.submit_many(requests)]

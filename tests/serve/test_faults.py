@@ -1,26 +1,32 @@
 """Fault injection for the serving layer.
 
 Extends the repository's failure-injection discipline (see
-``tests/test_failure_injection.py``) to the broker: device workers that
-die mid-batch must yield retries or *structured* rejections — affected
-queries never get wrong answers and unaffected queries complete exactly.
+``tests/test_failure_injection.py``) to the serving event loop: devices
+that die mid-batch must yield retries or *structured* rejections —
+affected queries never get wrong answers and unaffected queries complete
+exactly.  The retry budget lives in the event loop, so the live handle
+and the virtual-time replay share one fault path.
 """
 
 from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError, WorkerFailureError
 from repro.obs import MetricsRegistry
 from repro.serve import (
+    MAX_RETRIES,
+    SINGLE_BROKER,
     BatchExecutor,
-    QueryBroker,
     QueryRequest,
     QueryStatus,
+    ServingHandle,
     raise_for_status,
     run_direct,
+    simulate_cluster_open_loop,
 )
 from tests.serve.conftest import assert_bit_identical, scheduler_factory
 
@@ -65,9 +71,9 @@ class TestRetries:
         query is retried and the retry's answer is oracle-exact."""
         executor = FlakyExecutor(scheduler_factory, failures=1)
         metrics = MetricsRegistry()
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.01, max_batch_size=8, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.01, max_batch_size=8,
             max_retries=1, executor=executor, metrics=metrics,
         ) as broker:
             requests = [
@@ -91,9 +97,9 @@ class TestRetries:
         is rejected with the original exception type, not served."""
         executor = FlakyExecutor(scheduler_factory, failures=10**9)
         metrics = MetricsRegistry()
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.01, max_batch_size=8, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.01, max_batch_size=8,
             max_retries=2, executor=executor, metrics=metrics,
         ) as broker:
             requests = [
@@ -115,9 +121,9 @@ class TestRetries:
 
     def test_zero_retries_fails_fast(self, serve_graph):
         executor = FlakyExecutor(scheduler_factory, failures=1)
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.0, max_batch_size=8, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.0, max_batch_size=8,
             max_retries=0, executor=executor,
         ) as broker:
             [response] = submit_and_collect(
@@ -132,9 +138,9 @@ class TestBlastRadius:
         """Poisoned SSSP batches fail; interleaved BFS/PR queries (other
         batches) must complete bit-identically, untouched by the fault."""
         executor = FlakyExecutor(scheduler_factory, failures=10**9)
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.01, max_batch_size=8, num_workers=2,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.01, max_batch_size=8,
             max_retries=1, executor=executor,
         ) as broker:
             poisoned = [
@@ -167,9 +173,9 @@ class TestBlastRadius:
         """The device heals after two failed attempts: earlier rejects
         stay rejected, later queries succeed — no cross-contamination."""
         executor = FlakyExecutor(scheduler_factory, failures=2)
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.0, max_batch_size=1, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.0, max_batch_size=1,
             max_retries=0, executor=executor,
         ) as broker:
             requests = [
@@ -189,3 +195,70 @@ class TestBlastRadius:
         for request, response in zip(requests[2:], responses[2:]):
             oracle = run_direct(serve_graph, request, scheduler_factory)
             assert_bit_identical(response.result, oracle.result)
+
+
+class TestReplayFaultPath:
+    """The virtual-time replay has the handle's fault path: a failed
+    batch re-admits its members at the dispatch time, so fault injection
+    is deterministic."""
+
+    @staticmethod
+    def replay(graph, failures):
+        executor = FlakyExecutor(scheduler_factory, failures=failures)
+        metrics = MetricsRegistry()
+        requests = [
+            QueryRequest(app="sssp", graph="g", source=i) for i in range(4)
+        ] + [QueryRequest(app="bfs", graph="g", source=i) for i in range(2)]
+        arrivals = np.linspace(0.0, 0.004, len(requests))
+        responses, report = simulate_cluster_open_loop(
+            {"g": graph}, requests, arrivals, scheduler_factory,
+            batch_window=0.01, max_batch_size=8, executor=executor,
+            metrics=metrics, **SINGLE_BROKER,
+        )
+        return requests, responses, report, metrics.report()["counters"]
+
+    def test_retried_queries_answer_exactly(self, serve_graph):
+        requests, responses, report, counters = self.replay(
+            serve_graph, failures=1
+        )
+        for request, response in zip(requests, responses):
+            assert response.status is QueryStatus.OK, response
+            assert response.retries == (request.app == "sssp")
+            oracle = run_direct(serve_graph, request, scheduler_factory)
+            assert_bit_identical(response.result, oracle.result)
+        assert counters["serve.retries"] == 4
+        assert counters.get("serve.errors", 0) == 0
+        assert report.status_counts == {"ok": len(requests)}
+
+    def test_exhausted_retries_answer_with_structured_errors(
+        self, serve_graph
+    ):
+        requests, responses, report, counters = self.replay(
+            serve_graph, failures=10**9
+        )
+        for request, response in zip(requests, responses):
+            if request.app == "sssp":
+                assert response.status is QueryStatus.ERROR
+                assert response.result is None
+                assert response.error_type == "DeviceLost"
+                assert response.retries == MAX_RETRIES
+            else:
+                assert response.status is QueryStatus.OK
+                oracle = run_direct(serve_graph, request, scheduler_factory)
+                assert_bit_identical(response.result, oracle.result)
+        assert counters["serve.errors"] == 4
+        assert counters["serve.retries"] == 4 * MAX_RETRIES
+        assert report.status_counts == {"ok": 2, "error": 4}
+
+    @pytest.mark.parametrize("failures", [1, 10**9])
+    def test_two_runs_give_equal_responses(self, serve_graph, failures):
+        _, first, report_a, _ = self.replay(serve_graph, failures)
+        _, second, report_b, _ = self.replay(serve_graph, failures)
+        assert report_a.to_dict() == report_b.to_dict()
+        for a, b in zip(first, second):
+            assert (a.status, a.batch_id, a.retries, a.error) == (
+                b.status, b.batch_id, b.retries, b.error
+            )
+            assert a.latency_seconds == b.latency_seconds
+            if a.result is not None:
+                assert_bit_identical(a.result, b.result)

@@ -10,8 +10,6 @@ timeouts or load shedding.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,14 +20,17 @@ from repro.errors import (
     InvalidParameterError,
 )
 from repro.graph import generators
+from repro.obs import MetricsRegistry
 from repro.serve import (
     SINGLE_BROKER,
-    BatchExecutor,
-    QueryBroker,
+    AdmissionConfig,
+    ManualClock,
     QueryRequest,
     QueryStatus,
     open_loop_arrivals,
+    ServingHandle,
     raise_for_status,
+    run_direct,
     simulate_cluster_open_loop,
 )
 from tests.serve.conftest import (
@@ -161,28 +162,16 @@ class TestEquivalenceProperties:
             assert all(arrival <= min(batch) + window for arrival in batch)
 
 
-class _GatedExecutor(BatchExecutor):
-    """Blocks execution until released — deterministically fills the
-    broker queue so the shed path can be forced."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.release = threading.Event()
-
-    def execute(self, graph, requests):
-        assert self.release.wait(timeout=60.0)
-        return super().execute(graph, requests)
-
-
 class TestForcedSheddingAndTimeouts:
     def test_forced_shed_surfaces_admission_error(self, serve_graph):
-        """Queue capacity 2 + a gated worker: extra submits shed with a
-        structured response; queued queries still answer exactly."""
-        executor = _GatedExecutor(scheduler_factory)
-        broker = QueryBroker(
+        """Concurrency limit 2 + a frozen clock (no completion is ever
+        due): extra submits shed with a structured response; admitted
+        queries still answer exactly."""
+        broker = ServingHandle(
             {"g": serve_graph}, scheduler_factory,
-            batch_window=30.0, max_batch_size=1, num_workers=1,
-            queue_capacity=2, executor=executor,
+            num_replicas=1, cache_capacity=0,
+            admission=AdmissionConfig(max_concurrency=2, min_concurrency=2),
+            batch_window=30.0, max_batch_size=1, clock=ManualClock(),
         )
         try:
             requests = [
@@ -200,7 +189,6 @@ class TestForcedSheddingAndTimeouts:
                 with pytest.raises(AdmissionError):
                     raise_for_status(response)
         finally:
-            executor.release.set()
             broker.close(drain=True)
         for request, pending in zip(requests, pendings):
             response = pending.result(timeout=1.0)
@@ -249,9 +237,9 @@ class TestForcedSheddingAndTimeouts:
     def test_broker_timeout_path_never_returns_results(self, serve_graph):
         """Wall-clock broker: zero deadline + a real batching window
         forces the timeout path; late answers are dropped, not served."""
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.05, max_batch_size=8, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.05, max_batch_size=8,
         ) as broker:
             pendings = broker.submit_many([
                 QueryRequest(app="bfs", graph="g", source=i,
@@ -281,7 +269,7 @@ class TestRequestValidation:
                          deadline_seconds=-1.0)
 
     def test_unknown_graph_handle_rejected(self, serve_graph):
-        with QueryBroker({"g": serve_graph}, scheduler_factory) as broker:
+        with ServingHandle({"g": serve_graph}, scheduler_factory) as broker:
             with pytest.raises(InvalidParameterError):
                 broker.submit(QueryRequest(app="bfs", graph="h", source=0))
 
@@ -291,3 +279,76 @@ class TestRequestValidation:
             QueryResponse(request_id=0, app="bfs",
                           status=QueryStatus.SHED,
                           result={"dist": np.zeros(1)})
+
+
+class TestFrontDoorValidation:
+    """A source outside the graph is answered at the front door with a
+    structured ``ERROR`` of its own; its batch-mates are untouched."""
+
+    @staticmethod
+    def requests_with(bad):
+        return [
+            QueryRequest(app="bfs", graph="g", source=source)
+            for source in (1, 2, bad, 3)
+        ]
+
+    @staticmethod
+    def assert_answered_alone(serve_graph, requests, responses):
+        for request, response in zip(requests, responses):
+            if 0 <= request.source < serve_graph.num_nodes:
+                assert response.status is QueryStatus.OK, response
+                assert response.batch_size == 3
+                oracle = run_direct(serve_graph, request, scheduler_factory)
+                assert_bit_identical(response.result, oracle.result)
+            else:
+                assert response.status is QueryStatus.ERROR
+                assert response.error_type == "InvalidParameterError"
+                assert response.result is None
+                assert response.batch_id == -1
+
+    @pytest.mark.parametrize("bad", [999, -1, 128])
+    def test_replay_answers_a_bad_source_alone(self, serve_graph, bad):
+        requests = self.requests_with(bad)
+        metrics = MetricsRegistry()
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, np.zeros(len(requests)),
+            scheduler_factory, batch_window=0.01, max_batch_size=8,
+            metrics=metrics, **SINGLE_BROKER,
+        )
+        self.assert_answered_alone(serve_graph, requests, responses)
+        assert report.status_counts == {"ok": 3, "error": 1}
+        assert report.num_batches == 1
+        counters = metrics.report()["counters"]
+        # Never admitted, so it gives the limiter no feedback either.
+        assert counters["cluster.admitted"] == 3
+        assert counters["serve.errors"] == 1
+
+    def test_handle_answers_a_bad_source_alone(self, serve_graph):
+        requests = self.requests_with(999)
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.01, max_batch_size=8, clock=ManualClock(),
+        ) as broker:
+            pendings = broker.submit_many(requests)
+            assert [p.done() for p in pendings] == [False, False, True, False]
+            responses = [p.result() for p in pendings]
+        self.assert_answered_alone(serve_graph, requests, responses)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, -5.0], ids=str
+    )
+    def test_replay_rejects_unplayable_arrivals(self, serve_graph, bad):
+        requests = self.requests_with(4)
+        arrivals = np.array([0.0, bad, 0.01, 0.02])
+        with pytest.raises(InvalidParameterError, match="arrivals"):
+            simulate_cluster_open_loop(
+                {"g": serve_graph}, requests, arrivals, scheduler_factory,
+                **SINGLE_BROKER,
+            )
+
+    @pytest.mark.parametrize("rate", [np.nan, 0.0, -1.0], ids=str)
+    def test_open_loop_arrivals_reject_a_rate_that_is_not_positive(
+        self, rate
+    ):
+        with pytest.raises(InvalidParameterError, match="rate_qps"):
+            open_loop_arrivals(4, rate_qps=rate)

@@ -25,7 +25,7 @@ from repro.obs import MetricsRegistry
 from repro.serve import (
     BatchExecutor,
     PipelineConfig,
-    QueryBroker,
+    ServingHandle,
     QueryRequest,
     QueryStatus,
     SAMPLING_MIX,
@@ -326,9 +326,9 @@ class TestFaultInjection:
         self, serve_graph
     ):
         executor = FlakySamplingExecutor(scheduler_factory, failures=1)
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.01, max_batch_size=8, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.01, max_batch_size=8,
             max_retries=1, executor=executor,
         ) as broker:
             requests = [
@@ -350,9 +350,9 @@ class TestFaultInjection:
         executor = FlakySamplingExecutor(
             scheduler_factory, failures=10**9
         )
-        with QueryBroker(
-            {"g": serve_graph}, scheduler_factory,
-            batch_window=0.01, max_batch_size=8, num_workers=1,
+        with ServingHandle(
+            {"g": serve_graph}, scheduler_factory, **SINGLE_BROKER,
+            batch_window=0.01, max_batch_size=8,
             max_retries=1, executor=executor,
         ) as broker:
             requests = [

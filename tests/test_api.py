@@ -18,8 +18,7 @@ from repro.graph import generators
 from repro.obs import MetricsRegistry
 from repro.serve import (
     ClusterBenchReport,
-    ClusterPool,
-    QueryBroker,
+    ServingHandle,
     QueryRequest,
     QueryStatus,
 )
@@ -122,7 +121,7 @@ class TestServeAndCluster:
         metrics = MetricsRegistry()
         with api.serve(graph, batch_window=0.005,
                        metrics=metrics) as broker:
-            assert isinstance(broker, QueryBroker)
+            assert isinstance(broker, ServingHandle)
             response = broker.submit(
                 QueryRequest("bfs", "default", 0)
             ).result()
@@ -135,13 +134,48 @@ class TestServeAndCluster:
         with api.cluster(
             graph, num_replicas=2, batch_window=0.005, metrics=metrics
         ) as pool:
-            assert isinstance(pool, ClusterPool)
+            assert isinstance(pool, ServingHandle)
             response = pool.submit(
                 QueryRequest("bfs", "default", 0)
             ).result()
         assert response.status is QueryStatus.OK
         counters = metrics.report()["counters"]
         assert counters["api.cluster_sessions"] == 1
+
+
+    def test_serve_pins_queue_capacity_as_its_concurrency_limit(self, graph):
+        """Queries beyond ``queue_capacity`` outstanding are shed at the
+        door; the ones admitted are answered exactly."""
+        broker = api.serve(graph, batch_window=30.0, queue_capacity=2,
+                           profile=None)
+        pendings = broker.submit_many(
+            [QueryRequest("bfs", "default", i) for i in range(5)]
+        )
+        shed = [p.result() for p in pendings[2:]]
+        assert [r.status for r in shed] == [QueryStatus.SHED] * 3
+        assert all("concurrency limit (2)" in r.error for r in shed)
+        assert not any(p.done() for p in pendings[:2])
+        broker.close(drain=False)
+        queued = [p.result() for p in pendings[:2]]
+        assert [r.error for r in queued] == [
+            "service closed before execution"
+        ] * 2
+
+    def test_serve_rejects_an_empty_queue(self, graph):
+        with pytest.raises(InvalidParameterError, match="queue_capacity"):
+            api.serve(graph, queue_capacity=0)
+
+    @pytest.mark.parametrize("verb, argument", [
+        ("serve", "num_workers"), ("serve", "race_check"),
+        ("cluster", "num_workers"), ("cluster", "race_check"),
+        ("cluster", "queue_capacity"),
+    ])
+    def test_thread_era_arguments_are_gone(self, graph, verb, argument):
+        """The handle starts no worker and has no race checker, and a
+        cluster's admission limit is its only bound on outstanding
+        work."""
+        with pytest.raises(TypeError, match=argument):
+            getattr(api, verb)(graph, **{argument: 1})
 
 
 class TestBench:

@@ -140,3 +140,39 @@ class TestReporting:
 
     def test_empty(self):
         assert "(no rows)" in format_table([], "T")
+
+
+class TestTrajectoryGate:
+    """``bench_trajectory.py --check`` pins every gated metric at float
+    noise, in either direction."""
+
+    @staticmethod
+    def payload(**row):
+        return {"suite": "smoke", "workloads": {"bfs": row}}
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        from tests.conftest import load_bench_trajectory
+
+        return load_bench_trajectory()
+
+    def test_float_noise_passes(self, bench):
+        base = self.payload(total_cycles=1000.0, kernels=0.0)
+        noise = self.payload(total_cycles=1000.0 * (1 + 1e-12), kernels=0.0)
+        assert bench.check_regression(noise, base, 1e-9) == []
+
+    @pytest.mark.parametrize("new", [999.0, 1001.0])
+    def test_a_move_either_way_fails_and_is_named(self, bench, new):
+        failures = bench.check_regression(
+            self.payload(total_cycles=new),
+            self.payload(total_cycles=1000.0),
+            1e-9,
+        )
+        assert len(failures) == 1
+        assert failures[0].startswith(f"bfs.total_cycles 1000.0 -> {new!r}")
+
+    def test_a_move_off_zero_fails(self, bench):
+        failures = bench.check_regression(
+            self.payload(kernels=1.0), self.payload(kernels=0.0), 1e-9
+        )
+        assert failures == ["bfs.kernels 0.0 -> 1.0 (from 0, tolerance 1e-09)"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import InvalidParameterError
 from repro.graph import datasets, io
 
 
@@ -104,14 +105,26 @@ class TestServeBench:
         assert gauges["cluster.latency_p50"] > 0.0
         assert gauges["cluster.cache_hit_ratio"] == 0.0
 
-    def test_closed_loop_runs(self, capsys):
-        assert main(["serve-bench", "--mode", "closed", "--dataset",
-                     "twitter", "--scale", "0.05", "--queries", "8",
-                     "--concurrency", "2", "--workers", "1",
-                     "--batch-window", "0.005"]) == 0
-        out = capsys.readouterr().out
-        assert "closed-loop" in out
-        assert "ok=8" in out
+    @pytest.mark.parametrize("command", ["serve-bench", "cluster-bench"])
+    def test_nan_rate_is_rejected(self, command):
+        """``--rate nan`` is refused before any arrival is drawn."""
+        with pytest.raises(InvalidParameterError, match="rate_qps"):
+            main([command, "--dataset", "twitter", "--scale", "0.05",
+                  "--queries", "4", "--rate", "nan"])
+
+
+    @pytest.mark.parametrize("flag", [
+        ["--mode", "closed"], ["--concurrency", "4"], ["--workers", "2"],
+        ["--race-check"], ["--race-report", "races.json"],
+    ], ids=lambda flag: flag[0])
+    def test_thread_era_flags_are_gone(self, flag, capsys):
+        """The bench replays an open loop in virtual time only: the
+        closed-loop and race-checking flags are refused."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-bench", "--dataset", "twitter", "--scale", "0.05",
+                  "--queries", "4", *flag])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestClusterBench:

@@ -181,10 +181,10 @@ class TestServiceErrors:
     def test_closed_broker_rejects_submission(self, skewed_graph):
         from repro.core import SageScheduler
         from repro.errors import ServiceError
-        from repro.serve import QueryBroker, QueryRequest
+        from repro.serve import QueryRequest, ServingHandle
 
-        broker = QueryBroker({"g": skewed_graph}, SageScheduler,
-                             batch_window=0.0, num_workers=1)
+        broker = ServingHandle({"g": skewed_graph}, SageScheduler,
+                               batch_window=0.0)
         broker.close()
         with pytest.raises(ServiceError):
             broker.submit(QueryRequest(app="bfs", graph="g", source=0))

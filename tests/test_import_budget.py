@@ -69,11 +69,25 @@ print(json.dumps({
 """
 
 
-@pytest.fixture(scope="module")
-def probe():
+#: What a fresh ``import repro.serve`` loads of ``repro.analysis``.
+SERVE_PROBE = """
+import json, sys
+
+import repro.serve
+
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m == "repro.analysis" or m.startswith("repro.analysis.")
+)))
+"""
+
+
+def run_probe(*argv: str):
+    """Run a probe script in a fresh interpreter; its last stdout line
+    is JSON."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(FORBIDDEN)],
+        [sys.executable, "-c", *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -81,6 +95,11 @@ def probe():
         timeout=120,
     )
     return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def probe():
+    return run_probe(PROBE, json.dumps(FORBIDDEN))
 
 
 def test_import_repro_loads_no_subsystem_outside_traversal(probe):
@@ -100,3 +119,9 @@ def test_traversal_queries_load_nothing_deferred(probe):
 def test_deferred_import_works_on_first_use(probe):
     """``api.update`` imports its subsystem itself, with none loaded before."""
     assert probe["update_inserted"] == 1
+
+
+def test_serving_stack_loads_no_analysis_module():
+    """The serving stack carries no sanitizer or detector:
+    ``import repro.serve`` loads no ``repro.analysis`` module."""
+    assert run_probe(SERVE_PROBE) == []

@@ -12,7 +12,6 @@ import pathlib
 import re
 
 from repro.analysis.lint import lint_paths
-from repro.analysis.races import RACE_CODES
 from repro.analysis.sanitizer import FINDING_CODES
 from repro.obs import names
 
@@ -55,44 +54,6 @@ class TestEmitSitesResolve:
         }
         assert set(names.SANITIZER_COUNTERS) == expected
 
-    def test_races_counters_track_finding_codes(self):
-        expected = {f"races.{kind}" for kind in RACE_CODES.values()} | {
-            "races.findings",
-            "races.threads_tracked",
-            "races.locks_tracked",
-            "races.acquires",
-            "races.accesses_checked",
-        }
-        assert set(names.RACES_COUNTERS) == expected
-
-    def test_races_detector_emits_exactly_the_registered_names(self):
-        """The race detector's literal emit sites == the registry.
-
-        The per-finding-kind counters are emitted through one dynamic
-        f-string site (``races.{finding.kind}``) and pinned by the
-        finding-code test above; every other ``races.*`` name must be a
-        literal that resolves, and no registered bookkeeping name may
-        lack an emit site.
-        """
-        tree = ast.parse(
-            (SRC / "analysis" / "races" / "detector.py").read_text(
-                encoding="utf-8"
-            )
-        )
-        emitted = {
-            node.args[0].value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "count"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-            and node.args[0].value.startswith("races.")
-        }
-        dynamic = {f"races.{kind}" for kind in RACE_CODES.values()}
-        assert emitted == set(names.RACES_COUNTERS) - dynamic
-
     def test_serve_emits_exactly_the_registered_serve_names(self):
         """The service's emit sites == the ``serve.*`` registry, per kind.
 
@@ -120,7 +81,8 @@ class TestEmitSitesResolve:
         counters = emitted["count"] | emitted["set_counter"]
         serve_spans = {s for s in names.SPANS if s.startswith("serve.")}
         assert counters == set(names.SERVE_COUNTERS)
-        assert emitted["set_gauge"] == set(names.SERVE_GAUGES)
+        # The service reports its gauges under ``cluster.*``.
+        assert emitted["set_gauge"] == set()
         assert emitted["span"] == serve_spans
 
     def test_cluster_emits_exactly_the_registered_cluster_names(self):
@@ -337,7 +299,6 @@ class TestRegistryStructure:
             | names.OOC_COUNTERS
             | names.MULTIGPU_COUNTERS
             | names.SANITIZER_COUNTERS
-            | names.RACES_COUNTERS
             | names.SERVE_COUNTERS
             | names.CLUSTER_COUNTERS
             | names.SAMPLING_COUNTERS
@@ -351,7 +312,6 @@ class TestRegistryStructure:
     def test_gauges_is_the_union_of_subsystem_sets(self):
         assert names.GAUGES == (
             names.RUN_GAUGES
-            | names.SERVE_GAUGES
             | names.CLUSTER_GAUGES
             | names.TUNE_GAUGES
             | names.PIPELINE_GAUGES
