@@ -10,9 +10,10 @@ patch in the per-rotation builder, ``tile_pairs_reference``.  The
 ``compute_round`` row observes four levels before each round, since a
 round builds the pairs of all its observations at once; its quick and
 full sizes cover the uint32 and the int64 pair key.  The level-pricing
-row times every level of one mesh BFS priced by one ``level_stats``
-call against ``kernel_stats`` level by level.  The whole-graph level
-row times the 20 levels of one PageRank run, whose full frontiers
+row times every level of one mesh BFS priced as one queue of columns
+(``level_stats``, ``Device.run_kernels`` and ``kernel_nodes``) against
+``kernel_stats``, ``run_kernel`` and ``kernel_node`` level by level.
+The whole-graph level row times the 20 levels of one PageRank run, whose full frontiers
 share one expansion, the node table's column totals and one residency
 check, against the same run with every level expanded and priced by
 the general path (``CSRGraph.is_full_frontier`` patched off, as
@@ -20,8 +21,8 @@ the general path (``CSRGraph.is_full_frontier`` patched off, as
 gather-free full expansion and the per-graph sector count).
 Wall times here are informational — the correctness story is
 ``tests/test_hotpath_equivalence.py`` and, for level pricing,
-``tests/test_node_accounting.py``, which assert the rewrites are
-bit-for-bit identical to the references.
+``tests/test_node_accounting.py`` and ``tests/test_kernel_batch.py``,
+which assert the rewrites are bit-for-bit identical to the references.
 
 Usage::
 
@@ -45,6 +46,7 @@ from repro.core.pipeline import Level
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
+from repro.gpusim.device import Device
 from repro.gpusim.memory import (
     LRUCacheModel,
     ReferenceLRUCache,
@@ -231,26 +233,32 @@ def bench_pagerank_filter(rng, repeats: int, graph: CSRGraph) -> None:
 
 
 def bench_level_pricing(repeats: int, graph: CSRGraph) -> None:
-    # Every level of one BFS on a mesh (a few hundred edges each): one
-    # level_stats call over the queue against kernel_stats per level.
+    # Every level of one BFS on a mesh (a few hundred edges each), priced
+    # whole (stats, cost model, profiler and trace nodes): one queue of
+    # columns against kernel_stats, run_kernel and kernel_node per level.
     app = BFSApp()
     app.setup(graph, 0)
     levels, frontier = [], app.initial_frontier()
     while frontier.size:
-        edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
-        degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+        edge_src, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
         levels.append(Level(len(levels), frontier, degrees, edge_dst, edge_pos, NullSpan()))
         frontier = app.process_level(edge_src, edge_dst)
     scheduler = SageScheduler()
 
     def run_new():
         scheduler.reset(graph)
-        scheduler.level_stats(levels, graph, app)
+        device = Device(scheduler.spec)
+        batch = scheduler.level_stats(levels, graph, app)
+        device.kernel_nodes(device.run_kernels(batch), [level.index for level in levels])
 
     def run_ref():
         scheduler.reset(graph)
+        device = Device(scheduler.spec)
         for level in levels:
-            scheduler.kernel_stats(level.frontier, level.degrees, level.edge_dst, graph, app)
+            stats = scheduler.kernel_stats(
+                level.frontier, level.degrees, level.edge_dst, graph, app
+            )
+            device.kernel_node(device.run_kernel(stats), level.index)
 
     _row(
         f"level pricing ({len(levels)} levels)",

@@ -15,12 +15,14 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_trajectory.py --smoke \
         --baseline BENCH_repro.json --check         # CI regression gate
 
-The gate fails (exit 1) when any gated metric of any workload moves,
-in either direction, by more than ``--tolerance`` (default 1e-9,
-relative: float noise) against the committed baseline.  Every gated
-number is simulated and deterministic, so any move is a change in the
-model; to accept one, re-run with ``--out BENCH_repro.json`` and commit
-the result (see README "Observability" / DESIGN.md for the policy).
+The gate fails (exit 1) when any value of any workload moves, in
+either direction, by more than ``--tolerance`` (default 1e-9,
+relative: float noise) against the committed baseline, or when a row
+gains or loses a key.  Only ``UNGATED_METRICS`` (wall time) is exempt:
+every other value is simulated or counted and deterministic, so any
+move is a change in the model; to accept one, re-run with ``--out
+BENCH_repro.json`` and commit the result (see README "Observability" /
+DESIGN.md for the policy).
 
 This file is NOT a pytest module on purpose: it is a standalone artifact
 generator invoked by the CI benchmark-smoke job.
@@ -53,13 +55,9 @@ IMPORT_SECONDS = time.perf_counter() - _START
 
 SCHEMA_VERSION = 1
 
-#: Metrics the CI gate pins per workload (all lower-is-better).
-GATED_METRICS = (
-    "total_cycles",
-    "simulated_seconds",
-    "dram_bytes",
-    "kernels",
-)
+#: Row keys the CI gate never compares: host timing, which varies run
+#: to run.  The gate pins every other key of every row.
+UNGATED_METRICS = frozenset({"wall_seconds"})
 
 
 #: R-MAT scale of the scale-up tier (2**17 = 131072 nodes, ~1M edges) —
@@ -676,7 +674,7 @@ def run_suite(smoke: bool, sanitizer=None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": "smoke" if smoke else "full",
-        "gated_metrics": list(GATED_METRICS),
+        "ungated_metrics": sorted(UNGATED_METRICS),
         "workloads": rows,
     }
 
@@ -704,8 +702,9 @@ def wall_time_report(current: dict) -> dict:
 def check_regression(
     current: dict, baseline: dict, tolerance: float
 ) -> list[str]:
-    """Gated metrics that moved, either way, by more than ``tolerance``
-    relative to the baseline, as ``workload.metric old -> new`` lines."""
+    """Every gated value that moved, either way, by more than
+    ``tolerance`` relative to the baseline, as ``workload.key old -> new``
+    lines, plus every key (or workload) that appeared or disappeared."""
     failures: list[str] = []
     if baseline.get("suite") != current.get("suite"):
         failures.append(
@@ -714,22 +713,30 @@ def check_regression(
         )
         return failures
     base_rows = baseline.get("workloads", {})
-    for name, row in current["workloads"].items():
+    rows = current["workloads"]
+    for name in sorted(set(base_rows) - set(rows)):
+        failures.append(f"{name} disappeared from the suite")
+    for name, row in rows.items():
         base = base_rows.get(name)
         if base is None:
-            # New workloads are allowed; they start their own trajectory.
+            failures.append(f"{name} appeared — refresh the baseline")
             continue
-        for metric in GATED_METRICS:
-            old = base.get(metric)
-            new = row.get(metric)
-            if old is None or new is None:
+        for key in sorted((set(base) | set(row)) - UNGATED_METRICS):
+            if key not in row:
+                failures.append(f"{name}.{key} disappeared (was {base[key]!r})")
                 continue
+            if key not in base:
+                failures.append(
+                    f"{name}.{key} appeared ({row[key]!r}) — refresh the baseline"
+                )
+                continue
+            old, new = base[key], row[key]
             if abs(new - old) > tolerance * abs(old):
                 change = (
                     f"{100 * (new / old - 1):+.6g} %" if old else "from 0"
                 )
                 failures.append(
-                    f"{name}.{metric} {old!r} -> {new!r} ({change}, "
+                    f"{name}.{key} {old!r} -> {new!r} ({change}, "
                     f"tolerance {tolerance:g})"
                 )
     return failures
@@ -747,7 +754,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="committed baseline to compare against")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if a gated metric moves")
+                        help="exit 1 if a gated value moves")
     parser.add_argument("--tolerance", type=float, default=1e-9,
                         help="allowed relative move either way "
                              "(default 1e-9)")
@@ -806,13 +813,13 @@ def main(argv: list[str] | None = None) -> int:
         baseline = json.loads(base_path.read_text(encoding="utf-8"))
         failures = check_regression(current, baseline, args.tolerance)
         if failures:
-            print("gated metrics moved:", file=sys.stderr)
+            print("gated values moved:", file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             if args.check:
                 return 1
         else:
-            print(f"no gated metric moved beyond a relative "
+            print(f"no gated value moved beyond a relative "
                   f"{args.tolerance:g} of {base_path}")
     return 0
 

@@ -56,7 +56,7 @@ class BFSApp(App):
     ) -> np.ndarray:
         assert self.dist is not None
         undiscovered = self.dist[edge_dst] == UNVISITED
-        next_frontier = contract(edge_dst[undiscovered])
+        next_frontier = contract(edge_dst[undiscovered], self.dist.size)
         self._level += 1
         self.dist[next_frontier] = self._level
         return next_frontier

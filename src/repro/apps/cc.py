@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import App, contract
+from repro.apps.base import App, relax
 from repro.graph.csr import CSRGraph
 
 
@@ -43,10 +43,7 @@ class ConnectedComponentsApp(App):
         edge_pos: np.ndarray | None = None,
     ) -> np.ndarray:
         assert self.component is not None
-        before = self.component[edge_dst]
-        np.minimum.at(self.component, edge_dst, self.component[edge_src])
-        changed = self.component[edge_dst] < before
-        return contract(edge_dst[changed])
+        return relax(self.component, edge_dst, self.component[edge_src])
 
     def result(self) -> dict[str, np.ndarray]:
         assert self.component is not None

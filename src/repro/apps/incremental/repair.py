@@ -33,7 +33,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.apps.base import App, contract
+from repro.apps.base import App, contract, relax
 from repro.apps.bfs import BFSApp
 from repro.apps.incremental.base import (
     MODE_FULL,
@@ -146,11 +146,7 @@ class _RelaxRepairApp(App):
         else:
             assert edge_pos is not None
             weight = self._weights[edge_pos]
-        candidate = self.dist[edge_src] + weight
-        before = self.dist[edge_dst].copy()
-        np.minimum.at(self.dist, edge_dst, candidate)
-        improved = self.dist[edge_dst] < before
-        return contract(edge_dst[improved])
+        return relax(self.dist, edge_dst, self.dist[edge_src] + weight)
 
     def result(self) -> dict[str, np.ndarray]:
         assert self.dist is not None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import App, contract
+from repro.apps.base import App, relax
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph, graph_memo
 
@@ -105,11 +105,7 @@ class SSSPApp(App):
         assert self.dist is not None and self.weights is not None
         if edge_pos is None:
             raise InvalidParameterError("SSSP needs edge positions for weights")
-        candidate = self.dist[edge_src] + self.weights[edge_pos]
-        before = self.dist[edge_dst].copy()
-        np.minimum.at(self.dist, edge_dst, candidate)
-        improved = self.dist[edge_dst] < before
-        return contract(edge_dst[improved])
+        return relax(self.dist, edge_dst, self.dist[edge_src] + self.weights[edge_pos])
 
     def result(self) -> dict[str, np.ndarray]:
         assert self.dist is not None

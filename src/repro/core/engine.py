@@ -29,22 +29,34 @@ from repro.apps.base import App
 from repro.core.reorder import SamplingReorderer
 from repro.core.resident import ResidentTileStore, TILE_RECORD_BYTES
 from repro.core.scheduler import (
+    ATOMIC_CONFLICT_RATE,
     ReorderCommit,
     Scheduler,
     SectorAccounting,
     atomic_conflicts_for,
+    level_distinct_sectors,
     level_sector_accounting,
     scale_value_sectors,
 )
 from repro.core.tiling import (
+    CSR_SECTORS,
     DEFAULT_MIN_TILE,
+    FRAGMENTS,
+    TILES,
+    VALUE_TOUCHES,
     FrontierWork,
+    NodeAccounting,
     frontier_work_reference,
     node_accounting,
     tile_size_levels,
 )
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cost import KernelStats, block_placement, even_placement
+from repro.gpusim.cost import (
+    KernelBatch,
+    KernelStats,
+    block_placement,
+    even_placement,
+)
 from repro.gpusim.spec import GPUSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,8 +72,9 @@ TILE_CONSUME_CYCLES = 2.0   # popping a resident tile from the global queue
 SAMPLE_CYCLES = 16.0        # Alg. 4 shared-memory counting per sampled tile
 
 #: Fewest queued levels :meth:`SageScheduler.level_stats` prices in one
-#: pass.  A shorter queue is priced one level at a time: the pass's fixed
-#: numpy calls would cost more than the levels share.
+#: pass, as columns where it can.  A shorter queue is priced one level at
+#: a time: the pass's fixed numpy calls would cost more than the levels
+#: share.
 MIN_PASS_LEVELS = 4
 
 
@@ -143,13 +156,25 @@ class SageScheduler(Scheduler):
 
     def level_stats(
         self, levels: Sequence[Level], graph: CSRGraph, app: App
-    ) -> list[KernelStats]:
+    ) -> list[KernelStats] | KernelBatch:
+        """A queue of at least :data:`MIN_PASS_LEVELS` levels is priced
+        in one pass: as one :class:`KernelBatch` when
+        :meth:`_price_columns` covers the configuration, else as
+        :class:`KernelStats` from :meth:`_price`.  A shorter queue, or a
+        subclass's own ``kernel_stats``, is priced level by level."""
         if (
             len(levels) < MIN_PASS_LEVELS
             # a subclass that prices kernels itself sees every level
             or type(self).kernel_stats is not SageScheduler.kernel_stats
         ):
             return super().level_stats(levels, graph, app)
+        if (
+            self.tiled_partitioning
+            and self.resident_stealing
+            and self._reorderer is None
+            and self.sanitizer is None
+        ):
+            return self._price_columns(levels, graph, app)
         return self._price(
             [level.frontier for level in levels],
             [level.degrees for level in levels],
@@ -174,13 +199,7 @@ class SageScheduler(Scheduler):
         # Every caller passes edge_dst = graph.expand_frontier(frontier)[1],
         # so the kernel's tiling totals are sums of the graph's per-node
         # table (Resident Tile Stealing's "tile once per node", on the host).
-        spec = self.spec
-        table, built = node_accounting(
-            graph, spec.block_size, self.min_tile, spec.sector_width,
-            self.tile_alignment,
-        )
-        if built:
-            self.metrics.count("sage.node_tables_built")
+        table = self._node_table(graph)
         full = [graph.is_full_frontier(frontier) for frontier in frontiers]
         works = table.level_work(
             frontiers, degrees, segments=self._reorderer is not None, full=full
@@ -196,6 +215,84 @@ class SageScheduler(Scheduler):
             self._tiled_stats(*level, app)
             for level in zip(frontiers, degrees, edge_dsts, works, accts, new_tiles)
         ]
+
+    def _price_columns(
+        self, levels: Sequence[Level], graph: CSRGraph, app: App
+    ) -> KernelBatch:
+        """:meth:`_tiled_stats` of every level as columns, bit for bit.
+
+        Covers Tiled Partitioning with Resident Tile Stealing (even
+        placement), no sampling reorder and no sanitizer: each column
+        takes the scalar path's operations in the same order, on the
+        totals the queue's one pass already gives.  A full frontier
+        (only queued when |E| < |V|) is gathered like any other.
+        """
+        spec = self.spec
+        table = self._node_table(graph)
+        edge_dsts = [level.edge_dst for level in levels]
+        frontiers = [level.frontier for level in levels]
+        nodes, units, sums, _, _ = table.level_totals(frontiers)
+        assert self._store is not None
+        new_tiles = self._store.visit_queue(
+            nodes, [frontier.size for frontier in frontiers], units
+        )
+        sectors, addresses = level_distinct_sectors(
+            edge_dsts, spec.sector_width, graph.num_nodes,
+            addresses=app.uses_atomics,
+        )
+        factor = app.value_access_factor
+        touches = np.rint(sums[VALUE_TOUCHES] * factor).astype(np.int64)
+        unique = np.minimum(touches, np.rint(sectors * factor).astype(np.int64))
+        active = np.array([edge_dst.size for edge_dst in edge_dsts], dtype=np.int64)
+        fragments = sums[FRAGMENTS]
+        total_tiles = sums[TILES] + fragments
+        overhead_work = (
+            new_tiles * TILE_WRITE_CYCLES
+            + total_tiles * TILE_CONSUME_CYCLES
+            + fragments * FRAGMENT_SETUP_CYCLES
+        )
+        if self.metrics.enabled:
+            self.metrics.count("sage.tiles", int(total_tiles.sum()))
+            self.metrics.count("sage.tiles_expanded", int(new_tiles.sum()))
+            self.metrics.count(
+                "sage.tiles_stolen_resident",
+                int(np.maximum(0, total_tiles - new_tiles).sum()),
+            )
+        if addresses is not None:  # atomic_conflicts_for, per row
+            density = addresses / np.maximum(1, sectors * spec.sector_width)
+            conflicts = (
+                ATOMIC_CONFLICT_RATE * (active - addresses)
+                * (1.0 + np.minimum(1.0, density))
+            )
+        else:
+            conflicts = np.zeros(len(levels))
+        device_warp_cap = spec.num_sms * spec.max_resident_warps_per_sm
+        return KernelBatch(
+            active_edges=active,
+            issued_lane_cycles=active,  # power-of-two tiles are divergence-free
+            busiest_lane_cycles=active / max(1, spec.num_sms),  # even_placement
+            value_sector_touches=touches,
+            value_sector_unique=unique,
+            csr_sector_touches=sums[CSR_SECTORS],
+            concurrency_warps=np.maximum(
+                1.0, np.minimum(total_tiles, device_warp_cap).astype(np.float64)
+            ),
+            overhead_cycles=overhead_work / spec.num_sms,
+            extra_dram_bytes=(new_tiles * TILE_RECORD_BYTES).astype(np.float64),
+            atomic_conflicts=conflicts,
+            compute_scale=np.full(len(levels), app.edge_compute_factor),
+        )
+
+    def _node_table(self, graph: CSRGraph) -> NodeAccounting:
+        """The graph's node table for this tiling configuration."""
+        spec = self.spec
+        table, built = node_accounting(
+            graph, spec.block_size, self.min_tile, spec.sector_width,
+            self.tile_alignment,
+        )
+        if built:
+            self.metrics.count("sage.node_tables_built")
+        return table
 
     def kernel_stats_reference(
         self,

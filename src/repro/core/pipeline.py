@@ -27,6 +27,7 @@ from repro.apps.base import App
 from repro.core.frontier import FrontierQueue
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
+from repro.gpusim.cost import KernelBatch
 from repro.gpusim.device import Device
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.streams import D2H, H2D, TraceNode, trace_seconds
@@ -161,10 +162,11 @@ def run_levels(
     The result's seconds, and the spans' ``iteration_seconds`` and
     ``transfer_seconds``, are read off the nodes the pricer appended.
 
-    A full frontier (:meth:`CSRGraph.is_full_frontier`) is expanded
-    once: later full levels on the same graph object share its
-    read-only ``edge_src``, ``edge_dst``, ``edge_pos`` and ``degrees``.
-    A partial level, or a reorder commit's new graph, drops them.
+    Each level is one :meth:`CSRGraph.expand_level`.  A full frontier
+    (:meth:`CSRGraph.is_full_frontier`) is expanded once: later full
+    levels on the same graph object share its read-only ``edge_src``,
+    ``edge_dst``, ``edge_pos`` and ``degrees``.  A partial level, or a
+    reorder commit's new graph, drops them.
     """
     metrics = pricer.metrics
     sanitizer = pricer.sanitizer
@@ -200,8 +202,7 @@ def run_levels(
                     edge_src, edge_dst, edge_pos, degrees = whole
                 else:
                     whole = None
-                    edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
-                    degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+                    edge_src, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
                 if sanitizer is not None:
                     sanitizer.check_level(
                         iterations, frontier, degrees, edge_dst, edge_pos
@@ -251,7 +252,7 @@ def _whole_graph_level(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A full frontier's ``(edge_src, edge_dst, edge_pos, degrees)``,
     read-only so that every later full level can share them."""
-    arrays = (*graph.expand_frontier(frontier), graph.out_degrees())
+    arrays = graph.expand_level(frontier)
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -355,18 +356,26 @@ class TraversalPipeline(LevelPricer):
     def _price_queued(
         self, graph: CSRGraph, app: App, trace: list[TraceNode]
     ) -> None:
-        """Price every queued level with one ``level_stats`` call."""
+        """Price every queued level with one ``level_stats`` call.
+
+        A :class:`KernelBatch` is scored and recorded as columns, so
+        only its trace nodes are made per level.
+        """
         levels = self._queued
         if not levels:
             return
         self._queued = []
         self._queued_edges = 0
         device = self.device
+        stats = self.scheduler.level_stats(levels, graph, app)
         # Queued runs are unrecorded, so no kernel span is opened.
-        for level, stats in zip(
-            levels, self.scheduler.level_stats(levels, graph, app)
-        ):
-            trace.append(device.kernel_node(device.run_kernel(stats), level.index))
+        if isinstance(stats, KernelBatch):
+            trace.extend(device.kernel_nodes(
+                device.run_kernels(stats), [level.index for level in levels]
+            ))
+            return
+        for level, row in zip(levels, stats):
+            trace.append(device.kernel_node(device.run_kernel(row), level.index))
 
     def post_level(
         self,

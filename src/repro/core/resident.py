@@ -80,20 +80,35 @@ class ResidentTileStore:
         """
         if len(frontiers) == 1:
             return [self.visit(frontiers[0], tiles_per_node[0])[2]]
+        return self.visit_queue(
+            np.concatenate(frontiers),
+            [frontier.size for frontier in frontiers],
+            np.concatenate(tiles_per_node),
+        ).tolist()
+
+    def visit_queue(
+        self,
+        nodes: np.ndarray,
+        sizes: Sequence[int],
+        tiles_per_node: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`visit_levels` over the queue's concatenated frontiers
+        (level ``k`` holds ``sizes[k]`` entries) and their concatenated
+        tile counts; returns each level's new tiles as an int64 array."""
+        count = len(sizes)
         if self._all_resident:
-            self.reuse_hits += sum(frontier.size for frontier in frontiers)
-            return [0] * len(frontiers)
-        nodes = np.concatenate(frontiers)
-        level = np.repeat(np.arange(len(frontiers)), [f.size for f in frontiers])
-        first = np.full(self._resident.size, len(frontiers))
+            self.reuse_hits += int(nodes.size)
+            return np.zeros(count, dtype=np.int64)
+        level = np.repeat(np.arange(count), sizes)
+        first = np.full(self._resident.size, count)
         np.minimum.at(first, nodes, level)
         new = (level == first[nodes]) & ~self._resident[nodes]
         self._resident[nodes] = True
-        units = np.concatenate(tiles_per_node)[new]
+        units = tiles_per_node[new]
         # integer tile counts: the float sums are exact
         new_tiles = np.bincount(
-            level[new], weights=units, minlength=len(frontiers)
-        ).astype(np.int64).tolist()
+            level[new], weights=units, minlength=count
+        ).astype(np.int64)
         self.reuse_hits += int(nodes.size - units.size)
         self.expansions += int(units.size)
         self.stored_tiles += int(units.sum())

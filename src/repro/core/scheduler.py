@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.apps.base import App
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cost import KernelStats
+from repro.gpusim.cost import KernelBatch, KernelStats
 from repro.gpusim.memory import (
     coalesced_sectors,
     distinct_count,
@@ -104,13 +104,15 @@ class Scheduler(ABC):
 
     def level_stats(
         self, levels: Sequence[Level], graph: CSRGraph, app: App
-    ) -> list[KernelStats]:
+    ) -> list[KernelStats] | KernelBatch:
         """Score a queue of expansion+filtering kernels, one per level.
 
         ``levels`` ran in this order on ``graph`` (each carries its
         ``frontier``, ``degrees`` and ``edge_dst``); the result equals
         :meth:`kernel_stats` called on each in turn, which is what this
-        default does.
+        default does.  An override may return the queue as one
+        :class:`~repro.gpusim.cost.KernelBatch` whose row ``i`` is level
+        ``i``'s stats.
         """
         return [
             self.kernel_stats(level.frontier, level.degrees, level.edge_dst,
@@ -179,33 +181,53 @@ def level_sector_accounting(
     *,
     addresses: bool,
 ) -> list[SectorAccounting]:
-    """The :class:`SectorAccounting` of each of a queue of kernels.
+    """The :class:`SectorAccounting` of each of a queue of kernels, from
+    :func:`level_distinct_sectors` (one kernel counts lazily, as
+    :class:`SectorAccounting` does).  ``addresses`` also counts distinct
+    addresses (what atomic apps need)."""
+    width = int(sector_width)
+    if len(edge_dsts) == 1:
+        return [SectorAccounting(edge_dsts[0], width)]
+    sectors, unique = level_distinct_sectors(
+        edge_dsts, width, num_nodes, addresses=addresses
+    )
+    return [
+        SectorAccounting(edge_dst, width, s, a)
+        for edge_dst, s, a in zip(
+            edge_dsts,
+            sectors.tolist(),
+            unique.tolist() if unique is not None else [None] * len(edge_dsts),
+        )
+    ]
 
-    All kernels' distinct counts come from one pass over the key
-    ``level * span + edge_dst`` (:func:`level_distinct_counts`).  ``span``
-    is |V| rounded up to a multiple of ``sector_width``, so ``key //
-    sector_width`` is ``level * (span // sector_width) + sector``.
-    ``addresses`` also counts distinct addresses (what atomic apps need).
+
+def level_distinct_sectors(
+    edge_dsts: Sequence[np.ndarray],
+    sector_width: int,
+    num_nodes: int,
+    *,
+    addresses: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each kernel's distinct sector count, and with ``addresses`` its
+    distinct address count (else None), as int64 arrays.
+
+    All kernels' counts come from one pass over the key ``level * span +
+    edge_dst`` (:func:`level_distinct_counts`).  ``span`` is |V| rounded
+    up to a multiple of ``sector_width``, so ``key // sector_width`` is
+    ``level * (span // sector_width) + sector``.
     """
     width = int(sector_width)
     count = len(edge_dsts)
-    if count == 1:  # one kernel counts lazily, as SectorAccounting does
-        return [SectorAccounting(edge_dsts[0], width)]
     span = -(-max(1, num_nodes) // width) * width
     sizes = [edge_dst.size for edge_dst in edge_dsts]
-    sectors = unique = [0] * count
-    if any(sizes):
-        keys = np.concatenate(edge_dsts)
-        keys += np.repeat(np.arange(count, dtype=np.int64) * span, sizes)
-        sectors = level_distinct_counts(keys // width, count, span // width).tolist()
-        if addresses:
-            unique = level_distinct_counts(keys, count, span).tolist()
-    if not addresses:
-        unique = [None] * count
-    return [
-        SectorAccounting(edge_dst, width, s, a)
-        for edge_dst, s, a in zip(edge_dsts, sectors, unique)
-    ]
+    if not any(sizes):
+        empty = np.zeros(count, dtype=np.int64)
+        return empty, empty if addresses else None
+    keys = np.concatenate(edge_dsts)
+    keys += np.repeat(np.arange(count, dtype=np.int64) * span, sizes)
+    sectors = level_distinct_counts(keys // width, count, span // width)
+    unique = level_distinct_counts(keys, count, span) if addresses else None
+    return sectors, unique
 
 
 def value_sector_accounting(

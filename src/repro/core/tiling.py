@@ -430,6 +430,37 @@ class NodeAccounting:
             ]
         if not frontiers:
             return []
+        _, units, sums, starts, ends = self.level_totals(frontiers)
+        work = []
+        for frontier, degree, lo, hi, totals in zip(
+            frontiers, degrees, starts, ends, sums.T.tolist()
+        ):
+            level_units = units[lo:hi]
+            work.append(FrontierWork(
+                units_per_node=level_units,
+                num_tiles=totals[TILES],
+                num_fragments=totals[FRAGMENTS],
+                elections=totals[ELECTIONS],
+                covered_edges=totals[COVERED],
+                csr_sectors=totals[CSR_SECTORS],
+                value_touches=totals[VALUE_TOUCHES],
+                segment_starts=(
+                    self._segment_starts(frontier, degree, level_units)
+                    if segments else None
+                ),
+            ))
+        return work
+
+    def level_totals(
+        self, frontiers: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+        """A queue's totals from one gather and one segmented sum.
+
+        Returns the concatenated frontiers, their ``UNITS`` row, a
+        ``(7, len(frontiers))`` int64 array whose column ``k`` sums rows
+        ``UNITS`` .. ``VALUE_TOUCHES`` over frontier ``k``, and each
+        frontier's start and end in the concatenation.
+        """
         sizes = [frontier.size for frontier in frontiers]
         ends = list(itertools.accumulate(sizes))
         starts = [0, *ends[:-1]]
@@ -444,25 +475,7 @@ class NodeAccounting:
                 sums[:, nonempty] = np.add.reduceat(
                     cols, np.take(starts, nonempty), axis=1
                 )
-        work = []
-        for frontier, degree, lo, hi, totals in zip(
-            frontiers, degrees, starts, ends, sums.T.tolist()
-        ):
-            units = cols[UNITS, lo:hi]
-            work.append(FrontierWork(
-                units_per_node=units,
-                num_tiles=totals[TILES],
-                num_fragments=totals[FRAGMENTS],
-                elections=totals[ELECTIONS],
-                covered_edges=totals[COVERED],
-                csr_sectors=totals[CSR_SECTORS],
-                value_touches=totals[VALUE_TOUCHES],
-                segment_starts=(
-                    self._segment_starts(frontier, degree, units)
-                    if segments else None
-                ),
-            ))
-        return work
+        return nodes, cols[UNITS], sums, starts, ends
 
     @functools.cached_property
     def _whole_graph_work(self) -> FrontierWork:

@@ -17,12 +17,12 @@ These are exactly the four effects the paper's techniques target:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.errors import SchedulingError
+from repro.errors import InvalidParameterError, SchedulingError
 from repro.gpusim.memory import estimate_dram_sectors
 from repro.gpusim.spec import GPUSpec
 
@@ -94,6 +94,61 @@ class KernelStats:
         return self.active_edges / self.issued_lane_cycles
 
 
+@dataclass
+class KernelBatch:
+    """The :class:`KernelStats` of a queue of kernels, as columns.
+
+    Row ``i`` of every field is kernel ``i``'s value of the
+    :class:`KernelStats` field of the same name, except
+    ``busiest_lane_cycles``: it stands for ``per_sm_lane_cycles`` and
+    keeps only the busiest SM's lane-cycles, the one value of a
+    placement that :meth:`KernelCostModel.time_kernel` reads.
+    """
+
+    active_edges: npt.NDArray[np.int64]
+    issued_lane_cycles: npt.NDArray[np.int64]
+    busiest_lane_cycles: npt.NDArray[np.float64]
+    value_sector_touches: npt.NDArray[np.int64]
+    value_sector_unique: npt.NDArray[np.int64]
+    csr_sector_touches: npt.NDArray[np.int64]
+    concurrency_warps: npt.NDArray[np.float64]
+    overhead_cycles: npt.NDArray[np.float64]
+    extra_dram_bytes: npt.NDArray[np.float64]
+    atomic_conflicts: npt.NDArray[np.float64]
+    compute_scale: npt.NDArray[np.float64]
+
+    def __len__(self) -> int:
+        return int(self.active_edges.size)
+
+    def validate(self) -> None:
+        """Raise :class:`SchedulingError` if any row breaks an invariant
+        of :meth:`KernelStats.validate`, or a column is not one value
+        per row (the batch's form of the per-SM length check)."""
+        rows = len(self)
+        for column in fields(self):
+            if getattr(self, column.name).shape != (rows,):
+                raise SchedulingError(
+                    f"column {column.name} has shape "
+                    f"{getattr(self, column.name).shape}, expected ({rows},)"
+                )
+        short = np.flatnonzero(
+            self.issued_lane_cycles + 1e-9 < self.active_edges
+        )
+        if short.size:
+            row = int(short[0])
+            raise SchedulingError(
+                f"row {row}: issued lanes ({self.issued_lane_cycles[row]}) "
+                f"< active edges ({self.active_edges[row]})"
+            )
+        over = np.flatnonzero(
+            self.value_sector_unique > self.value_sector_touches
+        )
+        if over.size:
+            raise SchedulingError(
+                f"row {int(over[0])}: unique sectors exceed total touches"
+            )
+
+
 @dataclass(frozen=True)
 class KernelTiming:
     """Cost-model output for one kernel."""
@@ -109,6 +164,21 @@ class KernelTiming:
     @property
     def total_cycles(self) -> float:
         return self.cycles
+
+
+@dataclass(frozen=True)
+class KernelBatchTiming:
+    """Cost-model output for a :class:`KernelBatch`: row ``i`` of each
+    column is kernel ``i``'s :class:`KernelTiming` field, and
+    ``memory_bound`` marks the rows whose ``bound`` is ``"memory"``."""
+
+    cycles: npt.NDArray[np.float64]
+    compute_cycles: npt.NDArray[np.float64]
+    memory_cycles: npt.NDArray[np.float64]
+    overhead_cycles: npt.NDArray[np.float64]
+    launch_cycles: float
+    dram_bytes: npt.NDArray[np.float64]
+    memory_bound: npt.NDArray[np.bool_]
 
 
 class KernelCostModel:
@@ -174,6 +244,65 @@ class KernelCostModel:
             launch_cycles=spec.kernel_launch_cycles,
             dram_bytes=dram_bytes,
             bound="compute" if compute_cycles >= memory_cycles else "memory",
+        )
+
+    def time_kernels(self, batch: KernelBatch) -> KernelBatchTiming:
+        """Score every row of ``batch`` in one pass.
+
+        Row ``i`` equals :meth:`time_kernel` on kernel ``i``, bit for
+        bit: every column takes the same float operations in the same
+        order, and the invalid rows ``time_kernel`` rejects raise the
+        same errors.
+        """
+        spec = self.spec
+        batch.validate()
+        unique = batch.value_sector_unique
+        if np.any(unique < 0):  # estimate_dram_sectors' precondition
+            raise InvalidParameterError("need touches >= unique >= 0")
+
+        # --- compute side -------------------------------------------------
+        edge_cycles = spec.cycles_per_edge * batch.compute_scale
+        compute_cycles = batch.busiest_lane_cycles * edge_cycles / spec.warp_size
+        compute_cycles += batch.atomic_conflicts * edge_cycles
+
+        # --- memory side: estimate_dram_sectors, then time_kernel ---------
+        cold = unique > 0
+        overflow = np.maximum(
+            0.0, 1.0 - spec.l2_sectors / np.where(cold, unique, 1)
+        )
+        value_dram = np.where(
+            cold, unique + (batch.value_sector_touches - unique) * overflow, 0.0
+        )
+        dram_bytes = (
+            (value_dram + batch.csr_sector_touches) * spec.sector_bytes
+            + batch.extra_dram_bytes
+        )
+        memory_cycles = dram_bytes / spec.bytes_per_cycle
+        hiding_needed = spec.num_sms * spec.latency_hiding_warps
+        concurrency = batch.concurrency_warps
+        in_flight = concurrency > 0
+        with np.errstate(over="ignore"):  # inf, silently, as a float division gives
+            shortfall = hiding_needed / np.where(in_flight, concurrency, 1.0)
+        exposed = in_flight & (shortfall > 1.0)
+        memory_cycles = np.where(
+            exposed,
+            memory_cycles * np.minimum(shortfall, spec.mem_latency_cycles / 8.0),
+            memory_cycles,
+        )
+
+        cycles = (
+            np.maximum(compute_cycles, memory_cycles)
+            + batch.overhead_cycles
+            + spec.kernel_launch_cycles
+        )
+        return KernelBatchTiming(
+            cycles=cycles,
+            compute_cycles=compute_cycles,
+            memory_cycles=memory_cycles,
+            overhead_cycles=batch.overhead_cycles,
+            launch_cycles=spec.kernel_launch_cycles,
+            dram_bytes=dram_bytes,
+            memory_bound=~(compute_cycles >= memory_cycles),
         )
 
 

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from repro.gpusim.cost import KernelCostModel, KernelStats, KernelTiming
+from repro.gpusim.cost import (
+    KernelBatch,
+    KernelBatchTiming,
+    KernelCostModel,
+    KernelStats,
+    KernelTiming,
+)
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import GPUSpec
-from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancy
+from repro.gpusim.streams import (
+    KERNEL,
+    TraceNode,
+    kernel_occupancies,
+    kernel_occupancy,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.sanitizer import Sanitizer
@@ -16,8 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Device:
     """One simulated GPU.
 
-    Runners submit :class:`KernelStats` via :meth:`run_kernel`; the
-    device scores them with its cost model and records them in a
+    Runners submit :class:`KernelStats` via :meth:`run_kernel`, or a
+    queue of them as one :class:`KernelBatch` via :meth:`run_kernels`;
+    the device scores them with its cost model and records them in a
     :class:`Profiler`.  It keeps no clock: a run's time is its node trace
     (:func:`~repro.gpusim.streams.trace_seconds`).  An
     attached :class:`~repro.analysis.sanitizer.Sanitizer` audits every
@@ -44,12 +57,38 @@ class Device:
         self.profiler.record(stats, timing)
         return timing
 
+    def run_kernels(self, batch: KernelBatch) -> KernelBatchTiming:
+        """Execute a queue of kernels, in row order, and record them in
+        the profiler: equal to :meth:`run_kernel` on each row in turn.
+
+        A sanitizer audits each kernel as it is submitted, so a device
+        with one takes kernels one at a time.
+        """
+        if self.sanitizer is not None:
+            raise ValueError("a sanitized device runs kernels one at a time")
+        timing = self.cost_model.time_kernels(batch)
+        self.profiler.record_batch(batch, timing)
+        return timing
+
     def kernel_node(self, timing: KernelTiming, iteration: int) -> TraceNode:
         """The trace node of a kernel this device ran in ``iteration``."""
         return TraceNode(
             KERNEL, self.spec.cycles_to_seconds(timing.cycles),
             occupancy=kernel_occupancy(timing), iteration=iteration,
         )
+
+    def kernel_nodes(
+        self, timing: KernelBatchTiming, iterations: Sequence[int]
+    ) -> list[TraceNode]:
+        """The trace node of each row of a batch this device ran, row
+        ``i`` in ``iterations[i]``: equal to :meth:`kernel_node` per row."""
+        seconds = self.spec.cycles_to_seconds(timing.cycles)  # elementwise
+        return [
+            TraceNode(KERNEL, s, occupancy=o, iteration=i)
+            for s, o, i in zip(
+                seconds.tolist(), kernel_occupancies(timing).tolist(), iterations
+            )
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Device({self.spec.name}, kernels={self.profiler.kernels})"

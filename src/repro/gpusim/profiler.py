@@ -10,7 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.gpusim.cost import KernelStats, KernelTiming
+import numpy as np
+
+from repro.gpusim.cost import (
+    KernelBatch,
+    KernelBatchTiming,
+    KernelStats,
+    KernelTiming,
+)
+
+#: The float counters, in the order :meth:`Profiler.record_batch` folds them.
+_FLOAT_COUNTERS = (
+    "total_cycles", "compute_cycles", "memory_cycles", "overhead_cycles",
+    "launch_cycles", "dram_bytes", "atomic_conflicts",
+)
 
 
 @dataclass
@@ -48,6 +61,36 @@ class Profiler:
         self.atomic_conflicts += stats.atomic_conflicts
         if timing.bound == "memory":
             self.memory_bound_kernels += 1
+
+    def record_batch(self, batch: KernelBatch, timing: KernelBatchTiming) -> None:
+        """Fold a queue of kernels into the counters, in row order.
+
+        Equal to :meth:`record` on each row in turn, bit for bit: each
+        float counter is a running sum seeded with its current value
+        (``np.add.accumulate`` adds row by row, as the ``+=`` chain
+        does), and integer sums are exact in any order.
+        """
+        rows = len(batch)
+        if not rows:
+            return
+        columns = (
+            timing.cycles, timing.compute_cycles, timing.memory_cycles,
+            timing.overhead_cycles, timing.launch_cycles, timing.dram_bytes,
+            batch.atomic_conflicts,
+        )
+        running = np.empty((rows + 1, len(_FLOAT_COUNTERS)))
+        for index, (name, column) in enumerate(zip(_FLOAT_COUNTERS, columns)):
+            running[0, index] = getattr(self, name)
+            running[1:, index] = column
+        totals = np.add.accumulate(running, axis=0)[-1].tolist()
+        for name, total in zip(_FLOAT_COUNTERS, totals):
+            setattr(self, name, total)
+        self.kernels += rows
+        self.active_edges += int(batch.active_edges.sum())
+        self.issued_lane_cycles += int(batch.issued_lane_cycles.sum())
+        self.value_sector_touches += int(batch.value_sector_touches.sum())
+        self.csr_sector_touches += int(batch.csr_sector_touches.sum())
+        self.memory_bound_kernels += int(np.count_nonzero(timing.memory_bound))
 
     def count_event(self, name: str, amount: float = 1.0) -> None:
         """Accumulate a named free-form counter (e.g. tile-store reuses)."""

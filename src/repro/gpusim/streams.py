@@ -31,8 +31,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.errors import InvalidParameterError
-from repro.gpusim.cost import KernelTiming
+from repro.gpusim.cost import KernelBatchTiming, KernelTiming
 
 #: node kinds (the DAG taxonomy; see DESIGN.md "Pipelined execution").
 KERNEL = "kernel"
@@ -71,6 +74,17 @@ def kernel_occupancy(timing: KernelTiming) -> float:
         return MIN_OCCUPANCY
     busy = max(timing.compute_cycles, timing.memory_cycles)
     return min(1.0, max(MIN_OCCUPANCY, busy / timing.cycles))
+
+
+def kernel_occupancies(timing: KernelBatchTiming) -> npt.NDArray[np.float64]:
+    """:func:`kernel_occupancy` of every row of a batch, bit for bit."""
+    cycles = timing.cycles
+    positive = cycles > 0
+    busy = np.maximum(timing.compute_cycles, timing.memory_cycles)
+    share = np.minimum(
+        1.0, np.maximum(MIN_OCCUPANCY, busy / np.where(positive, cycles, 1.0))
+    )
+    return np.where(positive, share, MIN_OCCUPANCY)
 
 
 @dataclass(frozen=True)

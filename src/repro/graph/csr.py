@@ -172,42 +172,54 @@ class CSRGraph:
     def expand_frontier(
         self, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand ``frontier`` with CSR positions.
+        """Expand ``frontier`` with CSR positions: the first three arrays
+        of :meth:`expand_level`, ``(edge_src, edge_dst, edge_pos)``."""
+        return self.expand_level(frontier)[:3]
 
-        Returns ``(edge_src, edge_dst, edge_pos)``: for every node ``u``
-        in ``frontier`` (in order) its neighbors appear contiguously, so
-        ``edge_src`` is ``frontier`` repeated by degree, ``edge_dst`` the
-        concatenated adjacency slices, and ``edge_pos`` each edge's index
-        in ``targets`` (used e.g. to look up edge weights).  This is the
-        hot path of every traversal iteration.
+    def expand_level(
+        self, frontier: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Expand ``frontier`` with CSR positions and degrees.
+
+        Returns ``(edge_src, edge_dst, edge_pos, degrees)``: for every
+        node ``u`` in ``frontier`` (in order) its neighbors appear
+        contiguously, so ``edge_src`` is ``frontier`` repeated by degree,
+        ``edge_dst`` the concatenated adjacency slices, ``edge_pos`` each
+        edge's index in ``targets`` (used e.g. to look up edge weights)
+        and ``degrees`` each frontier node's out-degree, which the gather
+        computes anyway.  This is the hot path of every traversal
+        iteration.
 
         A full frontier (:meth:`is_full_frontier`) gathers nothing: its
-        ``edge_dst`` is a read-only view of ``targets`` and its
-        ``edge_pos`` is ``arange(num_edges)``.  Any other frontier gets
-        fresh arrays from one vectorized multi-range gather.
+        ``edge_dst`` is a read-only view of ``targets``, its ``edge_pos``
+        is ``arange(num_edges)`` and its degrees are :meth:`out_degrees`.
+        Any other frontier gets fresh arrays from one vectorized
+        multi-range gather.
         """
         frontier = np.asarray(frontier, dtype=EDGE_DTYPE)
         if self.is_full_frontier(frontier):
+            degrees = self.out_degrees()
             edge_dst = self.targets.view()
             edge_dst.flags.writeable = False
             return (
-                np.repeat(frontier, self.out_degrees()),
+                np.repeat(frontier, degrees),
                 edge_dst,
                 np.arange(self.num_edges, dtype=EDGE_DTYPE),
+                degrees,
             )
         starts = self.offsets[frontier]
         counts = self.offsets[1:][frontier] - starts
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=EDGE_DTYPE)
-            return empty, empty.copy(), empty.copy()
+            return empty, empty.copy(), empty.copy(), counts
         # Edge i of the level belongs to the frontier node whose run
         # covers it; its CSR position is i shifted by that node's
         # ``starts - (edges before it in the level)``.
         shift = starts + counts - np.cumsum(counts)
         edge_pos = np.repeat(shift, counts)
         edge_pos += np.arange(total, dtype=EDGE_DTYPE)
-        return np.repeat(frontier, counts), self.targets[edge_pos], edge_pos
+        return np.repeat(frontier, counts), self.targets[edge_pos], edge_pos, counts
 
     # ------------------------------------------------------------------
     # Transformation

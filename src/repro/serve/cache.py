@@ -175,28 +175,6 @@ class ResultCache:
             self.evictions += 1
             self.metrics.count("cluster.cache_evictions")
 
-    def invalidate_graph(self, handle: str, *, keep_epoch: int) -> int:
-        """Drop every entry of ``handle`` whose epoch predates
-        ``keep_epoch``; returns the number purged.
-
-        Epochs are embedded in keys, so stale entries could never *hit*
-        anyway — the purge reclaims their memory eagerly instead of
-        waiting for LRU pressure.
-        """
-        stale = [
-            key
-            for key in self._entries
-            if key[0] == handle and key[1] < keep_epoch
-        ]
-        for key in stale:
-            del self._entries[key]
-        self.invalidations += len(stale)
-        if stale:
-            self.metrics.count(
-                "cluster.cache_invalidations", len(stale)
-            )
-        return len(stale)
-
     def apply_delta(
         self,
         handle: str,

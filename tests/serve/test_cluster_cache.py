@@ -77,20 +77,6 @@ class TestResultCache:
         cache.put(self._key(epoch=0), {"dist": np.zeros(1)})
         assert cache.get(self._key(epoch=1)) is None
 
-    def test_invalidate_graph_drops_stale_epochs_only(self):
-        cache = ResultCache(capacity=8)
-        cache.put(self._key(source=0, epoch=0), {"dist": np.zeros(1)})
-        cache.put(self._key(source=1, epoch=1), {"dist": np.ones(1)})
-        other = result_cache_key(
-            QueryRequest("bfs", "h", 0), 0, "a" * 16
-        )
-        cache.put(other, {"dist": np.zeros(1)})
-        dropped = cache.invalidate_graph("g", keep_epoch=1)
-        assert dropped == 1
-        assert cache.get(self._key(source=1, epoch=1)) is not None
-        assert cache.get(other) is not None
-        assert cache.invalidations == 1
-
     def test_zero_capacity_never_stores(self):
         cache = ResultCache(capacity=0)
         cache.put(self._key(), {"dist": np.zeros(1)})

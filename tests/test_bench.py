@@ -176,3 +176,29 @@ class TestTrajectoryGate:
             self.payload(kernels=1.0), self.payload(kernels=0.0), 1e-9
         )
         assert failures == ["bfs.kernels 0.0 -> 1.0 (from 0, tolerance 1e-09)"]
+
+    def test_every_key_but_wall_time_is_gated(self, bench):
+        base = self.payload(lane_efficiency=0.5, wall_seconds=1.0)
+        slower = self.payload(lane_efficiency=0.5, wall_seconds=9.0)
+        assert bench.check_regression(slower, base, 1e-9) == []
+        moved = self.payload(lane_efficiency=0.75, wall_seconds=1.0)
+        failures = bench.check_regression(moved, base, 1e-9)
+        assert len(failures) == 1
+        assert failures[0].startswith("bfs.lane_efficiency 0.5 -> 0.75")
+
+    def test_a_key_that_appears_or_disappears_fails(self, bench):
+        base = self.payload(kernels=2.0, iterations=3.0)
+        fewer = self.payload(kernels=2.0)
+        more = self.payload(kernels=2.0, iterations=3.0, tiles=4.0)
+        (gone,) = bench.check_regression(fewer, base, 1e-9)
+        assert gone.startswith("bfs.iterations disappeared")
+        (new,) = bench.check_regression(more, base, 1e-9)
+        assert new.startswith("bfs.tiles appeared")
+
+    def test_a_workload_that_appears_or_disappears_fails(self, bench):
+        base = self.payload(kernels=2.0)
+        both = {"suite": "smoke", "workloads": {"bfs": {"kernels": 2.0}, "pr": {}}}
+        (new,) = bench.check_regression(both, base, 1e-9)
+        assert new.startswith("pr appeared")
+        (gone,) = bench.check_regression(base, both, 1e-9)
+        assert gone == "pr disappeared from the suite"

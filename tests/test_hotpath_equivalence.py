@@ -606,6 +606,18 @@ class TestExpandFrontierEquivalence:
             assert fast.dtype == ref.dtype == np.int64
             np.testing.assert_array_equal(fast, ref)
 
+    @settings(max_examples=50, deadline=None)
+    @given(csr_graphs(), st.sampled_from(FRONTIER_KINDS))
+    def test_level_degrees_come_with_the_expansion(self, case, kind):
+        graph, rng = case
+        frontier = _frontier(graph, rng, kind)
+        *arrays, degrees = graph.expand_level(frontier)
+        for got, want in zip(arrays, graph.expand_frontier(frontier)):
+            np.testing.assert_array_equal(got, want)
+        want = graph.offsets[frontier + 1] - graph.offsets[frontier]
+        assert degrees.dtype == np.int64
+        np.testing.assert_array_equal(degrees, want)
+
     @settings(max_examples=100, deadline=None)
     @given(csr_graphs(), st.sampled_from(FRONTIER_KINDS))
     def test_full_frontier_predicate(self, case, kind):

@@ -43,11 +43,21 @@ def priced_queues(monkeypatch):
     return calls
 
 
+#: every scheduler of the API, plus the SAGE ablation configurations
+#: Fig 10 runs (block placement, and thread-per-node without tiling)
+SCHEDULERS = {
+    **api.SCHEDULERS,
+    "sage-no-rts": lambda: SageScheduler(resident_stealing=False),
+    "sage-no-tp": lambda: SageScheduler(tiled_partitioning=False),
+}
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-@pytest.mark.parametrize("scheduler", sorted(api.SCHEDULERS))
+@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("app", sorted(api.APPS))
-def test_unrecorded_run_equals_recorded_run(graphs, graph_name, scheduler, app):
+def test_unrecorded_run_equals_recorded_run(graphs, graph_name, scheduler_name, app):
     graph = graphs[graph_name]
+    scheduler = SCHEDULERS[scheduler_name]
     queued = api.run(graph, app, scheduler=scheduler).raw
     recorded = api.run(graph, app, scheduler=scheduler, metrics=MetricsRegistry()).raw
     assert queued.seconds == recorded.seconds

@@ -33,6 +33,7 @@ from repro.core.tiling import (
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
+from repro.gpusim.cost import KernelBatch
 from repro.obs import MetricsRegistry
 from repro.obs.span import NullSpan
 
@@ -65,6 +66,24 @@ def assert_stats_equal(got, want):
             np.testing.assert_array_equal(a, b, err_msg=field.name)
         else:
             assert a == b, field.name
+
+
+def assert_level_stats_equal(got, want):
+    """A ``level_stats`` result equals ``want`` level by level.  Row
+    ``i`` of a :class:`KernelBatch` keeps only the busiest SM of
+    ``want[i]``'s placement."""
+    assert len(got) == len(want)
+    if not isinstance(got, KernelBatch):
+        for a, b in zip(got, want):
+            assert_stats_equal(a, b)
+        return
+    for row, stats in enumerate(want):
+        for field in dataclasses.fields(got):
+            if field.name == "busiest_lane_cycles":
+                expected = stats.per_sm_lane_cycles.max()
+            else:
+                expected = getattr(stats, field.name)
+            assert getattr(got, field.name)[row] == expected, (row, field.name)
 
 
 def assert_work_equal(got, want):
@@ -298,17 +317,16 @@ class TestLevelStats:
             queued.reset(graph)
             reference.reset(graph)
             # two queues, so some nodes are resident before the second
-            got = queued.level_stats(levels[:cut], graph, app)
-            got += queued.level_stats(levels[cut:], graph, app)
+            head = queued.level_stats(levels[:cut], graph, app)
+            tail = queued.level_stats(levels[cut:], graph, app)
             want = [
                 reference.kernel_stats_reference(
                     level.frontier, level.degrees, level.edge_dst, graph, app
                 )
                 for level in levels
             ]
-            assert len(got) == len(want) == len(levels)
-            for a, b in zip(got, want):
-                assert_stats_equal(a, b)
+            assert_level_stats_equal(head, want[:cut])
+            assert_level_stats_equal(tail, want[cut:])
             if config["resident_stealing"]:
                 for name in ("reuse_hits", "expansions", "stored_tiles"):
                     assert getattr(queued.resident_store, name) == getattr(

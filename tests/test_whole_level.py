@@ -223,13 +223,13 @@ class TestReusedLevelsEqualRebuiltLevels:
 
     def _spy(self, monkeypatch):
         calls = []
-        expand = CSRGraph.expand_frontier
+        expand = CSRGraph.expand_level
 
         def spy(self, frontier):
             calls.append(frontier.size)
             return expand(self, frontier)
 
-        monkeypatch.setattr(CSRGraph, "expand_frontier", spy)
+        monkeypatch.setattr(CSRGraph, "expand_level", spy)
         return calls
 
     def test_a_pagerank_run_expands_once(self, graphs, monkeypatch):
