@@ -36,9 +36,8 @@ class CompressedTraversalScheduler(Scheduler):
         self.compressed = compressed
         self.name = f"{inner.name}+compressed"
 
-    @property
-    def observes_levels(self) -> bool:
-        return self.inner.observes_levels
+    def queue_edge_limit(self, graph: CSRGraph) -> int:
+        return self.inner.queue_edge_limit(graph)
 
     def reset(self, graph: CSRGraph) -> None:
         self.inner.reset(graph)

@@ -139,10 +139,12 @@ class SageScheduler(Scheduler):
         else:
             self._reorderer = None
 
-    @property
-    def observes_levels(self) -> bool:
-        # post_level's reorder rounds read the samples each level records
-        return self.sampling_reorder
+    def queue_edge_limit(self, graph: CSRGraph) -> int:
+        # post_level reads what pricing sampled: price by the level that readies a round
+        if self._reorderer is None:
+            return graph.num_nodes
+        left = self._reorderer.threshold_edges - self._reorderer.sampler.observed_edges
+        return min(graph.num_nodes, left)
 
     def kernel_stats(
         self,

@@ -91,9 +91,9 @@ class LevelPricer:
 
     The loop owns everything else.  It calls :meth:`start` once after
     ``app.setup``; per level :meth:`order` before expansion, then
-    :meth:`price`, then :meth:`post_level` after the frontier swap; and
-    :meth:`finish` once, inside the span from :meth:`run_span`.  Only
-    :meth:`price` has no default.
+    :meth:`price`, then :meth:`post_level` after the frontier swap, then
+    (if recorded) :meth:`record_level`; and :meth:`finish` once, inside
+    the span from :meth:`run_span`.  Only :meth:`price` has no default.
     """
 
     #: reported as ``RunResult.scheduler_name``.
@@ -130,6 +130,13 @@ class LevelPricer:
         """Between levels; returns the graph the next level runs on."""
         return graph
 
+    def record_level(self, level: Level, nodes: list[TraceNode]) -> None:
+        """Write a recorded level's times from the nodes it appended."""
+        level.span.set("iteration_seconds", trace_seconds(nodes))
+        copies = [n.seconds for n in nodes if n.kind in (H2D, D2H)]
+        if copies:
+            level.span.set("transfer_seconds", sum(copies))
+
     def finish(
         self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
     ) -> None:
@@ -141,13 +148,14 @@ class LevelPricer:
         """Run one kernel under a leaf span carrying its cost breakdown."""
         with self.metrics.span(span_name, **attrs) as sp:
             timing = device.run_kernel(stats)
-            sp.set("cycles", timing.cycles)
-            sp.set("compute_cycles", timing.compute_cycles)
-            sp.set("memory_cycles", timing.memory_cycles)
-            sp.set("overhead_cycles", timing.overhead_cycles)
-            sp.set("launch_cycles", timing.launch_cycles)
-            sp.set("dram_bytes", timing.dram_bytes)
+            for name in KERNEL_SPAN_FIELDS:
+                sp.set(name, getattr(timing, name))
         return timing
+
+
+#: The :class:`~repro.gpusim.cost.KernelTiming` fields of a ``kernel`` span.
+KERNEL_SPAN_FIELDS = ("cycles", "compute_cycles", "memory_cycles",
+                      "overhead_cycles", "launch_cycles", "dram_bytes")
 
 
 def run_levels(
@@ -160,7 +168,7 @@ def run_levels(
     """Run ``app`` on ``graph`` to convergence, levels priced by ``pricer``.
 
     The result's seconds, and the spans' ``iteration_seconds`` and
-    ``transfer_seconds``, are read off the nodes the pricer appended.
+    ``transfer_seconds`` (:meth:`~LevelPricer.record_level`), are read off the nodes.
 
     Each level is one :meth:`CSRGraph.expand_level`.  A full frontier
     (:meth:`CSRGraph.is_full_frontier`) is expanded once: later full
@@ -224,11 +232,7 @@ def run_levels(
                     whole = None
                 graph = next_graph
                 if metrics.enabled:  # only spans read the per-level times
-                    nodes = node_trace[mark:]
-                    it_span.set("iteration_seconds", trace_seconds(nodes))
-                    copies = [n.seconds for n in nodes if n.kind in (H2D, D2H)]
-                    if copies:
-                        it_span.set("transfer_seconds", sum(copies))
+                    pricer.record_level(level, node_trace[mark:])
 
         result = RunResult(
             app_name=app.name,
@@ -262,8 +266,8 @@ class TraversalPipeline(LevelPricer):
     """Runs apps over a graph with a given scheduler and device.
 
     A level is one scheduler kernel on the device, followed by any
-    reordering the scheduler commits.  Unrecorded runs price small
-    levels in batches (see :meth:`price`).
+    reordering the scheduler commits.  Small levels are priced in queues
+    (see :meth:`price`).
     """
 
     def __init__(
@@ -281,16 +285,12 @@ class TraversalPipeline(LevelPricer):
         self.device = device or Device(scheduler.spec)
         self.max_iterations = max_iterations
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            # Hook the device so every submitted kernel batch is audited
-            # (timing is unaffected; the check appends no trace node).
-            self.device.sanitizer = sanitizer
+        # one sanitizer audits the run and its kernels: ours, else the device's
+        self.sanitizer = self.device.sanitizer = sanitizer or self.device.sanitizer
         # total_perm maps original ids -> current ids across commits.
         self._total_perm: np.ndarray | None = None
         self._commits = 0
-        # Small levels waiting to be priced together (see price).
-        self._queue_levels = False
+        # Levels waiting to be priced together (see price).
         self._queued: list[Level] = []
         self._queued_edges = 0
 
@@ -312,55 +312,33 @@ class TraversalPipeline(LevelPricer):
         self.scheduler.set_metrics(self.metrics)
         self.scheduler.set_sanitizer(self.sanitizer)
         self.scheduler.reset(graph)
-        # Queue levels only when nothing reads each level as it runs:
-        # spans must nest per level, a sanitizer audits each kernel, and
-        # an observing scheduler's post_level reads what pricing records.
-        self._queue_levels = not (
-            self.metrics.enabled
-            or self.sanitizer is not None
-            or self.device.sanitizer is not None
-            or self.scheduler.observes_levels
-        )
         self._queued = []
         self._queued_edges = 0
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
     ) -> None:
-        """Queue a small level, or price it now.
-
-        A level of fewer than |V| edges is queued, and the queue is
-        priced together once it holds |V| edges; a larger level is
-        priced alone, after the queue.  Queued levels keep their own
-        stats, kernel and trace node, in level order.
-        """
+        """Queue the level; price the queue once it holds the scheduler's
+        ``queue_edge_limit`` (at most |V|) edges.  A level of |V| edges or
+        more is priced alone, after the queue; :meth:`post_level` prices
+        the queue before a commit and at convergence."""
         edges = int(level.edge_dst.size)
-        if self._queue_levels and edges < graph.num_nodes:
-            self._queued.append(level)
-            self._queued_edges += edges
-            if self._queued_edges >= graph.num_nodes:
-                self._price_queued(graph, app, trace)
-            return
-        self._price_queued(graph, app, trace)
-        device = self.device
-        stats = self.scheduler.kernel_stats(
-            level.frontier, level.degrees, level.edge_dst, graph, app
-        )
-        timing = self._timed_kernel(
-            device, stats, "kernel", kind="expand-filter",
-        )
-        trace.append(device.kernel_node(timing, level.index))
-        level.span.set("active_edges", edges)
-        level.span.set("kernel_cycles", timing.cycles)
+        if edges >= graph.num_nodes:
+            self._price_queued(graph, app, trace)
+        self._queued.append(level)
+        self._queued_edges += edges
+        if self._queued_edges >= self.scheduler.queue_edge_limit(graph):
+            self._price_queued(graph, app, trace)
+
+    def record_level(self, level: Level, nodes: list[TraceNode]) -> None:
+        """Nothing: :meth:`_price_queued` records a level when it prices it."""
 
     def _price_queued(
         self, graph: CSRGraph, app: App, trace: list[TraceNode]
     ) -> None:
-        """Price every queued level with one ``level_stats`` call.
-
-        A :class:`KernelBatch` is scored and recorded as columns, so
-        only its trace nodes are made per level.
-        """
+        """Price the queue with one ``level_stats`` call (a
+        :class:`KernelBatch` is scored as columns).  Each level gets its
+        own trace node and, if recorded, its own span values."""
         levels = self._queued
         if not levels:
             return
@@ -368,14 +346,30 @@ class TraversalPipeline(LevelPricer):
         self._queued_edges = 0
         device = self.device
         stats = self.scheduler.level_stats(levels, graph, app)
-        # Queued runs are unrecorded, so no kernel span is opened.
+        indices = [level.index for level in levels]
         if isinstance(stats, KernelBatch):
-            trace.extend(device.kernel_nodes(
-                device.run_kernels(stats), [level.index for level in levels]
-            ))
+            batch = device.run_kernels(stats)
+            nodes = device.kernel_nodes(batch, indices)
+        else:
+            timings = [device.run_kernel(row) for row in stats]
+            nodes = [device.kernel_node(t, i) for t, i in zip(timings, indices)]
+        trace.extend(nodes)
+        if not self.metrics.enabled:
             return
-        for level, row in zip(levels, stats):
-            trace.append(device.kernel_node(device.run_kernel(row), level.index))
+        if isinstance(stats, KernelBatch):  # launch_cycles is one float
+            rows = zip(*(np.broadcast_to(getattr(batch, name), len(levels)).tolist()
+                         for name in KERNEL_SPAN_FIELDS))
+        else:
+            rows = ([getattr(t, name) for name in KERNEL_SPAN_FIELDS] for t in timings)
+        for level, node, row in zip(levels, nodes, rows):
+            # attached, never entered: never timed, so its duration_s is 0
+            kernel = self.metrics.span("kernel", kind="expand-filter")
+            level.span.children.append(kernel)
+            for name, value in zip(KERNEL_SPAN_FIELDS, row):
+                kernel.set(name, value)
+            level.span.set("active_edges", level.edge_dst.size)
+            level.span.set("kernel_cycles", row[0])
+            level.span.set("iteration_seconds", node.seconds)
 
     def post_level(
         self,
@@ -398,8 +392,11 @@ class TraversalPipeline(LevelPricer):
         update = self._timed_kernel(
             device, commit.update_stats, "kernel", kind="reorder-update",
         )
-        trace.append(device.kernel_node(update, level.index))
+        node = device.kernel_node(update, level.index)
+        trace.append(node)
         level.span.set("reorder_cycles", update.cycles)
+        # the level's kernel was priced above, so this adds to its time
+        level.span.add("iteration_seconds", node.seconds)
         graph = graph.permute(commit.perm)
         app.graph = graph
         app.remap_nodes(commit.perm)

@@ -57,10 +57,6 @@ class Scheduler(ABC):
     """Maps one iteration's expanded edges onto simulated hardware."""
 
     name: str = "scheduler"
-    #: True when :meth:`post_level` reads what pricing a level recorded
-    #: (SAGE's sampling reorder): such a scheduler is priced level by
-    #: level, as each level runs, never from a queue.
-    observes_levels: bool = False
 
     def __init__(self, spec: GPUSpec | None = None) -> None:
         self.spec = spec or GPUSpec()
@@ -119,6 +115,12 @@ class Scheduler(ABC):
                               graph, app)
             for level in levels
         ]
+
+    def queue_edge_limit(self, graph: CSRGraph) -> int:
+        """Edges of small levels a pipeline may queue before pricing them:
+        |V|, or fewer when :meth:`post_level` reads what pricing recorded
+        (never more, since a level of |V| edges is priced at once)."""
+        return graph.num_nodes
 
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
         """Give self-adaptive schedulers a chance to commit a reordering."""

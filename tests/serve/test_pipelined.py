@@ -25,7 +25,6 @@ from repro.serve import (
     BatchExecution,
     BatchExecutor,
     PipelineConfig,
-    QueryRequest,
     QueryStatus,
     ReplicaPipeline,
     event_order,

@@ -28,7 +28,6 @@ from repro.serve import (
     ServingHandle,
     QueryRequest,
     QueryStatus,
-    SAMPLING_MIX,
     SINGLE_BROKER,
     generate_queries,
     open_loop_arrivals,

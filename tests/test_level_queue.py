@@ -1,21 +1,29 @@
-"""Queued level pricing equals pricing each level as it runs.
+"""Every pipeline run prices its levels in queues, and equals pricing
+each level as it runs.
 
-An unrecorded :class:`~repro.core.pipeline.TraversalPipeline` queues
-levels of fewer than |V| edges and prices the queue with one
-``Scheduler.level_stats`` call.  A recorded run (an enabled
-``MetricsRegistry``) prices every level through ``kernel_stats`` as it
-runs.  Both must give the same run, bit for bit.
+A :class:`~repro.core.pipeline.TraversalPipeline` queues levels of fewer
+than |V| edges and prices the queue with one ``Scheduler.level_stats``
+call once it holds the scheduler's ``queue_edge_limit`` edges, before a
+reorder commit and at convergence; a larger level is priced alone.
+Plain, recorded, sanitized and sampling-reorder runs all take that path.
+The reference prices each level through a ``kernel_stats`` override as
+it runs; every kind of run must equal it, bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro import api
+from repro.analysis import Sanitizer
 from repro.apps import BFSApp
 from repro.core import SageScheduler, TraversalPipeline
 from repro.core.compressed import CompressedTraversalScheduler
+from repro.core.scheduler import Scheduler
 from repro.graph import generators as gen
 from repro.graph.compressed import CompressedCSRGraph
+from repro.gpusim.cost import KernelCostModel
+from repro.gpusim.device import Device
+from repro.gpusim.streams import trace_seconds
 from repro.obs import MetricsRegistry
 
 GRAPHS = {
@@ -31,15 +39,28 @@ def graphs():
 
 @pytest.fixture
 def priced_queues(monkeypatch):
-    """Edges of each level of every ``SageScheduler.level_stats`` call."""
+    """Edges of each level of every ``level_stats`` call a pipeline makes.
+
+    Both the base method and SAGE's are spied on; SAGE's own fallback to
+    the base method is not counted twice.
+    """
     calls = []
-    original = SageScheduler.level_stats
+    depth = []
 
-    def spy(scheduler, levels, graph, app):
-        calls.append([int(level.edge_dst.size) for level in levels])
-        return original(scheduler, levels, graph, app)
+    def spying(original):
+        def spy(scheduler, levels, graph, app):
+            if not depth:
+                calls.append([int(level.edge_dst.size) for level in levels])
+            depth.append(None)
+            try:
+                return original(scheduler, levels, graph, app)
+            finally:
+                depth.pop()
 
-    monkeypatch.setattr(SageScheduler, "level_stats", spy)
+        return spy
+
+    for cls in (Scheduler, SageScheduler):
+        monkeypatch.setattr(cls, "level_stats", spying(cls.level_stats))
     return calls
 
 
@@ -51,21 +72,122 @@ SCHEDULERS = {
     "sage-no-tp": lambda: SageScheduler(tiled_partitioning=False),
 }
 
+#: a run of each kind, as ``api.run`` keywords
+KINDS = {
+    "plain": {},
+    "recorded": {"metrics": MetricsRegistry},
+    "sanitized": {"checks": True},
+}
+
+
+def _level_by_level(scheduler: Scheduler) -> Scheduler:
+    """``scheduler``, priced as each level runs: its queue holds no
+    edges, and a ``kernel_stats`` override keeps SAGE off its one-pass
+    path (``SageScheduler.level_stats`` then prices level by level)."""
+    base = type(scheduler)
+
+    class LevelByLevel(base):
+        def queue_edge_limit(self, graph):
+            return 0
+
+        def kernel_stats(self, frontier, degrees, edge_dst, graph, app):
+            return base.kernel_stats(self, frontier, degrees, edge_dst, graph, app)
+
+    scheduler.__class__ = LevelByLevel
+    return scheduler
+
+
+def _run(graph, app, scheduler, kind="plain", source=None):
+    kwargs = {
+        key: value() if callable(value) else value
+        for key, value in KINDS[kind].items()
+    }
+    return api.run(graph, app, source=source, scheduler=scheduler, **kwargs).raw
+
+
+def assert_same_run(got, want):
+    assert got.seconds == want.seconds
+    assert got.iterations == want.iterations
+    assert got.node_trace == want.node_trace
+    assert got.profiler == want.profiler
+    assert got.reorder_commits == want.reorder_commits
+    if want.final_perm is None:
+        assert got.final_perm is None
+    else:
+        np.testing.assert_array_equal(got.final_perm, want.final_perm)
+    assert got.result.keys() == want.result.keys()
+    for key, value in got.result.items():
+        np.testing.assert_array_equal(value, want.result[key], err_msg=key)
+
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("app", sorted(api.APPS))
-def test_unrecorded_run_equals_recorded_run(graphs, graph_name, scheduler_name, app):
+def test_every_kind_of_run_equals_the_level_by_level_run(
+    graphs, graph_name, scheduler_name, app
+):
     graph = graphs[graph_name]
-    scheduler = SCHEDULERS[scheduler_name]
-    queued = api.run(graph, app, scheduler=scheduler).raw
-    recorded = api.run(graph, app, scheduler=scheduler, metrics=MetricsRegistry()).raw
-    assert queued.seconds == recorded.seconds
-    assert queued.node_trace == recorded.node_trace
-    assert queued.profiler == recorded.profiler
-    assert queued.result.keys() == recorded.result.keys()
-    for key, value in queued.result.items():
-        np.testing.assert_array_equal(value, recorded.result[key], err_msg=key)
+    make = SCHEDULERS[scheduler_name]
+    want = _run(graph, app, _level_by_level(make()))
+    for kind in KINDS:
+        assert_same_run(_run(graph, app, make(), kind), want)
+
+
+def _sampling_reorder(graph=None):
+    scheduler = SageScheduler(sampling_reorder=True, reorder_threshold_edges=256)
+    if graph is None:
+        return scheduler
+    return CompressedTraversalScheduler(scheduler, CompressedCSRGraph.from_csr(graph))
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["sage-sr", "compressed"])
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("app", sorted(api.APPS))
+def test_sampling_reorder_commits_at_the_same_levels(
+    graphs, graph_name, compressed, app
+):
+    graph = graphs[graph_name]
+
+    def make():
+        return _sampling_reorder(graph if compressed else None)
+
+    want = _run(graph, app, _level_by_level(make()))
+    for kind in KINDS:
+        assert_same_run(_run(graph, app, make(), kind), want)
+
+
+@pytest.mark.parametrize("app", ["bc", "sppr"])
+def test_rounds_commit_as_long_queues_are_priced(graphs, monkeypatch, app):
+    """The sampling-reorder case above is not vacuous: on the grid, a
+    queue of four or more levels makes a round ready, and the round
+    commits at the level the reference commits at."""
+    graph = graphs["grid"]
+    events = []
+    level_stats = SageScheduler.level_stats
+    post_level = SageScheduler.post_level
+
+    def priced(scheduler, levels, graph, app):
+        stats = level_stats(scheduler, levels, graph, app)
+        events.append((len(levels), scheduler.reorderer.ready))
+        return stats
+
+    def committed(scheduler, graph):
+        commit = post_level(scheduler, graph)
+        if commit is not None:
+            events.append("commit")
+        return commit
+
+    monkeypatch.setattr(SageScheduler, "level_stats", priced)
+    monkeypatch.setattr(SageScheduler, "post_level", committed)
+    got = _run(graph, app, _sampling_reorder(), source=0)
+    assert got.reorder_commits > 0
+    assert any(
+        event == "commit" and events[i - 1][0] >= 4
+        for i, event in enumerate(events)
+    )
+    monkeypatch.undo()
+    want = _run(graph, app, _level_by_level(_sampling_reorder()), source=0)
+    assert_same_run(got, want)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -74,6 +196,9 @@ def test_a_flush_holds_under_v_edges_plus_its_trigger(graphs, graph_name, priced
     api.run(graph, "bfs", source=0)
     assert priced_queues
     for edges in priced_queues:
+        if edges[-1] >= graph.num_nodes:  # a big level is priced alone
+            assert len(edges) == 1
+            continue
         assert all(level < graph.num_nodes for level in edges)
         assert sum(edges[:-1]) < graph.num_nodes
 
@@ -89,8 +214,11 @@ def test_small_levels_are_priced_together(graphs, priced_queues):
 @pytest.mark.parametrize(
     "case", ["metrics", "sanitizer", "sampling-reorder", "compressed-sampling-reorder"]
 )
-def test_nothing_is_queued_when_each_level_is_read(graphs, priced_queues, case):
+def test_every_kind_of_run_queues_alike(graphs, priced_queues, case):
     graph = graphs["grid"]
+    api.run(graph, "bfs", source=0)
+    plain = list(priced_queues)
+    priced_queues.clear()
     if case == "metrics":
         api.run(graph, "bfs", source=0, metrics=MetricsRegistry())
     elif case == "sanitizer":
@@ -101,9 +229,8 @@ def test_nothing_is_queued_when_each_level_is_read(graphs, priced_queues, case):
         scheduler = CompressedTraversalScheduler(
             SageScheduler(sampling_reorder=True), CompressedCSRGraph.from_csr(graph)
         )
-        assert scheduler.observes_levels
         TraversalPipeline(graph, scheduler).run(BFSApp(), 0)
-    assert priced_queues == []
+    assert priced_queues == plain
 
 
 class _Recorder(SageScheduler):
@@ -128,3 +255,59 @@ def test_an_override_is_priced_level_by_level(graphs):
     assert len(recorder.stats) == got.iterations
     assert got.seconds == want.seconds
     assert got.node_trace == want.node_trace
+
+
+def test_each_queued_level_is_recorded_on_its_own_span(graphs, priced_queues):
+    graph = graphs["grid"]
+    metrics = MetricsRegistry()
+    run = TraversalPipeline(graph, SageScheduler(), metrics=metrics).run(BFSApp(), 0)
+    assert max(len(edges) for edges in priced_queues) > 1
+    recorder = _Recorder()
+    TraversalPipeline(graph, recorder).run(BFSApp(), 0)
+    model = KernelCostModel(SageScheduler().spec)
+    levels = [span for span in metrics.roots[-1].children if span.name == "iteration"]
+    assert len(levels) == run.iterations == len(recorder.stats)
+    for span, stats in zip(levels, recorder.stats):
+        index = span.attributes["index"]
+        kernels = [child for child in span.children if child.name == "kernel"]
+        assert [kernel.attributes["kind"] for kernel in kernels] == ["expand-filter"]
+        cycles = model.time_kernel(stats).cycles
+        assert kernels[0].values["cycles"] == cycles
+        assert span.values["kernel_cycles"] == cycles
+        nodes = [node for node in run.node_trace if node.iteration == index]
+        assert span.values["iteration_seconds"] == trace_seconds(nodes)
+
+
+def test_a_commit_adds_its_kernel_to_its_level(graphs):
+    graph = graphs["grid"]
+    metrics = MetricsRegistry()
+    run = api.run(
+        graph, "sppr", source=0, scheduler=_sampling_reorder(), metrics=metrics
+    ).raw
+    assert run.reorder_commits > 0
+    committed = 0
+    for span in metrics.roots[-1].children:
+        nodes = [n for n in run.node_trace if n.iteration == span.attributes["index"]]
+        assert span.values["iteration_seconds"] == trace_seconds(nodes)
+        committed += "reorder_cycles" in span.values
+    assert committed == run.reorder_commits
+
+
+def test_a_device_with_its_own_sanitizer_audits_every_level(graphs, monkeypatch):
+    graph = graphs["grid"]
+    sanitizer = Sanitizer()
+    audited = []
+    check = Sanitizer.check_kernel_stats
+
+    def spy(self, stats, spec):
+        audited.append(stats.active_edges)
+        return check(self, stats, spec)
+
+    monkeypatch.setattr(Sanitizer, "check_kernel_stats", spy)
+    scheduler = SageScheduler()
+    device = Device(scheduler.spec, sanitizer=sanitizer)
+    got = TraversalPipeline(graph, scheduler, device).run(BFSApp(), 0)
+    want = TraversalPipeline(graph, SageScheduler()).run(BFSApp(), 0)
+    assert len(audited) == got.iterations
+    assert sanitizer.clean
+    assert_same_run(got, want)
