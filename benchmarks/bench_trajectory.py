@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Perf-trajectory harness: the fixed suite CI diffs across PRs.
 
-Runs a small, fully seeded workload suite — BFS / PageRank / SSSP on an
-R-MAT graph plus an out-of-core BFS — and writes ``BENCH_repro.json``
-with simulated cycles, simulated seconds, wall time and the key
-observability counters for each workload.  Everything gated is
-*simulated* (deterministic across machines); wall time is recorded for
-context but never gated.
+Runs a small, fully seeded workload suite — one row per record of
+``TIERS``: traversal runs on R-MAT graphs, open-loop serving replays, an
+update stream and the committed tuned profiles — and writes
+``BENCH_repro.json`` with simulated cycles, simulated seconds, wall time
+and the key observability counters for each workload.  A record names
+its floor and the guard that checks its answers, so a new tier is one
+table entry.  Everything gated is *simulated* (deterministic across
+machines); wall time is recorded for context but never gated.
 
 Usage::
 
@@ -37,9 +39,9 @@ _START = time.perf_counter()
 import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
-from collections.abc import Callable  # noqa: E402
+from collections.abc import Callable, Mapping  # noqa: E402
 from pathlib import Path  # noqa: E402
-from typing import NamedTuple  # noqa: E402
+from typing import Any, NamedTuple  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -48,6 +50,18 @@ from repro.core import SageScheduler, TraversalPipeline  # noqa: E402
 from repro.graph.generators import rmat  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.outofcore.runners import SageOutOfCoreRunner  # noqa: E402
+from repro.serve import (  # noqa: E402
+    SAMPLING_MIX,
+    SINGLE_BROKER,
+    AdmissionConfig,
+    PipelineConfig,
+    generate_queries,
+    open_loop_arrivals,
+    run_direct,
+    sequential_baseline,
+    simulate_cluster_open_loop,
+    skew_sources,
+)
 
 #: Seconds from script start to the end of its module-level imports
 #: (informational, never gated; reported by ``--wall-report``).
@@ -60,9 +74,30 @@ SCHEMA_VERSION = 1
 UNGATED_METRICS = frozenset({"wall_seconds"})
 
 
+class Sizes(NamedTuple):
+    """A value that differs between ``--smoke`` and the full suite."""
+
+    smoke: int
+    full: int
+
+
+def _at(value, smoke: bool):
+    """``value`` at the suite's size (a plain value is the same at both)."""
+    if isinstance(value, Sizes):
+        return value.smoke if smoke else value.full
+    return value
+
+
+#: R-MAT scale of the base graph: the first four traversal rows and
+#: every open-loop row.
+RMAT_SCALE = Sizes(10, 13)
+
 #: R-MAT scale of the scale-up tier (2**17 = 131072 nodes, ~1M edges) —
 #: paper-shaped graph sizes the vectorized hot paths make affordable.
 SCALE_UP_RMAT_SCALE = 17
+
+#: PageRank iterations of the traversal rows.
+PR_ITERATIONS = Sizes(5, 15)
 
 #: A committed tuned profile counts toward the ``tuned_vs_default``
 #: floor when it beats the default configuration by at least this factor
@@ -75,303 +110,228 @@ TUNED_SPEEDUP_FLOOR = 1.05
 PROFILES_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
 
-def _graph(smoke: bool):
-    scale = 10 if smoke else 13
+def _rmat(scale: int):
     return rmat(scale, edge_factor=8, seed=7)
 
 
-def _workloads(smoke: bool, sanitizer=None):
-    """The fixed suite: name -> zero-argument runner returning a row."""
-    graph = _graph(smoke)
-    source = int(np.argmax(graph.out_degrees()))
-    pr_iters = 5 if smoke else 15
+class GuardError(RuntimeError):
+    """A row's answers or statuses diverged: it reports nothing."""
 
-    def single(graph, source, make_app, **app_kwargs):
-        def run():
-            metrics = MetricsRegistry()
-            pipeline = TraversalPipeline(
-                graph, SageScheduler(),
-                metrics=metrics, sanitizer=sanitizer,
-            )
-            result = pipeline.run(make_app(**app_kwargs), source=source)
-            return result, metrics
-        return run
 
-    def out_of_core():
+def _require(ok: bool, message: str) -> None:
+    """Raise :class:`GuardError` unless ``ok`` (an ``assert`` that
+    ``python -O`` cannot strip)."""
+    if not ok:
+        raise GuardError(message)
+
+
+def _require_same(got: dict, want: dict, what: str) -> None:
+    """Raise unless two result dicts hold the same keys and arrays."""
+    _require(set(got) == set(want), f"{what}: result keys differ")
+    for key in want:
+        _require(np.array_equal(got[key], want[key]), f"{what}:{key} diverged")
+
+
+def _in_core(graph, app, source, metrics, sanitizer):
+    pipeline = TraversalPipeline(
+        graph, SageScheduler(), metrics=metrics, sanitizer=sanitizer,
+    )
+    return pipeline.run(app, source=source)
+
+
+def _out_of_core(graph, app, source, metrics, sanitizer):
+    runner = SageOutOfCoreRunner(device_fraction=0.25, metrics=metrics)
+    runner.set_sanitizer(sanitizer)
+    return runner.run(graph, app, source)
+
+
+class TraversalTier(NamedTuple):
+    """One app run from the top-degree node of an R-MAT graph; the only
+    kind of row ``--sanitize`` audits.
+
+    Rows whose scale resolves to the same value share one graph object
+    within a suite run, so the SAGE node table the first of them builds
+    serves the rest (``sage.node_tables_built`` appears on that row only).
+    """
+
+    name: str
+    scale: int | Sizes
+    app: Callable
+    app_kwargs: Mapping[str, Any] = {}
+    runner: Callable = _in_core   # (graph, app, source, metrics, sanitizer)
+
+    floor_key = None
+
+    def run(self, smoke: bool, graphs: dict, sanitizer=None) -> dict:
+        scale = _at(self.scale, smoke)
+        if scale not in graphs:
+            graphs[scale] = _rmat(scale)
+        graph = graphs[scale]
+        source = int(np.argmax(graph.out_degrees()))
+        app = self.app(
+            **{key: _at(v, smoke) for key, v in self.app_kwargs.items()}
+        )
         metrics = MetricsRegistry()
-        runner = SageOutOfCoreRunner(device_fraction=0.25, metrics=metrics)
-        runner.set_sanitizer(sanitizer)
-        result = runner.run(graph, BFSApp(), source)
-        return result, metrics
-
-    workloads = {
-        "bfs_rmat": single(graph, source, BFSApp),
-        "pagerank_rmat": single(graph, source, PageRankApp,
-                                max_iterations=pr_iters),
-        "sssp_rmat": single(graph, source, SSSPApp),
-        "bfs_rmat_outofcore": out_of_core,
-    }
-
-    # Scale-up tier: the simulated metrics are just as deterministic at
-    # 131072 nodes as at 1024, so they are gated like every other row;
-    # only wall time (informational) reflects the graph being ~1000x
-    # heavier per iteration.
-    big = rmat(SCALE_UP_RMAT_SCALE, edge_factor=8, seed=7)
-    big_source = int(np.argmax(big.out_degrees()))
-    workloads["bfs_rmat_100k"] = single(big, big_source, BFSApp)
-    workloads["pagerank_rmat_100k"] = single(
-        big, big_source, PageRankApp, max_iterations=pr_iters
-    )
-    return workloads
-
-
-def _serve_row(smoke: bool) -> dict:
-    """The serving tier: open-loop micro-batched service, virtual time.
-
-    Everything in the row except wall time is simulated/deterministic
-    (seeded arrivals, virtual-time batching), so ``simulated_seconds``
-    — the total device time of the batched service — is gated like any
-    other workload.  The speedup is the device-time amortization versus
-    one-query-at-a-time service over the same query list.
-    """
-    from repro.serve import (
-        SINGLE_BROKER,
-        generate_queries,
-        open_loop_arrivals,
-        sequential_baseline,
-        simulate_cluster_open_loop,
-    )
-
-    graph = _graph(smoke)
-    num_queries = 64 if smoke else 192
-    requests = generate_queries(
-        "bench", graph.num_nodes, num_queries, seed=7
-    )
-    arrivals = open_loop_arrivals(num_queries, rate_qps=400.0, seed=7)
-    wall_start = time.perf_counter()
-    _, report = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, SageScheduler,
-        batch_window=0.05, max_batch_size=64,
-        baseline_seconds=sequential_baseline(graph, requests, SageScheduler),
-        **SINGLE_BROKER,
-    )
-    wall = time.perf_counter() - wall_start
-    assert report.status_counts == {"ok": num_queries}
-    return {
-        "simulated_seconds": report.sim_seconds_total,
-        "serve_sequential_seconds": report.baseline_seconds,
-        "serve_speedup_vs_sequential": report.speedup_vs_baseline,
-        "serve_batch_occupancy_mean": report.batch_occupancy_mean,
-        "serve_num_batches": float(report.num_batches),
-        "serve_throughput_qps": report.throughput_qps,
-        "serve_latency_p95": report.latency_p95,
-        "wall_seconds": wall,  # informational, never gated
-    }
+        wall_start = time.perf_counter()
+        result = self.runner(graph, app, source, metrics, sanitizer)
+        wall = time.perf_counter() - wall_start
+        profiler = result.profiler
+        counters = metrics.report()["counters"]
+        row = {
+            "simulated_seconds": result.seconds,
+            "total_cycles": profiler.total_cycles,
+            "kernels": float(profiler.kernels),
+            "dram_bytes": profiler.dram_bytes,
+            "iterations": float(result.iterations),
+            "edges_traversed": float(result.edges_traversed),
+            "lane_efficiency": profiler.lane_efficiency,
+            "overhead_fraction": profiler.overhead_fraction,
+            "wall_seconds": wall,  # informational, never gated
+        }
+        # Carry the scheduler/transfer counters so trajectory diffs show
+        # *why* a metric moved, not just that it did.
+        for key in ("sage.tiles", "sage.tiles_expanded",
+                    "sage.tiles_stolen_resident", "sage.node_tables_built",
+                    "ooc.bytes_transferred", "ooc.requests"):
+            if key in counters:
+                row[key] = counters[key]
+        return row
 
 
-def _sampling_row(smoke: bool) -> dict:
-    """The ``sampling_openloop`` tier: coalesced sampling service.
-
-    An open-loop mix of the four sampling kinds (biased walks,
-    node2vec, k-hop neighbor sampling, sampled PPR) where every query
-    carries a distinct source.  Classic micro-batching cannot merge
-    such work — distinct sources never share a frontier — but the
-    sampling executor coalesces same-kind queries into one combined
-    multi-source run (MS-BFS-style), so the batched service amortizes
-    kernel launches and edge passes across sources.  The counter-based
-    RNG makes the combined run bit-identical to per-query execution,
-    which the row verifies against the :func:`repro.serve.run_direct`
-    oracle before any speedup is reported: the gate only ever accepts
-    amortization, never changed answers.
-    """
-    from repro.serve import (
-        SAMPLING_MIX,
-        SINGLE_BROKER,
-        QueryStatus,
-        generate_queries,
-        open_loop_arrivals,
-        run_direct,
-        sequential_baseline,
-        simulate_cluster_open_loop,
-    )
-
-    graph = _graph(smoke)
-    num_queries = 48 if smoke else 144
-    requests = generate_queries(
-        "bench", graph.num_nodes, num_queries, seed=17, mix=SAMPLING_MIX,
-    )
-    arrivals = open_loop_arrivals(num_queries, rate_qps=400.0, seed=17)
-    wall_start = time.perf_counter()
-    responses, report = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, SageScheduler,
-        batch_window=0.05, max_batch_size=64,
-        baseline_seconds=sequential_baseline(graph, requests, SageScheduler),
-        **SINGLE_BROKER,
-    )
-    wall = time.perf_counter() - wall_start
-    assert report.status_counts == {"ok": num_queries}
-    # Coalescing must never change answers: check every fourth response
-    # bit-for-bit against the single-query oracle (the full suite lives
-    # in tests/serve/test_sampling_differential.py; this is the bench's
-    # own guard so a speedup can never be reported for wrong answers).
+def _oracle_every_fourth(graph, requests, replays) -> None:
+    """Every fourth measured response equals the single-query
+    :func:`repro.serve.run_direct` oracle, bit for bit (the full
+    differential suite is tests/serve/test_sampling_differential.py)."""
+    responses, _ = replays[-1]
     for request, response in list(zip(requests, responses))[::4]:
-        assert response.status is QueryStatus.OK
         oracle = run_direct(graph, request, SageScheduler).result
-        assert set(response.result) == set(oracle), request.app
-        for key in oracle:
-            assert np.array_equal(response.result[key], oracle[key]), (
-                f"{request.app}:{key} diverged from the direct oracle"
-            )
-    return {
-        "simulated_seconds": report.sim_seconds_total,
-        "sampling_sequential_seconds": report.baseline_seconds,
-        "sampling_speedup_vs_sequential": report.speedup_vs_baseline,
-        "sampling_batch_occupancy_mean": report.batch_occupancy_mean,
-        "sampling_num_batches": float(report.num_batches),
-        "sampling_throughput_qps": report.throughput_qps,
-        "sampling_latency_p95": report.latency_p95,
-        "wall_seconds": wall,  # informational, never gated
-    }
+        _require_same(response.result, oracle,
+                      f"{request.app} vs the direct oracle")
 
 
-def _cluster_row(smoke: bool) -> dict:
-    """The cluster tier: replica pool + result cache, virtual time.
-
-    The workload is the one the cluster is for — a low-rate, hot-key
-    skewed, source-heavy mix where micro-batching alone cannot merge
-    work (distinct SSSP sources never share a batch slot) but the
-    versioned cache collapses the repeats.  Both sides see the *same*
-    seeded requests and arrival times, so the speedup is the
-    device-seconds ratio versus the single broker at equal offered load.
-    """
-    from repro.serve import (
-        SINGLE_BROKER,
-        generate_queries,
-        open_loop_arrivals,
-        simulate_cluster_open_loop,
-        skew_sources,
-    )
-
-    graph = _graph(smoke)
-    num_queries = 64 if smoke else 192
-    requests = generate_queries(
-        "bench", graph.num_nodes, num_queries, seed=11,
-        mix={"bfs": 0.5, "sssp": 0.4, "pr": 0.1},
-    )
-    requests = skew_sources(
-        requests, hot_set_size=4, hot_fraction=0.9,
-        num_nodes=graph.num_nodes, seed=11,
-    )
-    arrivals = open_loop_arrivals(num_queries, rate_qps=100.0, seed=11)
-    wall_start = time.perf_counter()
-    _, single = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, SageScheduler,
-        batch_window=0.05, max_batch_size=64, **SINGLE_BROKER,
-    )
-    _, report = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, SageScheduler,
-        num_replicas=2, routing="affinity",
-        batch_window=0.05, max_batch_size=64,
-        baseline_seconds=single.sim_seconds_total,
-    )
-    wall = time.perf_counter() - wall_start
-    assert report.status_counts == {"ok": num_queries}
-    return {
-        "simulated_seconds": report.sim_seconds_total,
-        "cluster_single_broker_seconds": report.baseline_seconds,
-        "cluster_speedup_vs_single_broker": report.speedup_vs_baseline,
-        "cluster_cache_hit_ratio": report.cache_hit_ratio,
-        "cluster_cache_hits": float(report.cache_hits),
-        "cluster_num_batches": float(report.num_batches),
-        "cluster_throughput_qps": report.throughput_qps,
-        "cluster_latency_p95": report.latency_p95,
-        "wall_seconds": wall,  # informational, never gated
-    }
-
-
-def _pipeline_row(smoke: bool) -> dict:
-    """The ``pipeline_openloop`` tier: stream pipeline vs batch-at-a-time.
-
-    Both sides replay the *same* seeded sssp-heavy trace through one
-    replica (cache off, admission effectively unbounded, so batch
-    formation is identical); the pipelined side admits up to four
-    batches into a four-stream device.  Execution semantics never
-    change — every pipelined response is asserted bit-identical to the
-    batch run **and** to the :func:`repro.serve.run_direct` oracle —
-    so the gated ratio ``batch device-seconds / pipeline busy-seconds``
-    measures pure compute/transfer overlap on one device.
-    """
-    from repro.serve import (
-        AdmissionConfig,
-        PipelineConfig,
-        QueryStatus,
-        generate_queries,
-        open_loop_arrivals,
-        run_direct,
-        simulate_cluster_open_loop,
-    )
-
-    graph = _graph(smoke)
-    num_queries = 64 if smoke else 192
-    requests = generate_queries(
-        "bench", graph.num_nodes, num_queries, seed=13,
-        mix={"bfs": 0.3, "sssp": 0.6, "pr": 0.1},
-    )
-    # Arrival spacing must be comparable to per-batch *device* time
-    # (tens of microseconds on the smoke graph) or the device drains
-    # every batch before the next window flushes and the in-flight
-    # window never opens: rate 2e6 qps with a 10 us window keeps ~20
-    # queries per batch and several batches resident at once.
-    arrivals = open_loop_arrivals(num_queries, rate_qps=2e6, seed=13)
-    admission = AdmissionConfig(max_concurrency=10**6)
-    common = dict(
-        num_replicas=1, routing="affinity",
-        batch_window=1e-5, max_batch_size=64,
-        cache_capacity=0, admission=admission,
-    )
-    wall_start = time.perf_counter()
-    batch_responses, batch = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, SageScheduler, **common,
-    )
-    pipe_responses, pipe = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, SageScheduler,
-        pipeline=PipelineConfig(in_flight=4, num_streams=4,
-                                prefetch_depth=1),
-        **common,
-    )
-    wall = time.perf_counter() - wall_start
-    assert batch.status_counts == {"ok": num_queries}
-    assert pipe.status_counts == {"ok": num_queries}
-    # Identical batch formation => identical device work, to the bit.
-    assert pipe.sim_seconds_total == batch.sim_seconds_total
+def _pipeline_matches_batch(graph, requests, replays) -> None:
+    """Identical batch formation means identical device work and answers:
+    the pipelined replay equals the batch replay to the bit, and every
+    response equals the :func:`repro.serve.run_direct` oracle."""
+    (batch_responses, batch), (pipe_responses, pipe) = replays
+    _require(pipe.sim_seconds_total == batch.sim_seconds_total,
+             "pipelined device seconds differ from the batch replay's")
     for request, a, b in zip(requests, batch_responses, pipe_responses):
-        assert a.status is QueryStatus.OK and b.status is QueryStatus.OK
-        assert set(a.result) == set(b.result), request.app
-        for key in a.result:
-            assert np.array_equal(a.result[key], b.result[key]), (
-                f"{request.app}:{key} diverged between batch and pipeline"
-            )
+        _require_same(b.result, a.result,
+                      f"{request.app} between batch and pipeline")
         oracle = run_direct(graph, request, SageScheduler).result
-        assert set(b.result) == set(oracle), request.app
-        for key in oracle:
-            assert np.array_equal(b.result[key], oracle[key]), (
-                f"{request.app}:{key} diverged from the direct oracle"
+        _require_same(b.result, oracle, f"{request.app} vs the direct oracle")
+
+
+#: An open-loop row's baseline kind -> (its seconds column, its speedup
+#: column).  ``sequential`` serves one query at a time through the
+#: direct oracle; ``single_broker`` is the same replay as
+#: :data:`SINGLE_BROKER`; ``unpipelined`` is the same replay without
+#: ``pipeline``.
+BASELINES = {
+    "sequential": ("sequential_seconds", "speedup_vs_sequential"),
+    "single_broker": ("single_broker_seconds", "speedup_vs_single_broker"),
+    "unpipelined": ("batch_device_seconds", "speedup_vs_batch"),
+}
+
+
+class OpenLoopTier(NamedTuple):
+    """A seeded query trace replayed in virtual time against a baseline.
+
+    The measured replay runs ``simulate_cluster_open_loop`` with
+    ``replay``.  Every replay must answer every query OK, and ``guard``
+    (if any) checks the answers, before the row is reported: a floor
+    only ever accepts amortization or overlap, never changed answers.
+    The row holds ``simulated_seconds`` (device seconds: busy time if
+    pipelined), ``wall_seconds``, and under ``prefix`` the two
+    ``BASELINES`` columns and each report field in ``columns`` (a field
+    that already starts with the prefix keeps its name).
+    """
+
+    name: str
+    prefix: str
+    queries: Sizes
+    seed: int
+    rate_qps: float
+    replay: Mapping[str, Any]   # simulate_cluster_open_loop settings
+    baseline: str               # a BASELINES kind
+    columns: tuple[str, ...]
+    floor: float
+    label: str                  # what the speedup is measured against
+    mix: Mapping[str, float] | None = None
+    skew: Mapping[str, Any] | None = None   # skew_sources settings
+    guard: Callable | None = None   # (graph, requests, replays)
+
+    @property
+    def floor_key(self) -> str:
+        return self.prefix + BASELINES[self.baseline][1]
+
+    def run(self, smoke: bool, graphs=None, sanitizer=None) -> dict:
+        """The row.  It builds its own graph, and the serving executor
+        takes no sanitizer."""
+        graph = _rmat(_at(RMAT_SCALE, smoke))
+        num_queries = _at(self.queries, smoke)
+        requests = generate_queries(
+            "bench", graph.num_nodes, num_queries, seed=self.seed,
+            mix=self.mix,
+        )
+        if self.skew is not None:
+            requests = skew_sources(
+                requests, num_nodes=graph.num_nodes, seed=self.seed,
+                **self.skew,
             )
-    speedup = (
-        batch.sim_seconds_total / pipe.pipeline_busy_seconds
-        if pipe.pipeline_busy_seconds > 0 else 1.0
-    )
-    return {
-        "simulated_seconds": pipe.pipeline_busy_seconds,
-        "pipeline_batch_device_seconds": batch.sim_seconds_total,
-        "pipeline_busy_seconds": pipe.pipeline_busy_seconds,
-        "pipeline_speedup_vs_batch": speedup,
-        "pipeline_overlap_saved_seconds":
-            pipe.pipeline_overlap_saved_seconds,
-        "pipeline_inflight_peak": float(pipe.pipeline_inflight_peak),
-        "pipeline_num_batches": float(pipe.num_batches),
-        "wall_seconds": wall,  # informational, never gated
-    }
+        arrivals = open_loop_arrivals(num_queries, self.rate_qps,
+                                      seed=self.seed)
+
+        def replay(**settings):
+            return simulate_cluster_open_loop(
+                {"bench": graph}, requests, arrivals, SageScheduler,
+                **settings,
+            )
+
+        wall_start = time.perf_counter()
+        replays = []
+        if self.baseline == "sequential":
+            baseline_seconds = sequential_baseline(
+                graph, requests, SageScheduler
+            )
+        else:
+            if self.baseline == "single_broker":
+                settings = {**self.replay, **SINGLE_BROKER}
+            else:
+                settings = {k: v for k, v in self.replay.items()
+                            if k != "pipeline"}
+            replays.append(replay(**settings))
+            baseline_seconds = replays[0][1].sim_seconds_total
+        replays.append(replay(**self.replay, baseline_seconds=baseline_seconds))
+        wall = time.perf_counter() - wall_start
+
+        for _, report in replays:
+            _require(report.status_counts == {"ok": num_queries},
+                     f"{self.name}: not every query answered OK: "
+                     f"{report.status_counts}")
+        if self.guard is not None:
+            self.guard(graph, requests, replays)
+        report = replays[-1][1]
+        device = (report.pipeline_busy_seconds if "pipeline" in self.replay
+                  else report.sim_seconds_total)
+        seconds_key, speedup_key = BASELINES[self.baseline]
+        row = {
+            "simulated_seconds": device,
+            self.prefix + seconds_key: report.baseline_seconds,
+            self.prefix + speedup_key: report.baseline_seconds / device,
+        }
+        for field in self.columns:
+            key = field if field.startswith(self.prefix) else self.prefix + field
+            row[key] = float(getattr(report, field))
+        row["wall_seconds"] = wall  # informational, never gated
+        return row
+
+
+#: The report fields every batched-service row carries.
+SERVICE_COLUMNS = (
+    "batch_occupancy_mean", "num_batches", "throughput_qps", "latency_p95",
+)
 
 
 def _pagerank_residual_norm(csr, p, damping=0.85) -> float:
@@ -399,12 +359,12 @@ def _dynamic_stream_row(smoke: bool) -> dict:
     (incremental BFS, SSSP, PageRank) repair their standing answers
     while the oracle recomputes each app from scratch on the new graph.
     Both sides run on the same simulated device, so the gated ratio is
-    pure device time at identical answers: BFS/SSSP are asserted
+    pure device time at identical answers: BFS/SSSP must be
     bit-identical per epoch, and the PageRank estimates must be within
     the *sum* of the two sides' computed residual certificates of each
     other (each bounds its own L1 distance to the true fixpoint).
 
-    The tier runs its own graph scale (15/16) instead of ``_graph``:
+    The tier runs its own graph scale (15/16) instead of ``RMAT_SCALE``:
     with a 1 us kernel-launch latency, a scale-10 graph makes *every*
     traversal launch-bound, so a repair that touches 30 vertices costs
     the same handful of launches as a full sweep and the ratio measures
@@ -419,7 +379,7 @@ def _dynamic_stream_row(smoke: bool) -> dict:
     )
     from repro.graph.dynamic import DynamicGraph
 
-    graph = rmat(15 if smoke else 16, edge_factor=8, seed=7)
+    graph = _rmat(15 if smoke else 16)
     epochs = 6 if smoke else 10
     rng = np.random.default_rng(19)
     source = int(np.argmax(graph.out_degrees()))
@@ -476,21 +436,21 @@ def _dynamic_stream_row(smoke: bool) -> dict:
             affected_total += report.affected
         oracle_seconds, oracle = full_runs(new_graph)
         full_seconds += oracle_seconds
-        assert np.array_equal(
-            engines["bfs"].distances, oracle["bfs"]["dist"]
-        ), "incremental BFS diverged from the full-recompute oracle"
-        assert np.array_equal(
-            engines["sssp"].distances, oracle["sssp"]["dist"]
-        ), "incremental SSSP diverged from the full-recompute oracle"
+        for name in ("bfs", "sssp"):
+            _require(
+                np.array_equal(engines[name].distances, oracle[name]["dist"]),
+                f"incremental {name} diverged from the full-recompute oracle",
+            )
         oracle_p = np.asarray(oracle["pr"]["pagerank"], dtype=np.float64)
         oracle_bound = _pagerank_residual_norm(
             new_graph, oracle_p, damping
         ) / (1.0 - damping)
         gap = float(np.abs(engines["pr"].pagerank - oracle_p).sum())
         bound = engines["pr"].error_bound() + oracle_bound
-        assert gap <= bound + 1e-12, (
+        _require(
+            gap <= bound + 1e-12,
             f"incremental PageRank outside the residual certificate: "
-            f"|gap|_1={gap:.3e} > {bound:.3e}"
+            f"|gap|_1={gap:.3e} > {bound:.3e}",
         )
     wall = time.perf_counter() - wall_start
     speedup = (
@@ -510,7 +470,7 @@ def _dynamic_stream_row(smoke: bool) -> dict:
     }
 
 
-def _tuned_row() -> dict:
+def _tuned_row(smoke: bool) -> dict:
     """The ``tuned_vs_default`` tier: committed profiles vs defaults.
 
     For every committed profile the evaluator replays the profile's own
@@ -564,51 +524,100 @@ def _tuned_row() -> dict:
     return row
 
 
-class SpeedupTier(NamedTuple):
-    """One speedup-gated bench tier."""
+class RunnerTier(NamedTuple):
+    """A row its own function writes, checks and times."""
 
-    name: str                      # row name in BENCH_repro.json
-    run: Callable[[bool], dict]    # smoke -> row
-    speedup_key: str               # the row key the floor applies to
-    floor: float                   # minimum value, enforced every run
-    label: str                     # what the speedup is measured against
+    name: str
+    runner: Callable[[bool], dict]   # smoke -> row
+    floor_key: str                   # the row key the floor applies to
+    floor: float                     # minimum value, enforced every run
+    label: str                       # what the speedup is measured against
+
+    def run(self, smoke: bool, graphs=None, sanitizer=None) -> dict:
+        return self.runner(smoke)
 
 
-#: The speedup-gated tiers.  Every row is virtual-time, so its speedup
-#: is deterministic across machines and the floor is enforced on every
-#: run.  Rows that report a speedup first assert their answers against
-#: an oracle, so a floor only ever accepts amortization or overlap, never
-#: changed answers.
-SPEEDUP_TIERS: tuple[SpeedupTier, ...] = (
-    SpeedupTier(
-        "serve_openloop", _serve_row, "serve_speedup_vs_sequential", 2.0,
-        "device time vs one-query-at-a-time service",
+#: Every row of the suite, in run order.  A record with a ``floor_key``
+#: fails the run when that key falls below ``floor``; every row is
+#: virtual-time, so the floors are deterministic across machines.
+TIERS: tuple[TraversalTier | OpenLoopTier | RunnerTier, ...] = (
+    TraversalTier("bfs_rmat", RMAT_SCALE, BFSApp),
+    TraversalTier("pagerank_rmat", RMAT_SCALE, PageRankApp,
+                  {"max_iterations": PR_ITERATIONS}),
+    TraversalTier("sssp_rmat", RMAT_SCALE, SSSPApp),
+    TraversalTier("bfs_rmat_outofcore", RMAT_SCALE, BFSApp,
+                  runner=_out_of_core),
+    # Scale-up tier: the simulated metrics are just as deterministic at
+    # 131072 nodes as at 1024, so they are gated like every other row;
+    # only wall time (informational) reflects the graph being ~1000x
+    # heavier per iteration.
+    TraversalTier("bfs_rmat_100k", SCALE_UP_RMAT_SCALE, BFSApp),
+    TraversalTier("pagerank_rmat_100k", SCALE_UP_RMAT_SCALE, PageRankApp,
+                  {"max_iterations": PR_ITERATIONS}),
+    # Micro-batched service vs one query at a time.
+    OpenLoopTier(
+        "serve_openloop", "serve_", Sizes(64, 192), seed=7, rate_qps=400.0,
+        replay={**SINGLE_BROKER, "batch_window": 0.05, "max_batch_size": 64},
+        baseline="sequential", columns=SERVICE_COLUMNS,
+        floor=2.0, label="device time vs one-query-at-a-time service",
     ),
-    SpeedupTier(
-        "sampling_openloop", _sampling_row,
-        "sampling_speedup_vs_sequential", 2.0,
-        "device time vs one-query-at-a-time service (coalesced "
-        "multi-source runs)",
+    # Distinct sources never share a frontier, but the sampling executor
+    # coalesces same-kind queries into one multi-source run; its
+    # counter-based RNG keeps the answers bit-identical.
+    OpenLoopTier(
+        "sampling_openloop", "sampling_", Sizes(48, 144), seed=17,
+        rate_qps=400.0, mix=SAMPLING_MIX,
+        replay={**SINGLE_BROKER, "batch_window": 0.05, "max_batch_size": 64},
+        baseline="sequential", columns=SERVICE_COLUMNS,
+        guard=_oracle_every_fourth,
+        floor=2.0, label="device time vs one-query-at-a-time service "
+                         "(coalesced multi-source runs)",
     ),
-    SpeedupTier(
-        "cluster_openloop", _cluster_row,
-        "cluster_speedup_vs_single_broker", 2.0,
-        "device time vs a single broker at equal offered load",
+    # A low-rate, hot-key skewed, source-heavy mix: micro-batching alone
+    # cannot merge distinct SSSP sources, but the versioned cache
+    # collapses the repeats.
+    OpenLoopTier(
+        "cluster_openloop", "cluster_", Sizes(64, 192), seed=11,
+        rate_qps=100.0, mix={"bfs": 0.5, "sssp": 0.4, "pr": 0.1},
+        skew={"hot_set_size": 4, "hot_fraction": 0.9},
+        replay={"num_replicas": 2, "routing": "affinity",
+                "batch_window": 0.05, "max_batch_size": 64},
+        baseline="single_broker",
+        columns=("cache_hit_ratio", "cache_hits", "num_batches",
+                 "throughput_qps", "latency_p95"),
+        floor=2.0,
+        label="device time vs a single broker at equal offered load",
     ),
-    SpeedupTier(
-        "pipeline_openloop", _pipeline_row, "pipeline_speedup_vs_batch",
-        1.3,
-        "device time vs the batch-at-a-time executor at equal offered "
-        "load",
+    # One replica, cache off and admission effectively unbounded, so
+    # batch formation is identical on both sides and the ratio is pure
+    # compute/transfer overlap.  Arrival spacing must be comparable to
+    # per-batch *device* time (tens of microseconds on the smoke graph)
+    # or the device drains every batch before the next window flushes:
+    # 2e6 qps with a 10 us window keeps ~20 queries per batch and
+    # several batches resident at once.
+    OpenLoopTier(
+        "pipeline_openloop", "pipeline_", Sizes(64, 192), seed=13,
+        rate_qps=2e6, mix={"bfs": 0.3, "sssp": 0.6, "pr": 0.1},
+        replay={"num_replicas": 1, "routing": "affinity",
+                "batch_window": 1e-5, "max_batch_size": 64,
+                "cache_capacity": 0,
+                "admission": AdmissionConfig(max_concurrency=10**6),
+                "pipeline": PipelineConfig(in_flight=4, num_streams=4,
+                                           prefetch_depth=1)},
+        baseline="unpipelined",
+        columns=("pipeline_busy_seconds", "pipeline_overlap_saved_seconds",
+                 "pipeline_inflight_peak", "num_batches"),
+        guard=_pipeline_matches_batch,
+        floor=1.3, label="device time vs the batch-at-a-time executor at "
+                         "equal offered load",
     ),
-    SpeedupTier(
+    RunnerTier(
         "dynamic_stream", _dynamic_stream_row,
         "dynamic_speedup_vs_recompute", 2.0,
         "device time vs per-epoch full recomputes on the update stream",
     ),
-    SpeedupTier(
-        "tuned_vs_default", lambda smoke: _tuned_row(),
-        "tuned_categories_above_floor", 2,
+    RunnerTier(
+        "tuned_vs_default", _tuned_row, "tuned_categories_above_floor", 2,
         f"graph categories where tuned profiles beat the defaults by "
         f">= {TUNED_SPEEDUP_FLOOR:.2f}x",
     ),
@@ -616,59 +625,35 @@ SPEEDUP_TIERS: tuple[SpeedupTier, ...] = (
 
 
 def check_floors(current: dict) -> list[str]:
-    """Every tier below its speedup floor, as human-readable strings."""
+    """Every tier below its floor, as human-readable strings."""
     failures = []
-    for tier in SPEEDUP_TIERS:
-        value = current["workloads"][tier.name][tier.speedup_key]
+    for tier in TIERS:
+        if tier.floor_key is None:
+            continue
+        value = current["workloads"][tier.name][tier.floor_key]
         if value < tier.floor:
             failures.append(
-                f"{tier.name}: {tier.speedup_key}={value:.3f} < floor "
+                f"{tier.name}: {tier.floor_key}={value:.3f} < floor "
                 f"{tier.floor} ({tier.label})"
             )
     return failures
 
 
 def run_suite(smoke: bool, sanitizer=None) -> dict:
-    """Execute the suite; returns the BENCH_repro.json payload.
+    """Run every record of ``TIERS``; returns the BENCH_repro.json payload.
 
-    With a :class:`repro.analysis.Sanitizer`, every workload runs under
-    hazard auditing (CI's analysis job asserts a clean pass); the
-    simulated metrics are unaffected either way.
+    A :class:`repro.analysis.Sanitizer` audits the traversal rows only:
+    the serving executor behind the open-loop rows takes no sanitizer,
+    and the runner rows pass none.  The simulated metrics are unaffected
+    either way.
     """
+    graphs: dict = {}
     rows: dict[str, dict] = {}
-    for name, runner in _workloads(smoke, sanitizer).items():
-        wall_start = time.perf_counter()
-        result, metrics = runner()
-        wall = time.perf_counter() - wall_start
-        profiler = result.profiler
-        counters = metrics.report()["counters"]
-        row = {
-            "simulated_seconds": result.seconds,
-            "total_cycles": profiler.total_cycles,
-            "kernels": float(profiler.kernels),
-            "dram_bytes": profiler.dram_bytes,
-            "iterations": float(result.iterations),
-            "edges_traversed": float(result.edges_traversed),
-            "lane_efficiency": profiler.lane_efficiency,
-            "overhead_fraction": profiler.overhead_fraction,
-            "wall_seconds": wall,  # informational, never gated
-        }
-        # Carry the scheduler/transfer counters so trajectory diffs show
-        # *why* a metric moved, not just that it did.
-        for key in ("sage.tiles", "sage.tiles_expanded",
-                    "sage.tiles_stolen_resident", "sage.node_tables_built",
-                    "ooc.bytes_transferred", "ooc.requests"):
-            if key in counters:
-                row[key] = counters[key]
-        rows[name] = row
-        print(f"  {name:24s} cycles={row['total_cycles']:14.1f} "
-              f"sim={row['simulated_seconds'] * 1e3:9.4f} ms "
-              f"wall={wall:6.2f} s")
-    for tier in SPEEDUP_TIERS:
-        row = tier.run(smoke)
+    for tier in TIERS:
+        row = tier.run(smoke, graphs, sanitizer)
         rows[tier.name] = row
-        print(f"  {tier.name:24s} "
-              f"{tier.speedup_key}={row[tier.speedup_key]:.3f} "
+        shown = tier.floor_key or "total_cycles"
+        print(f"  {tier.name:24s} {shown}={row[shown]:.3f} "
               f"sim={row['simulated_seconds'] * 1e3:9.4f} ms "
               f"wall={row['wall_seconds']:6.2f} s")
     return {
@@ -759,8 +744,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed relative move either way "
                              "(default 1e-9)")
     parser.add_argument("--sanitize", action="store_true",
-                        help="run every workload under the kernel hazard "
-                             "sanitizer; exit 1 on any finding")
+                        help="run the six traversal rows under the kernel "
+                             "hazard sanitizer (the serving, dynamic and "
+                             "tuned rows run unaudited); exit 1 on any "
+                             "finding")
     args = parser.parse_args(argv)
 
     sanitizer = None
@@ -784,26 +771,19 @@ def main(argv: list[str] | None = None) -> int:
             for line in sanitizer.format_summary().splitlines():
                 print(f"  {line}", file=sys.stderr)
             return 1
-        print(f"sanitizer: clean "
+        audited = [t.name for t in TIERS if isinstance(t, TraversalTier)]
+        print(f"sanitizer: clean on {', '.join(audited)} "
               f"({sanitizer.levels_checked} levels, "
               f"{sanitizer.edges_checked} edges audited)")
 
-    if args.out:
-        out = Path(args.out)
-        out.write_text(
-            json.dumps(current, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {out}")
-
-    if args.wall_report:
-        report_path = Path(args.wall_report)
-        report_path.write_text(
-            json.dumps(wall_time_report(current), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {report_path}")
+    for path, payload in ((args.out, current),
+                          (args.wall_report, wall_time_report(current))):
+        if path:
+            Path(path).write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+            print(f"wrote {path}")
 
     if args.baseline:
         base_path = Path(args.baseline)

@@ -236,12 +236,15 @@ class TestBenchTrajectory:
 
     @pytest.fixture
     def tiers(self, smoke_suite):
-        return {tier.name: tier for tier in smoke_suite.bench.SPEEDUP_TIERS}
+        return {
+            tier.name: tier for tier in smoke_suite.bench.TIERS
+            if tier.floor_key is not None
+        }
 
     def _floor_holds(self, suite, tiers, name):
         tier = tiers[name]
         row = suite["workloads"][name]
-        assert row[tier.speedup_key] >= tier.floor
+        assert row[tier.floor_key] >= tier.floor
         return row
 
     def test_smoke_suite_is_deterministic(self, smoke_suite, suite):
@@ -282,12 +285,16 @@ class TestBenchTrajectory:
         assert row["dynamic_repairs"] > 0
         assert row["simulated_seconds"] > 0
 
-    def test_floor_gate_trips_on_every_tier(self, smoke_suite, suite):
+    def test_floor_gate_trips_on_every_tier(self, smoke_suite, suite, tiers):
         bench = smoke_suite.bench
         assert bench.check_floors(suite) == []
-        for tier in bench.SPEEDUP_TIERS:
+        assert set(tiers) == {
+            "serve_openloop", "sampling_openloop", "cluster_openloop",
+            "pipeline_openloop", "dynamic_stream", "tuned_vs_default",
+        }
+        for tier in tiers.values():
             below = json.loads(json.dumps(suite))
-            below["workloads"][tier.name][tier.speedup_key] = tier.floor / 2
+            below["workloads"][tier.name][tier.floor_key] = tier.floor / 2
             failures = bench.check_floors(below)
             assert len(failures) == 1
             assert failures[0].startswith(f"{tier.name}:")
