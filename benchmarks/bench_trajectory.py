@@ -47,6 +47,7 @@ import numpy as np  # noqa: E402
 
 from repro.apps import BFSApp, PageRankApp, SSSPApp  # noqa: E402
 from repro.core import SageScheduler, TraversalPipeline  # noqa: E402
+from repro.errors import require  # noqa: E402
 from repro.graph.generators import rmat  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.outofcore.runners import SageOutOfCoreRunner  # noqa: E402
@@ -114,22 +115,11 @@ def _rmat(scale: int):
     return rmat(scale, edge_factor=8, seed=7)
 
 
-class GuardError(RuntimeError):
-    """A row's answers or statuses diverged: it reports nothing."""
-
-
-def _require(ok: bool, message: str) -> None:
-    """Raise :class:`GuardError` unless ``ok`` (an ``assert`` that
-    ``python -O`` cannot strip)."""
-    if not ok:
-        raise GuardError(message)
-
-
 def _require_same(got: dict, want: dict, what: str) -> None:
     """Raise unless two result dicts hold the same keys and arrays."""
-    _require(set(got) == set(want), f"{what}: result keys differ")
+    require(set(got) == set(want), f"{what}: result keys differ")
     for key in want:
-        _require(np.array_equal(got[key], want[key]), f"{what}:{key} diverged")
+        require(np.array_equal(got[key], want[key]), f"{what}:{key} diverged")
 
 
 def _in_core(graph, app, source, metrics, sanitizer):
@@ -214,7 +204,7 @@ def _pipeline_matches_batch(graph, requests, replays) -> None:
     the pipelined replay equals the batch replay to the bit, and every
     response equals the :func:`repro.serve.run_direct` oracle."""
     (batch_responses, batch), (pipe_responses, pipe) = replays
-    _require(pipe.sim_seconds_total == batch.sim_seconds_total,
+    require(pipe.sim_seconds_total == batch.sim_seconds_total,
              "pipelined device seconds differ from the batch replay's")
     for request, a, b in zip(requests, batch_responses, pipe_responses):
         _require_same(b.result, a.result,
@@ -307,7 +297,7 @@ class OpenLoopTier(NamedTuple):
         wall = time.perf_counter() - wall_start
 
         for _, report in replays:
-            _require(report.status_counts == {"ok": num_queries},
+            require(report.status_counts == {"ok": num_queries},
                      f"{self.name}: not every query answered OK: "
                      f"{report.status_counts}")
         if self.guard is not None:
@@ -437,7 +427,7 @@ def _dynamic_stream_row(smoke: bool) -> dict:
         oracle_seconds, oracle = full_runs(new_graph)
         full_seconds += oracle_seconds
         for name in ("bfs", "sssp"):
-            _require(
+            require(
                 np.array_equal(engines[name].distances, oracle[name]["dist"]),
                 f"incremental {name} diverged from the full-recompute oracle",
             )
@@ -447,7 +437,7 @@ def _dynamic_stream_row(smoke: bool) -> dict:
         ) / (1.0 - damping)
         gap = float(np.abs(engines["pr"].pagerank - oracle_p).sum())
         bound = engines["pr"].error_bound() + oracle_bound
-        _require(
+        require(
             gap <= bound + 1e-12,
             f"incremental PageRank outside the residual certificate: "
             f"|gap|_1={gap:.3e} > {bound:.3e}",

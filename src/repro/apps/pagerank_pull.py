@@ -10,7 +10,8 @@ transpose structure.
 The app runs on ``graph.reversed()`` and is self-contained: the original
 out-degrees equal the transpose's in-degrees, so no side-channel state
 is needed.  Results match the push PR exactly, making the pair a clean
-ablation of atomics cost (see ``benchmarks/test_parameter_ablation.py``).
+ablation of atomics cost (see the ``ablation_push_pull`` experiment in
+:mod:`repro.bench.experiments`).
 """
 
 from __future__ import annotations

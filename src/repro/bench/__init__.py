@@ -6,11 +6,9 @@ from repro.bench.harness import (
     fig8_rows,
     fig9_rows,
     fig10_rows,
-    run_once,
     table1_rows,
     table2_rows,
     table3_rows,
-    wall_time,
 )
 from repro.bench.plots import format_bars
 from repro.bench.reporting import format_table
@@ -38,11 +36,9 @@ __all__ = [
     "format_table",
     "needs_source",
     "pick_sources",
-    "run_once",
     "run_query_session",
     "sage_reorder_rounds",
     "table1_rows",
     "table2_rows",
     "table3_rows",
-    "wall_time",
 ]

@@ -1,19 +1,19 @@
-"""Experiment drivers — one function per paper table/figure.
+"""Experiment drivers — one row builder per results file.
 
-Each function returns a list of plain-dict rows so the benchmark modules
-under ``benchmarks/`` (and EXPERIMENTS.md generation) can print or assert
-on them uniformly.  ``scale`` shrinks the five dataset stand-ins for
-quick runs; benchmarks default to full scale, tests to small.
+Each function returns a list of plain-dict rows, which
+:mod:`repro.bench.experiments` formats, writes under
+``benchmarks/results/`` and checks against its claim.  ``scale`` shrinks
+the five dataset stand-ins for quick runs; the committed results are at
+full scale, tests run small.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
 
 import numpy as np
 
-from repro.apps import BFSApp
+from repro.apps import BFSApp, PageRankApp, PageRankPullApp
 from repro.baselines import (
     B40CScheduler,
     GrouteScheduler,
@@ -23,10 +23,15 @@ from repro.baselines import (
     TigrScheduler,
 )
 from repro.bench.rounds import sage_reorder_rounds
+from repro.bench.session import SessionTrace, run_query_session
 from repro.bench.workloads import APP_NAMES, app_factory, needs_source, pick_sources
-from repro.core import RunResult, SageScheduler, run_app
+from repro.core import CompressedTraversalScheduler, SageScheduler, run_app
 from repro.core.scheduler import Scheduler
-from repro.graph import datasets, degree_stats
+from repro.core.tiling import decompose_frontier
+from repro.gpusim.cost import block_placement
+from repro.gpusim.events import MakespanSimulator, tasks_from_decomposition
+from repro.gpusim.spec import GPUSpec
+from repro.graph import CompressedCSRGraph, datasets, degree_stats
 from repro.graph.csr import CSRGraph
 from repro.multigpu import MultiGpuRunner, chunk_partition, metis_like
 from repro.outofcore import OnDemandUMRunner, SageOutOfCoreRunner, SubwayRunner
@@ -360,21 +365,182 @@ def fig10_rows(
 
 
 # ----------------------------------------------------------------------
-# Utility: single-run timing used by benchmark wrappers
+# Parameter ablations of SAGE's own design knobs (beyond the paper)
 # ----------------------------------------------------------------------
 
-def run_once(
-    graph: CSRGraph,
-    app_name: str,
-    scheduler: Scheduler,
-    source: int | None = None,
-) -> RunResult:
-    """One traversal run (thin wrapper for pytest-benchmark bodies)."""
-    return run_app(graph, app_factory(app_name)(), scheduler, source=source)
+def _knob_rows(scale: float, knob: str, values: tuple) -> list[Row]:
+    """BFS/PR GTEPS on twitter for each value of one SageScheduler knob."""
+    graph = datasets.twitter_like(scale).graph
+    sources = pick_sources(graph, 2, seed=7)
+    rows: list[Row] = []
+    for value in values:
+        row: Row = {knob: value}
+        for app_name in ("bfs", "pr"):
+            row[app_name] = round(_mean_gteps(
+                graph, app_name,
+                lambda v=value: SageScheduler(**{knob: v}),
+                sources,
+            ), 4)
+        rows.append(row)
+    return rows
 
 
-def wall_time(fn, *args, **kwargs) -> float:
-    """Wall-clock seconds of one call (for preprocessing-cost rows)."""
-    started = time.perf_counter()
-    fn(*args, **kwargs)
-    return time.perf_counter() - started
+def min_tile_rows(scale: float = 1.0) -> list[Row]:
+    """MIN_TILE_SIZE sweep: fewer fragments vs deeper partitions."""
+    return _knob_rows(scale, "min_tile", (4, 8, 16, 32))
+
+
+def alignment_rows(scale: float = 1.0) -> list[Row]:
+    """Sector-aligned tiles vs unaligned ones (Section 5.3)."""
+    return _knob_rows(scale, "tile_alignment", (True, False))
+
+
+def compressed_rows(scale: float = 1.0) -> list[Row]:
+    """BFS on the gap+varint compressed image vs the plain CSR."""
+    rows: list[Row] = []
+    for ds in datasets.full_suite(scale):
+        graph = ds.graph
+        sources = pick_sources(graph, 2, seed=7)
+        compressed = CompressedCSRGraph.from_csr(graph)
+        rows.append({
+            "dataset": ds.name,
+            "ratio": round(compressed.compression_ratio, 2),
+            "plain_bfs": round(_mean_gteps(
+                graph, "bfs", SageScheduler, sources), 4),
+            "compressed_bfs": round(_mean_gteps(
+                graph, "bfs",
+                lambda c=compressed: CompressedTraversalScheduler(
+                    SageScheduler(), c),
+                sources,
+            ), 4),
+        })
+    return rows
+
+
+def push_pull_rows(scale: float = 1.0) -> list[Row]:
+    """Atomics ablation: push (scatter+atomics) vs pull (gather, none)."""
+    rows: list[Row] = []
+    for ds in datasets.full_suite(scale):
+        graph = ds.graph
+        push = run_app(graph, PageRankApp(max_iterations=10),
+                       SageScheduler())
+        pull = run_app(graph.reversed(), PageRankPullApp(max_iterations=10),
+                       SageScheduler())
+        rows.append({
+            "dataset": ds.name,
+            "push_gteps": round(push.gteps, 4),
+            "pull_gteps": round(pull.gteps, 4),
+            "push_atomics": int(push.profiler.atomic_conflicts),
+        })
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Sweeps beyond the paper's fixed operating points
+# ----------------------------------------------------------------------
+
+def device_fraction_rows(scale: float = 1.0) -> list[Row]:
+    """Figure 8's SAGE-vs-Subway comparison over device-memory budgets."""
+    graph = datasets.twitter_like(scale).graph
+    sources = pick_sources(graph, 2, seed=7)
+    rows: list[Row] = []
+    for fraction in (0.05, 0.1, 0.25, 0.5, 0.9):
+        row: Row = {"device_fraction": fraction}
+        for factory in (SubwayRunner, SageOutOfCoreRunner):
+            speeds = [
+                factory(device_fraction=fraction)
+                .run(graph, BFSApp(), int(s)).gteps
+                for s in sources
+            ]
+            row[factory.name] = round(float(np.mean(speeds)), 4)
+        rows.append(row)
+    return rows
+
+
+def gpu_scaling_rows(scale: float = 1.0) -> list[Row]:
+    """Figure 9 generalized: async SAGE BFS on 1-8 metis-like GPUs."""
+    graph = datasets.friendster_like(scale).graph
+    sources = pick_sources(graph, 2, seed=7)
+    rows: list[Row] = []
+    for k in (1, 2, 4, 8):
+        assignment = metis_like(graph, k) if k > 1 else \
+            np.zeros(graph.num_nodes, dtype=np.int64)
+        speeds = [
+            MultiGpuRunner(SageScheduler, assignment, num_gpus=k,
+                           async_mode=True)
+            .run(graph, BFSApp(), int(s)).gteps
+            for s in sources
+        ]
+        rows.append({"gpus": k, "gteps": round(float(np.mean(speeds)), 4)})
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Cost-model calibration: analytic placement vs discrete-event truth
+# ----------------------------------------------------------------------
+
+#: Concurrent blocks per SM in the calibration replay.
+CALIBRATION_SLOTS = 4
+
+
+def calibration_rows(scale: float = 1.0) -> list[Row]:
+    """Each dataset's full-frontier tile decomposition, replayed through
+    the discrete-event simulator against the analytic placement rules."""
+    spec = GPUSpec()
+    rows: list[Row] = []
+    for ds in datasets.full_suite(scale):
+        degrees = ds.graph.out_degrees()
+        decomp = decompose_frontier(degrees, spec.block_size, 8)
+        tasks = tasks_from_decomposition(decomp)
+        sim = MakespanSimulator(spec.num_sms, slots_per_sm=CALIBRATION_SLOTS)
+        owner = sim.simulate(tasks, stealing=False)
+        stolen = sim.simulate(tasks, stealing=True)
+
+        # analytic: owner = busiest SM's block queue / slots;
+        # stealing = work-conserving even split.
+        pad = (-degrees.size) % spec.block_size
+        per_block = np.append(degrees.astype(float), np.zeros(pad)).reshape(
+            -1, spec.block_size).sum(axis=1)
+        analytic_owner = (block_placement(per_block, spec.num_sms).max()
+                          / CALIBRATION_SLOTS)
+        analytic_even = degrees.sum() / (spec.num_sms * CALIBRATION_SLOTS)
+
+        rows.append({
+            "dataset": ds.name,
+            "sim_owner": round(owner.makespan_cycles, 1),
+            "analytic_owner": round(float(analytic_owner), 1),
+            "sim_steal": round(stolen.makespan_cycles, 1),
+            "analytic_steal": round(float(analytic_even), 1),
+            "steal_speedup": round(
+                owner.makespan_cycles / stolen.makespan_cycles, 2),
+        })
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Time-to-insight: a BFS query session under three deployment profiles
+# ----------------------------------------------------------------------
+
+#: BFS queries per time-to-insight session.
+SESSION_QUERIES = 30
+
+
+def session_traces(scale: float = 1.0) -> dict[str, SessionTrace]:
+    """One seeded BFS session on twitter per deployment profile."""
+    graph = datasets.twitter_like(scale).graph
+    return run_query_session(graph, SESSION_QUERIES, seed=11)
+
+
+def session_rows(traces: dict[str, SessionTrace]) -> list[Row]:
+    """When each profile's answers become available."""
+    rows: list[Row] = []
+    for name, trace in traces.items():
+        times = trace.completion_times
+        rows.append({
+            "system": name,
+            "setup_s": round(trace.setup_seconds, 4),
+            "first_answer_s": round(float(times[0]), 4),
+            "q10_done_s": round(float(times[min(9, len(times) - 1)]), 4),
+            "all_done_s": round(trace.total_seconds, 4),
+        })
+    return rows

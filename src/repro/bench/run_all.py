@@ -1,57 +1,30 @@
-"""Run every experiment without pytest: ``python -m repro.bench.run_all``.
+"""Run the paper's experiments: ``python -m repro.bench.run_all``.
 
-Executes each table/figure driver (and optionally a reduced extension
-set), writes the result tables under ``benchmarks/results/`` and
-regenerates EXPERIMENTS.md — the one-command reproduction entry point
-for users who do not want the pytest/benchmark tooling.
+Runs every record of :data:`repro.bench.experiments.EXPERIMENTS` (or the
+``--only`` subset): writes each result table under ``benchmarks/results/``,
+checks the experiment's claim, and regenerates EXPERIMENTS.md.  Exits
+non-zero, naming each experiment whose claim failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 import time
 
-from repro.bench.experiments_md import generate
-from repro.bench.harness import (
-    fig6_rows,
-    fig7_rows,
-    fig8_rows,
-    fig9_rows,
-    fig10_rows,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-)
+from repro.bench import experiments_md
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.reporting import format_table
-
-EXPERIMENTS: list[tuple[str, str, object]] = [
-    ("table1", "Table 1 — dataset statistics (synthetic stand-ins)",
-     lambda scale: table1_rows(scale)),
-    ("table2", "Table 2 — reordering time consumption (seconds)",
-     lambda scale: table2_rows(scale, sage_rounds=3)),
-    ("table3", "Table 3 — Tiled Partitioning overhead (ms and % of runtime)",
-     lambda scale: table3_rows(scale, num_sources=3)),
-    ("fig6", "Figure 6 — traversal GTEPS under orderings "
-             "(sage_k = after k reorder rounds)",
-     lambda scale: fig6_rows(scale, num_sources=2)),
-    ("fig7", "Figure 7 — GTEPS, PGP approaches with/without Gorder",
-     lambda scale: fig7_rows(scale, num_sources=2)),
-    ("fig8", "Figure 8 — out-of-core BFS GTEPS (device = 25% of graph)",
-     lambda scale: fig8_rows(scale, num_sources=3)),
-    ("fig9", "Figure 9 — multi-GPU BFS GTEPS",
-     lambda scale: fig9_rows(scale, num_sources=3)),
-    ("fig10", "Figure 10 — ablation GTEPS (features applied incrementally)",
-     lambda scale: fig10_rows(scale, num_sources=2, reorder_rounds=10)),
-]
+from repro.errors import GuardError
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=1.0,
-                        help="dataset scale (1.0 = benchmark default)")
+                        help="dataset scale (1.0 = the committed results)")
     parser.add_argument("--only", nargs="*", default=None,
-                        metavar="EXP",
+                        metavar="EXP", choices=list(EXPERIMENTS),
                         help="subset of experiment names (e.g. fig6 fig10)")
     parser.add_argument("--results", type=pathlib.Path,
                         default=pathlib.Path("benchmarks/results"))
@@ -60,21 +33,29 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     args.results.mkdir(parents=True, exist_ok=True)
-    wanted = set(args.only) if args.only else None
-    for name, title, fn in EXPERIMENTS:
-        if wanted is not None and name not in wanted:
+    failed: list[str] = []
+    for name, exp in EXPERIMENTS.items():
+        if args.only and name not in args.only:
             continue
         started = time.perf_counter()
-        rows = fn(args.scale)
+        outcome = exp.run(args.scale)
         elapsed = time.perf_counter() - started
-        text = format_table(rows, title)
+        text = format_table(exp.tabulate(outcome), exp.title)
         (args.results / f"{name}.txt").write_text(text + "\n",
                                                   encoding="utf-8")
         print(text)
+        try:
+            exp.check(outcome)
+        except GuardError as err:
+            failed.append(name)
+            print(f"CLAIM FAILED {err}")
         print(f"[{name} regenerated in {elapsed:.1f} s]\n")
 
-    args.experiments_md.write_text(generate(args.results), encoding="utf-8")
+    experiments_md.write(args.results, args.experiments_md)
     print(f"wrote {args.experiments_md}")
+    if failed:
+        print(f"claims failed: {' '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,7 +9,9 @@ Subcommands:
 * ``report``    — pretty-print a metrics JSON written by ``--emit-metrics``
 * ``reorder``   — apply a reordering method, report locality + cost
 * ``scc``       — strongly-connected-component decomposition
-* ``experiment``— regenerate one paper table/figure from the harness
+* ``experiment``— print one experiment's table (any record of
+  ``repro.bench.experiments.EXPERIMENTS``; ``python -m
+  repro.bench.run_all`` also writes it and checks its claim)
 * ``serve-bench``— load-test the batched query service (open loop,
   fixed seeds, deterministic virtual time)
 * ``cluster-bench``— benchmark the sharded cluster tier (routing +
@@ -36,18 +38,8 @@ from repro import api
 from repro.api import APPS, SCHEDULERS
 from repro.apps.scc import strongly_connected_components
 from repro.baselines import LigraRunner
-from repro.bench import (
-    fig6_rows,
-    fig7_rows,
-    fig8_rows,
-    fig9_rows,
-    fig10_rows,
-    format_table,
-    sage_reorder_rounds,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-)
+from repro.bench import format_table, sage_reorder_rounds
+from repro.bench.experiments import EXPERIMENTS
 from repro.graph import datasets, degree_stats, id_locality, io, sector_span
 from repro.obs import (
     MetricsRegistry,
@@ -67,17 +59,6 @@ from repro.reorder import (
 )
 
 DATASETS = ("uk-2002", "brain", "ljournal", "twitter", "friendster")
-
-EXPERIMENTS = {
-    "table1": lambda scale: table1_rows(scale),
-    "table2": lambda scale: table2_rows(scale),
-    "table3": lambda scale: table3_rows(scale),
-    "fig6": lambda scale: fig6_rows(scale, num_sources=2),
-    "fig7": lambda scale: fig7_rows(scale, num_sources=2),
-    "fig8": lambda scale: fig8_rows(scale),
-    "fig9": lambda scale: fig9_rows(scale),
-    "fig10": lambda scale: fig10_rows(scale, num_sources=2),
-}
 
 REORDER_METHODS = {
     "rcm": rcm_order,
@@ -278,7 +259,8 @@ def cmd_scc(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    rows = EXPERIMENTS[args.name](args.scale)
+    exp = EXPERIMENTS[args.name]
+    rows = exp.tabulate(exp.run(args.scale))
     print(format_table(rows, f"{args.name} (scale {args.scale})"))
     return 0
 

@@ -36,6 +36,20 @@ class ConvergenceError(ReproError):
     """An iterative computation failed to converge within its budget."""
 
 
+class GuardError(ReproError):
+    """A checked result diverged from what it must show: a paper
+    experiment's claim failed, or a bench row's answers or statuses
+    differ from their oracle.  Raised instead of ``assert`` so that
+    ``python -O`` still checks."""
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise :class:`GuardError` unless ``ok`` (an ``assert`` that
+    ``python -O`` cannot strip)."""
+    if not ok:
+        raise GuardError(message)
+
+
 class ServiceError(ReproError):
     """Base class for errors raised by the query service (`repro.serve`)."""
 

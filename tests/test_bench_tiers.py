@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps.incremental import IncrementalBFS, IncrementalPageRank, IncrementalSSSP
+from repro.errors import GuardError
 from tests.conftest import BENCH_DIR, load_bench_trajectory
 
 
@@ -105,7 +106,7 @@ class TestGuards:
             return responses, report
 
         monkeypatch.setattr(bench, "simulate_cluster_open_loop", planted)
-        with pytest.raises(bench.GuardError, match="not every query"):
+        with pytest.raises(GuardError, match="not every query"):
             _tiny(bench).run(True, {})
 
     def test_sampling_oracle_divergence_raises(self, bench, monkeypatch):
@@ -120,7 +121,7 @@ class TestGuards:
             return dataclasses.replace(run, result=_flipped(run.result))
 
         monkeypatch.setattr(bench, "run_direct", planted)
-        with pytest.raises(bench.GuardError, match="vs the direct oracle"):
+        with pytest.raises(GuardError, match="vs the direct oracle"):
             tier.run(True, {})
 
     @pytest.mark.parametrize("plant", ["answer", "seconds", "oracle"])
@@ -152,7 +153,7 @@ class TestGuards:
         match = {"answer": "between batch and pipeline",
                  "seconds": "device seconds differ",
                  "oracle": "vs the direct oracle"}[plant]
-        with pytest.raises(bench.GuardError, match=match):
+        with pytest.raises(GuardError, match=match):
             tier.run(True, {})
 
     @pytest.mark.parametrize("engine, attribute, match", [
@@ -171,5 +172,5 @@ class TestGuards:
             return values
 
         monkeypatch.setattr(engine, attribute, property(planted))
-        with pytest.raises(bench.GuardError, match=match):
+        with pytest.raises(GuardError, match=match):
             bench._dynamic_stream_row(True)

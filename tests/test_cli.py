@@ -79,6 +79,12 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])
 
+    def test_extension_experiment(self, capsys):
+        assert main(["experiment", "ablation_alignment", "--scale", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("ablation_alignment (scale 0.05)")
+        assert "tile_alignment" in out
+
 
 class TestServeBench:
     def test_open_loop_deterministic(self, capsys):
