@@ -23,7 +23,9 @@ sector+address row counts one kernel's distinct sectors and addresses
 with ``distinct_counts`` (one node mask) against two ``bincount``
 counts, and the relax row times SSSP's filter, which selects its
 improving edges by index, against the same body compressing each edge
-array with the boolean mask.
+array with the boolean mask.  The mesh-level row, run last, expands one
+76-node BFS level of ``grid_2d(112, 112)`` a thousand times: on a
+level of ~300 edges, ``expand_level``'s fixed numpy calls are its cost.
 Wall times here are informational — the correctness story is
 ``tests/test_hotpath_equivalence.py`` and, for level pricing,
 ``tests/test_node_accounting.py`` and ``tests/test_kernel_batch.py``,
@@ -147,10 +149,11 @@ def bench_relax(rng, repeats: int, n_edges: int) -> None:
 
 def bench_lru(rng, repeats: int, n_accesses: int) -> None:
     capacity = 512
-    # Scattered trace: the power-law destination stream cache replay
-    # feeds the model.  The adversarial walk row is kept on purpose —
-    # high-locality traces leave many stack distances genuinely
-    # ambiguous, the vectorized path's known weak spot.
+    # Two synthetic traces, a scattered zipf stream and a high-locality
+    # walk.  Neither is a good case: LRUCacheModel loses to the dict
+    # walk on both, and on the BFS sector streams replay_cache_trace
+    # feeds it (rmat(15, 8) at 30 % hits, grid_2d(112, 112) at 93 %,
+    # default L2) it runs at 0.16-0.28x of ReferenceLRUCache.
     scattered = rng.zipf(1.4, size=n_accesses) % 16384
     steps = rng.integers(-6, 7, size=n_accesses)
     walk = np.abs(np.cumsum(steps)) % 4096
@@ -326,6 +329,31 @@ def bench_whole_level(repeats: int, graph: CSRGraph) -> None:
     )
 
 
+def bench_expand_mesh_level(repeats: int, graph: CSRGraph, calls: int = 1000) -> None:
+    # Level 75 of a BFS from node 0: the 76 nodes at that distance.
+    app = BFSApp()
+    app.setup(graph, 0)
+    frontier = app.initial_frontier()
+    for _ in range(75):
+        edge_src, edge_dst, _, _ = graph.expand_level(frontier)
+        frontier = app.process_level(edge_src, edge_dst)
+
+    def run_new():
+        for _ in range(calls):
+            graph.expand_level(frontier)
+
+    def run_ref():
+        for _ in range(calls):
+            expand_frontier_reference(graph, frontier)
+
+    _row(
+        f"expand_level (mesh level) x{calls}",
+        int(graph.out_degrees()[frontier].sum()),
+        _best_of(run_new, repeats),
+        _best_of(run_ref, repeats),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller inputs, fewer repeats")
@@ -349,6 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_whole_level(repeats, rmat(10 if args.quick else 15, 8, seed=0))
     bench_distinct_counts(rng, repeats, 100_000 * scale)
     bench_relax(rng, repeats, 100_000 * scale)
+    bench_expand_mesh_level(repeats, grid_2d(112, 112))
     return 0
 
 

@@ -182,6 +182,7 @@ class TraversalTier(NamedTuple):
         # *why* a metric moved, not just that it did.
         for key in ("sage.tiles", "sage.tiles_expanded",
                     "sage.tiles_stolen_resident", "sage.node_tables_built",
+                    "pipeline.pricing_passes",
                     "ooc.bytes_transferred", "ooc.requests"):
             if key in counters:
                 row[key] = counters[key]

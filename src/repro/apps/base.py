@@ -126,18 +126,19 @@ def contract(candidates: np.ndarray, num_nodes: int | None = None) -> np.ndarray
     frontier-sized integer arrays.  Given ``num_nodes``, a batch of more
     than ``DENSE_CONTRACT_SHARE * num_nodes`` candidates is deduped by
     marking a boolean node mask and reading it back with
-    ``flatnonzero``, which needs no sort.
+    ``nonzero``, which needs no sort.
     """
     if candidates.size == 0:
         return candidates.astype(np.int64)
     if num_nodes is not None and candidates.size > DENSE_CONTRACT_SHARE * num_nodes:
         mask = np.zeros(num_nodes, dtype=bool)
         mask[candidates] = True
-        return np.flatnonzero(mask).astype(candidates.dtype, copy=False)
-    ordered = np.sort(candidates)
+        return mask.nonzero()[0].astype(candidates.dtype, copy=False)
+    ordered = candidates.copy()
+    ordered.sort()
     keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    np.not_equal(ordered[1:], ordered[:-1], keep[1:])
     return ordered[keep]
 
 
@@ -149,7 +150,7 @@ def relax(values: np.ndarray, edge_dst: np.ndarray, candidate: np.ndarray) -> np
     it, so only those edges are scattered; they are selected by index
     once, and each array is one gather of those indices.
     """
-    improving = np.flatnonzero(candidate < values[edge_dst])
+    improving = (candidate < values[edge_dst]).nonzero()[0]
     targets = edge_dst[improving]
     np.minimum.at(values, targets, candidate[improving])
     return contract(targets, values.size)

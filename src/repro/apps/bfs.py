@@ -55,7 +55,7 @@ class BFSApp(App):
         edge_pos: np.ndarray | None = None,
     ) -> np.ndarray:
         assert self.dist is not None
-        undiscovered = np.flatnonzero(self.dist[edge_dst] == UNVISITED)
+        undiscovered = (self.dist[edge_dst] == UNVISITED).nonzero()[0]
         next_frontier = contract(edge_dst[undiscovered], self.dist.size)
         self._level += 1
         self.dist[next_frontier] = self._level

@@ -142,9 +142,9 @@ class SageScheduler(Scheduler):
     def queue_edge_limit(self, graph: CSRGraph) -> int:
         # post_level reads what pricing sampled: price by the level that readies a round
         if self._reorderer is None:
-            return graph.num_nodes
+            return graph.num_edges
         left = self._reorderer.threshold_edges - self._reorderer.sampler.observed_edges
-        return min(graph.num_nodes, left)
+        return min(graph.num_edges, left)
 
     def kernel_stats(
         self,
@@ -227,7 +227,8 @@ class SageScheduler(Scheduler):
         placement), no sampling reorder and no sanitizer: each column
         takes the scalar path's operations in the same order, on the
         totals the queue's one pass already gives.  A full frontier
-        (only queued when |E| < |V|) is gathered like any other.
+        (in a queue of several levels only when |E| < |V|, as its last
+        level) is gathered like any other.
         """
         spec = self.spec
         table = self._node_table(graph)

@@ -266,8 +266,8 @@ class TraversalPipeline(LevelPricer):
     """Runs apps over a graph with a given scheduler and device.
 
     A level is one scheduler kernel on the device, followed by any
-    reordering the scheduler commits.  Small levels are priced in queues
-    (see :meth:`price`).
+    reordering the scheduler commits.  Levels are priced in queues (see
+    :meth:`price`).
     """
 
     def __init__(
@@ -319,9 +319,10 @@ class TraversalPipeline(LevelPricer):
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
     ) -> None:
         """Queue the level; price the queue once it holds the scheduler's
-        ``queue_edge_limit`` (at most |V|) edges.  A level of |V| edges or
-        more is priced alone, after the queue; :meth:`post_level` prices
-        the queue before a commit and at convergence."""
+        ``queue_edge_limit`` (at most |E|) edges, so a full frontier
+        fills a queue alone.  A level of |V| edges or more closes the
+        queue before it; :meth:`post_level` prices the queue before a
+        commit and at convergence."""
         edges = int(level.edge_dst.size)
         if edges >= graph.num_nodes:
             self._price_queued(graph, app, trace)
@@ -337,13 +338,15 @@ class TraversalPipeline(LevelPricer):
         self, graph: CSRGraph, app: App, trace: list[TraceNode]
     ) -> None:
         """Price the queue with one ``level_stats`` call (a
-        :class:`KernelBatch` is scored as columns).  Each level gets its
-        own trace node and, if recorded, its own span values."""
+        :class:`KernelBatch` is scored as columns), counted as one
+        ``pipeline.pricing_passes``.  Each level gets its own trace node
+        and, if recorded, its own span values."""
         levels = self._queued
         if not levels:
             return
         self._queued = []
         self._queued_edges = 0
+        self.metrics.count("pipeline.pricing_passes")
         device = self.device
         stats = self.scheduler.level_stats(levels, graph, app)
         indices = [level.index for level in levels]

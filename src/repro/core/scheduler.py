@@ -116,10 +116,11 @@ class Scheduler(ABC):
         ]
 
     def queue_edge_limit(self, graph: CSRGraph) -> int:
-        """Edges of small levels a pipeline may queue before pricing them:
-        |V|, or fewer when :meth:`post_level` reads what pricing recorded
-        (never more, since a level of |V| edges is priced at once)."""
-        return graph.num_nodes
+        """Edges a pipeline may queue before pricing them: |E|, so a
+        queue's memory is of the order of the CSR its levels were
+        expanded from and a full frontier fills a queue alone; fewer
+        when :meth:`post_level` reads what pricing recorded."""
+        return graph.num_edges
 
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
         """Give self-adaptive schedulers a chance to commit a reordering."""

@@ -207,19 +207,21 @@ class CSRGraph:
                 np.arange(self.num_edges, dtype=EDGE_DTYPE),
                 degrees,
             )
-        starts = self.offsets[frontier]
-        counts = self.offsets[1:][frontier] - starts
-        total = int(counts.sum())
+        stops = self.offsets[1:][frontier]
+        counts = stops - self.offsets[frontier]
+        ends = counts.cumsum()
+        total = int(ends[-1]) if ends.size else 0
         if total == 0:
             empty = np.empty(0, dtype=EDGE_DTYPE)
             return empty, empty.copy(), empty.copy(), counts
         # Edge i of the level belongs to the frontier node whose run
         # covers it; its CSR position is i shifted by that node's
-        # ``starts - (edges before it in the level)``.
-        shift = starts + counts - np.cumsum(counts)
-        edge_pos = np.repeat(shift, counts)
+        # ``start - (edges before it in the level)``, which is its
+        # ``stop - (edges up to and including it)``.
+        stops -= ends
+        edge_pos = stops.repeat(counts)
         edge_pos += np.arange(total, dtype=EDGE_DTYPE)
-        return np.repeat(frontier, counts), self.targets[edge_pos], edge_pos, counts
+        return frontier.repeat(counts), self.targets[edge_pos], edge_pos, counts
 
     # ------------------------------------------------------------------
     # Transformation

@@ -45,6 +45,7 @@ PIPELINE_COUNTERS: frozenset[str] = frozenset(
         "pipeline.iterations",
         "pipeline.edges_traversed",
         "pipeline.reorder_commits",
+        "pipeline.pricing_passes",
     }
 )
 

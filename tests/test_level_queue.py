@@ -1,10 +1,11 @@
 """Every pipeline run prices its levels in queues, and equals pricing
 each level as it runs.
 
-A :class:`~repro.core.pipeline.TraversalPipeline` queues levels of fewer
-than |V| edges and prices the queue with one ``Scheduler.level_stats``
-call once it holds the scheduler's ``queue_edge_limit`` edges, before a
-reorder commit and at convergence; a larger level is priced alone.
+A :class:`~repro.core.pipeline.TraversalPipeline` queues levels and
+prices the queue with one ``Scheduler.level_stats`` call once it holds
+the scheduler's ``queue_edge_limit`` edges (|E| by default), before a
+reorder commit and at convergence; a level of |V| edges or more closes
+the queue before it, and a full frontier fills a queue alone.
 Plain, recorded, sanitized and sampling-reorder runs all take that path.
 The reference prices each level through a ``kernel_stats`` override as
 it runs; every kind of run must equal it, bit for bit.
@@ -190,17 +191,48 @@ def test_rounds_commit_as_long_queues_are_priced(graphs, monkeypatch, app):
     assert_same_run(got, want)
 
 
+def assert_queues_hold_under_e_edges_plus_their_trigger(queues, graph):
+    assert queues
+    for edges in queues:
+        assert sum(edges[:-1]) < graph.num_edges
+        # a level of |V| edges or more closes the queue before it
+        assert all(level < graph.num_nodes for level in edges[1:])
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_a_flush_holds_under_v_edges_plus_its_trigger(graphs, graph_name, priced_queues):
+def test_a_flush_holds_under_e_edges_plus_its_trigger(graphs, graph_name, priced_queues):
     graph = graphs[graph_name]
-    api.run(graph, "bfs", source=0)
-    assert priced_queues
-    for edges in priced_queues:
-        if edges[-1] >= graph.num_nodes:  # a big level is priced alone
-            assert len(edges) == 1
-            continue
-        assert all(level < graph.num_nodes for level in edges)
-        assert sum(edges[:-1]) < graph.num_nodes
+    run = api.run(graph, "bfs", source=0)
+    assert_queues_hold_under_e_edges_plus_their_trigger(priced_queues, graph)
+    assert sum(map(sum, priced_queues)) == run.edges_traversed
+
+
+def test_a_grid_bfs_is_priced_in_one_pass(graphs, priced_queues):
+    graph = graphs["grid"]
+    run = api.run(graph, "bfs", source=0)
+    # a BFS of a connected graph reads every edge once: |E| in all
+    assert run.edges_traversed == graph.num_edges
+    assert len(priced_queues) == 1
+    assert len(priced_queues[0]) == run.iterations
+
+
+def test_each_queue_of_a_grid_sssp_holds_under_e_edges_plus_its_trigger(
+    graphs, priced_queues
+):
+    graph = graphs["grid"]
+    # from node 1, some nodes settle late and are expanded again
+    run = api.run(graph, "sssp", source=1)
+    assert run.edges_traversed > graph.num_edges
+    assert len(priced_queues) > 1
+    assert_queues_hold_under_e_edges_plus_their_trigger(priced_queues, graph)
+    assert sum(map(sum, priced_queues)) == run.edges_traversed
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_every_full_pagerank_level_is_a_queue_of_one(graphs, graph_name, priced_queues):
+    graph = graphs[graph_name]
+    run = api.run(graph, "pr")
+    assert priced_queues == [[graph.num_edges]] * run.iterations
 
 
 def test_small_levels_are_priced_together(graphs, priced_queues):

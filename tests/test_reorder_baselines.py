@@ -1,9 +1,12 @@
 """Tests for the baseline reordering methods and the NP-hard objective."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.graph import datasets
 from repro.graph import generators as gen
 from repro.graph.properties import sector_span
 from repro.reorder import (
@@ -88,6 +91,26 @@ class TestAllMethods:
                                 np.array([], dtype=int))
         perm = method(g)
         assert is_permutation(perm, 4)
+
+
+#: sha256 of ``gorder_order(d.graph)`` as int64 bytes, for every
+#: ``datasets.full_suite(0.05)`` stand-in: a faster Gorder must return
+#: the same permutation (tie rule: highest score, then lowest node id).
+GORDER_DIGESTS = {
+    "uk-2002": "7300e856769f9faeab3e5547fb0b42618cb87d39240d84001b874e36f618562b",
+    "brain": "32a8f5f71e4a049ef8cd52cde7cababe436a3f1d0d4797c67486606279337f2e",
+    "ljournal": "bad9bdf5529564fe94308e0220b4385c88ec472063f38bb1672f9a3e0e0c713f",
+    "twitter": "58645f1bb2fd84bac8098f227555f903b80f98cd15c79e1ac37b0f4a7ef3d44d",
+    "friendster": "ff161c21c161c21b01299daaf3ea160d0261f9008a189fb123908e416b29ec18",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GORDER_DIGESTS))
+def test_gorder_permutation_is_pinned(name):
+    # scale 0.05 is test_bench.py's TINY, whose cached graphs fig6 orders
+    perm = gorder_order(datasets.by_name(name, scale=0.05).graph)
+    digest = hashlib.sha256(np.ascontiguousarray(perm, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == GORDER_DIGESTS[name]
 
 
 class TestLocalityRecovery:

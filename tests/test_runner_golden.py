@@ -166,7 +166,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '6d380fa579434b2d',
         'trace': 'c2c3ef0b27e79acf',
-        'metrics': 'ca420f82778abc9f',
+        'metrics': '233578fa616b6db8',
     },
     ('sage', 'sssp'): {
         'seconds': '0x1.1fe1e11587fe7p-18',
@@ -177,7 +177,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '8b24b6832c9a7098',
         'trace': '0273bf9fc0ca60c3',
-        'metrics': 'dc36231b1b809ad8',
+        'metrics': '2d923ea2fe048871',
     },
     ('sage', 'pr'): {
         'seconds': '0x1.b1150cbbbd5c7p-17',
@@ -188,7 +188,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '9244adc9380f6a3f',
         'trace': '4feb48732b3b32c2',
-        'metrics': 'ae773b206c4551e1',
+        'metrics': 'e2d61dd46248cb66',
     },
     ('sage-sr', 'bfs'): {
         'seconds': '0x1.a9e0aebd2fa0ep-18',
@@ -199,7 +199,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '63f91c2f419cd071',
         'trace': 'ee4df5e59e305a57',
-        'metrics': '7abb833af93f4c03',
+        'metrics': '13c3c474b084b36b',
     },
     ('sage-sr', 'sssp'): {
         'seconds': '0x1.f3a1eb38dc756p-18',
@@ -210,7 +210,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '2bb956d539059bbd',
         'trace': '83e90d1dcaa74504',
-        'metrics': '8753d4383c90941f',
+        'metrics': 'ead590cce224e204',
     },
     ('sage-sr', 'pr'): {
         'seconds': '0x1.afad3d9953567p-16',
@@ -221,7 +221,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '033ae43ab7261948',
         'trace': '74e5a225488565aa',
-        'metrics': '936f7cdc04d3f6d1',
+        'metrics': 'd19763525d06d8fb',
     },
     ('sage-sr-reused', 'bfs'): {
         'seconds': '0x1.a9982c8ec8405p-18',
@@ -232,7 +232,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': 'b90a3869e0975b22',
         'trace': '1e31a65f756e88ff',
-        'metrics': '25cff2f827879a86',
+        'metrics': '1b4a2f2a992b2b5e',
     },
     ('sage-sr-reused', 'sssp'): {
         'seconds': '0x1.42b6f767c3da2p-17',
@@ -243,7 +243,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '6b11b2368ad953a8',
         'trace': '35bdd2e75e2f7bf9',
-        'metrics': 'b53842a1a36c4a2f',
+        'metrics': 'dfb8139ab02876ce',
     },
     ('sage-sr-reused', 'pr'): {
         'seconds': '0x1.afad3d9953567p-16',
@@ -254,7 +254,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'extras': '4f53cda18c2baa0c',
         'profiler': '05c533f255b46be7',
         'trace': '74e5a225488565aa',
-        'metrics': '9cde3c90cef92ca9',
+        'metrics': '7002ecc2bf381c36',
     },
     ('subway', 'bfs'): {
         'seconds': '0x1.942b319df3b26p-16',
