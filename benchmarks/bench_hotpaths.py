@@ -56,8 +56,6 @@ from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
 from repro.gpusim.device import Device
 from repro.gpusim.memory import (
-    LRUCacheModel,
-    ReferenceLRUCache,
     distinct_counts,
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
@@ -145,32 +143,6 @@ def bench_relax(rng, repeats: int, n_edges: int) -> None:
     new_s = _best_of(lambda: relax(dist.copy(), edge_dst, candidate), repeats)
     ref_s = _best_of(lambda: _relax_mask(dist.copy(), edge_dst, candidate), repeats)
     _row("relax (index select)", n_edges, new_s, ref_s)
-
-
-def bench_lru(rng, repeats: int, n_accesses: int) -> None:
-    capacity = 512
-    # Two synthetic traces, a scattered zipf stream and a high-locality
-    # walk.  Neither is a good case: LRUCacheModel loses to the dict
-    # walk on both, and on the BFS sector streams replay_cache_trace
-    # feeds it (rmat(15, 8) at 30 % hits, grid_2d(112, 112) at 93 %,
-    # default L2) it runs at 0.16-0.28x of ReferenceLRUCache.
-    scattered = rng.zipf(1.4, size=n_accesses) % 16384
-    steps = rng.integers(-6, 7, size=n_accesses)
-    walk = np.abs(np.cumsum(steps)) % 4096
-    for label, trace in (
-        ("LRUCacheModel (scattered)", scattered),
-        ("LRUCacheModel (walk, adversarial)", walk),
-    ):
-
-        def run_new():
-            cache = LRUCacheModel(capacity)
-            cache.access(trace)
-
-        def run_ref():
-            cache = ReferenceLRUCache(capacity)
-            cache.access(trace)
-
-        _row(label, n_accesses, _best_of(run_new, repeats), _best_of(run_ref, repeats))
 
 
 def bench_tiling(rng, repeats: int, n_nodes: int) -> None:
@@ -364,7 +336,6 @@ def main(argv: list[str] | None = None) -> int:
 
     print("bench_hotpaths: vectorized hot paths vs retained references")
     bench_segmented(rng, repeats, 125_000 * scale)
-    bench_lru(rng, repeats, 25_000 * scale)
     bench_tiling(rng, repeats, 62_500 * scale)
     bench_sampling(rng, repeats, 125_000 * scale)
     bench_reorder(rng, repeats, 125_000 * scale)

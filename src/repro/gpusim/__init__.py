@@ -15,7 +15,6 @@ from repro.gpusim.events import (
     tasks_from_decomposition,
 )
 from repro.gpusim.memory import (
-    LRUCacheModel,
     coalesced_sectors,
     distinct_sectors,
     estimate_dram_sectors,
@@ -38,7 +37,7 @@ from repro.gpusim.streams import (
     kernel_occupancy,
     trace_seconds,
 )
-from repro.gpusim.trace import CacheTraceReport, replay_cache_trace
+from repro.gpusim.trace import CacheTraceReport, LRUCacheModel, replay_cache_trace
 
 __all__ = [
     "BatchDag",

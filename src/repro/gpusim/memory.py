@@ -7,21 +7,22 @@ transactions — the exact quantity the Sampling-based Reordering objective
 minimizes (paper Section 6).
 
 This module provides vectorized distinct-sector counting over segmented
-access batches plus an LRU cache used both exactly (tests, profiling) and
-as a sampled estimator inside the cost model.
+access batches and the analytic L2 estimate the cost model prices DRAM
+traffic with (:func:`estimate_dram_sectors`).  The exact LRU cache the
+estimate is checked against lives beside its one caller, in
+:mod:`repro.gpusim.trace`.
 
 Hot-path discipline (see DESIGN.md "Hot-path complexity budgets"): every
 function here runs once per simulated kernel, so each is bounded by
 O(E) or O(E log E) vectorized work with no per-element Python loops.
-Reference implementations (``*_reference`` / :class:`ReferenceLRUCache`)
-retain the straightforward formulations; the equivalence property tests
-in ``tests/test_hotpath_equivalence.py`` pin the optimized paths to them
+Reference implementations (``*_reference``) retain the straightforward
+formulations; the equivalence property tests in
+``tests/test_hotpath_equivalence.py`` pin the optimized paths to them
 bit-for-bit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -259,327 +260,6 @@ def coalesced_sectors(
         return base
     straddle = (sizes % sector_width != 0) | (sizes >= sector_width)
     return base + straddle.astype(np.int64)
-
-
-def _permutation_prefix_counts(
-    perm: np.ndarray, t_ranks: np.ndarray, p_limits: np.ndarray
-) -> np.ndarray:
-    """For each query ``i``: ``#{r < t_ranks[i] : perm[r] < p_limits[i]}``.
-
-    2D dominance counting over a permutation-like array by binary range
-    decomposition (the mergesort/wavelet-tree idea, fully vectorized).
-    ``perm`` is padded to a power-of-two length with a sentinel that no
-    query limit exceeds; at level ``l`` the working array is sorted
-    within aligned blocks of width ``2**l``, and every query whose
-    threshold has bit ``l`` set resolves one aligned block of its
-    ``[0, t)`` prefix with a single global ``searchsorted`` — block
-    offsets of ``size + 1`` make the blockwise-sorted array globally
-    strictly increasing, so one call answers all queries of the level.
-    Pairwise-merging blocks between levels costs ``O(n log n)`` per
-    level: ``O(n log^2 n)`` total with ``O(n)`` live memory, which is
-    what lets the LRU model take arbitrarily large batches whole instead
-    of chunking them.
-    """
-    n = perm.size
-    n_queries = t_ranks.size
-    if n == 0 or n_queries == 0:
-        return np.zeros(n_queries, dtype=np.int64)
-    n_bits = max(1, int(n - 1).bit_length())
-    size = 1 << n_bits
-    # Sentinel `n`: every real limit satisfies p_limits <= n, so padded
-    # slots can never be counted.
-    vals = np.full(size, n, dtype=np.int64)
-    vals[:n] = perm
-    out = np.zeros(n_queries, dtype=np.int64)
-    block_of = np.arange(size, dtype=np.int64)
-    # Levels above the highest set bit of any threshold resolve no
-    # queries; `np.sort` over width-2**l rows is correct regardless of
-    # the previous level's state, so skipped levels cost nothing.
-    max_level = min(n_bits, int(t_ranks.max()).bit_length() - 1)
-    for level in range(max_level + 1):
-        selected = np.flatnonzero((t_ranks >> level) & 1)
-        if selected.size == 0:
-            continue
-        if level > 0:
-            vals = np.sort(vals.reshape(-1, 1 << level), axis=1).ravel()
-        # The [0, t) prefix decomposes into one aligned block per set
-        # bit of t; bit `level`'s block starts at t with bits 0..level
-        # cleared and spans 2**level elements, sorted at this level.
-        starts = t_ranks[selected] & ~np.int64((2 << level) - 1)
-        aug = vals + (block_of >> level) * np.int64(size + 1)
-        keys = p_limits[selected] + (starts >> level) * np.int64(size + 1)
-        # Searching the keys in sorted order keeps consecutive binary
-        # searches on overlapping cache lines — ~4x faster than probing
-        # in arrival order once `aug` falls out of L2.
-        order = np.argsort(keys)
-        idx = np.empty(keys.size, dtype=np.int64)
-        idx[order] = np.searchsorted(aug, keys[order], side="left")
-        out[selected] += idx - starts
-    return out
-
-
-def _prefix_dominance_counts(
-    values: np.ndarray, q_pos: np.ndarray, q_val: np.ndarray
-) -> np.ndarray:
-    """For each query ``t``: ``#{j < q_pos[t] : values[j] <= q_val[t]}``.
-
-    The workhorse of the batched LRU stack-distance computation.  Small
-    problems take one dense 2D comparison; larger ones are reduced to
-    permutation dominance counting: rank-compress the values (a stable
-    argsort is a permutation even with ties), turn each value threshold
-    into a rank threshold with one ``searchsorted``, and hand the
-    position/rank dominance problem to
-    :func:`_permutation_prefix_counts` (``O((n + q) log^2 n)`` time,
-    ``O(n + q)`` memory).
-    """
-    n = values.size
-    n_queries = q_pos.size
-    if n == 0 or n_queries == 0:
-        return np.zeros(n_queries, dtype=np.int64)
-    if n * n_queries <= 1 << 18:
-        lanes = np.arange(n, dtype=np.int64)
-        return np.count_nonzero(
-            (lanes[None, :] < q_pos[:, None]) & (values[None, :] <= q_val[:, None]),
-            axis=1,
-        ).astype(np.int64)
-    # Rank-compress: rank[j] = position of values[j] in sorted order
-    # (ties broken by position), so "values[j] <= X" becomes
-    # "rank[j] < searchsorted(sorted_values, X, 'right')".
-    order = np.argsort(values, kind="stable")
-    thresholds = np.searchsorted(values[order], q_val, side="right")
-    # Count ranks r < threshold whose original position order[r] < q_pos.
-    return _permutation_prefix_counts(order, thresholds, q_pos)
-
-
-class LRUCacheModel:
-    """Exact LRU cache over sector ids, batch-vectorized.
-
-    Used to measure hit rates of small traces exactly (tests and the
-    profiler) — the cost model uses :func:`estimate_dram_sectors` for
-    speed on large traces.
-
-    :meth:`access` exploits the LRU stack (inclusion) property: an access
-    hits iff fewer than ``capacity`` distinct sectors were touched since
-    the sector's previous access.  Stack distances for the whole batch
-    are computed with :func:`_prefix_dominance_counts` instead of
-    walking an ordered dict per sector; its ``O(n log^2 n)``-time,
-    ``O(n)``-memory dominance counter keeps arbitrarily large batches in
-    one vectorized pass (no chunking).  Results are bit-identical to
-    :class:`ReferenceLRUCache` (property-tested).
-    """
-
-    def __init__(self, capacity_sectors: int) -> None:
-        if capacity_sectors < 1:
-            raise InvalidParameterError("cache capacity must be >= 1")
-        self.capacity = capacity_sectors
-        self.hits = 0
-        self.misses = 0
-        self._time = 0
-        # Sorted distinct sectors ever touched + their last access times.
-        self._sectors = np.empty(0, dtype=np.int64)
-        self._times = np.empty(0, dtype=np.int64)
-        self._times_sorted = np.empty(0, dtype=np.int64)
-
-    def access(self, sectors: np.ndarray | list[int]) -> int:
-        """Touch sectors in order; returns the number of misses added."""
-        return self._access_batch(np.asarray(sectors, dtype=np.int64).ravel())
-
-    def _access_batch(self, batch: np.ndarray) -> int:
-        n = batch.size
-        if n == 0:
-            return 0
-        t0 = self._time
-
-        # Previous occurrence of each element within the batch (-1 when
-        # the element is its sector's first batch occurrence).
-        order = np.argsort(batch, kind="stable")
-        sorted_secs = batch[order]
-        prev_rel = np.full(n, -1, dtype=np.int64)
-        if n > 1:
-            same = sorted_secs[1:] == sorted_secs[:-1]
-            prev_rel[order[1:]] = np.where(same, order[:-1], np.int64(-1))
-
-        # Global previous-access time: in-batch position + t0, else the
-        # stored last-access time, else -1 (never seen).
-        prev_glob = np.where(prev_rel >= 0, t0 + prev_rel, np.int64(-1))
-        firsts = np.flatnonzero(prev_rel < 0)
-        if self._sectors.size and firsts.size:
-            first_secs = batch[firsts]
-            idx = np.searchsorted(self._sectors, first_secs)
-            idx_c = np.minimum(idx, self._sectors.size - 1)
-            found = (idx < self._sectors.size) & (self._sectors[idx_c] == first_secs)
-            prev_glob[firsts] = np.where(found, self._times[idx_c], np.int64(-1))
-
-        # An access hits iff its stack distance D — the distinct sectors
-        # touched strictly between the previous access and this one — is
-        # below capacity.  Most accesses are classified by O(1) bounds;
-        # only the ambiguous remainder pays for exact dominance counting.
-        capacity = self.capacity
-        hit = np.zeros(n, dtype=bool)
-        is_first = prev_rel < 0
-        # firsts_in_prefix[x] = number of batch-firsts at positions < x.
-        firsts_in_prefix = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(is_first)]
-        )
-
-        # Batch-first accesses: the window reaches into pre-batch state.
-        # D = (state sectors last touched inside the window) + (earlier
-        # firsts whose own previous access also precedes the window).
-        if firsts.size:
-            fprev = prev_glob[firsts]
-            seen = fprev >= 0
-            state_above = self._times_sorted.size - np.searchsorted(
-                self._times_sorted, fprev, side="right"
-            )
-            first_rank = np.arange(firsts.size, dtype=np.int64)
-            never_before = first_rank - np.cumsum(seen) + seen
-            # Never-seen earlier firsts always land in the window; at
-            # most every earlier first does.
-            d_low = state_above + never_before
-            d_high = state_above + first_rank
-            f_hit = seen & (d_high < capacity)
-            ambiguous = np.flatnonzero(seen & ~f_hit & (d_low < capacity))
-            if ambiguous.size:
-                # Only points at or below the largest query threshold can
-                # ever be counted; dropping the rest shrinks the
-                # dominance problem (order among keepers is preserved).
-                keep = fprev <= fprev[ambiguous].max()
-                kept_prefix = np.concatenate(
-                    [np.zeros(1, dtype=np.int64), np.cumsum(keep)]
-                )
-                g = _prefix_dominance_counts(
-                    fprev[keep],
-                    kept_prefix[first_rank[ambiguous]],
-                    fprev[ambiguous],
-                )
-                f_hit[ambiguous] = state_above[ambiguous] + g < capacity
-            hit[firsts] = f_hit
-
-        # Repeat accesses: the window lies inside the batch.  D = (firsts
-        # in the window — each a fresh distinct sector) + (repeats in the
-        # window whose own previous access precedes the window).
-        repeats = np.flatnonzero(prev_rel >= 0)
-        if repeats.size:
-            p_rel = prev_rel[repeats]
-            window = repeats - p_rel - 1
-            f1 = firsts_in_prefix[repeats] - firsts_in_prefix[p_rel + 1]
-            r_hit = window < capacity  # D <= accesses in the window
-            ambiguous = np.flatnonzero(~r_hit & (f1 < capacity))
-            if ambiguous.size:
-                x_hi = ambiguous  # index of each query repeat among repeats
-                x_lo = np.searchsorted(repeats, p_rel[ambiguous] + 1)
-                v = p_rel[ambiguous]
-                keep = p_rel <= v.max()
-                kept_prefix = np.concatenate(
-                    [np.zeros(1, dtype=np.int64), np.cumsum(keep)]
-                )
-                counts = _prefix_dominance_counts(
-                    p_rel[keep],
-                    kept_prefix[np.concatenate([x_hi, x_lo])],
-                    np.concatenate([v, v]),
-                )
-                f2 = counts[: ambiguous.size] - counts[ambiguous.size :]
-                r_hit[ambiguous] = f1[ambiguous] + f2 < capacity
-            hit[repeats] = r_hit
-
-        new_hits = int(np.count_nonzero(hit))
-        new_misses = n - new_hits
-        self.hits += new_hits
-        self.misses += new_misses
-        self._time = t0 + n
-
-        # Fold the batch into the state: last access time per sector.
-        run_ends = np.flatnonzero(
-            np.append(sorted_secs[1:] != sorted_secs[:-1], True)
-        )
-        batch_uniq = sorted_secs[run_ends]
-        batch_last = t0 + order[run_ends]
-        stale_times = np.empty(0, dtype=np.int64)
-        if self._sectors.size:
-            idx = np.searchsorted(self._sectors, batch_uniq)
-            idx_c = np.minimum(idx, self._sectors.size - 1)
-            found = (idx < self._sectors.size) & (self._sectors[idx_c] == batch_uniq)
-            stale_times = np.sort(self._times[idx_c[found]])
-            self._times[idx_c[found]] = batch_last[found]
-            fresh = ~found
-        else:
-            fresh = np.ones(batch_uniq.size, dtype=bool)
-        if fresh.any():
-            insert_at = np.searchsorted(self._sectors, batch_uniq[fresh])
-            self._sectors = np.insert(self._sectors, insert_at, batch_uniq[fresh])
-            self._times = np.insert(self._times, insert_at, batch_last[fresh])
-        # Every new time exceeds every retained one, so the sorted-times
-        # update is drop-stale + append-sorted-batch, no full re-sort.
-        retained = self._times_sorted
-        if stale_times.size:
-            retained = np.delete(retained, np.searchsorted(retained, stale_times))
-        self._times_sorted = np.concatenate([retained, np.sort(batch_last)])
-
-        # Prune to the `capacity` most recent distinct sectors — the LRU
-        # stack property makes older entries irrelevant: their next
-        # access has stack distance >= capacity (a certain miss, which
-        # the never-seen classification reports), and they cannot appear
-        # in any other access's reuse window (a window sector's last
-        # touch lies inside the window, i.e. after every pruned time).
-        # Keeps every state-sized merge pass O(capacity + batch) instead
-        # of O(distinct sectors ever).
-        if self._sectors.size > capacity:
-            keep = self._times >= self._times_sorted[-capacity]
-            self._sectors = self._sectors[keep]
-            self._times = self._times[keep]
-            self._times_sorted = self._times_sorted[-capacity:]
-        return new_misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._time = 0
-        self._sectors = np.empty(0, dtype=np.int64)
-        self._times = np.empty(0, dtype=np.int64)
-        self._times_sorted = np.empty(0, dtype=np.int64)
-
-
-class ReferenceLRUCache:
-    """The original per-sector Python loop, kept as the equivalence-test
-    reference for :class:`LRUCacheModel`."""
-
-    def __init__(self, capacity_sectors: int) -> None:
-        if capacity_sectors < 1:
-            raise InvalidParameterError("cache capacity must be >= 1")
-        self.capacity = capacity_sectors
-        self._entries: OrderedDict[int, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, sectors: np.ndarray | list[int]) -> int:
-        misses = 0
-        entries = self._entries
-        for s in np.asarray(sectors, dtype=np.int64).tolist():
-            if s in entries:
-                entries.move_to_end(s)
-                self.hits += 1
-            else:
-                entries[s] = None
-                self.misses += 1
-                misses += 1
-                if len(entries) > self.capacity:
-                    entries.popitem(last=False)
-        return misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 def estimate_dram_sectors(

@@ -345,9 +345,10 @@ class TestRepoIsClean:
 
     def test_baseline_is_empty(self):
         """The ratchet has reached zero: the last grandfathered
-        violation (the LRU chunk loop in gpusim/memory.py) was
-        vectorized away.  Any future hot-path loop must be fixed, not
-        baselined."""
+        violation, a per-access LRU loop in gpusim/memory.py, left the
+        hot-path modules with the exact LRU, which now lives beside its
+        one caller in gpusim/trace.py.  Any future hot-path loop must be
+        fixed, not baselined."""
         assert load_baseline(ROOT / "lint_baseline.json") == {}
 
     def test_hot_paths_have_no_violations_at_all(self):

@@ -283,8 +283,8 @@ class TestTraceReplay:
         )
         assert better.hit_rate > base.hit_rate
 
-    def test_stride_sampling(self, skewed_graph):
-        full = replay_cache_trace(skewed_graph, BFSApp(), 0)
-        strided = replay_cache_trace(skewed_graph, BFSApp(), 0,
-                                     sample_stride=4)
-        assert strided.accesses < full.accesses
+    def test_zero_capacity_raises(self):
+        # 0 is a capacity, not "unset": it must not fall back to the L2
+        g = gen.rmat(8, 8, seed=3)
+        with pytest.raises(InvalidParameterError):
+            replay_cache_trace(g, BFSApp(), 0, capacity_sectors=0)

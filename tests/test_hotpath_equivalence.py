@@ -5,10 +5,9 @@ formulation as an importable reference; these properties assert the
 rewritten kernels are *bit-for-bit identical* to those references —
 including the shapes perf rewrites classically get wrong: empty
 segments, single-node frontiers, all-duplicate destinations, degree-0
-hubs, LRU batches that straddle the internal chunk boundary, sector
-bounds past the last node id, edge lists over zero or one node, and
-frontiers that are the whole node set, a permutation of it, or only
-degree-0 nodes.
+hubs, sector bounds past the last node id, edge lists over zero or one
+node, and frontiers that are the whole node set, a permutation of it,
+or only degree-0 nodes.
 """
 
 import numpy as np
@@ -35,8 +34,6 @@ from repro.core.sampling import (
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.gpusim.memory import (
-    LRUCacheModel,
-    ReferenceLRUCache,
     distinct_counts,
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
@@ -111,56 +108,6 @@ class TestSegmentedDistinctSectors:
         empty = np.empty(0, dtype=np.int64)
         for fn in (segmented_distinct_sectors, segmented_distinct_sectors_reference):
             assert fn(empty, empty, 8).size == 0
-
-
-def lru_trace():
-    # Mix of locality regimes, including immediate re-touches (stack
-    # distance 0) and values far beyond any capacity under test.
-    return st.lists(st.integers(0, 40), min_size=0, max_size=300)
-
-
-class TestLRUCacheModelEquivalence:
-    @settings(max_examples=100, deadline=None)
-    @given(lru_trace(), st.integers(1, 12))
-    def test_matches_reference(self, trace, capacity):
-        model = LRUCacheModel(capacity)
-        reference = ReferenceLRUCache(capacity)
-        model.access(trace)
-        reference.access(trace)
-        assert (model.hits, model.misses) == (reference.hits, reference.misses)
-
-    @settings(max_examples=60, deadline=None)
-    @given(lru_trace(), st.integers(1, 12), st.data())
-    def test_split_batches_equal_one_batch(self, trace, capacity, data):
-        # LRU over a concatenated stream must equal sequential batches —
-        # the property the internal chunking relies on; state carried
-        # across access() calls (and across the pruning pass) is covered
-        # by cutting the trace at arbitrary points.
-        cut = data.draw(st.integers(0, len(trace)), label="cut")
-        split = LRUCacheModel(capacity)
-        split.access(trace[:cut])
-        split.access(trace[cut:])
-        whole = LRUCacheModel(capacity)
-        whole.access(trace)
-        assert (split.hits, split.misses) == (whole.hits, whole.misses)
-
-    @pytest.mark.parametrize("capacity", [1, 3, 64, 2048, 5000])
-    def test_chunk_boundary_regimes(self, capacity):
-        # Deterministic trace longer than _CHUNK so every run exercises
-        # the chunked path, the state merge, and the capacity pruning.
-        rng = np.random.default_rng(5)
-        trace = np.concatenate(
-            [
-                rng.integers(0, 8000, size=3000),  # scattered
-                np.abs(np.cumsum(rng.integers(-4, 5, size=3000))) % 512,  # local walk
-                np.full(100, 3, dtype=np.int64),  # hot line
-            ]
-        )
-        model = LRUCacheModel(capacity)
-        reference = ReferenceLRUCache(capacity)
-        model.access(trace)
-        reference.access(trace)
-        assert (model.hits, model.misses) == (reference.hits, reference.misses)
 
 
 def degree_arrays():

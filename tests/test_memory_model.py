@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.gpusim.memory import (
-    LRUCacheModel,
     coalesced_sectors,
     distinct_sectors,
     estimate_dram_sectors,
     sector_ids,
     segmented_distinct_sectors,
 )
+from repro.gpusim.trace import LRUCacheModel
 
 
 class TestSectorMath:
@@ -130,23 +130,58 @@ class TestLRU:
         with pytest.raises(InvalidParameterError):
             LRUCacheModel(0)
 
-    @given(st.lists(st.integers(0, 30), max_size=200), st.integers(1, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_reference(self, trace, capacity):
-        from collections import OrderedDict
+    @given(st.lists(st.integers(0, 40), max_size=300), st.integers(1, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stack_distance_definition(self, trace, capacity):
+        # Immediate re-touches (stack distance 0) and sectors far beyond
+        # any capacity under test are both drawn.
+        hits = stack_distance_hits(trace, capacity)
+        cache = LRUCacheModel(capacity)
+        assert cache.access(trace) == len(trace) - hits
+        assert cache.hits == hits
+
+    @pytest.mark.parametrize("capacity", [1, 3, 64, 2048, 5000])
+    def test_locality_regimes_match_definition(self, capacity):
+        rng = np.random.default_rng(5)
+        trace = np.concatenate(
+            [
+                rng.integers(0, 8000, size=3000),  # scattered
+                np.abs(np.cumsum(rng.integers(-4, 5, size=3000))) % 512,  # local walk
+                np.full(100, 3, dtype=np.int64),  # hot line
+            ]
+        )
         cache = LRUCacheModel(capacity)
         cache.access(trace)
-        ref: OrderedDict[int, None] = OrderedDict()
-        hits = 0
-        for s in trace:
-            if s in ref:
-                ref.move_to_end(s)
-                hits += 1
-            else:
-                ref[s] = None
-                if len(ref) > capacity:
-                    ref.popitem(last=False)
-        assert cache.hits == hits
+        hits = stack_distance_hits(trace.tolist(), capacity)
+        assert (cache.hits, cache.misses) == (hits, trace.size - hits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=300), st.integers(1, 12), st.data())
+    def test_split_batches_equal_one_batch(self, trace, capacity, data):
+        # State carried across access() calls: cutting the stream at
+        # any point must not change a single hit.
+        cut = data.draw(st.integers(0, len(trace)), label="cut")
+        split = LRUCacheModel(capacity)
+        split.access(trace[:cut])
+        split.access(trace[cut:])
+        whole = LRUCacheModel(capacity)
+        whole.access(trace)
+        assert (split.hits, split.misses) == (whole.hits, whole.misses)
+
+
+def stack_distance_hits(trace: list[int], capacity: int) -> int:
+    """Hits of an LRU cache of ``capacity`` sectors, by the definition:
+    an access hits iff its sector was seen before and fewer than
+    ``capacity`` distinct sectors were touched strictly between its
+    previous access and it."""
+    last: dict[int, int] = {}
+    hits = 0
+    for i, sector in enumerate(trace):
+        prev = last.get(sector)
+        if prev is not None and len(set(trace[prev + 1 : i])) < capacity:
+            hits += 1
+        last[sector] = i
+    return hits
 
 
 class TestDramEstimate:
@@ -174,3 +209,30 @@ class TestDramEstimate:
 
     def test_zero(self):
         assert estimate_dram_sectors(0, 0, 100) == 0.0
+
+    @given(st.integers(1, 64), st.integers(0, 64), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_lru_agrees_when_working_set_fits(self, unique, spare, data):
+        # every repeat hits: the misses are the cold ones, ``unique``
+        capacity = unique + spare
+        first = data.draw(st.permutations(range(unique)), label="first")
+        repeats = data.draw(
+            st.lists(st.integers(0, unique - 1), max_size=500), label="repeats"
+        )
+        stream = list(first) + repeats
+        cache = LRUCacheModel(capacity)
+        cache.access(stream)
+        assert cache.misses == estimate_dram_sectors(
+            len(stream), unique, capacity
+        )
+
+    @given(st.lists(st.integers(0, 10_000), unique=True, max_size=200),
+           st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_lru_agrees_without_reuse(self, stream, capacity):
+        # every touch is cold, whatever the capacity
+        cache = LRUCacheModel(capacity)
+        cache.access(stream)
+        assert cache.misses == estimate_dram_sectors(
+            len(stream), len(stream), capacity
+        )
