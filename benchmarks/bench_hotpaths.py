@@ -26,6 +26,11 @@ improving edges by index, against the same body compressing each edge
 array with the boolean mask.  The mesh-level row, run last, expands one
 76-node BFS level of ``grid_2d(112, 112)`` a thousand times: on a
 level of ~300 edges, ``expand_level``'s fixed numpy calls are its cost.
+The two relabel rows come after it, so the rows above keep their random
+inputs: one reorder commit on ``twitter_like(0.15)``, ``permute`` against
+its definition (the edge list relabelled and rebuilt by ``from_edges``)
+and the relabelled graph's node table derived from the old one
+(``NodeAccounting.relabelled``) against ``NodeAccounting.build``.
 Wall times here are informational — the correctness story is
 ``tests/test_hotpath_equivalence.py`` and, for level pricing,
 ``tests/test_node_accounting.py`` and ``tests/test_kernel_batch.py``,
@@ -53,7 +58,12 @@ from repro.core import SageScheduler, TraversalPipeline, sampling
 from repro.core.pipeline import Level
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
-from repro.core.tiling import decompose_frontier, decompose_frontier_reference
+from repro.core.tiling import (
+    DEFAULT_MIN_TILE,
+    NodeAccounting,
+    decompose_frontier,
+    decompose_frontier_reference,
+)
 from repro.gpusim.device import Device
 from repro.gpusim.memory import (
     distinct_counts,
@@ -62,6 +72,7 @@ from repro.gpusim.memory import (
 )
 from repro.graph.coo import COOGraph
 from repro.graph.csr import CSRGraph, expand_frontier_reference
+from repro.graph.datasets import twitter_like
 from repro.graph.generators import grid_2d, rmat
 from repro.obs.span import NullSpan
 
@@ -255,7 +266,8 @@ def bench_level_pricing(repeats: int, graph: CSRGraph) -> None:
     levels, frontier = [], app.initial_frontier()
     while frontier.size:
         edge_src, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
-        levels.append(Level(len(levels), frontier, degrees, edge_dst, edge_pos, NullSpan()))
+        full = graph.is_full_frontier(frontier)
+        levels.append(Level(len(levels), frontier, degrees, edge_dst, edge_pos, NullSpan(), full))
         frontier = app.process_level(edge_src, edge_dst)
     scheduler = SageScheduler()
 
@@ -326,6 +338,35 @@ def bench_expand_mesh_level(repeats: int, graph: CSRGraph, calls: int = 1000) ->
     )
 
 
+def bench_relabel(rng, repeats: int, graph: CSRGraph) -> None:
+    # One reorder commit's host work on the adaptive_session graph: the
+    # relabelled CSR against its definition (the edge list relabelled
+    # and rebuilt), and its node table derived from the old graph's
+    # against tiling it afresh.
+    perm = rng.permutation(graph.num_nodes)
+
+    def run_ref():
+        coo = graph.to_coo()
+        CSRGraph.from_edges(graph.num_nodes, perm[coo.src], perm[coo.dst])
+
+    _row(
+        "permute (twitter_like 0.15)",
+        graph.num_edges,
+        _best_of(lambda: graph.permute(perm), repeats),
+        _best_of(run_ref, repeats),
+    )
+    relabelled = graph.permute(perm)
+    spec = SageScheduler().spec
+    key = (spec.block_size, DEFAULT_MIN_TILE, spec.sector_width, True)
+    table = NodeAccounting.build(graph, *key)
+    _row(
+        "node table: derive vs build",
+        graph.num_nodes,
+        _best_of(lambda: table.relabelled(perm, relabelled, spec.sector_width), repeats),
+        _best_of(lambda: NodeAccounting.build(relabelled, *key), repeats),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller inputs, fewer repeats")
@@ -349,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_distinct_counts(rng, repeats, 100_000 * scale)
     bench_relax(rng, repeats, 100_000 * scale)
     bench_expand_mesh_level(repeats, grid_2d(112, 112))
+    bench_relabel(rng, max(repeats, 20), twitter_like(0.15).graph)
     return 0
 
 

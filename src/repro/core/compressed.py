@@ -65,5 +65,5 @@ class CompressedTraversalScheduler(Scheduler):
     def post_level(self, graph: CSRGraph):
         return self.inner.post_level(graph)
 
-    def notify_reordered(self, perm: np.ndarray) -> None:
-        self.inner.notify_reordered(perm)
+    def notify_reordered(self, perm: np.ndarray, graph: CSRGraph) -> None:
+        self.inner.notify_reordered(perm, graph)

@@ -107,6 +107,10 @@ class SageScheduler(Scheduler):
         self._store: ResidentTileStore | None = None
         self._reorderer: SamplingReorderer | None = None
         self._graph_accounting: SectorAccounting | None = None
+        # the node table last priced with, and what a reorder commit
+        # leaves to derive the next one: (relabelled graph, table, perm)
+        self._table: NodeAccounting | None = None
+        self._relabel: tuple[CSRGraph, NodeAccounting, np.ndarray] | None = None
         self.name = self._build_name()
 
     def _build_name(self) -> str:
@@ -124,6 +128,7 @@ class SageScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def reset(self, graph: CSRGraph) -> None:
+        self._table = None
         self._store = ResidentTileStore(graph) if self.resident_stealing else None
         if self.sampling_reorder:
             threshold = self.reorder_threshold_edges
@@ -153,8 +158,16 @@ class SageScheduler(Scheduler):
         edge_dst: np.ndarray,
         graph: CSRGraph,
         app: App,
+        *,
+        full: bool | None = None,
     ) -> KernelStats:
-        return self._price([frontier], [degrees], [edge_dst], graph, app)[0]
+        """``full`` is the level's :attr:`Level.full` when the caller
+        has it; without it the frontier is compared to every node."""
+        if full is None:
+            full = graph.is_full_frontier(frontier)
+        return self._price(
+            [frontier], [degrees], [edge_dst], [full], graph, app
+        )[0]
 
     def level_stats(
         self, levels: Sequence[Level], graph: CSRGraph, app: App
@@ -164,12 +177,15 @@ class SageScheduler(Scheduler):
         :meth:`_price_columns` covers the configuration, else as
         :class:`KernelStats` from :meth:`_price`.  A shorter queue, or a
         subclass's own ``kernel_stats``, is priced level by level."""
-        if (
-            len(levels) < MIN_PASS_LEVELS
+        if type(self).kernel_stats is not SageScheduler.kernel_stats:
             # a subclass that prices kernels itself sees every level
-            or type(self).kernel_stats is not SageScheduler.kernel_stats
-        ):
             return super().level_stats(levels, graph, app)
+        if len(levels) < MIN_PASS_LEVELS:
+            return [
+                self.kernel_stats(level.frontier, level.degrees,
+                                  level.edge_dst, graph, app, full=level.full)
+                for level in levels
+            ]
         if (
             self.tiled_partitioning
             and self.resident_stealing
@@ -181,6 +197,7 @@ class SageScheduler(Scheduler):
             [level.frontier for level in levels],
             [level.degrees for level in levels],
             [level.edge_dst for level in levels],
+            [level.full for level in levels],
             graph, app,
         )
 
@@ -189,10 +206,12 @@ class SageScheduler(Scheduler):
         frontiers: Sequence[np.ndarray],
         degrees: Sequence[np.ndarray],
         edge_dsts: Sequence[np.ndarray],
+        full: Sequence[bool],
         graph: CSRGraph,
         app: App,
     ) -> list[KernelStats]:
-        """The stats of a queue of kernels, in order, from one pass."""
+        """The stats of a queue of kernels, in order, from one pass.
+        ``full`` flags the kernels over every node in id order."""
         if not self.tiled_partitioning:
             return [
                 self._thread_per_node_stats(frontier, degree, edge_dst, graph, app)
@@ -202,7 +221,6 @@ class SageScheduler(Scheduler):
         # so the kernel's tiling totals are sums of the graph's per-node
         # table (Resident Tile Stealing's "tile once per node", on the host).
         table = self._node_table(graph)
-        full = [graph.is_full_frontier(frontier) for frontier in frontiers]
         works = table.level_work(
             frontiers, degrees, segments=self._reorderer is not None, full=full
         )
@@ -286,12 +304,18 @@ class SageScheduler(Scheduler):
         )
 
     def _node_table(self, graph: CSRGraph) -> NodeAccounting:
-        """The graph's node table for this tiling configuration."""
+        """The graph's node table for this tiling configuration: after a
+        reorder commit, the last table relabelled (the commit's
+        representation update, paper Section 6) rather than re-tiled."""
         spec = self.spec
+        relabel = None
+        if self._relabel is not None and self._relabel[0] is graph:
+            relabel = self._relabel[1:]
         table, built = node_accounting(
             graph, spec.block_size, self.min_tile, spec.sector_width,
-            self.tile_alignment,
+            self.tile_alignment, relabel=relabel,
         )
+        self._table, self._relabel = table, None
         if built:
             self.metrics.count("sage.node_tables_built")
         return table
@@ -331,11 +355,13 @@ class SageScheduler(Scheduler):
         stats = self._reorderer.update_stats(graph.num_nodes, graph.num_edges)
         return ReorderCommit(perm=outcome.perm, update_stats=stats)
 
-    def notify_reordered(self, perm: np.ndarray) -> None:
+    def notify_reordered(self, perm: np.ndarray, graph: CSRGraph) -> None:
         # Stored tile records point at stale CSR offsets after the
         # representation update — drop them (Section 6's update step).
         if self._store is not None:
             self._store.invalidate_all()
+        if self._table is not None:
+            self._relabel = (graph, self._table, perm)
 
     # ------------------------------------------------------------------
     # Cost accounting

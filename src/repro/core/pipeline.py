@@ -84,6 +84,9 @@ class Level:
     edge_pos: np.ndarray
     #: the level's ``iteration`` span, for the pricer's measurements.
     span: Span | NullSpan
+    #: whether ``frontier`` is every node in id order
+    #: (:meth:`CSRGraph.is_full_frontier`), decided once per level.
+    full: bool
 
 
 class LevelPricer:
@@ -170,11 +173,12 @@ def run_levels(
     The result's seconds, and the spans' ``iteration_seconds`` and
     ``transfer_seconds`` (:meth:`~LevelPricer.record_level`), are read off the nodes.
 
-    Each level is one :meth:`CSRGraph.expand_level`.  A full frontier
-    (:meth:`CSRGraph.is_full_frontier`) is expanded once: later full
-    levels on the same graph object share its read-only ``edge_src``,
-    ``edge_dst``, ``edge_pos`` and ``degrees``.  A partial level, or a
-    reorder commit's new graph, drops them.
+    Each level is one :meth:`CSRGraph.expand_level`.  Whether a level is
+    full (:meth:`CSRGraph.is_full_frontier`) is decided once, here, and
+    carried on its :class:`Level`.  A full frontier is expanded once:
+    later full levels on the same graph object share its read-only
+    ``edge_src``, ``edge_dst``, ``edge_pos`` and ``degrees``.  A partial
+    level, or a reorder commit's new graph, drops them.
     """
     metrics = pricer.metrics
     sanitizer = pricer.sanitizer
@@ -204,7 +208,8 @@ def run_levels(
             ) as it_span:
                 mark = len(node_trace)
                 frontier = pricer.order(frontier)
-                if graph.is_full_frontier(frontier):
+                full = graph.is_full_frontier(frontier)
+                if full:
                     if whole is None:
                         whole = _whole_graph_level(graph, frontier)
                     edge_src, edge_dst, edge_pos, degrees = whole
@@ -216,7 +221,8 @@ def run_levels(
                         iterations, frontier, degrees, edge_dst, edge_pos
                     )
                 level = Level(
-                    iterations, frontier, degrees, edge_dst, edge_pos, it_span
+                    iterations, frontier, degrees, edge_dst, edge_pos, it_span,
+                    full,
                 )
                 pricer.price(graph, app, level, node_trace)
                 edges_traversed += int(edge_dst.size)
@@ -404,7 +410,7 @@ class TraversalPipeline(LevelPricer):
         app.graph = graph
         app.remap_nodes(commit.perm)
         queue.remap(commit.perm)
-        self.scheduler.notify_reordered(commit.perm)
+        self.scheduler.notify_reordered(commit.perm, graph)
         if sanitizer is not None:
             sanitizer.notify_reordered(commit.perm)
         self._total_perm = (

@@ -61,7 +61,7 @@ def locality_stages(key: np.ndarray, num_nodes: int, sector_width: int) -> Stage
 
     ``key`` holds the sampled pairs as ``u * n + co``
     (:meth:`~repro.core.sampling.TileAccessSampler.pair_key`), in any
-    order and of dtype :func:`~repro.core.sampling.pair_key_dtype`.
+    order and of dtype :func:`~repro.graph.coo.pair_key_dtype`.
     Returns ``(nodes, old_locality, candidate_lo, new_locality)``: the
     sorted distinct sampled nodes, each one's sampled co-members in its
     current sector, the first id of the sector Stage 2 found, and its

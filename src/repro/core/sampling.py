@@ -24,16 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.graph.coo import MAX_PAIR_KEY_NODES
-
-
-def pair_key_dtype(num_nodes: int) -> np.dtype:
-    """The pair key's dtype: uint32 while ``n * n < 2**32``, else int64.
-
-    ``n * n`` is the largest value a round stores or searches for (the
-    end of the last node's run), so it must fit too.
-    """
-    return np.dtype(np.uint32 if num_nodes * num_nodes < 2**32 else np.int64)
+from repro.graph.coo import MAX_PAIR_KEY_NODES, pair_key_dtype
 
 
 def tile_pair_key(

@@ -126,8 +126,9 @@ class Scheduler(ABC):
         """Give self-adaptive schedulers a chance to commit a reordering."""
         return None
 
-    def notify_reordered(self, perm: np.ndarray) -> None:
-        """Called after the pipeline applies a :class:`ReorderCommit`."""
+    def notify_reordered(self, perm: np.ndarray, graph: CSRGraph) -> None:
+        """Called after the pipeline applies a :class:`ReorderCommit`:
+        ``graph`` is the relabelled graph, ``permute(perm)`` of the last."""
 
 
 class SectorAccounting:

@@ -361,18 +361,10 @@ class NodeAccounting:
         segment_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(units, out=segment_ptr[1:])
 
-        def node_sums(per_segment: np.ndarray) -> np.ndarray:
-            csum = np.zeros(per_segment.size + 1, dtype=np.int64)
-            np.cumsum(per_segment, out=csum[1:])
-            return csum[segment_ptr[1:]] - csum[segment_ptr[:-1]]
-
         tiles = np.bincount(decomp.tile_frontier_idx, minlength=n)
         block_tiles = np.bincount(
             decomp.tile_frontier_idx[decomp.tile_sizes == block_size],
             minlength=n,
-        )
-        touches = segmented_distinct_sectors(
-            graph.targets, starts, sector_width, presorted=True
         )
         per_node = np.stack(
             [
@@ -382,13 +374,58 @@ class NodeAccounting:
                 # one election per level with work; a node's k block
                 # tiles share one (the tile loops k rounds)
                 tiles - block_tiles + (block_tiles > 0),
-                node_sums(sizes),
-                node_sums(coalesced_sectors(sizes, sector_width,
-                                            aligned=aligned)),
-                node_sums(touches),
+                _node_sums(sizes, segment_ptr),
+                _node_sums(
+                    coalesced_sectors(sizes, sector_width, aligned=aligned),
+                    segment_ptr,
+                ),
+                _node_sums(
+                    segmented_distinct_sectors(
+                        graph.targets, starts, sector_width, presorted=True
+                    ),
+                    segment_ptr,
+                ),
             ]
         ).astype(np.int64, copy=False)
         return cls(per_node, segment_ptr, local)
+
+    def relabelled(
+        self, perm: np.ndarray, graph: CSRGraph, sector_width: int
+    ) -> "NodeAccounting":
+        """This table for ``graph``, the relabelling of its graph by
+        ``perm`` (``new_id = perm[old_id]``, as in
+        :meth:`~repro.graph.csr.CSRGraph.permute`).
+
+        Rows ``UNITS`` .. ``CSR_SECTORS`` and a node's segment offsets
+        depend only on its degree, so they move with the node: column
+        ``perm[u]`` is old column ``u``.  ``VALUE_TOUCHES`` reads the
+        new targets and is recounted by the distinct-sector pass
+        :meth:`build` makes.  Equal to :meth:`build` on ``graph``,
+        without re-tiling it.
+        """
+        inverse = np.empty(perm.size, dtype=np.int64)
+        inverse[perm] = np.arange(perm.size, dtype=np.int64)
+        per_node = np.empty_like(self.per_node)
+        np.take(self.per_node[:VALUE_TOUCHES], inverse, axis=1,
+                out=per_node[:VALUE_TOUCHES])
+        units = per_node[UNITS]
+        segment_ptr = np.zeros_like(self.segment_ptr)
+        np.cumsum(units, out=segment_ptr[1:])
+        # New node v's segments are old node inverse[v]'s, gathered in
+        # new order: segment i moves by (old end - new end) of its node.
+        shift = self.segment_ptr[1:][inverse] - segment_ptr[1:]
+        old_index = shift.repeat(units)
+        old_index += np.arange(self.segment_local.size, dtype=np.int64)
+        segment_local = self.segment_local[old_index]
+        starts = graph.offsets[:-1].repeat(units)
+        starts += segment_local
+        per_node[VALUE_TOUCHES] = _node_sums(
+            segmented_distinct_sectors(
+                graph.targets, starts, sector_width, presorted=True
+            ),
+            segment_ptr,
+        )
+        return NodeAccounting(per_node, segment_ptr, segment_local)
 
     def frontier_work(
         self, frontier: np.ndarray, degrees: np.ndarray, *, segments: bool
@@ -506,23 +543,40 @@ class NodeAccounting:
         return self.segment_local[idx] + np.repeat(cum_deg, units)
 
 
+def _node_sums(per_segment: np.ndarray, segment_ptr: np.ndarray) -> np.ndarray:
+    """Each node's sum of its segments' values (node-major order)."""
+    csum = np.zeros(per_segment.size + 1, dtype=np.int64)
+    np.cumsum(per_segment, out=csum[1:])
+    return csum[segment_ptr[1:]] - csum[segment_ptr[:-1]]
+
+
 def node_accounting(
     graph: CSRGraph,
     block_size: int,
     min_tile: int,
     sector_width: int,
     aligned: bool,
+    *,
+    relabel: tuple[NodeAccounting, np.ndarray] | None = None,
 ) -> tuple[NodeAccounting, bool]:
     """The graph's :class:`NodeAccounting` for one tiling configuration.
 
     Built at most once per (graph object, configuration) by
-    :func:`~repro.graph.csr.graph_memo`.  Returns the table and whether
-    this call built it.
+    :func:`~repro.graph.csr.graph_memo`, by :meth:`NodeAccounting.build`.
+    ``relabel`` is ``(table, perm)`` when ``graph`` is the relabelling by
+    ``perm`` of the graph ``table`` was made for, with this
+    configuration (a reorder commit, paper Section 6): the table is then
+    made by :meth:`NodeAccounting.relabelled`, without re-tiling.  Either
+    way the call that makes it reports it built.  Returns the table and
+    whether this call built it.
     """
     key = (block_size, min_tile, sector_width, aligned)
-    return graph_memo(
-        graph, ("node_accounting", *key), lambda: NodeAccounting.build(graph, *key)
-    )
+    if relabel is None:
+        build = functools.partial(NodeAccounting.build, graph, *key)
+    else:
+        table, perm = relabel
+        build = functools.partial(table.relabelled, perm, graph, sector_width)
+    return graph_memo(graph, ("node_accounting", *key), build)
 
 
 def frontier_work_reference(

@@ -23,6 +23,33 @@ EDGE_DTYPE = np.int64
 MAX_PAIR_KEY_NODES = math.isqrt(2**63 - 1)
 
 
+def pair_key_dtype(num_nodes: int) -> np.dtype:
+    """The narrowest exact dtype of a ``u * n + v`` pair key: uint32
+    while ``n * n < 2**32``, else int64.
+
+    ``n * n`` is the largest value a key array stores or is searched
+    for (the end of the last node's run), so it must fit too.  Sorting
+    uint32 keys takes about half the time of int64 ones.
+    """
+    return np.dtype(np.uint32 if num_nodes * num_nodes < 2**32 else np.int64)
+
+
+def edge_key_dtype(num_nodes: int) -> np.dtype:
+    """:func:`pair_key_dtype` for sorting edges as ``src * n + dst``
+    keys.
+
+    Raises:
+        GraphFormatError: ``num_nodes`` exceeds
+            :data:`MAX_PAIR_KEY_NODES`, so the key would overflow int64.
+    """
+    if num_nodes > MAX_PAIR_KEY_NODES:
+        raise GraphFormatError(
+            f"num_nodes must be <= {MAX_PAIR_KEY_NODES} to sort edges: "
+            "the src * num_nodes + dst key would overflow int64"
+        )
+    return pair_key_dtype(num_nodes)
+
+
 @dataclass(frozen=True)
 class COOGraph:
     """A directed graph as parallel source/target arrays.
@@ -76,18 +103,19 @@ class COOGraph:
         return self._from_keys(key[keep])
 
     def _sorted_keys(self) -> np.ndarray:
-        """Edges as ascending ``src * n + dst`` keys.
+        """Edges as ascending ``src * n + dst`` keys of dtype
+        :func:`edge_key_dtype`.
 
         Ordering keys is ordering (src, dst) pairs, because every
         endpoint lies in ``[0, n)``.
         """
         n = self.num_nodes
-        if n > MAX_PAIR_KEY_NODES:
-            raise GraphFormatError(
-                f"num_nodes must be <= {MAX_PAIR_KEY_NODES} to sort edges: "
-                "the src * num_nodes + dst key would overflow int64"
-            )
-        return np.sort(self.src * n + self.dst)
+        dtype = edge_key_dtype(n)
+        key = self.src.astype(dtype)
+        key *= dtype.type(n)
+        key += self.dst.astype(dtype, copy=False)
+        key.sort()
+        return key
 
     def _from_keys(self, key: np.ndarray) -> "COOGraph":
         # An empty key array decodes to empty edges even when n is 0.

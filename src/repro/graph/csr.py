@@ -20,7 +20,7 @@ from typing import TypeVar
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.coo import COOGraph, EDGE_DTYPE
+from repro.graph.coo import COOGraph, EDGE_DTYPE, edge_key_dtype
 
 T = TypeVar("T")
 
@@ -232,19 +232,59 @@ class CSRGraph:
 
         This is the operation Sampling-based Reordering commits after each
         round (paper Section 6) and what the reordering baselines apply
-        once up front.  Adjacency slices of the result are re-sorted.
+        once up front.  The result equals
+        ``CSRGraph.from_edges(n, perm[src], perm[dst])`` over this graph's
+        edges, derived without that round trip, as the paper's segmented
+        sort plus gather: the new offsets come from the permuted degrees,
+        one gather reads the old targets in new row order through
+        ``perm``, and one sort of ``row * n + dst`` keys (of dtype
+        :func:`~repro.graph.coo.edge_key_dtype`) re-sorts every row.
+
+        Raises:
+            GraphFormatError: ``perm`` is not an integer array of length
+                ``num_nodes`` holding every id in ``[0, num_nodes)`` once,
+                or ``num_nodes`` exceeds
+                :data:`~repro.graph.coo.MAX_PAIR_KEY_NODES`.
         """
-        perm = np.asarray(perm, dtype=EDGE_DTYPE)
-        if perm.size != self.num_nodes:
+        n = self.num_nodes
+        dtype = edge_key_dtype(n)
+        perm = np.asarray(perm)
+        if perm.ndim != 1 or perm.size != n:
             raise GraphFormatError(
-                f"permutation length {perm.size} != num_nodes {self.num_nodes}"
+                f"permutation length {perm.size} != num_nodes {n}"
             )
-        check = np.zeros(self.num_nodes, dtype=bool)
-        check[perm] = True
-        if not check.all():
+        if perm.dtype.kind not in "iu":
+            if perm.size:
+                raise GraphFormatError(
+                    f"perm must hold integer node ids, got dtype {perm.dtype}"
+                )
+            perm = perm.astype(EDGE_DTYPE)  # ``[]`` is a float64 array
+        if perm.size and (perm.min() < 0 or perm.max() >= n):
+            raise GraphFormatError(
+                f"perm id out of range [0, {n}): "
+                f"saw [{perm.min()}, {perm.max()}]"
+            )
+        inverse = np.full(n, -1, dtype=EDGE_DTYPE)
+        inverse[perm] = np.arange(n, dtype=EDGE_DTYPE)
+        if n and inverse.min() < 0:  # a repeated id leaves another unset
             raise GraphFormatError("perm is not a bijection on node ids")
-        coo = self.to_coo()
-        return CSRGraph.from_edges(self.num_nodes, perm[coo.src], perm[coo.dst])
+        degrees = self.out_degrees()[inverse]
+        offsets = np.zeros(n + 1, dtype=EDGE_DTYPE)
+        np.cumsum(degrees, out=offsets[1:])
+        # New row r reads old row inverse[r]: edge i of the new CSR sits
+        # at old position i + (old stop - new stop) of its row.
+        shift = self.offsets[1:][inverse] - offsets[1:]
+        old_pos = shift.repeat(degrees)
+        old_pos += np.arange(self.num_edges, dtype=EDGE_DTYPE)
+        key = perm.astype(dtype, copy=False)[self.targets[old_pos]]
+        # Rows are already in order, so sorting ``row * n + dst`` sorts
+        # each row's targets; subtracting the row term decodes them.
+        rows = np.arange(n, dtype=dtype).repeat(degrees)
+        rows *= dtype.type(n)
+        key += rows
+        key.sort()
+        key -= rows
+        return CSRGraph(n, offsets, key)
 
     def with_edges_added(self, src: np.ndarray, dst: np.ndarray) -> "CSRGraph":
         """Return a new CSR with extra edges inserted (dynamic updates).

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph.coo import COOGraph
+from repro.graph.coo import MAX_PAIR_KEY_NODES, COOGraph, edge_key_dtype
 from repro.graph.csr import CSRGraph
 
 
@@ -21,6 +21,19 @@ def edges_strategy(max_nodes=20, max_edges=60):
             ),
         )
     )
+
+
+def relabelled_edges(g, perm):
+    """``permute``'s definition: the edge list relabelled and rebuilt."""
+    coo = g.to_coo()
+    return CSRGraph.from_edges(g.num_nodes, perm[coo.src], perm[coo.dst])
+
+
+def assert_same_csr(got, want):
+    assert got.num_nodes == want.num_nodes
+    for name in ("offsets", "targets"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype == np.int64
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestConstruction:
@@ -121,6 +134,33 @@ class TestTransformations:
         with pytest.raises(GraphFormatError):
             tiny_graph.permute(np.array([0, 1, 2]))
 
+    def test_permute_rejects_non_integer_ids(self):
+        # a float cast would truncate 2.7 to 2 and accept the array
+        g = CSRGraph.from_edges(3, np.array([0, 1]), np.array([1, 2]))
+        with pytest.raises(GraphFormatError, match="integer"):
+            g.permute([0, 1, 2.7])
+        with pytest.raises(GraphFormatError, match="integer"):
+            g.permute(np.array([True, False, True]))
+
+    def test_permute_rejects_ids_out_of_range(self):
+        # -1 would wrap to the last node and pass the bijection mask
+        g = CSRGraph.from_edges(3, np.array([0, 1]), np.array([1, 2]))
+        with pytest.raises(GraphFormatError, match="out of range"):
+            g.permute([1, 0, -1])
+        with pytest.raises(GraphFormatError, match="out of range"):
+            g.permute([1, 0, 3])
+
+    def test_edge_key_must_fit_int64(self):
+        # permute and COO sorting share this guard; no graph that size fits
+        assert edge_key_dtype(65_535) == np.uint32
+        assert edge_key_dtype(MAX_PAIR_KEY_NODES) == np.int64
+        with pytest.raises(GraphFormatError, match="overflow int64"):
+            edge_key_dtype(MAX_PAIR_KEY_NODES + 1)
+
+    def test_permute_empty_graph(self):
+        g = CSRGraph.from_edges(0, [], [])
+        assert g.permute([]).num_nodes == 0
+
     def test_with_edges_added(self, tiny_graph):
         g = tiny_graph.with_edges_added(np.array([3]), np.array([0]))
         assert g.has_edge(3, 0)
@@ -161,6 +201,36 @@ class TestProperties:
         coo = g.to_coo()
         for u, v in list(zip(coo.src.tolist(), coo.dst.tolist()))[:20]:
             assert h.has_edge(int(perm[u]), int(perm[v]))
+
+    @given(
+        st.integers(1, 40).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                     max_size=120),
+        )),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_permute_is_relabelled_edges(self, data, seed):
+        # duplicate edges, self loops, empty rows and n = 1 all arise
+        n, pairs = data
+        src = np.array([p[0] for p in pairs], dtype=np.int64)
+        dst = np.array([p[1] for p in pairs], dtype=np.int64)
+        g = CSRGraph.from_edges(n, src, dst)
+        perm = np.random.default_rng(seed).permutation(n)
+        assert_same_csr(g.permute(perm), relabelled_edges(g, perm))
+
+    @pytest.mark.parametrize("n", [65_535, 65_536, 100_003])
+    def test_permute_sparse_wide_graph(self, n):
+        # 65_536 nodes and more take the int64 key; fewer take uint32
+        rng = np.random.default_rng(n)
+        src = rng.integers(0, n, 3000)
+        dst = np.concatenate([src[:50], rng.integers(0, n, 2950)])
+        src = np.concatenate([src, src[:40]])  # duplicates
+        dst = np.concatenate([dst, dst[:40]])
+        g = CSRGraph.from_edges(n, src, dst)
+        perm = rng.permutation(n)
+        assert_same_csr(g.permute(perm), relabelled_edges(g, perm))
 
     @given(edges_strategy())
     @settings(max_examples=40, deadline=None)

@@ -6,8 +6,8 @@ frontier, and ``level_stats`` prices a queue of levels in one pass.
 These tests pin both to the per-frontier formulation
 (``kernel_stats_reference`` / ``frontier_work_reference``) field for
 field, and check the table's lifecycle: one build per graph object,
-a fresh table after a reorder commit or a dynamic flush, and a live
-``work_unit_gap`` audit.
+a fresh table after a reorder commit (derived from the old one) or a
+dynamic flush, and a live ``work_unit_gap`` audit.
 """
 
 import dataclasses
@@ -27,9 +27,11 @@ from repro.core import SageScheduler, TraversalPipeline
 from repro.core.pipeline import Level
 from repro.core.tiling import (
     COVERED,
+    NodeAccounting,
     frontier_work_reference,
     node_accounting,
 )
+from repro.graph import datasets
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
@@ -50,6 +52,19 @@ class _Recorder(SageScheduler):
         stats = self.price(self, frontier, degrees, edge_dst, graph, app)
         self.stats.append(stats)
         return stats
+
+
+class _TableLog(SageScheduler):
+    """SAGE scheduler that keeps every graph it priced and its table."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.tables = {}
+
+    def _node_table(self, graph):
+        table = super()._node_table(graph)
+        self.tables[id(graph)] = (graph, table)
+        return table
 
 
 def _table_and_reference(**config):
@@ -248,6 +263,93 @@ class TestTableLifecycle:
             assert_stats_equal(a, b)
         np.testing.assert_array_equal(got.result["dist"], want.result["dist"])
 
+    @pytest.mark.parametrize("aligned", [True, False])
+    @pytest.mark.parametrize(
+        "dataset",
+        [datasets.twitter_like(0.05).graph, gen.rmat(10, edge_factor=8)],
+        ids=["twitter_like-0.05", "rmat-10-8"],
+    )
+    def test_reused_pipeline_derives_each_table(self, dataset, aligned, monkeypatch):
+        # Every commit derives the relabelled graph's table from the old
+        # one; the first graph alone is tiled.  A fresh graph object
+        # holds no table yet (datasets are cached across tests).
+        graph = dataclasses.replace(dataset)
+        scheduler = _TableLog(
+            sampling_reorder=True, tile_alignment=aligned,
+            reorder_threshold_edges=graph.num_edges // 4,
+        )
+        builds = []
+        build = NodeAccounting.build.__func__
+        monkeypatch.setattr(
+            NodeAccounting, "build",
+            classmethod(lambda cls, g, *key: builds.append(g) or build(cls, g, *key)),
+        )
+        metrics = MetricsRegistry()
+        pipeline = TraversalPipeline(graph, scheduler, metrics=metrics)
+        commits = sum(pipeline.run(BFSApp(), source).reorder_commits for source in (0, 3, 7))
+        assert commits >= 3
+        assert builds == [graph]
+        monkeypatch.undo()
+        spec = scheduler.spec
+        assert len(scheduler.tables) >= 3
+        for priced, table in scheduler.tables.values():
+            want = NodeAccounting.build(
+                priced, spec.block_size, scheduler.min_tile, spec.sector_width, aligned
+            )
+            for name in ("per_node", "segment_ptr", "segment_local"):
+                got, expected = getattr(table, name), getattr(want, name)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected, err_msg=name)
+        assert metrics.counters["sage.node_tables_built"] == len(scheduler.tables)
+
+    def test_a_pending_relabel_derives_only_its_graph(self):
+        # A commit leaves (relabelled graph, last table, perm) for the
+        # next table; it survives reset (the next query on a reused
+        # pipeline), and any other graph object, even an equal one, is
+        # tiled afresh.
+        graph = gen.rmat(8, edge_factor=8, seed=3)
+        perm = np.random.default_rng(1).permutation(graph.num_nodes)
+        scheduler = SageScheduler()
+        spec = scheduler.spec
+        key = (spec.block_size, scheduler.min_tile, spec.sector_width, True)
+        relabelled = graph.permute(perm)
+        for notified, next_graph in (
+            (relabelled, relabelled),
+            (graph.permute(perm), dataclasses.replace(graph)),
+        ):
+            scheduler.reset(graph)
+            scheduler._node_table(graph)
+            scheduler.notify_reordered(perm, notified)
+            scheduler.reset(next_graph)
+            got = scheduler._node_table(next_graph)
+            want = NodeAccounting.build(next_graph, *key)
+            for name in ("per_node", "segment_ptr", "segment_local"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=graph_and_frontiers(max_frontiers=1),
+        min_tile=st.sampled_from([1, 4, 8]),
+        aligned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relabelled_table_equals_a_build(self, case, min_tile, aligned, seed):
+        graph, _ = case
+        perm = np.random.default_rng(seed).permutation(graph.num_nodes)
+        relabelled = graph.permute(perm)
+        key = (256, min_tile, 8, aligned)
+        old, _ = node_accounting(graph, *key)
+        derived, built = node_accounting(relabelled, *key, relabel=(old, perm))
+        assert built
+        want = NodeAccounting.build(relabelled, *key)
+        for name in ("per_node", "segment_ptr", "segment_local"):
+            got = getattr(derived, name)
+            assert got.dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(got, getattr(want, name))
+        # the memo keeps the first table made for a graph
+        again, built = node_accounting(relabelled, *key)
+        assert again is derived and not built
+
     def test_full_frontier_kernels_match_reference_across_graphs(self):
         # PageRank expands every node in id order each iteration, so the
         # kernel-wide distinct counts are reused per graph; a scheduler
@@ -311,7 +413,8 @@ class TestLevelStats:
         for index, frontier in enumerate(frontiers):
             _, edge_dst, edge_pos = graph.expand_frontier(frontier)
             degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
-            levels.append(Level(index, frontier, degrees, edge_dst, edge_pos, NullSpan()))
+            full = graph.is_full_frontier(frontier)
+            levels.append(Level(index, frontier, degrees, edge_dst, edge_pos, NullSpan(), full))
         for app in (BFSApp(), BCApp(), SSSPApp()):
             queued, reference = SageScheduler(**config), SageScheduler(**config)
             queued.reset(graph)

@@ -239,6 +239,23 @@ class TestReusedLevelsEqualRebuiltLevels:
         assert run.iterations == 20
         assert calls == [graphs["rmat10"].num_nodes]
 
+    def test_a_pagerank_level_compares_its_frontier_once(self, graphs, monkeypatch):
+        compares = []
+        array_equal = np.array_equal
+
+        def spy(a, b, *args, **kwargs):
+            compares.append(a.size)
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", spy)
+        pipeline = TraversalPipeline(graphs["rmat10"], SageScheduler())
+        run = pipeline.run(PageRankApp(max_iterations=20, tolerance=0.0))
+        assert run.iterations == 20
+        # run_levels decides each level's fullness and carries it on the
+        # Level, so pricing does not compare the frontier again; the
+        # run's one whole-graph expansion compares once more
+        assert compares == [graphs["rmat10"].num_nodes] * (20 + 1)
+
     def test_partial_level_and_new_graph_drop_the_expansion(self, monkeypatch):
         graph = generators.rmat(6, 4, seed=1)
         n = graph.num_nodes
