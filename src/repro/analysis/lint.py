@@ -28,20 +28,17 @@ violations of repo-specific rules ordinary linters cannot express:
   anything other than the held guard itself inside a ``with``-lock
   block.  Blocking under a lock is how the serving stack deadlocks.
 
-A committed baseline (``lint_baseline.json``) ratchets existing
-violations: counts may only go down.  ``--update-baseline`` rewrites it
-after intentional changes.  An inline escape hatch exists for the rare
-justified case: a ``# sage: allow(SAGE001)`` comment on the flagged
+Every finding fails the run.  An inline escape hatch exists for the
+rare justified case: a ``# sage: allow(SAGE001)`` comment on the flagged
 line.
 
-Exit status: 0 clean (or within baseline), 1 violations, 2 bad usage.
+Exit status: 0 clean, 1 violations, 2 bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,10 +102,6 @@ class Violation:
     line: int
     rule: str
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        return f"{self.path}::{self.rule}"
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -613,66 +606,6 @@ def lint_paths(paths: list[Path], root: Path) -> list[Violation]:
     return violations
 
 
-# ---------------------------------------------------------------------
-# Baseline ratcheting
-# ---------------------------------------------------------------------
-
-BASELINE_VERSION = 1
-
-
-def counts_by_key(violations: list[Violation]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for violation in violations:
-        out[violation.baseline_key] = out.get(violation.baseline_key, 0) + 1
-    return out
-
-
-def load_baseline(path: Path) -> dict[str, int]:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported baseline version {data.get('version')!r} in {path}"
-        )
-    return {str(k): int(v) for k, v in data.get("rules", {}).items()}
-
-
-def write_baseline(path: Path, violations: list[Violation]) -> None:
-    payload = {
-        "version": BASELINE_VERSION,
-        "rules": dict(sorted(counts_by_key(violations).items())),
-    }
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def apply_baseline(
-    violations: list[Violation], baseline: dict[str, int]
-) -> tuple[list[Violation], list[str]]:
-    """Split violations into (new beyond baseline, ratchet notes).
-
-    Per ``path::RULE`` key, up to the baselined count is forgiven; any
-    excess is returned as live violations.  Keys whose current count
-    dropped below the baseline produce advisory notes suggesting a
-    ``--update-baseline`` tightening (never a failure).
-    """
-    remaining = dict(baseline)
-    new: list[Violation] = []
-    for violation in violations:
-        left = remaining.get(violation.baseline_key, 0)
-        if left > 0:
-            remaining[violation.baseline_key] = left - 1
-        else:
-            new.append(violation)
-    notes = [
-        f"{key}: baseline allows {baseline[key]}, now {baseline[key] - left} "
-        f"— ratchet down with --update-baseline"
-        for key, left in sorted(remaining.items())
-        if left > 0
-    ]
-    return new, notes
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
@@ -681,38 +614,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
     parser.add_argument("--root", default=".", metavar="DIR",
                         help="directory violations paths are relative to "
-                             "(default: cwd; must match the baseline's root)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="committed baseline JSON to ratchet against")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline with the current counts")
+                             "(default: cwd)")
     args = parser.parse_args(argv)
 
-    root = Path(args.root)
-    violations = lint_paths([Path(p) for p in args.paths], root)
-
-    if args.update_baseline:
-        if not args.baseline:
-            print("--update-baseline requires --baseline", file=sys.stderr)
-            return 2
-        write_baseline(Path(args.baseline), violations)
-        print(f"wrote {args.baseline} ({len(violations)} baselined findings)")
-        return 0
-
-    notes: list[str] = []
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"baseline {baseline_path} missing", file=sys.stderr)
-            return 2
-        violations, notes = apply_baseline(
-            violations, load_baseline(baseline_path)
-        )
-
+    violations = lint_paths([Path(p) for p in args.paths], Path(args.root))
     for violation in violations:
         print(violation)
-    for note in notes:
-        print(f"note: {note}")
     if violations:
         print(f"{len(violations)} violation(s)", file=sys.stderr)
         return 1

@@ -15,9 +15,9 @@ import numpy as np
 from repro.apps.base import App
 from repro.core.scheduler import (
     Scheduler,
-    SectorAccounting,
     atomic_conflicts_for,
     csr_gather_sectors,
+    kernel_distinct_counts,
     value_sector_accounting,
 )
 from repro.graph.csr import CSRGraph
@@ -87,11 +87,13 @@ class B40CScheduler(Scheduler):
         active = int(edge_dst.size)
         chunks = bucket_chunk_sizes(degrees, spec)
         starts, sizes = chunked_segment_starts(degrees, chunks)
-        acct = SectorAccounting(edge_dst, spec.sector_width, graph.num_nodes)
+        sectors, addresses = kernel_distinct_counts(
+            edge_dst, spec.sector_width, graph.num_nodes
+        )
         touches, unique = value_sector_accounting(
             edge_dst, starts, spec,
             presorted=True, access_factor=app.value_access_factor,
-            accounting=acct,
+            unique_sectors=sectors,
         )
         csr_sectors = csr_gather_sectors(sizes, spec, aligned=False)
 
@@ -125,7 +127,7 @@ class B40CScheduler(Scheduler):
             concurrency_warps=max(1.0, sizes.size / 1.0),
             overhead_cycles=overhead,
             atomic_conflicts=atomic_conflicts_for(
-                app, edge_dst, spec.sector_width, acct
+                app, edge_dst, spec.sector_width, sectors, addresses
             ),
             compute_scale=app.edge_compute_factor,
         )

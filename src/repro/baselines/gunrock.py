@@ -15,9 +15,9 @@ import numpy as np
 from repro.apps.base import App
 from repro.core.scheduler import (
     Scheduler,
-    SectorAccounting,
     atomic_conflicts_for,
     csr_gather_sectors,
+    kernel_distinct_counts,
     value_sector_accounting,
     warp_chunk_starts,
 )
@@ -46,11 +46,13 @@ class GunrockScheduler(Scheduler):
         spec = self.spec
         active = int(edge_dst.size)
         starts = warp_chunk_starts(active, spec.warp_size)
-        acct = SectorAccounting(edge_dst, spec.sector_width, graph.num_nodes)
+        sectors, addresses = kernel_distinct_counts(
+            edge_dst, spec.sector_width, graph.num_nodes
+        )
         touches, unique = value_sector_accounting(
             edge_dst, starts, spec,
             presorted=False, access_factor=app.value_access_factor,
-            accounting=acct,
+            unique_sectors=sectors,
         )
         sizes = np.diff(np.append(starts, active)) if starts.size else starts
         csr_sectors = csr_gather_sectors(sizes, spec, aligned=False)
@@ -74,7 +76,7 @@ class GunrockScheduler(Scheduler):
             ),
             overhead_cycles=overhead,
             atomic_conflicts=atomic_conflicts_for(
-                app, edge_dst, spec.sector_width, acct
+                app, edge_dst, spec.sector_width, sectors, addresses
             ),
             compute_scale=app.edge_compute_factor,
         )

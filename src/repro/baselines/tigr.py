@@ -28,11 +28,11 @@ from repro.apps.base import App
 from repro.baselines.b40c import chunked_segment_starts
 from repro.core.scheduler import (
     Scheduler,
-    SectorAccounting,
     atomic_conflicts_for,
+    csr_gather_sectors,
+    kernel_distinct_counts,
     value_sector_accounting,
 )
-from repro.gpusim.memory import coalesced_sectors
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cost import KernelStats, even_placement
@@ -123,11 +123,13 @@ class TigrScheduler(Scheduler):
         # Virtual nodes of this frontier, each owning <= k edges.
         chunk_sizes = np.minimum(np.maximum(degrees, 1), k)
         starts, sizes = chunked_segment_starts(degrees, chunk_sizes)
-        acct = SectorAccounting(edge_dst, spec.sector_width, graph.num_nodes)
+        sectors, addresses = kernel_distinct_counts(
+            edge_dst, spec.sector_width, graph.num_nodes
+        )
         touches, unique = value_sector_accounting(
             edge_dst, starts, spec,
             presorted=True, access_factor=app.value_access_factor,
-            accounting=acct,
+            unique_sectors=sectors,
         )
         num_virtual = int(sizes.size)
 
@@ -160,9 +162,7 @@ class TigrScheduler(Scheduler):
 
         # UDT lays each virtual node's <= k edges contiguously; the
         # per-virtual gather coalesces like any chunked read.
-        csr_sectors = int(coalesced_sectors(
-            sizes, spec.sector_width, aligned=False
-        ).sum()) if num_virtual else 0
+        csr_sectors = csr_gather_sectors(sizes, spec, aligned=False)
         return KernelStats(
             active_edges=active,
             issued_lane_cycles=issued,
@@ -179,7 +179,7 @@ class TigrScheduler(Scheduler):
             # top of the auxiliary virtual-array reads.
             extra_dram_bytes=float(num_virtual * (2 * spec.sector_bytes + 8)),
             atomic_conflicts=atomic_conflicts_for(
-                app, edge_dst, spec.sector_width, acct
+                app, edge_dst, spec.sector_width, sectors, addresses
             ),
             compute_scale=app.edge_compute_factor,
         )

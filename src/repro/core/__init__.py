@@ -2,7 +2,6 @@
 
 from repro.core.compressed import CompressedTraversalScheduler
 from repro.core.engine import SageScheduler
-from repro.core.frontier import FrontierQueue
 from repro.core.hybrid import HybridConfig, HybridStats, direction_optimized_bfs
 from repro.core.pipeline import RunResult, TraversalPipeline, run_app
 from repro.core.reorder import RoundOutcome, SamplingReorderer
@@ -20,7 +19,6 @@ from repro.core.tiling import (
 __all__ = [
     "CompressedTraversalScheduler",
     "DEFAULT_MIN_TILE",
-    "FrontierQueue",
     "HybridConfig",
     "HybridStats",
     "ReorderCommit",

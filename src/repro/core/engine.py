@@ -32,9 +32,8 @@ from repro.core.scheduler import (
     ATOMIC_CONFLICT_RATE,
     ReorderCommit,
     Scheduler,
-    SectorAccounting,
     atomic_conflicts_for,
-    level_sector_accounting,
+    kernel_distinct_counts,
     scale_value_sectors,
 )
 from repro.core.tiling import (
@@ -106,7 +105,9 @@ class SageScheduler(Scheduler):
         self.reorder_seed = reorder_seed
         self._store: ResidentTileStore | None = None
         self._reorderer: SamplingReorderer | None = None
-        self._graph_accounting: SectorAccounting | None = None
+        # (targets, distinct sectors, distinct addresses) of the last
+        # graph a full kernel ran on; see _distinct_counts
+        self._graph_counts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # the node table last priced with, and what a reorder commit
         # leaves to derive the next one: (relabelled graph, table, perm)
         self._table: NodeAccounting | None = None
@@ -230,10 +231,11 @@ class SageScheduler(Scheduler):
             )
         else:
             new_tiles = [0] * len(works)
-        accts = self._sector_accounting(full, edge_dsts, graph)
+        sectors, addresses = self._distinct_counts(full, edge_dsts, graph)
         return [
             self._tiled_stats(*level, app)
-            for level in zip(frontiers, degrees, edge_dsts, works, accts, new_tiles)
+            for level in zip(frontiers, degrees, edge_dsts, works,
+                             sectors.tolist(), addresses.tolist(), new_tiles)
         ]
 
     def _price_columns(
@@ -246,7 +248,8 @@ class SageScheduler(Scheduler):
         takes the scalar path's operations in the same order, on the
         totals the queue's one pass already gives.  A full frontier
         (in a queue of several levels only when |E| < |V|, as its last
-        level) is gathered like any other.
+        level) is gathered like any other, but its distinct counts are
+        the graph's (:meth:`_distinct_counts`).
         """
         spec = self.spec
         table = self._node_table(graph)
@@ -257,8 +260,8 @@ class SageScheduler(Scheduler):
         new_tiles = self._store.visit_queue(
             nodes, [frontier.size for frontier in frontiers], units
         )
-        sectors, addresses = distinct_counts(
-            edge_dsts, graph.num_nodes, spec.sector_width
+        sectors, addresses = self._distinct_counts(
+            [level.full for level in levels], edge_dsts, graph
         )
         factor = app.value_access_factor
         touches = np.rint(sums[VALUE_TOUCHES] * factor).astype(np.int64)
@@ -337,13 +340,15 @@ class SageScheduler(Scheduler):
             degrees, edge_dst, spec.block_size, self.min_tile,
             spec.sector_width, self.tile_alignment,
         )
-        acct = SectorAccounting(edge_dst, spec.sector_width, graph.num_nodes)
+        sectors, addresses = kernel_distinct_counts(
+            edge_dst, spec.sector_width, graph.num_nodes
+        )
         new_tiles = (
             self._store.visit(frontier, work.units_per_node)[2]
             if self._store is not None else 0
         )
         return self._tiled_stats(
-            frontier, degrees, edge_dst, work, acct, new_tiles, app
+            frontier, degrees, edge_dst, work, sectors, addresses, new_tiles, app
         )
 
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
@@ -367,36 +372,36 @@ class SageScheduler(Scheduler):
     # Cost accounting
     # ------------------------------------------------------------------
 
-    def _sector_accounting(
+    def _distinct_counts(
         self,
         full: Sequence[bool],
         edge_dsts: Sequence[np.ndarray],
         graph: CSRGraph,
-    ) -> list[SectorAccounting]:
-        """The kernels' shared distinct counts, from one pass.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each kernel's distinct sectors and addresses, from one
+        :func:`~repro.gpusim.memory.distinct_counts` pass.
 
         A kernel flagged in ``full`` runs over every node in id order
         (each iteration of a full-frontier app such as PageRank), so it
-        reads exactly ``graph.targets`` and this scheduler counts it
-        once per graph.
+        reads exactly ``graph.targets``: this scheduler counts it once
+        per graph, outside the queue's pass.
         """
-        accts = level_sector_accounting(
-            [edge_dst for edge_dst, is_full in zip(edge_dsts, full) if not is_full],
-            self.spec.sector_width, graph.num_nodes,
+        width = self.spec.sector_width
+        if not any(full):
+            return distinct_counts(edge_dsts, graph.num_nodes, width)
+        cached = self._graph_counts
+        if cached is None or cached[0] is not graph.targets:
+            cached = (graph.targets,
+                      *distinct_counts([graph.targets], graph.num_nodes, width))
+            self._graph_counts = cached
+        partial = np.logical_not(full)
+        sectors = cached[1].repeat(partial.size)
+        addresses = cached[2].repeat(partial.size)
+        sectors[partial], addresses[partial] = distinct_counts(
+            [edge_dst for edge_dst, keep in zip(edge_dsts, partial) if keep],
+            graph.num_nodes, width,
         )
-        for index, is_full in enumerate(full):
-            if is_full:
-                accts.insert(index, self._graph_accounting_of(graph))
-        return accts
-
-    def _graph_accounting_of(self, graph: CSRGraph) -> SectorAccounting:
-        acct = self._graph_accounting
-        if acct is None or acct.edge_dst is not graph.targets:
-            acct = SectorAccounting(
-                graph.targets, self.spec.sector_width, graph.num_nodes
-            )
-            self._graph_accounting = acct
-        return acct
+        return sectors, addresses
 
     def _tiled_stats(
         self,
@@ -404,12 +409,14 @@ class SageScheduler(Scheduler):
         degrees: np.ndarray,
         edge_dst: np.ndarray,
         work: FrontierWork,
-        acct: SectorAccounting,
+        sectors: int,
+        addresses: int,
         new_tiles: int,
         app: App,
     ) -> KernelStats:
-        """One kernel's stats; ``new_tiles`` are the tiles its visit
-        wrote to the resident store."""
+        """One kernel's stats; ``sectors`` and ``addresses`` are its
+        distinct counts and ``new_tiles`` the tiles its visit wrote to
+        the resident store."""
         spec = self.spec
         if self.sanitizer is not None:
             # Audit the scheduled work units: tiles + fragments must
@@ -417,7 +424,7 @@ class SageScheduler(Scheduler):
             # would silently drop or double-count edges in accounting).
             self.sanitizer.check_work_units(work.covered_edges, edge_dst.size)
         touches, unique = scale_value_sectors(
-            work.value_touches, acct, app.value_access_factor
+            work.value_touches, sectors, app.value_access_factor
         )
 
         active = int(edge_dst.size)
@@ -481,7 +488,7 @@ class SageScheduler(Scheduler):
             overhead_cycles=overhead_cycles,
             extra_dram_bytes=extra_bytes,
             atomic_conflicts=atomic_conflicts_for(
-                app, edge_dst, spec.sector_width, acct
+                app, edge_dst, spec.sector_width, sectors, addresses
             ),
             compute_scale=app.edge_compute_factor,
         )
@@ -503,7 +510,9 @@ class SageScheduler(Scheduler):
         """
         spec = self.spec
         active = int(edge_dst.size)
-        acct = SectorAccounting(edge_dst, spec.sector_width, graph.num_nodes)
+        sectors, addresses = kernel_distinct_counts(
+            edge_dst, spec.sector_width, graph.num_nodes
+        )
         pad = (-degrees.size) % spec.warp_size
         padded = np.append(degrees, np.zeros(pad, dtype=degrees.dtype))
         per_warp_max = padded.reshape(-1, spec.warp_size).max(axis=1)
@@ -514,9 +523,9 @@ class SageScheduler(Scheduler):
             if degrees.size else degrees,
             spec.block_size,
         )
-        touches = int(round(active * app.value_access_factor))
-        unique = acct.unique_sectors if active else 0
-        unique = min(touches, int(round(unique * app.value_access_factor)))
+        touches, unique = scale_value_sectors(
+            active, sectors, app.value_access_factor
+        )
         return KernelStats(
             active_edges=active,
             issued_lane_cycles=max(issued, active),
@@ -529,7 +538,7 @@ class SageScheduler(Scheduler):
                                              // spec.warp_size)),
             overhead_cycles=0.0,
             atomic_conflicts=atomic_conflicts_for(
-                app, edge_dst, spec.sector_width, acct
+                app, edge_dst, spec.sector_width, sectors, addresses
             ),
             compute_scale=app.edge_compute_factor,
         )

@@ -166,8 +166,7 @@ def _push_level(
     probe,
 ) -> tuple[np.ndarray, int, KernelStats]:
     """Classic push expansion of one level, with its kernel's stats."""
-    edge_src, edge_dst, _ = graph.expand_frontier(frontier)
-    degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+    _, edge_dst, _, degrees = graph.expand_level(frontier)
     stats = scheduler.kernel_stats(frontier, degrees, edge_dst, graph, probe)
     fresh = np.flatnonzero(dist[edge_dst] == UNVISITED)
     return np.unique(edge_dst[fresh]), int(edge_dst.size), stats
@@ -189,8 +188,7 @@ def _pull_level(
     positioning (cheap surrogate: half the in-edges of adopting nodes,
     all in-edges of non-adopting ones).
     """
-    edge_src, edge_dst, _ = reverse.expand_frontier(unvisited)
-    degrees = reverse.offsets[unvisited + 1] - reverse.offsets[unvisited]
+    edge_src, edge_dst, _, degrees = reverse.expand_level(unvisited)
     # functional result: adopt if any in-neighbor sits at `level`
     parent_hit = np.flatnonzero(dist[edge_dst] == level)
     adopters_mask = np.zeros(dist.size, dtype=bool)

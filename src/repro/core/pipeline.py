@@ -6,6 +6,10 @@
 2. **filtering** — the application's vectorized filter over the batch,
 3. **contraction** — the filtered neighbors become the next frontier.
 
+The paper's double-buffered frontier queue is the loop's ``frontier``
+array: contraction returns a new array and the loop rebinds the name,
+so the buffers swap without a copy.
+
 Runners differ only in what a level costs, which they supply as a
 :class:`LevelPricer`.  :class:`TraversalPipeline` prices a level as one
 scheduler kernel on one simulated device; self-adaptive schedulers may
@@ -24,7 +28,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.apps.base import App
-from repro.core.frontier import FrontierQueue
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cost import KernelBatch
@@ -94,9 +97,9 @@ class LevelPricer:
 
     The loop owns everything else.  It calls :meth:`start` once after
     ``app.setup``; per level :meth:`order` before expansion, then
-    :meth:`price`, then :meth:`post_level` after the frontier swap, then
-    (if recorded) :meth:`record_level`; and :meth:`finish` once, inside
-    the span from :meth:`run_span`.  Only :meth:`price` has no default.
+    :meth:`price`, then :meth:`post_level` with the contracted next
+    frontier, then (if recorded) :meth:`record_level`; and :meth:`finish`
+    once, inside the span from :meth:`run_span`.  Only :meth:`price` has no default.
     """
 
     #: reported as ``RunResult.scheduler_name``.
@@ -126,12 +129,14 @@ class LevelPricer:
         self,
         graph: CSRGraph,
         app: App,
-        queue: FrontierQueue,
+        frontier: np.ndarray,
         level: Level,
         trace: list[TraceNode],
-    ) -> CSRGraph:
-        """Between levels; returns the graph the next level runs on."""
-        return graph
+    ) -> tuple[CSRGraph, np.ndarray]:
+        """Between levels: ``frontier`` is the next level's (empty at
+        convergence); returns the graph and frontier the next level runs
+        on."""
+        return graph, frontier
 
     def record_level(self, level: Level, nodes: list[TraceNode]) -> None:
         """Write a recorded level's times from the nodes it appended."""
@@ -188,7 +193,7 @@ def run_levels(
         if sanitizer is not None:
             sanitizer.set_metrics(metrics)
             sanitizer.begin_run(graph, app)
-        queue = FrontierQueue(app.initial_frontier())
+        frontier = np.asarray(app.initial_frontier(), dtype=np.int64)
         node_trace: list[TraceNode] = []
         edges_traversed = 0
         iterations = 0
@@ -196,12 +201,11 @@ def run_levels(
         # while the graph object stays the same.
         whole: tuple[np.ndarray, ...] | None = None
 
-        while not queue.empty:
+        while frontier.size:
             if iterations >= max_iterations:
                 raise ConvergenceError(
                     f"{app.name} exceeded {max_iterations} iterations"
                 )
-            frontier = queue.current
             with metrics.span(
                 "iteration", index=iterations,
                 frontier_size=int(frontier.size),
@@ -226,14 +230,14 @@ def run_levels(
                 )
                 pricer.price(graph, app, level, node_trace)
                 edges_traversed += int(edge_dst.size)
-                next_frontier = app.process_level(
+                frontier = np.asarray(app.process_level(
                     edge_src, edge_dst,
                     edge_pos if app.needs_edge_positions else None,
-                )
-                queue.publish_next(next_frontier)
-                queue.swap()
+                ), dtype=np.int64)
                 iterations += 1
-                next_graph = pricer.post_level(graph, app, queue, level, node_trace)
+                next_graph, frontier = pricer.post_level(
+                    graph, app, frontier, level, node_trace
+                )
                 if next_graph is not graph:
                     whole = None
                 graph = next_graph
@@ -384,16 +388,16 @@ class TraversalPipeline(LevelPricer):
         self,
         graph: CSRGraph,
         app: App,
-        queue: FrontierQueue,
+        frontier: np.ndarray,
         level: Level,
         trace: list[TraceNode],
-    ) -> CSRGraph:
+    ) -> tuple[CSRGraph, np.ndarray]:
         commit = self.scheduler.post_level(graph)
-        if commit is not None or queue.empty:
+        if commit is not None or frontier.size == 0:
             # queued levels ran on this graph, before the commit
             self._price_queued(graph, app, trace)
         if commit is None:
-            return graph
+            return graph, frontier
         sanitizer = self.sanitizer
         device = self.device
         if sanitizer is not None:
@@ -409,7 +413,7 @@ class TraversalPipeline(LevelPricer):
         graph = graph.permute(commit.perm)
         app.graph = graph
         app.remap_nodes(commit.perm)
-        queue.remap(commit.perm)
+        frontier = commit.perm[frontier]
         self.scheduler.notify_reordered(commit.perm, graph)
         if sanitizer is not None:
             sanitizer.notify_reordered(commit.perm)
@@ -419,7 +423,7 @@ class TraversalPipeline(LevelPricer):
         )
         self._commits += 1
         self.metrics.count("pipeline.reorder_commits")
-        return graph
+        return graph, frontier
 
     def finish(
         self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult

@@ -131,68 +131,16 @@ class Scheduler(ABC):
         ``graph`` is the relabelled graph, ``permute(perm)`` of the last."""
 
 
-class SectorAccounting:
-    """Lazily shared distinct-sector/address counts of one kernel batch.
-
-    ``value_sector_accounting`` and ``atomic_conflicts_for`` both need the
-    kernel-wide distinct count of ``edge_dst // sector_width`` (atomics
-    additionally the distinct address count); a scheduler constructs one
-    instance per kernel call and passes it to both.  The first read fills
-    both counts from one :func:`~repro.gpusim.memory.distinct_counts`
-    pass over ids below ``num_nodes``.  Counts already known (see
-    :func:`level_sector_accounting`) are passed in and never recounted.
-    """
-
-    __slots__ = (
-        "edge_dst", "sector_width", "num_nodes", "_unique_sectors", "_unique_addresses",
-    )
-
-    def __init__(
-        self,
-        edge_dst: np.ndarray,
-        sector_width: int,
-        num_nodes: int,
-        unique_sectors: int | None = None,
-        unique_addresses: int | None = None,
-    ) -> None:
-        self.edge_dst = edge_dst
-        self.sector_width = int(sector_width)
-        self.num_nodes = int(num_nodes)
-        self._unique_sectors = unique_sectors
-        self._unique_addresses = unique_addresses
-
-    def _count(self) -> None:
-        sectors, addresses = distinct_counts(
-            [self.edge_dst], self.num_nodes, self.sector_width
-        )
-        self._unique_sectors = int(sectors[0])
-        self._unique_addresses = int(addresses[0])
-
-    @property
-    def unique_sectors(self) -> int:
-        """Distinct count of ``edge_dst // sector_width``."""
-        if self._unique_sectors is None:
-            self._count()
-        return self._unique_sectors
-
-    @property
-    def unique_addresses(self) -> int:
-        """Distinct count of ``edge_dst``."""
-        if self._unique_addresses is None:
-            self._count()
-        return self._unique_addresses
-
-
-def level_sector_accounting(
-    edge_dsts: Sequence[np.ndarray], sector_width: int, num_nodes: int
-) -> list[SectorAccounting]:
-    """The :class:`SectorAccounting` of each of a queue of kernels, counted
-    by one :func:`~repro.gpusim.memory.distinct_counts` pass."""
-    sectors, addresses = distinct_counts(edge_dsts, num_nodes, sector_width)
-    return [
-        SectorAccounting(edge_dst, sector_width, num_nodes, s, a)
-        for edge_dst, s, a in zip(edge_dsts, sectors.tolist(), addresses.tolist())
-    ]
+def kernel_distinct_counts(
+    edge_dst: np.ndarray, sector_width: int, num_nodes: int
+) -> tuple[int, int]:
+    """One kernel's distinct sectors (of ``edge_dst // sector_width``) and
+    distinct addresses (of ``edge_dst``), from one
+    :func:`~repro.gpusim.memory.distinct_counts` pass over ids below
+    ``num_nodes``: what :func:`value_sector_accounting` and
+    :func:`atomic_conflicts_for` share."""
+    sectors, addresses = distinct_counts([edge_dst], num_nodes, sector_width)
+    return int(sectors[0]), int(addresses[0])
 
 
 def value_sector_accounting(
@@ -201,7 +149,7 @@ def value_sector_accounting(
     spec: GPUSpec,
     *,
     presorted: bool,
-    accounting: SectorAccounting,
+    unique_sectors: int,
     access_factor: float = 1.0,
 ) -> tuple[int, int]:
     """Scattered value-array transactions of one kernel.
@@ -210,9 +158,8 @@ def value_sector_accounting(
     distinct sectors among its neighbor ids (paper Section 6's objective).
 
     Args:
-        accounting: shared per-kernel :class:`SectorAccounting`; pass the
-            same instance to :func:`atomic_conflicts_for` to compute the
-            kernel-wide sector set once.
+        unique_sectors: the kernel's distinct sector count
+            (:func:`kernel_distinct_counts`).
 
     Returns:
         ``(touches, unique)`` as :func:`scale_value_sectors` reports them.
@@ -222,11 +169,11 @@ def value_sector_accounting(
     per_segment = segmented_distinct_sectors(
         edge_dst, segment_starts, spec.sector_width, presorted=presorted
     )
-    return scale_value_sectors(int(per_segment.sum()), accounting, access_factor)
+    return scale_value_sectors(int(per_segment.sum()), unique_sectors, access_factor)
 
 
 def scale_value_sectors(
-    raw_touches: int, accounting: SectorAccounting, access_factor: float
+    raw_touches: int, unique_sectors: int, access_factor: float
 ) -> tuple[int, int]:
     """Value-array ``(touches, unique)`` of one kernel.
 
@@ -235,7 +182,7 @@ def scale_value_sectors(
     access factor (how many attribute arrays the filter touches).
     """
     touches = int(round(raw_touches * access_factor))
-    unique = min(touches, int(round(accounting.unique_sectors * access_factor)))
+    unique = min(touches, int(round(unique_sectors * access_factor)))
     return touches, unique
 
 
@@ -253,7 +200,8 @@ def atomic_conflicts_for(
     app: App,
     edge_dst: np.ndarray,
     sector_width: int,
-    accounting: SectorAccounting,
+    unique_sectors: int,
+    unique_addresses: int,
 ) -> float:
     """Serialized atomic collisions for atomic-aggregation filters.
 
@@ -261,13 +209,13 @@ def atomic_conflicts_for(
     (duplicate targets within the batch) and worsen when hot nodes share
     cache sectors (line ping-pong between SMs) — improved locality
     therefore *raises* this term, the paper's "double-edged sword"
-    (Section 7.2), even though it lowers load traffic.
+    (Section 7.2), even though it lowers load traffic.  The distinct
+    counts are the kernel's (:func:`kernel_distinct_counts`).
     """
     if not app.uses_atomics or edge_dst.size == 0:
         return 0.0
-    unique_addresses = accounting.unique_addresses
     duplicates = int(edge_dst.size) - unique_addresses
-    density = unique_addresses / max(1, accounting.unique_sectors * sector_width)
+    density = unique_addresses / max(1, unique_sectors * sector_width)
     return ATOMIC_CONFLICT_RATE * duplicates * (1.0 + min(1.0, density))
 
 

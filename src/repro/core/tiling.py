@@ -427,16 +427,6 @@ class NodeAccounting:
         )
         return NodeAccounting(per_node, segment_ptr, segment_local)
 
-    def frontier_work(
-        self, frontier: np.ndarray, degrees: np.ndarray, *, segments: bool
-    ) -> FrontierWork:
-        """Totals of one kernel: O(|frontier|) gathers and sums.
-
-        ``segments`` also gathers the kernel's sorted segment starts (the
-        sampling reorderer's tile boundaries).
-        """
-        return self.level_work([frontier], [degrees], segments=segments)[0]
-
     def level_work(
         self,
         frontiers: Sequence[np.ndarray],
@@ -445,15 +435,17 @@ class NodeAccounting:
         segments: bool,
         full: Sequence[bool] | None = None,
     ) -> list[FrontierWork]:
-        """:meth:`frontier_work` of each of a queue of kernels, from one
-        gather of the queued frontiers' columns and one segmented sum.
+        """The totals of each of a queue of kernels, from one gather of
+        the queued frontiers' columns and one segmented sum: O(|frontier|)
+        per kernel.
 
         A kernel flagged in ``full`` runs over every node in id order
         (:meth:`~repro.graph.csr.CSRGraph.is_full_frontier`): its totals
         are the table's column totals, summed once per table into one
         shared :class:`FrontierWork` whose ``units_per_node`` is a
         read-only view of the ``UNITS`` row.
-        ``segments`` gathers every kernel.
+        ``segments`` gathers every kernel, with its sorted segment starts
+        (the sampling reorderer's tile boundaries).
         """
         if full is not None and not segments and any(full):
             partial = iter(self.level_work(
@@ -587,7 +579,7 @@ def frontier_work_reference(
     sector_width: int,
     aligned: bool,
 ) -> FrontierWork:
-    """Per-frontier formulation of :meth:`NodeAccounting.frontier_work`:
+    """Per-frontier formulation of :meth:`NodeAccounting.level_work`:
     re-tile the frontier and count sectors over its expanded batch.  Kept
     as the equivalence-test reference."""
     decomp = decompose_frontier(degrees, block_size, min_tile)

@@ -146,15 +146,6 @@ class CSRGraph:
                         self.out_degrees())
         return COOGraph(self.num_nodes, src, self.targets.copy())
 
-    def gather_edges(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expand all out-edges of ``frontier`` (the expansion step).
-
-        Returns ``(edge_src, edge_dst)``; see :meth:`expand_frontier` for
-        the variant that also reports CSR edge positions.
-        """
-        edge_src, edge_dst, _ = self.expand_frontier(frontier)
-        return edge_src, edge_dst
-
     def is_full_frontier(self, frontier: np.ndarray) -> bool:
         """Whether ``frontier`` is every node in id order (``arange(n)``).
 

@@ -31,7 +31,7 @@ def _apm_sweep(
     labels of its neighbors, ties to the smaller label.
     """
     n = sym.num_nodes
-    edge_src, edge_dst = sym.gather_edges(np.arange(n, dtype=np.int64))
+    edge_src, edge_dst, _, _ = sym.expand_level(np.arange(n, dtype=np.int64))
     if edge_src.size == 0:
         return labels
     volume = np.bincount(labels, minlength=n).astype(np.float64)

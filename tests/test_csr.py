@@ -89,24 +89,26 @@ class TestQueries:
         assert tiny_graph.has_edge(0, 2)
         assert not tiny_graph.has_edge(1, 0)
 
-    def test_gather_edges(self, tiny_graph):
-        src, dst = tiny_graph.gather_edges(np.array([0, 2]))
+    def test_expand_level(self, tiny_graph):
+        src, dst, _, degrees = tiny_graph.expand_level(np.array([0, 2]))
         assert src.tolist() == [0, 0, 0, 2, 2]
         assert dst.tolist() == [1, 2, 3, 0, 3]
+        assert degrees.tolist() == [3, 2]
 
     def test_expand_frontier_positions(self, tiny_graph):
         src, dst, pos = tiny_graph.expand_frontier(np.array([2, 0]))
         assert dst.tolist() == tiny_graph.targets[pos].tolist()
         assert src.tolist() == [2, 2, 0, 0, 0]
 
-    def test_gather_empty_frontier(self, tiny_graph):
-        src, dst = tiny_graph.gather_edges(np.array([], dtype=np.int64))
-        assert src.size == 0 and dst.size == 0
+    def test_expand_empty_frontier(self, tiny_graph):
+        src, dst, _, degrees = tiny_graph.expand_level(np.array([], dtype=np.int64))
+        assert src.size == 0 and dst.size == 0 and degrees.size == 0
 
-    def test_gather_zero_degree_nodes(self):
+    def test_expand_zero_degree_nodes(self):
         g = CSRGraph.from_edges(3, np.array([0]), np.array([1]))
-        src, dst = g.gather_edges(np.array([1, 2]))
+        src, _, _, degrees = g.expand_level(np.array([1, 2]))
         assert src.size == 0
+        assert degrees.tolist() == [0, 0]
 
     def test_roundtrip_coo(self, tiny_graph):
         coo = tiny_graph.to_coo()
@@ -234,13 +236,13 @@ class TestProperties:
 
     @given(edges_strategy())
     @settings(max_examples=40, deadline=None)
-    def test_gather_matches_reference(self, data):
+    def test_expand_matches_reference(self, data):
         n, pairs = data
         src = np.array([p[0] for p in pairs], dtype=np.int64)
         dst = np.array([p[1] for p in pairs], dtype=np.int64)
         g = CSRGraph.from_edges(n, src, dst)
         frontier = np.arange(0, n, 2, dtype=np.int64)
-        esrc, edst = g.gather_edges(frontier)
+        esrc, edst, _, _ = g.expand_level(frontier)
         ref_src, ref_dst = [], []
         for u in frontier:
             for v in g.neighbors(int(u)):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheduler import SectorAccounting, level_sector_accounting
+from repro.core.scheduler import kernel_distinct_counts
 from repro.gpusim import memory
 from repro.gpusim.memory import distinct_counts
 
@@ -123,14 +123,18 @@ def test_measured_constant_takes_both_branches(monkeypatch):
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_sector_accounting_counts_both_on_first_read(width):
+def test_kernel_distinct_counts_are_two_python_ints(width, monkeypatch):
+    calls = []
+    count = memory.distinct_counts
+    monkeypatch.setattr(
+        "repro.core.scheduler.distinct_counts",
+        lambda *a: calls.append(1) or count(*a),
+    )
     edge_dst = np.random.default_rng(width).integers(0, 97, 400)
     sectors, addresses = unique_counts([edge_dst], width)
-    acct = SectorAccounting(edge_dst, width, 97)
-    assert acct.unique_addresses == addresses[0]
-    assert acct._unique_sectors == sectors[0]  # filled by the same pass
-    assert acct.unique_sectors == sectors[0]
-    queued = level_sector_accounting([edge_dst, edge_dst[:3]], width, 97)
-    assert [a.unique_sectors for a in queued] == unique_counts(
-        [edge_dst, edge_dst[:3]], width
-    )[0]
+    counts = kernel_distinct_counts(edge_dst, width, 97)
+    assert counts == (sectors[0], addresses[0])
+    assert calls == [1]  # both from one pass
+    # KernelStats fields are hashed by repr(): a numpy scalar would show
+    assert [type(c) for c in counts] == [int, int]
+    assert kernel_distinct_counts(edge_dst[:0], width, 97) == (0, 0)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.analysis import Sanitizer
 from repro.apps import BCApp, BFSApp, PageRankApp, SSSPApp
-from repro.core import SageScheduler, TraversalPipeline
+from repro.core import SageScheduler, TraversalPipeline, engine
 from repro.core.pipeline import Level
 from repro.core.tiling import (
     COVERED,
@@ -178,7 +178,7 @@ class TestTableMatchesReference:
         block_size=st.sampled_from([32, 256]),
         aligned=st.booleans(),
     )
-    def test_frontier_work_matches_reference(self, case, min_tile, block_size, aligned):
+    def test_level_work_matches_reference(self, case, min_tile, block_size, aligned):
         graph, frontiers = case
         table, built = node_accounting(graph, block_size, min_tile, 8, aligned)
         assert built
@@ -186,7 +186,7 @@ class TestTableMatchesReference:
             degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
             edge_dst = graph.expand_frontier(frontier)[1]
             assert_work_equal(
-                table.frontier_work(frontier, degrees, segments=True),
+                table.level_work([frontier], [degrees], segments=True)[0],
                 frontier_work_reference(degrees, edge_dst, block_size, min_tile, 8, aligned),
             )
 
@@ -435,3 +435,43 @@ class TestLevelStats:
                     assert getattr(queued.resident_store, name) == getattr(
                         reference.resident_store, name
                     ), name
+
+    def test_a_full_last_level_is_counted_once_per_graph(self, monkeypatch):
+        """On a graph with |E| < |V| a full level shares a column queue, as
+        its last level: its distinct counts are the graph's, counted once
+        per graph and never inside the queue's pass."""
+        rng = np.random.default_rng(5)
+        graph = CSRGraph.from_edges(200, rng.integers(0, 40, 120), rng.integers(0, 200, 120))
+        assert graph.num_edges < graph.num_nodes
+        frontiers = [np.arange(i, 40, 5, dtype=np.int64) for i in range(4)]
+        frontiers.append(np.arange(graph.num_nodes, dtype=np.int64))
+        levels = []
+        for index, frontier in enumerate(frontiers):
+            _, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
+            full = graph.is_full_frontier(frontier)
+            levels.append(Level(index, frontier, degrees, edge_dst, edge_pos, NullSpan(), full))
+        assert [level.full for level in levels] == [False] * 4 + [True]
+        passes = []
+        count = engine.distinct_counts
+        monkeypatch.setattr(
+            engine, "distinct_counts", lambda batches, *a: passes.append(batches) or count(batches, *a)
+        )
+        for app in (BFSApp(), BCApp()):
+            columns, scalar = SageScheduler(), SageScheduler()
+            columns.reset(graph)
+            scalar.reset(graph)
+            got = columns.level_stats(levels, graph, app)
+            assert isinstance(got, KernelBatch)
+            want = scalar._price(
+                frontiers,
+                [level.degrees for level in levels],
+                [level.edge_dst for level in levels],
+                [level.full for level in levels],
+                graph,
+                app,
+            )
+            assert_level_stats_equal(got, want)
+        queues = [batches for batches in passes if len(batches) > 1]
+        assert len(queues) == 4  # one queue pass per scheduler per app
+        assert all(len(batches) == 4 for batches in queues)
+        assert [batches[0] is graph.targets for batches in passes].count(True) == 4

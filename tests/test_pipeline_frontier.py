@@ -1,4 +1,4 @@
-"""Tests for the pipeline driver, frontier queue and run results."""
+"""Tests for the pipeline driver, its frontier array and run results."""
 
 import numpy as np
 import pytest
@@ -6,31 +6,90 @@ import pytest
 from repro.apps import BFSApp, PageRankApp
 from repro.apps.base import App
 from repro.core import SageScheduler, TraversalPipeline, run_app
-from repro.core.frontier import FrontierQueue
+from repro.core.pipeline import LevelPricer, run_levels
 from repro.errors import ConvergenceError
 from repro.graph import generators as gen
 from repro.gpusim.streams import trace_seconds
 
 
-class TestFrontierQueue:
-    def test_swap_cycle(self):
-        q = FrontierQueue(np.array([1, 2]))
-        assert not q.empty
-        q.publish_next(np.array([3]))
-        assert q.swap().tolist() == [3]
+class TestFrontierArray:
+    """The double-buffered frontier is one int64 array the loop rebinds."""
 
-    def test_swap_without_publish_empties(self):
-        q = FrontierQueue(np.array([1]))
-        q.swap()
-        assert q.empty
+    class Recorder(LevelPricer):
+        def __init__(self):
+            self.frontiers = []
 
-    def test_remap(self):
-        q = FrontierQueue(np.array([0, 1]))
-        q.publish_next(np.array([2]))
-        perm = np.array([3, 2, 1, 0])
-        q.remap(perm)
-        assert q.current.tolist() == [3, 2]
-        assert q.swap().tolist() == [1]
+        def price(self, graph, app, level, trace):
+            self.frontiers.append(level.frontier)
+
+    @pytest.mark.parametrize(
+        "spell",
+        [
+            list,
+            tuple,
+            lambda f: np.asarray(f, dtype=np.int32),
+            lambda f: np.asarray(f, dtype=np.uint32),
+            lambda f: np.asarray(f, dtype=np.int16),
+        ],
+        ids=["list", "tuple", "int32", "uint32", "int16"],
+    )
+    def test_any_frontier_spelling_is_priced_as_int64(self, spell):
+        class Spelled(BFSApp):
+            def initial_frontier(self):
+                return spell(super().initial_frontier().tolist())
+
+            def process_level(self, edge_src, edge_dst, edge_pos=None):
+                return spell(super().process_level(edge_src, edge_dst, edge_pos).tolist())
+
+        graph = gen.grid_2d(6, 6)
+        pricer = self.Recorder()
+        result = run_levels(pricer, graph, Spelled(), 0, 100)
+        expected = run_levels(self.Recorder(), graph, BFSApp(), 0, 100)
+        assert result.iterations == len(pricer.frontiers) > 1
+        assert [f.dtype for f in pricer.frontiers] == [np.dtype(np.int64)] * result.iterations
+        np.testing.assert_array_equal(result.result["dist"], expected.result["dist"])
+
+    def test_an_empty_initial_frontier_runs_no_level(self):
+        class Idle(BFSApp):
+            def initial_frontier(self):
+                return []
+
+        pricer = self.Recorder()
+        result = TraversalPipeline(gen.grid_2d(6, 6), SageScheduler()).run(
+            Idle(), source=0
+        )
+        assert run_levels(pricer, gen.grid_2d(6, 6), Idle(), 0, 100).iterations == 0
+        assert pricer.frontiers == []
+        assert result.iterations == result.edges_traversed == 0
+        assert result.node_trace == []
+        assert result.seconds == 0.0
+
+    def test_a_commit_remaps_the_pending_frontier(self):
+        graph = gen.power_law_configuration(
+            500, 2.0, 10.0, seed=9, community_count=10, community_bias=0.9, scramble_ids=True
+        )
+        scheduler = SageScheduler(
+            sampling_reorder=True, reorder_threshold_edges=graph.num_edges // 4
+        )
+        perms = []
+        notify = scheduler.notify_reordered
+        scheduler.notify_reordered = lambda perm, g: perms.append(perm) or notify(perm, g)
+        seen = []
+
+        class Spy(TraversalPipeline):
+            def post_level(self, graph, app, frontier, level, trace):
+                before = len(perms)
+                next_graph, remapped = super().post_level(graph, app, frontier, level, trace)
+                if len(perms) > before:
+                    seen.append((frontier, remapped, perms[-1]))
+                return next_graph, remapped
+
+        result = Spy(graph, scheduler).run(BFSApp(), source=2)
+        plain = run_app(graph, BFSApp(), SageScheduler(), source=2)
+        assert result.reorder_commits == len(seen) >= 1
+        for frontier, remapped, perm in seen:
+            np.testing.assert_array_equal(remapped, perm[frontier])
+        np.testing.assert_array_equal(result.result["dist"], plain.result["dist"])
 
 
 class TestRunResult:

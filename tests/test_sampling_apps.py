@@ -18,7 +18,6 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import ast
-import json
 import pathlib
 
 import numpy as np
@@ -490,12 +489,6 @@ class TestDeterminismHygiene:
             v for v in lint_paths([PKG], ROOT) if v.rule == "SAGE003"
         ]
         assert violations == [], "\n".join(str(v) for v in violations)
-
-    def test_lint_baseline_carries_no_waivers(self):
-        baseline = json.loads(
-            (ROOT / "lint_baseline.json").read_text(encoding="utf-8")
-        )
-        assert baseline["rules"] == {}
 
     def test_no_stateful_rng_constructions_anywhere_in_package(self):
         """No ``numpy.random`` attribute, no ``default_rng``, no stdlib

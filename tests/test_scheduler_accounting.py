@@ -5,6 +5,8 @@ accounting (issued lanes, elections, sector counts) so refactorings of
 the schedulers cannot silently drift.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.apps import BFSApp
 from repro.baselines import B40CScheduler, GunrockScheduler, TigrScheduler
 from repro.baselines.thread_per_node import ThreadPerNodeScheduler
 from repro.core import SageScheduler
+from repro.core.scheduler import csr_gather_sectors
+from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.gpusim.spec import GPUSpec
 
@@ -135,3 +139,36 @@ class TestTigrExactness:
         tiny = stats_for(TigrScheduler(), regular, frontier1)
         assert small.overhead_cycles > tiny.overhead_cycles
         assert small.extra_dram_bytes > tiny.extra_dram_bytes
+
+    def test_csr_gather_is_the_shared_definition(self):
+        # the hub splits into 10 virtuals of 32 edges and one of 10; the
+        # five singles are one virtual each
+        graph = star_plus_singles(330, 5)
+        frontier = np.arange(6, dtype=np.int64)
+        stats = stats_for(TigrScheduler(), graph, frontier)
+        sizes = np.array([32] * 10 + [10] + [1] * 5)
+        assert stats.csr_sector_touches == csr_gather_sectors(
+            sizes, GPUSpec(), aligned=False
+        )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ThreadPerNodeScheduler, SageScheduler, B40CScheduler, GunrockScheduler,
+     TigrScheduler],
+    ids=lambda make: make.__name__,
+)
+def test_scalar_stats_are_python_numbers(make):
+    """Every scalar ``KernelStats`` field is a Python ``int`` or ``float``:
+    the golden profiler and metrics digests hash ``repr()``, where a numpy
+    scalar would show."""
+    graph = gen.power_law_configuration(500, 2.0, 10.0, seed=9)
+    frontier = np.arange(0, 500, 3, dtype=np.int64)
+    stats = stats_for(make(), graph, frontier)
+    assert stats.active_edges > 0
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        if field.name == "per_sm_lane_cycles":
+            assert isinstance(value, np.ndarray)
+        else:
+            assert type(value) in (int, float), (field.name, type(value))

@@ -274,10 +274,10 @@ class TestReusedLevelsEqualRebuiltLevels:
             def price(self, graph, app, level, trace):
                 pass
 
-            def post_level(self, graph, app, queue, level, trace):
+            def post_level(self, graph, app, frontier, level, trace):
                 if level.index < 4:
-                    return graph
-                return CSRGraph(graph.num_nodes, graph.offsets, graph.targets)
+                    return graph, frontier
+                return CSRGraph(graph.num_nodes, graph.offsets, graph.targets), frontier
 
         calls = self._spy(monkeypatch)
         run_levels(SwapsGraph(), graph, Alternating(max_iterations=9, tolerance=0.0), None, 100)
