@@ -155,21 +155,6 @@ def _make_app(app: str | App) -> tuple[str, App]:
     return app, APPS[app]()
 
 
-def _make_scheduler(
-    scheduler: str | Scheduler | Callable[[], Scheduler],
-) -> Scheduler:
-    if isinstance(scheduler, Scheduler):
-        return scheduler
-    if callable(scheduler):
-        return scheduler()
-    if scheduler not in SCHEDULERS:
-        raise InvalidParameterError(
-            f"unknown scheduler {scheduler!r}; "
-            f"expected one of {sorted(SCHEDULERS)}"
-        )
-    return SCHEDULERS[scheduler]()
-
-
 def _scheduler_factory(
     scheduler: str | Callable[[], Scheduler],
 ) -> Callable[[], Scheduler]:
@@ -181,6 +166,14 @@ def _scheduler_factory(
             f"expected one of {sorted(SCHEDULERS)}"
         )
     return SCHEDULERS[scheduler]
+
+
+def _make_scheduler(
+    scheduler: str | Scheduler | Callable[[], Scheduler],
+) -> Scheduler:
+    if isinstance(scheduler, Scheduler):
+        return scheduler
+    return _scheduler_factory(scheduler)()
 
 
 def _resolve_profile(
@@ -298,11 +291,12 @@ def serve(
 ) -> ServingHandle:
     """Start a single micro-batching query broker (a context manager).
 
-    The broker is the :data:`~repro.serve.cluster.SINGLE_BROKER`
-    configuration of :func:`cluster`: one simulated device, no result
-    cache, and ``queue_capacity`` as its pinned limit on outstanding
-    queries (a submit beyond it is shed).  A bare :class:`CSRGraph` is
-    registered under the handle ``"default"``.
+    The broker is :func:`cluster` in the
+    :data:`~repro.serve.cluster.SINGLE_BROKER` configuration: one
+    simulated device, no result cache, and ``queue_capacity`` as its
+    pinned limit on outstanding queries (a submit beyond it is shed).
+    A bare :class:`CSRGraph` is registered under the handle
+    ``"default"``.
 
     With the default ``profile="auto"`` a committed tuned profile
     matching one of the graphs (by content fingerprint) supplies the
@@ -310,36 +304,24 @@ def serve(
     unset; explicit arguments always win (see :func:`tune`).
     """
     from repro.serve.admission import AdmissionConfig
-    from repro.serve.cluster import SINGLE_BROKER, ServingHandle
+    from repro.serve.cluster import SINGLE_BROKER
 
-    if isinstance(graphs, CSRGraph):
-        graphs = {"default": graphs}
     if queue_capacity < 1:
         raise InvalidParameterError("queue_capacity must be >= 1")
     registry = metrics if metrics is not None else NULL_REGISTRY
     registry.count("api.serve_sessions")
-    tuned = _resolve_profile(profile, graphs)
-    factory = _scheduler_factory(scheduler)
-    if tuned is not None:
-        registry.count("api.profiles_applied")
-        if batch_window is None:
-            batch_window = tuned.point.batch_window
-        if max_batch_size is None:
-            max_batch_size = tuned.point.max_batch_size
-        if scheduler == "sage":
-            factory = tuned.point.scheduler_factory()
-    return ServingHandle(
+    return cluster(
         graphs,
-        factory,
-        **{
-            **SINGLE_BROKER,
-            "admission": AdmissionConfig(
-                max_concurrency=queue_capacity, min_concurrency=queue_capacity
-            ),
-        },
-        batch_window=batch_window if batch_window is not None else 0.01,
-        max_batch_size=max_batch_size if max_batch_size is not None else 64,
+        scheduler=scheduler,
+        num_replicas=SINGLE_BROKER["num_replicas"],
+        batch_window=batch_window,
+        max_batch_size=max_batch_size,
         max_retries=max_retries,
+        cache_capacity=SINGLE_BROKER["cache_capacity"],
+        admission=AdmissionConfig(
+            max_concurrency=queue_capacity, min_concurrency=queue_capacity
+        ),
+        profile=profile,
         metrics=metrics,
     )
 
@@ -459,6 +441,9 @@ def bench(
     num_queries: int = 64,
     rate_qps: float = 200.0,
     mix: Mapping[str, float] | None = None,
+    deadline: float | None = None,
+    hot_set: int = 8,
+    hot_fraction: float = 0.0,
     batch_window: float = 0.05,
     max_batch_size: int = 64,
     scheduler: str | Callable[[], Scheduler] = "sage",
@@ -467,6 +452,7 @@ def bench(
     cache_capacity: int = 1024,
     admission: AdmissionConfig | None = None,
     pipeline: PipelineConfig | None = None,
+    sanitizer: Sanitizer | None = None,
     seed: int = 0,
     metrics: MetricsRegistry | None = None,
 ) -> ClusterBenchReport:
@@ -478,33 +464,55 @@ def bench(
     benchmarks the cluster tier on the same seeded trace, baselined
     against the single broker.  Either way the report's
     ``baseline_seconds``/``speedup_vs_baseline`` carry the comparison.
-    Pass a :class:`~repro.serve.pipelined.PipelineConfig` to run replica
+    The trace is ``num_queries`` seeded queries of ``mix``, each with
+    latency budget ``deadline``; ``hot_fraction > 0`` redraws that share
+    of the sources from a ``hot_set``-node hot set.  Pass a
+    :class:`~repro.serve.pipelined.PipelineConfig` to run replica
     devices through the stream/event pipeline (responses stay
-    bit-identical; only device time changes).  Everything runs in
-    virtual time, so equal arguments always produce equal reports.
+    bit-identical; only device time changes).  Pass a
+    :class:`~repro.analysis.Sanitizer` to audit every sequential oracle
+    run with it (at ``replicas=0`` those runs are the baseline).
+    Everything runs in virtual time, so equal arguments always produce
+    equal reports.
     """
     from repro.serve.cluster import SINGLE_BROKER, simulate_cluster_open_loop
     from repro.serve.loadgen import (
         generate_queries,
         open_loop_arrivals,
         sequential_baseline,
+        skew_sources,
     )
 
+    if replicas < 0:
+        raise InvalidParameterError("replicas must be >= 0")
     registry = metrics if metrics is not None else NULL_REGISTRY
     registry.count("api.bench_runs")
     factory = _scheduler_factory(scheduler)
     requests = generate_queries(
-        "bench", graph.num_nodes, num_queries, mix=mix, seed=seed
+        "bench", graph.num_nodes, num_queries,
+        mix=mix, deadline_seconds=deadline, seed=seed,
     )
+    if hot_fraction > 0:
+        requests = skew_sources(
+            requests,
+            hot_set_size=hot_set,
+            hot_fraction=hot_fraction,
+            num_nodes=graph.num_nodes,
+            seed=seed,
+        )
     arrivals = open_loop_arrivals(num_queries, rate_qps, seed=seed)
     trace = ({"bench": graph}, requests, arrivals, factory)
     window: dict[str, Any] = dict(
         batch_window=batch_window, max_batch_size=max_batch_size
     )
-    if replicas < 1:
-        baseline = sequential_baseline(graph, requests, factory)
+    if replicas == 0:
+        baseline = sequential_baseline(
+            graph, requests, factory, sanitizer=sanitizer
+        )
         config: dict[str, Any] = SINGLE_BROKER
     else:
+        if sanitizer is not None:  # the audit only: one broker is the baseline
+            sequential_baseline(graph, requests, factory, sanitizer=sanitizer)
         _, single = simulate_cluster_open_loop(
             *trace, **window, **SINGLE_BROKER
         )

@@ -107,10 +107,6 @@ class App(ABC):
                 remapped[perm] = val
                 setattr(self, key, remapped)
 
-    def source_node(self) -> int | None:
-        """The traversal source, if the app has one (for remapping)."""
-        return None
-
 
 #: Share of |V| above which :func:`contract` dedupes with a node mask
 #: instead of a sort.  Measured at |V| = 32768: the two break even near

@@ -118,9 +118,6 @@ class BCApp(App):
         assert self.delta is not None
         return {"dist": self.dist, "sigma": self.sigma, "delta": self.delta}
 
-    def source_node(self) -> int | None:
-        return self._source
-
     def remap_nodes(self, perm: np.ndarray) -> None:
         super().remap_nodes(perm)
         if self._source is not None:

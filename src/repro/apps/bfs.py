@@ -65,9 +65,6 @@ class BFSApp(App):
         assert self.dist is not None
         return {"dist": self.dist}
 
-    def source_node(self) -> int | None:
-        return self._source
-
     def remap_nodes(self, perm: np.ndarray) -> None:
         super().remap_nodes(perm)
         if self._source is not None:

@@ -115,9 +115,6 @@ class FunctionalApp(App):
     def result(self) -> dict[str, np.ndarray]:
         return dict(self.state)
 
-    def source_node(self) -> int | None:
-        return self._source
-
     def remap_nodes(self, perm: np.ndarray) -> None:
         assert self.graph is not None
         n = self.graph.num_nodes

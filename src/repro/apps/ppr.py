@@ -93,9 +93,6 @@ class PersonalizedPageRankApp(App):
         assert self.scores is not None
         return {"ppr": self.scores}
 
-    def source_node(self) -> int | None:
-        return self._source
-
     def remap_nodes(self, perm: np.ndarray) -> None:
         super().remap_nodes(perm)
         if self._source is not None:

@@ -110,6 +110,3 @@ class SSSPApp(App):
     def result(self) -> dict[str, np.ndarray]:
         assert self.dist is not None
         return {"dist": self.dist}
-
-    def source_node(self) -> int | None:
-        return self._source

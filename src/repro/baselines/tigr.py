@@ -59,11 +59,6 @@ class UDTTransform:
     extra_tree_edges: int
     build_seconds: float
 
-    @property
-    def expansion_factor(self) -> float:
-        """Virtual nodes per real node (aux-structure blowup)."""
-        return self.num_virtual_nodes / max(1, self.virtual_count_per_node.size)
-
 
 def udt_transform(graph: CSRGraph, split_degree: int = DEFAULT_SPLIT_DEGREE) -> UDTTransform:
     """Build the UDT preprocessing metadata for ``graph``.

@@ -10,7 +10,6 @@ from repro.bench.harness import (
     table2_rows,
     table3_rows,
 )
-from repro.bench.plots import format_bars
 from repro.bench.reporting import format_table
 from repro.bench.rounds import ReorderRounds, sage_reorder_rounds
 from repro.bench.session import SessionTrace, crossover_query, run_query_session
@@ -32,7 +31,6 @@ __all__ = [
     "fig8_rows",
     "fig9_rows",
     "fig10_rows",
-    "format_bars",
     "format_table",
     "needs_source",
     "pick_sources",

@@ -55,10 +55,6 @@ class SessionTrace:
     def total_seconds(self) -> float:
         return float(self.setup_seconds + sum(self.query_seconds))
 
-    def queries_done_by(self, deadline_seconds: float) -> int:
-        """How many answers are available after ``deadline_seconds``."""
-        return int((self.completion_times <= deadline_seconds).sum())
-
 
 def run_query_session(
     graph: CSRGraph,

@@ -12,10 +12,13 @@ Subcommands:
 * ``experiment``— print one experiment's table (any record of
   ``repro.bench.experiments.EXPERIMENTS``; ``python -m
   repro.bench.run_all`` also writes it and checks its claim)
-* ``serve-bench``— load-test the batched query service (open loop,
-  fixed seeds, deterministic virtual time)
+* ``serve-bench``— load-test the single batching broker against one
+  query at a time (open loop, fixed seeds, deterministic virtual time)
 * ``cluster-bench``— benchmark the sharded cluster tier (routing +
-  admission + result cache) against the single broker on one trace
+  admission + result cache) against the single broker on one trace;
+  both bench commands are one :func:`repro.api.bench` call and take the
+  same flags, ``serve-bench`` being ``cluster-bench --replicas 0
+  --rate 200 --hot-fraction 0``
 * ``tune``      — search the tuning space against the deterministic
   cost model and save/verify tuned profiles (``--verify DIR``
   regenerates committed profiles and byte-compares them — the CI gate)
@@ -104,6 +107,62 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="seed for randomized choices (sources, "
                              "query mixes, arrival schedules)")
     return parent
+
+
+def _add_bench_args(
+    parser: argparse.ArgumentParser,
+    *,
+    replicas: int,
+    rate: float,
+    hot_fraction: float,
+) -> None:
+    """The flags of ``serve-bench`` and ``cluster-bench``: one
+    :func:`api.bench` call, differing only in these defaults."""
+    _add_graph_args(parser)
+    parser.add_argument("--scheduler", choices=sorted(SCHEDULERS),
+                        default="sage")
+    parser.add_argument("--queries", type=int, default=64)
+    parser.add_argument("--rate", type=float, default=rate,
+                        help="open-loop Poisson arrival rate (qps)")
+    parser.add_argument("--replicas", type=int, default=replicas,
+                        help="0 = the single broker against the "
+                             "sequential oracle (routing, cache, "
+                             "admission and pipeline flags then do not "
+                             "apply)")
+    parser.add_argument("--routing",
+                        choices=("round_robin", "least_outstanding",
+                                 "affinity"),
+                        default="affinity")
+    parser.add_argument("--cache-capacity", type=int, default=1024,
+                        help="result-cache entries (0 disables caching)")
+    parser.add_argument("--rate-limit", type=float, default=None,
+                        help="per-client token-bucket rate (qps; "
+                             "default: off)")
+    parser.add_argument("--burst", type=float, default=16.0,
+                        help="token-bucket burst capacity")
+    parser.add_argument("--max-concurrency", type=int, default=64,
+                        help="AIMD concurrency limiter ceiling")
+    parser.add_argument("--batch-window", type=float, default=0.05,
+                        help="micro-batching window (seconds)")
+    parser.add_argument("--max-batch-size", type=int, default=64)
+    parser.add_argument("--hot-fraction", type=float, default=hot_fraction,
+                        help="fraction of source-bearing queries redrawn "
+                             "from the hot set (0 disables skew)")
+    parser.add_argument("--hot-set", type=int, default=8,
+                        help="hot-set size for the skewed workload")
+    parser.add_argument("--mix", default=None,
+                        help="app mix, e.g. bfs=0.5,sssp=0.4,pr=0.1")
+    parser.add_argument("--deadline", type=float, default=None,
+                        help="per-query latency budget (seconds)")
+    parser.add_argument("--in-flight", type=int, default=1,
+                        help="pipelined batches concurrently resident "
+                             "per replica device (1 = batch-at-a-time)")
+    parser.add_argument("--streams", type=int, default=1,
+                        help="compute streams per replica device")
+    parser.add_argument("--prefetch-depth", type=int, default=0,
+                        help="iterations of out-of-core prefetch "
+                             "lookahead")
+    parser.set_defaults(fn=cmd_bench)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -274,161 +333,49 @@ def _parse_mix(spec: str) -> dict[str, float]:
     return mix
 
 
-def _audited_baseline(
-    graph, requests, scheduler: str, report_path: str | None
-) -> tuple[float, bool]:
-    """Sequential oracle with the hazard sanitizer auditing every run.
-
-    Returns (total simulated seconds, all-clean).  This is the bench's
-    ``--sanitize`` mode: the baseline the speedups are measured against
-    is itself certified hazard-free.
-    """
-    from repro.serve import make_single_app
-
-    seconds = 0.0
-    clean = True
-    last_checks = None
-    for request in requests:
-        run = api.run(
-            graph, make_single_app(request.app, request.param_dict()),
-            source=request.source, scheduler=scheduler, checks=True,
-        )
-        seconds += run.seconds
-        clean = clean and run.clean
-        last_checks = run.checks
-    if report_path is not None and last_checks is not None:
-        last_checks.write_json(report_path)
-    return seconds, clean
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve import (
-        SINGLE_BROKER,
-        generate_queries,
-        open_loop_arrivals,
-        sequential_baseline,
-        simulate_cluster_open_loop,
-    )
+def cmd_bench(args: argparse.Namespace) -> int:
+    """``serve-bench`` and ``cluster-bench``: print one :func:`api.bench`."""
+    from repro.analysis import Sanitizer
+    from repro.serve import AdmissionConfig, PipelineConfig
 
     graph = _load_graph(args)
-    seed = args.seed if args.seed is not None else 0
-    mix = _parse_mix(args.mix) if args.mix else None
-    requests = generate_queries(
-        "bench", graph.num_nodes, args.queries,
-        mix=mix, deadline_seconds=args.deadline, seed=seed,
-    )
     metrics = MetricsRegistry() if args.emit_metrics else None
-    scheduler_factory = SCHEDULERS[args.scheduler]
     sanitize = args.sanitize or args.sanitize_report is not None
-    oracle_clean = True
-    arrivals = open_loop_arrivals(args.queries, rate_qps=args.rate, seed=seed)
-    if sanitize:
-        sequential, oracle_clean = _audited_baseline(
-            graph, requests, args.scheduler, args.sanitize_report
-        )
-    else:
-        sequential = sequential_baseline(graph, requests, scheduler_factory)
-    _, report = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, scheduler_factory,
+    sanitizer = Sanitizer() if sanitize else None
+    report = api.bench(
+        graph,
+        num_queries=args.queries,
+        rate_qps=args.rate,
+        mix=_parse_mix(args.mix) if args.mix else None,
+        deadline=args.deadline,
+        hot_set=args.hot_set,
+        hot_fraction=args.hot_fraction,
         batch_window=args.batch_window,
         max_batch_size=args.max_batch_size,
-        baseline_seconds=sequential,
-        metrics=metrics,
-        **SINGLE_BROKER,
-    )
-    unit = "virtual s"
-    print(f"serve-bench (open-loop) on {graph}")
-    statuses = ", ".join(
-        f"{k}={v}" for k, v in sorted(report.status_counts.items())
-    )
-    print(f"  queries           {report.num_queries:10d}   ({statuses})")
-    print(f"  batches           {report.num_batches:10d}"
-          f"   occupancy {report.batch_occupancy_mean:.2f}")
-    print(f"  makespan          {report.makespan_seconds:10.4f} {unit}")
-    print(f"  throughput        {report.throughput_qps:10.2f} qps")
-    print(f"  latency p50/95/99 {report.latency_p50:10.4f}"
-          f" / {report.latency_p95:.4f} / {report.latency_p99:.4f} {unit}")
-    print(f"  device time       {report.sim_seconds_total:10.6f} s"
-          f"   (sequential {report.baseline_seconds:.6f} s)")
-    print(f"  speedup vs 1-at-a-time {report.speedup_vs_baseline:7.2f}x")
-    if args.emit_metrics:
-        assert metrics is not None
-        out = write_json(metrics, args.emit_metrics)
-        print(f"  metrics exported to {out}")
-    if sanitize:
-        print(f"  sanitizer (oracle runs): "
-              f"{'clean' if oracle_clean else 'FINDINGS'}")
-        if not oracle_clean:
-            return 3
-    return 0
-
-
-def cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from repro.serve import (
-        SINGLE_BROKER,
-        AdmissionConfig,
-        PipelineConfig,
-        generate_queries,
-        open_loop_arrivals,
-        simulate_cluster_open_loop,
-        skew_sources,
-    )
-
-    graph = _load_graph(args)
-    seed = args.seed if args.seed is not None else 0
-    mix = _parse_mix(args.mix) if args.mix else None
-    requests = generate_queries(
-        "bench", graph.num_nodes, args.queries,
-        mix=mix, deadline_seconds=args.deadline, seed=seed,
-    )
-    if args.hot_fraction > 0:
-        requests = skew_sources(
-            requests,
-            hot_set_size=args.hot_set,
-            hot_fraction=args.hot_fraction,
-            num_nodes=graph.num_nodes,
-            seed=seed,
-        )
-    arrivals = open_loop_arrivals(args.queries, rate_qps=args.rate, seed=seed)
-    metrics = MetricsRegistry() if args.emit_metrics else None
-    scheduler_factory = SCHEDULERS[args.scheduler]
-    sanitize = args.sanitize or args.sanitize_report is not None
-    oracle_clean = True
-    if sanitize:
-        _, oracle_clean = _audited_baseline(
-            graph, requests, args.scheduler, args.sanitize_report
-        )
-    # The comparison point: the identical trace through one broker.
-    _, single = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, scheduler_factory,
-        batch_window=args.batch_window,
-        max_batch_size=args.max_batch_size,
-        **SINGLE_BROKER,
-    )
-    admission = AdmissionConfig(
-        rate_qps=args.rate_limit,
-        burst=args.burst,
-        max_concurrency=args.max_concurrency,
-    )
-    pipeline = PipelineConfig(
-        in_flight=args.in_flight,
-        num_streams=args.streams,
-        prefetch_depth=args.prefetch_depth,
-    )
-    _, report = simulate_cluster_open_loop(
-        {"bench": graph}, requests, arrivals, scheduler_factory,
-        num_replicas=args.replicas,
+        scheduler=args.scheduler,
+        replicas=args.replicas,
         routing=args.routing,
-        batch_window=args.batch_window,
-        max_batch_size=args.max_batch_size,
         cache_capacity=args.cache_capacity,
-        admission=admission,
-        pipeline=pipeline,
-        baseline_seconds=single.sim_seconds_total,
+        admission=AdmissionConfig(
+            rate_qps=args.rate_limit,
+            burst=args.burst,
+            max_concurrency=args.max_concurrency,
+        ),
+        pipeline=PipelineConfig(
+            in_flight=args.in_flight,
+            num_streams=args.streams,
+            prefetch_depth=args.prefetch_depth,
+        ),
+        sanitizer=sanitizer,
+        seed=args.seed if args.seed is not None else 0,
         metrics=metrics,
     )
-    print(f"cluster-bench on {graph} "
-          f"({report.num_replicas} replicas, {report.routing} routing)")
+    if args.replicas == 0:
+        setup, baseline = "single broker", "1-at-a-time"
+    else:
+        setup = f"{report.num_replicas} replicas, {report.routing} routing"
+        baseline = "single broker"
+    print(f"{args.command} on {graph} ({setup})")
     statuses = ", ".join(
         f"{k}={v}" for k, v in sorted(report.status_counts.items())
     )
@@ -446,7 +393,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     print(f"  latency p50/95/99 {report.latency_p50:10.4f}"
           f" / {report.latency_p95:.4f} / {report.latency_p99:.4f} virtual s")
     print(f"  device time       {report.sim_seconds_total:10.6f} s"
-          f"   (single broker {report.baseline_seconds:.6f} s)")
+          f"   ({baseline} {report.baseline_seconds:.6f} s)")
     print(f"  replica occupancy {report.replica_occupancy_mean:10.2f}")
     if report.pipeline_enabled:
         print(f"  pipeline busy     {report.pipeline_busy_seconds:10.6f} s"
@@ -455,15 +402,17 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
         print(f"  device-time speedup vs serial "
               f"{report.pipeline_speedup_vs_serial:5.2f}x")
     if report.baseline_seconds > 0:
-        print(f"  speedup vs single broker {report.speedup_vs_baseline:5.2f}x")
+        print(f"  speedup vs {baseline:<13} {report.speedup_vs_baseline:5.2f}x")
     if args.emit_metrics:
         assert metrics is not None
         out = write_json(metrics, args.emit_metrics)
         print(f"  metrics exported to {out}")
-    if sanitize:
+    if sanitizer is not None:
+        if args.sanitize_report is not None:
+            sanitizer.write_json(args.sanitize_report)
         print(f"  sanitizer (oracle runs): "
-              f"{'clean' if oracle_clean else 'FINDINGS'}")
-        if not oracle_clean:
+              f"{'clean' if sanitizer.clean else 'FINDINGS'}")
+        if not sanitizer.clean:
             return 3
     return 0
 
@@ -605,65 +554,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve-bench",
-        help="load-test the batched query service (seeded)",
+        help="load-test the single batching broker vs one query at a "
+             "time (seeded)",
         parents=[common],
     )
-    _add_graph_args(p)
-    p.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="sage")
-    p.add_argument("--queries", type=int, default=64)
-    p.add_argument("--rate", type=float, default=200.0,
-                   help="open-loop Poisson arrival rate (qps)")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="micro-batching window (seconds)")
-    p.add_argument("--max-batch-size", type=int, default=64)
-    p.add_argument("--mix", default=None,
-                   help="app mix, e.g. bfs=0.8,pr=0.1,sssp=0.1")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-query latency budget (seconds)")
-    p.set_defaults(fn=cmd_serve_bench)
+    _add_bench_args(p, replicas=0, rate=200.0, hot_fraction=0.0)
 
     p = sub.add_parser(
         "cluster-bench",
         help="benchmark the sharded cluster tier vs the single broker",
         parents=[common],
     )
-    _add_graph_args(p)
-    p.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="sage")
-    p.add_argument("--queries", type=int, default=64)
-    p.add_argument("--rate", type=float, default=100.0,
-                   help="open-loop Poisson arrival rate (qps)")
-    p.add_argument("--replicas", type=int, default=2)
-    p.add_argument("--routing", choices=("round_robin", "least_outstanding",
-                                         "affinity"),
-                   default="affinity")
-    p.add_argument("--cache-capacity", type=int, default=1024,
-                   help="result-cache entries (0 disables caching)")
-    p.add_argument("--rate-limit", type=float, default=None,
-                   help="per-client token-bucket rate (qps; default: off)")
-    p.add_argument("--burst", type=float, default=16.0,
-                   help="token-bucket burst capacity")
-    p.add_argument("--max-concurrency", type=int, default=64,
-                   help="AIMD concurrency limiter ceiling")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="micro-batching window (seconds)")
-    p.add_argument("--max-batch-size", type=int, default=64)
-    p.add_argument("--hot-fraction", type=float, default=0.8,
-                   help="fraction of source-bearing queries redrawn from "
-                        "the hot set (0 disables skew)")
-    p.add_argument("--hot-set", type=int, default=8,
-                   help="hot-set size for the skewed workload")
-    p.add_argument("--mix", default=None,
-                   help="app mix, e.g. bfs=0.5,sssp=0.4,pr=0.1")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-query latency budget (seconds)")
-    p.add_argument("--in-flight", type=int, default=1,
-                   help="pipelined batches concurrently resident per "
-                        "replica device (1 = batch-at-a-time)")
-    p.add_argument("--streams", type=int, default=1,
-                   help="compute streams per replica device")
-    p.add_argument("--prefetch-depth", type=int, default=0,
-                   help="iterations of out-of-core prefetch lookahead")
-    p.set_defaults(fn=cmd_cluster_bench)
+    _add_bench_args(p, replicas=2, rate=100.0, hot_fraction=0.8)
 
     p = sub.add_parser(
         "tune",

@@ -466,11 +466,11 @@ def run_app(
     *,
     device: Device | None = None,
     metrics: MetricsRegistry | None = None,
+    sanitizer: "Sanitizer | None" = None,
 ) -> RunResult:
-    """One-shot convenience wrapper around :class:`TraversalPipeline`.
-
-    To audit the run, use ``repro.api.run(..., checks=True)`` or pass a
-    sanitizer to :class:`TraversalPipeline`.
-    """
-    pipeline = TraversalPipeline(graph, scheduler, device, metrics=metrics)
+    """One-shot convenience wrapper around :class:`TraversalPipeline`;
+    a ``sanitizer`` audits the run."""
+    pipeline = TraversalPipeline(
+        graph, scheduler, device, metrics=metrics, sanitizer=sanitizer
+    )
     return pipeline.run(app, source)

@@ -124,17 +124,6 @@ class ResidentTileStore:
             self._resident_bound = int(np.count_nonzero(self._resident))
             self._all_resident = self._resident_bound == self._resident.size
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Device memory consumed by the resident tile structure."""
-        return self.stored_tiles * TILE_RECORD_BYTES
-
-    @property
-    def reuse_rate(self) -> float:
-        """Fraction of node visits served from resident tiles."""
-        total = self.reuse_hits + self.expansions
-        return self.reuse_hits / total if total else 0.0
-
     def invalidate_all(self) -> None:
         """Drop every resident tile (after reordering or graph updates).
 

@@ -43,14 +43,6 @@ class MakespanReport:
     tasks: int
 
     @property
-    def utilization(self) -> float:
-        """Busy share of the SM-slots over the makespan."""
-        if self.makespan_cycles <= 0:
-            return 1.0
-        capacity = self.per_sm_busy_cycles.size * self.makespan_cycles
-        return float(self.per_sm_busy_cycles.sum() / capacity)
-
-    @property
     def imbalance(self) -> float:
         """max / mean busy cycles across SMs (1.0 = perfectly balanced)."""
         mean = self.per_sm_busy_cycles.mean()

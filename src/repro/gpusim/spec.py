@@ -9,7 +9,7 @@ out-of-core scenario shrinks ``device_memory_bytes``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import InvalidParameterError
 
@@ -95,10 +95,6 @@ class GPUSpec:
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert SM cycles to wall-clock seconds."""
         return cycles / (self.clock_ghz * 1e9)
-
-    def with_memory(self, device_memory_bytes: int) -> "GPUSpec":
-        """A copy with a different DRAM capacity (out-of-core setups)."""
-        return replace(self, device_memory_bytes=device_memory_bytes)
 
 
 @dataclass(frozen=True)

@@ -184,9 +184,6 @@ class BatchDag:
         """Sum of node durations (the no-overlap serial cost)."""
         return sum(node.seconds for node in self.nodes)
 
-    def kind_seconds(self, kind: str) -> float:
-        return sum(n.seconds for n in self.nodes if n.kind == kind)
-
     def critical_path_seconds(self) -> float:
         """Longest dependency chain — a lower bound on any schedule."""
         finish = [0.0] * len(self.nodes)

@@ -141,9 +141,5 @@ class COOGraph:
         """Out-degree of every node as an int64 array."""
         return np.bincount(self.src, minlength=self.num_nodes).astype(EDGE_DTYPE)
 
-    def in_degrees(self) -> np.ndarray:
-        """In-degree of every node as an int64 array."""
-        return np.bincount(self.dst, minlength=self.num_nodes).astype(EDGE_DTYPE)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"COOGraph(|V|={self.num_nodes}, |E|={self.num_edges})"

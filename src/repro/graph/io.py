@@ -1,9 +1,7 @@
-"""Graph file IO: text edge lists and a compact binary CSR format.
+"""Graph file IO: text edge lists.
 
 Edge-list text files follow the widespread SNAP convention: one
 ``src dst`` pair per whitespace-separated line, ``#`` comments allowed.
-The binary format is a small ``.npz`` wrapper around the CSR arrays —
-enough for examples to persist generated datasets.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
-
-_MAGIC = "repro-csr-v1"
 
 
 def write_edge_list(graph: CSRGraph, path: str | os.PathLike) -> None:
@@ -53,26 +49,3 @@ def read_edge_list(
     if num_nodes is None:
         num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
     return CSRGraph.from_edges(num_nodes, src, dst, dedup=dedup)
-
-
-def save_csr(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Persist a CSR graph to a compressed ``.npz`` file."""
-    np.savez_compressed(
-        path,
-        magic=np.array(_MAGIC),
-        num_nodes=np.array(graph.num_nodes, dtype=np.int64),
-        offsets=graph.offsets,
-        targets=graph.targets,
-    )
-
-
-def load_csr(path: str | os.PathLike) -> CSRGraph:
-    """Load a CSR graph previously written by :func:`save_csr`."""
-    with np.load(path, allow_pickle=False) as data:
-        if "magic" not in data or str(data["magic"]) != _MAGIC:
-            raise GraphFormatError(f"{path}: not a repro CSR file")
-        return CSRGraph(
-            int(data["num_nodes"]),
-            data["offsets"].copy(),
-            data["targets"].copy(),
-        )

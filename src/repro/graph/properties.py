@@ -27,11 +27,6 @@ class DegreeStats:
     gini: float
     p99: float
 
-    @property
-    def skewness_ratio(self) -> float:
-        """max degree / mean degree — the load-imbalance driver."""
-        return self.maximum / self.mean if self.mean else 0.0
-
 
 def degree_stats(graph: CSRGraph) -> DegreeStats:
     """Compute :class:`DegreeStats` for a graph's out-degrees."""

@@ -18,7 +18,6 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     PROFILER_COUNTER_FIELDS,
     MetricsRegistry,
-    profiler_field_names,
 )
 from repro.obs.span import NULL_SPAN, NullSpan, Span
 
@@ -30,7 +29,6 @@ __all__ = [
     "PROFILER_COUNTER_FIELDS",
     "Span",
     "format_report",
-    "profiler_field_names",
     "report_from_json",
     "report_to_dict",
     "to_json",

@@ -23,7 +23,6 @@ loops is effectively free when observability is off.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Any
 
@@ -197,13 +196,3 @@ class MetricsRegistry:
 #: Shared disabled registry: the default sink for instrumented code paths
 #: when no registry is supplied, keeping call sites unconditional.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-def profiler_field_names() -> tuple[str, ...]:
-    """Dataclass fields of the simulator profiler (used by tests to keep
-    :data:`PROFILER_COUNTER_FIELDS` from drifting)."""
-    from repro.gpusim.profiler import Profiler
-
-    return tuple(
-        f.name for f in dataclasses.fields(Profiler) if f.name != "events"
-    )

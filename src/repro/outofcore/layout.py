@@ -30,18 +30,9 @@ class GraphLayout:
     def total_sectors(self) -> int:
         return self.targets_sectors + self.values_sectors
 
-    @property
-    def total_bytes(self) -> int:
-        return self.total_sectors * self.sector_bytes
-
     def target_sectors_of(self, positions: np.ndarray) -> np.ndarray:
         """Sector ids of CSR ``targets`` positions."""
         return np.asarray(positions, dtype=np.int64) // self.sector_width
-
-    def value_sectors_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Sector ids of node value slots."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        return self.targets_sectors + nodes // self.sector_width
 
 
 def layout_for(graph: CSRGraph, spec: GPUSpec) -> GraphLayout:

@@ -424,11 +424,6 @@ class GraphStore:
                 self._fingerprints[handle],
             )
 
-    def key_for(self, request: QueryRequest) -> CacheKey:
-        """The cache key of ``request`` against current graph contents."""
-        _, epoch, fingerprint = self.snapshot(request.graph)
-        return result_cache_key(request, epoch, fingerprint)
-
     def _check(self, handle: str) -> None:
         with self._lock:
             known = handle in self._current

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -48,6 +48,9 @@ from repro.graph.csr import CSRGraph
 from repro.gpusim.streams import HOST, KERNEL, BatchDag, dag_from_run
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.serve.request import SAMPLING_APPS, QueryRequest
+
+if TYPE_CHECKING:  # pragma: no cover - imported where used
+    from repro.analysis.sanitizer import Sanitizer
 
 
 def make_single_app(kind: str, params: dict[str, Any]) -> App:
@@ -81,11 +84,13 @@ def run_direct(
     scheduler_factory: Callable[[], Scheduler],
     *,
     metrics: MetricsRegistry | None = None,
+    sanitizer: Sanitizer | None = None,
 ) -> RunResult:
     """Answer one query with the direct single-query pipeline (oracle)."""
     app = make_single_app(request.app, request.param_dict())
     return run_app(
-        graph, app, scheduler_factory(), request.source, metrics=metrics
+        graph, app, scheduler_factory(), request.source,
+        metrics=metrics, sanitizer=sanitizer,
     )
 
 
@@ -109,10 +114,6 @@ class BatchExecution:
     sim_seconds: float
     runs: list[RunResult] = field(default_factory=list)
     dag: BatchDag | None = None
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.runs)
 
     @property
     def traced(self) -> bool:

@@ -16,7 +16,7 @@ query list.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.serve.executor import run_direct
 from repro.serve.request import SOURCE_APPS, QueryRequest, QueryResponse
+
+if TYPE_CHECKING:  # pragma: no cover - imported where used
+    from repro.analysis.sanitizer import Sanitizer
 
 #: Default per-app parameter presets used by the query generator.
 DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
@@ -148,10 +151,18 @@ def sequential_baseline(
     graph: CSRGraph,
     requests: list[QueryRequest],
     scheduler_factory: Callable[[], Scheduler],
+    *,
+    sanitizer: Sanitizer | None = None,
 ) -> float:
-    """Total simulated seconds of one-query-at-a-time oracle service."""
+    """Total simulated seconds of one-query-at-a-time oracle service.
+
+    A ``sanitizer`` audits every oracle run; its findings and counters
+    accumulate over the whole query list.
+    """
     return sum(
-        run_direct(graph, request, scheduler_factory).seconds
+        run_direct(
+            graph, request, scheduler_factory, sanitizer=sanitizer
+        ).seconds
         for request in requests
     )
 

@@ -187,19 +187,12 @@ class TuningSpace:
                 TuningPoint(**{name: value})
 
     @property
-    def num_axes(self) -> int:
-        return len(self.axes)
-
-    @property
     def size(self) -> int:
         """Number of full assignments in the grid."""
         total = 1
         for _, values in self.axes:
             total *= len(values)
         return total
-
-    def default_point(self) -> TuningPoint:
-        return TuningPoint()
 
     def point(self, assignment: Mapping[str, Any]) -> TuningPoint:
         """A full point from a (possibly partial) axis assignment."""

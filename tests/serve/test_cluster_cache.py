@@ -107,14 +107,6 @@ class TestGraphStore:
         assert store.fingerprint("g") != before
         assert seen == [("g", 1)]
 
-    def test_key_for_tracks_the_epoch(self):
-        base = cached_rmat(5, 4, 1)
-        store = GraphStore({"g": DynamicGraph(base)})
-        request = QueryRequest("bfs", "g", 0)
-        first = store.key_for(request)
-        store.apply_edges("g", [0], [base.num_nodes - 1])
-        assert store.key_for(request) != first
-
     def test_unknown_handle_rejected(self):
         store = GraphStore({"g": cached_rmat(5, 4, 1)})
         with pytest.raises(InvalidParameterError):

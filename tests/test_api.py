@@ -217,3 +217,56 @@ class TestBench:
         a = api.bench(graph, num_queries=12, replicas=2, seed=3)
         b = api.bench(graph, num_queries=12, replicas=2, seed=3)
         assert a.to_dict() == b.to_dict()
+
+
+class TestOneFrontDoor:
+    """``serve`` is ``cluster``'s single-broker preset and ``bench``
+    carries every knob of the two CLI bench commands."""
+
+    def test_serve_counts_a_serve_and_a_cluster_session(self, graph):
+        metrics = MetricsRegistry()
+        with api.serve(graph, metrics=metrics, profile=None):
+            pass
+        counters = metrics.report()["counters"]
+        assert counters["api.serve_sessions"] == 1
+        assert counters["api.cluster_sessions"] == 1
+
+    def test_negative_replicas_are_refused(self, graph):
+        with pytest.raises(InvalidParameterError, match="replicas"):
+            api.bench(graph, num_queries=4, replicas=-1)
+
+    def test_hot_set_skew_reaches_the_cache(self, graph):
+        plain = api.bench(graph, num_queries=32, replicas=2, seed=3)
+        hot = api.bench(graph, num_queries=32, replicas=2, seed=3,
+                        hot_set=1, hot_fraction=1.0)
+        assert hot.cache_hits > plain.cache_hits
+
+    def test_deadline_reaches_every_query(self, graph):
+        report = api.bench(graph, num_queries=12, seed=3, deadline=1e-9)
+        assert report.status_counts.get("ok", 0) < 12
+
+    @pytest.mark.parametrize(
+        "scheduler", ["sage", "sage-sr", "tigr", "gunrock"]
+    )
+    def test_audited_oracle_runs_are_the_baseline(self, scheduler):
+        """At ``replicas=0`` the sanitized oracle runs sum to
+        ``sequential_baseline``'s seconds bit for bit, so an audit never
+        moves the baseline."""
+        from repro.analysis import Sanitizer
+        from repro.graph import datasets
+        from repro.serve import generate_queries, sequential_baseline
+
+        twitter = datasets.by_name("twitter", 0.05).graph
+        factory = api.SCHEDULERS[scheduler]
+        requests = generate_queries(
+            "bench", twitter.num_nodes, 12, seed=0
+        )
+        sanitizer = Sanitizer()
+        audited = sequential_baseline(
+            twitter, requests, factory, sanitizer=sanitizer
+        )
+        assert audited == sequential_baseline(twitter, requests, factory)
+        assert sanitizer.clean and sanitizer.levels_checked > len(requests)
+        report = api.bench(twitter, num_queries=12, scheduler=scheduler,
+                           sanitizer=Sanitizer())
+        assert report.baseline_seconds == audited

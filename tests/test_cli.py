@@ -219,3 +219,68 @@ class TestSharedFlagFamily:
                      "--app", "bfs", "--sanitize-report",
                      str(report)]) == 0
         assert json.loads(report.read_text())["clean"] is True
+
+
+class TestOneBenchCommand:
+    """``serve-bench`` and ``cluster-bench`` are one ``api.bench`` call
+    with different defaults."""
+
+    SMALL = ["--dataset", "twitter", "--scale", "0.05", "--queries", "16",
+             "--seed", "3"]
+
+    def test_serve_bench_is_cluster_bench_with_its_defaults(self, capsys):
+        assert main(["serve-bench", *self.SMALL]) == 0
+        serve = capsys.readouterr().out
+        assert main(["cluster-bench", *self.SMALL, "--replicas", "0",
+                     "--rate", "200", "--hot-fraction", "0"]) == 0
+        cluster = capsys.readouterr().out
+        assert serve.startswith("serve-bench on ")
+        assert cluster == serve.replace("serve-bench", "cluster-bench", 1)
+        assert "speedup vs 1-at-a-time" in cluster
+
+    def test_negative_replicas_are_refused(self):
+        with pytest.raises(InvalidParameterError, match="replicas"):
+            main(["cluster-bench", *self.SMALL, "--replicas", "-1"])
+
+    @pytest.mark.parametrize("command", ["serve-bench", "cluster-bench"])
+    def test_sanitize_report_covers_every_oracle_run(
+        self, command, tmp_path, capsys
+    ):
+        """The report sums the findings and counters of every oracle
+        run, not just the last one's."""
+        import json
+
+        from repro import api
+        from repro.serve import (
+            generate_queries,
+            make_single_app,
+            skew_sources,
+        )
+
+        path = tmp_path / "report.json"
+        assert main([command, "--dataset", "twitter", "--scale", "0.05",
+                     "--queries", "8", "--sanitize-report",
+                     str(path)]) == 0
+        assert "sanitizer (oracle runs): clean" in capsys.readouterr().out
+        report = json.loads(path.read_text())
+        graph = datasets.by_name("twitter", 0.05).graph
+        requests = generate_queries("bench", graph.num_nodes, 8, seed=0)
+        if command == "cluster-bench":
+            requests = skew_sources(
+                requests, hot_set_size=8, hot_fraction=0.8,
+                num_nodes=graph.num_nodes, seed=0,
+            )
+        runs = [
+            api.run(graph, make_single_app(r.app, r.param_dict()),
+                    source=r.source, checks=True).checks
+            for r in requests
+        ]
+        assert len(runs) == 8
+        for counter in ("levels_checked", "kernels_checked",
+                        "edges_checked"):
+            assert report[counter] == sum(
+                getattr(run, counter) for run in runs
+            ), counter
+        assert report["levels_checked"] > max(
+            run.levels_checked for run in runs
+        )

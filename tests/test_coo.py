@@ -85,7 +85,3 @@ class TestDegrees:
         g = make([0, 0, 1], [1, 2, 2])
         assert g.out_degrees().tolist() == [2, 1, 0, 0, 0, 0, 0, 0, 0, 0]
 
-    def test_in_degrees(self):
-        g = make([0, 0, 1], [1, 2, 2])
-        assert g.in_degrees()[2] == 2
-        assert g.in_degrees()[0] == 0

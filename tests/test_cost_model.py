@@ -46,10 +46,6 @@ class TestSpec:
         spec = GPUSpec()
         assert spec.cycles_to_seconds(spec.clock_ghz * 1e9) == pytest.approx(1.0)
 
-    def test_with_memory(self):
-        spec = GPUSpec().with_memory(1 << 20)
-        assert spec.device_memory_bytes == 1 << 20
-
     def test_cpu_spec(self):
         cpu = CPUSpec()
         assert cpu.bytes_per_cycle > 0

@@ -50,12 +50,7 @@ class TestResidentStore:
         assert (reused, new, new_tiles) == (0, 2, 3)
         reused, new, new_tiles = store.visit(frontier, tiles)
         assert (reused, new, new_tiles) == (2, 0, 0)
-        assert store.reuse_rate == pytest.approx(0.5)
-
-    def test_footprint(self, tiny_graph):
-        store = ResidentTileStore(tiny_graph)
-        store.visit(np.array([0]), np.array([5]))
-        assert store.footprint_bytes == 5 * 12
+        assert (store.reuse_hits, store.expansions) == (2, 2)
 
     def test_invalidate_all(self, tiny_graph):
         store = ResidentTileStore(tiny_graph)
@@ -78,7 +73,7 @@ class TestResidentStore:
         store = scheduler.resident_store
         assert store is not None
         # iterations 2..5 fully reuse iteration 1's expansion
-        assert store.reuse_rate > 0.7
+        assert store.reuse_hits > 0.7 * (store.reuse_hits + store.expansions)
 
 
 class TestSelfAdaptiveReordering:

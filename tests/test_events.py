@@ -24,7 +24,6 @@ class TestSimulatorBasics:
         sim = MakespanSimulator(4)
         report = sim.simulate([], stealing=True)
         assert report.makespan_cycles == 0.0
-        assert report.utilization == 1.0
 
     def test_single_task(self):
         sim = MakespanSimulator(4, slots_per_sm=2)
@@ -62,7 +61,6 @@ class TestPlacementRegimes:
         stolen = sim.simulate(tasks, stealing=True)
         assert owner.makespan_cycles == pytest.approx(40.0)
         assert stolen.makespan_cycles == pytest.approx(10.0)
-        assert stolen.utilization == pytest.approx(1.0)
 
     @given(
         st.lists(st.tuples(st.floats(0.1, 20.0), st.integers(0, 15)),

@@ -387,6 +387,12 @@ class TestIncrementalProperties:
 # ---------------------------------------------------------------------------
 
 
+def _cache_key(store, request):
+    """The cache key of ``request`` against the store's current graph."""
+    _, epoch, fingerprint = store.snapshot(request.graph)
+    return result_cache_key(request, epoch, fingerprint)
+
+
 def _distances_entry(graph, source, app="bfs"):
     if app == "bfs":
         return {"dist": IncrementalBFS(graph, source=source).distances}
@@ -488,9 +494,8 @@ class TestSelectiveCacheInvalidation:
             QueryRequest("bfs", "g", int(source)) for source in sources
         ]
         for request in requests:  # warm the cache at epoch 0
-            key = store.key_for(request)
             cache.put(
-                key,
+                _cache_key(store, request),
                 run_direct(
                     store.graph("g"), request, SageScheduler
                 ).result,
@@ -505,7 +510,7 @@ class TestSelectiveCacheInvalidation:
             )
             current = store.graph("g")
             for request in requests:
-                cached = cache.get(store.key_for(request))
+                cached = cache.get(_cache_key(store, request))
                 if cached is None:
                     continue
                 oracle = run_direct(current, request, SageScheduler)

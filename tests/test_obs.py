@@ -5,6 +5,7 @@ thread safety, registry merging, the profiler fold contract, and the
 JSON / line-protocol exporters.
 """
 
+import dataclasses
 import json
 import threading
 
@@ -18,7 +19,6 @@ from repro.obs import (
     PROFILER_COUNTER_FIELDS,
     MetricsRegistry,
     format_report,
-    profiler_field_names,
     report_from_json,
     report_to_dict,
     to_json,
@@ -192,7 +192,8 @@ class TestProfilerFold:
     def test_field_list_tracks_profiler_dataclass(self):
         # Guards PROFILER_COUNTER_FIELDS against drift when Profiler
         # grows a counter: every non-event field must be mirrored.
-        assert set(PROFILER_COUNTER_FIELDS) == set(profiler_field_names())
+        fields = {field.name for field in dataclasses.fields(Profiler)}
+        assert set(PROFILER_COUNTER_FIELDS) == fields - {"events"}
 
 
 class TestMerge:

@@ -83,12 +83,6 @@ class TestLayout:
         assert layout.targets_sectors == 1  # 7 edges fit one sector
         ts = layout.target_sectors_of(np.array([0, 6]))
         assert ts.tolist() == [0, 0]
-        vs = layout.value_sectors_of(np.array([0]))
-        assert vs.tolist() == [layout.targets_sectors]
-
-    def test_total_bytes(self, skewed_graph):
-        layout = layout_for(skewed_graph, GPUSpec())
-        assert layout.total_bytes == layout.total_sectors * 32
 
 
 @pytest.mark.parametrize("runner_factory", [

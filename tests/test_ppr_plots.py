@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.apps import PersonalizedPageRankApp
-from repro.bench import format_bars
 from repro.core import SageScheduler, run_app
 from repro.errors import InvalidParameterError
 from repro.graph import generators as gen
@@ -60,35 +59,3 @@ class TestPersonalizedPageRank:
         with pytest.raises(InvalidParameterError):
             run_app(tiny_graph, PersonalizedPageRankApp(),
                     SageScheduler())
-
-
-class TestFormatBars:
-    ROWS = [
-        {"dataset": "uk", "sage": 12.0, "tpn": 1.5},
-        {"dataset": "brain", "sage": 28.0, "tpn": 0.7},
-    ]
-
-    def test_scaled_to_peak(self):
-        text = format_bars(self.ROWS, "dataset", ["sage", "tpn"], width=30)
-        lines = [line for line in text.splitlines() if "|" in line]
-        longest = max(line.count("#") for line in lines)
-        assert longest == 30  # the peak value spans the full width
-
-    def test_values_printed(self):
-        text = format_bars(self.ROWS, "dataset", ["sage"])
-        assert "12" in text and "28" in text
-
-    def test_title_and_empty(self):
-        assert format_bars([], "x", ["y"], title="T").startswith("T")
-
-    def test_missing_column_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            format_bars(self.ROWS, "dataset", ["nope"])
-
-    def test_zero_values_no_crash(self):
-        text = format_bars([{"d": "a", "v": 0.0}], "d", ["v"])
-        assert "| 0" in text
-
-    def test_width_validation(self):
-        with pytest.raises(InvalidParameterError):
-            format_bars(self.ROWS, "dataset", ["sage"], width=0)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
 from repro.graph import generators as gen
 from repro.graph import io
 from repro.graph.csr import CSRGraph
@@ -36,14 +35,12 @@ class TestDegreeStats:
         stats = degree_stats(gen.star_graph(11))
         assert stats.maximum == 10
         assert stats.mean == pytest.approx(10 / 11)
-        assert stats.skewness_ratio == pytest.approx(11.0)
 
     def test_empty_graph(self):
         g = CSRGraph.from_edges(0, np.array([], dtype=int),
                                 np.array([], dtype=int))
         stats = degree_stats(g)
         assert stats.num_nodes == 0
-        assert stats.skewness_ratio == 0.0
 
 
 class TestLocality:
@@ -101,19 +98,3 @@ class TestEdgeListIO:
         path.write_text("# header\n0 1\n# mid\n1 2\n")
         g = io.read_edge_list(path)
         assert g.num_edges == 2
-
-
-class TestBinaryIO:
-    def test_roundtrip(self, tmp_path, skewed_graph):
-        path = tmp_path / "graph.npz"
-        io.save_csr(skewed_graph, path)
-        back = io.load_csr(path)
-        assert back.num_nodes == skewed_graph.num_nodes
-        assert np.array_equal(back.offsets, skewed_graph.offsets)
-        assert np.array_equal(back.targets, skewed_graph.targets)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, foo=np.arange(3))
-        with pytest.raises(GraphFormatError):
-            io.load_csr(path)

@@ -125,7 +125,8 @@ class TestTigrTransform:
 
     def test_udt_regular_graph_blowup(self, regular_graph):
         t = udt_transform(regular_graph, split_degree=8)
-        assert t.expansion_factor > 2.0  # every node splits
+        # every node splits
+        assert t.num_virtual_nodes > 2 * t.virtual_count_per_node.size
 
     def test_udt_validation(self, tiny_graph):
         with pytest.raises(InvalidParameterError):

@@ -17,12 +17,6 @@ class TestSessionTrace:
         assert trace.completion_times.tolist() == [11.0, 13.0, 16.0]
         assert trace.total_seconds == 16.0
 
-    def test_queries_done_by(self):
-        trace = SessionTrace("x", 10.0, [1.0, 2.0, 3.0])
-        assert trace.queries_done_by(5.0) == 0
-        assert trace.queries_done_by(13.0) == 2
-        assert trace.queries_done_by(100.0) == 3
-
     def test_crossover(self):
         slow_start = SessionTrace("a", 10.0, [0.1] * 5)
         fast_start = SessionTrace("b", 0.0, [1.0] * 5)

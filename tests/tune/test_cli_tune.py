@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.serve.cache import graph_fingerprint
-from repro.tune import BENCH_WORKLOADS, ProfileStore, get_workload
+from repro.tune import BENCH_WORKLOADS, ProfileStore, TuningPoint, get_workload
 
 pytestmark = pytest.mark.tune
 
@@ -93,4 +93,4 @@ class TestCommittedProfiles:
         for path in store.list():
             profile = store.load(path)
             assert profile.speedup > 1.0, path.name
-            assert profile.point != profile.space.default_point(), path.name
+            assert profile.point != TuningPoint(), path.name

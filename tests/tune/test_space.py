@@ -84,8 +84,7 @@ class TestTuningSpace:
         with pytest.raises(InvalidParameterError):
             TuningSpace((("min_tile", (8, 3)),))
 
-    def test_size_and_num_axes(self, tiny_space):
-        assert tiny_space.num_axes == 3
+    def test_size(self, tiny_space):
         assert tiny_space.size == 3 * 2 * 2
 
     def test_sample_is_seed_deterministic(self, tiny_space):
