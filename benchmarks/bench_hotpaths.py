@@ -9,10 +9,11 @@ pairs as one key (``core.sampling.tile_pair_key``); their references
 patch in the per-rotation builder, ``tile_pairs_reference``.  The
 ``compute_round`` row observes four levels before each round, since a
 round builds the pairs of all its observations at once; its quick and
-full sizes cover the uint32 and the int64 pair key.  The level-pricing
-row times every level of one mesh BFS priced as one queue of columns
-(``level_stats``, ``Device.run_kernels`` and ``kernel_nodes``) against
-``kernel_stats``, ``run_kernel`` and ``kernel_node`` level by level.
+full sizes cover the uint32 and the int64 pair key.  The run-scoring
+rows time the kernels of one mesh BFS, and of its first six levels,
+scored once as a run is (``KernelBatch.of``, one ``Device.run_kernels``
+and ``kernel_nodes``) against each kernel scored as its own batch of
+one (``Device.run_kernel``).
 The whole-graph level row times the 20 levels of one PageRank run, whose full frontiers
 share one expansion, the node table's column totals and one residency
 check, against the same run with every level expanded and priced by
@@ -32,8 +33,8 @@ its definition (the edge list relabelled and rebuilt by ``from_edges``)
 and the relabelled graph's node table derived from the old one
 (``NodeAccounting.relabelled``) against ``NodeAccounting.build``.
 Wall times here are informational — the correctness story is
-``tests/test_hotpath_equivalence.py`` and, for level pricing,
-``tests/test_node_accounting.py`` and ``tests/test_kernel_batch.py``,
+``tests/test_hotpath_equivalence.py`` and, for level pricing and run
+scoring, ``tests/test_node_accounting.py`` and ``tests/test_kernel_batch.py``,
 which assert the rewrites are bit-for-bit identical to the references.
 
 Usage::
@@ -55,7 +56,6 @@ from repro.apps import BFSApp, PageRankApp
 from repro.apps.base import contract, relax
 from repro.apps.pagerank import rank_scatter, rank_scatter_reference
 from repro.core import SageScheduler, TraversalPipeline, sampling
-from repro.core.pipeline import Level
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import (
@@ -64,6 +64,7 @@ from repro.core.tiling import (
     decompose_frontier,
     decompose_frontier_reference,
 )
+from repro.gpusim.cost import KernelBatch
 from repro.gpusim.device import Device
 from repro.gpusim.memory import (
     distinct_counts,
@@ -74,7 +75,6 @@ from repro.graph.coo import COOGraph
 from repro.graph.csr import CSRGraph, expand_frontier_reference
 from repro.graph.datasets import twitter_like
 from repro.graph.generators import grid_2d, rmat
-from repro.obs.span import NullSpan
 
 SECTOR_WIDTH = 8
 
@@ -257,41 +257,40 @@ def bench_pagerank_filter(rng, repeats: int, graph: CSRGraph) -> None:
     _row("pagerank filter", graph.num_edges, new_s, ref_s)
 
 
-def bench_level_pricing(repeats: int, graph: CSRGraph) -> None:
-    # Every level of one BFS on a mesh (a few hundred edges each), priced
-    # whole (stats, cost model, profiler and trace nodes): one queue of
-    # columns against kernel_stats, run_kernel and kernel_node per level.
+def bench_run_scoring(repeats: int, graph: CSRGraph) -> None:
+    # The kernels of one BFS on a mesh (a few hundred edges a level),
+    # scored as a run is: stacked, one run_kernels and kernel_nodes,
+    # against each kernel scored as its own batch of one.  The second
+    # row keeps the first six, the kernels of a short run.
     app = BFSApp()
     app.setup(graph, 0)
-    levels, frontier = [], app.initial_frontier()
-    while frontier.size:
-        edge_src, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
-        full = graph.is_full_frontier(frontier)
-        levels.append(Level(len(levels), frontier, degrees, edge_dst, edge_pos, NullSpan(), full))
-        frontier = app.process_level(edge_src, edge_dst)
     scheduler = SageScheduler()
+    scheduler.reset(graph)
+    rows, frontier = [], app.initial_frontier()
+    while frontier.size:
+        edge_src, edge_dst, _, degrees = graph.expand_level(frontier)
+        rows.append(scheduler.kernel_stats(frontier, degrees, edge_dst, graph, app))
+        frontier = app.process_level(edge_src, edge_dst)
 
-    def run_new():
-        scheduler.reset(graph)
-        device = Device(scheduler.spec)
-        batch = scheduler.level_stats(levels, graph, app)
-        device.kernel_nodes(device.run_kernels(batch), [level.index for level in levels])
+    for kernels in (rows, rows[:6]):
+        iterations = list(range(len(kernels)))
 
-    def run_ref():
-        scheduler.reset(graph)
-        device = Device(scheduler.spec)
-        for level in levels:
-            stats = scheduler.kernel_stats(
-                level.frontier, level.degrees, level.edge_dst, graph, app
-            )
-            device.kernel_node(device.run_kernel(stats), level.index)
+        def run_new(kernels=kernels, iterations=iterations):
+            device = Device(scheduler.spec)
+            batch = KernelBatch.of(kernels, device.spec)
+            device.kernel_nodes(device.run_kernels(batch), iterations)
 
-    _row(
-        f"level pricing ({len(levels)} levels)",
-        graph.num_nodes,
-        _best_of(run_new, repeats),
-        _best_of(run_ref, repeats),
-    )
+        def run_ref(kernels=kernels, iterations=iterations):
+            device = Device(scheduler.spec)
+            for stats, iteration in zip(kernels, iterations):
+                device.kernel_nodes(device.run_kernel(stats), [iteration])
+
+        _row(
+            f"run scoring ({len(kernels)} kernels)",
+            len(kernels),
+            _best_of(run_new, repeats),
+            _best_of(run_ref, repeats),
+        )
 
 
 def bench_whole_level(repeats: int, graph: CSRGraph) -> None:
@@ -385,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_expand(rng, repeats, graph)
     bench_pagerank_filter(rng, repeats, graph)
     side = 48 if args.quick else 112
-    bench_level_pricing(repeats, grid_2d(side, side))
+    bench_run_scoring(repeats, grid_2d(side, side))
     bench_whole_level(repeats, rmat(10 if args.quick else 15, 8, seed=0))
     bench_distinct_counts(rng, repeats, 100_000 * scale)
     bench_relax(rng, repeats, 100_000 * scale)

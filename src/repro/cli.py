@@ -394,7 +394,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
           f" / {report.latency_p95:.4f} / {report.latency_p99:.4f} virtual s")
     print(f"  device time       {report.sim_seconds_total:10.6f} s"
           f"   ({baseline} {report.baseline_seconds:.6f} s)")
-    print(f"  replica occupancy {report.replica_occupancy_mean:10.2f}")
+    print(f"  replica occupancy {report.replica_occupancy_mean:10.4g}")
     if report.pipeline_enabled:
         print(f"  pipeline busy     {report.pipeline_busy_seconds:10.6f} s"
               f"   (overlap saved {report.pipeline_overlap_saved_seconds:.6f} s,"

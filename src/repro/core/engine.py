@@ -172,21 +172,21 @@ class SageScheduler(Scheduler):
 
     def level_stats(
         self, levels: Sequence[Level], graph: CSRGraph, app: App
-    ) -> list[KernelStats] | KernelBatch:
+    ) -> KernelBatch:
         """A queue of at least :data:`MIN_PASS_LEVELS` levels is priced
-        in one pass: as one :class:`KernelBatch` when
-        :meth:`_price_columns` covers the configuration, else as
-        :class:`KernelStats` from :meth:`_price`.  A shorter queue, or a
-        subclass's own ``kernel_stats``, is priced level by level."""
+        in one pass: as columns when :meth:`_price_columns` covers the
+        configuration, else as :class:`KernelStats` from :meth:`_price`.
+        A shorter queue, or a subclass's own ``kernel_stats``, is priced
+        level by level."""
         if type(self).kernel_stats is not SageScheduler.kernel_stats:
             # a subclass that prices kernels itself sees every level
             return super().level_stats(levels, graph, app)
         if len(levels) < MIN_PASS_LEVELS:
-            return [
+            return self.stack([
                 self.kernel_stats(level.frontier, level.degrees,
                                   level.edge_dst, graph, app, full=level.full)
                 for level in levels
-            ]
+            ])
         if (
             self.tiled_partitioning
             and self.resident_stealing
@@ -194,13 +194,13 @@ class SageScheduler(Scheduler):
             and self.sanitizer is None
         ):
             return self._price_columns(levels, graph, app)
-        return self._price(
+        return self.stack(self._price(
             [level.frontier for level in levels],
             [level.degrees for level in levels],
             [level.edge_dst for level in levels],
             [level.full for level in levels],
             graph, app,
-        )
+        ))
 
     def _price(
         self,

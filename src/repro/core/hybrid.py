@@ -139,7 +139,7 @@ def direction_optimized_bfs(
                 graph, frontier, dist, push_scheduler, probe,
             )
             pushes += 1
-        trace.append(device.kernel_node(device.run_kernel(stats), level))
+        trace.extend(device.kernel_nodes(device.run_kernel(stats), [level]))
         edges_traversed += cost_edges
         level += 1
         dist[next_frontier] = level

@@ -40,7 +40,7 @@ from repro.obs.span import NullSpan, Span
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.sanitizer import Sanitizer
     from repro.core.scheduler import Scheduler
-    from repro.gpusim.cost import KernelTiming
+    from repro.gpusim.cost import KernelBatchTiming
 
 
 @dataclass
@@ -152,18 +152,25 @@ class LevelPricer:
 
     def _timed_kernel(
         self, device: Device, stats, span_name: str, **attrs
-    ) -> KernelTiming:
+    ) -> KernelBatchTiming:
         """Run one kernel under a leaf span carrying its cost breakdown."""
         with self.metrics.span(span_name, **attrs) as sp:
             timing = device.run_kernel(stats)
-            for name in KERNEL_SPAN_FIELDS:
-                sp.set(name, getattr(timing, name))
+            for name, value in zip(KERNEL_SPAN_FIELDS, kernel_span_rows(timing)[0]):
+                sp.set(name, value)
         return timing
 
 
-#: The :class:`~repro.gpusim.cost.KernelTiming` fields of a ``kernel`` span.
+#: The :class:`~repro.gpusim.cost.KernelBatchTiming` fields of a ``kernel`` span.
 KERNEL_SPAN_FIELDS = ("cycles", "compute_cycles", "memory_cycles",
                       "overhead_cycles", "launch_cycles", "dram_bytes")
+
+
+def kernel_span_rows(timing: KernelBatchTiming) -> list[tuple[float, ...]]:
+    """Each row's :data:`KERNEL_SPAN_FIELDS`, as floats."""
+    rows = len(timing.cycles)  # launch_cycles is one float for every row
+    return list(zip(*(np.broadcast_to(getattr(timing, name), rows).tolist()
+                      for name in KERNEL_SPAN_FIELDS)))
 
 
 def run_levels(
@@ -276,8 +283,9 @@ class TraversalPipeline(LevelPricer):
     """Runs apps over a graph with a given scheduler and device.
 
     A level is one scheduler kernel on the device, followed by any
-    reordering the scheduler commits.  Levels are priced in queues (see
-    :meth:`price`).
+    reordering the scheduler commits.  Levels' stats are built in
+    queues (see :meth:`price`); a run's kernels are scored once, at
+    convergence (see :meth:`_score`).
     """
 
     def __init__(
@@ -303,6 +311,11 @@ class TraversalPipeline(LevelPricer):
         # Levels waiting to be priced together (see price).
         self._queued: list[Level] = []
         self._queued_edges = 0
+        # The run's kernels, in trace order, until _score: a batch per
+        # priced queue and per commit, and each row's (level index,
+        # level span, active edges; None for a commit's update kernel).
+        self._batches: list[KernelBatch] = []
+        self._rows: list[tuple[int, Span | NullSpan, int | None]] = []
 
     @property
     def name(self) -> str:
@@ -324,6 +337,8 @@ class TraversalPipeline(LevelPricer):
         self.scheduler.reset(graph)
         self._queued = []
         self._queued_edges = 0
+        self._batches = []
+        self._rows = []
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
@@ -335,54 +350,59 @@ class TraversalPipeline(LevelPricer):
         commit and at convergence."""
         edges = int(level.edge_dst.size)
         if edges >= graph.num_nodes:
-            self._price_queued(graph, app, trace)
+            self._price_queued(graph, app)
         self._queued.append(level)
         self._queued_edges += edges
         if self._queued_edges >= self.scheduler.queue_edge_limit(graph):
-            self._price_queued(graph, app, trace)
+            self._price_queued(graph, app)
 
     def record_level(self, level: Level, nodes: list[TraceNode]) -> None:
-        """Nothing: :meth:`_price_queued` records a level when it prices it."""
+        """Nothing: :meth:`_score` records a level when it scores the run."""
 
-    def _price_queued(
-        self, graph: CSRGraph, app: App, trace: list[TraceNode]
-    ) -> None:
-        """Price the queue with one ``level_stats`` call (a
-        :class:`KernelBatch` is scored as columns), counted as one
-        ``pipeline.pricing_passes``.  Each level gets its own trace node
-        and, if recorded, its own span values."""
+    def _price_queued(self, graph: CSRGraph, app: App) -> None:
+        """Build the queue's stats with one ``level_stats`` call, counted
+        as one ``pipeline.pricing_passes``, and keep them for
+        :meth:`_score`."""
         levels = self._queued
         if not levels:
             return
         self._queued = []
         self._queued_edges = 0
         self.metrics.count("pipeline.pricing_passes")
+        self._batches.append(self.scheduler.level_stats(levels, graph, app))
+        self._rows.extend(
+            (level.index, level.span, int(level.edge_dst.size)) for level in levels
+        )
+
+    def _score(self, trace: list[TraceNode]) -> None:
+        """Score the run's kernels with one ``Device.run_kernels`` call
+        and append their trace nodes, each tagged with its level's index.
+        If recorded, each kernel is a ``kernel`` child of its level's
+        span, and the level's span gets its times."""
+        batches, rows = self._batches, self._rows
+        self._batches, self._rows = [], []
         device = self.device
-        stats = self.scheduler.level_stats(levels, graph, app)
-        indices = [level.index for level in levels]
-        if isinstance(stats, KernelBatch):
-            batch = device.run_kernels(stats)
-            nodes = device.kernel_nodes(batch, indices)
-        else:
-            timings = [device.run_kernel(row) for row in stats]
-            nodes = [device.kernel_node(t, i) for t, i in zip(timings, indices)]
+        timing = device.run_kernels(KernelBatch.concat(batches))
+        nodes = device.kernel_nodes(timing, [index for index, _, _ in rows])
         trace.extend(nodes)
         if not self.metrics.enabled:
             return
-        if isinstance(stats, KernelBatch):  # launch_cycles is one float
-            rows = zip(*(np.broadcast_to(getattr(batch, name), len(levels)).tolist()
-                         for name in KERNEL_SPAN_FIELDS))
-        else:
-            rows = ([getattr(t, name) for name in KERNEL_SPAN_FIELDS] for t in timings)
-        for level, node, row in zip(levels, nodes, rows):
+        for (_, span, active), node, values in zip(rows, nodes, kernel_span_rows(timing)):
             # attached, never entered: never timed, so its duration_s is 0
-            kernel = self.metrics.span("kernel", kind="expand-filter")
-            level.span.children.append(kernel)
-            for name, value in zip(KERNEL_SPAN_FIELDS, row):
+            kernel = self.metrics.span(
+                "kernel", kind="expand-filter" if active is not None else "reorder-update"
+            )
+            span.children.append(kernel)
+            for name, value in zip(KERNEL_SPAN_FIELDS, values):
                 kernel.set(name, value)
-            level.span.set("active_edges", level.edge_dst.size)
-            level.span.set("kernel_cycles", row[0])
-            level.span.set("iteration_seconds", node.seconds)
+            if active is not None:
+                span.set("active_edges", active)
+                span.set("kernel_cycles", values[0])
+                span.set("iteration_seconds", node.seconds)
+            else:
+                span.set("reorder_cycles", values[0])
+                # the level's kernel comes first, so this adds to its time
+                span.add("iteration_seconds", node.seconds)
 
     def post_level(
         self,
@@ -395,34 +415,29 @@ class TraversalPipeline(LevelPricer):
         commit = self.scheduler.post_level(graph)
         if commit is not None or frontier.size == 0:
             # queued levels ran on this graph, before the commit
-            self._price_queued(graph, app, trace)
-        if commit is None:
-            return graph, frontier
-        sanitizer = self.sanitizer
-        device = self.device
-        if sanitizer is not None:
-            sanitizer.check_commit(commit.perm, graph.num_nodes)
-        update = self._timed_kernel(
-            device, commit.update_stats, "kernel", kind="reorder-update",
-        )
-        node = device.kernel_node(update, level.index)
-        trace.append(node)
-        level.span.set("reorder_cycles", update.cycles)
-        # the level's kernel was priced above, so this adds to its time
-        level.span.add("iteration_seconds", node.seconds)
-        graph = graph.permute(commit.perm)
-        app.graph = graph
-        app.remap_nodes(commit.perm)
-        frontier = commit.perm[frontier]
-        self.scheduler.notify_reordered(commit.perm, graph)
-        if sanitizer is not None:
-            sanitizer.notify_reordered(commit.perm)
-        self._total_perm = (
-            commit.perm if self._total_perm is None
-            else commit.perm[self._total_perm]
-        )
-        self._commits += 1
-        self.metrics.count("pipeline.reorder_commits")
+            self._price_queued(graph, app)
+        if commit is not None:
+            sanitizer = self.sanitizer
+            if sanitizer is not None:
+                sanitizer.check_commit(commit.perm, graph.num_nodes)
+            # the update kernel runs after the level's
+            self._batches.append(self.scheduler.stack([commit.update_stats]))
+            self._rows.append((level.index, level.span, None))
+            graph = graph.permute(commit.perm)
+            app.graph = graph
+            app.remap_nodes(commit.perm)
+            frontier = commit.perm[frontier]
+            self.scheduler.notify_reordered(commit.perm, graph)
+            if sanitizer is not None:
+                sanitizer.notify_reordered(commit.perm)
+            self._total_perm = (
+                commit.perm if self._total_perm is None
+                else commit.perm[self._total_perm]
+            )
+            self._commits += 1
+            self.metrics.count("pipeline.reorder_commits")
+        if frontier.size == 0:
+            self._score(trace)
         return graph, frontier
 
     def finish(

@@ -99,21 +99,28 @@ class Scheduler(ABC):
 
     def level_stats(
         self, levels: Sequence[Level], graph: CSRGraph, app: App
-    ) -> list[KernelStats] | KernelBatch:
+    ) -> KernelBatch:
         """Score a queue of expansion+filtering kernels, one per level.
 
         ``levels`` ran in this order on ``graph`` (each carries its
-        ``frontier``, ``degrees`` and ``edge_dst``); the result equals
-        :meth:`kernel_stats` called on each in turn, which is what this
-        default does.  An override may return the queue as one
-        :class:`~repro.gpusim.cost.KernelBatch` whose row ``i`` is level
-        ``i``'s stats.
+        ``frontier``, ``degrees`` and ``edge_dst``); row ``i`` of the
+        result is :meth:`kernel_stats` of level ``i``, which is what
+        this default stacks.
         """
-        return [
+        return self.stack([
             self.kernel_stats(level.frontier, level.degrees, level.edge_dst,
                               graph, app)
             for level in levels
-        ]
+        ])
+
+    def stack(self, rows: Sequence[KernelStats]) -> KernelBatch:
+        """``rows`` (kernels this scheduler reported) as one batch, each
+        audited by the sanitizer, if one is attached, before it is
+        stacked."""
+        if self.sanitizer is not None:
+            for row in rows:
+                self.sanitizer.check_kernel_stats(row, self.spec)
+        return KernelBatch.of(rows, self.spec)
 
     def queue_edge_limit(self, graph: CSRGraph) -> int:
         """Edges a pipeline may queue before pricing them: |E|, so a

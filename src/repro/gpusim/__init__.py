@@ -34,7 +34,7 @@ from repro.gpusim.streams import (
     StreamDevice,
     TraceNode,
     dag_from_run,
-    kernel_occupancy,
+    kernel_occupancies,
     trace_seconds,
 )
 from repro.gpusim.trace import CacheTraceReport, LRUCacheModel, replay_cache_trace
@@ -70,7 +70,7 @@ __all__ = [
     "distinct_sectors",
     "estimate_dram_sectors",
     "even_placement",
-    "kernel_occupancy",
+    "kernel_occupancies",
     "replay_cache_trace",
     "sector_ids",
     "segmented_distinct_sectors",

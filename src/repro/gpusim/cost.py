@@ -17,6 +17,7 @@ These are exactly the four effects the paper's techniques target:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -102,7 +103,8 @@ class KernelBatch:
     :class:`KernelStats` field of the same name, except
     ``busiest_lane_cycles``: it stands for ``per_sm_lane_cycles`` and
     keeps only the busiest SM's lane-cycles, the one value of a
-    placement that :meth:`KernelCostModel.time_kernel` reads.
+    placement the cost model reads.  A single kernel is a batch of one
+    (:meth:`of`).
     """
 
     active_edges: npt.NDArray[np.int64]
@@ -116,6 +118,40 @@ class KernelBatch:
     extra_dram_bytes: npt.NDArray[np.float64]
     atomic_conflicts: npt.NDArray[np.float64]
     compute_scale: npt.NDArray[np.float64]
+
+    @classmethod
+    def of(cls, rows: Sequence[KernelStats], spec: GPUSpec) -> KernelBatch:
+        """``rows`` as one batch, in order.  Each row is checked by
+        :meth:`KernelStats.validate` as it is stacked; a row without a
+        placement has its issued lane-cycles spread evenly over SMs."""
+        sms = max(1, spec.num_sms)
+        ints, floats = [], []
+        for row in rows:
+            row.validate(spec)
+            per_sm = row.per_sm_lane_cycles
+            ints.append((row.active_edges, row.issued_lane_cycles, row.value_sector_touches,
+                         row.value_sector_unique, row.csr_sector_touches))
+            floats.append((
+                float(per_sm.max()) if per_sm.size else row.issued_lane_cycles / sms,
+                row.concurrency_warps, row.overhead_cycles, row.extra_dram_bytes,
+                row.atomic_conflicts, row.compute_scale,
+            ))
+        active, issued, touches, unique, csr = np.array(ints, dtype=np.int64).reshape(-1, 5).T
+        busiest, warps, overhead, extra, atomics, scale = (
+            np.array(floats, dtype=np.float64).reshape(-1, 6).T
+        )
+        return cls(active, issued, busiest, touches, unique, csr, warps, overhead, extra,
+                   atomics, scale)
+
+    @classmethod
+    def concat(cls, batches: Sequence[KernelBatch]) -> KernelBatch:
+        """The rows of ``batches``, in order, as one batch."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(**{
+            column.name: np.concatenate([getattr(b, column.name) for b in batches])
+            for column in fields(cls)
+        })
 
     def __len__(self) -> int:
         return int(self.active_edges.size)
@@ -151,7 +187,7 @@ class KernelBatch:
 
 @dataclass(frozen=True)
 class KernelTiming:
-    """Cost-model output for one kernel."""
+    """:meth:`KernelCostModel.time_kernel_reference`'s output for one kernel."""
 
     cycles: float
     compute_cycles: float
@@ -160,10 +196,6 @@ class KernelTiming:
     launch_cycles: float
     dram_bytes: float
     bound: str  # "compute" | "memory"
-
-    @property
-    def total_cycles(self) -> float:
-        return self.cycles
 
 
 @dataclass(frozen=True)
@@ -182,13 +214,14 @@ class KernelBatchTiming:
 
 
 class KernelCostModel:
-    """Converts :class:`KernelStats` into :class:`KernelTiming`."""
+    """Scores a :class:`KernelBatch` (:meth:`time_kernels`)."""
 
     def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
 
-    def time_kernel(self, stats: KernelStats) -> KernelTiming:
-        """Score one kernel.
+    def time_kernel_reference(self, stats: KernelStats) -> KernelTiming:
+        """Score one kernel: the scalar formula :meth:`time_kernels`
+        applies to every row, kept as its bit-identity oracle.
 
         kernel = max(compute, memory / hiding) + overhead + launch
 
@@ -249,10 +282,9 @@ class KernelCostModel:
     def time_kernels(self, batch: KernelBatch) -> KernelBatchTiming:
         """Score every row of ``batch`` in one pass.
 
-        Row ``i`` equals :meth:`time_kernel` on kernel ``i``, bit for
-        bit: every column takes the same float operations in the same
-        order, and the invalid rows ``time_kernel`` rejects raise the
-        same errors.
+        Row ``i`` equals :meth:`time_kernel_reference` on kernel ``i``,
+        bit for bit: every column takes the same float operations in the
+        same order.
         """
         spec = self.spec
         batch.validate()
@@ -265,7 +297,7 @@ class KernelCostModel:
         compute_cycles = batch.busiest_lane_cycles * edge_cycles / spec.warp_size
         compute_cycles += batch.atomic_conflicts * edge_cycles
 
-        # --- memory side: estimate_dram_sectors, then time_kernel ---------
+        # --- memory side: estimate_dram_sectors, then the reference -------
         cold = unique > 0
         overflow = np.maximum(
             0.0, 1.0 - spec.l2_sectors / np.where(cold, unique, 1)

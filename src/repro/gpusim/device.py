@@ -10,16 +10,10 @@ from repro.gpusim.cost import (
     KernelBatchTiming,
     KernelCostModel,
     KernelStats,
-    KernelTiming,
 )
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import GPUSpec
-from repro.gpusim.streams import (
-    KERNEL,
-    TraceNode,
-    kernel_occupancies,
-    kernel_occupancy,
-)
+from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancies
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.sanitizer import Sanitizer
@@ -28,14 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Device:
     """One simulated GPU.
 
-    Runners submit :class:`KernelStats` via :meth:`run_kernel`, or a
-    queue of them as one :class:`KernelBatch` via :meth:`run_kernels`;
-    the device scores them with its cost model and records them in a
-    :class:`Profiler`.  It keeps no clock: a run's time is its node trace
-    (:func:`~repro.gpusim.streams.trace_seconds`).  An
-    attached :class:`~repro.analysis.sanitizer.Sanitizer` audits every
-    submitted batch for inconsistent stats before it is scored; it never
-    affects timing.
+    Runners submit kernels as one :class:`KernelBatch` via
+    :meth:`run_kernels` (one :class:`KernelStats` via :meth:`run_kernel`
+    is a batch of one); the device scores them with its cost model and
+    records them in a :class:`Profiler`.  It keeps no clock: a run's
+    time is its node trace (:func:`~repro.gpusim.streams.trace_seconds`).
+    An attached :class:`~repro.analysis.sanitizer.Sanitizer` audits the
+    :class:`KernelStats` given to :meth:`run_kernel` before it is
+    stacked; it never affects timing.
     """
 
     def __init__(
@@ -49,39 +43,24 @@ class Device:
         self.profiler = Profiler()
         self.sanitizer = sanitizer
 
-    def run_kernel(self, stats: KernelStats) -> KernelTiming:
-        """Execute one kernel and record it in the profiler."""
+    def run_kernel(self, stats: KernelStats) -> KernelBatchTiming:
+        """Execute one kernel: :meth:`run_kernels` on a batch of one."""
         if self.sanitizer is not None:
             self.sanitizer.check_kernel_stats(stats, self.spec)
-        timing = self.cost_model.time_kernel(stats)
-        self.profiler.record(stats, timing)
-        return timing
+        return self.run_kernels(KernelBatch.of([stats], self.spec))
 
     def run_kernels(self, batch: KernelBatch) -> KernelBatchTiming:
         """Execute a queue of kernels, in row order, and record them in
-        the profiler: equal to :meth:`run_kernel` on each row in turn.
-
-        A sanitizer audits each kernel as it is submitted, so a device
-        with one takes kernels one at a time.
-        """
-        if self.sanitizer is not None:
-            raise ValueError("a sanitized device runs kernels one at a time")
+        the profiler."""
         timing = self.cost_model.time_kernels(batch)
         self.profiler.record_batch(batch, timing)
         return timing
-
-    def kernel_node(self, timing: KernelTiming, iteration: int) -> TraceNode:
-        """The trace node of a kernel this device ran in ``iteration``."""
-        return TraceNode(
-            KERNEL, self.spec.cycles_to_seconds(timing.cycles),
-            occupancy=kernel_occupancy(timing), iteration=iteration,
-        )
 
     def kernel_nodes(
         self, timing: KernelBatchTiming, iterations: Sequence[int]
     ) -> list[TraceNode]:
         """The trace node of each row of a batch this device ran, row
-        ``i`` in ``iterations[i]``: equal to :meth:`kernel_node` per row."""
+        ``i`` in ``iterations[i]``."""
         seconds = self.spec.cycles_to_seconds(timing.cycles)  # elementwise
         return [
             TraceNode(KERNEL, s, occupancy=o, iteration=i)

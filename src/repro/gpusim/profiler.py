@@ -8,16 +8,11 @@ can report lane efficiency, DRAM traffic, scheduling overhead share
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpusim.cost import (
-    KernelBatch,
-    KernelBatchTiming,
-    KernelStats,
-    KernelTiming,
-)
+from repro.gpusim.cost import KernelBatch, KernelBatchTiming
 
 #: The float counters, in the order :meth:`Profiler.record_batch` folds them.
 _FLOAT_COUNTERS = (
@@ -43,32 +38,14 @@ class Profiler:
     dram_bytes: float = 0.0
     atomic_conflicts: float = 0.0
     memory_bound_kernels: int = 0
-    events: dict[str, float] = field(default_factory=dict)
-
-    def record(self, stats: KernelStats, timing: KernelTiming) -> None:
-        """Fold one kernel's stats and timing into the counters."""
-        self.kernels += 1
-        self.total_cycles += timing.cycles
-        self.compute_cycles += timing.compute_cycles
-        self.memory_cycles += timing.memory_cycles
-        self.overhead_cycles += timing.overhead_cycles
-        self.launch_cycles += timing.launch_cycles
-        self.active_edges += stats.active_edges
-        self.issued_lane_cycles += stats.issued_lane_cycles
-        self.value_sector_touches += stats.value_sector_touches
-        self.csr_sector_touches += stats.csr_sector_touches
-        self.dram_bytes += timing.dram_bytes
-        self.atomic_conflicts += stats.atomic_conflicts
-        if timing.bound == "memory":
-            self.memory_bound_kernels += 1
 
     def record_batch(self, batch: KernelBatch, timing: KernelBatchTiming) -> None:
         """Fold a queue of kernels into the counters, in row order.
 
-        Equal to :meth:`record` on each row in turn, bit for bit: each
-        float counter is a running sum seeded with its current value
-        (``np.add.accumulate`` adds row by row, as the ``+=`` chain
-        does), and integer sums are exact in any order.
+        Each float counter is a running sum seeded with its current
+        value (``np.add.accumulate`` adds row by row, as a ``+=`` chain
+        over the rows does), so folding one batch equals folding its
+        rows in any split; integer sums are exact in any order.
         """
         rows = len(batch)
         if not rows:
@@ -91,10 +68,6 @@ class Profiler:
         self.value_sector_touches += int(batch.value_sector_touches.sum())
         self.csr_sector_touches += int(batch.csr_sector_touches.sum())
         self.memory_bound_kernels += int(np.count_nonzero(timing.memory_bound))
-
-    def count_event(self, name: str, amount: float = 1.0) -> None:
-        """Accumulate a named free-form counter (e.g. tile-store reuses)."""
-        self.events[name] = self.events.get(name, 0.0) + amount
 
     @property
     def lane_efficiency(self) -> float:
@@ -148,7 +121,4 @@ class Profiler:
             "memory_bound_kernels",
         ):
             setattr(out, name, getattr(self, name) + getattr(other, name))
-        out.events = dict(self.events)
-        for key, val in other.events.items():
-            out.events[key] = out.events.get(key, 0.0) + val
         return out

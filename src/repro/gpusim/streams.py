@@ -14,7 +14,7 @@ such DAGs concurrently on one simulated device:
   traffic behind another batch's kernels;
 * **per-resource occupancy** keeps the co-run honest: a kernel occupies
   the compute resource in proportion to how much of the device its cost
-  model says it uses (:func:`kernel_occupancy`), so two saturating
+  model says it uses (:func:`kernel_occupancies`), so two saturating
   kernels serialize while launch-latency-dominated frontier kernels
   genuinely overlap.  Capacity never exceeds the whole device, so the
   schedule can never beat ``sum(durations)`` by more than the idle time
@@ -35,7 +35,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import InvalidParameterError
-from repro.gpusim.cost import KernelBatchTiming, KernelTiming
+from repro.gpusim.cost import KernelBatchTiming
 
 #: node kinds (the DAG taxonomy; see DESIGN.md "Pipelined execution").
 KERNEL = "kernel"
@@ -59,8 +59,9 @@ MIN_OCCUPANCY = 1.0 / 64.0
 _EPS = 1e-9
 
 
-def kernel_occupancy(timing: KernelTiming) -> float:
-    """Device share a kernel holds while resident, in ``(0, 1]``.
+def kernel_occupancies(timing: KernelBatchTiming) -> npt.NDArray[np.float64]:
+    """Device share each kernel of a batch holds while resident, in
+    ``(0, 1]``.
 
     The cost model already splits a kernel's cycles into the roofline
     term ``max(compute, memory)`` plus launch + scheduling overhead.
@@ -70,14 +71,6 @@ def kernel_occupancy(timing: KernelTiming) -> float:
     share is therefore the roofline fraction of the kernel's total
     cycles, floored at :data:`MIN_OCCUPANCY`.
     """
-    if timing.cycles <= 0:
-        return MIN_OCCUPANCY
-    busy = max(timing.compute_cycles, timing.memory_cycles)
-    return min(1.0, max(MIN_OCCUPANCY, busy / timing.cycles))
-
-
-def kernel_occupancies(timing: KernelBatchTiming) -> npt.NDArray[np.float64]:
-    """:func:`kernel_occupancy` of every row of a batch, bit for bit."""
     cycles = timing.cycles
     positive = cycles > 0
     busy = np.maximum(timing.compute_cycles, timing.memory_cycles)

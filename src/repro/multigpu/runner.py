@@ -26,7 +26,7 @@ from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import LinkSpec, NVLINK2
-from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancy
+from repro.gpusim.streams import KERNEL, TraceNode
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.obs.span import NullSpan, Span
 
@@ -120,7 +120,7 @@ class MultiGpuRunner(LevelPricer):
         )
         edge_bounds = np.concatenate(([0], np.cumsum(level.degrees)))
         gpu_seconds = np.zeros(self.num_gpus)
-        gpu_timings = []
+        gpu_kernels = []
         remote_updates = 0
         for gpu in range(self.num_gpus):
             lo, hi = node_bounds[gpu], node_bounds[gpu + 1]
@@ -132,8 +132,9 @@ class MultiGpuRunner(LevelPricer):
             )
             device = self.devices[gpu]
             timing = self._timed_kernel(device, stats, "kernel", gpu=gpu)
-            gpu_seconds[gpu] = device.spec.cycles_to_seconds(timing.cycles)
-            gpu_timings.append(timing)
+            kernel, = device.kernel_nodes(timing, [level.index])
+            gpu_seconds[gpu] = kernel.seconds
+            gpu_kernels.append(kernel)
             remote = edge_dst[self.assignment[edge_dst] != gpu]
             # Engines aggregate frontier updates per node before
             # shipping: a remote node is announced once, not once per
@@ -159,8 +160,8 @@ class MultiGpuRunner(LevelPricer):
         # makespan (kernels + exchange + barrier) is opaque to overlap
         # and pinned at full occupancy.
         occupancy = (
-            kernel_occupancy(gpu_timings[0])
-            if self.num_gpus == 1 and len(gpu_timings) == 1
+            gpu_kernels[0].occupancy
+            if self.num_gpus == 1 and len(gpu_kernels) == 1
             else 1.0
         )
         trace.append(TraceNode(

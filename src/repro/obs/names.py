@@ -15,8 +15,7 @@ Two kinds of entries:
 * **dynamic families** — names constructed at runtime
   (:data:`DYNAMIC_COUNTER_PREFIXES` etc.): the ``gpusim.*`` mirror of
   the simulator profiler (field names are pinned separately by
-  :data:`~repro.obs.registry.PROFILER_COUNTER_FIELDS`), free-form
-  profiler events under ``gpusim.event.*``, and the ``gpu<N>.``
+  :data:`~repro.obs.registry.PROFILER_COUNTER_FIELDS`) and the ``gpu<N>.``
   namespaces that :meth:`~repro.obs.registry.MetricsRegistry.merge`
   prepends for per-device registries in multi-GPU runs.
 """
@@ -297,7 +296,7 @@ SPANS: frozenset[str] = frozenset(
 )
 
 #: Dynamic counter families: ``fold_profiler`` mirrors
-#: (``gpusim.<field>``, ``gpusim.event.<name>``) and per-device merge
+#: (``gpusim.<field>``) and per-device merge
 #: namespaces (``gpu<N>.<any registered name>``).
 DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = ("gpusim.",)
 

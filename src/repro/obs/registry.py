@@ -132,14 +132,11 @@ class MetricsRegistry:
         accumulator, so folding the same device twice is idempotent and
         the registry's ``{prefix}.*`` counters always equal the profiler
         field-for-field — the exactness contract the golden tests pin.
-        Free-form profiler events land under ``{prefix}.event.*``.
         """
         if not self.enabled:
             return
         for name in PROFILER_COUNTER_FIELDS:
             self.set_counter(f"{prefix}.{name}", float(getattr(profiler, name)))
-        for event, value in getattr(profiler, "events", {}).items():
-            self.set_counter(f"{prefix}.event.{event}", float(value))
         for derived in ("lane_efficiency", "overhead_fraction"):
             value = getattr(profiler, derived, None)
             if value is not None:

@@ -125,7 +125,7 @@ class _OutOfCoreBase(LevelPricer):
         )
         # Group keys are spaced by 2 to leave room for a serial tail
         # group (Subway's extraction scan).
-        kernel = device.kernel_node(timing, 2 * level.index)
+        kernel, = device.kernel_nodes(timing, [2 * level.index])
         level.span.set("kernel_seconds", kernel.seconds)
         self._level(kernel, level, trace)
 

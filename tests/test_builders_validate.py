@@ -184,10 +184,3 @@ class TestProfilerSummary:
         merged = a.merged_with(a)
         assert merged.kernels == 2 * a.kernels
         assert merged.dram_bytes == pytest.approx(2 * a.dram_bytes)
-
-    def test_count_event(self):
-        from repro.gpusim import Profiler
-        p = Profiler()
-        p.count_event("steals", 3)
-        p.count_event("steals")
-        assert p.events["steals"] == 4.0

@@ -238,6 +238,26 @@ class TestOneBenchCommand:
         assert cluster == serve.replace("serve-bench", "cluster-bench", 1)
         assert "speedup vs 1-at-a-time" in cluster
 
+    @pytest.mark.parametrize("replicas", ["0", "2"])
+    def test_replica_occupancy_prints_its_value(self, replicas, capsys, monkeypatch):
+        from repro import api
+
+        reports = []
+        bench = api.bench
+
+        def spy(*args, **kwargs):
+            reports.append(bench(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(api, "bench", spy)
+        assert main(["cluster-bench", *self.SMALL, "--replicas", replicas]) == 0
+        line, = (line for line in capsys.readouterr().out.splitlines()
+                 if "replica occupancy" in line)
+        want = reports[0].replica_occupancy_mean
+        assert 0 < want < 0.005  # two decimals would print 0.00
+        # four significant digits
+        assert float(line.split()[-1]) == pytest.approx(want, rel=5e-4)
+
     def test_negative_replicas_are_refused(self):
         with pytest.raises(InvalidParameterError, match="replicas"):
             main(["cluster-bench", *self.SMALL, "--replicas", "-1"])

@@ -1,10 +1,13 @@
 """Tests for the kernel cost model, specs and device."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError, SchedulingError
 from repro.gpusim.cost import (
+    KernelBatch,
     KernelCostModel,
     KernelStats,
     block_placement,
@@ -71,17 +74,17 @@ class TestStatsValidation:
     def test_issued_below_active_rejected(self):
         bad = stats(issued_lane_cycles=1)
         with pytest.raises(SchedulingError):
-            KernelCostModel(GPUSpec()).time_kernel(bad)
+            KernelBatch.of([bad], GPUSpec())
 
     def test_unique_above_touches_rejected(self):
         bad = stats(value_sector_unique=10_000)
         with pytest.raises(SchedulingError):
-            KernelCostModel(GPUSpec()).time_kernel(bad)
+            KernelBatch.of([bad], GPUSpec())
 
     def test_wrong_sm_array_rejected(self):
         bad = stats(per_sm_lane_cycles=np.zeros(5))
         with pytest.raises(SchedulingError):
-            KernelCostModel(GPUSpec()).time_kernel(bad)
+            KernelBatch.of([bad], GPUSpec())
 
     def test_lane_efficiency(self):
         s = stats(issued_lane_cycles=20_000)
@@ -95,16 +98,26 @@ class TestCostMonotonicity:
     def setup_method(self):
         self.model = KernelCostModel(GPUSpec())
 
+    def time_kernel(self, kernel: KernelStats) -> SimpleNamespace:
+        """``kernel`` scored as a batch of one: its row, as scalars."""
+        timing = self.model.time_kernels(KernelBatch.of([kernel], self.model.spec))
+        return SimpleNamespace(
+            cycles=float(timing.cycles[0]),
+            compute_cycles=float(timing.compute_cycles[0]),
+            memory_cycles=float(timing.memory_cycles[0]),
+            memory_bound=bool(timing.memory_bound[0]),
+        )
+
     def test_more_sectors_never_faster(self):
-        fast = self.model.time_kernel(stats())
-        slow = self.model.time_kernel(stats(value_sector_touches=50_000,
+        fast = self.time_kernel(stats())
+        slow = self.time_kernel(stats(value_sector_touches=50_000,
                                             value_sector_unique=40_000))
         assert slow.cycles >= fast.cycles
 
     def test_divergence_never_faster(self):
         spec = GPUSpec()
-        fast = self.model.time_kernel(stats())
-        slow = self.model.time_kernel(stats(
+        fast = self.time_kernel(stats())
+        slow = self.time_kernel(stats(
             issued_lane_cycles=100_000,
             per_sm_lane_cycles=even_placement(100_000, spec.num_sms),
         ))
@@ -114,40 +127,40 @@ class TestCostMonotonicity:
         spec = GPUSpec()
         skewed = np.zeros(spec.num_sms)
         skewed[0] = 10_000  # same total, one straggler SM
-        fast = self.model.time_kernel(stats())
-        slow = self.model.time_kernel(stats(per_sm_lane_cycles=skewed))
+        fast = self.time_kernel(stats())
+        slow = self.time_kernel(stats(per_sm_lane_cycles=skewed))
         assert slow.cycles >= fast.cycles
 
     def test_low_concurrency_never_faster(self):
-        fast = self.model.time_kernel(stats())
-        slow = self.model.time_kernel(stats(concurrency_warps=2.0))
+        fast = self.time_kernel(stats())
+        slow = self.time_kernel(stats(concurrency_warps=2.0))
         assert slow.memory_cycles >= fast.memory_cycles
 
     def test_overhead_additive(self):
-        base = self.model.time_kernel(stats())
-        extra = self.model.time_kernel(stats(overhead_cycles=1234.0))
+        base = self.time_kernel(stats())
+        extra = self.time_kernel(stats(overhead_cycles=1234.0))
         assert extra.cycles == pytest.approx(base.cycles + 1234.0)
 
     def test_atomics_add_compute(self):
-        base = self.model.time_kernel(stats())
-        atomic = self.model.time_kernel(stats(atomic_conflicts=10_000.0))
+        base = self.time_kernel(stats())
+        atomic = self.time_kernel(stats(atomic_conflicts=10_000.0))
         assert atomic.compute_cycles > base.compute_cycles
 
     def test_compute_scale(self):
-        light = self.model.time_kernel(stats())
-        heavy = self.model.time_kernel(stats(compute_scale=4.0))
+        light = self.time_kernel(stats())
+        heavy = self.time_kernel(stats(compute_scale=4.0))
         assert heavy.compute_cycles == pytest.approx(
             4.0 * light.compute_cycles
         )
 
     def test_bound_classification(self):
-        mem = self.model.time_kernel(stats(value_sector_touches=10**6,
+        mem = self.time_kernel(stats(value_sector_touches=10**6,
                                            value_sector_unique=10**6))
-        assert mem.bound == "memory"
-        comp = self.model.time_kernel(stats(value_sector_touches=0,
+        assert mem.memory_bound
+        comp = self.time_kernel(stats(value_sector_touches=0,
                                             value_sector_unique=0,
                                             csr_sector_touches=0))
-        assert comp.bound == "compute"
+        assert not comp.memory_bound
 
 
 class TestPlacement:

@@ -111,6 +111,11 @@ class TestRunawayApps:
         pipeline = TraversalPipeline(g, SageScheduler(), max_iterations=5)
         with pytest.raises(ConvergenceError):
             pipeline.run(BFSApp(), source=0)
+        # a run that raises scores nothing, and leaves nothing to the next
+        assert pipeline.device.profiler.kernels == 0
+        pipeline.max_iterations = 1000
+        result = pipeline.run(BFSApp(), source=0)
+        assert result.profiler.kernels == result.iterations == len(result.node_trace)
 
 
 class TestNumericalRobustness:

@@ -1,10 +1,14 @@
-"""A queue of kernels priced as columns equals pricing each kernel.
+"""A run's kernels scored once, as one batch, equal each kernel scored.
 
+``KernelBatch.of`` stacks :class:`KernelStats` rows,
 ``KernelCostModel.time_kernels`` scores a :class:`KernelBatch` in one
 pass, ``Profiler.record_batch`` folds it, and ``Device.kernel_nodes``
-makes its trace nodes.  Each must equal ``time_kernel``, ``record`` and
-``kernel_node`` applied row by row, bit for bit, and reject the rows
-``KernelStats.validate`` rejects.
+makes its trace nodes.  Every row must equal the scalar formula
+``time_kernel_reference``, bit for bit; scoring rows together must equal
+scoring each as its own batch of one; and the rows
+``KernelStats.validate`` rejects must fail the batch.  A
+``TraversalPipeline`` run scores its kernels with one ``run_kernels``
+call, sanitized or not.
 """
 
 import dataclasses
@@ -14,9 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
+from repro.analysis import Sanitizer
+from repro.apps import BFSApp
+from repro.core import SageScheduler, TraversalPipeline
 from repro.errors import SchedulingError
-from repro.gpusim import Device, GPUSpec, KernelStats, Profiler
-from repro.gpusim.cost import KernelBatch, KernelCostModel, KernelTiming
+from repro.graph import generators
+from repro.gpusim import Device, GPUSpec, KernelStats
+from repro.gpusim.cost import KernelBatch, KernelCostModel
 
 SPEC = GPUSpec()
 #: a batch column for each KernelStats field, except the placement
@@ -85,22 +94,34 @@ def batch_of(rows):
 def seeded_profiler():
     """A profiler with non-round running totals, so that a fold which
     summed in another order would show."""
-    profiler = Profiler()
+    device = Device(SPEC)
     stats = KernelStats(active_edges=3, issued_lane_cycles=5, atomic_conflicts=0.1)
-    timing = KernelCostModel(SPEC).time_kernel(stats)
     for _ in range(3):
-        profiler.record(stats, timing)
-    return profiler
+        device.run_kernel(stats)
+    return device.profiler
+
+
+def row_of(batch, index):
+    """Row ``index`` of a batch or of its timing, as a batch of one."""
+    return dataclasses.replace(batch, **{
+        column.name: getattr(batch, column.name)[index:index + 1]
+        for column in dataclasses.fields(batch)
+        if np.ndim(getattr(batch, column.name))
+    })
 
 
 @settings(max_examples=40, deadline=None)
 @given(rows=st.lists(kernel_rows(), min_size=0, max_size=12))
 def test_columns_equal_each_row(rows):
     batch = batch_of(rows)
+    stacked = KernelBatch.of([stats for stats, _ in rows], SPEC)
+    for column in COLUMNS:
+        np.testing.assert_array_equal(getattr(stacked, column), getattr(batch, column))
+        assert getattr(stacked, column).dtype == getattr(batch, column).dtype
     model = KernelCostModel(SPEC)
     got = model.time_kernels(batch)
     for index, (stats, _) in enumerate(rows):
-        want = model.time_kernel(stats)
+        want = model.time_kernel_reference(stats)
         assert got.cycles[index] == want.cycles
         assert got.compute_cycles[index] == want.compute_cycles
         assert got.memory_cycles[index] == want.memory_cycles
@@ -109,16 +130,30 @@ def test_columns_equal_each_row(rows):
         assert got.dram_bytes[index] == want.dram_bytes
         assert bool(got.memory_bound[index]) == (want.bound == "memory")
 
+    # scored once, or each kernel as its own batch of one
     rowwise, batched = Device(SPEC), Device(SPEC)
     rowwise.profiler = seeded_profiler()
     batched.profiler = seeded_profiler()
     iterations = list(range(7, 7 + len(rows)))
     want_nodes = [
-        rowwise.kernel_node(rowwise.run_kernel(stats), iteration)
+        node
         for (stats, _), iteration in zip(rows, iterations)
+        for node in rowwise.kernel_nodes(rowwise.run_kernel(stats), [iteration])
     ]
     assert batched.kernel_nodes(batched.run_kernels(batch), iterations) == want_nodes
     assert batched.profiler == rowwise.profiler
+
+
+@settings(max_examples=20, deadline=None)
+@given(parts=st.lists(st.lists(kernel_rows(), min_size=1, max_size=4),
+                      min_size=1, max_size=4))
+def test_concat_equals_stacking_every_row(parts):
+    batches = [KernelBatch.of([stats for stats, _ in part], SPEC) for part in parts]
+    every_row = KernelBatch.of([stats for part in parts for stats, _ in part], SPEC)
+    joined = KernelBatch.concat(batches)
+    for column in COLUMNS:
+        np.testing.assert_array_equal(getattr(joined, column), getattr(every_row, column))
+        assert getattr(joined, column).dtype == getattr(every_row, column).dtype
 
 
 def test_many_random_rows_equal_each_row():
@@ -147,7 +182,7 @@ def test_many_random_rows_equal_each_row():
     model = KernelCostModel(SPEC)
     got = model.time_kernels(batch)
     for index in range(rows):
-        want = model.time_kernel(KernelStats(
+        want = model.time_kernel_reference(KernelStats(
             active_edges=int(active[index]),
             issued_lane_cycles=int(issued[index]),
             value_sector_touches=int(touches[index]),
@@ -182,7 +217,7 @@ def test_rows_hit_every_branch():
     ]
     model = KernelCostModel(SPEC)
     got = model.time_kernels(batch_of(rows))
-    want = [model.time_kernel(stats) for stats, _ in rows]
+    want = [model.time_kernel_reference(stats) for stats, _ in rows]
     np.testing.assert_array_equal(got.cycles, [w.cycles for w in want])
     np.testing.assert_array_equal(got.memory_cycles, [w.memory_cycles for w in want])
     assert want[2].memory_cycles > 0 and got.memory_bound[2]
@@ -193,6 +228,7 @@ def test_rows_hit_every_branch():
     [
         ("issued_lane_cycles", 9),       # issued lanes < active edges
         ("value_sector_unique", 41),     # unique sectors > touches
+        ("per_sm_lane_cycles", np.ones(SPEC.num_sms - 1)),  # not one per SM
     ],
 )
 def test_one_invalid_row_fails_the_batch(field, value):
@@ -200,13 +236,18 @@ def test_one_invalid_row_fails_the_batch(field, value):
                        value_sector_touches=40, value_sector_unique=20,
                        concurrency_warps=8.0)
     bad = dataclasses.replace(good, **{field: value})
-    model = KernelCostModel(SPEC)
     with pytest.raises(SchedulingError):
-        model.time_kernel(bad)
+        KernelCostModel(SPEC).time_kernel_reference(bad)
+    with pytest.raises(SchedulingError):
+        KernelBatch.of([good, bad, good], SPEC)
+    with pytest.raises(SchedulingError):
+        Device(SPEC).run_kernel(bad)
+    if field == "per_sm_lane_cycles":
+        return  # a batch keeps only the busiest SM: the check is at stacking
     batch = batch_of([(good, 10 / SPEC.num_sms), (bad, 10 / SPEC.num_sms),
                       (good, 10 / SPEC.num_sms)])
     with pytest.raises(SchedulingError, match="row 1"):
-        model.time_kernels(batch)
+        KernelCostModel(SPEC).time_kernels(batch)
 
 
 def test_a_short_column_fails_the_batch():
@@ -234,30 +275,71 @@ def test_fold_equals_sequential_records():
         dram_bytes=np.array(cycles[::-1]),
         memory_bound=np.arange(len(cycles)) % 3 == 0,
     )
+    # the += chain, row by row: one add per counter per row
     want = seeded_profiler()
     for index, (stats, _) in enumerate(rows):
-        want.record(stats, _row_timing(timing, index))
+        want.kernels += 1
+        for name, column in (
+            ("total_cycles", timing.cycles), ("compute_cycles", timing.compute_cycles),
+            ("memory_cycles", timing.memory_cycles),
+            ("overhead_cycles", timing.overhead_cycles),
+            ("dram_bytes", timing.dram_bytes),
+        ):
+            setattr(want, name, getattr(want, name) + float(column[index]))
+        want.launch_cycles += timing.launch_cycles
+        want.atomic_conflicts += stats.atomic_conflicts
+        want.active_edges += stats.active_edges
+        want.issued_lane_cycles += stats.issued_lane_cycles
+        want.value_sector_touches += stats.value_sector_touches
+        want.csr_sector_touches += stats.csr_sector_touches
+        want.memory_bound_kernels += bool(timing.memory_bound[index])
     got = seeded_profiler()
     got.record_batch(batch, timing)
     assert got == want
+    split = seeded_profiler()
+    for index in range(len(rows)):
+        split.record_batch(row_of(batch, index), row_of(timing, index))
+    assert split == want
 
 
-def _row_timing(timing, index):
-    return KernelTiming(
-        cycles=float(timing.cycles[index]),
-        compute_cycles=float(timing.compute_cycles[index]),
-        memory_cycles=float(timing.memory_cycles[index]),
-        overhead_cycles=float(timing.overhead_cycles[index]),
-        launch_cycles=timing.launch_cycles,
-        dram_bytes=float(timing.dram_bytes[index]),
-        bound="memory" if timing.memory_bound[index] else "compute",
+GRAPH = generators.rmat(8, 8, seed=3)
+
+
+def _sampling_reorder():
+    return SageScheduler(sampling_reorder=True, reorder_threshold_edges=256)
+
+
+def test_a_sanitized_run_is_scored_like_any_other():
+    sanitizer = Sanitizer()
+    plain = TraversalPipeline(GRAPH, _sampling_reorder()).run(BFSApp(), 0)
+    checked = TraversalPipeline(GRAPH, _sampling_reorder(), sanitizer=sanitizer).run(
+        BFSApp(), 0
     )
+    assert plain.reorder_commits > 0
+    assert checked.node_trace == plain.node_trace
+    assert checked.seconds == plain.seconds
+    assert checked.profiler == plain.profiler
+    # each kernel scored, levels plus commits, was audited once
+    assert sanitizer.kernels_checked == checked.profiler.kernels == (
+        checked.iterations + checked.reorder_commits
+    )
+    assert sanitizer.clean
 
 
-def test_a_sanitized_device_takes_kernels_one_at_a_time():
-    from repro.analysis import Sanitizer
+def test_a_run_is_scored_with_one_run_kernels_call(monkeypatch):
+    calls = []
+    run_kernels = Device.run_kernels
 
-    device = Device(SPEC, sanitizer=Sanitizer())
-    stats = KernelStats(active_edges=1, issued_lane_cycles=1)
-    with pytest.raises(ValueError):
-        device.run_kernels(batch_of([(stats, 1.0)]))
+    def spy(device, batch):
+        calls.append(len(batch))
+        return run_kernels(device, batch)
+
+    monkeypatch.setattr(Device, "run_kernels", spy)
+    pipeline = TraversalPipeline(GRAPH, _sampling_reorder())
+    runs = [pipeline.run(BFSApp(), source) for source in (0, 7, 100)]
+    assert len(calls) == len(runs)
+    for rows, run in zip(calls, runs):
+        assert rows == run.iterations + run.reorder_commits == len(run.node_trace)
+    calls.clear()
+    api.run(GRAPH, "pr", scheduler="gunrock")
+    assert len(calls) == 1

@@ -303,7 +303,7 @@ def test_each_queued_level_is_recorded_on_its_own_span(graphs, priced_queues):
         index = span.attributes["index"]
         kernels = [child for child in span.children if child.name == "kernel"]
         assert [kernel.attributes["kind"] for kernel in kernels] == ["expand-filter"]
-        cycles = model.time_kernel(stats).cycles
+        cycles = model.time_kernel_reference(stats).cycles
         assert kernels[0].values["cycles"] == cycles
         assert span.values["kernel_cycles"] == cycles
         nodes = [node for node in run.node_trace if node.iteration == index]

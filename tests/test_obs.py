@@ -9,10 +9,12 @@ import dataclasses
 import json
 import threading
 
+import numpy as np
 import pytest
 
-from repro.gpusim.cost import KernelStats, KernelTiming
+from repro.gpusim.cost import KernelBatch, KernelBatchTiming, KernelStats
 from repro.gpusim.profiler import Profiler
+from repro.gpusim.spec import GPUSpec
 from repro.obs import (
     NULL_REGISTRY,
     NULL_SPAN,
@@ -34,13 +36,16 @@ def make_profiler(cycles: float = 100.0, kernels: int = 2) -> Profiler:
         value_sector_touches=4, value_sector_unique=4,
         csr_sector_touches=2, concurrency_warps=8.0,
     )
-    timing = KernelTiming(
-        cycles=cycles, compute_cycles=cycles / 2, memory_cycles=cycles / 2,
-        overhead_cycles=0.0, launch_cycles=0.0, dram_bytes=256.0,
-        bound="memory",
+    def column(value: float) -> np.ndarray:
+        return np.full(kernels, value)
+
+    timing = KernelBatchTiming(
+        cycles=column(cycles), compute_cycles=column(cycles / 2),
+        memory_cycles=column(cycles / 2), overhead_cycles=column(0.0),
+        launch_cycles=0.0, dram_bytes=column(256.0),
+        memory_bound=np.ones(kernels, dtype=bool),
     )
-    for _ in range(kernels):
-        profiler.record(stats, timing)
+    profiler.record_batch(KernelBatch.of([stats] * kernels, GPUSpec()), timing)
     return profiler
 
 
@@ -169,14 +174,12 @@ class TestDisabledRegistry:
 class TestProfilerFold:
     def test_fold_matches_profiler_exactly(self):
         profiler = make_profiler(cycles=123.0, kernels=3)
-        profiler.count_event("tile_reuse", 7)
         registry = MetricsRegistry()
         registry.fold_profiler(profiler)
         for name in PROFILER_COUNTER_FIELDS:
             assert registry.counters[f"gpusim.{name}"] == float(
                 getattr(profiler, name)
             ), name
-        assert registry.counters["gpusim.event.tile_reuse"] == 7.0
         assert registry.gauges["gpusim.lane_efficiency"] == pytest.approx(
             profiler.lane_efficiency
         )

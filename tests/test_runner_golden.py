@@ -164,7 +164,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '6d380fa579434b2d',
+        'profiler': '92ec712a054f26cd',
         'trace': 'c2c3ef0b27e79acf',
         'metrics': '233578fa616b6db8',
     },
@@ -175,7 +175,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '8b24b6832c9a7098',
+        'profiler': 'fce1fa13f16c32ef',
         'trace': '0273bf9fc0ca60c3',
         'metrics': '2d923ea2fe048871',
     },
@@ -186,7 +186,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '9244adc9380f6a3f',
+        'profiler': 'ba7f207ac6104935',
         'trace': '4feb48732b3b32c2',
         'metrics': 'e2d61dd46248cb66',
     },
@@ -197,7 +197,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 2,
         'result': '17d9060a4b103c92',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '63f91c2f419cd071',
+        'profiler': 'ed14377a2b3abeb4',
         'trace': 'ee4df5e59e305a57',
         'metrics': '13c3c474b084b36b',
     },
@@ -208,7 +208,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 2,
         'result': 'ef0f0052dc7fe3a6',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '2bb956d539059bbd',
+        'profiler': 'fba953f39bc5b76e',
         'trace': '83e90d1dcaa74504',
         'metrics': 'ead590cce224e204',
     },
@@ -219,7 +219,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 12,
         'result': '0c2e7e75f1a3bd1a',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '033ae43ab7261948',
+        'profiler': 'e8303a4410ebf5bf',
         'trace': '74e5a225488565aa',
         'metrics': 'd19763525d06d8fb',
     },
@@ -230,7 +230,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 2,
         'result': 'a97fa22bcd60bc3f',
         'extras': '4f53cda18c2baa0c',
-        'profiler': 'b90a3869e0975b22',
+        'profiler': '1c45e4ca747fcd59',
         'trace': '1e31a65f756e88ff',
         'metrics': '1b4a2f2a992b2b5e',
     },
@@ -241,7 +241,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 3,
         'result': '0c6cb45ea6b923af',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '6b11b2368ad953a8',
+        'profiler': '1354482b68e62a69',
         'trace': '35bdd2e75e2f7bf9',
         'metrics': 'dfb8139ab02876ce',
     },
@@ -252,7 +252,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 12,
         'result': '52d7b98970d212de',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '05c533f255b46be7',
+        'profiler': 'be2d93614cf643ba',
         'trace': '74e5a225488565aa',
         'metrics': '7002ecc2bf381c36',
     },
@@ -263,7 +263,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '3b671ac2b70ba543',
-        'profiler': '56ed9db0d6908a1d',
+        'profiler': 'f5490579ad513469',
         'trace': 'dc9921d5b85238f7',
         'metrics': 'e68ed1d7fdf65452',
     },
@@ -274,7 +274,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': 'de9453d374a2f103',
-        'profiler': '651fcc953baad977',
+        'profiler': '7d1b945badfa2c48',
         'trace': '8300a5724241fe09',
         'metrics': 'b468a0af42b9829d',
     },
@@ -285,7 +285,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': 'ed8e9d858237a133',
-        'profiler': 'f8c80afa241aee40',
+        'profiler': '5a539582f724675a',
         'trace': '5393908c681af969',
         'metrics': 'b3038ffbac51eadd',
     },
@@ -296,7 +296,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': 'b704980ec8d8260a',
-        'profiler': '6d380fa579434b2d',
+        'profiler': '92ec712a054f26cd',
         'trace': 'fd7daf23e6fb39df',
         'metrics': '174e67b7eef09338',
     },
@@ -307,7 +307,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': 'b704980ec8d8260a',
-        'profiler': '8b24b6832c9a7098',
+        'profiler': 'fce1fa13f16c32ef',
         'trace': '31d4bbcfb681a646',
         'metrics': '935cd5dfd12665ec',
     },
@@ -318,7 +318,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': '2ed66dbd20a01a93',
-        'profiler': '9244adc9380f6a3f',
+        'profiler': 'ba7f207ac6104935',
         'trace': 'ae5b433390fd3d75',
         'metrics': '97941f888d4d8796',
     },
@@ -329,7 +329,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': 'b704980ec8d8260a',
-        'profiler': '429e510039459f49',
+        'profiler': '1f374f97df642bf0',
         'trace': '741f4648d9b79bb3',
         'metrics': '09f34894f7632055',
     },
@@ -340,7 +340,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': 'b704980ec8d8260a',
-        'profiler': '169c3262dcb01b4f',
+        'profiler': '9dc2a7c0413effa5',
         'trace': '6bedfc01b31ee720',
         'metrics': '86442aa357a11403',
     },
@@ -351,7 +351,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': '2ed66dbd20a01a93',
-        'profiler': '70cb4cc09302e988',
+        'profiler': 'a540668dc5acf868',
         'trace': '5c9be286f68d4a44',
         'metrics': '1f12ecc680a8b8b6',
     },
@@ -362,7 +362,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': 'dcdf2ad251dadf49',
-        'profiler': '56ed9db0d6908a1d',
+        'profiler': 'f5490579ad513469',
         'trace': 'f2e42dd961740bb4',
         'metrics': '6985c2568d3d6253',
     },
@@ -373,7 +373,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': 'dcdf2ad251dadf49',
-        'profiler': '651fcc953baad977',
+        'profiler': '7d1b945badfa2c48',
         'trace': 'c843989ab72c3f35',
         'metrics': 'dcec21d5ded96e50',
     },
@@ -384,7 +384,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': '90d2a925767ee25a',
-        'profiler': 'f8c80afa241aee40',
+        'profiler': '5a539582f724675a',
         'trace': '112c0a927a6d9230',
         'metrics': '5ae1809f5afbc715',
     },
@@ -395,7 +395,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '69aa8b46bfe4ab27',
-        'profiler': '6d380fa579434b2d',
+        'profiler': '92ec712a054f26cd',
         'trace': 'c2c3ef0b27e79acf',
         'metrics': '367e9bbaedc68c48',
     },
@@ -406,7 +406,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': '69aa8b46bfe4ab27',
-        'profiler': '8b24b6832c9a7098',
+        'profiler': 'fce1fa13f16c32ef',
         'trace': '0273bf9fc0ca60c3',
         'metrics': 'f4969e2cc2bae779',
     },
@@ -417,7 +417,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': '69aa8b46bfe4ab27',
-        'profiler': '9244adc9380f6a3f',
+        'profiler': 'ba7f207ac6104935',
         'trace': '4feb48732b3b32c2',
         'metrics': '478a1e56046581d5',
     },
@@ -428,7 +428,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '774e2d504abc3edd',
-        'profiler': '136e0a6cb53cf2d4',
+        'profiler': '6013b110784f6683',
         'trace': '48e344a322f25757',
         'metrics': '828d4dc04709d63e',
     },
@@ -439,7 +439,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': '24e1b403c2cd082f',
-        'profiler': '264c51ccbd2861ca',
+        'profiler': '375ca57be3ddf35b',
         'trace': '3bd8ed5e51625cae',
         'metrics': 'e28e306d6cf5881b',
     },
@@ -450,7 +450,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': 'be1475bca1d8ab9d',
-        'profiler': 'a14fc819df3cdd41',
+        'profiler': 'aa2ba476aa8eedd2',
         'trace': '2c12f11ab36a90a7',
         'metrics': '71e880955e0b2b55',
     },
@@ -461,7 +461,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '774e2d504abc3edd',
-        'profiler': '81b5f4adfb30f6b6',
+        'profiler': 'dae67c8216b3df56',
         'trace': 'd0ffc27358010969',
         'metrics': 'ce28a027c462bab4',
     },
@@ -472,7 +472,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': '774e2d504abc3edd',
-        'profiler': 'b80dc55dbd88c7db',
+        'profiler': '03603ffb500cc346',
         'trace': '49f8b5c8baf3b27c',
         'metrics': '78350d4cccd20c27',
     },
@@ -483,7 +483,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7426e0c7ea3cb0e0',
         'extras': '867bc6a68b9e4e7b',
-        'profiler': '01f98bee63f5b34a',
+        'profiler': '0b29efeb44739614',
         'trace': '83b1ef918d4a9332',
         'metrics': 'c5e3beef1dea4f0c',
     },
@@ -494,7 +494,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '774e2d504abc3edd',
-        'profiler': '35446d09d084b3fe',
+        'profiler': '466cfd2698664879',
         'trace': 'b07527b9e294839c',
         'metrics': '62273d5ec9d871cd',
     },
@@ -505,7 +505,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': '24e1b403c2cd082f',
-        'profiler': '1040d9ecee4a2d9e',
+        'profiler': '9e4b89d0ce5c457d',
         'trace': '7d0ce122a7559bd2',
         'metrics': '18b4d6ae093b038a',
     },
@@ -516,7 +516,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': 'be1475bca1d8ab9d',
-        'profiler': 'a5a5bc1ba0927a37',
+        'profiler': '799f0dac5ddec707',
         'trace': '6bd045466fdbd961',
         'metrics': 'c7e1bd8736c62a56',
     },
@@ -527,7 +527,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '17d9060a4b103c92',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '2e986dd0263ebf4b',
+        'profiler': '7211b70c8e63cf95',
         'trace': '346a974d8fdd3476',
         'metrics': '1391876e63685b7d',
     },
@@ -538,7 +538,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '7ac59d4d224f4518',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '2e986dd0263ebf4b',
+        'profiler': '7211b70c8e63cf95',
         'trace': 'ea87db53b014f778',
         'metrics': '1391876e63685b7d',
     },
@@ -549,7 +549,7 @@ GOLDEN: dict[tuple[str, str], dict] = {
         'commits': 0,
         'result': '74742ccf0a1be0f5',
         'extras': '4f53cda18c2baa0c',
-        'profiler': '2e986dd0263ebf4b',
+        'profiler': '7211b70c8e63cf95',
         'trace': 'adab14b2dd844d21',
         'metrics': '1391876e63685b7d',
     },

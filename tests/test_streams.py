@@ -22,7 +22,7 @@ from repro.apps import BFSApp, SSSPApp
 from repro.core import SageScheduler, TraversalPipeline
 from repro.core.hybrid import direction_optimized_bfs
 from repro.errors import InvalidParameterError
-from repro.gpusim.cost import KernelTiming
+from repro.gpusim.cost import KernelBatchTiming
 from repro.gpusim.streams import (
     D2H,
     H2D,
@@ -33,7 +33,7 @@ from repro.gpusim.streams import (
     StreamDevice,
     TraceNode,
     dag_from_run,
-    kernel_occupancy,
+    kernel_occupancies,
     trace_seconds,
 )
 from repro.graph import generators
@@ -47,12 +47,16 @@ GOLDEN_CASES = [(runner, app) for runner in RUNNERS for app in APPS]
 pytestmark = pytest.mark.pipeline
 
 
-def timing(cycles, compute, memory):
-    return KernelTiming(
-        cycles=cycles, compute_cycles=compute, memory_cycles=memory,
-        overhead_cycles=cycles - max(compute, memory), launch_cycles=0.0,
-        dram_bytes=0.0, bound="compute" if compute >= memory else "memory",
+def occupancy(cycles, compute, memory):
+    """The occupancy of one kernel, scored as a batch of one."""
+    timing = KernelBatchTiming(
+        cycles=np.array([cycles]), compute_cycles=np.array([compute]),
+        memory_cycles=np.array([memory]),
+        overhead_cycles=np.array([cycles - max(compute, memory)]),
+        launch_cycles=0.0, dram_bytes=np.zeros(1),
+        memory_bound=np.array([compute < memory]),
     )
+    return float(kernel_occupancies(timing)[0])
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +66,17 @@ def graph():
 
 class TestKernelOccupancy:
     def test_roofline_fraction_of_total_cycles(self):
-        assert kernel_occupancy(timing(100.0, 60.0, 40.0)) == 0.6
+        assert occupancy(100.0, 60.0, 40.0) == 0.6
 
     def test_memory_bound_kernel_uses_memory_cycles(self):
-        assert kernel_occupancy(timing(200.0, 40.0, 100.0)) == 0.5
+        assert occupancy(200.0, 40.0, 100.0) == 0.5
 
     def test_floor_and_ceiling(self):
-        assert kernel_occupancy(timing(1000.0, 1.0, 1.0)) == MIN_OCCUPANCY
-        assert kernel_occupancy(timing(100.0, 100.0, 90.0)) == 1.0
+        assert occupancy(1000.0, 1.0, 1.0) == MIN_OCCUPANCY
+        assert occupancy(100.0, 100.0, 90.0) == 1.0
 
     def test_degenerate_zero_cycle_kernel(self):
-        assert kernel_occupancy(timing(0.0, 0.0, 0.0)) == MIN_OCCUPANCY
+        assert occupancy(0.0, 0.0, 0.0) == MIN_OCCUPANCY
 
 
 class TestBatchDag:
