@@ -124,8 +124,9 @@ class TestOutOfCoreInstrumentation:
 class TestLevelTiming:
     """The loop reads every span's simulated time off the node trace."""
 
-    # LigraRunner takes no registry, so it records no spans.
-    @pytest.mark.parametrize("runner", sorted(set(RUNNERS) - {"ligra"}))
+    # LigraRunner and direction_optimized_bfs take no registry, so they
+    # record no spans.
+    @pytest.mark.parametrize("runner", sorted(set(RUNNERS) - {"ligra", "dirop"}))
     def test_spans_carry_the_trace_times(self, runner):
         metrics = MetricsRegistry()
         result = RUNNERS[runner](golden_graph(), "bfs", metrics)
