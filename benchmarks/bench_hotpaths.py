@@ -20,6 +20,10 @@ check, against the same run with every level expanded and priced by
 the general path (``CSRGraph.is_full_frontier`` patched off, as
 ``tests/test_whole_level.py`` does; that also turns off the
 gather-free full expansion and the per-graph sector count).  The
+full-level pricing row prices one of those levels as a queue of one
+with ``SageScheduler.level_stats``, from the column totals and the
+graph's distinct counts, against the same level priced as a partial
+one (gathered and counted).  The
 sector+address row counts one kernel's distinct sectors and addresses
 with ``distinct_counts`` (one node mask) against two ``bincount``
 counts, and the relax row times SSSP's filter, which selects its
@@ -56,6 +60,7 @@ from repro.apps import BFSApp, PageRankApp
 from repro.apps.base import contract, relax
 from repro.apps.pagerank import rank_scatter, rank_scatter_reference
 from repro.core import SageScheduler, TraversalPipeline, sampling
+from repro.core.pipeline import Level
 from repro.core.reorder import SamplingReorderer, commit_moves, locality_stages_reference
 from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import (
@@ -75,6 +80,7 @@ from repro.graph.coo import COOGraph
 from repro.graph.csr import CSRGraph, expand_frontier_reference
 from repro.graph.datasets import twitter_like
 from repro.graph.generators import grid_2d, rmat
+from repro.obs.span import NullSpan
 
 SECTOR_WIDTH = 8
 
@@ -277,7 +283,7 @@ def bench_run_scoring(repeats: int, graph: CSRGraph) -> None:
 
         def run_new(kernels=kernels, iterations=iterations):
             device = Device(scheduler.spec)
-            batch = KernelBatch.of(kernels, device.spec)
+            batch = KernelBatch.of(kernels)
             device.kernel_nodes(device.run_kernels(batch), iterations)
 
         def run_ref(kernels=kernels, iterations=iterations):
@@ -309,6 +315,29 @@ def bench_whole_level(repeats: int, graph: CSRGraph) -> None:
         graph.num_edges,
         _best_of(run_new, repeats),
         _best_of(run_ref, repeats),
+    )
+
+
+def bench_full_level_pricing(repeats: int, graph: CSRGraph) -> None:
+    # One full PageRank level priced as a queue of one by level_stats:
+    # the node table's column totals and the graph's distinct counts,
+    # against the same level gathered and counted like a partial one.
+    app = PageRankApp()
+    app.setup(graph)
+    frontier = np.arange(graph.num_nodes, dtype=np.int64)
+    _, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
+    scheduler = SageScheduler()
+    scheduler.reset(graph)
+
+    def price(full):
+        level = Level(0, frontier, degrees, edge_dst, edge_pos, NullSpan(), full)
+        return lambda: scheduler.level_stats([level], graph, app)
+
+    _row(
+        "full PR level pricing (queue of 1)",
+        graph.num_edges,
+        _best_of(price(True), repeats),
+        _best_of(price(False), repeats),
     )
 
 
@@ -385,7 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     bench_pagerank_filter(rng, repeats, graph)
     side = 48 if args.quick else 112
     bench_run_scoring(repeats, grid_2d(side, side))
-    bench_whole_level(repeats, rmat(10 if args.quick else 15, 8, seed=0))
+    pagerank_graph = rmat(10 if args.quick else 15, 8, seed=0)
+    bench_whole_level(repeats, pagerank_graph)
+    bench_full_level_pricing(max(repeats, 10), pagerank_graph)
     bench_distinct_counts(rng, repeats, 100_000 * scale)
     bench_relax(rng, repeats, 100_000 * scale)
     bench_expand_mesh_level(repeats, grid_2d(112, 112))

@@ -16,7 +16,7 @@ scheduler decomposes; duplicate destinations *across* segments are
 legitimate concurrency, duplicates *inside* one segment are a
 write-write hazard for non-atomic filters).  Scheduler- and device-level
 hooks additionally validate the tile decomposition's coverage and the
-consistency of every :class:`~repro.gpusim.cost.KernelStats` batch.
+consistency of every :class:`~repro.gpusim.cost.KernelBatch` scored.
 
 Findings are structured (:class:`Finding`), flow into :mod:`repro.obs`
 as ``sanitizer.*`` counters, and export as a JSON report.
@@ -38,8 +38,7 @@ from repro.obs import NULL_REGISTRY, MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.apps.base import App
     from repro.graph.csr import CSRGraph
-    from repro.gpusim.cost import KernelStats
-    from repro.gpusim.spec import GPUSpec
+    from repro.gpusim.cost import KernelBatch, KernelStats
 
 SCHEMA_VERSION = 1
 
@@ -100,6 +99,34 @@ class Finding:
         return f"{self.code}: {self.message}{suffix}"
 
 
+def _kernel_problems(stats: "KernelStats") -> list[str]:
+    """What is inconsistent in one kernel's stats, as finding messages."""
+    problems: list[str] = []
+    if stats.active_edges < 0:
+        problems.append(f"negative active_edges ({stats.active_edges})")
+    if stats.issued_lane_cycles + 1e-9 < stats.active_edges:
+        problems.append(
+            f"issued lanes ({stats.issued_lane_cycles}) < active edges "
+            f"({stats.active_edges})"
+        )
+    if stats.value_sector_unique > stats.value_sector_touches:
+        problems.append(
+            f"unique sectors ({stats.value_sector_unique}) exceed "
+            f"touches ({stats.value_sector_touches})"
+        )
+    for label, value in (
+        ("overhead_cycles", stats.overhead_cycles),
+        ("extra_dram_bytes", stats.extra_dram_bytes),
+        ("atomic_conflicts", stats.atomic_conflicts),
+        ("concurrency_warps", stats.concurrency_warps),
+    ):
+        if not np.isfinite(value) or value < 0:
+            problems.append(f"non-finite or negative {label} ({value})")
+    if stats.active_edges > 0 and stats.concurrency_warps <= 0:
+        problems.append("active edges with zero concurrency")
+    return problems
+
+
 def _examples(values: np.ndarray) -> list[int]:
     """Bounded example list for finding details."""
     return [int(v) for v in np.asarray(values).ravel()[:MAX_EXAMPLES]]
@@ -111,9 +138,9 @@ class Sanitizer:
     Usable standalone in tests (construct, :meth:`begin_run`, feed
     batches to :meth:`check_level`) or threaded through a
     :class:`~repro.core.pipeline.TraversalPipeline` via its ``sanitizer``
-    argument, which also hooks the simulated device
-    (:meth:`check_kernel_stats`) and the SAGE scheduler's tile
-    decomposition (:meth:`check_work_units`).
+    argument, which also audits every kernel batch a scheduler or the
+    simulated device stacks (:meth:`check_kernel_batch`) and the SAGE
+    scheduler's tile decomposition (:meth:`check_work_units`).
 
     Args:
         metrics: observability registry receiving ``sanitizer.*``
@@ -416,46 +443,20 @@ class Sanitizer:
                 )
             )
 
-    def check_kernel_stats(self, stats: "KernelStats", spec: "GPUSpec") -> None:
-        """Consistency of one scheduler-reported kernel description."""
-        problems: list[str] = []
-        if stats.active_edges < 0:
-            problems.append(f"negative active_edges ({stats.active_edges})")
-        if stats.issued_lane_cycles + 1e-9 < stats.active_edges:
-            problems.append(
-                f"issued lanes ({stats.issued_lane_cycles}) < active edges "
-                f"({stats.active_edges})"
-            )
-        if stats.value_sector_unique > stats.value_sector_touches:
-            problems.append(
-                f"unique sectors ({stats.value_sector_unique}) exceed "
-                f"touches ({stats.value_sector_touches})"
-            )
-        if stats.per_sm_lane_cycles.size not in (0, spec.num_sms):
-            problems.append(
-                f"per-SM array has {stats.per_sm_lane_cycles.size} entries, "
-                f"expected 0 or {spec.num_sms}"
-            )
-        for label, value in (
-            ("overhead_cycles", stats.overhead_cycles),
-            ("extra_dram_bytes", stats.extra_dram_bytes),
-            ("atomic_conflicts", stats.atomic_conflicts),
-            ("concurrency_warps", stats.concurrency_warps),
-        ):
-            if not np.isfinite(value) or value < 0:
-                problems.append(f"non-finite or negative {label} ({value})")
-        if stats.active_edges > 0 and stats.concurrency_warps <= 0:
-            problems.append("active edges with zero concurrency")
-        self.kernels_checked += 1
-        self.metrics.count("sanitizer.kernels_checked")
-        for problem in problems:
-            self._record(
-                Finding(
-                    code="kernel_stats_inconsistent",
-                    message=problem,
-                    app=self._app_name,
+    def check_kernel_batch(self, batch: "KernelBatch") -> None:
+        """Consistency of each row of a batch of scheduler-reported
+        kernels, in row order."""
+        self.kernels_checked += len(batch)
+        self.metrics.count("sanitizer.kernels_checked", len(batch))
+        for index in range(len(batch)):
+            for problem in _kernel_problems(batch.row(index)):
+                self._record(
+                    Finding(
+                        code="kernel_stats_inconsistent",
+                        message=problem,
+                        app=self._app_name,
+                    )
                 )
-            )
 
     def check_commit(self, perm: np.ndarray, num_nodes: int) -> None:
         """A reorder commit must be a bijection over the node ids."""

@@ -120,7 +120,7 @@ class B40CScheduler(Scheduler):
         return KernelStats(
             active_edges=active,
             issued_lane_cycles=issued,
-            per_sm_lane_cycles=block_placement(per_block, spec.num_sms),
+            busiest_lane_cycles=float(block_placement(per_block, spec.num_sms).max()),
             value_sector_touches=touches,
             value_sector_unique=unique,
             csr_sector_touches=csr_sectors,

@@ -22,7 +22,7 @@ from repro.core.scheduler import (
     warp_chunk_starts,
 )
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cost import KernelStats, even_placement
+from repro.gpusim.cost import KernelStats
 
 #: merge-path binary search cost per warp per iteration (lane-cycles).
 SEARCH_CYCLES = 48.0
@@ -65,7 +65,7 @@ class GunrockScheduler(Scheduler):
         return KernelStats(
             active_edges=active,
             issued_lane_cycles=issued,
-            per_sm_lane_cycles=even_placement(issued, spec.num_sms),
+            busiest_lane_cycles=issued / spec.num_sms,
             value_sector_touches=touches,
             value_sector_unique=unique,
             csr_sector_touches=csr_sectors,

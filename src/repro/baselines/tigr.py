@@ -35,7 +35,7 @@ from repro.core.scheduler import (
 )
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cost import KernelStats, even_placement
+from repro.gpusim.cost import KernelStats
 from repro.gpusim.spec import GPUSpec
 
 #: Default virtual-node degree bound (Tigr's paper uses warp-sized splits).
@@ -161,7 +161,7 @@ class TigrScheduler(Scheduler):
         return KernelStats(
             active_edges=active,
             issued_lane_cycles=issued,
-            per_sm_lane_cycles=even_placement(issued, spec.num_sms),
+            busiest_lane_cycles=issued / spec.num_sms,
             value_sector_touches=touches,
             value_sector_unique=unique,
             csr_sector_touches=csr_sectors,

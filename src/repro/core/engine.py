@@ -20,6 +20,7 @@ get divided by the SM count (overheads execute in parallel per SM).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -37,24 +38,21 @@ from repro.core.scheduler import (
     scale_value_sectors,
 )
 from repro.core.tiling import (
+    COVERED,
     CSR_SECTORS,
     DEFAULT_MIN_TILE,
+    ELECTIONS,
     FRAGMENTS,
     TILES,
+    UNITS,
     VALUE_TOUCHES,
-    FrontierWork,
     NodeAccounting,
     frontier_work_reference,
     node_accounting,
     tile_size_levels,
 )
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cost import (
-    KernelBatch,
-    KernelStats,
-    block_placement,
-    even_placement,
-)
+from repro.gpusim.cost import KernelBatch, KernelStats, block_placement
 from repro.gpusim.memory import distinct_counts
 from repro.gpusim.spec import GPUSpec
 
@@ -69,12 +67,6 @@ FRAGMENT_SETUP_CYCLES = 8.0  # scan-based gather setup per fragment node
 TILE_WRITE_CYCLES = 6.0     # expandTiles store per new tile (Alg. 3 l.3)
 TILE_CONSUME_CYCLES = 2.0   # popping a resident tile from the global queue
 SAMPLE_CYCLES = 16.0        # Alg. 4 shared-memory counting per sampled tile
-
-#: Fewest queued levels :meth:`SageScheduler.level_stats` prices in one
-#: pass, as columns where it can.  A shorter queue is priced one level at
-#: a time: the pass's fixed numpy calls would cost more than the levels
-#: share.
-MIN_PASS_LEVELS = 4
 
 
 class SageScheduler(Scheduler):
@@ -162,39 +154,26 @@ class SageScheduler(Scheduler):
         *,
         full: bool | None = None,
     ) -> KernelStats:
-        """``full`` is the level's :attr:`Level.full` when the caller
-        has it; without it the frontier is compared to every node."""
+        """:meth:`level_stats` of one level.  ``full`` is the level's
+        :attr:`Level.full` when the caller has it; without it the
+        frontier is compared to every node."""
+        if not self.tiled_partitioning:
+            return self._thread_per_node_stats(frontier, degrees, edge_dst, graph, app)
         if full is None:
             full = graph.is_full_frontier(frontier)
-        return self._price(
+        return self._price_queue(
             [frontier], [degrees], [edge_dst], [full], graph, app
-        )[0]
+        ).row(0)
 
     def level_stats(
         self, levels: Sequence[Level], graph: CSRGraph, app: App
     ) -> KernelBatch:
-        """A queue of at least :data:`MIN_PASS_LEVELS` levels is priced
-        in one pass: as columns when :meth:`_price_columns` covers the
-        configuration, else as :class:`KernelStats` from :meth:`_price`.
-        A shorter queue, or a subclass's own ``kernel_stats``, is priced
-        level by level."""
-        if type(self).kernel_stats is not SageScheduler.kernel_stats:
-            # a subclass that prices kernels itself sees every level
+        """Every queue, of any length, is priced by one
+        :meth:`_price_queue` pass; without Tiled Partitioning, level by
+        level (:meth:`_thread_per_node_stats` rows)."""
+        if not self.tiled_partitioning:
             return super().level_stats(levels, graph, app)
-        if len(levels) < MIN_PASS_LEVELS:
-            return self.stack([
-                self.kernel_stats(level.frontier, level.degrees,
-                                  level.edge_dst, graph, app, full=level.full)
-                for level in levels
-            ])
-        if (
-            self.tiled_partitioning
-            and self.resident_stealing
-            and self._reorderer is None
-            and self.sanitizer is None
-        ):
-            return self._price_columns(levels, graph, app)
-        return self.stack(self._price(
+        return self.audited(self._price_queue(
             [level.frontier for level in levels],
             [level.degrees for level in levels],
             [level.edge_dst for level in levels],
@@ -202,84 +181,143 @@ class SageScheduler(Scheduler):
             graph, app,
         ))
 
-    def _price(
+    def _price_queue(
+        self,
+        frontiers: list[np.ndarray],
+        degrees: list[np.ndarray],
+        edge_dsts: list[np.ndarray],
+        full: list[bool],
+        graph: CSRGraph,
+        app: App,
+    ) -> KernelBatch:
+        """The stats of a queue of kernels, in order, from one pass.
+
+        Every caller passes ``edge_dst = graph.expand_frontier(frontier)[1]``,
+        so a kernel's tiling totals are sums of the graph's per-node table
+        (Resident Tile Stealing's "tile once per node", on the host): one
+        gather of the queue's frontiers, one resident visit, one distinct
+        count pass.  A kernel flagged in ``full`` runs over every node in
+        id order and gathers nothing: its totals are the table's column
+        totals and its distinct counts the graph's.  It is priced as a
+        queue of its own, which it is unless |E| < |V|: pricing a queue's
+        consecutive parts in turn equals pricing the queue.
+        """
+        if not frontiers:
+            return KernelBatch.of([])
+        if len(full) > 1 and any(full):
+            alone = [k for k, is_full in enumerate(full) if is_full]
+            cuts = sorted({0, len(full), *alone, *(k + 1 for k in alone)})
+            return KernelBatch.concat([
+                self._price_queue(frontiers[lo:hi], degrees[lo:hi],
+                                  edge_dsts[lo:hi], full[lo:hi], graph, app)
+                for lo, hi in zip(cuts, cuts[1:])
+            ])
+        table = self._node_table(graph)
+        if full[0]:
+            nodes, units, sums = frontiers[0], table.per_node[UNITS], table.totals
+        else:
+            nodes, units, sums = table.level_totals(frontiers)
+        sizes = [frontier.size for frontier in frontiers]
+        if self._store is not None:
+            new_tiles = self._store.visit_queue(nodes, sizes, units)
+        else:
+            new_tiles = np.zeros(len(sizes), dtype=np.int64)
+        sectors, addresses = self._distinct_counts(full[0], edge_dsts, graph)
+        if self._reorderer is not None:
+            ends = itertools.accumulate(sizes)
+            for frontier, degree, edge_dst, end in zip(frontiers, degrees, edge_dsts, ends):
+                level_units = units[end - frontier.size:end]
+                self._reorderer.observe(
+                    edge_dst, table.segment_starts(frontier, degree, level_units)
+                )
+        return self._price_columns(
+            frontiers, degrees, edge_dsts, sums, new_tiles, sectors, addresses, app
+        )
+
+    def _price_columns(
         self,
         frontiers: Sequence[np.ndarray],
         degrees: Sequence[np.ndarray],
         edge_dsts: Sequence[np.ndarray],
-        full: Sequence[bool],
-        graph: CSRGraph,
+        sums: np.ndarray,
+        new_tiles: np.ndarray,
+        sectors: np.ndarray,
+        addresses: np.ndarray,
         app: App,
-    ) -> list[KernelStats]:
-        """The stats of a queue of kernels, in order, from one pass.
-        ``full`` flags the kernels over every node in id order."""
-        if not self.tiled_partitioning:
-            return [
-                self._thread_per_node_stats(frontier, degree, edge_dst, graph, app)
-                for frontier, degree, edge_dst in zip(frontiers, degrees, edge_dsts)
-            ]
-        # Every caller passes edge_dst = graph.expand_frontier(frontier)[1],
-        # so the kernel's tiling totals are sums of the graph's per-node
-        # table (Resident Tile Stealing's "tile once per node", on the host).
-        table = self._node_table(graph)
-        works = table.level_work(
-            frontiers, degrees, segments=self._reorderer is not None, full=full
-        )
-        if self._store is not None:
-            new_tiles = self._store.visit_levels(
-                frontiers, [work.units_per_node for work in works]
-            )
-        else:
-            new_tiles = [0] * len(works)
-        sectors, addresses = self._distinct_counts(full, edge_dsts, graph)
-        return [
-            self._tiled_stats(*level, app)
-            for level in zip(frontiers, degrees, edge_dsts, works,
-                             sectors.tolist(), addresses.tolist(), new_tiles)
-        ]
-
-    def _price_columns(
-        self, levels: Sequence[Level], graph: CSRGraph, app: App
     ) -> KernelBatch:
-        """:meth:`_tiled_stats` of every level as columns, bit for bit.
+        """The one formula for a tiled kernel, over a queue as columns.
 
-        Covers Tiled Partitioning with Resident Tile Stealing (even
-        placement), no sampling reorder and no sanitizer: each column
-        takes the scalar path's operations in the same order, on the
-        totals the queue's one pass already gives.  A full frontier
-        (in a queue of several levels only when |E| < |V|, as its last
-        level) is gathered like any other, but its distinct counts are
-        the graph's (:meth:`_distinct_counts`).
+        ``sums`` holds each kernel's tiling totals (rows ``UNITS`` ..
+        ``VALUE_TOUCHES`` of the node table), ``new_tiles`` the tiles its
+        resident visit wrote, ``sectors`` and ``addresses`` its distinct
+        counts.
         """
         spec = self.spec
-        table = self._node_table(graph)
-        edge_dsts = [level.edge_dst for level in levels]
-        frontiers = [level.frontier for level in levels]
-        nodes, units, sums, _, _ = table.level_totals(frontiers)
-        assert self._store is not None
-        new_tiles = self._store.visit_queue(
-            nodes, [frontier.size for frontier in frontiers], units
-        )
-        sectors, addresses = self._distinct_counts(
-            [level.full for level in levels], edge_dsts, graph
-        )
+        active = np.array([edge_dst.size for edge_dst in edge_dsts], dtype=np.int64)
+        if self.sanitizer is not None:
+            # Audit the scheduled work units: tiles + fragments must
+            # cover the expanded batch exactly (a decomposition gap
+            # would silently drop or double-count edges in accounting).
+            for covered, edges in zip(sums[COVERED], active):
+                self.sanitizer.check_work_units(covered, edges)
         factor = app.value_access_factor
         touches = np.rint(sums[VALUE_TOUCHES] * factor).astype(np.int64)
         unique = np.minimum(touches, np.rint(sectors * factor).astype(np.int64))
-        active = np.array([edge_dst.size for edge_dst in edge_dsts], dtype=np.int64)
         fragments = sums[FRAGMENTS]
         total_tiles = sums[TILES] + fragments
-        overhead_work = (
-            new_tiles * TILE_WRITE_CYCLES
-            + total_tiles * TILE_CONSUME_CYCLES
-            + fragments * FRAGMENT_SETUP_CYCLES
-        )
-        if self.metrics.enabled:
-            self.metrics.count("sage.tiles", int(total_tiles.sum()))
-            self.metrics.count("sage.tiles_expanded", int(new_tiles.sum()))
-            self.metrics.count(
-                "sage.tiles_stolen_resident",
-                int(np.maximum(0, total_tiles - new_tiles).sum()),
+        if self.resident_stealing:
+            # Scheduling decisions are resident: new nodes pay the tile
+            # write; everything else is a cheap queue pop.  Any SM takes
+            # any tile: an even placement.
+            overhead_work = (
+                new_tiles * TILE_WRITE_CYCLES
+                + total_tiles * TILE_CONSUME_CYCLES
+                + fragments * FRAGMENT_SETUP_CYCLES
+            )
+            busiest = active / spec.num_sms
+            device_warp_cap = spec.num_sms * spec.max_resident_warps_per_sm
+            concurrency = np.minimum(total_tiles, device_warp_cap).astype(np.float64)
+            extra_bytes = (new_tiles * TILE_RECORD_BYTES).astype(np.float64)
+            if self.metrics.enabled:
+                self.metrics.count("sage.tiles", int(total_tiles.sum()))
+                self.metrics.count("sage.tiles_expanded", int(new_tiles.sum()))
+                self.metrics.count(
+                    "sage.tiles_stolen_resident",
+                    int(np.maximum(0, total_tiles - new_tiles).sum()),
+                )
+        else:
+            # Dynamic scheduling repeats every visit; tiles are consumed
+            # sequentially inside their owner block (Figure 4a).
+            blocks = np.array(
+                [max(1, -(-frontier.size // spec.block_size)) for frontier in frontiers],
+                dtype=np.int64,
+            )
+            levels = len(tile_size_levels(spec.block_size, self.min_tile))
+            overhead_work = (
+                sums[ELECTIONS] * ELECTION_CYCLES
+                + sums[TILES] * TILE_ROUND_CYCLES
+                + blocks * levels * PARTITION_CYCLES
+                + fragments * FRAGMENT_SETUP_CYCLES
+            )
+            busiest = np.array([
+                block_placement(
+                    self._per_block_lane_cycles(degree, spec.block_size), spec.num_sms
+                ).max()
+                for degree in degrees
+            ])
+            # A block works one tile at a time (Figure 4a), but that tile
+            # spans the block's lanes, so the loads in flight match the
+            # block's resident warps; RTS's edge is device-wide tiles.
+            concurrency = (blocks * (spec.block_size // spec.warp_size)).astype(np.float64)
+            extra_bytes = np.zeros(len(active))
+            if self.metrics.enabled:
+                self.metrics.count("sage.tiles", int(total_tiles.sum()))
+                self.metrics.count("sage.elections", int(sums[ELECTIONS].sum()))
+        overhead = overhead_work / spec.num_sms
+        if self._reorderer is not None:
+            overhead += (
+                self._reorderer.sampler.tile_sample_rate
+                * total_tiles * SAMPLE_CYCLES / spec.num_sms
             )
         if app.uses_atomics:  # atomic_conflicts_for, per row
             density = addresses / np.maximum(1, sectors * spec.sector_width)
@@ -288,22 +326,19 @@ class SageScheduler(Scheduler):
                 * (1.0 + np.minimum(1.0, density))
             )
         else:
-            conflicts = np.zeros(len(levels))
-        device_warp_cap = spec.num_sms * spec.max_resident_warps_per_sm
+            conflicts = np.zeros(len(active))
         return KernelBatch(
             active_edges=active,
             issued_lane_cycles=active,  # power-of-two tiles are divergence-free
-            busiest_lane_cycles=active / max(1, spec.num_sms),  # even_placement
+            busiest_lane_cycles=busiest,
             value_sector_touches=touches,
             value_sector_unique=unique,
             csr_sector_touches=sums[CSR_SECTORS],
-            concurrency_warps=np.maximum(
-                1.0, np.minimum(total_tiles, device_warp_cap).astype(np.float64)
-            ),
-            overhead_cycles=overhead_work / spec.num_sms,
-            extra_dram_bytes=(new_tiles * TILE_RECORD_BYTES).astype(np.float64),
+            concurrency_warps=np.maximum(1.0, concurrency),
+            overhead_cycles=overhead,
+            extra_dram_bytes=extra_bytes,
             atomic_conflicts=conflicts,
-            compute_scale=np.full(len(levels), app.edge_compute_factor),
+            compute_scale=np.full(len(active), app.edge_compute_factor, dtype=np.float64),
         )
 
     def _node_table(self, graph: CSRGraph) -> NodeAccounting:
@@ -332,24 +367,26 @@ class SageScheduler(Scheduler):
         app: App,
     ) -> KernelStats:
         """:meth:`kernel_stats` priced by re-tiling the frontier (the
-        pre-table formulation), kept as the equivalence-test reference."""
+        pre-table formulation) and counting its batch's distinct ids,
+        through the same :meth:`_price_columns`; kept as the node
+        table's equivalence-test reference."""
         if not self.tiled_partitioning:
             return self._thread_per_node_stats(frontier, degrees, edge_dst, graph, app)
         spec = self.spec
-        work = frontier_work_reference(
+        totals, units, starts = frontier_work_reference(
             degrees, edge_dst, spec.block_size, self.min_tile,
             spec.sector_width, self.tile_alignment,
         )
         sectors, addresses = kernel_distinct_counts(
             edge_dst, spec.sector_width, graph.num_nodes
         )
-        new_tiles = (
-            self._store.visit(frontier, work.units_per_node)[2]
-            if self._store is not None else 0
-        )
-        return self._tiled_stats(
-            frontier, degrees, edge_dst, work, sectors, addresses, new_tiles, app
-        )
+        new_tiles = self._store.visit(frontier, units)[2] if self._store is not None else 0
+        if self._reorderer is not None:
+            self._reorderer.observe(edge_dst, starts)
+        return self._price_columns(
+            [frontier], [degrees], [edge_dst], totals, np.array([new_tiles]),
+            np.array([sectors]), np.array([addresses]), app,
+        ).row(0)
 
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
         if self._reorderer is None or not self._reorderer.ready:
@@ -373,125 +410,25 @@ class SageScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def _distinct_counts(
-        self,
-        full: Sequence[bool],
-        edge_dsts: Sequence[np.ndarray],
-        graph: CSRGraph,
+        self, full: bool, edge_dsts: Sequence[np.ndarray], graph: CSRGraph
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each kernel's distinct sectors and addresses, from one
         :func:`~repro.gpusim.memory.distinct_counts` pass.
 
-        A kernel flagged in ``full`` runs over every node in id order
-        (each iteration of a full-frontier app such as PageRank), so it
-        reads exactly ``graph.targets``: this scheduler counts it once
-        per graph, outside the queue's pass.
+        A ``full`` kernel runs over every node in id order (each
+        iteration of a full-frontier app such as PageRank), so it reads
+        exactly ``graph.targets``: this scheduler counts it once per
+        graph.
         """
         width = self.spec.sector_width
-        if not any(full):
+        if not full:
             return distinct_counts(edge_dsts, graph.num_nodes, width)
         cached = self._graph_counts
         if cached is None or cached[0] is not graph.targets:
             cached = (graph.targets,
                       *distinct_counts([graph.targets], graph.num_nodes, width))
             self._graph_counts = cached
-        partial = np.logical_not(full)
-        sectors = cached[1].repeat(partial.size)
-        addresses = cached[2].repeat(partial.size)
-        sectors[partial], addresses[partial] = distinct_counts(
-            [edge_dst for edge_dst, keep in zip(edge_dsts, partial) if keep],
-            graph.num_nodes, width,
-        )
-        return sectors, addresses
-
-    def _tiled_stats(
-        self,
-        frontier: np.ndarray,
-        degrees: np.ndarray,
-        edge_dst: np.ndarray,
-        work: FrontierWork,
-        sectors: int,
-        addresses: int,
-        new_tiles: int,
-        app: App,
-    ) -> KernelStats:
-        """One kernel's stats; ``sectors`` and ``addresses`` are its
-        distinct counts and ``new_tiles`` the tiles its visit wrote to
-        the resident store."""
-        spec = self.spec
-        if self.sanitizer is not None:
-            # Audit the scheduled work units: tiles + fragments must
-            # cover the expanded batch exactly (a decomposition gap
-            # would silently drop or double-count edges in accounting).
-            self.sanitizer.check_work_units(work.covered_edges, edge_dst.size)
-        touches, unique = scale_value_sectors(
-            work.value_touches, sectors, app.value_access_factor
-        )
-
-        active = int(edge_dst.size)
-        issued = active  # power-of-two tiles are divergence-free
-        num_blocks = max(1, -(-frontier.size // spec.block_size))
-        warps_per_block = spec.block_size // spec.warp_size
-        total_tiles = work.num_tiles + work.num_fragments
-
-        if self.resident_stealing:
-            # Scheduling decisions are resident: new nodes pay the tile
-            # write; everything else is a cheap queue pop.
-            overhead_work = (
-                new_tiles * TILE_WRITE_CYCLES
-                + total_tiles * TILE_CONSUME_CYCLES
-                + work.num_fragments * FRAGMENT_SETUP_CYCLES
-            )
-            self.metrics.count("sage.tiles", total_tiles)
-            self.metrics.count("sage.tiles_expanded", new_tiles)
-            self.metrics.count("sage.tiles_stolen_resident",
-                               max(0, total_tiles - new_tiles))
-            extra_bytes = float(new_tiles * TILE_RECORD_BYTES)
-            placement = even_placement(issued, spec.num_sms)
-            device_warp_cap = spec.num_sms * spec.max_resident_warps_per_sm
-            concurrency = float(min(total_tiles, device_warp_cap))
-        else:
-            # Dynamic scheduling repeats every visit; tiles are consumed
-            # sequentially inside their owner block (Figure 4a).
-            levels = len(tile_size_levels(spec.block_size, self.min_tile))
-            overhead_work = (
-                work.elections * ELECTION_CYCLES
-                + work.num_tiles * TILE_ROUND_CYCLES
-                + num_blocks * levels * PARTITION_CYCLES
-                + work.num_fragments * FRAGMENT_SETUP_CYCLES
-            )
-            self.metrics.count("sage.tiles", total_tiles)
-            self.metrics.count("sage.elections", work.elections)
-            extra_bytes = 0.0
-            per_block = self._per_block_lane_cycles(degrees, spec.block_size)
-            placement = block_placement(per_block, spec.num_sms)
-            # A block works one tile at a time (Figure 4a), but that tile
-            # spans the block's lanes, so the loads in flight match the
-            # block's resident warps; RTS's edge is device-wide tiles.
-            concurrency = float(num_blocks * warps_per_block)
-
-        overhead_cycles = overhead_work / spec.num_sms
-        if self._reorderer is not None:
-            self._reorderer.observe(edge_dst, work.segment_starts)
-            overhead_cycles += (
-                self._reorderer.sampler.tile_sample_rate
-                * total_tiles * SAMPLE_CYCLES / spec.num_sms
-            )
-
-        return KernelStats(
-            active_edges=active,
-            issued_lane_cycles=issued,
-            per_sm_lane_cycles=placement,
-            value_sector_touches=touches,
-            value_sector_unique=unique,
-            csr_sector_touches=work.csr_sectors,
-            concurrency_warps=max(1.0, concurrency),
-            overhead_cycles=overhead_cycles,
-            extra_dram_bytes=extra_bytes,
-            atomic_conflicts=atomic_conflicts_for(
-                app, edge_dst, spec.sector_width, sectors, addresses
-            ),
-            compute_scale=app.edge_compute_factor,
-        )
+        return cached[1], cached[2]
 
     def _thread_per_node_stats(
         self,
@@ -529,7 +466,7 @@ class SageScheduler(Scheduler):
         return KernelStats(
             active_edges=active,
             issued_lane_cycles=max(issued, active),
-            per_sm_lane_cycles=block_placement(per_block, spec.num_sms),
+            busiest_lane_cycles=float(block_placement(per_block, spec.num_sms).max()),
             value_sector_touches=touches,
             value_sector_unique=unique,
             csr_sector_touches=active,  # uncoalesced adjacency reads

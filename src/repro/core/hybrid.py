@@ -208,7 +208,7 @@ def _pull_level(
     stats.issued_lane_cycles = max(
         stats.active_edges, int(stats.issued_lane_cycles * scale)
     )
-    stats.per_sm_lane_cycles = stats.per_sm_lane_cycles * scale
+    stats.busiest_lane_cycles = stats.busiest_lane_cycles * scale
     stats.value_sector_touches = int(stats.value_sector_touches * scale)
     stats.value_sector_unique = min(
         stats.value_sector_unique, stats.value_sector_touches

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.sampling import TileAccessSampler
 from repro.errors import InvalidParameterError
-from repro.gpusim.cost import KernelStats, even_placement
+from repro.gpusim.cost import KernelStats
 from repro.gpusim.spec import GPUSpec
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
@@ -298,7 +298,7 @@ class SamplingReorderer:
         return KernelStats(
             active_edges=work,
             issued_lane_cycles=work,
-            per_sm_lane_cycles=even_placement(work, spec.num_sms),
+            busiest_lane_cycles=work / spec.num_sms,
             value_sector_touches=touches,
             value_sector_unique=touches,
             csr_sector_touches=0,

@@ -67,35 +67,24 @@ class ResidentTileStore:
         self._note_new(new_nodes)
         return reused, new_nodes, new_tiles
 
-    def visit_levels(
-        self,
-        frontiers: Sequence[np.ndarray],
-        tiles_per_node: Sequence[np.ndarray],
-    ) -> list[int]:
-        """Record a queue of frontier visits, in order, in one pass.
-
-        Equal to :meth:`visit` on each level in turn: a node is new at
-        its first level in the queue unless it was resident before, and
-        every later level reuses it.  Returns each level's new tiles.
-        """
-        if len(frontiers) == 1:
-            return [self.visit(frontiers[0], tiles_per_node[0])[2]]
-        return self.visit_queue(
-            np.concatenate(frontiers),
-            [frontier.size for frontier in frontiers],
-            np.concatenate(tiles_per_node),
-        ).tolist()
-
     def visit_queue(
         self,
         nodes: np.ndarray,
         sizes: Sequence[int],
         tiles_per_node: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`visit_levels` over the queue's concatenated frontiers
-        (level ``k`` holds ``sizes[k]`` entries) and their concatenated
-        tile counts; returns each level's new tiles as an int64 array."""
+        """Record a queue of frontier visits, in order, in one pass.
+
+        ``nodes`` concatenates the queue's frontiers (level ``k`` holds
+        ``sizes[k]`` entries) and ``tiles_per_node`` their tile counts.
+        Equal to :meth:`visit` on each level in turn: a node is new at
+        its first level in the queue unless it was resident before, and
+        every later level reuses it.  Returns each level's new tiles as
+        an int64 array.
+        """
         count = len(sizes)
+        if count == 1:  # one visit: a mask gather, no minimum.at
+            return np.array([self.visit(nodes, tiles_per_node)[2]], dtype=np.int64)
         if self._all_resident:
             self.reuse_hits += int(nodes.size)
             return np.zeros(count, dtype=np.int64)

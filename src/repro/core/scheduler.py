@@ -114,13 +114,15 @@ class Scheduler(ABC):
         ])
 
     def stack(self, rows: Sequence[KernelStats]) -> KernelBatch:
-        """``rows`` (kernels this scheduler reported) as one batch, each
-        audited by the sanitizer, if one is attached, before it is
-        stacked."""
+        """``rows`` (kernels this scheduler reported) as one batch,
+        :meth:`audited`."""
+        return self.audited(KernelBatch.of(rows))
+
+    def audited(self, batch: KernelBatch) -> KernelBatch:
+        """``batch``, after the sanitizer, if one is attached, audits it."""
         if self.sanitizer is not None:
-            for row in rows:
-                self.sanitizer.check_kernel_stats(row, self.spec)
-        return KernelBatch.of(rows, self.spec)
+            self.sanitizer.check_kernel_batch(batch)
+        return batch
 
     def queue_edge_limit(self, graph: CSRGraph) -> int:
         """Edges a pipeline may queue before pricing them: |E|, so a

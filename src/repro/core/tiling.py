@@ -15,7 +15,9 @@ fully vectorized, in frontier coordinates (tiles refer to positions in
 the concatenated expanded edge array).  A node's tiles never cross its
 own adjacency slice, so every per-kernel tiling quantity is a sum of
 per-node values: :class:`NodeAccounting` decomposes a whole graph once
-and the SAGE engine prices each kernel by gathering its frontier's rows.
+and the SAGE engine prices each kernel by gathering its frontier's
+columns, or, for a kernel over every node, by reading the table's
+column totals.
 """
 
 from __future__ import annotations
@@ -283,33 +285,6 @@ def decompose_degree(
     return out
 
 
-@dataclass(slots=True)
-class FrontierWork:
-    """Tiling and gather totals of one kernel's frontier.
-
-    Attributes:
-        units_per_node: tiles plus fragments of each frontier entry.
-        num_tiles: cooperative tiles (fragments excluded).
-        num_fragments: fragment (scan-gather) work units.
-        elections: Algorithm 2 leader elections.
-        covered_edges: expanded edges the tiles and fragments cover.
-        csr_sectors: coalesced CSR adjacency-read sectors.
-        value_touches: per-segment distinct value sectors, summed; not
-            yet scaled by the app's access factor.
-        segment_starts: sorted tile/fragment starts in the expanded edge
-            array, or None when they were not asked for.
-    """
-
-    units_per_node: np.ndarray
-    num_tiles: int
-    num_fragments: int
-    elections: int
-    covered_edges: int
-    csr_sectors: int
-    value_touches: int
-    segment_starts: np.ndarray | None
-
-
 #: Row order of :attr:`NodeAccounting.per_node`.
 UNITS, TILES, FRAGMENTS, ELECTIONS, COVERED, CSR_SECTORS, VALUE_TOUCHES = range(7)
 
@@ -427,72 +402,18 @@ class NodeAccounting:
         )
         return NodeAccounting(per_node, segment_ptr, segment_local)
 
-    def level_work(
-        self,
-        frontiers: Sequence[np.ndarray],
-        degrees: Sequence[np.ndarray],
-        *,
-        segments: bool,
-        full: Sequence[bool] | None = None,
-    ) -> list[FrontierWork]:
-        """The totals of each of a queue of kernels, from one gather of
-        the queued frontiers' columns and one segmented sum: O(|frontier|)
-        per kernel.
-
-        A kernel flagged in ``full`` runs over every node in id order
-        (:meth:`~repro.graph.csr.CSRGraph.is_full_frontier`): its totals
-        are the table's column totals, summed once per table into one
-        shared :class:`FrontierWork` whose ``units_per_node`` is a
-        read-only view of the ``UNITS`` row.
-        ``segments`` gathers every kernel, with its sorted segment starts
-        (the sampling reorderer's tile boundaries).
-        """
-        if full is not None and not segments and any(full):
-            partial = iter(self.level_work(
-                [frontier for frontier, is_full in zip(frontiers, full) if not is_full],
-                [degree for degree, is_full in zip(degrees, full) if not is_full],
-                segments=False,
-            ))
-            return [
-                self._whole_graph_work if is_full else next(partial)
-                for is_full in full
-            ]
-        if not frontiers:
-            return []
-        _, units, sums, starts, ends = self.level_totals(frontiers)
-        work = []
-        for frontier, degree, lo, hi, totals in zip(
-            frontiers, degrees, starts, ends, sums.T.tolist()
-        ):
-            level_units = units[lo:hi]
-            work.append(FrontierWork(
-                units_per_node=level_units,
-                num_tiles=totals[TILES],
-                num_fragments=totals[FRAGMENTS],
-                elections=totals[ELECTIONS],
-                covered_edges=totals[COVERED],
-                csr_sectors=totals[CSR_SECTORS],
-                value_touches=totals[VALUE_TOUCHES],
-                segment_starts=(
-                    self._segment_starts(frontier, degree, level_units)
-                    if segments else None
-                ),
-            ))
-        return work
-
     def level_totals(
         self, frontiers: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
-        """A queue's totals from one gather and one segmented sum.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A queue's totals from one gather and one segmented sum:
+        O(|frontier|) per kernel.
 
-        Returns the concatenated frontiers, their ``UNITS`` row, a
+        Returns the concatenated frontiers, their ``UNITS`` row and a
         ``(7, len(frontiers))`` int64 array whose column ``k`` sums rows
-        ``UNITS`` .. ``VALUE_TOUCHES`` over frontier ``k``, and each
-        frontier's start and end in the concatenation.
+        ``UNITS`` .. ``VALUE_TOUCHES`` over frontier ``k``.
         """
         sizes = [frontier.size for frontier in frontiers]
-        ends = list(itertools.accumulate(sizes))
-        starts = [0, *ends[:-1]]
+        starts = [0, *itertools.accumulate(sizes[:-1])]
         nodes = frontiers[0] if len(frontiers) == 1 else np.concatenate(frontiers)
         cols = np.take(self.per_node, nodes, axis=1)
         if all(sizes):
@@ -504,29 +425,23 @@ class NodeAccounting:
                 sums[:, nonempty] = np.add.reduceat(
                     cols, np.take(starts, nonempty), axis=1
                 )
-        return nodes, cols[UNITS], sums, starts, ends
+        return nodes, cols[UNITS], sums
 
     @functools.cached_property
-    def _whole_graph_work(self) -> FrontierWork:
-        """The work of a kernel over every node, shared by every such
-        kernel: each row's sum and a read-only view of ``UNITS``."""
-        units = self.per_node[UNITS].view()
-        units.flags.writeable = False
-        totals = self.per_node.sum(axis=1).tolist()
-        return FrontierWork(
-            units_per_node=units,
-            num_tiles=totals[TILES],
-            num_fragments=totals[FRAGMENTS],
-            elections=totals[ELECTIONS],
-            covered_edges=totals[COVERED],
-            csr_sectors=totals[CSR_SECTORS],
-            value_touches=totals[VALUE_TOUCHES],
-            segment_starts=None,
-        )
+    def totals(self) -> np.ndarray:
+        """The ``(7, 1)`` totals of a kernel over every node in id order
+        (:meth:`~repro.graph.csr.CSRGraph.is_full_frontier`), read-only:
+        each row's sum, made once per table."""
+        totals = self.per_node.sum(axis=1, keepdims=True)
+        totals.flags.writeable = False
+        return totals
 
-    def _segment_starts(
+    def segment_starts(
         self, frontier: np.ndarray, degrees: np.ndarray, units: np.ndarray
     ) -> np.ndarray:
+        """Sorted tile and fragment starts of a kernel in its expanded
+        edge array (the sampling reorderer's tile boundaries); ``units``
+        is the frontier's ``UNITS`` row."""
         total = int(units.sum())
         first = np.cumsum(units) - units
         idx = np.repeat(self.segment_ptr[frontier] - first, units)
@@ -578,30 +493,32 @@ def frontier_work_reference(
     min_tile: int,
     sector_width: int,
     aligned: bool,
-) -> FrontierWork:
-    """Per-frontier formulation of :meth:`NodeAccounting.level_work`:
-    re-tile the frontier and count sectors over its expanded batch.  Kept
-    as the equivalence-test reference."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frontier formulation of :meth:`NodeAccounting.level_totals`
+    and :meth:`NodeAccounting.segment_starts`: re-tile the frontier and
+    count sectors over its expanded batch.  Returns the kernel's
+    ``(7, 1)`` totals (rows ``UNITS`` .. ``VALUE_TOUCHES``), each
+    frontier entry's work units and the sorted segment starts.  Kept as
+    the equivalence-test reference."""
     decomp = decompose_frontier(degrees, block_size, min_tile)
     cum_deg = np.cumsum(degrees) - degrees
     seg_starts = decomp.segment_starts(cum_deg)
     seg_sizes = np.diff(np.append(seg_starts, int(degrees.sum())))
-    return FrontierWork(
-        units_per_node=(
-            np.bincount(decomp.tile_frontier_idx, minlength=degrees.size)
-            + np.bincount(decomp.fragment_frontier_idx, minlength=degrees.size)
-        ),
-        num_tiles=decomp.num_tiles,
-        num_fragments=int(decomp.fragment_frontier_idx.size),
-        elections=decomp.elections,
-        covered_edges=decomp.tiled_edges + decomp.fragment_edges,
-        csr_sectors=int(
-            coalesced_sectors(seg_sizes, sector_width, aligned=aligned).sum()
-        ),
-        value_touches=int(
+    units = (
+        np.bincount(decomp.tile_frontier_idx, minlength=degrees.size)
+        + np.bincount(decomp.fragment_frontier_idx, minlength=degrees.size)
+    )
+    totals = np.array([
+        int(units.sum()),
+        decomp.num_tiles,
+        int(decomp.fragment_frontier_idx.size),
+        decomp.elections,
+        decomp.tiled_edges + decomp.fragment_edges,
+        int(coalesced_sectors(seg_sizes, sector_width, aligned=aligned).sum()),
+        int(
             segmented_distinct_sectors(
                 edge_dst, seg_starts, sector_width, presorted=True
             ).sum()
         ),
-        segment_starts=seg_starts,
-    )
+    ], dtype=np.int64)
+    return totals[:, None], units, seg_starts

@@ -5,7 +5,6 @@ from repro.gpusim.cost import (
     KernelStats,
     KernelTiming,
     block_placement,
-    even_placement,
 )
 from repro.gpusim.device import Device
 from repro.gpusim.events import (
@@ -69,7 +68,6 @@ __all__ = [
     "dag_from_run",
     "distinct_sectors",
     "estimate_dram_sectors",
-    "even_placement",
     "kernel_occupancies",
     "replay_cache_trace",
     "sector_ids",

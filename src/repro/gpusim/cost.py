@@ -18,7 +18,7 @@ These are exactly the four effects the paper's techniques target:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.typing as npt
@@ -30,15 +30,17 @@ from repro.gpusim.spec import GPUSpec
 
 @dataclass
 class KernelStats:
-    """Scheduler-reported execution shape of one kernel.
+    """Scheduler-reported execution shape of one kernel: one row of a
+    :class:`KernelBatch` (:meth:`KernelBatch.row`).
 
     Attributes:
         active_edges: edges actually processed (useful work).
         issued_lane_cycles: lane-slots issued including divergence waste;
             always >= active_edges.
-        per_sm_lane_cycles: length ``num_sms`` array distributing the
-            issued lane-cycles over SMs according to the scheduler's
-            placement rule (max drives compute time).
+        busiest_lane_cycles: the issued lane-cycles of the busiest SM
+            under the scheduler's placement rule (compute time follows
+            it): ``issued / num_sms`` for a work-conserving placement,
+            ``block_placement(...).max()`` for owner placement.
         value_sector_touches: per-tile distinct value sectors, summed over
             tiles (scattered attribute reads/writes).
         value_sector_unique: kernel-wide distinct value sectors (for the
@@ -60,9 +62,7 @@ class KernelStats:
 
     active_edges: int = 0
     issued_lane_cycles: int = 0
-    per_sm_lane_cycles: npt.NDArray[np.float64] = field(
-        default_factory=lambda: np.zeros(0)
-    )
+    busiest_lane_cycles: float = 0.0
     value_sector_touches: int = 0
     value_sector_unique: int = 0
     csr_sector_touches: int = 0
@@ -72,7 +72,7 @@ class KernelStats:
     atomic_conflicts: float = 0.0
     compute_scale: float = 1.0
 
-    def validate(self, spec: GPUSpec) -> None:
+    def validate(self) -> None:
         """Raise :class:`SchedulingError` on inconsistent stats."""
         if self.issued_lane_cycles + 1e-9 < self.active_edges:
             raise SchedulingError(
@@ -81,11 +81,6 @@ class KernelStats:
             )
         if self.value_sector_unique > self.value_sector_touches:
             raise SchedulingError("unique sectors exceed total touches")
-        if self.per_sm_lane_cycles.size not in (0, spec.num_sms):
-            raise SchedulingError(
-                f"per-SM array has {self.per_sm_lane_cycles.size} entries, "
-                f"expected 0 or {spec.num_sms}"
-            )
 
     @property
     def lane_efficiency(self) -> float:
@@ -95,16 +90,19 @@ class KernelStats:
         return self.active_edges / self.issued_lane_cycles
 
 
+#: The integer fields of :class:`KernelStats`, int64 columns of a batch.
+_INT_FIELDS = frozenset({
+    "active_edges", "issued_lane_cycles", "value_sector_touches",
+    "value_sector_unique", "csr_sector_touches",
+})
+
+
 @dataclass
 class KernelBatch:
-    """The :class:`KernelStats` of a queue of kernels, as columns.
-
-    Row ``i`` of every field is kernel ``i``'s value of the
-    :class:`KernelStats` field of the same name, except
-    ``busiest_lane_cycles``: it stands for ``per_sm_lane_cycles`` and
-    keeps only the busiest SM's lane-cycles, the one value of a
-    placement the cost model reads.  A single kernel is a batch of one
-    (:meth:`of`).
+    """The :class:`KernelStats` of a queue of kernels, as columns: row
+    ``i`` of every field is kernel ``i``'s value of the
+    :class:`KernelStats` field of the same name.  A single kernel is a
+    batch of one (:meth:`of`, :meth:`row`).
     """
 
     active_edges: npt.NDArray[np.int64]
@@ -120,28 +118,23 @@ class KernelBatch:
     compute_scale: npt.NDArray[np.float64]
 
     @classmethod
-    def of(cls, rows: Sequence[KernelStats], spec: GPUSpec) -> KernelBatch:
-        """``rows`` as one batch, in order.  Each row is checked by
-        :meth:`KernelStats.validate` as it is stacked; a row without a
-        placement has its issued lane-cycles spread evenly over SMs."""
-        sms = max(1, spec.num_sms)
-        ints, floats = [], []
-        for row in rows:
-            row.validate(spec)
-            per_sm = row.per_sm_lane_cycles
-            ints.append((row.active_edges, row.issued_lane_cycles, row.value_sector_touches,
-                         row.value_sector_unique, row.csr_sector_touches))
-            floats.append((
-                float(per_sm.max()) if per_sm.size else row.issued_lane_cycles / sms,
-                row.concurrency_warps, row.overhead_cycles, row.extra_dram_bytes,
-                row.atomic_conflicts, row.compute_scale,
-            ))
-        active, issued, touches, unique, csr = np.array(ints, dtype=np.int64).reshape(-1, 5).T
-        busiest, warps, overhead, extra, atomics, scale = (
-            np.array(floats, dtype=np.float64).reshape(-1, 6).T
-        )
-        return cls(active, issued, busiest, touches, unique, csr, warps, overhead, extra,
-                   atomics, scale)
+    def of(cls, rows: Sequence[KernelStats]) -> KernelBatch:
+        """``rows`` as one batch, in order.  Nothing is checked until the
+        batch is scored (:meth:`validate`)."""
+        return cls(**{
+            column.name: np.array(
+                [getattr(row, column.name) for row in rows],
+                dtype=np.int64 if column.name in _INT_FIELDS else np.float64,
+            )
+            for column in fields(cls)
+        })
+
+    def row(self, index: int) -> KernelStats:
+        """Row ``index`` as a :class:`KernelStats` of Python scalars."""
+        return KernelStats(**{
+            column.name: getattr(self, column.name)[index].item()
+            for column in fields(self)
+        })
 
     @classmethod
     def concat(cls, batches: Sequence[KernelBatch]) -> KernelBatch:
@@ -159,7 +152,7 @@ class KernelBatch:
     def validate(self) -> None:
         """Raise :class:`SchedulingError` if any row breaks an invariant
         of :meth:`KernelStats.validate`, or a column is not one value
-        per row (the batch's form of the per-SM length check)."""
+        per row."""
         rows = len(self)
         for column in fields(self):
             if getattr(self, column.name).shape != (rows,):
@@ -234,15 +227,11 @@ class KernelCostModel:
         * atomics: serialized collisions add compute cycles.
         """
         spec = self.spec
-        stats.validate(spec)
+        stats.validate()
 
         # --- compute side -------------------------------------------------
-        if stats.per_sm_lane_cycles.size:
-            busiest = float(stats.per_sm_lane_cycles.max())
-        else:
-            busiest = stats.issued_lane_cycles / max(1, spec.num_sms)
         edge_cycles = spec.cycles_per_edge * stats.compute_scale
-        compute_cycles = busiest * edge_cycles / spec.warp_size
+        compute_cycles = stats.busiest_lane_cycles * edge_cycles / spec.warp_size
         compute_cycles += stats.atomic_conflicts * edge_cycles
 
         # --- memory side --------------------------------------------------
@@ -336,17 +325,6 @@ class KernelCostModel:
             dram_bytes=dram_bytes,
             memory_bound=~(compute_cycles >= memory_cycles),
         )
-
-
-def even_placement(
-    total_lane_cycles: float, num_sms: int
-) -> npt.NDArray[np.float64]:
-    """Work-conserving placement: every SM gets an equal share.
-
-    This is what a device-global work queue (Resident Tile Stealing,
-    Gunrock's balanced advance) achieves.
-    """
-    return np.full(num_sms, total_lane_cycles / max(1, num_sms))
 
 
 def block_placement(

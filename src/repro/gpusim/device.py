@@ -28,8 +28,7 @@ class Device:
     records them in a :class:`Profiler`.  It keeps no clock: a run's
     time is its node trace (:func:`~repro.gpusim.streams.trace_seconds`).
     An attached :class:`~repro.analysis.sanitizer.Sanitizer` audits the
-    :class:`KernelStats` given to :meth:`run_kernel` before it is
-    stacked; it never affects timing.
+    batch of one :meth:`run_kernel` stacks; it never affects timing.
     """
 
     def __init__(
@@ -45,9 +44,10 @@ class Device:
 
     def run_kernel(self, stats: KernelStats) -> KernelBatchTiming:
         """Execute one kernel: :meth:`run_kernels` on a batch of one."""
+        batch = KernelBatch.of([stats])
         if self.sanitizer is not None:
-            self.sanitizer.check_kernel_stats(stats, self.spec)
-        return self.run_kernels(KernelBatch.of([stats], self.spec))
+            self.sanitizer.check_kernel_batch(batch)
+        return self.run_kernels(batch)
 
     def run_kernels(self, batch: KernelBatch) -> KernelBatchTiming:
         """Execute a queue of kernels, in row order, and record them in

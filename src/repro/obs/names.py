@@ -12,10 +12,11 @@ Two kinds of entries:
 * **static names** — the exact literals below (:data:`COUNTERS`,
   :data:`GAUGES`, :data:`SPANS`), grouped per emitting subsystem so
   drift reports point at the owner.
-* **dynamic families** — names constructed at runtime
-  (:data:`DYNAMIC_COUNTER_PREFIXES` etc.): the ``gpusim.*`` mirror of
-  the simulator profiler (field names are pinned separately by
-  :data:`~repro.obs.registry.PROFILER_COUNTER_FIELDS`) and the ``gpu<N>.``
+* **dynamic families** — names constructed at runtime: the ``gpusim.*``
+  mirror of the simulator profiler (:data:`GPUSIM_COUNTERS` and
+  :data:`GPUSIM_GAUGES`, exactly one name per field of
+  :data:`~repro.obs.registry.PROFILER_COUNTER_FIELDS` and
+  :data:`~repro.obs.registry.PROFILER_GAUGE_FIELDS`) and the ``gpu<N>.``
   namespaces that :meth:`~repro.obs.registry.MetricsRegistry.merge`
   prepends for per-device registries in multi-GPU runs.
 """
@@ -23,6 +24,8 @@ Two kinds of entries:
 from __future__ import annotations
 
 import re
+
+from repro.obs.registry import PROFILER_COUNTER_FIELDS, PROFILER_GAUGE_FIELDS
 
 #: ``sage.*`` counters emitted by the SAGE scheduler (``repro.core.engine``).
 #: This is the single canonical list; the engine's emit sites and the
@@ -295,13 +298,15 @@ SPANS: frozenset[str] = frozenset(
     }
 )
 
-#: Dynamic counter families: ``fold_profiler`` mirrors
-#: (``gpusim.<field>``) and per-device merge
-#: namespaces (``gpu<N>.<any registered name>``).
-DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = ("gpusim.",)
+#: ``fold_profiler``'s counters: ``gpusim.<field>`` per profiler field.
+GPUSIM_COUNTERS: frozenset[str] = frozenset(
+    f"gpusim.{field}" for field in PROFILER_COUNTER_FIELDS
+)
 
-#: Dynamic gauge families: ``fold_profiler`` derived gauges.
-DYNAMIC_GAUGE_PREFIXES: tuple[str, ...] = ("gpusim.",)
+#: ``fold_profiler``'s derived gauges.
+GPUSIM_GAUGES: frozenset[str] = frozenset(
+    f"gpusim.{field}" for field in PROFILER_GAUGE_FIELDS
+)
 
 _MERGE_NAMESPACE = re.compile(r"^gpu\d+\.")
 
@@ -314,17 +319,13 @@ def _strip_merge_namespace(name: str) -> str:
 def is_counter(name: str) -> bool:
     """Whether ``name`` is a registered counter (static or dynamic)."""
     name = _strip_merge_namespace(name)
-    if name in COUNTERS:
-        return True
-    return name.startswith(DYNAMIC_COUNTER_PREFIXES)
+    return name in COUNTERS or name in GPUSIM_COUNTERS
 
 
 def is_gauge(name: str) -> bool:
     """Whether ``name`` is a registered gauge (static or dynamic)."""
     name = _strip_merge_namespace(name)
-    if name in GAUGES:
-        return True
-    return name.startswith(DYNAMIC_GAUGE_PREFIXES)
+    return name in GAUGES or name in GPUSIM_GAUGES
 
 
 def is_span(name: str) -> bool:

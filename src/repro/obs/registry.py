@@ -39,6 +39,10 @@ PROFILER_COUNTER_FIELDS = (
     "dram_bytes", "atomic_conflicts", "memory_bound_kernels",
 )
 
+#: Derived :class:`repro.gpusim.profiler.Profiler` properties mirrored
+#: into gauges by :meth:`MetricsRegistry.fold_profiler`.
+PROFILER_GAUGE_FIELDS = ("lane_efficiency", "overhead_fraction")
+
 
 class MetricsRegistry:
     """Counters, gauges and span trees for one observed run."""
@@ -137,7 +141,7 @@ class MetricsRegistry:
             return
         for name in PROFILER_COUNTER_FIELDS:
             self.set_counter(f"{prefix}.{name}", float(getattr(profiler, name)))
-        for derived in ("lane_efficiency", "overhead_fraction"):
+        for derived in PROFILER_GAUGE_FIELDS:
             value = getattr(profiler, derived, None)
             if value is not None:
                 self.set_gauge(f"{prefix}.{derived}", float(value))

@@ -20,9 +20,8 @@ from repro.apps import BFSApp, PageRankApp
 from repro.cli import main
 from repro.core import SageScheduler, TraversalPipeline
 from repro.graph.generators import rmat
-from repro.gpusim.cost import KernelStats
+from repro.gpusim.cost import KernelBatch, KernelStats
 from repro.gpusim.device import Device
-from repro.gpusim.spec import GPUSpec
 from repro.obs import MetricsRegistry
 from tests.conftest import load_bench_trajectory
 
@@ -142,9 +141,13 @@ class TestSeededHazards:
 
     def test_kernel_stats_inconsistent(self, tiny_graph):
         sanitizer = _begin(tiny_graph, BFSApp())
-        stats = KernelStats(active_edges=10, issued_lane_cycles=5)
-        sanitizer.check_kernel_stats(stats, GPUSpec())
-        assert "kernel_stats_inconsistent" in _codes(sanitizer.findings)
+        good = KernelStats(active_edges=4, issued_lane_cycles=4, concurrency_warps=1.0)
+        bad = KernelStats(active_edges=10, issued_lane_cycles=5, concurrency_warps=1.0)
+        sanitizer.check_kernel_batch(KernelBatch.of([good, bad, good]))
+        assert sanitizer.kernels_checked == 3
+        assert [(f.code, f.message) for f in sanitizer.findings] == [
+            ("kernel_stats_inconsistent", "issued lanes (5) < active edges (10)")
+        ]
 
     def test_device_hook_audits_batches(self, tiny_graph):
         sanitizer = _begin(tiny_graph, BFSApp())

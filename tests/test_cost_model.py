@@ -11,7 +11,6 @@ from repro.gpusim.cost import (
     KernelCostModel,
     KernelStats,
     block_placement,
-    even_placement,
 )
 from repro.gpusim.device import Device
 from repro.gpusim.spec import CPUSpec, GPUSpec, LinkSpec
@@ -22,7 +21,7 @@ def stats(**overrides) -> KernelStats:
     base = dict(
         active_edges=10_000,
         issued_lane_cycles=10_000,
-        per_sm_lane_cycles=even_placement(10_000, spec.num_sms),
+        busiest_lane_cycles=10_000 / spec.num_sms,
         value_sector_touches=2_000,
         value_sector_unique=1_000,
         csr_sector_touches=500,
@@ -74,17 +73,12 @@ class TestStatsValidation:
     def test_issued_below_active_rejected(self):
         bad = stats(issued_lane_cycles=1)
         with pytest.raises(SchedulingError):
-            KernelBatch.of([bad], GPUSpec())
+            KernelBatch.of([bad]).validate()
 
     def test_unique_above_touches_rejected(self):
         bad = stats(value_sector_unique=10_000)
         with pytest.raises(SchedulingError):
-            KernelBatch.of([bad], GPUSpec())
-
-    def test_wrong_sm_array_rejected(self):
-        bad = stats(per_sm_lane_cycles=np.zeros(5))
-        with pytest.raises(SchedulingError):
-            KernelBatch.of([bad], GPUSpec())
+            KernelBatch.of([bad]).validate()
 
     def test_lane_efficiency(self):
         s = stats(issued_lane_cycles=20_000)
@@ -100,7 +94,7 @@ class TestCostMonotonicity:
 
     def time_kernel(self, kernel: KernelStats) -> SimpleNamespace:
         """``kernel`` scored as a batch of one: its row, as scalars."""
-        timing = self.model.time_kernels(KernelBatch.of([kernel], self.model.spec))
+        timing = self.model.time_kernels(KernelBatch.of([kernel]))
         return SimpleNamespace(
             cycles=float(timing.cycles[0]),
             compute_cycles=float(timing.compute_cycles[0]),
@@ -119,16 +113,14 @@ class TestCostMonotonicity:
         fast = self.time_kernel(stats())
         slow = self.time_kernel(stats(
             issued_lane_cycles=100_000,
-            per_sm_lane_cycles=even_placement(100_000, spec.num_sms),
+            busiest_lane_cycles=100_000 / spec.num_sms,
         ))
         assert slow.cycles >= fast.cycles
 
     def test_imbalance_never_faster(self):
-        spec = GPUSpec()
-        skewed = np.zeros(spec.num_sms)
-        skewed[0] = 10_000  # same total, one straggler SM
         fast = self.time_kernel(stats())
-        slow = self.time_kernel(stats(per_sm_lane_cycles=skewed))
+        # same total, one straggler SM
+        slow = self.time_kernel(stats(busiest_lane_cycles=10_000.0))
         assert slow.cycles >= fast.cycles
 
     def test_low_concurrency_never_faster(self):
@@ -164,11 +156,6 @@ class TestCostMonotonicity:
 
 
 class TestPlacement:
-    def test_even(self):
-        out = even_placement(720, 72)
-        assert out.sum() == pytest.approx(720)
-        assert np.allclose(out, out[0])
-
     def test_block_round_robin(self):
         out = block_placement(np.array([10.0, 20.0, 30.0]), 2)
         assert out.tolist() == [40.0, 20.0]

@@ -1,12 +1,13 @@
 """A run's kernels scored once, as one batch, equal each kernel scored.
 
-``KernelBatch.of`` stacks :class:`KernelStats` rows,
+``KernelBatch.of`` stacks :class:`KernelStats` rows and
+``KernelBatch.row`` takes one back out,
 ``KernelCostModel.time_kernels`` scores a :class:`KernelBatch` in one
 pass, ``Profiler.record_batch`` folds it, and ``Device.kernel_nodes``
 makes its trace nodes.  Every row must equal the scalar formula
 ``time_kernel_reference``, bit for bit; scoring rows together must equal
 scoring each as its own batch of one; and the rows
-``KernelStats.validate`` rejects must fail the batch.  A
+``KernelStats.validate`` rejects must fail the batch when it is scored.  A
 ``TraversalPipeline`` run scores its kernels with one ``run_kernels``
 call, sanitized or not.
 """
@@ -28,7 +29,7 @@ from repro.gpusim import Device, GPUSpec, KernelStats
 from repro.gpusim.cost import KernelBatch, KernelCostModel
 
 SPEC = GPUSpec()
-#: a batch column for each KernelStats field, except the placement
+#: a batch column for each KernelStats field
 COLUMNS = [f.name for f in dataclasses.fields(KernelBatch)]
 INTS = {
     "active_edges", "issued_lane_cycles", "value_sector_touches",
@@ -38,27 +39,19 @@ INTS = {
 
 @st.composite
 def kernel_rows(draw):
-    """One valid kernel: its ``KernelStats`` and its batch row."""
+    """One valid kernel's ``KernelStats``."""
     active = draw(st.integers(0, 10**6))
     issued = active + draw(st.integers(0, 10**5))
     touches = draw(st.integers(0, 10**6))
     # unique == 0, and unique both under and over the L2's sectors
     unique = draw(st.sampled_from([0, touches, min(touches, SPEC.l2_sectors)])
                   | st.integers(0, touches))
-    placement = draw(st.sampled_from(["even", "skewed", "none"]))
-    if placement == "even":
-        per_sm = np.full(SPEC.num_sms, issued / SPEC.num_sms)
-    elif placement == "skewed":
-        per_sm = np.array(draw(st.lists(
-            st.floats(0, 1e6, allow_nan=False), min_size=SPEC.num_sms,
-            max_size=SPEC.num_sms,
-        )))
-    else:
-        per_sm = np.zeros(0)
-    stats = KernelStats(
+    return KernelStats(
         active_edges=active,
         issued_lane_cycles=issued,
-        per_sm_lane_cycles=per_sm,
+        # an even placement, or any busiest SM
+        busiest_lane_cycles=draw(st.sampled_from([issued / SPEC.num_sms])
+                                 | st.floats(0, 1e6, allow_nan=False)),
         value_sector_touches=touches,
         value_sector_unique=unique,
         csr_sector_touches=draw(st.integers(0, 10**5)),
@@ -73,19 +66,12 @@ def kernel_rows(draw):
                               | st.floats(0, 1e4, allow_nan=False)),
         compute_scale=draw(st.sampled_from([1.0, 1.5, 2.0])),
     )
-    busiest = (
-        float(per_sm.max()) if per_sm.size else issued / max(1, SPEC.num_sms)
-    )
-    return stats, busiest
 
 
 def batch_of(rows):
     columns = {}
     for name in COLUMNS:
-        if name == "busiest_lane_cycles":
-            values = [busiest for _, busiest in rows]
-        else:
-            values = [getattr(stats, name) for stats, _ in rows]
+        values = [getattr(stats, name) for stats in rows]
         dtype = np.int64 if name in INTS else np.float64
         columns[name] = np.array(values, dtype=dtype).reshape(len(rows))
     return KernelBatch(**columns)
@@ -95,7 +81,8 @@ def seeded_profiler():
     """A profiler with non-round running totals, so that a fold which
     summed in another order would show."""
     device = Device(SPEC)
-    stats = KernelStats(active_edges=3, issued_lane_cycles=5, atomic_conflicts=0.1)
+    stats = KernelStats(active_edges=3, issued_lane_cycles=5,
+                        busiest_lane_cycles=5 / SPEC.num_sms, atomic_conflicts=0.1)
     for _ in range(3):
         device.run_kernel(stats)
     return device.profiler
@@ -114,13 +101,15 @@ def row_of(batch, index):
 @given(rows=st.lists(kernel_rows(), min_size=0, max_size=12))
 def test_columns_equal_each_row(rows):
     batch = batch_of(rows)
-    stacked = KernelBatch.of([stats for stats, _ in rows], SPEC)
+    stacked = KernelBatch.of(rows)
     for column in COLUMNS:
         np.testing.assert_array_equal(getattr(stacked, column), getattr(batch, column))
         assert getattr(stacked, column).dtype == getattr(batch, column).dtype
+    # a row taken back out is the stats it was stacked from
+    assert [batch.row(index) for index in range(len(rows))] == rows
     model = KernelCostModel(SPEC)
     got = model.time_kernels(batch)
-    for index, (stats, _) in enumerate(rows):
+    for index, stats in enumerate(rows):
         want = model.time_kernel_reference(stats)
         assert got.cycles[index] == want.cycles
         assert got.compute_cycles[index] == want.compute_cycles
@@ -137,7 +126,7 @@ def test_columns_equal_each_row(rows):
     iterations = list(range(7, 7 + len(rows)))
     want_nodes = [
         node
-        for (stats, _), iteration in zip(rows, iterations)
+        for stats, iteration in zip(rows, iterations)
         for node in rowwise.kernel_nodes(rowwise.run_kernel(stats), [iteration])
     ]
     assert batched.kernel_nodes(batched.run_kernels(batch), iterations) == want_nodes
@@ -148,8 +137,8 @@ def test_columns_equal_each_row(rows):
 @given(parts=st.lists(st.lists(kernel_rows(), min_size=1, max_size=4),
                       min_size=1, max_size=4))
 def test_concat_equals_stacking_every_row(parts):
-    batches = [KernelBatch.of([stats for stats, _ in part], SPEC) for part in parts]
-    every_row = KernelBatch.of([stats for part in parts for stats, _ in part], SPEC)
+    batches = [KernelBatch.of(part) for part in parts]
+    every_row = KernelBatch.of([stats for part in parts for stats in part])
     joined = KernelBatch.concat(batches)
     for column in COLUMNS:
         np.testing.assert_array_equal(getattr(joined, column), getattr(every_row, column))
@@ -182,18 +171,7 @@ def test_many_random_rows_equal_each_row():
     model = KernelCostModel(SPEC)
     got = model.time_kernels(batch)
     for index in range(rows):
-        want = model.time_kernel_reference(KernelStats(
-            active_edges=int(active[index]),
-            issued_lane_cycles=int(issued[index]),
-            value_sector_touches=int(touches[index]),
-            value_sector_unique=int(unique[index]),
-            csr_sector_touches=int(batch.csr_sector_touches[index]),
-            concurrency_warps=float(batch.concurrency_warps[index]),
-            overhead_cycles=float(batch.overhead_cycles[index]),
-            extra_dram_bytes=float(batch.extra_dram_bytes[index]),
-            atomic_conflicts=float(batch.atomic_conflicts[index]),
-            compute_scale=float(batch.compute_scale[index]),
-        ))
+        want = model.time_kernel_reference(batch.row(index))
         assert got.cycles[index] == want.cycles, index
         assert got.memory_cycles[index] == want.memory_cycles, index
         assert got.compute_cycles[index] == want.compute_cycles, index
@@ -203,21 +181,24 @@ def test_rows_hit_every_branch():
     # the property's edge cases, pinned: no value sectors, no edges, an
     # exposed-latency row past the stall cap and an atomic row
     rows = [
-        (KernelStats(active_edges=10, issued_lane_cycles=10,
-                     value_sector_touches=5, value_sector_unique=0,
-                     concurrency_warps=2000.0), 10 / SPEC.num_sms),
-        (KernelStats(concurrency_warps=1.0), 0.0),
-        (KernelStats(active_edges=300, issued_lane_cycles=300,
-                     value_sector_touches=900, value_sector_unique=400,
-                     concurrency_warps=1.0), 300 / SPEC.num_sms),
-        (KernelStats(active_edges=64, issued_lane_cycles=96,
-                     value_sector_touches=40, value_sector_unique=30,
-                     concurrency_warps=16.0, atomic_conflicts=0.7,
-                     compute_scale=1.5), 96 / SPEC.num_sms),
+        KernelStats(active_edges=10, issued_lane_cycles=10,
+                    busiest_lane_cycles=10 / SPEC.num_sms,
+                    value_sector_touches=5, value_sector_unique=0,
+                    concurrency_warps=2000.0),
+        KernelStats(concurrency_warps=1.0),
+        KernelStats(active_edges=300, issued_lane_cycles=300,
+                    busiest_lane_cycles=300 / SPEC.num_sms,
+                    value_sector_touches=900, value_sector_unique=400,
+                    concurrency_warps=1.0),
+        KernelStats(active_edges=64, issued_lane_cycles=96,
+                    busiest_lane_cycles=96 / SPEC.num_sms,
+                    value_sector_touches=40, value_sector_unique=30,
+                    concurrency_warps=16.0, atomic_conflicts=0.7,
+                    compute_scale=1.5),
     ]
     model = KernelCostModel(SPEC)
     got = model.time_kernels(batch_of(rows))
-    want = [model.time_kernel_reference(stats) for stats, _ in rows]
+    want = [model.time_kernel_reference(stats) for stats in rows]
     np.testing.assert_array_equal(got.cycles, [w.cycles for w in want])
     np.testing.assert_array_equal(got.memory_cycles, [w.memory_cycles for w in want])
     assert want[2].memory_cycles > 0 and got.memory_bound[2]
@@ -228,31 +209,26 @@ def test_rows_hit_every_branch():
     [
         ("issued_lane_cycles", 9),       # issued lanes < active edges
         ("value_sector_unique", 41),     # unique sectors > touches
-        ("per_sm_lane_cycles", np.ones(SPEC.num_sms - 1)),  # not one per SM
     ],
 )
 def test_one_invalid_row_fails_the_batch(field, value):
     good = KernelStats(active_edges=10, issued_lane_cycles=10,
+                       busiest_lane_cycles=10 / SPEC.num_sms,
                        value_sector_touches=40, value_sector_unique=20,
                        concurrency_warps=8.0)
     bad = dataclasses.replace(good, **{field: value})
     with pytest.raises(SchedulingError):
         KernelCostModel(SPEC).time_kernel_reference(bad)
     with pytest.raises(SchedulingError):
-        KernelBatch.of([good, bad, good], SPEC)
-    with pytest.raises(SchedulingError):
         Device(SPEC).run_kernel(bad)
-    if field == "per_sm_lane_cycles":
-        return  # a batch keeps only the busiest SM: the check is at stacking
-    batch = batch_of([(good, 10 / SPEC.num_sms), (bad, 10 / SPEC.num_sms),
-                      (good, 10 / SPEC.num_sms)])
-    with pytest.raises(SchedulingError, match="row 1"):
-        KernelCostModel(SPEC).time_kernels(batch)
+    for batch in (KernelBatch.of([good, bad, good]), batch_of([good, bad, good])):
+        with pytest.raises(SchedulingError, match="row 1"):
+            KernelCostModel(SPEC).time_kernels(batch)
 
 
 def test_a_short_column_fails_the_batch():
     stats = KernelStats(active_edges=1, issued_lane_cycles=1)
-    batch = batch_of([(stats, 1.0), (stats, 1.0)])
+    batch = batch_of([stats, stats])
     batch.overhead_cycles = batch.overhead_cycles[:1]
     with pytest.raises(SchedulingError, match="overhead_cycles"):
         KernelCostModel(SPEC).time_kernels(batch)
@@ -262,9 +238,9 @@ def test_fold_equals_sequential_records():
     # float counters that a pairwise or reordered sum would round apart
     cycles = [1e16, 1.0, 1.0, -1e16, 0.1, 0.2, 0.3, 3.3e-7]
     rows = [
-        (KernelStats(active_edges=i, issued_lane_cycles=i + 1,
-                     value_sector_touches=2 * i, csr_sector_touches=i,
-                     atomic_conflicts=c / 7.0), 0.0)
+        KernelStats(active_edges=i, issued_lane_cycles=i + 1,
+                    value_sector_touches=2 * i, csr_sector_touches=i,
+                    atomic_conflicts=c / 7.0)
         for i, c in enumerate(cycles)
     ]
     batch = batch_of(rows)
@@ -277,7 +253,7 @@ def test_fold_equals_sequential_records():
     )
     # the += chain, row by row: one add per counter per row
     want = seeded_profiler()
-    for index, (stats, _) in enumerate(rows):
+    for index, stats in enumerate(rows):
         want.kernels += 1
         for name, column in (
             ("total_cycles", timing.cycles), ("compute_cycles", timing.compute_cycles),

@@ -7,25 +7,32 @@ the scheduler's ``queue_edge_limit`` edges (|E| by default), before a
 reorder commit and at convergence; a level of |V| edges or more closes
 the queue before it, and a full frontier fills a queue alone.
 Plain, recorded, sanitized and sampling-reorder runs all take that path.
-The reference prices each level through a ``kernel_stats`` override as
-it runs; every kind of run must equal it, bit for bit.
+The reference prices each level as it runs, as a queue of one; every
+kind of run must equal it, bit for bit.  SAGE prices a queue of any
+length, under every Tiled Partitioning configuration, by one formula;
+``level_stats`` must equal ``kernel_stats_reference`` stacked.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.analysis import Sanitizer
-from repro.apps import BFSApp
+from repro.apps import BCApp, BFSApp
 from repro.core import SageScheduler, TraversalPipeline
 from repro.core.compressed import CompressedTraversalScheduler
+from repro.core.pipeline import Level
 from repro.core.scheduler import Scheduler
+from repro.core.tiling import NodeAccounting
 from repro.graph import generators as gen
 from repro.graph.compressed import CompressedCSRGraph
-from repro.gpusim.cost import KernelCostModel
+from repro.gpusim.cost import KernelBatch, KernelCostModel
 from repro.gpusim.device import Device
 from repro.gpusim.streams import trace_seconds
 from repro.obs import MetricsRegistry
+from repro.obs.span import NullSpan
 
 GRAPHS = {
     "grid": lambda: gen.grid_2d(24, 24),
@@ -83,16 +90,12 @@ KINDS = {
 
 def _level_by_level(scheduler: Scheduler) -> Scheduler:
     """``scheduler``, priced as each level runs: its queue holds no
-    edges, and a ``kernel_stats`` override keeps SAGE off its one-pass
-    path (``SageScheduler.level_stats`` then prices level by level)."""
+    edges, so every queue is one level."""
     base = type(scheduler)
 
     class LevelByLevel(base):
         def queue_edge_limit(self, graph):
             return 0
-
-        def kernel_stats(self, frontier, degrees, edge_dst, graph, app):
-            return base.kernel_stats(self, frontier, degrees, edge_dst, graph, app)
 
     scheduler.__class__ = LevelByLevel
     return scheduler
@@ -265,41 +268,24 @@ def test_every_kind_of_run_queues_alike(graphs, priced_queues, case):
     assert priced_queues == plain
 
 
-class _Recorder(SageScheduler):
-    """A SAGE subclass with its own ``kernel_stats``."""
-
-    def __init__(self):
-        super().__init__()
-        self.stats = []
-
-    def kernel_stats(self, frontier, degrees, edge_dst, graph, app):
-        stats = SageScheduler.kernel_stats(self, frontier, degrees, edge_dst, graph, app)
-        self.stats.append(stats)
-        return stats
-
-
-def test_an_override_is_priced_level_by_level(graphs):
+def test_each_queued_level_is_recorded_on_its_own_span(graphs, monkeypatch):
     graph = graphs["grid"]
-    recorder = _Recorder()
-    got = TraversalPipeline(graph, recorder).run(BFSApp(), 0)
-    want = TraversalPipeline(graph, SageScheduler()).run(BFSApp(), 0)
-    assert got.iterations > 1
-    assert len(recorder.stats) == got.iterations
-    assert got.seconds == want.seconds
-    assert got.node_trace == want.node_trace
+    batches = []
+    level_stats = SageScheduler.level_stats
 
+    def spy(scheduler, levels, graph, app):
+        batches.append(level_stats(scheduler, levels, graph, app))
+        return batches[-1]
 
-def test_each_queued_level_is_recorded_on_its_own_span(graphs, priced_queues):
-    graph = graphs["grid"]
+    monkeypatch.setattr(SageScheduler, "level_stats", spy)
     metrics = MetricsRegistry()
     run = TraversalPipeline(graph, SageScheduler(), metrics=metrics).run(BFSApp(), 0)
-    assert max(len(edges) for edges in priced_queues) > 1
-    recorder = _Recorder()
-    TraversalPipeline(graph, recorder).run(BFSApp(), 0)
+    assert max(len(batch) for batch in batches) > 1
+    priced = KernelBatch.concat(batches)
     model = KernelCostModel(SageScheduler().spec)
     levels = [span for span in metrics.roots[-1].children if span.name == "iteration"]
-    assert len(levels) == run.iterations == len(recorder.stats)
-    for span, stats in zip(levels, recorder.stats):
+    assert len(levels) == run.iterations == len(priced)
+    for span, stats in zip(levels, (priced.row(i) for i in range(len(priced)))):
         index = span.attributes["index"]
         kernels = [child for child in span.children if child.name == "kernel"]
         assert [kernel.attributes["kind"] for kernel in kernels] == ["expand-filter"]
@@ -329,13 +315,13 @@ def test_a_device_with_its_own_sanitizer_audits_every_level(graphs, monkeypatch)
     graph = graphs["grid"]
     sanitizer = Sanitizer()
     audited = []
-    check = Sanitizer.check_kernel_stats
+    check = Sanitizer.check_kernel_batch
 
-    def spy(self, stats, spec):
-        audited.append(stats.active_edges)
-        return check(self, stats, spec)
+    def spy(self, batch):
+        audited.extend(batch.active_edges.tolist())
+        return check(self, batch)
 
-    monkeypatch.setattr(Sanitizer, "check_kernel_stats", spy)
+    monkeypatch.setattr(Sanitizer, "check_kernel_batch", spy)
     scheduler = SageScheduler()
     device = Device(scheduler.spec, sanitizer=sanitizer)
     got = TraversalPipeline(graph, scheduler, device).run(BFSApp(), 0)
@@ -343,3 +329,104 @@ def test_a_device_with_its_own_sanitizer_audits_every_level(graphs, monkeypatch)
     assert len(audited) == got.iterations
     assert sanitizer.clean
     assert_same_run(got, want)
+
+
+def _bfs_levels(graph, source=0):
+    """The levels of a BFS from ``source``, as a pipeline expands them."""
+    levels, frontier = [], np.array([source], dtype=np.int64)
+    seen = np.zeros(graph.num_nodes, dtype=bool)
+    seen[source] = True
+    while frontier.size:
+        _, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
+        levels.append(Level(len(levels), frontier, degrees, edge_dst, edge_pos,
+                            NullSpan(), graph.is_full_frontier(frontier)))
+        frontier = np.unique(edge_dst[~seen[edge_dst]])
+        seen[frontier] = True
+    return levels
+
+
+def _full_level(graph, index):
+    frontier = np.arange(graph.num_nodes, dtype=np.int64)
+    _, edge_dst, edge_pos, degrees = graph.expand_level(frontier)
+    return Level(index, frontier, degrees, edge_dst, edge_pos, NullSpan(), True)
+
+
+#: every Tiled Partitioning configuration SAGE prices
+TILED = {
+    "tp": dict(resident_stealing=False),
+    "tp+rts": {},
+    "tp+rts+sr": dict(sampling_reorder=True, reorder_threshold_edges=256),
+}
+
+
+@pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize("config", sorted(TILED))
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_level_stats_equals_the_reference_stacked(graphs, graph_name, config, sanitized):
+    """Queues of one, two and every BFS level (the last revisits
+    resident nodes), then a full PageRank level, priced in turn: each
+    ``level_stats`` batch equals ``kernel_stats_reference`` of its
+    levels stacked, field for field, and both leave the same state."""
+    graph = graphs[graph_name]
+    levels = _bfs_levels(graph)
+    assert len(levels) >= 5
+    queues = [levels[:1], levels[1:3], levels, [_full_level(graph, len(levels))]]
+    for app in (BFSApp(), BCApp()):
+        queued, reference = (SageScheduler(**TILED[config]) for _ in range(2))
+        for scheduler in (queued, reference):
+            scheduler.set_metrics(MetricsRegistry())
+            scheduler.set_sanitizer(Sanitizer() if sanitized else None)
+            scheduler.reset(graph)
+        for queue in queues:
+            got = queued.level_stats(queue, graph, app)
+            want = KernelBatch.of([
+                reference.kernel_stats_reference(
+                    level.frontier, level.degrees, level.edge_dst, graph, app
+                )
+                for level in queue
+            ])
+            for column in dataclasses.fields(KernelBatch):
+                a, b = getattr(got, column.name), getattr(want, column.name)
+                assert a.dtype == b.dtype, column.name
+                np.testing.assert_array_equal(a, b, err_msg=column.name)
+        # the reference re-tiles each frontier: it builds no node table
+        tiles = {k: v for k, v in queued.metrics.counters.items() if k != "sage.node_tables_built"}
+        assert tiles == reference.metrics.counters
+        if queued.resident_store is not None:
+            for name in ("reuse_hits", "expansions", "stored_tiles"):
+                assert getattr(queued.resident_store, name) == getattr(
+                    reference.resident_store, name
+                ), name
+        if queued.reorderer is not None:
+            for a, b in zip(queued.reorderer.sampler.pairs(),
+                            reference.reorderer.sampler.pairs()):
+                np.testing.assert_array_equal(a, b)
+        if sanitized:
+            # the queued levels' batches were audited; the reference's
+            # stats were not stacked
+            assert queued.sanitizer.kernels_checked == sum(map(len, queues))
+            assert queued.sanitizer.clean and reference.sanitizer.clean
+
+
+def test_pricing_a_full_level_gathers_nothing(graphs, monkeypatch):
+    gathers = []
+    level_totals = NodeAccounting.level_totals
+
+    def spy(table, frontiers):
+        gathers.append(len(frontiers))
+        return level_totals(table, frontiers)
+
+    monkeypatch.setattr(NodeAccounting, "level_totals", spy)
+    for graph in graphs.values():
+        # a reorder commit leaves the next frontier out of id order, so
+        # the sampling configuration prices a full level directly
+        for config in ("tp", "tp+rts"):
+            run = api.run(graph, "pr", scheduler=SageScheduler(**TILED[config])).raw
+            assert run.iterations > 1
+        scheduler = SageScheduler(**TILED["tp+rts+sr"])
+        scheduler.reset(graph)
+        scheduler.level_stats([_full_level(graph, 0)], graph, BFSApp())
+        assert scheduler.reorderer.sampler.observed_edges == graph.num_edges
+    assert gathers == []
+    api.run(graphs["grid"], "bfs", source=0)
+    assert gathers

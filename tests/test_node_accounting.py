@@ -1,9 +1,10 @@
 """The per-graph node table that prices SAGE kernels.
 
-``SageScheduler.kernel_stats`` sums precomputed per-node rows of a
+``SageScheduler.level_stats`` prices a queue of levels in one pass by
+summing precomputed per-node columns of a
 :class:`~repro.core.tiling.NodeAccounting` instead of re-tiling every
-frontier, and ``level_stats`` prices a queue of levels in one pass.
-These tests pin both to the per-frontier formulation
+frontier (``kernel_stats`` is the same pass over one level).  These
+tests pin both to the per-frontier formulation
 (``kernel_stats_reference`` / ``frontier_work_reference``) field for
 field, and check the table's lifecycle: one build per graph object,
 a fresh table after a reorder commit (derived from the old one) or a
@@ -41,17 +42,27 @@ from repro.obs.span import NullSpan
 
 
 class _Recorder(SageScheduler):
-    """SAGE scheduler that prices with ``price`` and keeps every stats."""
+    """SAGE scheduler that keeps the stats of every level it prices:
+    from the node table, or with ``reference`` by
+    ``kernel_stats_reference`` level by level."""
 
-    def __init__(self, price, **kwargs):
+    def __init__(self, reference, **kwargs):
         super().__init__(**kwargs)
-        self.price = price
+        self.reference = reference
         self.stats = []
 
-    def kernel_stats(self, frontier, degrees, edge_dst, graph, app):
-        stats = self.price(self, frontier, degrees, edge_dst, graph, app)
-        self.stats.append(stats)
-        return stats
+    def level_stats(self, levels, graph, app):
+        if self.reference:
+            batch = self.stack([
+                self.kernel_stats_reference(
+                    level.frontier, level.degrees, level.edge_dst, graph, app
+                )
+                for level in levels
+            ])
+        else:
+            batch = super().level_stats(levels, graph, app)
+        self.stats.extend(batch.row(index) for index in range(len(batch)))
+        return batch
 
 
 class _TableLog(SageScheduler):
@@ -68,10 +79,7 @@ class _TableLog(SageScheduler):
 
 
 def _table_and_reference(**config):
-    return (
-        _Recorder(SageScheduler.kernel_stats, **config),
-        _Recorder(SageScheduler.kernel_stats_reference, **config),
-    )
+    return _Recorder(False, **config), _Recorder(True, **config)
 
 
 def assert_stats_equal(got, want):
@@ -84,30 +92,14 @@ def assert_stats_equal(got, want):
 
 
 def assert_level_stats_equal(got, want):
-    """A ``level_stats`` result equals ``want`` level by level.  Row
-    ``i`` of a :class:`KernelBatch` keeps only the busiest SM of
-    ``want[i]``'s placement."""
-    assert len(got) == len(want)
-    if not isinstance(got, KernelBatch):
-        for a, b in zip(got, want):
-            assert_stats_equal(a, b)
-        return
-    for row, stats in enumerate(want):
-        for field in dataclasses.fields(got):
-            if field.name == "busiest_lane_cycles":
-                expected = stats.per_sm_lane_cycles.max()
-            else:
-                expected = getattr(stats, field.name)
-            assert getattr(got, field.name)[row] == expected, (row, field.name)
-
-
-def assert_work_equal(got, want):
+    """A ``level_stats`` batch equals the :class:`KernelStats` ``want``
+    stacked, column for column and dtype for dtype."""
+    assert isinstance(got, KernelBatch)
+    stacked = KernelBatch.of(want)
     for field in dataclasses.fields(got):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            np.testing.assert_array_equal(a, b, err_msg=field.name)
-        else:
-            assert a == b, field.name
+        a, b = getattr(got, field.name), getattr(stacked, field.name)
+        assert a.dtype == b.dtype, field.name
+        np.testing.assert_array_equal(a, b, err_msg=field.name)
 
 
 @st.composite
@@ -156,14 +148,16 @@ class TestTableMatchesReference:
         graph, frontiers = case
         # one non-atomic (BFS) and one atomic (BC, access factor 2) app
         for app in (BFSApp(), BCApp()):
-            table, reference = _table_and_reference(**config)
+            table, reference = SageScheduler(**config), SageScheduler(**config)
             table.reset(graph)
             reference.reset(graph)
             for frontier in frontiers:
                 degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
                 edge_dst = graph.expand_frontier(frontier)[1]
                 got = table.kernel_stats(frontier, degrees, edge_dst, graph, app)
-                want = reference.kernel_stats(frontier, degrees, edge_dst, graph, app)
+                want = reference.kernel_stats_reference(
+                    frontier, degrees, edge_dst, graph, app
+                )
                 assert_stats_equal(got, want)
             if config["sampling_reorder"]:
                 for a, b in zip(
@@ -178,16 +172,22 @@ class TestTableMatchesReference:
         block_size=st.sampled_from([32, 256]),
         aligned=st.booleans(),
     )
-    def test_level_work_matches_reference(self, case, min_tile, block_size, aligned):
+    def test_level_totals_match_reference(self, case, min_tile, block_size, aligned):
         graph, frontiers = case
         table, built = node_accounting(graph, block_size, min_tile, 8, aligned)
         assert built
         for frontier in frontiers:
             degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
             edge_dst = graph.expand_frontier(frontier)[1]
-            assert_work_equal(
-                table.level_work([frontier], [degrees], segments=True)[0],
-                frontier_work_reference(degrees, edge_dst, block_size, min_tile, 8, aligned),
+            nodes, units, sums = table.level_totals([frontier])
+            want_sums, want_units, want_starts = frontier_work_reference(
+                degrees, edge_dst, block_size, min_tile, 8, aligned
+            )
+            np.testing.assert_array_equal(nodes, frontier)
+            np.testing.assert_array_equal(sums, want_sums)
+            np.testing.assert_array_equal(units, want_units)
+            np.testing.assert_array_equal(
+                table.segment_starts(frontier, degrees, units), want_starts
             )
 
     def test_edge_free_frontier(self):
@@ -199,7 +199,9 @@ class TestTableMatchesReference:
             for scheduler in (table, reference):
                 scheduler.reset(graph)
             got = table.kernel_stats(frontier, degrees, degrees[:0], graph, BFSApp())
-            want = reference.kernel_stats(frontier, degrees, degrees[:0], graph, BFSApp())
+            want = reference.kernel_stats_reference(
+                frontier, degrees, degrees[:0], graph, BFSApp()
+            )
             assert_stats_equal(got, want)
             assert got.active_edges == 0
 
@@ -436,10 +438,11 @@ class TestLevelStats:
                         reference.resident_store, name
                     ), name
 
-    def test_a_full_last_level_is_counted_once_per_graph(self, monkeypatch):
-        """On a graph with |E| < |V| a full level shares a column queue, as
-        its last level: its distinct counts are the graph's, counted once
-        per graph and never inside the queue's pass."""
+    def test_a_full_last_level_is_priced_as_a_queue_of_its_own(self, monkeypatch):
+        """On a graph with |E| < |V| a full level shares a queue, as its
+        last level.  It is priced as a queue of its own: from the table's
+        column totals, never gathered, and from the graph's distinct
+        counts, counted once per graph and never inside the queue's pass."""
         rng = np.random.default_rng(5)
         graph = CSRGraph.from_edges(200, rng.integers(0, 40, 120), rng.integers(0, 200, 120))
         assert graph.num_edges < graph.num_nodes
@@ -451,27 +454,30 @@ class TestLevelStats:
             full = graph.is_full_frontier(frontier)
             levels.append(Level(index, frontier, degrees, edge_dst, edge_pos, NullSpan(), full))
         assert [level.full for level in levels] == [False] * 4 + [True]
-        passes = []
+        passes, gathers = [], []
         count = engine.distinct_counts
         monkeypatch.setattr(
             engine, "distinct_counts", lambda batches, *a: passes.append(batches) or count(batches, *a)
         )
+        level_totals = NodeAccounting.level_totals
+        monkeypatch.setattr(
+            NodeAccounting, "level_totals",
+            lambda table, queued: gathers.append(len(queued)) or level_totals(table, queued),
+        )
         for app in (BFSApp(), BCApp()):
-            columns, scalar = SageScheduler(), SageScheduler()
+            columns, reference = SageScheduler(), SageScheduler()
             columns.reset(graph)
-            scalar.reset(graph)
+            reference.reset(graph)
             got = columns.level_stats(levels, graph, app)
-            assert isinstance(got, KernelBatch)
-            want = scalar._price(
-                frontiers,
-                [level.degrees for level in levels],
-                [level.edge_dst for level in levels],
-                [level.full for level in levels],
-                graph,
-                app,
-            )
+            want = [
+                reference.kernel_stats_reference(
+                    level.frontier, level.degrees, level.edge_dst, graph, app
+                )
+                for level in levels
+            ]
             assert_level_stats_equal(got, want)
-        queues = [batches for batches in passes if len(batches) > 1]
-        assert len(queues) == 4  # one queue pass per scheduler per app
-        assert all(len(batches) == 4 for batches in queues)
-        assert [batches[0] is graph.targets for batches in passes].count(True) == 4
+        # per scheduler: one pass and one gather for the four partial
+        # levels, and one count of the graph's targets
+        assert gathers == [4, 4]
+        assert [len(batches) for batches in passes] == [4, 1, 4, 1]
+        assert [batches[0] is graph.targets for batches in passes] == [False, True] * 2

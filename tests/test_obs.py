@@ -14,7 +14,6 @@ import pytest
 
 from repro.gpusim.cost import KernelBatch, KernelBatchTiming, KernelStats
 from repro.gpusim.profiler import Profiler
-from repro.gpusim.spec import GPUSpec
 from repro.obs import (
     NULL_REGISTRY,
     NULL_SPAN,
@@ -45,7 +44,7 @@ def make_profiler(cycles: float = 100.0, kernels: int = 2) -> Profiler:
         launch_cycles=0.0, dram_bytes=column(256.0),
         memory_bound=np.ones(kernels, dtype=bool),
     )
-    profiler.record_batch(KernelBatch.of([stats] * kernels, GPUSpec()), timing)
+    profiler.record_batch(KernelBatch.of([stats] * kernels), timing)
     return profiler
 
 

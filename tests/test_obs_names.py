@@ -339,8 +339,12 @@ class TestPredicates:
 
     def test_dynamic_gpusim_family(self):
         assert names.is_counter("gpusim.kernels")
-        assert names.is_counter("gpusim.event.steal_rounds")
         assert names.is_gauge("gpusim.lane_efficiency")
+        assert names.is_gauge("gpusim.overhead_fraction")
+        # exactly the profiler's fields: a misspelt one is no counter
+        assert not names.is_counter("gpusim.kernals")
+        assert not names.is_gauge("gpusim.kernels")
+        assert not names.is_counter("gpusim.lane_efficiency")
 
     def test_merge_namespace_is_stripped(self):
         assert names.is_counter("gpu0.sage.tiles")

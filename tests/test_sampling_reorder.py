@@ -148,7 +148,7 @@ class TestReorderer:
     def test_update_stats_well_formed(self):
         r = SamplingReorderer(100, GPUSpec())
         stats = r.update_stats(100, 1000)
-        stats.validate(GPUSpec())
+        stats.validate()
         assert stats.active_edges == 1100
 
     @given(st.integers(1, 400), st.integers(0, 2**31))

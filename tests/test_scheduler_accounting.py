@@ -68,18 +68,16 @@ class TestSageExactness:
         graph = star_plus_singles(10_000, 4)
         frontier = np.arange(5, dtype=np.int64)
         stats = stats_for(SageScheduler(), graph, frontier)
-        per_sm = stats.per_sm_lane_cycles
-        assert per_sm.max() == pytest.approx(per_sm.min())
+        assert stats.busiest_lane_cycles == stats.issued_lane_cycles / spec.num_sms
 
     def test_tp_only_owner_placement_skews(self):
         graph = star_plus_singles(10_000, 4)
         frontier = np.arange(5, dtype=np.int64)
         stats = stats_for(SageScheduler(resident_stealing=False),
                           graph, frontier)
-        per_sm = stats.per_sm_lane_cycles
-        # the single block holding the hub makes one SM the straggler
-        assert per_sm.max() > 100 * max(per_sm[per_sm > 0].min(), 1e-12) \
-            or np.count_nonzero(per_sm) == 1
+        # the single block holding the hub makes its SM carry every lane
+        assert stats.busiest_lane_cycles == stats.issued_lane_cycles
+        assert stats.busiest_lane_cycles > stats.issued_lane_cycles / GPUSpec().num_sms
 
     def test_resident_reuse_drops_write_overhead(self):
         graph = star_plus_singles(2048, 16)
@@ -125,8 +123,7 @@ class TestGunrockExactness:
         warps = -(-active // 32)
         assert stats.issued_lane_cycles == warps * 32
         # perfectly even placement
-        per_sm = stats.per_sm_lane_cycles
-        assert per_sm.max() == pytest.approx(per_sm.min())
+        assert stats.busiest_lane_cycles == stats.issued_lane_cycles / GPUSpec().num_sms
 
 
 class TestTigrExactness:
@@ -168,7 +165,4 @@ def test_scalar_stats_are_python_numbers(make):
     assert stats.active_edges > 0
     for field in dataclasses.fields(stats):
         value = getattr(stats, field.name)
-        if field.name == "per_sm_lane_cycles":
-            assert isinstance(value, np.ndarray)
-        else:
-            assert type(value) in (int, float), (field.name, type(value))
+        assert type(value) in (int, float), (field.name, type(value))

@@ -45,14 +45,13 @@ class TestKernelStatsInvariants:
         scheduler = factory()
         frontier = np.arange(skewed_graph.num_nodes, dtype=np.int64)
         stats = stats_for(scheduler, skewed_graph, frontier)
-        stats.validate(scheduler.spec)
+        stats.validate()
         assert stats.active_edges == skewed_graph.num_edges
         assert stats.issued_lane_cycles >= stats.active_edges
         assert stats.value_sector_unique <= stats.value_sector_touches
         assert stats.concurrency_warps >= 1.0
         assert stats.overhead_cycles >= 0.0
-        if stats.per_sm_lane_cycles.size:
-            assert stats.per_sm_lane_cycles.min() >= 0
+        assert stats.busiest_lane_cycles >= 0
 
     def test_results_identical_across_schedulers(self, factory, skewed_graph):
         """Scheduling must never change application results."""

@@ -3,9 +3,9 @@
 A level whose frontier is every node in id order (each PageRank
 iteration, the first CC level) expands to the CSR itself.  The run loop
 expands it once and shares the read-only arrays with every later full
-level on the same graph; ``NodeAccounting.level_work`` prices it from
-the table's column totals; and the resident store answers it in O(1)
-once every node is resident.  These tests pin each shortcut to the
+level on the same graph; ``SageScheduler.level_stats`` prices it from
+the node table's column totals, as a queue of its own; and the resident
+store answers it in O(1) once every node is resident.  These tests pin each shortcut to the
 general path it skips, and a whole run to a run with every shortcut off.
 """
 
@@ -17,16 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.apps import PageRankApp
+from repro.apps import BCApp, PageRankApp
 from repro.baselines import LigraRunner
 from repro.core import SageScheduler, TraversalPipeline
-from repro.core.pipeline import LevelPricer, run_levels
+from repro.core.pipeline import Level, LevelPricer, run_levels
 from repro.core.resident import ResidentTileStore
 from repro.core.tiling import node_accounting
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.multigpu.partition import chunk_partition
 from repro.multigpu.runner import MultiGpuRunner
+from repro.obs.span import NullSpan
 from repro.outofcore.runners import SageOutOfCoreRunner
 
 
@@ -61,44 +62,58 @@ def _degrees(graph, frontier):
     return graph.offsets[frontier + 1] - graph.offsets[frontier]
 
 
-def assert_work_equal(got, want):
-    for field in dataclasses.fields(got):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            np.testing.assert_array_equal(a, b, err_msg=field.name)
-        else:
-            assert a == b, field.name
+def _levels(graph, frontiers, full):
+    levels = []
+    for index, (frontier, is_full) in enumerate(zip(frontiers, full)):
+        _, edge_dst, edge_pos = graph.expand_frontier(frontier)
+        levels.append(Level(index, frontier, _degrees(graph, frontier), edge_dst,
+                            edge_pos, NullSpan(), is_full))
+    return levels
+
+
+#: the Tiled Partitioning configurations, with and without sampling
+CONFIGS = {
+    "tp": dict(resident_stealing=False),
+    "tp+rts": {},
+    "tp+rts+sr": dict(sampling_reorder=True),
+}
 
 
 class TestColumnTotals:
     @settings(max_examples=80, deadline=None)
-    @given(case=graph_and_levels(), min_tile=st.sampled_from([4, 8, 32]))
-    def test_full_levels_equal_the_gathered_path(self, case, min_tile):
+    @given(
+        case=graph_and_levels(),
+        min_tile=st.sampled_from([4, 8, 32]),
+        config=st.sampled_from(sorted(CONFIGS)),
+    )
+    def test_full_levels_equal_the_gathered_path(self, case, min_tile, config):
         graph, frontiers = case
-        table, _ = node_accounting(graph, 256, min_tile, 8, True)
-        degrees = [_degrees(graph, frontier) for frontier in frontiers]
         full = [graph.is_full_frontier(frontier) for frontier in frontiers]
-        gathered = table.level_work(frontiers, degrees, segments=False)
-        queued = table.level_work(frontiers, degrees, segments=False, full=full)
-        for got, want in zip(queued, gathered, strict=True):
-            assert_work_equal(got, want)
-        for frontier, degree, is_full, want in zip(frontiers, degrees, full, gathered):
-            (alone,) = table.level_work([frontier], [degree], segments=False, full=[is_full])
-            assert_work_equal(alone, want)
-            if is_full:
-                assert not alone.units_per_node.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    alone.units_per_node[...] = 0
+        batches = []
+        for flags in (full, [False] * len(frontiers)):
+            scheduler = SageScheduler(min_tile=min_tile, **CONFIGS[config])
+            scheduler.reset(graph)
+            batches.append((
+                scheduler,
+                scheduler.level_stats(_levels(graph, frontiers, flags), graph, BCApp()),
+            ))
+        (shortcut, got), (gathered, want) = batches
+        for column in dataclasses.fields(want):
+            a, b = getattr(got, column.name), getattr(want, column.name)
+            assert a.dtype == b.dtype, column.name
+            np.testing.assert_array_equal(a, b, err_msg=column.name)
+        if shortcut.reorderer is not None:
+            for a, b in zip(shortcut.reorderer.sampler.pairs(),
+                            gathered.reorderer.sampler.pairs()):
+                np.testing.assert_array_equal(a, b)
 
-    def test_segments_keep_the_gathered_path(self):
+    def test_column_totals_are_read_only(self):
         graph = generators.rmat(6, 4, seed=1)
         table, _ = node_accounting(graph, 256, 8, 8, True)
-        frontier = np.arange(graph.num_nodes)
-        degrees = _degrees(graph, frontier)
-        (work,) = table.level_work([frontier], [degrees], segments=True, full=[True])
-        (want,) = table.level_work([frontier], [degrees], segments=True)
-        assert work.segment_starts is not None
-        assert_work_equal(work, want)
+        _, _, sums = table.level_totals([np.arange(graph.num_nodes)])
+        np.testing.assert_array_equal(table.totals, sums)
+        with pytest.raises(ValueError, match="read-only"):
+            table.totals[...] = 0
 
 
 class _GeneralStore(ResidentTileStore):
@@ -117,7 +132,7 @@ def store_ops(draw):
     frontier = st.one_of(st.just(np.arange(n, dtype=np.int64)), nodes)
     op = st.one_of(
         st.tuples(st.just("visit"), frontier),
-        st.tuples(st.just("visit_levels"), st.lists(frontier, min_size=1, max_size=4)),
+        st.tuples(st.just("visit_queue"), st.lists(frontier, min_size=1, max_size=4)),
         st.tuples(st.just("invalidate_all"), st.none()),
         st.tuples(st.just("invalidate_nodes"), nodes),
     )
@@ -128,8 +143,10 @@ def store_ops(draw):
 def _apply(store, units, op, arg):
     if op == "visit":
         return store.visit(arg, units[arg])
-    if op == "visit_levels":
-        return store.visit_levels(arg, [units[frontier] for frontier in arg])
+    if op == "visit_queue":
+        return store.visit_queue(
+            np.concatenate(arg), [frontier.size for frontier in arg], units[np.concatenate(arg)]
+        ).tolist()
     getattr(store, op)(*([] if arg is None else [arg]))
     return None
 
@@ -149,7 +166,7 @@ class TestAllResidentShortcut:
         store = ResidentTileStore(CSRGraph.from_edges(4, [0], [1]))
         store.visit(np.array([0, 1]), np.array([1, 1]))
         assert not store._all_resident
-        store.visit_levels([np.array([2]), np.array([3, 3])], [np.array([1]), np.array([2, 2])])
+        store.visit_queue(np.array([2, 3, 3]), [1, 2], np.array([1, 2, 2]))
         assert store._all_resident
         assert store.visit(np.arange(4), np.ones(4, dtype=np.int64)) == (4, 0, 0)
         store.invalidate_nodes(np.array([3]))
