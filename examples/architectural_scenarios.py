@@ -33,7 +33,7 @@ def main() -> None:
     # --- out-of-core: device holds 20% of the CSR -----------------------
     print("\nout-of-core (device = 20% of graph, PCIe 3.0 x16):")
     for runner in (SageOutOfCoreRunner(device_fraction=0.2),
-                   SubwayRunner(device_fraction=0.2)):
+                   SubwayRunner()):
         result = runner.run(graph, BFSApp(), source)
         xfer = result.extras["transfer_seconds"] * 1e3
         mb = result.extras["bytes_transferred"] / 1e6

@@ -63,7 +63,7 @@ def main() -> None:
 
     # --- communities ----------------------------------------------------
     labels = run_app(
-        graph, LabelPropagationApp(max_iterations=15), SageScheduler()
+        graph, LabelPropagationApp(), SageScheduler()
     ).result["labels"]
     sizes = np.bincount(labels, minlength=graph.num_nodes)
     communities = int((sizes > 0).sum())

@@ -17,12 +17,10 @@ from repro.analysis.sanitizer import (
     FINDING_CODES,
     Finding,
     Sanitizer,
-    SanitizerError,
 )
 
 __all__ = [
     "FINDING_CODES",
     "Finding",
     "Sanitizer",
-    "SanitizerError",
 ]

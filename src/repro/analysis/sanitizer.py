@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.gpusim.memory import dtype_address_capacity
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
@@ -60,9 +59,12 @@ FINDING_CODES: dict[str, str] = {
 #: Example indices carried per finding (enough to debug, bounded output).
 MAX_EXAMPLES = 5
 
+#: Findings recorded in full; later ones are only counted, so a
+#: systematically-broken run stays bounded.
+MAX_FINDINGS = 1000
 
-class SanitizerError(ReproError):
-    """Raised instead of recording when ``fail_fast`` is enabled."""
+#: Bytes per value-array element in the address-overflow check.
+VALUE_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -145,22 +147,10 @@ class Sanitizer:
     Args:
         metrics: observability registry receiving ``sanitizer.*``
             counters (attach later with :meth:`set_metrics`).
-        fail_fast: raise :class:`SanitizerError` on the first finding
-            instead of recording it (useful under pytest).
-        max_findings: stop recording (but keep counting) beyond this
-            many findings so a systematically-broken run stays bounded.
     """
 
-    def __init__(
-        self,
-        *,
-        metrics: MetricsRegistry | None = None,
-        fail_fast: bool = False,
-        max_findings: int = 1000,
-    ) -> None:
+    def __init__(self, *, metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.fail_fast = fail_fast
-        self.max_findings = max_findings
         self.findings: list[Finding] = []
         self.total_findings = 0
         self.levels_checked = 0
@@ -172,7 +162,6 @@ class Sanitizer:
         self._monotone_levels = False
         self._num_nodes = 0
         self._num_edges = 0
-        self._value_bytes = 4
         self._settled: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -183,13 +172,7 @@ class Sanitizer:
         """Attach the run's observability registry."""
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
 
-    def begin_run(
-        self,
-        graph: "CSRGraph",
-        app: "App",
-        *,
-        value_bytes: int = 4,
-    ) -> None:
+    def begin_run(self, graph: "CSRGraph", app: "App") -> None:
         """Capture the run's extents and the app's declared contract."""
         self._app_name = app.name
         self._uses_atomics = bool(app.uses_atomics)
@@ -197,7 +180,6 @@ class Sanitizer:
         self._monotone_levels = bool(getattr(app, "monotone_levels", False))
         self._num_nodes = int(graph.num_nodes)
         self._num_edges = int(graph.num_edges)
-        self._value_bytes = int(value_bytes)
         self._settled = (
             np.zeros(self._num_nodes, dtype=bool) if self._monotone_levels else None
         )
@@ -339,14 +321,14 @@ class Sanitizer:
         if capacity is None or edge_dst.size == 0:
             return
         max_id = max(int(edge_dst.max()), self._num_nodes - 1)
-        max_address = max_id * self._value_bytes
+        max_address = max_id * VALUE_BYTES
         if max_address > capacity:
             self._record(
                 Finding(
                     code="dtype_overflow",
                     message=(
                         f"byte address {max_address} (= {max_id} * "
-                        f"{self._value_bytes} B) overflows {edge_dst.dtype} "
+                        f"{VALUE_BYTES} B) overflows {edge_dst.dtype} "
                         f"(max {capacity})"
                     ),
                     app=self._app_name,
@@ -354,7 +336,7 @@ class Sanitizer:
                     details={
                         "dtype": str(edge_dst.dtype),
                         "max_id": max_id,
-                        "value_bytes": self._value_bytes,
+                        "value_bytes": VALUE_BYTES,
                     },
                 )
             )
@@ -415,12 +397,7 @@ class Sanitizer:
     # Scheduler- and device-level hooks
     # ------------------------------------------------------------------
 
-    def check_work_units(
-        self,
-        covered_edges: int,
-        total_edges: int,
-        iteration: int | None = None,
-    ) -> None:
+    def check_work_units(self, covered_edges: int, total_edges: int) -> None:
         """Scheduled tiles + fragments must cover the batch exactly.
 
         ``covered_edges`` is the sum of the scheduled work-unit sizes.
@@ -435,7 +412,6 @@ class Sanitizer:
                         f"{int(total_edges)}-edge batch"
                     ),
                     app=self._app_name,
-                    iteration=iteration,
                     details={
                         "covered": covered,
                         "total_edges": int(total_edges),
@@ -495,12 +471,10 @@ class Sanitizer:
     def _record(self, finding: Finding) -> None:
         if finding.code not in FINDING_CODES:  # pragma: no cover - dev error
             raise ValueError(f"unknown finding code {finding.code!r}")
-        if self.fail_fast:
-            raise SanitizerError(str(finding))
         self.total_findings += 1
         self.metrics.count("sanitizer.findings")
         self.metrics.count(f"sanitizer.{finding.code}")
-        if len(self.findings) < self.max_findings:
+        if len(self.findings) < MAX_FINDINGS:
             self.findings.append(finding)
 
     @property

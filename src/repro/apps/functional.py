@@ -145,8 +145,8 @@ def make_app(
     return lambda: FunctionalApp(name, init, edge_filter, **kwargs)
 
 
-def one_hot(graph: CSRGraph, node: int, dtype=bool) -> np.ndarray:
-    """Convenience: an indicator array with ``node`` set."""
-    out = np.zeros(graph.num_nodes, dtype=dtype)
+def one_hot(graph: CSRGraph, node: int) -> np.ndarray:
+    """Convenience: a boolean indicator array with ``node`` set."""
+    out = np.zeros(graph.num_nodes, dtype=bool)
     out[node] = True
     return out

@@ -27,7 +27,6 @@ convergence on the changed cone only.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 
 import numpy as np
 
@@ -41,11 +40,13 @@ from repro.apps.incremental.base import (
 )
 from repro.apps.pagerank import PageRankApp
 from repro.core import SageScheduler
-from repro.core.scheduler import Scheduler
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import GraphDelta
 from repro.obs import MetricsRegistry
+
+#: Iteration cap of the full PageRank solve.
+MAX_ITERATIONS = 200
 
 
 class _ResidualPushApp(App):
@@ -147,16 +148,10 @@ class IncrementalPageRank(IncrementalEngine):
         *,
         damping: float = 0.85,
         tolerance: float = 1e-6,
-        max_iterations: int = 200,
-        scheduler_factory: Callable[[], Scheduler] = SageScheduler,
-        fallback_fraction: float = 0.25,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(
-            graph,
-            scheduler_factory=scheduler_factory,
-            fallback_fraction=fallback_fraction,
-            metrics=metrics,
+            graph, scheduler_factory=SageScheduler, metrics=metrics
         )
         if not 0.0 < damping < 1.0:
             raise InvalidParameterError("damping must be in (0, 1)")
@@ -164,7 +159,6 @@ class IncrementalPageRank(IncrementalEngine):
             raise InvalidParameterError("tolerance must be positive")
         self.damping = float(damping)
         self.tolerance = float(tolerance)
-        self.max_iterations = int(max_iterations)
         self._p: np.ndarray = np.empty(0, dtype=np.float64)
         self._r: np.ndarray = np.empty(0, dtype=np.float64)
         self.initial_seconds = self._full(graph)
@@ -231,7 +225,7 @@ class IncrementalPageRank(IncrementalEngine):
     def _full(self, graph: CSRGraph) -> float:
         app = PageRankApp(
             damping=self.damping,
-            max_iterations=self.max_iterations,
+            max_iterations=MAX_ITERATIONS,
             tolerance=self.tolerance,
         )
         run = self._run(graph, app)

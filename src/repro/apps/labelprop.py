@@ -15,6 +15,9 @@ import numpy as np
 from repro.apps.base import App
 from repro.graph.csr import CSRGraph
 
+#: Label-update rounds before LPA stops short of a fixpoint.
+MAX_ITERATIONS = 20
+
 
 class LabelPropagationApp(App):
     """Deterministic semi-synchronous LPA."""
@@ -24,9 +27,8 @@ class LabelPropagationApp(App):
     value_access_factor = 1.5
     edge_compute_factor = 2.0
 
-    def __init__(self, max_iterations: int = 20) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.max_iterations = max_iterations
         self.labels: np.ndarray | None = None
         self._iteration = 0
         self._all_nodes: np.ndarray | None = None
@@ -52,7 +54,7 @@ class LabelPropagationApp(App):
         changed = bool(np.any(new_labels != self.labels))
         self.labels = new_labels
         self._iteration += 1
-        if not changed or self._iteration >= self.max_iterations:
+        if not changed or self._iteration >= MAX_ITERATIONS:
             return np.empty(0, dtype=np.int64)
         return self._all_nodes
 

@@ -21,6 +21,9 @@ import numpy as np
 from repro.apps.base import App
 from repro.graph.csr import CSRGraph
 
+#: Damping factor of the ranked random walk.
+DAMPING = 0.85
+
 
 class PageRankPullApp(App):
     """Gather-based PageRank over the transpose graph."""
@@ -32,12 +35,10 @@ class PageRankPullApp(App):
 
     def __init__(
         self,
-        damping: float = 0.85,
         max_iterations: int = 30,
         tolerance: float = 1e-8,
     ) -> None:
         super().__init__()
-        self.damping = damping
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.pr: np.ndarray | None = None
@@ -73,12 +74,12 @@ class PageRankPullApp(App):
         # transpose edge (v -> u) == original edge (u -> v): node v
         # gathers contribution pr[u] / outdeg[u].
         contributions = np.zeros(n, dtype=np.float64)
-        gathered = self.damping * self.pr[edge_dst] \
+        gathered = DAMPING * self.pr[edge_dst] \
             / self._out_degrees[edge_dst]
         np.add.at(contributions, edge_src, gathered)
         dangling_mass = self.pr[self._out_degrees == 0].sum()
         contributions += (
-            (1.0 - self.damping) / n + self.damping * dangling_mass / n
+            (1.0 - DAMPING) / n + DAMPING * dangling_mass / n
         )
         delta = float(np.abs(contributions - self.pr).sum())
         self.pr = contributions

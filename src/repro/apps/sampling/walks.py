@@ -225,10 +225,9 @@ def node2vec_transition_probabilities(
     cur: int,
     p: float,
     q: float,
-    *,
-    weighted: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact node2vec transition distribution out of ``cur`` given ``prev``.
+    """Exact unweighted node2vec transition distribution out of ``cur``
+    given ``prev``.
 
     Returns ``(neighbors, probabilities)`` — the statistical oracle the
     chi-square/TV-distance tests compare empirical walk frequencies
@@ -239,18 +238,12 @@ def node2vec_transition_probabilities(
     neighbors = np.asarray(graph.neighbors(cur), dtype=np.int64)
     if neighbors.size == 0:
         return neighbors, np.empty(0, dtype=np.float64)
-    if weighted:
-        start, end = int(graph.offsets[cur]), int(graph.offsets[cur + 1])
-        base = synthetic_weights(graph)[start:end].astype(np.float64)
-    else:
-        base = np.ones(neighbors.size, dtype=np.float64)
     prev_adj = graph.neighbors(prev)
-    factor = np.where(
+    weights = np.where(
         neighbors == prev,
         1.0 / p,
         np.where(np.isin(neighbors, prev_adj), 1.0, 1.0 / q),
     )
-    weights = base * factor
     return neighbors, weights / weights.sum()
 
 

@@ -26,6 +26,9 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.streams import TraceNode, trace_seconds
 
+#: Safety bound on the partition worklist.
+MAX_PARTITIONS = 1_000_000
+
 
 class MaskedReachabilityApp(App):
     """BFS reachability restricted to an active-node mask.
@@ -97,8 +100,6 @@ class SCCResult:
 def strongly_connected_components(
     graph: CSRGraph,
     scheduler_factory,
-    *,
-    max_partitions: int = 1_000_000,
 ) -> SCCResult:
     """Decompose ``graph`` into SCCs with Forward-Backward + trimming.
 
@@ -107,7 +108,9 @@ def strongly_connected_components(
         scheduler_factory: zero-arg callable building a fresh
             :class:`~repro.core.scheduler.Scheduler` per sweep (forward
             and backward sweeps traverse different CSRs).
-        max_partitions: safety bound on the partition worklist.
+
+    More than :data:`MAX_PARTITIONS` worklist partitions raises
+    :class:`~repro.errors.InvalidParameterError`.
     """
     n = graph.num_nodes
     reverse = graph.reversed()
@@ -120,7 +123,7 @@ def strongly_connected_components(
     processed = 0
     while worklist:
         processed += 1
-        if processed > max_partitions:
+        if processed > MAX_PARTITIONS:
             raise InvalidParameterError("partition worklist exceeded bound")
         partition = worklist.pop()
         if partition.size == 0:

@@ -18,29 +18,30 @@ from repro.graph.csr import CSRGraph, graph_memo
 
 INF = np.iinfo(np.int64).max // 4
 
+#: Synthetic edge weights lie in ``[1, MAX_WEIGHT]``.
+MAX_WEIGHT = 8
 
-def pair_weights(
-    src: np.ndarray, dst: np.ndarray, max_weight: int = 8
-) -> np.ndarray:
+
+def pair_weights(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Deterministic positive weight of each ``(src, dst)`` pair.
 
     A pure hash of the endpoint ids, so the same pair always weighs the
     same — across graph epochs, duplicate edge copies, and independent
     callers.  Incremental SSSP repair relies on this stability: the
     weight of a deleted or inserted edge can be recomputed from its
-    endpoints alone.  Weights are in ``[1, max_weight]``.
+    endpoints alone.  Weights are in ``[1, MAX_WEIGHT]``.
     """
     mix = (
         np.asarray(src, dtype=np.int64) * np.int64(2654435761)
         ^ (np.asarray(dst, dtype=np.int64) + np.int64(0x9E3779B9))
     )
-    return 1 + (np.abs(mix) % max_weight)
+    return 1 + (np.abs(mix) % MAX_WEIGHT)
 
 
-def synthetic_weights(graph: CSRGraph, max_weight: int = 8) -> np.ndarray:
+def synthetic_weights(graph: CSRGraph) -> np.ndarray:
     """Deterministic positive weights, one per CSR edge slot.
 
-    :func:`pair_weights` of every edge, in ``[1, max_weight]``.  Built
+    :func:`pair_weights` of every edge, in ``[1, MAX_WEIGHT]``.  Built
     once per graph object and shared, so the array is read-only.
     Reordering relabels nodes and so changes the weights: SSSP runs
     either pass explicit weights or skip reordering.
@@ -48,11 +49,11 @@ def synthetic_weights(graph: CSRGraph, max_weight: int = 8) -> np.ndarray:
 
     def build() -> np.ndarray:
         coo = graph.to_coo()
-        weights = pair_weights(coo.src, coo.dst, max_weight)
+        weights = pair_weights(coo.src, coo.dst)
         weights.flags.writeable = False
         return weights
 
-    return graph_memo(graph, ("synthetic_weights", max_weight), build)[0]
+    return graph_memo(graph, "synthetic_weights", build)[0]
 
 
 class SSSPApp(App):

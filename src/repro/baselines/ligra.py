@@ -13,7 +13,7 @@ sequential scans, as Ligra's EDGEMAP does.
 from __future__ import annotations
 
 from repro.apps.base import App
-from repro.core.pipeline import Level, LevelPricer, RunResult, run_levels
+from repro.core.pipeline import MAX_ITERATIONS, Level, LevelPricer, RunResult, run_levels
 from repro.graph.csr import CSRGraph
 from repro.gpusim.spec import CPUSpec
 from repro.gpusim.streams import HOST, TraceNode
@@ -34,16 +34,9 @@ class LigraRunner(LevelPricer):
     def __init__(self, spec: CPUSpec | None = None) -> None:
         self.spec = spec or CPUSpec()
 
-    def run(
-        self,
-        graph: CSRGraph,
-        app: App,
-        source: int | None = None,
-        *,
-        max_iterations: int = 100_000,
-    ) -> RunResult:
+    def run(self, graph: CSRGraph, app: App, source: int | None = None) -> RunResult:
         """Execute ``app`` on ``graph`` and report CPU-model timing."""
-        return run_levels(self, graph, app, source, max_iterations)
+        return run_levels(self, graph, app, source, MAX_ITERATIONS)
 
     def price(
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]

@@ -91,14 +91,12 @@ class TigrScheduler(Scheduler):
     def __init__(
         self,
         spec: GPUSpec | None = None,
-        split_degree: int = DEFAULT_SPLIT_DEGREE,
     ) -> None:
         super().__init__(spec)
-        self.split_degree = split_degree
         self.transform: UDTTransform | None = None
 
     def reset(self, graph: CSRGraph) -> None:
-        self.transform = udt_transform(graph, self.split_degree)
+        self.transform = udt_transform(graph, DEFAULT_SPLIT_DEGREE)
 
     def kernel_stats(
         self,
@@ -113,7 +111,7 @@ class TigrScheduler(Scheduler):
         assert self.transform is not None
         spec = self.spec
         active = int(edge_dst.size)
-        k = self.split_degree
+        k = DEFAULT_SPLIT_DEGREE
 
         # Virtual nodes of this frontier, each owning <= k edges.
         chunk_sizes = np.minimum(np.maximum(degrees, 1), k)

@@ -41,7 +41,6 @@ from repro.reorder import (
     rcm_order,
     timed_ordering,
 )
-from repro.reorder.gorder import DEFAULT_WINDOW
 
 Row = dict[str, object]
 
@@ -154,7 +153,7 @@ def _gorder(graph: CSRGraph) -> np.ndarray:
     """Gorder's permutation of ``graph``, computed once per graph object:
     Figures 6 and 7 order the same cached dataset graphs."""
     perm, _ = graph_memo(
-        graph, ("gorder", DEFAULT_WINDOW), lambda: gorder_order(graph)
+        graph, "gorder", lambda: gorder_order(graph)
     )
     return perm
 
@@ -164,7 +163,6 @@ def fig6_rows(
     *,
     num_sources: int = 3,
     sage_checkpoints: tuple[int, ...] = (1, 5, 20, 50),
-    apps: tuple[str, ...] = APP_NAMES,
 ) -> list[Row]:
     """SAGE traversal speed under each ordering (paper Figure 6).
 
@@ -183,7 +181,7 @@ def fig6_rows(
         )
         for r in sage_checkpoints:
             variants[f"sage_{r}"] = rounds.snapshots[r]
-        for app_name in apps:
+        for app_name in APP_NAMES:
             row: Row = {"dataset": ds.name, "app": app_name}
             for label, g in variants.items():
                 sources = pick_sources(g, num_sources, seed=7)
@@ -212,8 +210,6 @@ def fig7_rows(
     scale: float = 1.0,
     *,
     num_sources: int = 3,
-    apps: tuple[str, ...] = APP_NAMES,
-    with_gorder: bool = True,
 ) -> list[Row]:
     """GTEPS of every PGP approach per app/dataset (paper Figure 7).
 
@@ -224,8 +220,8 @@ def fig7_rows(
     rows: list[Row] = []
     for ds in datasets.full_suite(scale):
         graph = ds.graph
-        reordered = graph.permute(_gorder(graph)) if with_gorder else None
-        for app_name in apps:
+        reordered = graph.permute(_gorder(graph))
+        for app_name in APP_NAMES:
             row: Row = {"dataset": ds.name, "app": app_name}
             sources = pick_sources(graph, num_sources, seed=7)
             # CPU baseline.
@@ -242,7 +238,7 @@ def fig7_rows(
                 row[name] = round(_mean_gteps(
                     graph, app_name, factory, sources
                 ), 4)
-                if reordered is not None and name != "sage":
+                if name != "sage":
                     g_sources = pick_sources(reordered, num_sources, seed=7)
                     row[f"{name}+gorder"] = round(_mean_gteps(
                         reordered, app_name, factory, g_sources
@@ -259,9 +255,9 @@ def fig8_rows(
     scale: float = 1.0,
     *,
     num_sources: int = 3,
-    device_fraction: float = 0.25,
 ) -> list[Row]:
-    """Out-of-core BFS: SAGE vs Subway vs naive UM (paper Figure 8)."""
+    """Out-of-core BFS: SAGE vs Subway vs naive UM (paper Figure 8),
+    each holding its default quarter of the graph on the device."""
     rows: list[Row] = []
     for ds in datasets.full_suite(scale):
         graph = ds.graph
@@ -272,7 +268,7 @@ def fig8_rows(
             speeds = []
             transfer = []
             for s in sources:
-                runner = runner_factory(device_fraction=device_fraction)
+                runner = runner_factory()
                 result = runner.run(graph, BFSApp(), int(s))
                 speeds.append(result.gteps)
                 transfer.append(result.extras["transfer_seconds"])
@@ -341,7 +337,6 @@ def fig10_rows(
     scale: float = 1.0,
     *,
     num_sources: int = 3,
-    apps: tuple[str, ...] = APP_NAMES,
     reorder_rounds: int = 10,
 ) -> list[Row]:
     """Incremental impact of TP, RTS and SR (paper Figure 10)."""
@@ -358,7 +353,7 @@ def fig10_rows(
         reordered = sage_reorder_rounds(
             graph, reorder_rounds, checkpoints=(reorder_rounds,)
         ).snapshots[reorder_rounds]
-        for app_name in apps:
+        for app_name in APP_NAMES:
             row: Row = {"dataset": ds.name, "app": app_name}
             for label, flags in configs:
                 row[label] = round(_mean_gteps(
@@ -450,19 +445,25 @@ def push_pull_rows(scale: float = 1.0) -> list[Row]:
 # ----------------------------------------------------------------------
 
 def device_fraction_rows(scale: float = 1.0) -> list[Row]:
-    """Figure 8's SAGE-vs-Subway comparison over device-memory budgets."""
+    """Figure 8's SAGE-vs-Subway comparison over device-memory budgets.
+
+    Subway ships each level's active subgraph whatever the budget, so
+    only SAGE's runner takes the fraction.
+    """
     graph = datasets.twitter_like(scale).graph
     sources = pick_sources(graph, 2, seed=7)
     rows: list[Row] = []
     for fraction in (0.05, 0.1, 0.25, 0.5, 0.9):
         row: Row = {"device_fraction": fraction}
-        for factory in (SubwayRunner, SageOutOfCoreRunner):
+        for name, make in (
+            (SubwayRunner.name, SubwayRunner),
+            (SageOutOfCoreRunner.name,
+             lambda: SageOutOfCoreRunner(device_fraction=fraction)),
+        ):
             speeds = [
-                factory(device_fraction=fraction)
-                .run(graph, BFSApp(), int(s)).gteps
-                for s in sources
+                make().run(graph, BFSApp(), int(s)).gteps for s in sources
             ]
-            row[factory.name] = round(float(np.mean(speeds)), 4)
+            row[name] = round(float(np.mean(speeds)), 4)
         rows.append(row)
     return rows
 

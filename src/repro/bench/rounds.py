@@ -52,8 +52,6 @@ def sage_reorder_rounds(
     *,
     spec: GPUSpec | None = None,
     checkpoints: tuple[int, ...] | None = None,
-    min_tile: int = DEFAULT_MIN_TILE,
-    seed: int = 0,
 ) -> ReorderRounds:
     """Run ``rounds`` reordering rounds, snapshotting at ``checkpoints``.
 
@@ -63,8 +61,9 @@ def sage_reorder_rounds(
         spec: hardware description (sector width, block size).
         checkpoints: round numbers to snapshot; defaults to every round
             for small counts, else (1, 5, ...) growing geometrically.
-        min_tile: SAGE's MIN_TILE_SIZE.
-        seed: sampling seed.
+
+    Tiles use SAGE's default MIN_TILE_SIZE; sampling uses the
+    reorderer's default seed.
     """
     if rounds < 1:
         raise InvalidParameterError("rounds must be >= 1")
@@ -77,7 +76,7 @@ def sage_reorder_rounds(
 
     reorderer = SamplingReorderer(
         graph.num_nodes, spec,
-        threshold_edges=graph.num_edges, seed=seed,
+        threshold_edges=graph.num_edges,
     )
     current = graph
     total_perm = np.arange(graph.num_nodes, dtype=np.int64)
@@ -85,7 +84,7 @@ def sage_reorder_rounds(
     for round_no in range(1, rounds + 1):
         started = time.perf_counter()
         degrees = current.out_degrees()
-        decomp = decompose_frontier(degrees, spec.block_size, min_tile)
+        decomp = decompose_frontier(degrees, spec.block_size, DEFAULT_MIN_TILE)
         cum_deg = np.cumsum(degrees) - degrees
         seg_starts = decomp.segment_starts(cum_deg)
         # Full sweep in id order: the expanded edge array is `targets`.

@@ -37,6 +37,9 @@ from repro.core import SageScheduler, run_app
 from repro.graph.csr import CSRGraph
 from repro.reorder import gorder_order, timed_ordering
 
+#: Reordering rounds SAGE runs once it adapts, after the third query.
+SAGE_ADAPT_ROUNDS = 3
+
 
 @dataclass
 class SessionTrace:
@@ -61,7 +64,6 @@ def run_query_session(
     num_queries: int,
     *,
     seed: int = 0,
-    sage_adapt_rounds: int = 3,
 ) -> dict[str, SessionTrace]:
     """Run the same BFS query stream under the three system profiles.
 
@@ -82,9 +84,9 @@ def run_query_session(
         query_cost = result.seconds
         if not adapted and index + 1 >= min(3, num_queries):
             rounds = sage_reorder_rounds(
-                current, sage_adapt_rounds, checkpoints=(sage_adapt_rounds,)
+                current, SAGE_ADAPT_ROUNDS, checkpoints=(SAGE_ADAPT_ROUNDS,)
             )
-            current = rounds.snapshots[sage_adapt_rounds]
+            current = rounds.snapshots[SAGE_ADAPT_ROUNDS]
             query_cost += sum(rounds.per_round_seconds)
             adapted = True
         sage.query_seconds.append(query_cost)

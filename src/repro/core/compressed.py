@@ -9,6 +9,8 @@ compressed-graph traversal system (paper reference [41]).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.apps.base import App
@@ -16,6 +18,10 @@ from repro.core.scheduler import Scheduler
 from repro.graph.compressed import CompressedCSRGraph
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cost import KernelStats
+from repro.obs import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.sanitizer import Sanitizer
 
 #: per-edge varint decode cost in lane-cycles (shift/mask/branch).
 DECODE_CYCLES_PER_EDGE = 2.0
@@ -35,6 +41,14 @@ class CompressedTraversalScheduler(Scheduler):
         self.inner = inner
         self.compressed = compressed
         self.name = f"{inner.name}+compressed"
+
+    def set_metrics(self, metrics: MetricsRegistry | None) -> None:
+        super().set_metrics(metrics)
+        self.inner.set_metrics(metrics)
+
+    def set_sanitizer(self, sanitizer: Sanitizer | None) -> None:
+        super().set_sanitizer(sanitizer)
+        self.inner.set_sanitizer(sanitizer)
 
     def queue_edge_limit(self, graph: CSRGraph) -> int:
         return self.inner.queue_edge_limit(graph)

@@ -82,7 +82,6 @@ class SageScheduler(Scheduler):
         min_tile: int = DEFAULT_MIN_TILE,
         tile_alignment: bool = True,
         reorder_threshold_edges: int | None = None,
-        reorder_seed: int = 0,
     ) -> None:
         super().__init__(spec)
         self.tiled_partitioning = tiled_partitioning
@@ -94,7 +93,6 @@ class SageScheduler(Scheduler):
         # exposed as a flag for the parameter ablation.
         self.tile_alignment = tile_alignment
         self.reorder_threshold_edges = reorder_threshold_edges
-        self.reorder_seed = reorder_seed
         self._store: ResidentTileStore | None = None
         self._reorderer: SamplingReorderer | None = None
         # (targets, distinct sectors, distinct addresses) of the last
@@ -131,7 +129,6 @@ class SageScheduler(Scheduler):
                 graph.num_nodes,
                 self.spec,
                 threshold_edges=threshold,
-                seed=self.reorder_seed,
                 metrics=self.metrics,
             )
         else:
@@ -151,16 +148,12 @@ class SageScheduler(Scheduler):
         edge_dst: np.ndarray,
         graph: CSRGraph,
         app: App,
-        *,
-        full: bool | None = None,
     ) -> KernelStats:
-        """:meth:`level_stats` of one level.  ``full`` is the level's
-        :attr:`Level.full` when the caller has it; without it the
-        frontier is compared to every node."""
+        """:meth:`level_stats` of one level, whose frontier is compared
+        to every node to tell a full kernel."""
         if not self.tiled_partitioning:
             return self._thread_per_node_stats(frontier, degrees, edge_dst, graph, app)
-        if full is None:
-            full = graph.is_full_frontier(frontier)
+        full = graph.is_full_frontier(frontier)
         return self._price_queue(
             [frontier], [degrees], [edge_dst], [full], graph, app
         ).row(0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.bfs import UNVISITED
-from repro.core.pipeline import RunResult
+from repro.core.pipeline import MAX_ITERATIONS, RunResult
 from repro.core.scheduler import Scheduler
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.graph.csr import CSRGraph
@@ -70,7 +70,6 @@ def direction_optimized_bfs(
     source: int,
     *,
     config: HybridConfig | None = None,
-    max_iterations: int = 100_000,
 ) -> tuple[RunResult, HybridStats]:
     """BFS with per-iteration push/pull direction selection.
 
@@ -120,7 +119,7 @@ def direction_optimized_bfs(
     probe = _CostProbe()
 
     while frontier.size:
-        if level >= max_iterations:
+        if level >= MAX_ITERATIONS:
             raise ConvergenceError("BFS exceeded iteration bound")
         frontier_edges = int(out_degrees[frontier].sum())
         unvisited = np.flatnonzero(dist == UNVISITED)

@@ -161,6 +161,9 @@ class LevelPricer:
         return timing
 
 
+#: Levels a run may take before it raises ConvergenceError.
+MAX_ITERATIONS = 100_000
+
 #: The :class:`~repro.gpusim.cost.KernelBatchTiming` fields of a ``kernel`` span.
 KERNEL_SPAN_FIELDS = ("cycles", "compute_cycles", "memory_cycles",
                       "overhead_cycles", "launch_cycles", "dram_bytes")
@@ -280,7 +283,8 @@ def _whole_graph_level(
 
 
 class TraversalPipeline(LevelPricer):
-    """Runs apps over a graph with a given scheduler and device.
+    """Runs apps over a graph with a given scheduler on a device of
+    the scheduler's spec.
 
     A level is one scheduler kernel on the device, followed by any
     reordering the scheduler commits.  Levels' stats are built in
@@ -292,19 +296,18 @@ class TraversalPipeline(LevelPricer):
         self,
         graph: CSRGraph,
         scheduler: Scheduler,
-        device: Device | None = None,
         *,
-        max_iterations: int = 100_000,
+        max_iterations: int = MAX_ITERATIONS,
         metrics: MetricsRegistry | None = None,
         sanitizer: "Sanitizer | None" = None,
     ) -> None:
         self.graph = graph
         self.scheduler = scheduler
-        self.device = device or Device(scheduler.spec)
+        self.device = Device(scheduler.spec, sanitizer=sanitizer)
         self.max_iterations = max_iterations
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # one sanitizer audits the run and its kernels: ours, else the device's
-        self.sanitizer = self.device.sanitizer = sanitizer or self.device.sanitizer
+        # one sanitizer audits the run and its kernels
+        self.sanitizer = sanitizer
         # total_perm maps original ids -> current ids across commits.
         self._total_perm: np.ndarray | None = None
         self._commits = 0
@@ -479,13 +482,12 @@ def run_app(
     scheduler: Scheduler,
     source: int | None = None,
     *,
-    device: Device | None = None,
     metrics: MetricsRegistry | None = None,
     sanitizer: "Sanitizer | None" = None,
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`TraversalPipeline`;
     a ``sanitizer`` audits the run."""
     pipeline = TraversalPipeline(
-        graph, scheduler, device, metrics=metrics, sanitizer=sanitizer
+        graph, scheduler, metrics=metrics, sanitizer=sanitizer
     )
     return pipeline.run(app, source)

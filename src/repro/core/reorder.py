@@ -38,6 +38,9 @@ from repro.gpusim.cost import KernelStats
 from repro.gpusim.spec import GPUSpec
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
+#: Co-accessed nodes each sampled tile member records (Stage 1).
+CO_SAMPLES = 6
+
 
 @dataclass(frozen=True)
 class RoundOutcome:
@@ -208,7 +211,6 @@ class SamplingReorderer:
         spec: GPUSpec | None = None,
         *,
         threshold_edges: int | None = None,
-        co_samples: int = 6,
         tile_sample_rate: float = 0.75,
         min_gain: int = 4,
         seed: int = 0,
@@ -226,7 +228,7 @@ class SamplingReorderer:
         self.sampler = TileAccessSampler(
             num_nodes,
             self.spec.sector_width,
-            co_samples=co_samples,
+            co_samples=CO_SAMPLES,
             tile_sample_rate=tile_sample_rate,
             seed=seed,
         )

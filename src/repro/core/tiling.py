@@ -264,18 +264,16 @@ def decompose_frontier_reference(
     )
 
 
-def decompose_degree(
-    degree: int, block_size: int, min_tile: int = DEFAULT_MIN_TILE
-) -> list[tuple[int, int]]:
+def decompose_degree(degree: int, block_size: int) -> list[tuple[int, int]]:
     """Decompose one degree into ``(offset, tile_size)`` pairs + fragment.
 
     Reference implementation used by tests; the fragment (if any) is the
-    final pair with size < ``min_tile``.
+    final pair with size < :data:`DEFAULT_MIN_TILE`.
     """
     out: list[tuple[int, int]] = []
     offset = 0
     remaining = int(degree)
-    for s in tile_size_levels(block_size, min_tile):
+    for s in tile_size_levels(block_size, DEFAULT_MIN_TILE):
         while remaining >= s:
             out.append((offset, s))
             offset += s

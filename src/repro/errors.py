@@ -59,7 +59,7 @@ class AdmissionError(ServiceError):
 
 
 class ThrottledError(AdmissionError):
-    """A request exceeded its client class's token-bucket rate limit.
+    """A request exceeded its client's token-bucket rate limit.
 
     Distinct from generic shedding: throttling is per-client back-pressure
     (the client is over its budget), not a statement about service load.

@@ -24,6 +24,9 @@ import numpy as np
 from repro.core.tiling import TileDecomposition
 from repro.errors import InvalidParameterError
 
+#: Task duration per edge of a tile, in cycles.
+CYCLES_PER_EDGE = 1.0
+
 
 @dataclass(frozen=True)
 class Task:
@@ -111,24 +114,20 @@ class MakespanSimulator:
         return MakespanReport(finish, busy, 0, len(tasks))
 
 
-def tasks_from_decomposition(
-    decomp: TileDecomposition,
-    *,
-    cycles_per_edge: float = 1.0,
-    block_size: int | None = None,
-) -> list[Task]:
+def tasks_from_decomposition(decomp: TileDecomposition) -> list[Task]:
     """Turn a Tiled-Partitioning decomposition into simulator tasks.
 
     Each tile (and fragment) becomes one task whose duration is its edge
-    count times ``cycles_per_edge``; the owner block is the frontier
-    position divided by the block size (how blocks chunk the frontier).
+    count times :data:`CYCLES_PER_EDGE`; the owner block is the frontier
+    position divided by the decomposition's block size (how blocks chunk
+    the frontier).
     """
-    block = block_size or decomp.block_size
+    block = decomp.block_size
     tasks: list[Task] = []
     for idx, size in zip(decomp.tile_frontier_idx.tolist(),
                          decomp.tile_sizes.tolist()):
-        tasks.append(Task(size * cycles_per_edge, idx // block))
+        tasks.append(Task(size * CYCLES_PER_EDGE, idx // block))
     for idx, size in zip(decomp.fragment_frontier_idx.tolist(),
                          decomp.fragment_sizes.tolist()):
-        tasks.append(Task(size * cycles_per_edge, idx // block))
+        tasks.append(Task(size * CYCLES_PER_EDGE, idx // block))
     return tasks

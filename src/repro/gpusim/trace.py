@@ -24,6 +24,9 @@ from repro.graph.csr import CSRGraph
 from repro.gpusim.spec import GPUSpec
 from repro.gpusim.streams import TraceNode
 
+#: Levels a replayed run may take before it raises ConvergenceError.
+MAX_ITERATIONS = 10_000
+
 
 class LRUCacheModel:
     """Exact LRU cache over sector ids.
@@ -113,7 +116,6 @@ def replay_cache_trace(
     *,
     spec: GPUSpec | None = None,
     capacity_sectors: int | None = None,
-    max_iterations: int = 10_000,
 ) -> CacheTraceReport:
     """Run ``app`` functionally and replay its value-array sector trace.
 
@@ -125,7 +127,6 @@ def replay_cache_trace(
         capacity_sectors: cache size override; ``None`` takes
             ``spec.l2_sectors``, and below 1 raises
             :class:`~repro.errors.InvalidParameterError`.
-        max_iterations: convergence guard.
 
     Returns:
         Exact LRU statistics over the whole access stream.
@@ -134,7 +135,7 @@ def replay_cache_trace(
     if capacity_sectors is None:
         capacity_sectors = spec.l2_sectors
     replay = _CacheReplay(LRUCacheModel(capacity_sectors), spec.sector_width)
-    result = run_levels(replay, graph, app, source, max_iterations)
+    result = run_levels(replay, graph, app, source, MAX_ITERATIONS)
     return CacheTraceReport(
         accesses=replay.accesses,
         hits=replay.cache.hits,

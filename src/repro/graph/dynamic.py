@@ -21,10 +21,13 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.errors import GraphFormatError, InvalidParameterError
+from repro.errors import GraphFormatError
 from repro.graph.coo import EDGE_DTYPE
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import GraphDelta, apply_edge_updates
+
+#: Pending updates that trigger a merge without an explicit flush.
+AUTO_FLUSH_THRESHOLD = 10_000
 
 #: The delta-aware listener contract fired after every merge.
 UpdateListener = Callable[[CSRGraph, GraphDelta], None]
@@ -35,20 +38,12 @@ class DynamicGraph:
 
     Insertions and deletions accumulate in buffers; :attr:`graph` always
     reflects every applied update (pending ones are merged on access via
-    :meth:`flush`, or automatically when a buffer passes
-    ``auto_flush_threshold``).
+    :meth:`flush`, or automatically once :data:`AUTO_FLUSH_THRESHOLD`
+    updates are pending).
     """
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        *,
-        auto_flush_threshold: int = 10_000,
-    ) -> None:
-        if auto_flush_threshold < 1:
-            raise InvalidParameterError("auto_flush_threshold must be >= 1")
+    def __init__(self, graph: CSRGraph) -> None:
         self._graph = graph
-        self.auto_flush_threshold = auto_flush_threshold
         self._pending_src: list[np.ndarray] = []
         self._pending_dst: list[np.ndarray] = []
         self._pending_del_src: list[np.ndarray] = []
@@ -186,5 +181,5 @@ class DynamicGraph:
         return src, dst
 
     def _maybe_flush(self) -> None:
-        if self._pending_count >= self.auto_flush_threshold:
+        if self._pending_count >= AUTO_FLUSH_THRESHOLD:
             self.flush()

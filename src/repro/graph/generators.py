@@ -87,19 +87,15 @@ def erdos_renyi(
     n: int,
     avg_degree: float,
     seed: int | np.random.Generator | None = 0,
-    *,
-    symmetric: bool = False,
 ) -> CSRGraph:
-    """G(n, m)-style uniform random graph with ``n * avg_degree`` edges."""
+    """G(n, m)-style uniform random digraph with ``n * avg_degree`` edges."""
     if n < 1 or avg_degree < 0:
         raise InvalidParameterError("erdos_renyi needs n >= 1, avg_degree >= 0")
     rng = _rng(seed)
     m = int(round(n * avg_degree))
     src = rng.integers(0, n, size=m, dtype=EDGE_DTYPE)
     dst = rng.integers(0, n, size=m, dtype=EDGE_DTYPE)
-    return CSRGraph.from_edges(
-        n, src, dst, dedup=True, drop_self_loops=True, symmetric=symmetric
-    )
+    return CSRGraph.from_edges(n, src, dst, dedup=True, drop_self_loops=True)
 
 
 def random_regular(
@@ -250,26 +246,24 @@ def watts_strogatz(
     return CSRGraph.from_edges(n, src, dst, drop_self_loops=True, symmetric=True)
 
 
+#: R-MAT's (a, b, c) quadrant probabilities; d is 1 - a - b - c.
+RMAT_QUADRANTS = (0.57, 0.19, 0.19)
+
+
 def rmat(
     scale: int,
     edge_factor: int,
     seed: int | np.random.Generator | None = 0,
-    *,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
 ) -> CSRGraph:
     """Graph500-style Kronecker (R-MAT) generator.
 
     ``2**scale`` nodes and ``edge_factor * 2**scale`` directed edges with
-    recursive quadrant probabilities (a, b, c, 1 - a - b - c).  Vectorized
-    over all edges at once: one random draw per bit level.
+    the Graph500 recursive quadrant probabilities :data:`RMAT_QUADRANTS`.
+    Vectorized over all edges at once: one random draw per bit level.
     """
     if scale < 1 or edge_factor < 1:
         raise InvalidParameterError("rmat needs scale >= 1, edge_factor >= 1")
-    d = 1.0 - a - b - c
-    if min(a, b, c, d) < 0:
-        raise InvalidParameterError("rmat quadrant probabilities must sum <= 1")
+    a, b, c = RMAT_QUADRANTS
     rng = _rng(seed)
     n = 1 << scale
     m = edge_factor * n

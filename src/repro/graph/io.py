@@ -23,19 +23,9 @@ def write_edge_list(graph: CSRGraph, path: str | os.PathLike) -> None:
         np.savetxt(f, np.column_stack([coo.src, coo.dst]), fmt="%d")
 
 
-def read_edge_list(
-    path: str | os.PathLike,
-    num_nodes: int | None = None,
-    *,
-    dedup: bool = False,
-) -> CSRGraph:
-    """Read a SNAP-style text edge list into a CSR graph.
-
-    Args:
-        path: file to read.
-        num_nodes: node count; inferred as ``max id + 1`` when omitted.
-        dedup: drop duplicate edges.
-    """
+def read_edge_list(path: str | os.PathLike) -> CSRGraph:
+    """Read a SNAP-style text edge list into a CSR graph of
+    ``max id + 1`` nodes, duplicate edges kept."""
     with warnings.catch_warnings():
         # an edge list with only comments is a valid empty graph
         warnings.filterwarnings("ignore", message="loadtxt: input contained")
@@ -46,6 +36,5 @@ def read_edge_list(
         raise GraphFormatError(f"{path}: expected two columns per line")
     else:
         src, dst = data[:, 0], data[:, 1]
-    if num_nodes is None:
-        num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
-    return CSRGraph.from_edges(num_nodes, src, dst, dedup=dedup)
+    num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
+    return CSRGraph.from_edges(num_nodes, src, dst)

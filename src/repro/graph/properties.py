@@ -13,6 +13,10 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
+#: Node ids per memory sector: 32-byte sectors of 4-byte values, the
+#: default GPUSpec.
+SECTOR_WIDTH = 8
+
 
 @dataclass(frozen=True)
 class DegreeStats:
@@ -71,8 +75,9 @@ def id_locality(graph: CSRGraph, window: int = 64) -> float:
     return float(np.mean(np.abs(coo.src - coo.dst) <= window))
 
 
-def sector_span(graph: CSRGraph, sector_width: int = 8) -> float:
-    """Average number of distinct memory sectors per adjacency list.
+def sector_span(graph: CSRGraph) -> float:
+    """Average number of distinct memory sectors of
+    :data:`SECTOR_WIDTH` ids per adjacency list.
 
     This is the per-node version of the objective Sampling-based
     Reordering minimizes (paper Section 6): neighbors scattered over many
@@ -83,7 +88,7 @@ def sector_span(graph: CSRGraph, sector_width: int = 8) -> float:
     from repro.gpusim.memory import segmented_distinct_sectors
 
     per_node = segmented_distinct_sectors(
-        graph.targets, graph.offsets[:-1], sector_width, presorted=True
+        graph.targets, graph.offsets[:-1], SECTOR_WIDTH, presorted=True
     )
     nonempty = graph.out_degrees() > 0
     if not nonempty.any():

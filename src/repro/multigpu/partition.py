@@ -40,21 +40,22 @@ def random_partition(num_nodes: int, k: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).permutation(assignment)
 
 
-def metis_like(graph: CSRGraph, k: int, seed: int = 0) -> np.ndarray:
+def metis_like(graph: CSRGraph, k: int) -> np.ndarray:
     """Greedy BFS-grown balanced k-way partitioning.
 
     Grows each part by BFS from a random unassigned seed until it reaches
     its *edge-weight* budget (balancing work, as metis does with vertex
     weights = degrees), then starts the next part — the multilevel
     intuition of metis (connected, low-cut parts) without its refinement
-    phases.
+    phases.  The random seeds are drawn from a fixed-seed generator, so
+    the partition is deterministic.
     """
     n = graph.num_nodes
     _check_k(n, k)
     sym = CSRGraph.from_coo(graph.to_coo().symmetrized())
     degrees = np.maximum(1, graph.out_degrees())
     total_weight = int(degrees.sum())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     assignment = np.full(n, -1, dtype=np.int64)
     budget = total_weight / k
     visit_order = rng.permutation(n)

@@ -19,7 +19,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.apps.base import App
-from repro.core.pipeline import Level, LevelPricer, RunResult, run_levels
+from repro.core.pipeline import MAX_ITERATIONS, Level, LevelPricer, RunResult, run_levels
 from repro.core.scheduler import Scheduler
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
@@ -79,16 +79,9 @@ class MultiGpuRunner(LevelPricer):
         self._comm_seconds = 0.0
         self._messages = 0
 
-    def run(
-        self,
-        graph: CSRGraph,
-        app: App,
-        source: int | None = None,
-        *,
-        max_iterations: int = 100_000,
-    ) -> RunResult:
+    def run(self, graph: CSRGraph, app: App, source: int | None = None) -> RunResult:
         """Execute ``app`` across the GPUs; returns makespan timing."""
-        return run_levels(self, graph, app, source, max_iterations)
+        return run_levels(self, graph, app, source, MAX_ITERATIONS)
 
     def run_span(self, app: App) -> Span | NullSpan:
         return self.metrics.span(

@@ -28,9 +28,9 @@ def report_to_dict(registry: MetricsRegistry) -> dict[str, Any]:
     return report
 
 
-def to_json(registry: MetricsRegistry, *, indent: int | None = 2) -> str:
-    """Serialize the full report to a JSON string."""
-    return json.dumps(report_to_dict(registry), indent=indent, sort_keys=True)
+def to_json(registry: MetricsRegistry) -> str:
+    """Serialize the full report to an indented JSON string."""
+    return json.dumps(report_to_dict(registry), indent=2, sort_keys=True)
 
 
 def write_json(registry: MetricsRegistry, path: str | Path) -> Path:

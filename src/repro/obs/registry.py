@@ -129,22 +129,22 @@ class MetricsRegistry:
     # Profiler integration (the gpusim leaf level)
     # ------------------------------------------------------------------
 
-    def fold_profiler(self, profiler: Any, prefix: str = "gpusim") -> None:
+    def fold_profiler(self, profiler: Any) -> None:
         """Mirror a :class:`~repro.gpusim.profiler.Profiler` into counters.
 
         Snapshot semantics (``set_counter``): the profiler is itself the
         accumulator, so folding the same device twice is idempotent and
-        the registry's ``{prefix}.*`` counters always equal the profiler
+        the registry's ``gpusim.*`` counters always equal the profiler
         field-for-field — the exactness contract the golden tests pin.
         """
         if not self.enabled:
             return
         for name in PROFILER_COUNTER_FIELDS:
-            self.set_counter(f"{prefix}.{name}", float(getattr(profiler, name)))
+            self.set_counter(f"gpusim.{name}", float(getattr(profiler, name)))
         for derived in PROFILER_GAUGE_FIELDS:
             value = getattr(profiler, derived, None)
             if value is not None:
-                self.set_gauge(f"{prefix}.{derived}", float(value))
+                self.set_gauge(f"gpusim.{derived}", float(value))
 
     # ------------------------------------------------------------------
     # Merge / report

@@ -173,14 +173,10 @@ class SubwayRunner(_OutOfCoreBase):
         self,
         spec: GPUSpec | None = None,
         *,
-        device_fraction: float = 0.25,
         link: LinkSpec = PCIE3_X16,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(
-            GunrockScheduler(spec), device_fraction=device_fraction,
-            link=link, metrics=metrics,
-        )
+        super().__init__(GunrockScheduler(spec), link=link, metrics=metrics)
 
     def _level(
         self, kernel: TraceNode, level: Level, trace: list[TraceNode]
@@ -278,13 +274,11 @@ class OnDemandUMRunner(SageOutOfCoreRunner):
         self,
         spec: GPUSpec | None = None,
         *,
-        device_fraction: float = 0.25,
         link: LinkSpec = PCIE3_X16,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(
-            spec, device_fraction=device_fraction, link=link,
-            scheduler=GunrockScheduler(spec), metrics=metrics,
+            spec, link=link, scheduler=GunrockScheduler(spec), metrics=metrics,
         )
 
     def _pool_units(self, layout: GraphLayout) -> int:

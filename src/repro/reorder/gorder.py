@@ -1,12 +1,12 @@
 """Gorder: greedy window-locality maximization (Wei et al. [49]).
 
 Gorder places nodes one by one, each time choosing the node with the
-highest *GScore* against a sliding window of the ``w`` most recently
+highest *GScore* against a sliding window of the :data:`WINDOW` most recently
 placed nodes — GScore counting shared in-neighbors (sibling relations)
 plus direct adjacency.  The exact algorithm runs a priority queue with
 lazy rescoring; this implementation follows that structure (lazy max-heap
 keyed by score, scores bumped when a window member's relations appear)
-with the same O(w * |E|) update volume.
+with the same O(WINDOW * |E|) update volume.
 
 It is deliberately the *expensive* baseline: the paper's Table 2 shows
 Gorder costing hours on billion-edge social graphs, which is the cost
@@ -19,17 +19,15 @@ import heapq
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.reorder.base import order_to_perm
 
-DEFAULT_WINDOW = 5
+#: Recently placed nodes each candidate's GScore is taken against.
+WINDOW = 5
 
 
-def gorder_order(graph: CSRGraph, window: int = DEFAULT_WINDOW) -> np.ndarray:
+def gorder_order(graph: CSRGraph) -> np.ndarray:
     """Compute the Gorder permutation (``new_id = perm[old_id]``)."""
-    if window < 1:
-        raise InvalidParameterError("window must be >= 1")
     n = graph.num_nodes
     reverse = graph.reversed()
 
@@ -92,7 +90,7 @@ def gorder_order(graph: CSRGraph, window: int = DEFAULT_WINDOW) -> np.ndarray:
         bump(succ, 1)
         bump(sib, 1)
         recent.append(u)
-        if len(recent) > window:
+        if len(recent) > WINDOW:
             old = recent.pop(0)
             old_succ, old_sib = relations(old)
             bump(old_succ, -1)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.reorder.base import order_to_perm
 
-DEFAULT_GAMMAS = (0.0, 0.05, 0.25)
+GAMMAS = (0.0, 0.05, 0.25)
 SWEEPS_PER_GAMMA = 3
 
 
@@ -59,16 +59,14 @@ def _apm_sweep(
 
 def llp_order(
     graph: CSRGraph,
-    gammas: tuple[float, ...] = DEFAULT_GAMMAS,
-    sweeps: int = SWEEPS_PER_GAMMA,
 ) -> np.ndarray:
     """Compute the LLP permutation (``new_id = perm[old_id]``)."""
     sym = CSRGraph.from_coo(graph.to_coo().symmetrized())
     n = sym.num_nodes
     layer_keys: list[np.ndarray] = []
-    for gamma in gammas:
+    for gamma in GAMMAS:
         labels = np.arange(n, dtype=np.int64)
-        for _ in range(sweeps):
+        for _ in range(SWEEPS_PER_GAMMA):
             updated = _apm_sweep(sym, labels, gamma)
             if np.array_equal(updated, labels):
                 break

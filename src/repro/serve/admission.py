@@ -4,10 +4,11 @@ The cluster's front door applies two independent brakes before a query
 reaches any replica (in the spirit of token-bucket rate limiters such as
 zae-limiter, adapted to a fully deterministic clock-injected form):
 
-* **per-client-class token buckets** — each client class has a refill
-  rate and a burst capacity; a request arriving to an empty bucket is
-  *throttled* (structured ``SHED`` response, ``ThrottledError``).  This
-  is per-client fairness, not a statement about service health.
+* **per-client token buckets** — each client gets a bucket with the
+  same refill rate and burst capacity; a request arriving to an empty
+  bucket is *throttled* (structured ``SHED`` response,
+  ``ThrottledError``).  This is per-client fairness, not a statement
+  about service health.
 * **adaptive concurrency limiter** — one AIMD-controlled bound on
   cluster-wide outstanding queries.  Overload signals (broker sheds,
   deadline misses) multiplicatively tighten the limit; successful
@@ -23,7 +24,7 @@ time of the arrival on whichever clock drives it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import InvalidParameterError
 from repro.obs import NULL_REGISTRY, MetricsRegistry
@@ -50,8 +51,8 @@ class TokenBucket:
         self._tokens = float(burst)
         self._updated: float | None = None
 
-    def try_acquire(self, now: float, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available at time ``now``."""
+    def try_acquire(self, now: float) -> bool:
+        """Take one token if available at time ``now``."""
         if self._updated is not None and now > self._updated:
             self._tokens = min(
                 self.burst, self._tokens + (now - self._updated) * self.rate
@@ -59,8 +60,8 @@ class TokenBucket:
         self._updated = now if self._updated is None else max(
             self._updated, now
         )
-        if self._tokens >= tokens:
-            self._tokens -= tokens
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
@@ -126,24 +127,27 @@ class AdaptiveConcurrencyLimiter:
 class AdmissionConfig:
     """Tuning knobs of the cluster's admission controller.
 
-    ``rate_qps``/``burst`` apply per client class (``class_rates`` maps
-    class name → (rate, burst) overrides).  ``rate_qps=None`` disables
-    rate limiting entirely.
+    ``rate_qps``/``burst`` configure each client's token bucket;
+    ``rate_qps=None`` disables rate limiting entirely.  A bad rate or
+    burst raises ``InvalidParameterError`` here, not at the first query.
     """
 
     rate_qps: float | None = None
     burst: float = 16.0
-    class_rates: dict[str, tuple[float, float]] = field(
-        default_factory=dict
-    )
     max_concurrency: int = 64
     min_concurrency: int = 1
     backoff: float = 0.5
     recovery: float = 0.5
 
+    def __post_init__(self) -> None:
+        if self.rate_qps is not None and not self.rate_qps > 0:
+            raise InvalidParameterError("rate_qps must be > 0")
+        if not self.burst >= 1:
+            raise InvalidParameterError("burst must be >= 1")
+
 
 class AdmissionController:
-    """Combines per-class token buckets with the AIMD concurrency limit.
+    """Combines per-client token buckets with the AIMD concurrency limit.
 
     The caller reports lifecycle signals (``on_success``,
     ``on_overload``) so the limiter can adapt, and tracks outstanding
@@ -173,13 +177,9 @@ class AdmissionController:
         """The client's bucket (created lazily)."""
         if client in self._buckets:
             return self._buckets[client]
-        if client in self.config.class_rates:
-            rate, burst = self.config.class_rates[client]
-        elif self.config.rate_qps is not None:
-            rate, burst = self.config.rate_qps, self.config.burst
-        else:
+        if self.config.rate_qps is None:
             return None
-        bucket = TokenBucket(rate, burst)
+        bucket = TokenBucket(self.config.rate_qps, self.config.burst)
         self._buckets[client] = bucket
         return bucket
 

@@ -116,8 +116,9 @@ def _survives_delta(
 class ResultCache:
     """Bounded LRU cache of query results, versioned by graph epoch.
 
-    ``capacity`` bounds the entry count (0 disables caching entirely —
-    every ``get`` misses, every ``put`` is dropped).  Not thread-safe:
+    ``capacity`` bounds the entry count (0 disables caching entirely:
+    the serving replay then makes no lookup, so hits and misses stay 0,
+    and every ``put`` is dropped).  Not thread-safe:
     the serving event loop owns it.
     """
 

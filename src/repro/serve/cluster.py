@@ -319,7 +319,7 @@ class _Running:
 
     members: list[Member]
     results: list[dict[str, np.ndarray]]
-    cache_keys: list[CacheKey]
+    cache_keys: list[CacheKey | None]  # None when the cache is off
     batch_id: int
     share: float
 
@@ -435,14 +435,12 @@ class _Replay:
         self,
         requests: list[QueryRequest],
         arrivals: np.ndarray,
-        clients: list[str] | None,
     ) -> None:
         """Play the arrivals in time order, then drain every device."""
         for i in np.argsort(arrivals, kind="stable").tolist():
             t = float(arrivals[i])
             self.advance(t)
-            client = clients[i] if clients is not None else "default"
-            self.arrive(i, t, requests[i], client)
+            self.arrive(i, t, requests[i], "default")
         self.advance(float("inf"))
 
     def next_event(self) -> tuple[float, int] | None:
@@ -515,7 +513,7 @@ class _Replay:
         if decision is AdmissionDecision.THROTTLED:
             return shed_response(
                 index, request,
-                f"client class {client!r} over its token-bucket rate limit",
+                f"client {client!r} over its token-bucket rate limit",
                 ThrottledError.__name__,
             )
         if decision is AdmissionDecision.OVERLOADED:
@@ -524,6 +522,8 @@ class _Replay:
                 "cluster over its adaptive concurrency limit "
                 f"({self.controller.concurrency_limit})",
             )
+        if self.cache.capacity == 0:
+            return None
         hit = self.cache.get(result_cache_key(request, epoch, fingerprint))
         if hit is None:
             return None
@@ -579,7 +579,9 @@ class _Replay:
             members=live,
             results=execution.results,
             cache_keys=[
-                result_cache_key(m.request, epoch, fingerprint) for m in live
+                result_cache_key(m.request, epoch, fingerprint)
+                if self.cache.capacity else None
+                for m in live
             ],
             batch_id=batch_id,
             share=execution.sim_seconds / len(live),
@@ -678,7 +680,6 @@ def simulate_cluster_open_loop(
     max_batch_size: int = 64,
     cache_capacity: int = 1024,
     admission: AdmissionConfig | None = None,
-    clients: list[str] | None = None,
     updates: list[tuple[float, str, Any, Any]] | None = None,
     executor: BatchExecutor | None = None,
     baseline_seconds: float = 0.0,
@@ -744,8 +745,6 @@ def simulate_cluster_open_loop(
         )
     if not np.isfinite(arrivals).all() or (arrivals < 0).any():
         raise InvalidParameterError("arrivals must be finite and >= 0")
-    if clients is not None and len(clients) != len(requests):
-        raise InvalidParameterError("need one client class per request")
     registry = metrics if metrics is not None else NULL_REGISTRY
     pipelined = pipeline is not None and pipeline.enabled
     store = graphs if isinstance(graphs, GraphStore) else GraphStore(graphs)
@@ -768,7 +767,7 @@ def simulate_cluster_open_loop(
             "cluster.run", replicas=num_replicas, routing=routing,
             queries=len(requests),
         ) as run_span:
-            replay.run(requests, arrivals, clients)
+            replay.run(requests, arrivals)
             busy = (
                 _busy_total(replay.devices, replay.sim_total)
                 if pipelined else 0.0
@@ -862,10 +861,11 @@ class WallClock:
 class ManualClock:
     """A clock that moves only when set (``clock.time = t``) or waited
     on, so a handle on it is as deterministic as the replay.  For one
-    caller thread: concurrent waits could move it backwards."""
+    caller thread: concurrent waits could move it backwards.  It starts
+    at 0.0."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.time = float(start)
+    def __init__(self) -> None:
+        self.time = 0.0
 
     def now(self) -> float:
         return self.time
@@ -997,10 +997,8 @@ class ServingHandle:
             self._replay.arrive(pending.request_id, now, request, client)
         return pending
 
-    def submit_many(
-        self, requests: list[QueryRequest], *, client: str = "default"
-    ) -> list[PendingQuery]:
-        return [self.submit(request, client=client) for request in requests]
+    def submit_many(self, requests: list[QueryRequest]) -> list[PendingQuery]:
+        return [self.submit(request) for request in requests]
 
     def advance(self) -> None:
         """Play every event due by the clock's now (``api.update`` calls

@@ -60,16 +60,14 @@ def generate_queries(
     num_queries: int,
     *,
     mix: Mapping[str, float] | None = None,
-    params: Mapping[str, dict[str, Any]] | None = None,
     deadline_seconds: float | None = None,
     seed: int = 0,
 ) -> list[QueryRequest]:
-    """A seeded random query mix over one graph handle."""
+    """A seeded random query mix over one graph handle, each kind with
+    its :data:`DEFAULT_PARAMS`."""
     if num_queries < 1:
         raise InvalidParameterError("num_queries must be >= 1")
     mix = dict(mix if mix is not None else DEFAULT_MIX)
-    presets = dict(DEFAULT_PARAMS)
-    presets.update(params or {})
     kinds = sorted(mix)
     weights = np.array([mix[k] for k in kinds], dtype=np.float64)
     if weights.min() < 0 or weights.sum() <= 0:
@@ -85,7 +83,7 @@ def generate_queries(
                 app=kind,
                 graph=graph_name,
                 source=int(source) if kind in SOURCE_APPS else None,
-                params=tuple(sorted(presets.get(kind, {}).items())),
+                params=tuple(sorted(DEFAULT_PARAMS.get(kind, {}).items())),
                 deadline_seconds=deadline_seconds,
             )
         )

@@ -30,6 +30,10 @@ from repro.tune.workloads import (
     get_workload,
 )
 
+#: Feasibility bound (p95 within this factor of the default point's)
+#: the committed profiles were tuned under.
+SLO_FACTOR = 2.0
+
 __all__ = [
     "BENCH_WORKLOADS",
     "DEFAULT_SPACE",
@@ -55,8 +59,6 @@ def tune_workload(
     budget: int = 32,
     seed: int = 0,
     space: TuningSpace | None = None,
-    num_replicas: int = 2,
-    slo_factor: float = 2.0,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[TunedProfile, SearchResult]:
     """Search one workload and package the outcome as a profile.
@@ -70,10 +72,7 @@ def tune_workload(
         workload = get_workload(workload)
     space = space if space is not None else DEFAULT_SPACE
     evaluator = CostModelEvaluator(
-        workload,
-        num_replicas=num_replicas,
-        slo_factor=slo_factor,
-        metrics=metrics,
+        workload, slo_factor=SLO_FACTOR, metrics=metrics
     )
     result = search(
         space, evaluator, budget=budget, seed=seed, metrics=metrics

@@ -43,6 +43,9 @@ from repro.core.hybrid import direction_optimized_bfs
 from repro.serve.cluster import simulate_cluster_open_loop
 from repro.serve.request import QueryStatus
 from repro.tune.space import TuningPoint
+
+#: Replicas of the cluster every point is replayed on.
+NUM_REPLICAS = 2
 from repro.tune.workloads import TuningWorkload
 
 
@@ -83,12 +86,10 @@ class CostModelEvaluator:
         self,
         workload: TuningWorkload,
         *,
-        num_replicas: int = 2,
         slo_factor: float = 2.5,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.workload = workload
-        self.num_replicas = num_replicas
         self.slo_factor = slo_factor
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.graph = workload.build_graph()
@@ -125,7 +126,7 @@ class CostModelEvaluator:
             self.requests,
             self.arrivals,
             point.scheduler_factory(),
-            num_replicas=self.num_replicas,
+            num_replicas=NUM_REPLICAS,
             routing=point.routing,
             batch_window=point.batch_window,
             max_batch_size=point.max_batch_size,

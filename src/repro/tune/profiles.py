@@ -60,11 +60,9 @@ class TunedProfile:
             return 1.0
         return self.default_cost_seconds / self.tuned_cost_seconds
 
-    def matches(self, fingerprint: str, app: str | None = None) -> bool:
-        """Does this profile apply to (graph, app)?  Exact-key semantics."""
-        if fingerprint != self.graph_fingerprint:
-            return False
-        return app is None or app in self.apps
+    def matches(self, fingerprint: str) -> bool:
+        """Does this profile apply to the graph?  Exact-key semantics."""
+        return fingerprint == self.graph_fingerprint
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -154,10 +152,8 @@ class ProfileStore:
             return []
         return sorted(self.root.glob("*.json"))
 
-    def find(
-        self, fingerprint: str, app: str | None = None
-    ) -> TunedProfile | None:
-        """The first committed profile matching (graph, app), if any.
+    def find(self, fingerprint: str) -> TunedProfile | None:
+        """The first committed profile for the graph, if any.
 
         Unreadable or foreign JSON files in the directory are skipped —
         a corrupt profile must never break serving, which falls back to
@@ -169,7 +165,7 @@ class ProfileStore:
             except (OSError, ValueError, KeyError, InvalidParameterError):
                 self.metrics.count("tune.profiles_skipped")
                 continue
-            if profile.matches(fingerprint, app):
+            if profile.matches(fingerprint):
                 self.metrics.count("tune.profile_matches")
                 return profile
         return None

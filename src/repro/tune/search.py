@@ -37,7 +37,7 @@ from repro.tune.space import TuningPoint, TuningSpace
 #: UCB1 exploration constant.  Smaller than the classic sqrt(2): the
 #: reward spread between configurations is a few tenths, so the bandit
 #: must exploit early within small CI budgets.
-DEFAULT_EXPLORATION = 0.5
+EXPLORATION = 0.5
 
 #: Probability that a rollout tail keeps an axis at its default value
 #: instead of sampling uniformly.  Biasing tails toward the shipped
@@ -85,14 +85,11 @@ def search(
     *,
     budget: int = 32,
     seed: int = 0,
-    exploration: float = DEFAULT_EXPLORATION,
     metrics: MetricsRegistry | None = None,
 ) -> SearchResult:
     """Run ``budget`` seeded UCB rollouts and return the best point."""
     if budget < 1:
         raise InvalidParameterError("budget must be >= 1")
-    if exploration < 0:
-        raise InvalidParameterError("exploration must be >= 0")
     metrics = metrics if metrics is not None else NULL_REGISTRY
     rng = np.random.default_rng(seed)
     root = _Node()
@@ -103,7 +100,7 @@ def search(
         best = default
         for rollout in range(budget):
             metrics.count("tune.rollouts")
-            point, path = _select(space, root, rng, exploration)
+            point, path = _select(space, root, rng)
             evaluation = evaluator.evaluate(point)
             reward = _reward(default, evaluation)
             for node in path:
@@ -142,7 +139,6 @@ def _select(
     space: TuningSpace,
     root: _Node,
     rng: np.random.Generator,
-    exploration: float,
 ) -> tuple[TuningPoint, list[_Node]]:
     """One tree descent: UCB while saturated, expand once, sample tail."""
     assignment: dict[str, Any] = {}
@@ -176,7 +172,7 @@ def _select(
                         int(rng.integers(len(tail_values)))
                     ]
             return space.point(assignment), path
-        value = _ucb_argmax(node, values, exploration)
+        value = _ucb_argmax(node, values)
         child = node.children[value]
         assignment[name] = value
         path.append(child)
@@ -184,14 +180,14 @@ def _select(
     return space.point(assignment), path
 
 
-def _ucb_argmax(node: _Node, values: tuple, exploration: float) -> Any:
+def _ucb_argmax(node: _Node, values: tuple) -> Any:
     """Highest-UCB child; ties break on candidate order (deterministic)."""
     log_parent = math.log(max(1, node.visits))
     best_value = values[0]
     best_score = -math.inf
     for value in values:
         child = node.children[value]
-        score = child.mean_reward + exploration * math.sqrt(
+        score = child.mean_reward + EXPLORATION * math.sqrt(
             log_parent / child.visits
         )
         if score > best_score:

@@ -198,15 +198,12 @@ class TuningSpace:
         """A full point from a (possibly partial) axis assignment."""
         return TuningPoint(**dict(assignment))
 
-    def sample(
-        self, rng: np.random.Generator, partial: Mapping[str, Any] | None = None
-    ) -> TuningPoint:
-        """Complete ``partial`` by seeded uniform choice per free axis."""
-        assignment = dict(partial or {})
-        for name, values in self.axes:
-            if name not in assignment:
-                assignment[name] = values[int(rng.integers(len(values)))]
-        return self.point(assignment)
+    def sample(self, rng: np.random.Generator) -> TuningPoint:
+        """A point by seeded uniform choice per axis."""
+        return self.point({
+            name: values[int(rng.integers(len(values)))]
+            for name, values in self.axes
+        })
 
     def to_list(self) -> list[list[Any]]:
         """JSON form: ``[[axis, [candidates...]], ...]``.

@@ -17,6 +17,14 @@ import numpy as np
 from repro.apps.sssp import INF
 from repro.graph.csr import CSRGraph
 
+#: Power-iteration settings of :func:`reference_pagerank`.
+PAGERANK_DAMPING = 0.85
+PAGERANK_ITERATIONS = 100
+PAGERANK_TOLERANCE = 1e-12
+
+#: Absolute tolerance of the betweenness comparison in :func:`validate_run`.
+BC_ATOL = 1e-8
+
 
 def reference_bfs(graph: CSRGraph, source: int) -> np.ndarray:
     """Textbook queue-based BFS levels (-1 = unreachable)."""
@@ -51,24 +59,19 @@ def reference_sssp(
     return dist
 
 
-def reference_pagerank(
-    graph: CSRGraph,
-    damping: float = 0.85,
-    iterations: int = 100,
-    tolerance: float = 1e-12,
-) -> np.ndarray:
+def reference_pagerank(graph: CSRGraph) -> np.ndarray:
     """Dense power iteration with uniform dangling redistribution."""
     n = graph.num_nodes
     degrees = graph.out_degrees().astype(np.float64)
     pr = np.full(n, 1.0 / n)
     coo = graph.to_coo()
-    for _ in range(iterations):
+    for _ in range(PAGERANK_ITERATIONS):
         nxt = np.zeros(n)
         for u, v in zip(coo.src.tolist(), coo.dst.tolist()):
-            nxt[v] += damping * pr[u] / degrees[u]
+            nxt[v] += PAGERANK_DAMPING * pr[u] / degrees[u]
         dangling = pr[degrees == 0].sum()
-        nxt += (1.0 - damping) / n + damping * dangling / n
-        if np.abs(nxt - pr).sum() < tolerance:
+        nxt += (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * dangling / n
+        if np.abs(nxt - pr).sum() < PAGERANK_TOLERANCE:
             pr = nxt
             break
         pr = nxt
@@ -130,7 +133,6 @@ def validate_run(
     source: int | None = None,
     *,
     weights: np.ndarray | None = None,
-    atol: float = 1e-8,
 ) -> None:
     """Assert that a run's outputs match the reference implementation.
 
@@ -153,7 +155,7 @@ def validate_run(
         _check_equal("dist", result["dist"], expected)
     elif app_name == "bc":
         expected = reference_betweenness_delta(graph, int(source))
-        _check_close("delta", result["delta"], expected, atol=atol)
+        _check_close("delta", result["delta"], expected, atol=BC_ATOL)
     else:
         raise ValueError(f"no reference implementation for {app_name!r}")
 

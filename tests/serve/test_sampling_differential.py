@@ -109,9 +109,6 @@ class TestSimulatorDifferential:
         requests = generate_queries(
             "g", serve_graph.num_nodes, 24,
             mix={"bfs": 0.3, "walk": 0.3, "sppr": 0.2, "khop": 0.2},
-            params={"walk": TEST_PARAMS["walk"],
-                    "sppr": TEST_PARAMS["sppr"],
-                    "khop": TEST_PARAMS["khop"]},
             seed=5,
         )
         arrivals = open_loop_arrivals(len(requests), rate_qps=100.0, seed=5)

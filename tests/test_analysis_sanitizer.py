@@ -13,9 +13,9 @@ import dataclasses
 import json
 
 import numpy as np
-import pytest
 
-from repro.analysis import FINDING_CODES, Finding, Sanitizer, SanitizerError
+from repro.analysis import FINDING_CODES, Finding, Sanitizer
+from repro.analysis.sanitizer import MAX_FINDINGS
 from repro.apps import BFSApp, PageRankApp
 from repro.cli import main
 from repro.core import SageScheduler, TraversalPipeline
@@ -90,10 +90,10 @@ class TestSeededHazards:
         assert "oob_edge_index" in _codes(found)
 
     def test_dtype_overflow_on_narrowed_batch(self):
-        # 8192 nodes: byte addresses at 8 B/value exceed int16's 32767
-        graph = rmat(13, edge_factor=2, seed=3)
+        # 16384 nodes: byte addresses at 4 B/value exceed int16's 32767
+        graph = rmat(14, edge_factor=2, seed=3)
         sanitizer = Sanitizer()
-        sanitizer.begin_run(graph, BFSApp(), value_bytes=8)
+        sanitizer.begin_run(graph, BFSApp())
         frontier = np.array([0], dtype=np.int64)
         degrees = np.array([1], dtype=np.int64)
         edge_dst = np.array([100], dtype=np.int16)
@@ -101,9 +101,9 @@ class TestSeededHazards:
         assert "dtype_overflow" in _codes(found)
 
     def test_wide_dtype_does_not_overflow(self):
-        graph = rmat(13, edge_factor=2, seed=3)
+        graph = rmat(14, edge_factor=2, seed=3)
         sanitizer = Sanitizer()
-        sanitizer.begin_run(graph, BFSApp(), value_bytes=8)
+        sanitizer.begin_run(graph, BFSApp())
         frontier = np.array([0], dtype=np.int64)
         degrees = np.array([1], dtype=np.int64)
         edge_dst = np.array([100], dtype=np.int64)
@@ -158,24 +158,13 @@ class TestSeededHazards:
         )
         assert "kernel_stats_inconsistent" in _codes(sanitizer.findings)
 
-    def test_fail_fast_raises(self, tiny_graph):
-        sanitizer = Sanitizer(fail_fast=True)
-        sanitizer.begin_run(tiny_graph, BFSApp())
-        with pytest.raises(SanitizerError, match="frontier_duplicates"):
-            sanitizer.check_level(
-                0,
-                np.array([1, 1], dtype=np.int64),
-                np.array([1, 1], dtype=np.int64),
-                np.array([2, 2], dtype=np.int64),
-            )
-
     def test_max_findings_caps_storage_not_counting(self, tiny_graph):
-        sanitizer = Sanitizer(max_findings=2)
+        sanitizer = Sanitizer()
         sanitizer.begin_run(tiny_graph, BFSApp())
-        for _ in range(5):
+        for _ in range(MAX_FINDINGS + 3):
             sanitizer.check_commit(np.array([0]), tiny_graph.num_nodes)
-        assert len(sanitizer.findings) == 2
-        assert sanitizer.total_findings == 5
+        assert len(sanitizer.findings) == MAX_FINDINGS
+        assert sanitizer.total_findings == MAX_FINDINGS + 3
         assert not sanitizer.clean
 
 

@@ -12,6 +12,7 @@ from repro.apps import (
     SSSPApp,
     synthetic_weights,
 )
+from repro.apps import labelprop
 from repro.apps.sssp import pair_weights
 from repro.core import SageScheduler, run_app
 from repro.errors import InvalidParameterError
@@ -128,7 +129,8 @@ class TestPageRank:
 
 class TestConnectedComponents:
     def test_matches_oracle_on_symmetric(self, rng):
-        g = gen.erdos_renyi(120, 1.2, seed=3, symmetric=True)
+        coo = gen.erdos_renyi(120, 1.2, seed=3).to_coo()
+        g = CSRGraph.from_edges(120, coo.src, coo.dst, dedup=True, symmetric=True)
         result = run(g, ConnectedComponentsApp())
         assert np.array_equal(result.result["component"],
                               components_oracle(g))
@@ -210,9 +212,8 @@ class TestLabelPropagation:
         assert labels[0] != labels[4]
 
     def test_fixpoint_terminates(self, web_graph):
-        app = LabelPropagationApp(max_iterations=50)
-        result = run(web_graph, app)
-        assert result.iterations <= 50
+        result = run(web_graph, LabelPropagationApp())
+        assert result.iterations <= labelprop.MAX_ITERATIONS
 
     def test_deterministic(self, skewed_graph):
         a = run(skewed_graph, LabelPropagationApp()).result["labels"]

@@ -1,13 +1,11 @@
 """Tests for the Ligra CPU runner and baseline-specific behaviours."""
 
 import numpy as np
-import pytest
 
 from repro.apps import BFSApp, PageRankApp
 from repro.baselines import LigraRunner
 from repro.baselines.ligra import DENSE_THRESHOLD
 from repro.core import SageScheduler, run_app
-from repro.errors import ConvergenceError
 from repro.graph import generators as gen
 from repro.gpusim.spec import CPUSpec
 from tests.conftest import bfs_oracle, pagerank_oracle
@@ -31,12 +29,6 @@ class TestLigra:
         cpu = LigraRunner().run(g, BFSApp(), 0)
         gpu = run_app(g, BFSApp(), SageScheduler(), source=0)
         assert cpu.seconds > gpu.seconds
-
-    def test_iteration_guard(self):
-        runner = LigraRunner()
-        g = gen.cycle_graph(50)
-        with pytest.raises(ConvergenceError):
-            runner.run(g, BFSApp(), 0, max_iterations=3)
 
     def test_dense_mode_discount(self):
         runner = LigraRunner(CPUSpec())

@@ -102,17 +102,15 @@ class TestHarnessRows:
                 assert 0 <= row[f"{app}_tp_pct"] <= 100
 
     def test_fig6(self):
-        rows = fig6_rows(TINY, num_sources=1, sage_checkpoints=(1,),
-                         apps=("bfs",))
-        assert len(rows) == 5
+        rows = fig6_rows(TINY, num_sources=1, sage_checkpoints=(1,))
+        assert len(rows) == 15
         assert {"original", "rcm", "llp", "gorder", "sage_1"} <= set(rows[0])
 
     def test_fig7(self):
-        rows = fig7_rows(TINY, num_sources=1, apps=("bfs",),
-                         with_gorder=False)
-        assert len(rows) == 5
-        assert {"ligra", "tpn", "b40c", "tigr", "gunrock", "sage"} <= \
-            set(rows[0])
+        rows = fig7_rows(TINY, num_sources=1)
+        assert len(rows) == 15
+        assert {"ligra", "tpn", "b40c", "tigr", "gunrock", "sage",
+                "tpn+gorder"} <= set(rows[0])
 
     def test_fig6_and_fig7_share_one_gorder_per_dataset(self, monkeypatch):
         from repro.bench import harness
@@ -129,8 +127,8 @@ class TestHarnessRows:
         monkeypatch.setattr(
             harness, "gorder_order", lambda graph: calls.append(graph) or gorder(graph)
         )
-        fig6_rows(TINY, num_sources=1, sage_checkpoints=(1,), apps=("bfs",))
-        fig7_rows(TINY, num_sources=1, apps=("bfs",))
+        fig6_rows(TINY, num_sources=1, sage_checkpoints=(1,))
+        fig7_rows(TINY, num_sources=1)
         assert len(calls) == len(suite)
         assert {id(graph) for graph in calls} == {
             id(ds.graph) for ds in datasets.full_suite(TINY)
@@ -145,8 +143,7 @@ class TestHarnessRows:
         assert {"gunrock_1gpu", "gunrock_2gpu", "sage_2gpu"} <= set(rows[0])
 
     def test_fig10(self):
-        rows = fig10_rows(TINY, num_sources=1, apps=("bfs",),
-                          reorder_rounds=1)
+        rows = fig10_rows(TINY, num_sources=1, reorder_rounds=1)
         for row in rows:
             assert {"base", "+tp", "+tp+rts", "+tp+rts+sr"} <= set(row)
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.apps import BFSApp
 from repro.core import SageScheduler, run_app
-from repro.errors import GraphFormatError, InvalidParameterError
+from repro.errors import GraphFormatError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.dynamic import AUTO_FLUSH_THRESHOLD, DynamicGraph
 from tests.conftest import bfs_oracle
 
 
@@ -54,9 +54,11 @@ class TestDynamicGraph:
         assert not g.has_edge(0, 1)
 
     def test_auto_flush(self, tiny_graph):
-        dyn = DynamicGraph(tiny_graph, auto_flush_threshold=3)
-        dyn.insert_edges(np.array([1, 2]), np.array([0, 1]))
-        assert dyn.pending_updates == 2
+        dyn = DynamicGraph(tiny_graph)
+        below = AUTO_FLUSH_THRESHOLD - 1
+        dyn.insert_edges(np.ones(below, dtype=np.int64),
+                         np.zeros(below, dtype=np.int64))
+        assert dyn.pending_updates == below
         dyn.insert_edges(np.array([3]), np.array([2]))
         assert dyn.pending_updates == 0  # crossed the threshold
         assert dyn.merges == 1
@@ -75,8 +77,6 @@ class TestDynamicGraph:
             dyn.insert_edges(np.array([0]), np.array([99]))
         with pytest.raises(GraphFormatError):
             dyn.insert_edges(np.array([0, 1]), np.array([0]))
-        with pytest.raises(InvalidParameterError):
-            DynamicGraph(tiny_graph, auto_flush_threshold=0)
 
     def test_traversal_after_updates_correct(self):
         g = gen.power_law_configuration(200, 2.0, 5.0, seed=3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.tiling import decompose_frontier
 from repro.errors import InvalidParameterError
 from repro.gpusim.events import (
+    CYCLES_PER_EDGE,
     MakespanSimulator,
     Task,
     tasks_from_decomposition,
@@ -139,9 +140,9 @@ class TestDecompositionTasks:
     def test_tasks_cover_edges(self):
         degrees = np.array([500, 3, 77, 0, 1000])
         decomp = decompose_frontier(degrees, 256, 8)
-        tasks = tasks_from_decomposition(decomp, cycles_per_edge=2.0)
+        tasks = tasks_from_decomposition(decomp)
         assert sum(t.duration_cycles for t in tasks) == pytest.approx(
-            2.0 * degrees.sum()
+            CYCLES_PER_EDGE * degrees.sum()
         )
 
     def test_skewed_frontier_benefits_from_stealing(self):

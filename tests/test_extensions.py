@@ -19,11 +19,13 @@ from repro.core import (
     direction_optimized_bfs,
     run_app,
 )
+from repro.analysis import Sanitizer
 from repro.errors import InvalidParameterError
 from repro.graph import CompressedCSRGraph, generators as gen
 from repro.graph.compressed import _decode_varints, _encode_varints
 from repro.graph.csr import CSRGraph
 from repro.gpusim import GPUSpec, replay_cache_trace
+from repro.obs import MetricsRegistry
 from tests.conftest import bfs_oracle, to_networkx
 
 
@@ -252,6 +254,29 @@ class TestCompressedGraph:
         )
         assert comp.profiler.csr_sector_touches < \
             plain.profiler.csr_sector_touches
+
+    def test_wrapped_scheduler_keeps_registry_and_sanitizer(self):
+        def run(wrap):
+            graph = gen.rmat(10, 8, seed=3)
+            scheduler = SageScheduler()
+            if wrap:
+                scheduler = CompressedTraversalScheduler(
+                    scheduler, CompressedCSRGraph.from_csr(graph))
+            metrics, sanitizer = MetricsRegistry(), Sanitizer()
+            calls = []
+            check = sanitizer.check_work_units
+            sanitizer.check_work_units = lambda *a: calls.append(a) or check(*a)
+            run_app(graph, BFSApp(), scheduler, source=0, metrics=metrics,
+                    sanitizer=sanitizer)
+            counters = metrics.report()["counters"]
+            return {k: v for k, v in counters.items()
+                    if k.startswith("sage.")}, calls
+
+        plain, plain_calls = run(wrap=False)
+        wrapped, wrapped_calls = run(wrap=True)
+        assert plain["sage.tiles"] > 0 and plain["sage.node_tables_built"] == 1
+        assert wrapped == plain
+        assert wrapped_calls == plain_calls != []
 
 
 class TestTraceReplay:

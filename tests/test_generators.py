@@ -131,8 +131,6 @@ class TestRandomFamilies:
     def test_rmat_validation(self):
         with pytest.raises(InvalidParameterError):
             gen.rmat(0, 4)
-        with pytest.raises(InvalidParameterError):
-            gen.rmat(4, 4, a=0.6, b=0.3, c=0.2)
 
     def test_web_hierarchy_locality(self):
         g = gen.web_hierarchy(500, 8.0, seed=7, locality=0.9, span=20)

@@ -34,7 +34,7 @@ APPS = [
     ("pr", lambda: PageRankApp(max_iterations=8), False),
     ("cc", ConnectedComponentsApp, False),
     ("sssp", SSSPApp, True),
-    ("lp", lambda: LabelPropagationApp(max_iterations=8), False),
+    ("lp", LabelPropagationApp, False),
 ]
 
 SCHEDULERS = [
@@ -82,8 +82,7 @@ def test_out_of_core_matrix(app_name, app_factory, needs_source, graphs):
     graph = graphs["ljournal"]
     source = 1 if needs_source else None
     expected = reference(app_factory, graph, source)
-    for runner_factory in (SubwayRunner, SageOutOfCoreRunner):
-        runner = runner_factory(device_fraction=0.3)
+    for runner in (SubwayRunner(), SageOutOfCoreRunner(device_fraction=0.3)):
         got = runner.run(graph, app_factory(), source).result
         assert_same_results(got, expected)
 

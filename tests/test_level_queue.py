@@ -29,7 +29,6 @@ from repro.core.tiling import NodeAccounting
 from repro.graph import generators as gen
 from repro.graph.compressed import CompressedCSRGraph
 from repro.gpusim.cost import KernelBatch, KernelCostModel
-from repro.gpusim.device import Device
 from repro.gpusim.streams import trace_seconds
 from repro.obs import MetricsRegistry
 from repro.obs.span import NullSpan
@@ -309,26 +308,6 @@ def test_a_commit_adds_its_kernel_to_its_level(graphs):
         assert span.values["iteration_seconds"] == trace_seconds(nodes)
         committed += "reorder_cycles" in span.values
     assert committed == run.reorder_commits
-
-
-def test_a_device_with_its_own_sanitizer_audits_every_level(graphs, monkeypatch):
-    graph = graphs["grid"]
-    sanitizer = Sanitizer()
-    audited = []
-    check = Sanitizer.check_kernel_batch
-
-    def spy(self, batch):
-        audited.extend(batch.active_edges.tolist())
-        return check(self, batch)
-
-    monkeypatch.setattr(Sanitizer, "check_kernel_batch", spy)
-    scheduler = SageScheduler()
-    device = Device(scheduler.spec, sanitizer=sanitizer)
-    got = TraversalPipeline(graph, scheduler, device).run(BFSApp(), 0)
-    want = TraversalPipeline(graph, SageScheduler()).run(BFSApp(), 0)
-    assert len(audited) == got.iterations
-    assert sanitizer.clean
-    assert_same_run(got, want)
 
 
 def _bfs_levels(graph, source=0):

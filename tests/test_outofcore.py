@@ -90,28 +90,29 @@ class TestLayout:
 ])
 class TestRunners:
     def test_bfs_correct(self, runner_factory, skewed_graph):
-        runner = runner_factory(device_fraction=0.3)
+        runner = runner_factory()
         result = runner.run(skewed_graph, BFSApp(), 0)
         assert np.array_equal(result.result["dist"],
                               bfs_oracle(skewed_graph, 0))
 
     def test_transfer_accounting(self, runner_factory, skewed_graph):
-        runner = runner_factory(device_fraction=0.3)
+        runner = runner_factory()
         result = runner.run(skewed_graph, BFSApp(), 0)
         assert result.extras["transfer_seconds"] > 0
         assert result.extras["bytes_transferred"] > 0
         assert result.extras["requests"] >= 1
 
-    def test_device_fraction_validation(self, runner_factory):
-        with pytest.raises(InvalidParameterError):
-            runner_factory(device_fraction=0.0)
 
 
 class TestComparativeBehavior:
+    def test_device_fraction_validation(self):
+        with pytest.raises(InvalidParameterError):
+            SageOutOfCoreRunner(device_fraction=0.0)
+
     def test_um_issues_most_requests(self, skewed_graph):
-        um = OnDemandUMRunner(device_fraction=0.3)
+        um = OnDemandUMRunner()
         um_result = um.run(skewed_graph, BFSApp(), 0)
-        subway = SubwayRunner(device_fraction=0.3)
+        subway = SubwayRunner()
         subway_result = subway.run(skewed_graph, BFSApp(), 0)
         assert um_result.extras["requests"] > subway_result.extras["requests"]
 

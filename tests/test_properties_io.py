@@ -52,13 +52,13 @@ class TestLocality:
         g = CSRGraph.from_edges(
             10, np.zeros(8, dtype=int), np.arange(1, 9)
         )
-        assert sector_span(g, 8) == pytest.approx(2.0)
+        assert sector_span(g) == pytest.approx(2.0)
 
     def test_sector_span_scattered(self):
         g = CSRGraph.from_edges(
             100, np.zeros(5, dtype=int), np.array([0, 20, 40, 60, 80])
         )
-        assert sector_span(g, 8) == pytest.approx(5.0)
+        assert sector_span(g) == pytest.approx(5.0)
 
     def test_sector_span_empty(self):
         g = CSRGraph.from_edges(4, np.array([], dtype=int),
@@ -70,7 +70,7 @@ class TestLocality:
             20, np.array([0, 0, 1, 1]), np.array([0, 1, 8, 16])
         )
         # node 0: one sector; node 1: two sectors -> average 1.5
-        assert sector_span(g, 8) == pytest.approx(1.5)
+        assert sector_span(g) == pytest.approx(1.5)
 
 
 class TestEdgeListIO:
@@ -81,16 +81,10 @@ class TestEdgeListIO:
         assert back.num_nodes == tiny_graph.num_nodes
         assert np.array_equal(back.targets, tiny_graph.targets)
 
-    def test_read_with_explicit_num_nodes(self, tmp_path, tiny_graph):
-        path = tmp_path / "graph.txt"
-        io.write_edge_list(tiny_graph, path)
-        back = io.read_edge_list(path, num_nodes=9)
-        assert back.num_nodes == 9
-
     def test_read_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
-        g = io.read_edge_list(path, num_nodes=3)
+        g = io.read_edge_list(path)
         assert g.num_edges == 0
 
     def test_comments_skipped(self, tmp_path):

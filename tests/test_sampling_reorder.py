@@ -119,7 +119,7 @@ class TestReorderer:
             community_count=12, community_bias=0.9, scramble_ids=True,
         )
         spec = GPUSpec()
-        before = sector_span(g, spec.sector_width)
+        before = sector_span(g)
         r = SamplingReorderer(g.num_nodes, spec,
                               threshold_edges=g.num_edges, seed=1)
         current = g
@@ -131,7 +131,7 @@ class TestReorderer:
             outcome = r.compute_round()
             if not outcome.is_identity:
                 current = current.permute(outcome.perm)
-        after = sector_span(current, spec.sector_width)
+        after = sector_span(current)
         assert after < before * 0.98
 
     def test_ready_respects_threshold(self):

@@ -31,7 +31,7 @@ class TestRunQuerySession:
     @pytest.fixture(scope="class")
     def traces(self):
         graph = datasets.ljournal_like(0.1).graph
-        return run_query_session(graph, 6, seed=3, sage_adapt_rounds=1)
+        return run_query_session(graph, 6, seed=3)
 
     def test_all_profiles_present(self, traces):
         assert set(traces) == {"sage", "gorder+gunrock", "tigr"}

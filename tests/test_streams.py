@@ -236,7 +236,7 @@ class TestReplayEquality:
         assert trace_seconds([]) == replay_seconds(_FakeRun([])) == 0.0
 
     def test_prefetch_only_shortens(self, graph):
-        runner = SubwayRunner(device_fraction=0.25)
+        runner = SubwayRunner()
         result = runner.run(graph, BFSApp(), 0)
         base = trace_seconds(result.node_trace)
         for depth in (1, 2, 4):

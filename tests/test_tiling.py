@@ -31,26 +31,26 @@ class TestDecomposeDegree:
     def test_paper_example_red_thread(self):
         # Figure 3: degree 34, block 16, min tile 8:
         # two tiles of 16 and a fragment of 2
-        parts = decompose_degree(34, 16, 8)
+        parts = decompose_degree(34, 16)
         assert parts == [(0, 16), (16, 16), (32, 2)]
 
     def test_paper_example_orange_thread(self):
         # degree 27 -> 16 + 8 + fragment 3
-        parts = decompose_degree(27, 16, 8)
+        parts = decompose_degree(27, 16)
         assert parts == [(0, 16), (16, 8), (24, 3)]
 
     def test_zero_degree(self):
-        assert decompose_degree(0, 256, 8) == []
+        assert decompose_degree(0, 256) == []
 
     def test_fragment_only(self):
-        assert decompose_degree(5, 256, 8) == [(0, 5)]
+        assert decompose_degree(5, 256) == [(0, 5)]
 
     def test_exact_block(self):
-        assert decompose_degree(256, 256, 8) == [(0, 256)]
+        assert decompose_degree(256, 256) == [(0, 256)]
 
     def test_binary_digits(self):
         # 256 + 64 + 8 + 3
-        parts = decompose_degree(331, 256, 8)
+        parts = decompose_degree(331, 256)
         sizes = [s for _, s in parts]
         assert sizes == [256, 64, 8, 3]
 
@@ -60,7 +60,7 @@ class TestDecomposeFrontier:
         degrees = np.array([34, 27, 11, 9, 1, 0, 300])
         decomp = decompose_frontier(degrees, 16, 8)
         for i, d in enumerate(degrees):
-            expected = decompose_degree(int(d), 16, 8)
+            expected = decompose_degree(int(d), 16)
             tiles = [
                 (int(o), int(s)) for o, s in zip(
                     decomp.tile_local_offsets[decomp.tile_frontier_idx == i],

@@ -50,11 +50,9 @@ class TestCanonicalJson:
 
 
 class TestMatching:
-    def test_matches_fingerprint_and_app(self, profile):
+    def test_matches_fingerprint(self, profile):
         assert profile.matches(profile.graph_fingerprint)
-        assert profile.matches(profile.graph_fingerprint, profile.apps[0])
         assert not profile.matches("0" * 16)
-        assert not profile.matches(profile.graph_fingerprint, "ppr")
 
     def test_fingerprint_invalidation(self, profile, tiny_workload):
         # A regenerated graph (epoch bump, generator edit) changes the

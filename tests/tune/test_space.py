@@ -94,12 +94,6 @@ class TestTuningSpace:
         ]
         assert runs[0] == runs[1]
 
-    def test_sample_respects_partial_assignment(self, tiny_space):
-        point = tiny_space.sample(
-            np.random.default_rng(0), {"routing": "round_robin"}
-        )
-        assert point.routing == "round_robin"
-
     def test_list_form_survives_key_sorting_serializers(self, tiny_space):
         # Axis order is the search DAG's level order; a sort_keys dump of
         # the list-of-pairs form must round-trip to the same order.
