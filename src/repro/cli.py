@@ -207,39 +207,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     sanitizer = None
     if args.scheduler == "ligra":
         result = LigraRunner().run(graph, app, source)
-        scheduler_name = result.scheduler_name
-        values = result.result
-        seconds, gteps = result.seconds, result.gteps
-        iterations = result.iterations
-        edges_traversed = result.edges_traversed
-        reorder_commits = result.reorder_commits
-        profiler = result.profiler
     else:
         run = api.run(graph, app, source=source, scheduler=args.scheduler,
                       checks=sanitize, metrics=metrics)
-        scheduler_name = run.scheduler
-        values = run.values
-        seconds, gteps = run.seconds, run.gteps
-        iterations = run.iterations
-        edges_traversed = run.edges_traversed
-        reorder_commits = run.reorder_commits
-        profiler = run.profiler
-        sanitizer = run.checks
-    print(f"{args.app} on {graph} with {scheduler_name}"
+        result, sanitizer = run.raw, run.checks
+    print(f"{args.app} on {graph} with {result.scheduler_name}"
           + (f" from source {source}" if source is not None else ""))
-    print(f"  simulated time   {seconds * 1e3:10.4f} ms")
-    print(f"  iterations       {iterations:10d}")
-    print(f"  edges traversed  {edges_traversed:10d}")
-    print(f"  traversal speed  {gteps:10.3f} GTEPS")
-    if reorder_commits:
-        print(f"  reorder commits  {reorder_commits:10d}")
+    print(f"  simulated time   {result.seconds * 1e3:10.4f} ms")
+    print(f"  iterations       {result.iterations:10d}")
+    print(f"  edges traversed  {result.edges_traversed:10d}")
+    print(f"  traversal speed  {result.gteps:10.3f} GTEPS")
+    if result.reorder_commits:
+        print(f"  reorder commits  {result.reorder_commits:10d}")
     if args.profile:
         print("profile:")
-        for line in profiler.format_summary().splitlines():
+        for line in result.profiler.format_summary().splitlines():
             print(f"  {line}")
     if args.validate:
         from repro.validate import validate_run
-        validate_run(graph, args.app, values, source,
+        validate_run(graph, args.app, result.result, source,
                      weights=getattr(app, "weights", None))
         print("  validation: results match the reference implementation")
     if args.emit_metrics:
@@ -247,9 +233,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         # The registry mirrors the run's profiler exactly (the ligra
         # path has no pipeline instrumentation, so fold it here; the
         # snapshot semantics make this a no-op for instrumented paths).
-        metrics.fold_profiler(profiler)
-        metrics.set_gauge("run.simulated_seconds", seconds)
-        metrics.set_gauge("run.gteps", gteps)
+        metrics.fold_profiler(result.profiler)
+        metrics.set_gauge("run.simulated_seconds", result.seconds)
+        metrics.set_gauge("run.gteps", result.gteps)
         out = write_json(metrics, args.emit_metrics)
         print(f"  metrics exported to {out}")
     if sanitizer is not None:

@@ -8,11 +8,14 @@ in-edges and adopts the level if any in-neighbor is a frontier member),
 which touches each unvisited node once instead of once per incoming
 frontier edge.
 
-Both directions run through the same scheduler/cost machinery: push
-iterations expand the forward CSR, pull iterations expand the transpose,
-so SAGE's tiles and stealing apply unchanged.  A pull iteration may stop
-scanning a node's in-edges at the first frontier hit; the cost model
-reflects that with an expected early-exit factor.
+The traversal is a :class:`BFSApp` on :func:`~repro.core.pipeline.run_levels`;
+only the price of a level depends on its direction.  Both directions
+run through the same scheduler/cost machinery: a push level is the
+kernel over the forward CSR the loop expanded, a pull level a kernel
+over the transpose, so SAGE's tiles and stealing apply unchanged.  A
+pull iteration may stop scanning a node's in-edges at the first
+frontier hit; the cost model reflects that with an expected early-exit
+factor.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.bfs import UNVISITED
-from repro.core.pipeline import MAX_ITERATIONS, RunResult
+from repro.apps.base import App
+from repro.apps.bfs import UNVISITED, BFSApp
+from repro.core.pipeline import MAX_ITERATIONS, Level, LevelPricer, RunResult, run_levels
 from repro.core.scheduler import Scheduler
-from repro.errors import ConvergenceError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cost import KernelStats
+from repro.gpusim.cost import KernelBatch, KernelStats
 from repro.gpusim.device import Device
-from repro.gpusim.streams import TraceNode, trace_seconds
+from repro.gpusim.streams import TraceNode
+from repro.obs.span import NullSpan, Span
 
 #: push -> pull when frontier out-edges exceed |E| / ALPHA (Beamer's
 #: heuristic; 14 in the original paper, smaller here because the scaled
@@ -73,8 +78,12 @@ def direction_optimized_bfs(
 ) -> tuple[RunResult, HybridStats]:
     """BFS with per-iteration push/pull direction selection.
 
+    A :class:`BFSApp` runs on :func:`~repro.core.pipeline.run_levels`;
+    a :class:`_DirectionPricer` prices each level as a push or a pull
+    kernel.
+
     Args:
-        graph: input graph (its transpose is built once up front).
+        graph: input graph (its transpose is built once per run).
         scheduler_factory: zero-arg callable producing a fresh
             :class:`~repro.core.scheduler.Scheduler`; separate instances
             drive the push (forward CSR) and pull (transpose) kernels.
@@ -85,90 +94,80 @@ def direction_optimized_bfs(
         ``(RunResult, HybridStats)`` — the result's ``dist`` matches a
         plain BFS exactly; only the traversal cost differs.
     """
-    if not 0 <= source < graph.num_nodes:
-        raise InvalidParameterError(f"source {source} out of range")
-    if config is None:
-        config = HybridConfig()
-    alpha_threshold = config.alpha
-    beta_threshold = config.beta
-    reverse = graph.reversed()
-    push_scheduler = scheduler_factory()
-    pull_scheduler = scheduler_factory()
-    push_scheduler.reset(graph)
-    pull_scheduler.reset(reverse)
-    device = Device(push_scheduler.spec)
+    pricer = _DirectionPricer(scheduler_factory, config or HybridConfig())
+    result = run_levels(pricer, graph, BFSApp(), source, MAX_ITERATIONS)
+    return result, HybridStats(pricer.pushes, pricer.pulls)
 
-    n = graph.num_nodes
-    dist = np.full(n, UNVISITED, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    edges_traversed = 0
-    pushes = 0
-    pulls = 0
-    out_degrees = graph.out_degrees()
-    trace: list[TraceNode] = []
 
-    class _CostProbe:
-        """Minimal App stand-in for the schedulers' cost interface."""
+class _DirectionPricer(LevelPricer):
+    """Prices each BFS level as a push kernel on the graph or, when the
+    frontier is dense and many nodes are unvisited (Beamer's rule), a
+    pull kernel on its transpose.
 
-        uses_atomics = False
-        value_access_factor = 1.0
-        edge_compute_factor = 1.0
+    The level's functional step is the app's push filter either way: a
+    pull adopts exactly the unvisited nodes a push reaches.  The run's
+    edges are the ones its kernels scan, and its kernels are scored with
+    one ``Device.run_kernels`` call at convergence.
+    """
 
-    probe = _CostProbe()
+    def __init__(self, scheduler_factory, config: HybridConfig) -> None:
+        self.config = config
+        self.push = scheduler_factory()
+        self.pull = scheduler_factory()
+        self.name = f"{self.push.name}+dirop"
+        self.pushes = 0
+        self.pulls = 0
 
-    while frontier.size:
-        if level >= MAX_ITERATIONS:
-            raise ConvergenceError("BFS exceeded iteration bound")
-        frontier_edges = int(out_degrees[frontier].sum())
-        unvisited = np.flatnonzero(dist == UNVISITED)
-        use_pull = (
+    def start(self, graph: CSRGraph, app: BFSApp) -> None:
+        self.reverse = graph.reversed()
+        self.push.reset(graph)
+        self.pull.reset(self.reverse)
+        self.device = Device(self.push.spec)
+        self.edges = 0
+        # Level i's kernel, a batch of one, until the run is scored.
+        self._batches: list[KernelBatch] = []
+
+    def price(
+        self, graph: CSRGraph, app: BFSApp, level: Level, trace: list[TraceNode]
+    ) -> None:
+        unvisited = np.flatnonzero(app.dist == UNVISITED)
+        if (
             unvisited.size > 0
-            and frontier_edges > graph.num_edges / alpha_threshold
-            and unvisited.size > n / beta_threshold
-        )
-        if use_pull:
-            next_frontier, cost_edges, stats = _pull_level(
-                reverse, unvisited, dist, level, pull_scheduler, probe,
+            and level.edge_dst.size > graph.num_edges / self.config.alpha
+            and unvisited.size > graph.num_nodes / self.config.beta
+        ):
+            _, edges, stats = _pull_level(
+                self.reverse, unvisited, app.dist, level.index, self.pull, app
             )
-            pulls += 1
+            batch = self.pull.stack([stats])
+            self.pulls += 1
         else:
-            next_frontier, cost_edges, stats = _push_level(
-                graph, frontier, dist, push_scheduler, probe,
-            )
-            pushes += 1
-        trace.extend(device.kernel_nodes(device.run_kernel(stats), [level]))
-        edges_traversed += cost_edges
-        level += 1
-        dist[next_frontier] = level
-        frontier = next_frontier
+            edges = int(level.edge_dst.size)
+            batch = self.push.level_stats([level], graph, app)
+            self.pushes += 1
+        self.edges += edges
+        self._batches.append(batch)
 
-    result = RunResult(
-        app_name="bfs-hybrid",
-        scheduler_name=f"{push_scheduler.name}+dirop",
-        seconds=trace_seconds(trace),
-        iterations=level,
-        edges_traversed=edges_traversed,
-        result={"dist": dist},
-        profiler=device.profiler,
-        node_trace=trace,
-    )
-    return result, HybridStats(push_iterations=pushes, pull_iterations=pulls)
+    def post_level(
+        self,
+        graph: CSRGraph,
+        app: BFSApp,
+        frontier: np.ndarray,
+        level: Level,
+        trace: list[TraceNode],
+    ) -> tuple[CSRGraph, np.ndarray]:
+        if frontier.size == 0:
+            device = self.device
+            timing = device.run_kernels(KernelBatch.concat(self._batches))
+            trace.extend(device.kernel_nodes(timing, range(len(self._batches))))
+        return graph, frontier
 
-
-def _push_level(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    dist: np.ndarray,
-    scheduler: Scheduler,
-    probe,
-) -> tuple[np.ndarray, int, KernelStats]:
-    """Classic push expansion of one level, with its kernel's stats."""
-    _, edge_dst, _, degrees = graph.expand_level(frontier)
-    stats = scheduler.kernel_stats(frontier, degrees, edge_dst, graph, probe)
-    fresh = np.flatnonzero(dist[edge_dst] == UNVISITED)
-    return np.unique(edge_dst[fresh]), int(edge_dst.size), stats
+    def finish(
+        self, graph: CSRGraph, run_span: Span | NullSpan, result: RunResult
+    ) -> None:
+        result.app_name = "bfs-hybrid"
+        result.edges_traversed = self.edges
+        result.profiler = self.device.profiler
 
 
 def _pull_level(
@@ -177,7 +176,7 @@ def _pull_level(
     dist: np.ndarray,
     level: int,
     scheduler: Scheduler,
-    probe,
+    app: App,
 ) -> tuple[np.ndarray, int, KernelStats]:
     """Pull: unvisited nodes scan in-edges for a frontier parent; returns
     the adopters, the scanned edges and the kernel's stats.
@@ -200,7 +199,7 @@ def _pull_level(
     adopted_edges = int(degrees[adopted].sum())
     effective = scanned - adopted_edges // 2
     stats = scheduler.kernel_stats(
-        unvisited, degrees, edge_dst, reverse, probe
+        unvisited, degrees, edge_dst, reverse, app
     )
     scale = effective / max(1, scanned)
     stats.active_edges = int(stats.active_edges * scale)

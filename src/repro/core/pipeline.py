@@ -15,9 +15,14 @@ Runners differ only in what a level costs, which they supply as a
 scheduler kernel on one simulated device; self-adaptive schedulers may
 additionally commit a node reordering between levels, which it applies
 to the graph, the application state, the frontier and (transparently)
-the traversal's source.  The out-of-core, multi-GPU, Ligra and
+the traversal's source.  Direction-optimized BFS
+(:mod:`repro.core.hybrid`) prices a level as a push kernel or a pull
+kernel on the transpose.  The out-of-core, multi-GPU, Ligra and
 cache-trace runners price a level with link transfers, per-GPU kernels
-and an exchange, the CPU model, or an LRU replay instead.
+and an exchange, the CPU model, or an LRU replay instead.  Every kernel
+is scored by ``Device.run_kernels``: once per run at convergence
+in-core and in the hybrid, once per level out of core, and once per
+level and GPU across GPUs.
 """
 
 from __future__ import annotations
@@ -100,6 +105,8 @@ class LevelPricer:
     :meth:`price`, then :meth:`post_level` with the contracted next
     frontier, then (if recorded) :meth:`record_level`; and :meth:`finish`
     once, inside the span from :meth:`run_span`.  Only :meth:`price` has no default.
+    A pricer that scores each level's kernels as they run does so with
+    :meth:`_timed_kernel`, on a batch its scheduler built (and audited).
     """
 
     #: reported as ``RunResult.scheduler_name``.
@@ -151,11 +158,12 @@ class LevelPricer:
         """Complete ``result`` (device totals, extras) and report the run."""
 
     def _timed_kernel(
-        self, device: Device, stats, span_name: str, **attrs
+        self, device: Device, batch: KernelBatch, span_name: str, **attrs
     ) -> KernelBatchTiming:
-        """Run one kernel under a leaf span carrying its cost breakdown."""
+        """Score a batch of one kernel under a leaf span carrying its
+        cost breakdown."""
         with self.metrics.span(span_name, **attrs) as sp:
-            timing = device.run_kernel(stats)
+            timing = device.run_kernels(batch)
             for name, value in zip(KERNEL_SPAN_FIELDS, kernel_span_rows(timing)[0]):
                 sp.set(name, value)
         return timing
@@ -303,7 +311,7 @@ class TraversalPipeline(LevelPricer):
     ) -> None:
         self.graph = graph
         self.scheduler = scheduler
-        self.device = Device(scheduler.spec, sanitizer=sanitizer)
+        self.device = Device(scheduler.spec)
         self.max_iterations = max_iterations
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         # one sanitizer audits the run and its kernels

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from repro.gpusim.cost import (
     KernelBatch,
@@ -15,39 +14,27 @@ from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import GPUSpec
 from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancies
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.sanitizer import Sanitizer
-
 
 class Device:
     """One simulated GPU.
 
     Runners submit kernels as one :class:`KernelBatch` via
-    :meth:`run_kernels` (one :class:`KernelStats` via :meth:`run_kernel`
-    is a batch of one); the device scores them with its cost model and
+    :meth:`run_kernels`; the device scores them with its cost model and
     records them in a :class:`Profiler`.  It keeps no clock: a run's
     time is its node trace (:func:`~repro.gpusim.streams.trace_seconds`).
-    An attached :class:`~repro.analysis.sanitizer.Sanitizer` audits the
-    batch of one :meth:`run_kernel` stacks; it never affects timing.
+    It audits nothing: a scheduler audits the batches it builds
+    (:meth:`~repro.core.scheduler.Scheduler.audited`).
     """
 
-    def __init__(
-        self,
-        spec: GPUSpec | None = None,
-        *,
-        sanitizer: "Sanitizer | None" = None,
-    ) -> None:
+    def __init__(self, spec: GPUSpec | None = None) -> None:
         self.spec = spec or GPUSpec()
         self.cost_model = KernelCostModel(self.spec)
         self.profiler = Profiler()
-        self.sanitizer = sanitizer
 
     def run_kernel(self, stats: KernelStats) -> KernelBatchTiming:
-        """Execute one kernel: :meth:`run_kernels` on a batch of one."""
-        batch = KernelBatch.of([stats])
-        if self.sanitizer is not None:
-            self.sanitizer.check_kernel_batch(batch)
-        return self.run_kernels(batch)
+        """Execute one kernel: :meth:`run_kernels` on a batch of one.
+        Nothing in the library calls it; perfbench's tracer hooks it."""
+        return self.run_kernels(KernelBatch.of([stats]))
 
     def run_kernels(self, batch: KernelBatch) -> KernelBatchTiming:
         """Execute a queue of kernels, in row order, and record them in

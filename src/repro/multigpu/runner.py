@@ -120,11 +120,14 @@ class MultiGpuRunner(LevelPricer):
             if lo == hi:
                 continue
             edge_dst = level.edge_dst[edge_bounds[lo]:edge_bounds[hi]]
-            stats = self.schedulers[gpu].kernel_stats(
+            scheduler = self.schedulers[gpu]
+            stats = scheduler.kernel_stats(
                 frontier[lo:hi], level.degrees[lo:hi], edge_dst, graph, app
             )
             device = self.devices[gpu]
-            timing = self._timed_kernel(device, stats, "kernel", gpu=gpu)
+            timing = self._timed_kernel(
+                device, scheduler.stack([stats]), "kernel", gpu=gpu
+            )
             kernel, = device.kernel_nodes(timing, [level.index])
             gpu_seconds[gpu] = kernel.seconds
             gpu_kernels.append(kernel)

@@ -104,7 +104,7 @@ class _OutOfCoreBase(LevelPricer):
         )
 
     def start(self, graph: CSRGraph, app: App) -> None:
-        self._device = Device(self.scheduler.spec, sanitizer=self.sanitizer)
+        self._device = Device(self.scheduler.spec)
         self._layout = layout_for(graph, self.scheduler.spec)
         self.scheduler.set_metrics(self.metrics)
         self.scheduler.set_sanitizer(self.sanitizer)
@@ -117,11 +117,9 @@ class _OutOfCoreBase(LevelPricer):
         self, graph: CSRGraph, app: App, level: Level, trace: list[TraceNode]
     ) -> None:
         device = self._device
-        stats = self.scheduler.kernel_stats(
-            level.frontier, level.degrees, level.edge_dst, graph, app
-        )
         timing = self._timed_kernel(
-            device, stats, "kernel", kind="expand-filter",
+            device, self.scheduler.level_stats([level], graph, app),
+            "kernel", kind="expand-filter",
         )
         # Group keys are spaced by 2 to leave room for a serial tail
         # group (Subway's extraction scan).

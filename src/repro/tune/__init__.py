@@ -30,10 +30,6 @@ from repro.tune.workloads import (
     get_workload,
 )
 
-#: Feasibility bound (p95 within this factor of the default point's)
-#: the committed profiles were tuned under.
-SLO_FACTOR = 2.0
-
 __all__ = [
     "BENCH_WORKLOADS",
     "DEFAULT_SPACE",
@@ -71,9 +67,7 @@ def tune_workload(
     if isinstance(workload, str):
         workload = get_workload(workload)
     space = space if space is not None else DEFAULT_SPACE
-    evaluator = CostModelEvaluator(
-        workload, slo_factor=SLO_FACTOR, metrics=metrics
-    )
+    evaluator = CostModelEvaluator(workload, metrics=metrics)
     result = search(
         space, evaluator, budget=budget, seed=seed, metrics=metrics
     )

@@ -26,7 +26,7 @@ the knobs control: wider batch windows coalesce more queries per
 kernel, better thresholds and tile floors shrink each kernel, deeper
 in-flight windows overlap batches.  The counterweight is the feasibility
 guard: a point is **feasible** only if every response is OK and its
-p95 latency stays within ``slo_factor`` of the default point's p95,
+p95 latency stays within :data:`SLO_FACTOR` of the default point's p95,
 so the tuner may not buy device time by shedding queries or blowing
 the latency budget arbitrarily.
 
@@ -43,10 +43,13 @@ from repro.core.hybrid import direction_optimized_bfs
 from repro.serve.cluster import simulate_cluster_open_loop
 from repro.serve.request import QueryStatus
 from repro.tune.space import TuningPoint
+from repro.tune.workloads import TuningWorkload
 
 #: Replicas of the cluster every point is replayed on.
 NUM_REPLICAS = 2
-from repro.tune.workloads import TuningWorkload
+#: Feasibility bound: a point's p95 latency within this factor of the
+#: default point's.
+SLO_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,9 @@ class CostModelEvaluator:
         self,
         workload: TuningWorkload,
         *,
-        slo_factor: float = 2.5,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.workload = workload
-        self.slo_factor = slo_factor
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.graph = workload.build_graph()
         self.requests = workload.build_queries(self.graph)
@@ -148,7 +149,7 @@ class CostModelEvaluator:
             # This is the default point itself: it anchors the bound.
             self._default_p95 = report.latency_p95
         feasible = all_ok and (
-            report.latency_p95 <= self.slo_factor * self._default_p95
+            report.latency_p95 <= SLO_FACTOR * self._default_p95
         )
         cluster_seconds = (
             report.pipeline_busy_seconds

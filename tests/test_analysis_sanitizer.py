@@ -13,6 +13,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from repro.analysis import FINDING_CODES, Finding, Sanitizer
 from repro.analysis.sanitizer import MAX_FINDINGS
@@ -21,7 +22,6 @@ from repro.cli import main
 from repro.core import SageScheduler, TraversalPipeline
 from repro.graph.generators import rmat
 from repro.gpusim.cost import KernelBatch, KernelStats
-from repro.gpusim.device import Device
 from repro.obs import MetricsRegistry
 from tests.conftest import load_bench_trajectory
 
@@ -149,13 +149,15 @@ class TestSeededHazards:
             ("kernel_stats_inconsistent", "issued lanes (5) < active edges (10)")
         ]
 
-    def test_device_hook_audits_batches(self, tiny_graph):
+    def test_scheduler_stack_audits_batches(self, tiny_graph):
         sanitizer = _begin(tiny_graph, BFSApp())
-        device = Device(sanitizer=sanitizer)
-        device.run_kernel(
+        scheduler = SageScheduler()
+        scheduler.set_sanitizer(sanitizer)
+        scheduler.stack([
             KernelStats(active_edges=4, issued_lane_cycles=8,
                         concurrency_warps=0.0)
-        )
+        ])
+        assert sanitizer.kernels_checked == 1
         assert "kernel_stats_inconsistent" in _codes(sanitizer.findings)
 
     def test_max_findings_caps_storage_not_counting(self, tiny_graph):
@@ -196,15 +198,23 @@ class TestCleanRuns:
         assert sanitizer.clean, sanitizer.format_summary()
         assert result.iterations > 0
 
-    def test_out_of_core_run_is_clean(self, skewed_graph):
-        from repro.outofcore.runners import SageOutOfCoreRunner
+    @pytest.mark.parametrize("runner", ["sage-ooc", "subway"])
+    @pytest.mark.parametrize("app", ["bfs", "pr"])
+    def test_out_of_core_run_is_clean(self, skewed_graph, runner, app):
+        """Each level's kernel is audited once, by the scheduler that
+        built it."""
+        from repro.outofcore.runners import SageOutOfCoreRunner, SubwayRunner
 
         sanitizer = Sanitizer()
-        runner = SageOutOfCoreRunner(device_fraction=0.25)
-        runner.set_sanitizer(sanitizer)
-        runner.run(skewed_graph, BFSApp(), 0)
+        pricer = (SageOutOfCoreRunner(device_fraction=0.25) if runner == "sage-ooc"
+                  else SubwayRunner())
+        pricer.set_sanitizer(sanitizer)
+        result = pricer.run(
+            skewed_graph, BFSApp() if app == "bfs" else PageRankApp(max_iterations=5), 0
+        )
         assert sanitizer.clean, sanitizer.format_summary()
         assert sanitizer.levels_checked > 0
+        assert sanitizer.kernels_checked == result.iterations
 
 
 class TestZeroPerturbation:

@@ -17,7 +17,7 @@ from repro.apps.base import contract, relax
 from repro.apps.bfs import UNVISITED
 from repro.apps.incremental.repair import _AffectedConeApp
 from repro.core import SageScheduler
-from repro.core.hybrid import _pull_level, _push_level
+from repro.core.hybrid import _pull_level
 from repro.core.sampling import TileAccessSampler
 from repro.graph import generators as gen
 
@@ -183,13 +183,16 @@ def test_affected_cone(case, weighted):
 @settings(max_examples=30, deadline=None)
 @given(case=labeled_levels())
 def test_hybrid_push_and_pull(case):
+    """A hybrid BFS pushes with the app's own filter on ``run_levels``'
+    expansion, and pulls with ``_pull_level`` on the transpose."""
     graph, dist, frontier, _ = case
-    got_frontier, got_edges, _ = _push_level(
-        graph, frontier, dist, SageScheduler(), _Probe()
-    )
+    app = BFSApp()
+    app.setup(graph, 0)
+    app.dist, app._level = dist.copy(), 2
+    edge_src, edge_dst, _, _ = graph.expand_level(frontier)
     want_frontier, want_edges = push_mask_reference(graph, frontier, dist)
-    np.testing.assert_array_equal(got_frontier, want_frontier)
-    assert got_edges == want_edges
+    np.testing.assert_array_equal(app.process_level(edge_src, edge_dst), want_frontier)
+    assert edge_dst.size == want_edges
 
     reverse = graph.reversed()
     unvisited = np.flatnonzero(dist == UNVISITED)

@@ -8,8 +8,9 @@ makes its trace nodes.  Every row must equal the scalar formula
 ``time_kernel_reference``, bit for bit; scoring rows together must equal
 scoring each as its own batch of one; and the rows
 ``KernelStats.validate`` rejects must fail the batch when it is scored.  A
-``TraversalPipeline`` run scores its kernels with one ``run_kernels``
-call, sanitized or not.
+``TraversalPipeline`` run, sanitized or not, and a direction-optimized
+BFS score their kernels with one ``run_kernels`` call, and no runner
+calls ``run_kernel``.
 """
 
 import dataclasses
@@ -23,10 +24,12 @@ from repro import api
 from repro.analysis import Sanitizer
 from repro.apps import BFSApp
 from repro.core import SageScheduler, TraversalPipeline
+from repro.core.hybrid import direction_optimized_bfs
 from repro.errors import SchedulingError
 from repro.graph import generators
 from repro.gpusim import Device, GPUSpec, KernelStats
 from repro.gpusim.cost import KernelBatch, KernelCostModel
+from tests.test_runner_golden import GOLDEN, RUNNERS, fingerprint
 
 SPEC = GPUSpec()
 #: a batch column for each KernelStats field
@@ -319,3 +322,18 @@ def test_a_run_is_scored_with_one_run_kernels_call(monkeypatch):
     calls.clear()
     api.run(GRAPH, "pr", scheduler="gunrock")
     assert len(calls) == 1
+    calls.clear()
+    result, _ = direction_optimized_bfs(GRAPH, SageScheduler, 0)
+    assert calls == [result.iterations]
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_no_runner_calls_run_kernel(monkeypatch, runner):
+    """Every runner scores its kernels with ``run_kernels``, and its BFS
+    still reads its pin."""
+
+    def refuse(device, stats):
+        raise AssertionError("Device.run_kernel called")
+
+    monkeypatch.setattr(Device, "run_kernel", refuse)
+    assert fingerprint(runner, "bfs") == GOLDEN[runner, "bfs"]

@@ -45,6 +45,18 @@ class TestOutcome:
         assert result.speedup >= 1.0
         assert result.default.point == TuningPoint()
 
+    def test_a_default_built_evaluator_bounds_p95_at_slo_factor(self, tiny_workload):
+        """The bench's re-evaluation and the tuner judge a point by one
+        bound: a p95 2.4x the default's is out at ``SLO_FACTOR`` (2.0)."""
+        from repro.tune import evaluator as evaluation
+
+        tuner = CostModelEvaluator(tiny_workload)
+        default = tuner.default()
+        slow = tuner.evaluate(TuningPoint(batch_window=0.12))
+        ratio = slow.latency_p95 / default.latency_p95
+        assert evaluation.SLO_FACTOR == 2.0 < ratio < 2.5
+        assert slow.all_ok and not slow.feasible
+
     def test_trace_records_every_rollout(self, tiny_workload, tiny_space):
         result, _ = run_search(tiny_workload, tiny_space)
         assert [entry["rollout"] for entry in result.trace] == list(
