@@ -14,6 +14,10 @@ rows time the kernels of one mesh BFS, and of its first six levels,
 scored once as a run is (``KernelBatch.of``, one ``Device.run_kernels``
 and ``kernel_nodes``) against each kernel scored as its own batch of
 one (``Device.run_kernel``).
+The PageRank filter row scatters each node's share, computed once, with
+``np.add.at`` against ``rank_scatter_reference``, which divides once per
+edge; the PPR row times one full personalized PageRank level with each
+of the two scatters.
 The whole-graph level row times the 20 levels of one PageRank run, whose full frontiers
 share one expansion, the node table's column totals and one residency
 check, against the same run with every level expanded and priced by
@@ -56,7 +60,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.apps import BFSApp, PageRankApp
+from repro.apps import BFSApp, PageRankApp, PersonalizedPageRankApp, ppr
 from repro.apps.base import contract, relax
 from repro.apps.pagerank import rank_scatter, rank_scatter_reference
 from repro.core import SageScheduler, TraversalPipeline, sampling
@@ -260,7 +264,19 @@ def bench_pagerank_filter(rng, repeats: int, graph: CSRGraph) -> None:
     args = (pr_out, pr_in, out_degrees, 0.85, edge_src, edge_dst)
     new_s = _best_of(lambda: rank_scatter(*args), repeats)
     ref_s = _best_of(lambda: rank_scatter_reference(*args), repeats)
-    _row("pagerank filter", graph.num_edges, new_s, ref_s)
+    _row("pagerank filter (share per node)", graph.num_edges, new_s, ref_s)
+
+
+def bench_ppr_level(repeats: int, graph: CSRGraph) -> None:
+    # One full personalized PageRank level, with rank_scatter and with
+    # the per-edge rank_scatter_reference patched in.
+    app = PersonalizedPageRankApp()
+    app.setup(graph, 0)
+    edge_src, edge_dst, _, _ = graph.expand_level(app.initial_frontier())
+    new_s = _best_of(lambda: app.process_level(edge_src, edge_dst), repeats)
+    with mock.patch.object(ppr, "rank_scatter", rank_scatter_reference):
+        ref_s = _best_of(lambda: app.process_level(edge_src, edge_dst), repeats)
+    _row("ppr full level (share per node)", graph.num_edges, new_s, ref_s)
 
 
 def bench_run_scoring(repeats: int, graph: CSRGraph) -> None:
@@ -411,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
     bench_coo_sort(rng, repeats, 125_000 * scale)
     graph = rmat(12 if args.quick else 15, 8, seed=11)
     bench_expand(rng, repeats, graph)
-    bench_pagerank_filter(rng, repeats, graph)
+    bench_pagerank_filter(rng, max(repeats, 20), graph)
+    bench_ppr_level(max(repeats, 20), graph)
     side = 48 if args.quick else 112
     bench_run_scoring(repeats, grid_2d(side, side))
     pagerank_graph = rmat(10 if args.quick else 15, 8, seed=0)

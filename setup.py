@@ -8,5 +8,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    install_requires=["numpy>=1.25", "scipy>=1.9"],
 )

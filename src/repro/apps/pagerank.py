@@ -30,16 +30,15 @@ def rank_scatter(
 
     Each node's share is computed once and gathered per edge.  Dangling
     nodes' shares divide by zero but own no edges, so none is gathered.
-    ``bincount`` adds in edge order, as ``np.add.at`` does, so the sums
-    are bit-identical to :func:`rank_scatter_reference`.  ``bincount``
-    returns int64 for a level without edges, so its result is written
-    into ``pr_out`` rather than rebound.
+    ``np.add.at`` adds each bin's edges in edge order, starting from the
+    zero written in place, so the sums are bit-identical to
+    :func:`rank_scatter_reference`.  Personalized PageRank scatters with
+    it as is, and pull PageRank with the transpose's edge arrays swapped.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         share = damping * pr_in / out_degrees
-    pr_out[:] = np.bincount(
-        edge_dst, weights=share[edge_src], minlength=pr_out.size
-    )
+    pr_out[:] = 0.0
+    np.add.at(pr_out, edge_dst, share[edge_src])
 
 
 def rank_scatter_reference(
@@ -50,9 +49,8 @@ def rank_scatter_reference(
     edge_src: np.ndarray,
     edge_dst: np.ndarray,
 ) -> None:
-    """:func:`rank_scatter` as one contribution per edge added with
-    ``np.add.at`` (the pre-bincount formulation), kept as the
-    equivalence-test reference."""
+    """:func:`rank_scatter` dividing once per edge instead of once per
+    node, kept as the equivalence-test reference."""
     pr_out[:] = 0.0
     contributions = damping * pr_in[edge_src] / out_degrees[edge_src]
     np.add.at(pr_out, edge_dst, contributions)

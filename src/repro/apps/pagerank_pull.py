@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import App
+from repro.apps.pagerank import rank_scatter
 from repro.graph.csr import CSRGraph
 
 #: Damping factor of the ranked random walk.
@@ -43,6 +44,7 @@ class PageRankPullApp(App):
         self.tolerance = tolerance
         self.pr: np.ndarray | None = None
         self._out_degrees: np.ndarray | None = None
+        self._dangling: np.ndarray | None = None
         self._iteration = 0
         self._all_nodes: np.ndarray | None = None
 
@@ -55,6 +57,7 @@ class PageRankPullApp(App):
         self._out_degrees = np.bincount(
             graph.targets, minlength=n
         ).astype(np.float64)
+        self._dangling = np.flatnonzero(self._out_degrees == 0)
         self._iteration = 0
         self._all_nodes = np.arange(n, dtype=np.int64)
 
@@ -70,14 +73,16 @@ class PageRankPullApp(App):
     ) -> np.ndarray:
         assert self.pr is not None and self._out_degrees is not None
         assert self.graph is not None and self._all_nodes is not None
+        assert self._dangling is not None
         n = self.graph.num_nodes
         # transpose edge (v -> u) == original edge (u -> v): node v
         # gathers contribution pr[u] / outdeg[u].
-        contributions = np.zeros(n, dtype=np.float64)
-        gathered = DAMPING * self.pr[edge_dst] \
-            / self._out_degrees[edge_dst]
-        np.add.at(contributions, edge_src, gathered)
-        dangling_mass = self.pr[self._out_degrees == 0].sum()
+        contributions = np.empty(n, dtype=np.float64)
+        rank_scatter(
+            contributions, self.pr, self._out_degrees, DAMPING,
+            edge_dst, edge_src,
+        )
+        dangling_mass = self.pr[self._dangling].sum()
         contributions += (
             (1.0 - DAMPING) / n + DAMPING * dangling_mass / n
         )
@@ -87,6 +92,12 @@ class PageRankPullApp(App):
         if delta < self.tolerance or self._iteration >= self.max_iterations:
             return np.empty(0, dtype=np.int64)
         return self._all_nodes
+
+    def remap_nodes(self, perm: np.ndarray) -> None:
+        super().remap_nodes(perm)
+        if self._out_degrees is not None:
+            # ascending new ids, the order a boolean mask sums in
+            self._dangling = np.flatnonzero(self._out_degrees == 0)
 
     def result(self) -> dict[str, np.ndarray]:
         assert self.pr is not None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import App
+from repro.apps.pagerank import rank_scatter
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 
@@ -39,6 +40,7 @@ class PersonalizedPageRankApp(App):
         self.scores: np.ndarray | None = None
         self._next: np.ndarray | None = None
         self._out_degrees: np.ndarray | None = None
+        self._dangling: np.ndarray | None = None
         self._source: int | None = None
         self._iteration = 0
         self._all_nodes: np.ndarray | None = None
@@ -55,6 +57,7 @@ class PersonalizedPageRankApp(App):
         self.scores[source] = 1.0
         self._next = np.zeros(n, dtype=np.float64)
         self._out_degrees = graph.out_degrees().astype(np.float64)
+        self._dangling = np.flatnonzero(self._out_degrees == 0)
         self._iteration = 0
         self._all_nodes = np.arange(n, dtype=np.int64)
 
@@ -70,15 +73,13 @@ class PersonalizedPageRankApp(App):
     ) -> np.ndarray:
         assert self.scores is not None and self._next is not None
         assert self._out_degrees is not None and self._source is not None
-        assert self._all_nodes is not None
-        self._next[:] = 0.0
-        contributions = (
-            self.damping * self.scores[edge_src]
-            / self._out_degrees[edge_src]
+        assert self._all_nodes is not None and self._dangling is not None
+        rank_scatter(
+            self._next, self.scores, self._out_degrees, self.damping,
+            edge_src, edge_dst,
         )
-        np.add.at(self._next, edge_dst, contributions)
         # restart: the teleport share and all dangling mass return home
-        dangling = self.scores[self._out_degrees == 0].sum()
+        dangling = self.scores[self._dangling].sum()
         self._next[self._source] += (
             (1.0 - self.damping) + self.damping * dangling
         )
@@ -97,3 +98,6 @@ class PersonalizedPageRankApp(App):
         super().remap_nodes(perm)
         if self._source is not None:
             self._source = int(perm[self._source])
+        if self._out_degrees is not None:
+            # ascending new ids, the order a boolean mask sums in
+            self._dangling = np.flatnonzero(self._out_degrees == 0)

@@ -624,7 +624,10 @@ class TestExpandFrontierAliasing:
 
 
 class TestRankScatterEquivalence:
-    """PageRank's bincount filter against its ``np.add.at`` reference."""
+    """PageRank's filter, one share per node scattered with ``np.add.at``,
+    against its reference, which divides once per edge.  The outputs
+    start as NaN, so an entry the in-place zeroing skips shows, on an
+    edgeless level too."""
 
     @settings(max_examples=150, deadline=None)
     @given(csr_graphs(), st.sampled_from(FRONTIER_KINDS), st.floats(0.05, 0.95))
