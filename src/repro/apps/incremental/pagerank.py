@@ -170,10 +170,6 @@ class IncrementalPageRank(IncrementalEngine):
         """Current estimate (see :meth:`error_bound` for its quality)."""
         return self._p.copy()
 
-    def result(self) -> dict[str, np.ndarray]:
-        """Result dict shaped like the full app's (for oracles/caches)."""
-        return {"pagerank": self.pagerank}
-
     def error_bound(self) -> float:
         """Computed certificate: ``|p - pagerank*|_1`` is at most this.
 

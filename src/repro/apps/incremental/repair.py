@@ -190,10 +190,6 @@ class _IncrementalDistanceEngine(IncrementalEngine):
             return self._dist.copy()
         return np.where(self._dist >= INF, np.int64(-1), self._dist)
 
-    def result(self) -> dict[str, np.ndarray]:
-        """Result dict shaped like the full app's (for oracles/caches)."""
-        return {"dist": self.distances}
-
     # -- solves ----------------------------------------------------------
 
     def _full_app(self) -> App:

@@ -129,8 +129,3 @@ class PageRankApp(App):
     def result(self) -> dict[str, np.ndarray]:
         assert self.pr_in is not None
         return {"pagerank": self.pr_in}
-
-    @property
-    def iterations_run(self) -> int:
-        """Number of power iterations executed so far."""
-        return self._iteration

@@ -102,7 +102,3 @@ class PageRankPullApp(App):
     def result(self) -> dict[str, np.ndarray]:
         assert self.pr is not None
         return {"pagerank": self.pr}
-
-    @property
-    def iterations_run(self) -> int:
-        return self._iteration

@@ -123,8 +123,3 @@ class ResidentTileStore:
         self._all_resident = False
         self._resident_bound = 0
         self.stored_tiles = 0
-
-    def invalidate_nodes(self, nodes: np.ndarray) -> None:
-        """Drop resident tiles of specific nodes (targeted graph updates)."""
-        self._resident[nodes] = False
-        self._all_resident = False

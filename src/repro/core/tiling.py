@@ -72,18 +72,6 @@ class TileDecomposition:
     block_size: int
     min_tile: int
 
-    @property
-    def num_tiles(self) -> int:
-        return int(self.tile_sizes.size)
-
-    @property
-    def tiled_edges(self) -> int:
-        return int(self.tile_sizes.sum())
-
-    @property
-    def fragment_edges(self) -> int:
-        return int(self.fragment_sizes.sum())
-
     def segment_starts(self, cum_degrees: np.ndarray) -> np.ndarray:
         """Sorted start offsets of every tile and fragment.
 
@@ -508,10 +496,10 @@ def frontier_work_reference(
     )
     totals = np.array([
         int(units.sum()),
-        decomp.num_tiles,
+        int(decomp.tile_sizes.size),
         int(decomp.fragment_frontier_idx.size),
         decomp.elections,
-        decomp.tiled_edges + decomp.fragment_edges,
+        int(decomp.tile_sizes.sum()) + int(decomp.fragment_sizes.sum()),
         int(coalesced_sectors(seg_sizes, sector_width, aligned=aligned).sum()),
         int(
             segmented_distinct_sectors(

@@ -15,7 +15,6 @@ from repro.gpusim.events import (
 )
 from repro.gpusim.memory import (
     coalesced_sectors,
-    distinct_sectors,
     estimate_dram_sectors,
     sector_ids,
     segmented_distinct_sectors,
@@ -66,7 +65,6 @@ __all__ = [
     "block_placement",
     "coalesced_sectors",
     "dag_from_run",
-    "distinct_sectors",
     "estimate_dram_sectors",
     "kernel_occupancies",
     "replay_cache_trace",

@@ -128,15 +128,6 @@ def _jumps_per_level(ordered: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.diff(np.searchsorted(np.flatnonzero(first), bounds)).astype(np.int64)
 
 
-def distinct_sectors(addresses: np.ndarray, sector_width: int) -> int:
-    """Number of distinct sectors touched by one access batch."""
-    addresses = np.asarray(addresses, dtype=np.int64)
-    if addresses.size == 0:
-        return 0
-    sectors, _ = distinct_counts([addresses], int(addresses.max()) + 1, sector_width)
-    return int(sectors[0])
-
-
 def _segment_bounds(
     addresses: np.ndarray, segment_starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -446,14 +446,6 @@ class StreamDevice:
         return completed
 
     @property
-    def idle(self) -> bool:
-        return not self._events and not self._admitted
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
     def overlap_saved_seconds(self) -> float:
         """Serial work time the schedule hid via concurrency."""
         return max(0.0, self.work_seconds - self.busy_seconds)

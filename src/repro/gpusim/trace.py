@@ -61,16 +61,6 @@ class LRUCacheModel:
         self.misses += misses
         return misses
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
 
 @dataclass(frozen=True)
 class CacheTraceReport:

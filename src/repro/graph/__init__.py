@@ -11,7 +11,7 @@ from repro.graph.builders import (
 from repro.graph.compressed import CompressedCSRGraph
 from repro.graph.coo import COOGraph
 from repro.graph.csr import CSRGraph
-from repro.graph.datasets import Dataset, by_name, full_suite, small_suite
+from repro.graph.datasets import Dataset, by_name, full_suite
 from repro.graph.delta import GraphDelta, patch_csr
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.properties import (
@@ -41,7 +41,6 @@ __all__ = [
     "largest_weakly_connected_component",
     "patch_csr",
     "sector_span",
-    "small_suite",
     "to_networkx",
     "to_scipy_sparse",
 ]

@@ -151,9 +151,6 @@ class CompressedCSRGraph:
     # Queries
     # ------------------------------------------------------------------
 
-    def out_degree(self, node: int) -> int:
-        return int(self.edge_offsets[node + 1] - self.edge_offsets[node])
-
     def neighbors(self, node: int) -> np.ndarray:
         """Decode one node's sorted adjacency list."""
         chunk = self.payload[

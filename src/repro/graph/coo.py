@@ -137,9 +137,5 @@ class COOGraph:
         """Return the transpose graph (every edge flipped)."""
         return COOGraph(self.num_nodes, self.dst.copy(), self.src.copy())
 
-    def out_degrees(self) -> np.ndarray:
-        """Out-degree of every node as an int64 array."""
-        return np.bincount(self.src, minlength=self.num_nodes).astype(EDGE_DTYPE)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"COOGraph(|V|={self.num_nodes}, |E|={self.num_edges})"

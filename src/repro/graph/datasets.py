@@ -125,11 +125,6 @@ def full_suite(scale: float = _FULL) -> list[Dataset]:
     ]
 
 
-def small_suite() -> list[Dataset]:
-    """Fast miniature versions for integration tests."""
-    return full_suite(scale=0.08)
-
-
 def by_name(name: str, scale: float = _FULL) -> Dataset:
     """Look a dataset up by its paper name (e.g. ``"twitter"``)."""
     for ds in full_suite(scale):

@@ -24,7 +24,7 @@ Two invariants make deltas composable and replayable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class GraphDelta:
     inserted_dst: np.ndarray
     deleted_src: np.ndarray
     deleted_dst: np.ndarray
-    _affected: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         for name in (
@@ -116,24 +113,6 @@ class GraphDelta:
         return np.unique(
             np.concatenate([self.inserted_src, self.deleted_src])
         )
-
-    @property
-    def affected_vertices(self) -> np.ndarray:
-        """Unique endpoints of every changed edge (sorted).
-
-        The over-approximation incremental traversal repair starts
-        from: any vertex whose result can change is reachable from this
-        set (see DESIGN.md, "Structured deltas & incremental repair").
-        """
-        cached = self._affected
-        if cached is None:
-            cached = np.unique(np.concatenate([
-                self.inserted_src, self.inserted_dst,
-                self.deleted_src, self.deleted_dst,
-            ]))
-            cached.setflags(write=False)
-            object.__setattr__(self, "_affected", cached)
-        return cached
 
     def reversed(self) -> "GraphDelta":
         """The same delta on the transpose graph (src/dst swapped).

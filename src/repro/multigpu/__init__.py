@@ -4,7 +4,6 @@ from repro.multigpu.partition import (
     chunk_partition,
     edge_cut,
     metis_like,
-    partition_sizes,
     random_partition,
 )
 from repro.multigpu.runner import MultiGpuRunner
@@ -14,6 +13,5 @@ __all__ = [
     "chunk_partition",
     "edge_cut",
     "metis_like",
-    "partition_sizes",
     "random_partition",
 ]

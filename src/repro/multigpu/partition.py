@@ -99,8 +99,3 @@ def edge_cut(graph: CSRGraph, assignment: np.ndarray) -> int:
     coo = graph.to_coo()
     assignment = np.asarray(assignment, dtype=np.int64)
     return int(np.count_nonzero(assignment[coo.src] != assignment[coo.dst]))
-
-
-def partition_sizes(assignment: np.ndarray, k: int) -> np.ndarray:
-    """Node count per partition."""
-    return np.bincount(np.asarray(assignment, dtype=np.int64), minlength=k)

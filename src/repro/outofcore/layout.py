@@ -26,10 +26,6 @@ class GraphLayout:
     targets_sectors: int
     values_sectors: int
 
-    @property
-    def total_sectors(self) -> int:
-        return self.targets_sectors + self.values_sectors
-
     def target_sectors_of(self, positions: np.ndarray) -> np.ndarray:
         """Sector ids of CSR ``targets`` positions."""
         return np.asarray(positions, dtype=np.int64) // self.sector_width

@@ -64,11 +64,6 @@ class SectorPool:
     def resident_count(self) -> int:
         return int(self._resident.sum())
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 def contiguous_runs(sectors: np.ndarray) -> int:
     """Number of maximal contiguous runs in a sorted sector-id array.

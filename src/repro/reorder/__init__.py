@@ -2,7 +2,6 @@
 
 from repro.reorder.base import (
     TimedOrdering,
-    identity_perm,
     is_permutation,
     order_to_perm,
     random_perm,
@@ -19,7 +18,6 @@ __all__ = [
     "bfs_order",
     "degree_order",
     "gorder_order",
-    "identity_perm",
     "is_permutation",
     "llp_order",
     "optimal_arrangement",

@@ -39,11 +39,6 @@ def is_permutation(perm: np.ndarray, n: int) -> bool:
     return bool(seen.all())
 
 
-def identity_perm(n: int) -> np.ndarray:
-    """The do-nothing ordering."""
-    return np.arange(n, dtype=np.int64)
-
-
 def random_perm(n: int, seed: int = 0) -> np.ndarray:
     """A uniformly random ordering (the worst-case locality control)."""
     return np.random.default_rng(seed).permutation(n).astype(np.int64)

@@ -141,9 +141,6 @@ class ResultCache:
         self.invalidations = 0
         self.rekeyed = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
@@ -221,9 +218,6 @@ class ResultCache:
         if kept:
             self.metrics.count("delta.cache_entries_kept", kept)
         return kept, purged
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 #: The delta-aware subscriber contract of :meth:`GraphStore.subscribe`.

@@ -160,7 +160,7 @@ class Router:
 
 @dataclass
 class ClusterBenchReport:
-    """Summary of one clustered serving run (see ``to_dict`` for JSON)."""
+    """Summary of one clustered serving run."""
 
     num_queries: int
     num_replicas: int
@@ -237,40 +237,6 @@ class ClusterBenchReport:
         if self.sim_seconds_total <= 0:
             return float("inf")
         return self.baseline_seconds / self.sim_seconds_total
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_queries": self.num_queries,
-            "num_replicas": self.num_replicas,
-            "routing": self.routing,
-            "num_batches": self.num_batches,
-            "batch_occupancy_mean": self.batch_occupancy_mean,
-            "makespan_seconds": self.makespan_seconds,
-            "sim_seconds_total": self.sim_seconds_total,
-            "per_replica_sim_seconds": list(self.per_replica_sim_seconds),
-            "baseline_seconds": self.baseline_seconds,
-            "speedup_vs_baseline": self.speedup_vs_baseline,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_ratio": self.cache_hit_ratio,
-            "throttled": self.throttled,
-            "shed": self.shed,
-            "graph_updates": self.graph_updates,
-            "throttle_level": self.throttle_level,
-            "concurrency_limit": self.concurrency_limit,
-            "replica_occupancy_mean": self.replica_occupancy_mean,
-            "throughput_qps": self.throughput_qps,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "status_counts": dict(self.status_counts),
-            "pipeline_enabled": self.pipeline_enabled,
-            "pipeline_busy_seconds": self.pipeline_busy_seconds,
-            "pipeline_overlap_saved_seconds":
-                self.pipeline_overlap_saved_seconds,
-            "pipeline_inflight_peak": self.pipeline_inflight_peak,
-            "pipeline_speedup_vs_serial": self.pipeline_speedup_vs_serial,
-        }
 
 
 def publish_cluster_gauges(

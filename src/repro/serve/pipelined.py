@@ -148,7 +148,3 @@ class ReplicaPipeline:
                     self._admit(local, dag, max(ready, completion.finish))
         out.sort(key=lambda item: (item[1], item[0]))
         return out
-
-    @property
-    def idle(self) -> bool:
-        return self.device.idle and not self._waiting

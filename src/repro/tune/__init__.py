@@ -25,7 +25,6 @@ from repro.tune.search import SearchResult, search
 from repro.tune.space import DEFAULT_SPACE, TuningPoint, TuningSpace
 from repro.tune.workloads import (
     BENCH_WORKLOADS,
-    SAMPLING_WORKLOADS,
     TuningWorkload,
     get_workload,
 )
@@ -33,7 +32,6 @@ from repro.tune.workloads import (
 __all__ = [
     "BENCH_WORKLOADS",
     "DEFAULT_SPACE",
-    "SAMPLING_WORKLOADS",
     "CostModelEvaluator",
     "Evaluation",
     "ProfileStore",

@@ -36,7 +36,7 @@ freely and pays for each distinct configuration once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.core.hybrid import direction_optimized_bfs
@@ -68,14 +68,6 @@ class Evaluation:
     @property
     def cost_seconds(self) -> float:
         return self.cluster_seconds + self.hybrid_seconds
-
-    def to_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {
-            f.name: getattr(self, f.name) for f in fields(self)
-        }
-        data["point"] = self.point.to_dict()
-        data["cost_seconds"] = self.cost_seconds
-        return data
 
 
 class CostModelEvaluator:

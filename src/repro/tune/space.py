@@ -219,9 +219,5 @@ class TuningSpace:
     ) -> "TuningSpace":
         return cls(tuple((name, tuple(values)) for name, values in data))
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Sequence[Any]]) -> "TuningSpace":
-        return cls(tuple((name, tuple(values)) for name, values in data.items()))
-
 
 DEFAULT_SPACE = TuningSpace()

@@ -93,32 +93,11 @@ BENCH_WORKLOADS: tuple[TuningWorkload, ...] = (
 )
 
 
-def _rmat_sampling() -> CSRGraph:
-    # Sampling-traffic stand-in: small scale-free graph; walk frontiers
-    # stay wide enough to exercise coalescing without slowing CI tuning.
-    return rmat(9, edge_factor=8, seed=77)
-
-
-#: Sampling-traffic workloads (GNN/embedding service traffic).  Kept out
-#: of :data:`BENCH_WORKLOADS` deliberately: the committed-profile CI
-#: check pins one profile per bench workload, and the sampling tier is
-#: gated by the trajectory benchmark instead of a committed profile.
-SAMPLING_WORKLOADS: tuple[TuningWorkload, ...] = (
-    TuningWorkload(
-        name="sampling_small",
-        category="sampling",
-        graph_factory=_rmat_sampling,
-        hybrid_sources=(0, 5, 19),
-        mix={"walk": 0.5, "node2vec": 0.2, "khop": 0.2, "sppr": 0.1},
-    ),
-)
-
-
 def get_workload(name: str) -> TuningWorkload:
-    for workload in BENCH_WORKLOADS + SAMPLING_WORKLOADS:
+    for workload in BENCH_WORKLOADS:
         if workload.name == name:
             return workload
-    known = [w.name for w in BENCH_WORKLOADS + SAMPLING_WORKLOADS]
+    known = [w.name for w in BENCH_WORKLOADS]
     raise InvalidParameterError(
         f"unknown tuning workload {name!r}; expected one of {known}"
     )

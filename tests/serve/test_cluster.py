@@ -108,7 +108,7 @@ class TestSimulatorDifferential:
 
         _, first = run()
         _, second = run()
-        assert first.to_dict() == second.to_dict()
+        assert first == second
 
     def test_skewed_workload_hits_the_cache(self, serve_graph):
         requests, arrivals = _workload(

@@ -96,7 +96,7 @@ class TestSimulatorDifferential:
             for _ in range(2)
         ]
         (res_a, rep_a), (res_b, rep_b) = runs
-        assert rep_a.to_dict() == rep_b.to_dict()
+        assert rep_a == rep_b
         for a, b in zip(res_a, res_b):
             assert a.status is b.status
             assert a.batch_id == b.batch_id

@@ -254,7 +254,7 @@ class TestReplayFaultPath:
     def test_two_runs_give_equal_responses(self, serve_graph, failures):
         _, first, report_a, _ = self.replay(serve_graph, failures)
         _, second, report_b, _ = self.replay(serve_graph, failures)
-        assert report_a.to_dict() == report_b.to_dict()
+        assert report_a == report_b
         for a, b in zip(first, second):
             assert (a.status, a.batch_id, a.retries, a.error) == (
                 b.status, b.batch_id, b.retries, b.error

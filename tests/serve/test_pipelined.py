@@ -188,13 +188,13 @@ class TestReplicaPipeline:
         done = pipe.advance_to(10.0)
         assert [h for h, _ in done] == handles
         assert [finish for _, finish in done] == [1.0, 2.0, 3.0]
-        assert pipe.idle
+        assert pipe.next_event_time() is None
 
     def test_advance_respects_limit(self):
         pipe = ReplicaPipeline(PipelineConfig(in_flight=1, num_streams=1))
         pipe.submit(self.kernel_batch(seconds=2.0), 0.0)
         assert pipe.advance_to(1.0) == []
-        assert not pipe.idle
+        assert pipe.next_event_time() == 2.0
         assert pipe.advance_to(2.0) == [(0, 2.0)]
 
 
@@ -244,7 +244,7 @@ class TestClusterDifferential:
             pipeline=PipelineConfig(),
         )
         assert not defaulted.pipeline_enabled
-        assert defaulted.to_dict() == plain.to_dict()
+        assert defaulted == plain
 
     def test_multiple_replicas_pipeline_independently(self):
         graph = cached_rmat(6, 8, 2)

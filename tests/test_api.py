@@ -216,7 +216,7 @@ class TestBench:
     def test_deterministic(self, graph):
         a = api.bench(graph, num_queries=12, replicas=2, seed=3)
         b = api.bench(graph, num_queries=12, replicas=2, seed=3)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
 
 class TestOneFrontDoor:

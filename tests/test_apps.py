@@ -117,14 +117,12 @@ class TestPageRank:
 
     def test_fixed_iterations(self, tiny_graph):
         app = PageRankApp(max_iterations=5, tolerance=0.0)
-        run(tiny_graph, app)
-        assert app.iterations_run == 5
+        assert run(tiny_graph, app).iterations == 5
 
     def test_early_convergence(self):
         g = gen.cycle_graph(4)
         app = PageRankApp(max_iterations=500, tolerance=1e-10)
-        run(g, app)
-        assert app.iterations_run < 500
+        assert run(g, app).iterations < 500
 
 
 class TestConnectedComponents:

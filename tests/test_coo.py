@@ -78,10 +78,3 @@ class TestTransformations:
         g = make([0, 1], [2, 3]).reversed()
         assert g.src.tolist() == [2, 3]
         assert g.dst.tolist() == [0, 1]
-
-
-class TestDegrees:
-    def test_out_degrees(self):
-        g = make([0, 0, 1], [1, 2, 2])
-        assert g.out_degrees().tolist() == [2, 1, 0, 0, 0, 0, 0, 0, 0, 0]
-

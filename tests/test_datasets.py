@@ -32,11 +32,6 @@ class TestSuite:
         with pytest.raises(KeyError):
             datasets.by_name("orkut", SCALE)
 
-    def test_small_suite_is_smaller(self):
-        small = datasets.small_suite()
-        full = datasets.full_suite(0.5)
-        for s, f in zip(small, full):
-            assert s.num_nodes < f.num_nodes
 
 
 class TestStructuralProperties:

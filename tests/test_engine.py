@@ -60,13 +60,6 @@ class TestResidentStore:
         _, new, __ = store.visit(np.array([0]), np.array([5]))
         assert new == 1
 
-    def test_invalidate_nodes(self, tiny_graph):
-        store = ResidentTileStore(tiny_graph)
-        store.visit(np.array([0, 1]), np.array([1, 1]))
-        store.invalidate_nodes(np.array([0]))
-        reused, new, __ = store.visit(np.array([0, 1]), np.array([1, 1]))
-        assert reused == 1 and new == 1
-
     def test_pr_reuses_tiles_across_iterations(self, skewed_graph):
         scheduler = SageScheduler()
         run_app(skewed_graph, PageRankApp(max_iterations=5), scheduler)

@@ -112,14 +112,13 @@ class TestGraphDelta:
         with pytest.raises(ValueError):
             dyn.last_delta.inserted_src[0] = 7
 
-    def test_affected_vertices_union_of_endpoints(self, tiny_graph):
+    def test_touched_sources_union_of_changed_sources(self, tiny_graph):
         delta = GraphDelta(
             num_nodes=4, old_epoch=0, new_epoch=1,
             inserted_src=[3], inserted_dst=[0],
             deleted_src=[2], deleted_dst=[3],
         )
         assert delta.touched_sources.tolist() == [2, 3]
-        assert delta.affected_vertices.tolist() == [0, 2, 3]
 
     def test_patch_csr_rejects_node_count_mismatch(self, tiny_graph):
         delta = GraphDelta(

@@ -48,7 +48,7 @@ SCHEDULERS = [
 
 @pytest.fixture(scope="module")
 def graphs():
-    return {ds.name: ds.graph for ds in datasets.small_suite()}
+    return {ds.name: ds.graph for ds in datasets.full_suite(0.08)}
 
 
 def reference(app_factory, graph, source):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import InvalidParameterError
 from repro.gpusim.memory import (
     coalesced_sectors,
-    distinct_sectors,
+    distinct_counts,
     estimate_dram_sectors,
     sector_ids,
     segmented_distinct_sectors,
@@ -26,12 +26,13 @@ class TestSectorMath:
             sector_ids(np.array([1]), 0)
 
     def test_distinct(self):
-        assert distinct_sectors(np.array([0, 1, 2, 9]), 8) == 2
-        assert distinct_sectors(np.array([]), 8) == 0
+        sectors, _ = distinct_counts([np.array([0, 1, 2, 9]), np.array([])], 10, 8)
+        assert sectors.tolist() == [2, 0]
 
     def test_paper_figure5_example(self):
         # tile3 = {2, 4, 8, 9} with 4 values per sector -> 3 sectors
-        assert distinct_sectors(np.array([2, 4, 8, 9]), 4) == 3
+        sectors, _ = distinct_counts([np.array([2, 4, 8, 9])], 10, 4)
+        assert sectors.tolist() == [3]
 
 
 class TestSegmentedDistinct:
@@ -113,18 +114,6 @@ class TestLRU:
         cache.access([2])             # miss again
         assert cache.hits == 1
         assert cache.misses == 4
-
-    def test_hit_rate(self):
-        cache = LRUCacheModel(10)
-        cache.access([1, 1, 1, 1])
-        assert cache.hit_rate == pytest.approx(0.75)
-
-    def test_reset(self):
-        cache = LRUCacheModel(4)
-        cache.access([1, 2, 3])
-        cache.reset()
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.access([1]) == 1  # cold again
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

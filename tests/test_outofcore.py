@@ -55,11 +55,11 @@ class TestSectorPool:
         with pytest.raises(InvalidParameterError):
             SectorPool(0, 10)
 
-    def test_hit_rate(self):
+    def test_hits_and_misses(self):
         pool = SectorPool(10, 100)
         pool.access(np.array([1]))
         pool.access(np.array([1]))
-        assert pool.hit_rate == pytest.approx(0.5)
+        assert (pool.hits, pool.misses) == (1, 1)
 
 
 class TestContiguousRuns:

@@ -49,5 +49,5 @@ class TestPullPageRank:
 
     def test_early_convergence_counter(self, tiny_graph):
         app = PageRankPullApp(max_iterations=500, tolerance=1e-10)
-        run_app(tiny_graph.reversed(), app, SageScheduler())
-        assert app.iterations_run < 500
+        result = run_app(tiny_graph.reversed(), app, SageScheduler())
+        assert result.iterations < 500

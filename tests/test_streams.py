@@ -262,7 +262,7 @@ class TestStreamDevice:
         handle = device.admit(BatchDag(), 3.0)
         done = device.drain()
         assert done == [type(done[0])(handle=handle, finish=3.0)]
-        assert device.idle
+        assert device.next_event_time() is None
 
     def test_single_stream_serializes_in_fifo_order(self):
         device = StreamDevice(num_streams=1)
@@ -354,7 +354,6 @@ class TestStreamDevice:
         done = device.advance_to(1.0)
         assert [d.handle for d in done] == [handle]
         assert device.next_event_time() is None
-        assert device.idle
 
     def test_batches_from_different_admissions_interleave(self):
         device = StreamDevice(num_streams=2)

@@ -79,15 +79,15 @@ class TestDecomposeFrontier:
     def test_counts(self):
         degrees = np.array([34, 27])
         decomp = decompose_frontier(degrees, 16, 8)
-        assert decomp.tiled_edges + decomp.fragment_edges == 61
-        assert decomp.num_tiles == 4  # node0: 16,16; node1: 16,8
+        assert decomp.tile_sizes.sum() + decomp.fragment_sizes.sum() == 61
+        assert decomp.tile_sizes.size == 4  # node0: 16,16; node1: 16,8
         # elections: node0 once at size 16 (the tile then loops two
         # rounds); node1 at sizes 16 and 8
         assert decomp.elections == 3
 
     def test_empty_frontier(self):
         decomp = decompose_frontier(np.array([], dtype=np.int64), 256, 8)
-        assert decomp.num_tiles == 0
+        assert decomp.tile_sizes.size == 0
         assert decomp.fragment_frontier_idx.size == 0
 
     def test_negative_degree_rejected(self):
@@ -121,7 +121,7 @@ class TestDecomposeFrontier:
         degrees = np.array(degrees, dtype=np.int64)
         decomp = decompose_frontier(degrees, block, min_tile)
         # tiles are powers of two in [min_tile, block]
-        if decomp.num_tiles:
+        if decomp.tile_sizes.size:
             assert np.all(np.isin(
                 decomp.tile_sizes,
                 np.array(tile_size_levels(block, min_tile)),

@@ -134,7 +134,6 @@ def store_ops(draw):
         st.tuples(st.just("visit"), frontier),
         st.tuples(st.just("visit_queue"), st.lists(frontier, min_size=1, max_size=4)),
         st.tuples(st.just("invalidate_all"), st.none()),
-        st.tuples(st.just("invalidate_nodes"), nodes),
     )
     units = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
     return CSRGraph.from_edges(n, [], []), units, draw(st.lists(op, max_size=12))
@@ -169,12 +168,10 @@ class TestAllResidentShortcut:
         store.visit_queue(np.array([2, 3, 3]), [1, 2], np.array([1, 2, 2]))
         assert store._all_resident
         assert store.visit(np.arange(4), np.ones(4, dtype=np.int64)) == (4, 0, 0)
-        store.invalidate_nodes(np.array([3]))
-        assert not store._all_resident
-        assert store.visit(np.arange(4), np.full(4, 3)) == (3, 1, 3)
-        assert store._all_resident
         store.invalidate_all()
         assert not store._all_resident
+        assert store.visit(np.arange(4), np.full(4, 3)) == (0, 4, 12)
+        assert store._all_resident
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from repro import api
 from repro.obs import MetricsRegistry
+from repro.serve import GraphStore
 from repro.tune import ProfileStore, get_workload
 
 pytestmark = pytest.mark.tune
@@ -65,11 +66,17 @@ class TestAutoLoad:
         counters = metrics.report()["counters"]
         assert counters["api.profiles_applied"] == 1
 
-    def test_cluster_picks_up_a_matching_profile(self, tuned, monkeypatch):
+    @pytest.mark.parametrize("wrap", [
+        lambda graph: graph,
+        lambda graph: GraphStore({"default": graph}),
+    ], ids=["graph", "store"])
+    def test_cluster_picks_up_a_matching_profile(
+        self, tuned, monkeypatch, wrap
+    ):
         profile, out, graph = tuned
         monkeypatch.setenv("REPRO_PROFILE_DIR", str(out))
         metrics = MetricsRegistry()
-        with api.cluster(graph, metrics=metrics) as pool:
+        with api.cluster(wrap(graph), metrics=metrics) as pool:
             assert pool.routing == profile.point.routing
         assert metrics.report()["counters"]["api.profiles_applied"] == 1
 

@@ -100,7 +100,3 @@ class TestTuningSpace:
         dumped = json.dumps(tiny_space.to_list(), sort_keys=True)
         restored = TuningSpace.from_list(json.loads(dumped))
         assert restored.axes == tiny_space.axes
-
-    def test_from_dict_builds_the_same_axes(self):
-        space = TuningSpace.from_dict({"alpha": (4.0, 8.0)})
-        assert space.axes == (("alpha", (4.0, 8.0)),)
